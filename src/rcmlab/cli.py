@@ -42,6 +42,7 @@ from .stats import (
     random_filtration_space,
     replicate,
     replicate_many,
+    resolve_workers,
     variance_density_convergence,
     variance_lower_bound,
 )
@@ -114,8 +115,11 @@ def _emit(cfg: ExperimentConfig, stem: str, fieldnames, rows, extra=None):
     return written
 
 
-def _workers(cfg: ExperimentConfig):
-    return cfg.workers if cfg.workers > 0 else None
+def _workers(cfg: ExperimentConfig) -> int:
+    try:
+        return resolve_workers(cfg.workers)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 # -- subcommand handlers --------------------------------------------------------

@@ -114,6 +114,9 @@ def unit_box(d: int) -> Region:
 
 _NODES_LO, _WEIGHTS_LO = np.polynomial.legendre.leggauss(10)
 _NODES_HI, _WEIGHTS_HI = np.polynomial.legendre.leggauss(21)
+_NODES_ALL = np.concatenate([_NODES_HI, _NODES_LO])
+_WEIGHTS_ALL = np.concatenate([_WEIGHTS_HI, _WEIGHTS_LO])
+_RULE_STARTS = np.array([0, _NODES_HI.size])
 
 
 def _eval_interval(f, a: float, b: float):
@@ -175,14 +178,110 @@ def adaptive_quad(
             counter += 1
 
 
-def vectorize_scalar(fn: Callable[[float], float]) -> Callable[[np.ndarray], np.ndarray]:
-    """Wrap a scalar-valued function for the vectorised integrand contract."""
+def _eval_rows(f, rows, lo, hi):
+    """The Gauss pair on [lo[k], hi[k]] of row rows[k], for every k at once.
 
-    def wrapped(x):
-        arr = np.atleast_1d(np.asarray(x, dtype=float))
-        return np.array([fn(float(v)) for v in arr])
+    Each row's weighted sums run over its own nodes in a fixed order, so a
+    row's value does not depend on which other rows share the sweep.
+    """
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (lo + hi)
+    y = np.asarray(f(mid[:, None] + half[:, None] * _NODES_ALL, rows), dtype=float)
+    sums = np.add.reduceat(y * _WEIGHTS_ALL, _RULE_STARTS, axis=1)
+    vhi = half * sums[:, 0]
+    return vhi, np.abs(vhi - half * sums[:, 1])
 
-    return wrapped
+
+def adaptive_quad_rows(f, a, b, spec: QuadratureSpec = DEFAULT_SPEC, breakpoints=()):
+    """Integrate many 1-D integrals in one numpy sweep: row i is int_{a_i}^{b_i}.
+
+    f(x, rows) gets nodes x of shape (k, q) and the row index of each of the
+    k intervals, and returns the integrand at those nodes.  breakpoints is
+    (c,) shared by all rows or (m, c) per row; cuts outside (a_i, b_i) clip
+    to its ends and give empty pieces.  Every row is refined as adaptive_quad
+    refines it alone: the same rule pair, worst-piece bisection order,
+    tolerance max(abs_tol, rel_tol * |total|) and subdivision budget.
+    Returns (values, errors) as arrays of length m.
+    """
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    m = a.size
+    b = np.broadcast_to(np.asarray(b, dtype=float), (m,))
+    cuts = np.asarray(breakpoints, dtype=float)
+    if cuts.ndim < 2:
+        cuts = np.broadcast_to(cuts.reshape(-1), (m, cuts.size))
+    cuts = np.sort(np.clip(cuts, a[:, None], b[:, None]), axis=1)
+    edges = np.concatenate([a[:, None], cuts, b[:, None]], axis=1)
+    s_lo, s_hi = edges[:, :-1], edges[:, 1:]
+    live = s_hi > s_lo
+    width = live.shape[1]
+    s_val = np.zeros(live.shape)
+    s_err = np.zeros(live.shape)
+    if live.any():
+        s_val[live], s_err[live] = _eval_rows(f, np.nonzero(live)[0], s_lo[live], s_hi[live])
+    total = s_val[:, 0].copy()
+    total_err = s_err[:, 0].copy()
+    for j in range(1, width):  # piece by piece, in adaptive_quad's order
+        total += s_val[:, j]
+        total_err += s_err[:, j]
+    pieces = live.sum(axis=1)
+    # Column j of a row holds its j-th created piece and popped or empty
+    # pieces hold error -inf, so argmax picks the earliest of equally bad
+    # pieces, as the heap in adaptive_quad does.  Every row still refining
+    # splits once per sweep, so new pieces share a column.
+    s_err[~live] = -np.inf
+
+    values = np.empty(m)
+    errors = np.empty(m)
+    ids = np.arange(m)
+    col = cap = width
+    while True:
+        tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total))
+        need = ~(total_err <= tol)
+        spent = need & (pieces >= spec.max_subdiv)
+        if spent.any():
+            failed = np.nonzero(spent & ~(total_err <= 10.0 * tol))[0]
+            if failed.size:
+                i = failed[0]
+                raise QuadratureError(
+                    f"no convergence within {spec.max_subdiv} subdivisions "
+                    f"(row {ids[i]}, err {total_err[i]:.3e}, tol {tol[i]:.3e})"
+                )
+            need &= ~spent
+        if not need.all():
+            done = ~need
+            values[ids[done]] = total[done]
+            errors[ids[done]] = total_err[done]
+            ids, total, total_err, pieces = ids[need], total[need], total_err[need], pieces[need]
+            s_lo, s_hi, s_val, s_err = s_lo[need], s_hi[need], s_val[need], s_err[need]
+        if not ids.size:
+            return values, errors
+
+        if col == cap:
+            more = np.zeros((ids.size, max(col, 16)))
+            s_lo, s_hi, s_val = (np.concatenate([x, more], axis=1) for x in (s_lo, s_hi, s_val))
+            s_err = np.concatenate([s_err, more - np.inf], axis=1)
+            cap = s_err.shape[1]
+
+        k = ids.size
+        at = np.arange(k)
+        worst = np.argmax(s_err, axis=1)
+        lo, hi = s_lo[at, worst], s_hi[at, worst]
+        total -= s_val[at, worst]
+        total_err -= s_err[at, worst]
+        s_err[at, worst] = -np.inf
+        mid = 0.5 * (lo + hi)
+        val, est = _eval_rows(
+            f, np.concatenate([ids, ids]), np.concatenate([lo, mid]), np.concatenate([mid, hi])
+        )
+        total += val[:k]
+        total_err += est[:k]
+        total += val[k:]
+        total_err += est[k:]
+        halves = ((lo, mid, val[:k], est[:k]), (mid, hi, val[k:], est[k:]))
+        for c, (h_lo, h_hi, h_val, h_err) in enumerate(halves, start=col):
+            s_lo[:, c], s_hi[:, c], s_val[:, c], s_err[:, c] = h_lo, h_hi, h_val, h_err
+        col += 2
+        pieces += 1
 
 
 # -- radial and overlap integrals ---------------------------------------------
@@ -272,59 +371,47 @@ def overlap_integral(
         val, err = adaptive_quad(integrand, lo, hi, spec, breaks)
         return QuadResult(val, err + spec.tail_eps)
 
+    if d not in (2, 3):
+        raise ValueError("dimension must be 1, 2 or 3")
+    cut2 = np.asarray(cuts2, dtype=float)
+
     if d == 2:
-        def theta_mass(r: float) -> float:
-            lo_d, hi_d = abs(r - s), r + s
-            brs = []
-            for c in cuts2:
-                if lo_d < c < hi_d:
-                    u = (r * r + s * s - c * c) / (2.0 * r * s)
-                    brs.append(math.acos(max(-1.0, min(1.0, u))))
-            val, _ = adaptive_quad(
-                lambda th: h2.eval(np.sqrt(r * r + s * s - 2.0 * r * s * np.cos(th))),
-                0.0,
-                math.pi,
-                inner_spec,
-                brs,
-            )
-            return val
+        prefactor = 2.0
 
-        def integrand(rarr):
-            rarr = np.atleast_1d(np.asarray(rarr, dtype=float))
-            base = h1.eval(rarr)
-            out = np.zeros_like(base)
-            for k in np.nonzero((base > 0.0) & (rarr > 0.0))[0]:
-                r = float(rarr[k])
-                out[k] = 2.0 * r * base[k] * theta_mass(r)
-            return out
+        def inner_mass(r):
+            """int_0^pi h2(sqrt(r^2 + s^2 - 2 r s cos(theta))) dtheta, one row per r."""
+            rc = r[:, None]
+            near, far = rc * rc + s * s, 2.0 * rc * s  # |y - s e1|^2 = near - far cos(theta)
+            cos_cut = np.clip((near - cut2 * cut2) / far, -1.0, 1.0)
+            inside = (np.abs(rc - s) < cut2) & (cut2 < rc + s)
+            angles = np.where(inside, np.arccos(cos_cut), 0.0)
 
-        breaks = list(cuts1) + _pair_breaks(s, cuts2)
-        val, err = adaptive_quad(integrand, lo, hi, spec, breaks)
-        return QuadResult(val, err + spec.tail_eps)
+            def f(th, rows):
+                return h2.eval(np.sqrt(near[rows] - far[rows] * np.cos(th)))
 
-    if d == 3:
-        def chord_mass(r: float) -> float:
-            t_lo, t_hi = abs(r - s), r + s
-            brs = [c for c in cuts2 if t_lo < c < t_hi]
-            val, _ = adaptive_quad(
-                lambda t: t * h2.eval(t), t_lo, t_hi, inner_spec, brs
-            )
-            return val
+            return adaptive_quad_rows(f, np.zeros_like(r), math.pi, inner_spec, angles)[0]
 
-        def integrand(rarr):
-            rarr = np.atleast_1d(np.asarray(rarr, dtype=float))
-            base = h1.eval(rarr)
-            out = np.zeros_like(base)
-            for k in np.nonzero((base > 0.0) & (rarr > 0.0))[0]:
-                r = float(rarr[k])
-                out[k] = (2.0 * math.pi / s) * r * base[k] * chord_mass(r)
-            return out
+    else:
+        prefactor = 2.0 * math.pi / s
 
-        breaks = list(cuts1) + _pair_breaks(s, cuts2)
-        val, err = adaptive_quad(integrand, lo, hi, spec, breaks)
-        return QuadResult(val, err + spec.tail_eps)
+        def inner_mass(r):
+            """Chord mass int t h2(t) dt over [|r - s|, r + s], one row per r."""
+            return adaptive_quad_rows(
+                lambda t, rows: t * h2.eval(t), np.abs(r - s), r + s, inner_spec, cut2
+            )[0]
 
-    raise ValueError("dimension must be 1, 2 or 3")
+    def integrand(rarr):
+        rarr = np.atleast_1d(np.asarray(rarr, dtype=float))
+        base = h1.eval(rarr)
+        out = np.zeros_like(base)
+        k = np.nonzero((base > 0.0) & (rarr > 0.0))[0]
+        r = rarr[k]
+        out[k] = prefactor * r * base[k] * inner_mass(r)
+        return out
+
+    breaks = list(cuts1) + _pair_breaks(s, cuts2)
+    val, err = adaptive_quad(integrand, lo, hi, spec, breaks)
+    return QuadResult(val, err + spec.tail_eps)
 
 
 # -- covariograms and double region integrals ---------------------------------

@@ -45,7 +45,10 @@ def resolve_workers(workers: int | None) -> int:
         return workers
     env = os.environ.get("RCMLAB_WORKERS", "").strip()
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(f"RCMLAB_WORKERS must be an integer, got {env!r}") from None
     return 1
 
 

@@ -188,6 +188,12 @@ class TestCli:
         bad.write_text("model.lambda = -3\n", encoding="utf-8")
         assert cli.main(["moments", "--config", str(bad)]) == 2
 
+    def test_bad_workers_env_is_config_error(self, cfg_file, monkeypatch, capsys):
+        monkeypatch.setenv("RCMLAB_WORKERS", "abc")
+        assert cli.main(["clt-test", "--config", str(cfg_file)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "RCMLAB_WORKERS" in err
+
     def test_unknown_subcommand_rejected(self, cfg_file):
         with pytest.raises(SystemExit):
             cli.main(["frobnicate", "--config", str(cfg_file)])

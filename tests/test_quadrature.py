@@ -1,5 +1,7 @@
 import math
+import re
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -11,6 +13,7 @@ from rcmlab.quadrature import (
     QuadratureSpec,
     Region,
     adaptive_quad,
+    adaptive_quad_rows,
     box_covariogram,
     covariogram_shell_mass,
     double_region_integral,
@@ -24,6 +27,76 @@ def lens_area(a, s):
     if s >= 2 * a:
         return 0.0
     return 2 * a * a * math.acos(s / (2 * a)) - (s / 2) * math.sqrt(4 * a * a - s * s)
+
+
+def mp_disk_overlap(r1, r2, s):
+    """Area of the intersection of disks of radii r1, r2 whose centers are s apart."""
+    r1, r2, s = mpmath.mpf(r1), mpmath.mpf(r2), mpmath.mpf(s)
+    if r1 == 0 or r2 == 0 or s >= r1 + r2:
+        return mpmath.mpf(0)
+    if s <= abs(r1 - r2):
+        return mpmath.pi * min(r1, r2) ** 2
+    return (
+        r1**2 * mpmath.acos((s * s + r1 * r1 - r2 * r2) / (2 * s * r1))
+        + r2**2 * mpmath.acos((s * s + r2 * r2 - r1 * r1) / (2 * s * r2))
+        - mpmath.sqrt((r1 + r2 - s) * (s + r1 - r2) * (s - r1 + r2) * (s + r1 + r2)) / 2
+    )
+
+
+def mp_ball_overlap(r1, r2, s):
+    """Volume of the intersection of balls of radii r1, r2 whose centers are s apart."""
+    r1, r2, s = mpmath.mpf(r1), mpmath.mpf(r2), mpmath.mpf(s)
+    if s >= r1 + r2:
+        return mpmath.mpf(0)
+    if s <= abs(r1 - r2):
+        return 4 * mpmath.pi / 3 * min(r1, r2) ** 3
+    return (
+        mpmath.pi
+        * (r1 + r2 - s) ** 2
+        * (s * s + 2 * s * (r1 + r2) - 3 * (r1 - r2) ** 2)
+        / (12 * s)
+    )
+
+
+def annulus_overlap(inner1, outer1, inner2, outer2, s):
+    """Overlap of 1{inner1 < |y| <= outer1} and 1{inner2 < |y - s e1| <= outer2} in d=2.
+
+    Each annulus is the difference of two disks, so the overlap is a signed
+    sum of four lens areas.
+    """
+    return float(
+        mp_disk_overlap(outer1, outer2, s)
+        - mp_disk_overlap(outer1, inner2, s)
+        - mp_disk_overlap(inner1, outer2, s)
+        + mp_disk_overlap(inner1, inner2, s)
+    )
+
+
+def row_problem(seed, m):
+    """m random rows: exponential, gaussian or hard-disk bumps on random intervals.
+
+    Returns the row integrand f(x, rows), a scalar integrand per row for
+    adaptive_quad, the interval ends and three cuts per row, some of them
+    outside the row's interval.  Hard-disk rows jump at center +- scale,
+    which the cuts do not hit, so those rows need refinement.
+    """
+    rng = np.random.default_rng(seed)
+    kind = rng.integers(0, 3, m)
+    scale = rng.uniform(0.2, 1.5, m)
+    center = rng.uniform(-1.0, 2.0, m)
+    a = rng.uniform(-1.0, 1.0, m)
+    b = a + rng.uniform(0.1, 3.0, m)
+    cuts = rng.uniform(-2.0, 4.0, (m, 3))
+
+    def f(x, rows):
+        t = np.abs(x - center[rows, None]) / scale[rows, None]
+        k = kind[rows, None]
+        return np.where(k == 0, np.exp(-t), np.where(k == 1, np.exp(-t * t), (t <= 1.0) * 1.0))
+
+    def row(i):
+        return lambda x: f(np.asarray(x)[None, :], np.array([i]))[0]
+
+    return f, row, a, b, cuts
 
 
 class TestSpec:
@@ -65,6 +138,69 @@ class TestAdaptiveQuad:
         assert ours == pytest.approx(ref, abs=1e-10)
 
 
+class TestAdaptiveQuadRows:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_agrees_with_adaptive_quad(self, seed):
+        spec = QuadratureSpec()
+        f, row, a, b, cuts = row_problem(seed, 24)
+        vals, errs = adaptive_quad_rows(f, a, b, spec, cuts)
+        for i in range(a.size):
+            ref = adaptive_quad(row(i), a[i], b[i], spec, cuts[i])
+            tol = max(spec.abs_tol, spec.rel_tol * abs(ref.value))
+            assert abs(vals[i] - ref.value) <= tol
+            assert errs[i] <= tol and ref.error <= tol
+
+    def test_row_does_not_depend_on_its_batch(self):
+        f, _, a, b, cuts = row_problem(3, 12)
+        vals, errs = adaptive_quad_rows(f, a, b, breakpoints=cuts)
+        for i in range(a.size):
+            one = lambda x, rows: f(x, np.full_like(rows, i))
+            v, e = adaptive_quad_rows(one, a[i : i + 1], b[i], breakpoints=cuts[i])
+            assert (v[0], e[0]) == (vals[i], errs[i])
+
+    def test_budget_raises_where_adaptive_quad_does(self):
+        spec = QuadratureSpec(max_subdiv=4)
+        f, row, a, b, cuts = row_problem(4, 30)
+        raised = []
+        for i in range(a.size):
+            one = lambda x, rows: f(x, np.full_like(rows, i))
+            try:
+                ref = adaptive_quad(row(i), a[i], b[i], spec, cuts[i])
+            except QuadratureError:
+                raised.append(i)
+                with pytest.raises(QuadratureError):
+                    adaptive_quad_rows(one, a[i : i + 1], b[i], spec, cuts[i : i + 1])
+                continue
+            v, _ = adaptive_quad_rows(one, a[i : i + 1], b[i], spec, cuts[i : i + 1])
+            assert abs(v[0] - ref.value) <= 10.0 * max(spec.abs_tol, spec.rel_tol * abs(ref.value))
+        assert 0 < len(raised) < a.size
+        with pytest.raises(QuadratureError) as exc:
+            adaptive_quad_rows(f, a, b, spec, cuts)
+        assert int(re.search(r"row (\d+)", str(exc.value)).group(1)) in raised
+
+    def test_budget_accepts_within_ten_tolerances_like_adaptive_quad(self):
+        # on some decade of tolerance the sqrt row runs out of pieces at an
+        # error between tol and 10 tol, which both integrators accept
+        f = lambda x, rows: np.sqrt(x)
+        for tol in 10.0 ** -np.arange(3.0, 15.0):
+            spec = QuadratureSpec(rel_tol=tol, abs_tol=tol, max_subdiv=4, tail_eps=tol)
+            ref = adaptive_quad(np.sqrt, 0.0, 1.0, spec)
+            if ref.error > tol:
+                break
+        else:
+            pytest.fail("no tolerance put the row between tol and 10 tol")
+        v, e = adaptive_quad_rows(f, [0.0], 1.0, spec)
+        assert abs(v[0] - ref.value) <= 1e-15 and e[0] == pytest.approx(ref.error, rel=1e-6)
+
+    def test_empty_rows(self):
+        f = lambda x, rows: np.ones_like(x)
+        vals, errs = adaptive_quad_rows(f, [0.0, 1.0, 2.0], [1.0, 1.0, 1.5], breakpoints=[0.5])
+        assert vals == pytest.approx([1.0, 0.0, 0.0], abs=1e-15)
+        assert vals[1:].tolist() == errs[1:].tolist() == [0.0, 0.0]
+        vals, errs = adaptive_quad_rows(f, np.empty(0), np.empty(0))
+        assert vals.size == 0 and errs.size == 0
+
+
 class TestRadialIntegral:
     def test_disk_area(self):
         assert radial_integral(hard_disk(1.0), 2).value == pytest.approx(math.pi, rel=1e-9)
@@ -99,6 +235,51 @@ class TestOverlapIntegral:
     def test_lens_area(self):
         got = overlap_integral(hard_disk(1.0), hard_disk(1.0), 1.0, 2).value
         assert got == pytest.approx(lens_area(1.0, 1.0), rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "h1,ring1,h2,ring2",
+        [
+            (hard_disk(1.0), (0.0, 1.0), hard_disk(1.0), (0.0, 1.0)),
+            (hard_disk(1.0).scale(2.0), (0.0, 0.5), hard_disk(1.0), (0.0, 1.0)),
+            (hard_disk(1.0).truncate_inside(0.6), (0.0, 0.6), hard_disk(1.0), (0.0, 1.0)),
+            (hard_disk(1.0).truncate_outside(0.4), (0.4, 1.0), hard_disk(1.0), (0.0, 1.0)),
+            (
+                hard_disk(1.0).truncate_outside(0.4),
+                (0.4, 1.0),
+                hard_disk(2.0).scale(2.0).truncate_outside(0.3),
+                (0.3, 1.0),
+            ),
+        ],
+    )
+    def test_disk_stack_lens_areas(self, h1, ring1, h2, ring2):
+        for s in np.linspace(0.0, ring1[1] + ring2[1], 11)[1:-1]:
+            got = overlap_integral(h1, h2, s, 2)
+            ref = annulus_overlap(*ring1, *ring2, s)
+            assert abs(got.value - ref) <= got.error, s
+
+    @pytest.mark.parametrize("s", [0.05, 0.3, 1.0])
+    def test_exponential_d2_against_mpmath(self, s):
+        # near r = s the inner angle integrand is nearly singular at theta = 0
+        a = mpmath.mpf(0.3)  # the float the program integrates with
+        sm = mpmath.mpf(s)
+
+        def integrand(r, th):  # both halves of the circle, theta in [0, pi]
+            dist = mpmath.sqrt(max(0, r * r + sm * sm - 2 * r * sm * mpmath.cos(th)))
+            return 2 * r * mpmath.exp(-r / a) * mpmath.exp(-dist / a)
+
+        with mpmath.workdps(20):
+            ref = mpmath.quad(integrand, [0, sm, mpmath.inf], [0, mpmath.pi])
+            # the same convolution through the Hankel transform: pi s^2 K_2(s/a) / 4
+            assert abs(ref - mpmath.pi * sm * sm * mpmath.besselk(2, sm / a) / 4) < 1e-15
+        got = overlap_integral(exponential(0.3), exponential(0.3), s, 2)
+        assert abs(got.value - float(ref)) <= got.error
+
+    @pytest.mark.parametrize("r2", [1.0, 0.5])
+    def test_sphere_lens_volumes_d3(self, r2):
+        h2 = hard_disk(1.0).scale(1.0 / r2)
+        for s in (0.1, 0.45, 0.8, 1.2, 1.45):
+            got = overlap_integral(hard_disk(1.0), h2, s, 3)
+            assert abs(got.value - float(mp_ball_overlap(1.0, r2, s))) <= got.error, s
 
     def test_exponential_line_closed_form(self):
         # int e^{-|y|} e^{-|y-s|} dy = e^{-s} (1 + s)
