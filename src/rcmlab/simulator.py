@@ -21,6 +21,7 @@ connection mass is bounded and recorded on the graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy import sparse
@@ -33,9 +34,6 @@ from .quadrature import Region
 
 class SimulationError(RuntimeError):
     """Violated simulation precondition (margin, reach, or support)."""
-
-
-_ALL_PAIRS_LIMIT = 2000  # below this, brute-force all pairs beats tree queries
 
 
 @dataclass(frozen=True)
@@ -170,22 +168,20 @@ def sample_points(lam_n: float, box: Region, rng: np.random.Generator) -> np.nda
 
 
 def _candidate_pairs(points: np.ndarray, reach: float):
-    n = points.shape[0]
-    if n < 2:
+    """Index pairs i < j in lexicographic order with their distances <= reach.
+
+    The tree is queried slightly beyond the reach so that the boundary rule is
+    ``dist <= reach`` on the norm computed here, not the tree's own rounding.
+    """
+    if points.shape[0] < 2:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty, np.empty(0)
-    if n <= _ALL_PAIRS_LIMIT:
-        i, j = np.triu_indices(n, k=1)
-        dist = np.linalg.norm(points[i] - points[j], axis=1)
-        keep = dist <= reach
-        return i[keep].astype(np.int64), j[keep].astype(np.int64), dist[keep]
-    pairs = cKDTree(points).query_pairs(reach, output_type="ndarray")
-    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-    pairs = pairs[order]
-    i = pairs[:, 0].astype(np.int64)
-    j = pairs[:, 1].astype(np.int64)
+    pairs = cKDTree(points).query_pairs(reach * (1.0 + 1e-9), output_type="ndarray")
+    pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))].astype(np.int64)
+    i, j = pairs[:, 0], pairs[:, 1]
     dist = np.linalg.norm(points[i] - points[j], axis=1)
-    return i, j, dist
+    keep = dist <= reach
+    return i[keep], j[keep], dist[keep]
 
 
 def connect(
@@ -235,6 +231,19 @@ def regraph(graph: PointGraph, conn: ConnectionFunction) -> PointGraph:
     )
 
 
+@lru_cache(maxsize=256)
+def _setup(conn, lam_n, d, K, policy, min_reach, min_margin):
+    """(window, reach, edge_bias): the same for every replication of one input."""
+    window = margin_policy(conn, d, lam_n, K, policy.eps_margin)
+    if min_margin > window.margin:
+        window = SimWindow(K=K, margin=min_margin, bias_bound=window.bias_bound)
+    supp = conn.support_radius
+    if supp is not None:
+        return window, max(supp, min_reach), 0.0
+    eps = 2.0 * policy.eps_edges / (lam_n**2 * window.box.volume)
+    return window, max(conn.tail_radius(eps, d), min_reach), policy.eps_edges
+
+
 def simulate_graph(
     conn: ConnectionFunction,
     lam_n: float,
@@ -246,19 +255,7 @@ def simulate_graph(
     min_margin: float = 0.0,
 ) -> PointGraph:
     """Sample points in K plus margin and connect them under conn."""
-    window = margin_policy(conn, d, lam_n, K, policy.eps_margin)
-    if min_margin > window.margin:
-        window = SimWindow(K=K, margin=min_margin, bias_bound=window.bias_bound)
-    supp = conn.support_radius
-    if supp is not None:
-        reach = supp
-        edge_bias = 0.0
-    else:
-        vol = window.box.volume
-        reach = conn.tail_radius(2.0 * policy.eps_edges / (lam_n**2 * vol), d)
-        edge_bias = policy.eps_edges
-    reach = max(reach, min_reach)
-
+    window, reach, edge_bias = _setup(conn, lam_n, d, K, policy, min_reach, min_margin)
     ss_points, ss_pairs = seed_seq.spawn(2)
     rng = np.random.default_rng(ss_points)
     key = int(ss_pairs.generate_state(1, np.uint64)[0])

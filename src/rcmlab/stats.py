@@ -26,6 +26,7 @@ from .simulator import (
     DEFAULT_POLICY,
     LatticeRegion,
     SimPolicy,
+    _setup,
     component_cell_counts,
     count_components,
     count_isolated,
@@ -136,42 +137,54 @@ def _request_needs(cfg: ModelConfig, requests: Sequence[StatRequest]):
     return min_reach, min_margin
 
 
-def _one_replication(cfg, requests, base_seed, policy, rep):
+def _one_replication(cfg, requests, base_seed, policy, min_reach, min_margin, rep):
+    """Request values in request order, then the realization's bias bound."""
     ss = np.random.SeedSequence(entropy=base_seed, spawn_key=(rep,))
-    min_reach, min_margin = _request_needs(cfg, requests)
     graph = simulate_graph(
         cfg.g_n, cfg.lam_n, cfg.d, cfg.K, ss, policy, min_reach, min_margin
     )
-    out = {}
+    row = []
     for req in requests:
         region = req.region or cfg.K
         if req.kind == "isolated":
-            out[req.name] = float(count_isolated(graph, region))
+            row.append(count_isolated(graph, region))
         elif req.kind == "near_isolated":
-            out[req.name] = float(count_truncation_family(graph, region, req.r0)[0])
+            row.append(count_truncation_family(graph, region, req.r0)[0])
         elif req.kind == "excess":
-            out[req.name] = float(count_truncation_family(graph, region, req.r0)[1])
+            row.append(count_truncation_family(graph, region, req.r0)[1])
         elif req.kind == "component":
-            out[req.name] = count_components(graph, region, req.r)
+            row.append(count_components(graph, region, req.r))
         else:  # coupling
             r0 = req.R / cfg.n
             j, _ = count_truncation_family(graph, region, r0)
             variant = make_variant(cfg.g, "cut_then_scale", R=req.R, n=cfg.n)
             twin = regraph(graph, variant)
-            out[req.name] = 1.0 if j == count_isolated(twin, region) else 0.0
-    return out, graph.window.bias_bound + graph.edge_bias
+            row.append(1.0 if j == count_isolated(twin, region) else 0.0)
+    row.append(graph.window.bias_bound + graph.edge_bias)
+    return row
 
 
-def _replication_chunk(payload):
-    cfg, requests, base_seed, policy, lo, hi = payload
-    vals = {req.name: np.empty(hi - lo) for req in requests}
-    bias = 0.0
-    for rep in range(lo, hi):
-        row, b = _one_replication(cfg, requests, base_seed, policy, rep)
-        bias = max(bias, b)
-        for name, v in row.items():
-            vals[name][rep - lo] = v
-    return lo, vals, bias
+def _rows(payload):
+    task, args, lo, hi = payload
+    return np.array([task(*args, rep) for rep in range(lo, hi)], dtype=float)
+
+
+def _replicate_rows(task, args, m: int, workers: int | None) -> np.ndarray:
+    """Rows task(*args, rep) for rep = 0..m-1, stacked in replication order.
+
+    Serial for one worker or m < 8; otherwise about four chunks per worker in
+    one process pool, written back in chunk order.
+    """
+    nworkers = resolve_workers(workers)
+    # a run starts from an empty simulation-setup cache, so the work it does
+    # (and the per-layer counts traced from it) never depends on earlier runs
+    _setup.cache_clear()
+    if nworkers <= 1 or m < 8:
+        return _rows((task, args, 0, m))
+    chunk = math.ceil(m / (4 * nworkers))
+    payloads = [(task, args, lo, min(lo + chunk, m)) for lo in range(0, m, chunk)]
+    with ProcessPoolExecutor(max_workers=nworkers) as pool:
+        return np.concatenate(list(pool.map(_rows, payloads)))
 
 
 def replicate_many(
@@ -188,27 +201,14 @@ def replicate_many(
     names = [req.name for req in requests]
     if len(set(names)) != len(names):
         raise StatsError("duplicate statistic names")
-    out = {name: np.empty(m) for name in names}
-    nworkers = resolve_workers(workers)
-    bias = 0.0
-    if nworkers <= 1 or m < 8:
-        _, vals, bias = _replication_chunk((cfg, requests, base_seed, policy, 0, m))
-        for name in names:
-            out[name][:] = vals[name]
-    else:
-        chunk = max(1, math.ceil(m / (nworkers * 4)))
-        payloads = [
-            (cfg, requests, base_seed, policy, lo, min(lo + chunk, m))
-            for lo in range(0, m, chunk)
-        ]
-        with ProcessPoolExecutor(max_workers=nworkers) as pool:
-            for lo, vals, b in pool.map(_replication_chunk, payloads):
-                bias = max(bias, b)
-                for name in names:
-                    out[name][lo : lo + len(vals[name])] = vals[name]
+    args = (cfg, requests, base_seed, policy, *_request_needs(cfg, requests))
+    rows = _replicate_rows(_one_replication, args, m, workers)
+    bias = float(rows[:, -1].max())
     return {
-        name: StatSample(name=name, values=out[name], base_seed=base_seed, bias_bound=bias)
-        for name in names
+        name: StatSample(
+            name=name, values=rows[:, k].copy(), base_seed=base_seed, bias_bound=bias
+        )
+        for k, name in enumerate(names)
     }
 
 
@@ -346,21 +346,15 @@ def _offset_cov(Y: np.ndarray, z: tuple[int, ...], mu: float) -> float:
     return float((a * Y[tuple(b_sl)]).mean() - mu * mu)
 
 
-def _field_chunk(payload):
-    cfg, r, offsets, side, base_seed, policy, lo, hi = payload
-    lattice = LatticeRegion((0,) * cfg.d, (side,) * cfg.d)
-    K = lattice.bounding_region
-    supp = cfg.g_n.support_radius
-    rows = np.empty((hi - lo, len(offsets)))
-    for rep in range(lo, hi):
-        ss = np.random.SeedSequence(entropy=base_seed, spawn_key=(rep,))
-        graph = simulate_graph(
-            cfg.g_n, cfg.lam_n, cfg.d, K, ss, policy, min_margin=r * supp
-        )
-        Y = component_cell_counts(graph, lattice, r)
-        mu = float(Y.mean())
-        rows[rep - lo] = [_offset_cov(Y, z, mu) for z in offsets]
-    return lo, rows
+def _field_row(cfg, r, offsets, lattice, base_seed, policy, rep):
+    ss = np.random.SeedSequence(entropy=base_seed, spawn_key=(rep,))
+    graph = simulate_graph(
+        cfg.g_n, cfg.lam_n, cfg.d, lattice.bounding_region, ss, policy,
+        min_margin=r * cfg.g_n.support_radius,
+    )
+    Y = component_cell_counts(graph, lattice, r)
+    mu = float(Y.mean())
+    return [_offset_cov(Y, z, mu) for z in offsets]
 
 
 def covariance_field(
@@ -388,20 +382,10 @@ def covariance_field(
         raise StatsError(f"z_max must be >= dependence range {dep}")
     side = lattice_side or max(3 * (z_max + 1), 8)
     offsets = tuple(product(range(-z_max, z_max + 1), repeat=cfg.d))
-    nworkers = resolve_workers(workers)
-    rows = np.empty((m, len(offsets)))
-    if nworkers <= 1 or m < 8:
-        _, chunk = _field_chunk((cfg, r, offsets, side, base_seed, policy, 0, m))
-        rows[:] = chunk
-    else:
-        chunk_size = max(1, math.ceil(m / (nworkers * 4)))
-        payloads = [
-            (cfg, r, offsets, side, base_seed, policy, lo, min(lo + chunk_size, m))
-            for lo in range(0, m, chunk_size)
-        ]
-        with ProcessPoolExecutor(max_workers=nworkers) as pool:
-            for lo, part in pool.map(_field_chunk, payloads):
-                rows[lo : lo + part.shape[0]] = part
+    lattice = LatticeRegion((0,) * cfg.d, (side,) * cfg.d)
+    rows = _replicate_rows(
+        _field_row, (cfg, r, offsets, lattice, base_seed, policy), m, workers
+    )
     cov = rows.mean(axis=0)
     se = rows.std(axis=0, ddof=1) / math.sqrt(m)
     sums = rows.sum(axis=1)

@@ -1,10 +1,14 @@
 import json
 import math
+import shlex
+from pathlib import Path
 
 import pytest
 
 from rcmlab import cli
-from rcmlab.config import ConfigError, parse_config
+from rcmlab.config import ConfigError, load_config, parse_config
+
+ROOT = Path(__file__).resolve().parents[1]
 
 FULL = """
 # experiment description
@@ -203,3 +207,25 @@ class TestCli:
         cli.main(["moments", "--config", str(cfg_file), "--out-dir", str(tmp_path / "b")])
         for name in ("moments.csv", "moments.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def readme_commands():
+    """Every line of a README code block that starts with `rcmlab `."""
+    commands, in_block = [], False
+    for line in (ROOT / "README.md").read_text(encoding="utf-8").splitlines():
+        if line.startswith("```"):
+            in_block = not in_block
+        elif in_block and line.startswith("rcmlab "):
+            commands.append(shlex.split(line, comments=True)[1:])
+    return commands
+
+
+def test_readme_commands_parse():
+    commands = readme_commands()
+    assert any(argv[0] == "moments" and "--set" in argv for argv in commands)
+    parser = cli.build_parser()
+    for argv in commands:
+        args = parser.parse_args(argv)
+        config = ROOT / args.config
+        assert config.is_file(), f"{args.config} named in README does not exist"
+        load_config(str(config), args.set)  # the overrides name real keys

@@ -122,17 +122,31 @@ class TestConnect:
         assert abs(hits / trials - p) <= 3 * se
 
     def test_candidate_paths_agree(self):
-        # brute-force path and the tree path must produce identical pairs
+        # the kd-tree search keeps exactly the pairs and norms of a brute-force scan
         rng = np.random.default_rng(seeded(5))
-        pts = rng.random((2100, 2)) * 3.0
-        reach = 0.11
-        i_tree, j_tree, d_tree = _candidate_pairs(pts, reach)
-        i, j = np.triu_indices(2100, k=1)
-        dist = np.linalg.norm(pts[i] - pts[j], axis=1)
-        keep = dist <= reach
-        assert np.array_equal(i_tree, i[keep])
-        assert np.array_equal(j_tree, j[keep])
-        assert np.allclose(d_tree, dist[keep])
+        cases = [
+            (rng.random((2100, 2)) * 3.0, 0.11),
+            # d=1 sample model of c02: ~23 points on a window of length ~11.6,
+            # reach ~4.2 covering most pairs
+            (rng.random((25, 1)) * 11.6 - 5.3, 4.22),
+            # d=2 at n=16: ~535 points in a window of side ~1.45
+            (rng.random((530, 2)) * 1.45 - 0.22, 0.08),
+            (rng.random((530, 2)) * 1.45 - 0.22, 0.243),
+            (rng.random((300, 3)), 0.2),
+            # |(0.75, 1)| = 1.25 exactly: dropped one ulp beyond the reach,
+            # kept on it
+            (np.array([[0.0, 0.0], [0.75, 1.0]]), np.nextafter(1.25, 0.0)),
+            (np.array([[0.0, 0.0], [0.75, 1.0]]), 1.25),
+        ]
+        for pts, reach in cases:
+            i_tree, j_tree, d_tree = _candidate_pairs(pts, reach)
+            i, j = np.triu_indices(pts.shape[0], k=1)
+            dist = np.linalg.norm(pts[i] - pts[j], axis=1)
+            keep = dist <= reach
+            assert np.array_equal(i_tree, i[keep])
+            assert np.array_equal(j_tree, j[keep])
+            assert np.array_equal(d_tree, dist[keep])
+        assert d_tree.tolist() == [1.25]
 
 
 class TestCounts:
@@ -248,6 +262,32 @@ class TestLattice:
         cell = LatticeRegion((2, 3), (4, 4)).cell((2, 3))
         assert cell.lower == (2.0, 3.0)
         assert cell.sides == (1.0, 1.0)
+
+    @given(st.data())
+    def test_cells_are_half_open_at_exact_boundaries(self, data):
+        # points on integer and half-integer coordinates: x in (z, z + 1]
+        # lands in cell z, the one whose Region.contains holds
+        d = data.draw(st.integers(1, 3))
+        origin = data.draw(st.tuples(*[st.integers(-3, 3)] * d))
+        shape = data.draw(st.tuples(*[st.integers(1, 3)] * d))
+        halves = data.draw(
+            st.lists(
+                st.tuples(*[st.integers(1, 2 * s) for s in shape]),
+                min_size=1, max_size=10, unique=True,
+            )
+        )
+        lattice = LatticeRegion(origin, shape)
+        pts = np.array(origin, dtype=float) + np.array(halves, dtype=float) / 2
+        # distinct points are >= 0.5 apart, so no edges: every component has size 1
+        window = SimWindow(K=lattice.bounding_region, margin=0.25)
+        graph = connect(pts, hard_disk(0.25), window, 0.25, 1, 1.0)
+        Y = component_cell_counts(graph, lattice, 1)
+        expect = np.zeros(shape)
+        for site in np.ndindex(*shape):
+            z = tuple(o + k for o, k in zip(origin, site))
+            expect[site] = np.count_nonzero(lattice.cell(z).contains(pts))
+        assert np.array_equal(Y, expect)
+        assert Y.sum() == len(halves)
 
 
 class TestMarginPolicy:

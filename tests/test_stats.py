@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rcmlab.connfn import exponential, hard_disk
+from rcmlab.connfn import ConnectionFunction, exponential, hard_disk
 from rcmlab.moments import ModelConfig, isolation_prob
 from rcmlab.quadrature import Region, unit_box
 from rcmlab.simulator import SimPolicy
@@ -74,6 +74,20 @@ class TestReplicate:
     def test_bootstrap_se_deterministic(self):
         sample = replicate(small_cfg(), StatRequest(name="I", kind="isolated"), 200, base_seed=8)
         assert sample.bootstrap_se_var() == sample.bootstrap_se_var()
+
+    def test_setup_runs_once_per_input(self, monkeypatch):
+        # window margin and search reach are fixed by the input, not the replication
+        calls = []
+        tail_radius = ConnectionFunction.tail_radius
+
+        def counted(self, eps, d):
+            calls.append(eps)
+            return tail_radius(self, eps, d)
+
+        monkeypatch.setattr(ConnectionFunction, "tail_radius", counted)
+        req = StatRequest(name="L", kind="excess", r0=0.5)
+        replicate_many(small_cfg(), [req], 200, base_seed=4, workers=1)
+        assert 0 < len(calls) <= 2
 
     def test_resolve_workers_env(self, monkeypatch):
         monkeypatch.setenv("RCMLAB_WORKERS", "3")
@@ -146,6 +160,15 @@ class TestCovarianceField:
 
     def test_total_positive_for_disk(self, field):
         assert field.total > 3 * field.total_se
+
+    def test_pooled_field_matches_serial(self):
+        cfg = ModelConfig(d=2, lam=1.0, K=unit_box(2), g=hard_disk(0.5), n=1.0)
+        args = dict(r=1, z_max=2, m=40, base_seed=9, lattice_side=8)
+        serial = covariance_field(cfg, **args, workers=1)
+        pooled = covariance_field(cfg, **args, workers=2)
+        assert np.array_equal(serial.cov, pooled.cov)
+        assert np.array_equal(serial.se, pooled.se)
+        assert serial.total == pooled.total
 
     def test_z_max_validation(self):
         cfg = ModelConfig(d=2, lam=1.0, K=unit_box(2), g=hard_disk(0.5), n=1.0)
