@@ -156,7 +156,6 @@ def cmd_moments(cfg: ExperimentConfig, args) -> int:
             add("mean_excess", mean_excess(model, R, cfg.spec), R=R, n=n, lam_n=model.lam_n)
             add("var_excess", var_excess(model, R, cfg.spec), R=R, n=n, lam_n=model.lam_n)
     _emit(cfg, "moments", _MOMENT_FIELDS, rows)
-    write_run_meta(cfg.out_dir, "moments", h)
     return 0
 
 
@@ -200,7 +199,6 @@ def cmd_simulate(cfg: ExperimentConfig, args) -> int:
             cfg.policy, min_reach=R / cfg.n_list[0], min_margin=R / cfg.n_list[0],
         )
         dump_realization(graph, args.dump_realization)
-    write_run_meta(cfg.out_dir, "simulate", cfg.config_hash())
     return 0
 
 
@@ -236,7 +234,6 @@ def cmd_clt_test(cfg: ExperimentConfig, args) -> int:
         )
     fields = ("n", "lam_n", "m", "ks_distance", "threshold", "passed", "config_hash", "base_seed")
     _emit(cfg, "clt_test", fields, rows, extra={"bias_bound": bias})
-    write_run_meta(cfg.out_dir, "clt-test", cfg.config_hash())
     return 0 if all_ok else 1
 
 
@@ -320,7 +317,6 @@ def cmd_truncation_demo(cfg: ExperimentConfig, args) -> int:
 
     fields = ("section", "n", "R", "value", "note")
     _emit(cfg, "truncation_demo", fields, rows, extra={"bias_bound": bias})
-    write_run_meta(cfg.out_dir, "truncation-demo", cfg.config_hash())
     return 0 if coupling_ok else 1
 
 
@@ -388,7 +384,6 @@ def cmd_variance_growth(cfg: ExperimentConfig, args) -> int:
         }
     fields = ("kind", "n", "lam_n", "value", "se", "limit", "gap")
     _emit(cfg, "variance_growth", fields, rows, extra=extra)
-    write_run_meta(cfg.out_dir, "variance-growth", cfg.config_hash())
     return 0 if ok else 1
 
 
@@ -423,7 +418,6 @@ def cmd_covariance_field(cfg: ExperimentConfig, args) -> int:
             "dependence_range": field.dependence_range,
         },
     )
-    write_run_meta(cfg.out_dir, "covariance-field", cfg.config_hash())
     return 0 if ok else 1
 
 
@@ -450,7 +444,6 @@ def cmd_martingale_check(cfg: ExperimentConfig, args) -> int:
         rows,
         extra={"worst_abs_diff": worst, "passed": ok},
     )
-    write_run_meta(cfg.out_dir, "martingale-check", cfg.config_hash())
     return 0 if ok else 1
 
 
@@ -478,7 +471,6 @@ def cmd_verify_all(cfg: ExperimentConfig, args) -> int:
         rows,
         extra={"details": {r.cid: r.details for r in results}},
     )
-    write_run_meta(cfg.out_dir, "verify-all", cfg.config_hash())
     return 0 if all(r.passed for r in results) else 1
 
 
@@ -503,13 +495,15 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
-        return _HANDLERS[args.command](cfg, args)
+        code = _HANDLERS[args.command](cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (ModelError, SimulationError, StatsError, QuadratureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    write_run_meta(cfg.out_dir, args.command, cfg.config_hash())
+    return code
 
 
 if __name__ == "__main__":

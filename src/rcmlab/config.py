@@ -20,7 +20,7 @@ import hashlib
 from dataclasses import dataclass, replace
 
 from .connfn import ConnectionFunction, exponential, gaussian, hard_disk, table_function
-from .moments import DensityRule, ModelConfig
+from .moments import DensityRule, ModelConfig, ModelError
 from .quadrature import QuadratureSpec, Region
 from .simulator import SimPolicy
 
@@ -212,10 +212,16 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def load_config(path: str, overrides=()) -> ExperimentConfig:
+    """Parse a run's config file and overrides; every n in run.n_list must have a lam_n."""
     with open(path, "r", encoding="utf-8") as fh:
         cfg = parse_config(fh.read())
     if overrides:
         cfg = cfg.with_overrides(overrides)
+    try:
+        for n in cfg.n_list:
+            cfg.model(n)
+    except ModelError as exc:
+        raise ConfigError(f"run.n_list: {exc}") from None
     return cfg
 
 

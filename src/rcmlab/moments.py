@@ -27,10 +27,11 @@ from .quadrature import (
     QuadResult,
     QuadratureSpec,
     Region,
-    adaptive_quad,
+    adaptive_quad,  # noqa: F401  rcmbench's tracer checks it is wrapped here too
     double_region_integral,
     overlap_integral,
     radial_integral,
+    radial_of,
     unit_box,
 )
 
@@ -162,14 +163,8 @@ def var_isolated(cfg: ModelConfig, spec: QuadratureSpec = DEFAULT_SPEC) -> QuadR
     g_n = cfg.g_n
     p = isolation_prob(mu, g_n, cfg.d, spec)
     mean = mu * cfg.K.volume * p.value
-
-    def F(sarr):
-        sarr = np.atleast_1d(np.asarray(sarr, dtype=float))
-        out = np.empty_like(sarr)
-        for k, s in enumerate(sarr):
-            pf = pair_factor(mu, g_n, g_n, float(s), cfg.d, spec).value
-            out[k] = p.value**2 * ((1.0 - g_n.eval(float(s))) * pf - 1.0)
-        return out
+    bracket = _isolated_bracket(mu, g_n, cfg.d, spec)
+    F = _per_separation(lambda s: p.value**2 * bracket(s))
 
     dri = double_region_integral(F, cfg.K, cfg.d, spec, _pair_cut_breaks(g_n, g_n))
     val = mean + mu**2 * dri.value
@@ -185,17 +180,9 @@ def limit_var_isolated(
     equals 1 in the empty-function direction (pure Poisson counts).
     """
     p = isolation_prob(lam, g, d, spec)
-
-    def F(sarr):
-        sarr = np.atleast_1d(np.asarray(sarr, dtype=float))
-        out = np.empty_like(sarr)
-        for k, s in enumerate(sarr):
-            pf = pair_factor(lam, g, g, float(s), d, spec).value
-            out[k] = (1.0 - g.eval(float(s))) * pf - 1.0
-        return out
-
+    F = _per_separation(_isolated_bracket(lam, g, d, spec))
     T = _bracket_cutoff(lam, g, d, spec)
-    integ = _radial_of(F, d, T, spec, _pair_cut_breaks(g, g))
+    integ = radial_of(F, d, T, spec, _pair_cut_breaks(g, g))
     val = p.value + lam * p.value**2 * integ.value
     return QuadResult(val, p.error * (1 + 2 * lam * abs(integ.value)) + lam * integ.error)
 
@@ -211,14 +198,12 @@ def mean_excess_unscaled(
     d: int,
     spec: QuadratureSpec = DEFAULT_SPEC,
 ) -> QuadResult:
-    """E of the excess count for the unscaled model; needs R > diam(K)."""
+    """E of the excess count for the unscaled model; needs R > diam(K).
+
+    This is mean_excess at n = 1, where the scale step is the identity.
+    """
     _require_wide(R, K)
-    p_in = isolation_prob(lam, make_variant(g, "inside", R=R), d, spec)
-    p_out = isolation_prob(lam, make_variant(g, "outside", R=R), d, spec)
-    scale = lam * K.volume
-    val = scale * p_in.value * (1.0 - p_out.value)
-    err = scale * (p_in.error * (1.0 - p_out.value) + p_in.value * p_out.error)
-    return QuadResult(val, err)
+    return mean_excess(ModelConfig(d, lam, K, g), R, spec)
 
 
 def var_excess_unscaled(
@@ -235,9 +220,7 @@ def var_excess_unscaled(
     edge, so the long-edge variance term vanishes identically here.
     """
     _require_wide(R, K)
-    g_in = make_variant(g, "inside", R=R)
-    g_out = make_variant(g, "outside", R=R)
-    return _excess_variance_region(lam, g_in, g_out, g, K, d, spec)
+    return var_excess(ModelConfig(d, lam, K, g), R, spec)
 
 
 def mean_excess(
@@ -274,10 +257,8 @@ def limit_mean_excess(
     """Limit of the normalised excess mean: iso(lam, g_R) (1 - iso(lam, g^R))."""
     if not R > 0:
         raise ModelError("R must be > 0")
-    p_in = isolation_prob(lam, make_variant(g, "inside", R=R), d, spec)
-    p_out = isolation_prob(lam, make_variant(g, "outside", R=R), d, spec)
-    val = p_in.value * (1.0 - p_out.value)
-    return QuadResult(val, p_in.error + p_out.error)
+    g_in = make_variant(g, "inside", R=R)
+    return _excess_density(lam, g_in, make_variant(g, "outside", R=R), d, spec)
 
 
 def limit_var_excess(
@@ -296,11 +277,11 @@ def limit_var_excess(
 
     T = _bracket_cutoff(lam, g, d, spec)
     breaks = _pair_cut_breaks(g_in, g_out, g)
-    main = _radial_of(bracket, d, T, spec, breaks)
+    main = radial_of(_per_separation(bracket), d, T, spec, breaks)
 
     Ig = radial_integral(g, d, spec).value
     T_extra = g.tail_radius(spec.tail_eps * math.exp(-lam * Ig), d)
-    extra_int = _radial_of(extra, d, T_extra, spec, breaks)
+    extra_int = radial_of(_per_separation(extra), d, T_extra, spec, breaks)
 
     first = p_in.value * (1.0 - p_out.value)
     val = first + lam * main.value + lam * p_in.value**2 * extra_int.value
@@ -351,14 +332,12 @@ def swapped_truncation_means(
         mu = cfg.lam_n
         g_in = make_variant(g, "scale_then_cut", R=R, n=n)
         g_out = make_variant(g, "scale_then_cut_outside", R=R, n=n)
-        p_in = isolation_prob(mu, g_in, d, spec)
-        p_out = isolation_prob(mu, g_out, d, spec)
-        val = p_in.value * (1.0 - p_out.value)
+        density = _excess_density(mu, g_in, g_out, d, spec)
         rows.append(
             MomentReport(
                 quantity="swapped_mean_density",
-                value=val,
-                error_bound=p_in.error + p_out.error,
+                value=density.value,
+                error_bound=density.error,
                 R=R,
                 n=n,
                 lam_n=mu,
@@ -385,11 +364,7 @@ def excess_variance_bracket(
     g_in = make_variant(g, "inside", R=R)
     g_out = make_variant(g, "outside", R=R)
     bracket, _, _, _ = _excess_parts(nu, g_in, g_out, g, d, spec)
-
-    def at(x: float) -> float:
-        return float(bracket(np.array([x]))[0])
-
-    return at
+    return lambda x: bracket(float(x))
 
 
 def domination_constants(
@@ -547,52 +522,43 @@ def _bracket_cutoff(mu: float, g: ConnectionFunction, d: int, spec: QuadratureSp
     return 2.0 * g.tail_radius(spec.tail_eps / (c_tilde * 2.0**d), d)
 
 
-def _radial_of(F, d: int, T: float, spec: QuadratureSpec, breakpoints=()) -> QuadResult:
-    """omega_d int_0^T r^{d-1} F(r) dr for vectorised F, plus tail allowance."""
-    if T <= 0:
-        return QuadResult(0.0, spec.tail_eps)
-    from .connfn import sphere_surface
+def _per_separation(fn: Callable[[float], float]) -> Callable[[np.ndarray], np.ndarray]:
+    """Vectorise a scalar function of the separation s for the quadrature kernels."""
+    return lambda sarr: np.array([fn(float(s)) for s in np.atleast_1d(sarr)])
 
-    om = sphere_surface(d)
 
-    def integrand(r):
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        return om * r ** (d - 1) * np.asarray(F(r), dtype=float)
+def _isolated_bracket(mu, g, d, spec) -> Callable[[float], float]:
+    """(1 - g(s)) pair(mu, g, g, s) - 1: the isolated count's variance bracket."""
+    return lambda s: (1.0 - g.eval(s)) * pair_factor(mu, g, g, s, d, spec).value - 1.0
 
-    val, err = adaptive_quad(integrand, 0.0, T, spec, breakpoints)
-    return QuadResult(val, err + spec.tail_eps)
+
+def _excess_density(mu, g_in, g_out, d, spec) -> QuadResult:
+    """iso(mu, g_in) (1 - iso(mu, g_out)): the excess mean per expected point."""
+    p_in = isolation_prob(mu, g_in, d, spec)
+    p_out = isolation_prob(mu, g_out, d, spec)
+    return QuadResult(p_in.value * (1.0 - p_out.value), p_in.error + p_out.error)
 
 
 def _excess_parts(mu, g_in, g_out, g_full, d, spec):
-    """Bracket and long-edge integrands shared by the variance formulas."""
+    """Bracket and long-edge integrands, scalar in s, shared by the variance formulas."""
     p_in = isolation_prob(mu, g_in, d, spec)
     p_out = isolation_prob(mu, g_out, d, spec)
     p_full = isolation_prob(mu, g_full, d, spec)
     const = p_in.value**2 * (1.0 - p_out.value) ** 2
 
-    def bracket(sarr):
-        sarr = np.atleast_1d(np.asarray(sarr, dtype=float))
-        out = np.empty_like(sarr)
-        for k, s in enumerate(sarr):
-            s = float(s)
-            Pii = pair_factor(mu, g_in, g_in, s, d, spec).value
-            Pif = pair_factor(mu, g_in, g_full, s, d, spec).value
-            Pff = pair_factor(mu, g_full, g_full, s, d, spec).value
-            out[k] = (1.0 - g_full.eval(s)) * (
-                p_in.value**2 * Pii
-                - 2.0 * p_in.value**2 * p_out.value * Pif
-                + p_full.value**2 * Pff
-            ) - const
-        return out
+    def bracket(s: float) -> float:
+        Pii = pair_factor(mu, g_in, g_in, s, d, spec).value
+        Pif = pair_factor(mu, g_in, g_full, s, d, spec).value
+        Pff = pair_factor(mu, g_full, g_full, s, d, spec).value
+        return (1.0 - g_full.eval(s)) * (
+            p_in.value**2 * Pii
+            - 2.0 * p_in.value**2 * p_out.value * Pif
+            + p_full.value**2 * Pff
+        ) - const
 
-    def extra(sarr):
-        sarr = np.atleast_1d(np.asarray(sarr, dtype=float))
-        out = np.empty_like(sarr)
-        for k, s in enumerate(sarr):
-            s = float(s)
-            gv = g_out.eval(s)
-            out[k] = gv * pair_factor(mu, g_in, g_in, s, d, spec).value if gv > 0 else 0.0
-        return out
+    def extra(s: float) -> float:
+        gv = g_out.eval(s)
+        return gv * pair_factor(mu, g_in, g_in, s, d, spec).value if gv > 0 else 0.0
 
     return bracket, extra, p_in, p_out
 
@@ -601,8 +567,8 @@ def _excess_variance_region(mu, g_in, g_out, g_full, K, d, spec) -> QuadResult:
     bracket, extra, p_in, p_out = _excess_parts(mu, g_in, g_out, g_full, d, spec)
     mean = mu * K.volume * p_in.value * (1.0 - p_out.value)
     breaks = _pair_cut_breaks(g_in, g_out, g_full)
-    main = double_region_integral(bracket, K, d, spec, breaks)
-    extra_int = double_region_integral(extra, K, d, spec, breaks)
+    main = double_region_integral(_per_separation(bracket), K, d, spec, breaks)
+    extra_int = double_region_integral(_per_separation(extra), K, d, spec, breaks)
     val = mean + mu**2 * main.value + mu**2 * p_in.value**2 * extra_int.value
     err = (
         mu * K.volume * (p_in.error + p_out.error)

@@ -287,22 +287,30 @@ def adaptive_quad_rows(f, a, b, spec: QuadratureSpec = DEFAULT_SPEC, breakpoints
 # -- radial and overlap integrals ---------------------------------------------
 
 
-def radial_integral(
-    h: ConnectionFunction, d: int, spec: QuadratureSpec = DEFAULT_SPEC
+def radial_of(
+    F: Callable[[np.ndarray], np.ndarray],
+    d: int,
+    T: float,
+    spec: QuadratureSpec = DEFAULT_SPEC,
+    breakpoints=(),
 ) -> QuadResult:
-    """int_{R^d} h(|y|) dy = omega_d int_0^inf r^{d-1} h(r) dr.
+    """omega_d int_0^T r^{d-1} F(r) dr for a vectorised radial F.
 
-    The improper integral is truncated at the tail radius T(tail_eps); the
-    discarded mass is folded into the reported error bound.
+    T is the cutoff of an improper integral whose discarded tail is below
+    tail_eps, so tail_eps is added to the reported error bound.
     """
-    T = h.tail_radius(spec.tail_eps, d)
     if T <= 0.0:
         return QuadResult(0.0, spec.tail_eps)
     om = sphere_surface(d)
-    val, err = adaptive_quad(
-        lambda r: om * r ** (d - 1) * h.eval(r), 0.0, T, spec, h.cut_radii
-    )
+    val, err = adaptive_quad(lambda r: om * r ** (d - 1) * F(r), 0.0, T, spec, breakpoints)
     return QuadResult(val, err + spec.tail_eps)
+
+
+def radial_integral(
+    h: ConnectionFunction, d: int, spec: QuadratureSpec = DEFAULT_SPEC
+) -> QuadResult:
+    """int_{R^d} h(|y|) dy, truncated at the tail radius T(tail_eps)."""
+    return radial_of(h.eval, d, h.tail_radius(spec.tail_eps, d), spec, h.cut_radii)
 
 
 def _pair_breaks(s: float, cuts: tuple[float, ...]):
@@ -311,21 +319,6 @@ def _pair_breaks(s: float, cuts: tuple[float, ...]):
     for c in cuts:
         brs.extend((s + c, s - c, c - s))
     return [b for b in brs if b > 0.0]
-
-
-def _overlap_product(h1, h2, d, spec) -> QuadResult:
-    T = min(h1.tail_radius(spec.tail_eps, d), h2.tail_radius(spec.tail_eps, d))
-    if T <= 0.0:
-        return QuadResult(0.0, spec.tail_eps)
-    om = sphere_surface(d)
-    val, err = adaptive_quad(
-        lambda r: om * r ** (d - 1) * h1.eval(r) * h2.eval(r),
-        0.0,
-        T,
-        spec,
-        h1.cut_radii + h2.cut_radii,
-    )
-    return QuadResult(val, err + spec.tail_eps)
 
 
 def overlap_integral(
@@ -348,7 +341,10 @@ def overlap_integral(
     if supp1 is not None and supp2 is not None and s >= supp1 + supp2:
         return QuadResult(0.0, 0.0)
     if s <= 1e-12:
-        return _overlap_product(h1, h2, d, spec)
+        T = min(h1.tail_radius(spec.tail_eps, d), h2.tail_radius(spec.tail_eps, d))
+        return radial_of(
+            lambda r: h1.eval(r) * h2.eval(r), d, T, spec, h1.cut_radii + h2.cut_radii
+        )
 
     T1 = h1.tail_radius(spec.tail_eps, d)
     lo = 0.0
@@ -441,39 +437,13 @@ def covariogram_shell_mass(
         return 2.0 * max(0.0, a[0] - s)
     inner_spec = spec.inner()
     if d == 2:
-        def integrand(phi):
-            return np.maximum(0.0, a[0] - s * np.cos(phi)) * np.maximum(
-                0.0, a[1] - s * np.sin(phi)
-            )
-
-        brs = []
-        if s > a[0]:
-            brs.append(math.acos(a[0] / s))
-        if s > a[1]:
-            brs.append(math.asin(a[1] / s))
-        val, _ = adaptive_quad(integrand, 0.0, math.pi / 2.0, inner_spec, brs)
-        return 4.0 * val
+        return 4.0 * _quarter_shell(a[0], a[1], s, inner_spec)
 
     def phi_mass(theta: float) -> float:
-        st = math.sin(theta)
         f3 = max(0.0, a[2] - s * math.cos(theta))
-        if f3 == 0.0 or st == 0.0:
-            if st == 0.0:
-                return f3 * a[0] * a[1] * (math.pi / 2.0) if f3 else 0.0
+        if f3 == 0.0:  # c_K is 0 at this theta: skip the quarter-shell quadrature
             return 0.0
-
-        def integrand(phi):
-            return np.maximum(0.0, a[0] - s * st * np.cos(phi)) * np.maximum(
-                0.0, a[1] - s * st * np.sin(phi)
-            )
-
-        brs = []
-        if s * st > a[0]:
-            brs.append(math.acos(a[0] / (s * st)))
-        if s * st > a[1]:
-            brs.append(math.asin(a[1] / (s * st)))
-        val, _ = adaptive_quad(integrand, 0.0, math.pi / 2.0, inner_spec, brs)
-        return f3 * val
+        return f3 * _quarter_shell(a[0], a[1], s * math.sin(theta), inner_spec)
 
     def outer(tharr):
         tharr = np.atleast_1d(np.asarray(tharr, dtype=float))
@@ -484,6 +454,20 @@ def covariogram_shell_mass(
         brs.append(math.acos(a[2] / s))
     val, _ = adaptive_quad(outer, 0.0, math.pi / 2.0, inner_spec, brs)
     return 8.0 * val
+
+
+def _quarter_shell(a0: float, a1: float, t: float, spec: QuadratureSpec) -> float:
+    """int_0^{pi/2} (a0 - t cos(phi))_+ (a1 - t sin(phi))_+ dphi, for t > 0."""
+
+    def integrand(phi):
+        return np.maximum(0.0, a0 - t * np.cos(phi)) * np.maximum(0.0, a1 - t * np.sin(phi))
+
+    brs = []
+    if t > a0:
+        brs.append(math.acos(a0 / t))
+    if t > a1:
+        brs.append(math.asin(a1 / t))
+    return adaptive_quad(integrand, 0.0, math.pi / 2.0, spec, brs)[0]
 
 
 def double_region_integral(

@@ -15,13 +15,7 @@ from pathlib import Path
 
 
 def _plain(value):
-    if isinstance(value, (bool,)):
-        return value
-    if hasattr(value, "item"):  # numpy scalar
-        value = value.item()
-    if isinstance(value, float):
-        return value
-    return value
+    return value.item() if hasattr(value, "item") else value  # numpy scalar
 
 
 def write_csv(path: str | Path, fieldnames, rows) -> Path:

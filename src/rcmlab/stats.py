@@ -481,7 +481,6 @@ class FiniteFiltrationSpace:
             raise StatsError("outcome probabilities must be > 0")
         if abs(sum(self.probs) - 1.0) > 1e-9:
             raise StatsError("probabilities must sum to 1")
-        outcomes = frozenset(range(k))
         for part in self.partitions:
             seen = [o for block in part for o in block]
             if sorted(seen) != list(range(k)):
@@ -498,7 +497,6 @@ class FiniteFiltrationSpace:
             for block in cur:
                 if len({owner[o] for o in block}) != 1:
                     raise StatsError("invalid refinement chain")
-        del outcomes
 
 
 @dataclass(frozen=True)

@@ -198,6 +198,33 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "RCMLAB_WORKERS" in err
 
+    @pytest.mark.parametrize("command", ["moments", "simulate"])
+    def test_density_rule_gap_is_config_error(self, command, cfg_file, tmp_path, capsys):
+        out = tmp_path / "gap"
+        rc = cli.main(
+            [command, "--config", str(cfg_file), "--out-dir", str(out),
+             "--set", "model.density_rule=1:1,2:4", "--set", "run.n_list=2,4"]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command,code", [("moments", 0), ("simulate", 0), ("clt-test", 1), ("martingale-check", 0)]
+    )
+    def test_run_meta_names_the_subcommand(self, command, code, cfg_file, tmp_path):
+        out = tmp_path / command
+        assert cli.main([command, "--config", str(cfg_file), "--out-dir", str(out)]) == code
+        meta = (out / "run_meta.txt").read_text(encoding="utf-8").splitlines()
+        assert meta[0] == f"command: {command}"
+        assert meta[1] == f"config_hash: {load_config(str(cfg_file)).config_hash()}"
+
+    def test_no_run_meta_when_the_handler_fails(self, cfg_file, tmp_path):
+        out = tmp_path / "field"
+        # the exponential function has unbounded support, which this subcommand refuses
+        assert cli.main(["covariance-field", "--config", str(cfg_file), "--out-dir", str(out)]) == 2
+        assert not (out / "run_meta.txt").exists()
+
     def test_unknown_subcommand_rejected(self, cfg_file):
         with pytest.raises(SystemExit):
             cli.main(["frobnicate", "--config", str(cfg_file)])

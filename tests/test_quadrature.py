@@ -19,6 +19,7 @@ from rcmlab.quadrature import (
     double_region_integral,
     overlap_integral,
     radial_integral,
+    radial_of,
     unit_box,
 )
 
@@ -222,6 +223,15 @@ class TestRadialIntegral:
         assert res.error >= QuadratureSpec().tail_eps
         assert abs(res.value - 2 * math.pi) <= max(res.error, 1e-8)
 
+    @pytest.mark.parametrize("d,ball", [(1, 2.0), (2, math.pi), (3, 4.0 * math.pi / 3.0)])
+    def test_radial_of_ball_volume(self, d, ball):
+        res = radial_of(np.ones_like, d, 1.0)
+        assert res.value == pytest.approx(ball, rel=1e-12)
+        assert res.error >= QuadratureSpec().tail_eps
+
+    def test_radial_of_empty_range_is_the_tail_allowance(self):
+        assert radial_of(np.ones_like, 2, 0.0) == (0.0, QuadratureSpec().tail_eps)
+
 
 class TestOverlapIntegral:
     def test_identical_disks_at_zero(self):
@@ -392,6 +402,25 @@ class TestCovariogram:
             breakpoints=K.sides,
         )
         assert val == pytest.approx(K.volume**2, rel=1e-7)
+
+    @pytest.mark.parametrize("sides", [(1.0, 0.7), (1.0, 0.7, 1.3)])
+    @pytest.mark.parametrize("s", [0.05, 0.3, 0.5, 0.7])
+    def test_shell_mass_closed_form_below_the_shortest_side(self, sides, s):
+        # For s <= min(sides) no factor of c_K(s omega) clips at 0, and the
+        # sphere integral of the product of (a_i - s |omega_i|) is polynomial.
+        K = Region((0.0,) * len(sides), sides)
+        if len(sides) == 2:
+            a, b = sides
+            want = 2 * math.pi * a * b - 4 * s * (a + b) + 2 * s * s
+        else:
+            a, b, c = sides
+            want = (
+                4 * math.pi * a * b * c
+                - 2 * math.pi * s * (a * b + b * c + c * a)
+                + (8.0 / 3.0) * s * s * (a + b + c)
+                - s**3
+            )
+        assert covariogram_shell_mass(K, s) == pytest.approx(want, rel=1e-12)
 
 
 class TestDoubleRegionIntegral:
