@@ -285,6 +285,8 @@ def _build(raw: dict[str, str]) -> ExperimentConfig:
             raise ConfigError("run.m must be >= 2")
         if values["run.base_seed"] < 0:
             raise ConfigError("run.base_seed must be >= 0")
+        if values["run.workers"] < 0:
+            raise ConfigError("run.workers must be >= 0 (0 means unset)")
         if values["run.r"] < 1:
             raise ConfigError("run.r must be >= 1")
         if any(not rr > 0 for rr in values["run.R_list"]):

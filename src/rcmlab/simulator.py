@@ -16,10 +16,17 @@ statistical ones.
 
 Pairs farther apart than the search reach are never examined; the discarded
 connection mass is bounded and recorded on the graph.
+
+``simulate_block`` draws consecutive replications from their own streams,
+exactly as ``simulate_graph`` does one, and stacks them into one
+block-diagonal graph: one pair search, one coin call and one count per
+statistic serve the whole block, and every replication's edges are the
+ones ``simulate_graph`` gives it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -122,7 +129,12 @@ def pair_uniform(key: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
 
 @dataclass
 class PointGraph:
-    """Sampled points plus Bernoulli edges with cached lengths."""
+    """Sampled points plus Bernoulli edges with cached lengths.
+
+    The candidate pairs (i, j, dist) within the search reach and their coins
+    are kept: the edges are the pairs whose coin falls below conn(dist), and a
+    coupled graph under another connection function tosses the same coins.
+    """
 
     points: np.ndarray  # (N, d)
     edge_i: np.ndarray
@@ -132,7 +144,8 @@ class PointGraph:
     reach: float
     conn: ConnectionFunction
     lam_n: float
-    pair_key: int
+    candidates: tuple[np.ndarray, np.ndarray, np.ndarray]
+    coins: np.ndarray
     edge_bias: float = 0.0  # bound on expected edges lost beyond the reach
 
     @property
@@ -144,11 +157,8 @@ class PointGraph:
         return self.points.shape[1]
 
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n_points, dtype=np.int64)
-        if self.edge_i.size:
-            np.add.at(deg, self.edge_i, 1)
-            np.add.at(deg, self.edge_j, 1)
-        return deg
+        n = self.n_points
+        return np.bincount(self.edge_i, minlength=n) + np.bincount(self.edge_j, minlength=n)
 
     def endpoint_mask(self, edge_mask: np.ndarray) -> np.ndarray:
         """Vertices incident to at least one edge in the masked set."""
@@ -167,21 +177,80 @@ def sample_points(lam_n: float, box: Region, rng: np.random.Generator) -> np.nda
     return np.array(box.lower) + pts * np.array(box.sides)
 
 
-def _candidate_pairs(points: np.ndarray, reach: float):
+# A shifted block's first coordinates stay within _EXACT_SPAN * reach of 0, so
+# the shift rounds a coordinate difference by at most reach * 2**-36: far below
+# the pair query's 1e-9 relative slack.
+_EXACT_SPAN = 2.0**16
+# Expected points in one replication block.  It bounds the block's arrays: a
+# d=1 replication of ~23 points adds ~16 KB to the peak, while the time per
+# replication is already flat for blocks of ~30 such replications.
+BLOCK_POINTS = 2**10
+
+
+def _block_stride(extent: float, reach: float) -> float:
+    """Power of two wider than a replication's first-axis extent plus 2 reach."""
+    return 2.0 ** math.frexp(extent + 2.0 * reach)[1]
+
+
+def block_reps(lam_n: float, box: Region, reach: float) -> int:
+    """Replications per block: at most BLOCK_POINTS expected points, and a
+    first-axis span that keeps the shifted pair search exact; at least one."""
+    far = max(abs(box.lower[0]), abs(box.upper[0]))
+    by_span = (_EXACT_SPAN * reach - far) / _block_stride(box.sides[0], reach)
+    return max(1, int(min(BLOCK_POINTS / (lam_n * box.volume), by_span)))
+
+
+def _candidate_pairs(points: np.ndarray, reach: float, rid: np.ndarray | None = None):
     """Index pairs i < j in lexicographic order with their distances <= reach.
 
     The tree is queried slightly beyond the reach so that the boundary rule is
     ``dist <= reach`` on the norm computed here, not the tree's own rounding.
+
+    With ``rid``, the non-decreasing replication number (from 0) of each point,
+    the points are a block of stacked replications searched at once.
+    Replication k is shifted by k * stride along the first axis, the stride
+    being a power of two wider than the points' first-axis extent plus twice
+    the reach, so no pair crosses replications.  The norms are taken on the
+    unshifted points, so each replication keeps exactly the pairs of its own
+    search (``block_reps`` keeps the shift's rounding small enough).
     """
     if points.shape[0] < 2:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty, np.empty(0)
-    pairs = cKDTree(points).query_pairs(reach * (1.0 + 1e-9), output_type="ndarray")
-    pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))].astype(np.int64)
-    i, j = pairs[:, 0], pairs[:, 1]
+    search = points
+    if rid is not None and rid[-1] > 0:
+        search = points.copy()
+        search[:, 0] += rid * _block_stride(np.ptp(points[:, 0]), reach)
+        if np.abs(search[:, 0]).max() > _EXACT_SPAN * reach:
+            raise SimulationError("replication block too wide for an exact pair search")
+    pairs = cKDTree(search).query_pairs(reach * (1.0 + 1e-9), output_type="ndarray")
+    n = points.shape[0]
+    code = pairs[:, 0].astype(np.int64) * n  # i * n + j sorts as (i, j)
+    code += pairs[:, 1]
+    code.sort()
+    i, j = np.divmod(code, n)
     dist = np.linalg.norm(points[i] - points[j], axis=1)
     keep = dist <= reach
     return i[keep], j[keep], dist[keep]
+
+
+def _tossed(points, candidates, coins, conn, window, reach, lam_n, edge_bias) -> PointGraph:
+    """The graph whose edges are the candidate pairs with coin < conn(dist)."""
+    i, j, dist = candidates
+    keep = coins < conn.eval(dist)
+    return PointGraph(
+        points=points,
+        edge_i=i[keep],
+        edge_j=j[keep],
+        edge_dist=dist[keep],
+        window=window,
+        reach=reach,
+        conn=conn,
+        lam_n=lam_n,
+        candidates=candidates,
+        coins=coins,
+        edge_bias=edge_bias,
+    )
 
 
 def connect(
@@ -195,37 +264,24 @@ def connect(
 ) -> PointGraph:
     """Bernoulli(conn(distance)) edges on all pairs within the search reach."""
     i, j, dist = _candidate_pairs(points, reach)
-    if i.size:
-        prob = conn.eval(dist)
-        u = pair_uniform(pair_key, i, j)
-        keep = u < prob
-        i, j, dist = i[keep], j[keep], dist[keep]
-    return PointGraph(
-        points=points,
-        edge_i=i,
-        edge_j=j,
-        edge_dist=dist,
-        window=window,
-        reach=reach,
-        conn=conn,
-        lam_n=lam_n,
-        pair_key=pair_key,
-        edge_bias=edge_bias,
-    )
+    coins = pair_uniform(pair_key, i, j)
+    return _tossed(points, (i, j, dist), coins, conn, window, reach, lam_n, edge_bias)
 
 
 def regraph(graph: PointGraph, conn: ConnectionFunction) -> PointGraph:
     """Rebuild the edge set under a different connection function.
 
-    Same points, same reach, same pair key: per-pair uniforms are shared, so
-    the result is coupled realization-by-realization with the source graph.
+    Same points, same candidate pairs, same coins: the result is coupled
+    realization-by-realization with the source graph.  On a block from
+    ``simulate_block`` it rebuilds every replication at once.
     """
-    return connect(
+    return _tossed(
         graph.points,
+        graph.candidates,
+        graph.coins,
         conn,
         graph.window,
         graph.reach,
-        graph.pair_key,
         graph.lam_n,
         graph.edge_bias,
     )
@@ -234,6 +290,8 @@ def regraph(graph: PointGraph, conn: ConnectionFunction) -> PointGraph:
 @lru_cache(maxsize=256)
 def _setup(conn, lam_n, d, K, policy, min_reach, min_margin):
     """(window, reach, edge_bias): the same for every replication of one input."""
+    if not lam_n > 0:
+        raise SimulationError("lam_n must be > 0")
     window = margin_policy(conn, d, lam_n, K, policy.eps_margin)
     if min_margin > window.margin:
         window = SimWindow(K=K, margin=min_margin, bias_bound=window.bias_bound)
@@ -263,13 +321,74 @@ def simulate_graph(
     return connect(points, conn, window, reach, key, lam_n, edge_bias)
 
 
+def simulate_block(
+    conn: ConnectionFunction,
+    lam_n: float,
+    d: int,
+    K: Region,
+    base_seed: int,
+    lo: int,
+    hi: int,
+    policy: SimPolicy = DEFAULT_POLICY,
+    min_reach: float = 0.0,
+    min_margin: float = 0.0,
+) -> tuple[PointGraph, np.ndarray]:
+    """Replications lo..hi-1 as one block-diagonal graph, and each point's
+    replication (0 for lo).
+
+    Replication rep is ``simulate_graph`` at SeedSequence(base_seed,
+    spawn_key=(rep,)): its points and pair key come from the two children
+    of that sequence, SeedSequence(base_seed, spawn_key=(rep, 0)) and
+    (rep, 1), built directly.  Edges carry global point indices, and every
+    coin is the replication's own pair uniform at its local indices.
+    Block size is the caller's: see ``block_reps``.
+    """
+    window, reach, edge_bias = _setup(conn, lam_n, d, K, policy, min_reach, min_margin)
+    box = window.box
+    mean = lam_n * box.volume
+    reps = hi - lo
+    keys = np.empty(reps, dtype=np.uint64)
+    raw = []
+    for k, rep in enumerate(range(lo, hi)):
+        rng = np.random.default_rng(np.random.SeedSequence(base_seed, spawn_key=(rep, 0)))
+        raw.append(rng.random((rng.poisson(mean), d)))  # sample_points' draws
+        pair_ss = np.random.SeedSequence(base_seed, spawn_key=(rep, 1))
+        keys[k] = pair_ss.generate_state(1, np.uint64)[0]
+    sizes = np.array([r.shape[0] for r in raw])
+    points = np.array(box.lower) + np.concatenate(raw) * np.array(box.sides)
+    rid = np.repeat(np.arange(reps), sizes)
+    local = np.arange(rid.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    i, j, dist = _candidate_pairs(points, reach, rid)
+    coins = pair_uniform(keys[rid[i]], local[i], local[j])
+    graph = _tossed(points, (i, j, dist), coins, conn, window, reach, lam_n, edge_bias)
+    return graph, rid
+
+
 # -- counting statistics --------------------------------------------------------
 
 
-def count_isolated(graph: PointGraph, K: Region) -> int:
+def isolated_mask(graph: PointGraph, K: Region) -> np.ndarray:
     """Vertices in K with no edge at all."""
-    in_k = K.contains(graph.points) if graph.n_points else np.zeros(0, dtype=bool)
-    return int(np.count_nonzero(in_k & (graph.degrees() == 0)))
+    return K.contains(graph.points) & (graph.degrees() == 0)
+
+
+def count_isolated(graph: PointGraph, K: Region) -> int:
+    """Number of vertices in K with no edge at all."""
+    return int(np.count_nonzero(isolated_mask(graph, K)))
+
+
+def truncation_masks(graph: PointGraph, K: Region, r0: float) -> tuple[np.ndarray, np.ndarray]:
+    """(J, L) vertex masks: J = vertices in K with no neighbor within r0;
+    L = those among them with at least one neighbor beyond r0."""
+    if r0 < 0:
+        raise SimulationError("r0 must be >= 0")
+    if r0 > graph.reach * (1.0 + 1e-12):
+        raise SimulationError(
+            f"r0 = {r0:.6g} exceeds the graph search reach {graph.reach:.6g}"
+        )
+    near = graph.edge_dist <= r0
+    j_mask = K.contains(graph.points) & ~graph.endpoint_mask(near)
+    return j_mask, j_mask & graph.endpoint_mask(~near)
 
 
 def count_truncation_family(graph: PointGraph, K: Region, r0: float) -> tuple[int, int]:
@@ -279,20 +398,7 @@ def count_truncation_family(graph: PointGraph, K: Region, r0: float) -> tuple[in
     J equals the isolated count of the coupled graph whose connection
     function is cut inside r0, and J = I + L holds exactly per realization.
     """
-    if r0 < 0:
-        raise SimulationError("r0 must be >= 0")
-    if r0 > graph.reach * (1.0 + 1e-12):
-        raise SimulationError(
-            f"r0 = {r0:.6g} exceeds the graph search reach {graph.reach:.6g}"
-        )
-    if graph.n_points == 0:
-        return 0, 0
-    near = graph.edge_dist <= r0
-    has_near = graph.endpoint_mask(near)
-    has_far = graph.endpoint_mask(~near)
-    in_k = K.contains(graph.points)
-    j_mask = in_k & ~has_near
-    l_mask = j_mask & has_far
+    j_mask, l_mask = truncation_masks(graph, K, r0)
     return int(np.count_nonzero(j_mask)), int(np.count_nonzero(l_mask))
 
 
@@ -325,6 +431,12 @@ def _require_component_window(graph: PointGraph, B: Region, r: int):
         )
 
 
+def component_mask(graph: PointGraph, B: Region, r: int) -> np.ndarray:
+    """Vertices in B lying in components of exactly r vertices."""
+    _require_component_window(graph, B, r)
+    return B.contains(graph.points) & (_component_sizes(graph) == r)
+
+
 def count_components(graph: PointGraph, B: Region, r: int) -> float:
     """1/r times the number of vertices in B lying in components of size r.
 
@@ -332,12 +444,7 @@ def count_components(graph: PointGraph, B: Region, r: int) -> float:
     component of size <= r touching B then stays clear of the window
     boundary, so its size is exact and classification is bias-free.
     """
-    _require_component_window(graph, B, r)
-    if graph.n_points == 0:
-        return 0.0
-    sizes = _component_sizes(graph)
-    mask = B.contains(graph.points) & (sizes == r)
-    return float(np.count_nonzero(mask)) / r
+    return float(np.count_nonzero(component_mask(graph, B, r))) / r
 
 
 @dataclass(frozen=True)

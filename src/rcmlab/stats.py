@@ -1,10 +1,12 @@
 """Replication engine and statistical verification suite.
 
-Replications are independent tasks: replication k draws its generator from
+Replications are independent: replication k draws its generator from
 SeedSequence(base_seed, spawn_key=(k,)), so results are identical for any
-worker count and aggregation is a pure indexed fold.  Everything downstream
-(KS distances, covariance fields, variance growth, the martingale oracle)
-consumes the replicated values and is deterministic given (config, seed).
+worker count and any grouping of consecutive replications into the blocks
+that are simulated and counted together, and aggregation is a pure indexed
+fold.  Everything downstream (KS distances, covariance fields, variance
+growth, the martingale oracle) consumes the replicated values and is
+deterministic given (config, seed).
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 from typing import Sequence
 
@@ -27,12 +30,14 @@ from .simulator import (
     LatticeRegion,
     SimPolicy,
     _setup,
+    block_reps,
     component_cell_counts,
-    count_components,
-    count_isolated,
-    count_truncation_family,
+    component_mask,
+    isolated_mask,
     regraph,
+    simulate_block,
     simulate_graph,
+    truncation_masks,
 )
 
 
@@ -41,16 +46,22 @@ class StatsError(RuntimeError):
 
 
 def resolve_workers(workers: int | None) -> int:
-    """Explicit value if given, else RCMLAB_WORKERS, else serial."""
-    if workers is not None and workers > 0:
+    """Explicit value if given (0 or None means unset), else RCMLAB_WORKERS,
+    else serial.  A negative value or an RCMLAB_WORKERS <= 0 is an error."""
+    if workers is not None and workers < 0:
+        raise ValueError(f"workers must be >= 0 (0 means unset), got {workers}")
+    if workers:
         return workers
     env = os.environ.get("RCMLAB_WORKERS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(f"RCMLAB_WORKERS must be an integer, got {env!r}") from None
-    return 1
+    if not env:
+        return 1
+    try:
+        value = int(env)
+    except ValueError:
+        raise ValueError(f"RCMLAB_WORKERS must be an integer, got {env!r}") from None
+    if value < 1:
+        raise ValueError(f"RCMLAB_WORKERS must be >= 1, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -137,54 +148,65 @@ def _request_needs(cfg: ModelConfig, requests: Sequence[StatRequest]):
     return min_reach, min_margin
 
 
-def _one_replication(cfg, requests, base_seed, policy, min_reach, min_margin, rep):
-    """Request values in request order, then the realization's bias bound."""
-    ss = np.random.SeedSequence(entropy=base_seed, spawn_key=(rep,))
-    graph = simulate_graph(
-        cfg.g_n, cfg.lam_n, cfg.d, cfg.K, ss, policy, min_reach, min_margin
+def _block_rows(cfg, requests, base_seed, policy, min_reach, min_margin, lo, hi):
+    """Rows of replications lo..hi-1: request values in request order, then
+    each realization's bias bound."""
+    graph, rid = simulate_block(
+        cfg.g_n, cfg.lam_n, cfg.d, cfg.K, base_seed, lo, hi, policy, min_reach, min_margin
     )
-    row = []
+
+    def per_rep(mask):
+        return np.bincount(rid[mask], minlength=hi - lo)
+
+    cols = []
     for req in requests:
         region = req.region or cfg.K
         if req.kind == "isolated":
-            row.append(count_isolated(graph, region))
+            cols.append(per_rep(isolated_mask(graph, region)))
         elif req.kind == "near_isolated":
-            row.append(count_truncation_family(graph, region, req.r0)[0])
+            cols.append(per_rep(truncation_masks(graph, region, req.r0)[0]))
         elif req.kind == "excess":
-            row.append(count_truncation_family(graph, region, req.r0)[1])
+            cols.append(per_rep(truncation_masks(graph, region, req.r0)[1]))
         elif req.kind == "component":
-            row.append(count_components(graph, region, req.r))
+            cols.append(per_rep(component_mask(graph, region, req.r)) / req.r)
         else:  # coupling
-            r0 = req.R / cfg.n
-            j, _ = count_truncation_family(graph, region, r0)
-            variant = make_variant(cfg.g, "cut_then_scale", R=req.R, n=cfg.n)
-            twin = regraph(graph, variant)
-            row.append(1.0 if j == count_isolated(twin, region) else 0.0)
-    row.append(graph.window.bias_bound + graph.edge_bias)
-    return row
+            j_mask, _ = truncation_masks(graph, region, req.R / cfg.n)
+            twin = regraph(graph, make_variant(cfg.g, "cut_then_scale", R=req.R, n=cfg.n))
+            cols.append(per_rep(j_mask) == per_rep(isolated_mask(twin, region)))
+    cols.append(np.full(hi - lo, graph.window.bias_bound + graph.edge_bias))
+    return np.column_stack(cols).astype(float)
 
 
-def _rows(payload):
-    task, args, lo, hi = payload
-    return np.array([task(*args, rep) for rep in range(lo, hi)], dtype=float)
+def _replication_rows(cfg, requests, base_seed, policy, min_reach, min_margin, lo, hi):
+    """_block_rows for lo..hi-1, in blocks of ``block_reps`` replications."""
+    window, reach, _ = _setup(
+        cfg.g_n, cfg.lam_n, cfg.d, cfg.K, policy, min_reach, min_margin
+    )
+    step = block_reps(cfg.lam_n, window.box, reach)
+    args = (cfg, requests, base_seed, policy, min_reach, min_margin)
+    return np.concatenate(
+        [_block_rows(*args, a, min(a + step, hi)) for a in range(lo, hi, step)]
+    )
 
 
 def _replicate_rows(task, args, m: int, workers: int | None) -> np.ndarray:
-    """Rows task(*args, rep) for rep = 0..m-1, stacked in replication order.
+    """Rows of replications 0..m-1 in replication order, where
+    task(*args, lo, hi) returns the rows of replications lo..hi-1.
 
-    Serial for one worker or m < 8; otherwise about four chunks per worker in
-    one process pool, written back in chunk order.
+    Serial (one task call) for one worker or m < 8; otherwise about four
+    chunks per worker in one process pool, written back in chunk order.
     """
     nworkers = resolve_workers(workers)
     # a run starts from an empty simulation-setup cache, so the work it does
     # (and the per-layer counts traced from it) never depends on earlier runs
     _setup.cache_clear()
     if nworkers <= 1 or m < 8:
-        return _rows((task, args, 0, m))
+        return task(*args, 0, m)
     chunk = math.ceil(m / (4 * nworkers))
-    payloads = [(task, args, lo, min(lo + chunk, m)) for lo in range(0, m, chunk)]
+    los = range(0, m, chunk)
+    his = [min(lo + chunk, m) for lo in los]
     with ProcessPoolExecutor(max_workers=nworkers) as pool:
-        return np.concatenate(list(pool.map(_rows, payloads)))
+        return np.concatenate(list(pool.map(partial(task, *args), los, his)))
 
 
 def replicate_many(
@@ -202,7 +224,7 @@ def replicate_many(
     if len(set(names)) != len(names):
         raise StatsError("duplicate statistic names")
     args = (cfg, requests, base_seed, policy, *_request_needs(cfg, requests))
-    rows = _replicate_rows(_one_replication, args, m, workers)
+    rows = _replicate_rows(_replication_rows, args, m, workers)
     bias = float(rows[:, -1].max())
     return {
         name: StatSample(
@@ -346,15 +368,19 @@ def _offset_cov(Y: np.ndarray, z: tuple[int, ...], mu: float) -> float:
     return float((a * Y[tuple(b_sl)]).mean() - mu * mu)
 
 
-def _field_row(cfg, r, offsets, lattice, base_seed, policy, rep):
-    ss = np.random.SeedSequence(entropy=base_seed, spawn_key=(rep,))
-    graph = simulate_graph(
-        cfg.g_n, cfg.lam_n, cfg.d, lattice.bounding_region, ss, policy,
-        min_margin=r * cfg.g_n.support_radius,
-    )
-    Y = component_cell_counts(graph, lattice, r)
-    mu = float(Y.mean())
-    return [_offset_cov(Y, z, mu) for z in offsets]
+def _field_rows(cfg, r, offsets, lattice, base_seed, policy, lo, hi):
+    """Offset covariances of replications lo..hi-1, one large window each."""
+    rows = []
+    for rep in range(lo, hi):
+        ss = np.random.SeedSequence(entropy=base_seed, spawn_key=(rep,))
+        graph = simulate_graph(
+            cfg.g_n, cfg.lam_n, cfg.d, lattice.bounding_region, ss, policy,
+            min_margin=r * cfg.g_n.support_radius,
+        )
+        Y = component_cell_counts(graph, lattice, r)
+        mu = float(Y.mean())
+        rows.append([_offset_cov(Y, z, mu) for z in offsets])
+    return np.array(rows, dtype=float)
 
 
 def covariance_field(
@@ -384,7 +410,7 @@ def covariance_field(
     offsets = tuple(product(range(-z_max, z_max + 1), repeat=cfg.d))
     lattice = LatticeRegion((0,) * cfg.d, (side,) * cfg.d)
     rows = _replicate_rows(
-        _field_row, (cfg, r, offsets, lattice, base_seed, policy), m, workers
+        _field_rows, (cfg, r, offsets, lattice, base_seed, policy), m, workers
     )
     cov = rows.mean(axis=0)
     se = rows.std(axis=0, ddof=1) / math.sqrt(m)

@@ -198,6 +198,29 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "RCMLAB_WORKERS" in err
 
+    @pytest.mark.parametrize("env", ["-3", "0"])
+    def test_nonpositive_workers_env_is_config_error(self, env, cfg_file, monkeypatch, capsys):
+        monkeypatch.setenv("RCMLAB_WORKERS", env)
+        assert cli.main(["clt-test", "--config", str(cfg_file)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "RCMLAB_WORKERS" in err
+
+    @pytest.mark.parametrize(
+        "flags", [["--workers", "-3"], ["--set", "run.workers=-3"]], ids=["flag", "set"]
+    )
+    def test_negative_workers_is_config_error(self, flags, cfg_file, tmp_path, capsys):
+        out = tmp_path / "neg"
+        rc = cli.main(["clt-test", "--config", str(cfg_file), "--out-dir", str(out), *flags])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "run.workers" in err
+        assert not out.exists()
+
+    def test_zero_workers_means_unset(self, cfg_file, tmp_path, monkeypatch):
+        monkeypatch.delenv("RCMLAB_WORKERS", raising=False)
+        rc = cli.main(["simulate", "--config", str(cfg_file), "--set", "run.workers=0"])
+        assert rc == 0
+
     @pytest.mark.parametrize("command", ["moments", "simulate"])
     def test_density_rule_gap_is_config_error(self, command, cfg_file, tmp_path, capsys):
         out = tmp_path / "gap"

@@ -357,6 +357,21 @@ class TestRegion:
         inside = K.contains(np.array([[0.5, 0.5], [0.0, 0.5], [1.0, 1.0], [0.5, 1.2]]))
         assert inside.tolist() == [True, False, True, False]
 
+    @given(st.data())
+    def test_half_open_at_exact_boundaries(self, data):
+        # integer and half-integer boxes and points, all exact in binary:
+        # x is inside iff lower < x <= upper on every axis
+        d = data.draw(st.integers(1, 3))
+        lower2 = data.draw(st.tuples(*[st.integers(-6, 6)] * d))
+        sides2 = data.draw(st.tuples(*[st.integers(1, 6)] * d))
+        axis = [st.integers(lo - 2, lo + s + 2) for lo, s in zip(lower2, sides2)]
+        pts2 = data.draw(st.lists(st.tuples(*axis), min_size=1, max_size=12))
+        K = Region(tuple(v / 2 for v in lower2), tuple(v / 2 for v in sides2))
+        expect = [
+            all(lo < x <= lo + s for x, lo, s in zip(p, lower2, sides2)) for p in pts2
+        ]
+        assert K.contains(np.array(pts2, dtype=float) / 2).tolist() == expect
+
     def test_expand(self):
         K = unit_box(1).expand(0.5)
         assert K.lower == (-0.5,)

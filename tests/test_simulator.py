@@ -7,10 +7,12 @@ from hypothesis import given, strategies as st
 from rcmlab.connfn import exponential, hard_disk, make_variant
 from rcmlab.quadrature import Region, unit_box
 from rcmlab.simulator import (
+    BLOCK_POINTS,
     LatticeRegion,
     SimulationError,
     SimWindow,
     _candidate_pairs,
+    block_reps,
     component_cell_counts,
     connect,
     count_components,
@@ -21,6 +23,7 @@ from rcmlab.simulator import (
     pair_uniform,
     regraph,
     sample_points,
+    simulate_block,
     simulate_graph,
 )
 
@@ -122,7 +125,9 @@ class TestConnect:
         assert abs(hits / trials - p) <= 3 * se
 
     def test_candidate_paths_agree(self):
-        # the kd-tree search keeps exactly the pairs and norms of a brute-force scan
+        # the kd-tree search keeps exactly the pairs and norms of a brute-force
+        # scan, alone and as the last replication of a block that follows a
+        # replication whose points sit at the far edge of the first axis
         rng = np.random.default_rng(seeded(5))
         cases = [
             (rng.random((2100, 2)) * 3.0, 0.11),
@@ -146,7 +151,52 @@ class TestConnect:
             assert np.array_equal(i_tree, i[keep])
             assert np.array_equal(j_tree, j[keep])
             assert np.array_equal(d_tree, dist[keep])
+
+            edge = pts[:64].copy()
+            edge[:, 0] = pts[:, 0].max()
+            n0 = edge.shape[0]
+            rid = np.repeat([0, 1], [n0, pts.shape[0]])
+            i_blk, j_blk, d_blk = _candidate_pairs(np.concatenate([edge, pts]), reach, rid)
+            i_edge, j_edge, d_edge = _candidate_pairs(edge, reach)
+            assert np.array_equal(i_blk, np.concatenate([i_edge, i_tree + n0]))
+            assert np.array_equal(j_blk, np.concatenate([j_edge, j_tree + n0]))
+            assert np.array_equal(d_blk, np.concatenate([d_edge, d_tree]))
         assert d_tree.tolist() == [1.25]
+        assert d_blk.tolist() == [1.0, 1.25]
+
+    def test_block_too_wide_for_exact_search_rejected(self):
+        pts = np.array([[0.0], [1e6]])
+        with pytest.raises(SimulationError):
+            _candidate_pairs(pts, 1.0, np.array([0, 1]))
+
+
+class TestBlock:
+    @pytest.mark.parametrize("lo", [0, 397, 2**32 + 3])
+    def test_block_stacks_single_realizations(self, lo):
+        g, lam, K = exponential(0.2), 30.0, unit_box(2)
+        graph, rid = simulate_block(g, lam, 2, K, 12345, lo, lo + 4, min_reach=0.3)
+        src = rid[graph.edge_i]
+        assert np.array_equal(src, rid[graph.edge_j])
+        for k in range(4):
+            ss = np.random.SeedSequence(12345, spawn_key=(lo + k,))
+            single = simulate_graph(g, lam, 2, K, ss, min_reach=0.3)
+            offset = np.count_nonzero(rid < k)
+            assert np.array_equal(graph.points[rid == k], single.points)
+            assert np.array_equal(graph.edge_i[src == k] - offset, single.edge_i)
+            assert np.array_equal(graph.edge_j[src == k] - offset, single.edge_j)
+            assert np.array_equal(graph.edge_dist[src == k], single.edge_dist)
+        assert graph.reach == single.reach and graph.window == single.window
+
+    def test_block_reps_rule(self):
+        # c02's d=1 window: ~23 expected points a replication
+        box = Region((-5.3,), (11.6,))
+        assert block_reps(2.0, box, 4.22) == int(BLOCK_POINTS / (2.0 * 11.6))
+        # sparse points on a wide window with a short reach: the span binds
+        wide = Region((0.0,), (1000.0,))
+        assert block_reps(1e-3, wide, 0.01) == 1
+        assert block_reps(1e-3, Region((0.0,), (1.0,)), 0.01) == int((2**16 * 0.01 - 1.0) / 2.0)
+        # a window far from the origin: one replication, searched unshifted
+        assert block_reps(1.0, Region((1e6,), (1.0,)), 1.0) == 1
 
 
 class TestCounts:
@@ -210,6 +260,18 @@ class TestCoupling:
         J, _ = count_truncation_family(graph, unit_box(1), R / n)
         twin = regraph(graph, make_variant(g, "cut_then_scale", R=R, n=n))
         assert J == count_isolated(twin, unit_box(1))
+
+    def test_regraph_is_a_fresh_connect_with_the_same_key(self):
+        g = exponential(0.3)
+        twin_conn = make_variant(g, "cut_then_scale", R=1.0, n=2.0)
+        window = SimWindow(K=unit_box(2), margin=0.5)
+        pts = sample_points(40.0, window.box, np.random.default_rng(seeded(40)))
+        twin = regraph(connect(pts, g, window, 1.0, 77, 40.0), twin_conn)
+        fresh = connect(pts, twin_conn, window, 1.0, 77, 40.0)
+        assert twin.edge_i.size > 0
+        assert np.array_equal(twin.edge_i, fresh.edge_i)
+        assert np.array_equal(twin.edge_j, fresh.edge_j)
+        assert np.array_equal(twin.edge_dist, fresh.edge_dist)
 
 
 class TestComponents:

@@ -4,16 +4,26 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rcmlab.connfn import ConnectionFunction, exponential, hard_disk
+from rcmlab.connfn import ConnectionFunction, exponential, hard_disk, make_variant
 from rcmlab.moments import ModelConfig, isolation_prob
 from rcmlab.quadrature import Region, unit_box
-from rcmlab.simulator import SimPolicy
+from rcmlab.simulator import (
+    DEFAULT_POLICY,
+    SimPolicy,
+    count_components,
+    count_isolated,
+    count_truncation_family,
+    regraph,
+    simulate_graph,
+)
 from rcmlab.stats import (
     FiniteFiltrationSpace,
     StatRequest,
     StatSample,
     StatsError,
+    _block_rows,
     _offset_cov,
+    _request_needs,
     covariance_field,
     exceedance_fraction,
     ks_normality,
@@ -92,9 +102,124 @@ class TestReplicate:
     def test_resolve_workers_env(self, monkeypatch):
         monkeypatch.setenv("RCMLAB_WORKERS", "3")
         assert resolve_workers(None) == 3
+        assert resolve_workers(0) == 3
         assert resolve_workers(5) == 5
         monkeypatch.delenv("RCMLAB_WORKERS")
         assert resolve_workers(None) == 1
+
+    @pytest.mark.parametrize("workers,env", [(-3, None), (None, "-3"), (0, "0")])
+    def test_resolve_workers_rejects_nonpositive(self, workers, env, monkeypatch):
+        if env is None:
+            monkeypatch.delenv("RCMLAB_WORKERS", raising=False)
+        else:
+            monkeypatch.setenv("RCMLAB_WORKERS", env)
+        with pytest.raises(ValueError):
+            resolve_workers(workers)
+
+
+def _reference_rows(cfg, requests, m, base_seed):
+    """The single-realization path: simulate_graph per replication, the public
+    counts and regraph; last column the number of points."""
+    min_reach, min_margin = _request_needs(cfg, requests)
+    rows = []
+    for rep in range(m):
+        ss = np.random.SeedSequence(base_seed, spawn_key=(rep,))
+        graph = simulate_graph(
+            cfg.g_n, cfg.lam_n, cfg.d, cfg.K, ss, DEFAULT_POLICY, min_reach, min_margin
+        )
+        row = []
+        for req in requests:
+            region = req.region or cfg.K
+            if req.kind == "isolated":
+                row.append(count_isolated(graph, region))
+            elif req.kind == "near_isolated":
+                row.append(count_truncation_family(graph, region, req.r0)[0])
+            elif req.kind == "excess":
+                row.append(count_truncation_family(graph, region, req.r0)[1])
+            elif req.kind == "component":
+                row.append(count_components(graph, region, req.r))
+            else:
+                j, _ = count_truncation_family(graph, region, req.R / cfg.n)
+                twin = regraph(graph, make_variant(cfg.g, "cut_then_scale", R=req.R, n=cfg.n))
+                row.append(1.0 if j == count_isolated(twin, region) else 0.0)
+        rows.append(row + [graph.n_points, graph.window.bias_bound + graph.edge_bias])
+    return np.array(rows, dtype=float)
+
+
+BLOCK_CASES = {
+    "d1-exponential": (
+        small_cfg(),
+        [
+            StatRequest(name="I", kind="isolated"),
+            StatRequest(name="J", kind="near_isolated", r0=0.5),
+            StatRequest(name="L", kind="excess", r0=0.5),
+            StatRequest(name="C", kind="coupling", R=1.0),
+        ],
+        150,
+    ),
+    "d2-coupling": (
+        ModelConfig(d=2, lam=1.0, K=unit_box(2), g=exponential(0.3), n=8.0),
+        [
+            StatRequest(name="I", kind="isolated"),
+            StatRequest(name="L", kind="excess", r0=1 / 8),
+            StatRequest(name="C", kind="coupling", R=1.0),
+        ],
+        10,  # three blocks of block_reps' 4
+    ),
+    "d2-hard-disk-components": (
+        ModelConfig(d=2, lam=1.0, K=unit_box(2), g=hard_disk(0.5), n=2.0),
+        [
+            StatRequest(name="C1", kind="component", r=1),
+            StatRequest(name="C2", kind="component", r=2),
+            StatRequest(
+                name="C3", kind="component", r=3, region=Region((0.25, 0.25), (0.5, 0.5))
+            ),
+        ],
+        60,
+    ),
+    "near-empty": (
+        ModelConfig(d=2, lam=0.1, K=unit_box(2), g=hard_disk(0.3), n=1.0),
+        [
+            StatRequest(name="I", kind="isolated"),
+            StatRequest(name="L", kind="excess", r0=0.2),
+            StatRequest(name="C1", kind="component", r=1),
+        ],
+        60,
+    ),
+}
+
+
+class TestBlockEngine:
+    @pytest.mark.parametrize("case", list(BLOCK_CASES))
+    def test_rows_equal_single_realization_path(self, case):
+        cfg, requests, m = BLOCK_CASES[case]
+        out = replicate_many(cfg, requests, m, base_seed=606, workers=1)
+        ref = _reference_rows(cfg, requests, m, 606)
+        for k, req in enumerate(requests):
+            assert np.array_equal(out[req.name].values, ref[:, k]), req.name
+            assert out[req.name].bias_bound == ref[:, -1].max()
+        if case == "near-empty":
+            assert {0.0, 1.0} <= set(ref[:, -2])
+
+    @given(st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_rows_do_not_depend_on_block_boundaries(self, data):
+        cfg, requests, _ = BLOCK_CASES["d1-exponential"]
+        args = (cfg, requests, 31, DEFAULT_POLICY, *_request_needs(cfg, requests))
+        lo = data.draw(st.integers(0, 40))
+        hi = lo + data.draw(st.integers(2, 30))
+        cuts = sorted(data.draw(st.sets(st.integers(lo + 1, hi - 1), max_size=6)))
+        bounds = [lo, *cuts, hi]
+        parts = [_block_rows(*args, a, b) for a, b in zip(bounds, bounds[1:])]
+        assert np.array_equal(_block_rows(*args, lo, hi), np.concatenate(parts))
+
+    @pytest.mark.parametrize("rep", [0, 1, 399, 2**32 + 5])
+    def test_direct_children_equal_spawned_ones(self, rep):
+        spawned = np.random.SeedSequence(2024, spawn_key=(rep,)).spawn(2)
+        for i, child in enumerate(spawned):
+            direct = np.random.SeedSequence(2024, spawn_key=(rep, i))
+            assert direct.spawn_key == child.spawn_key
+            assert np.array_equal(direct.generate_state(4), child.generate_state(4))
 
 
 class TestKS:
