@@ -84,7 +84,7 @@ class Region:
 
     @property
     def volume(self) -> float:
-        return float(np.prod(self.sides))
+        return float(math.prod(self.sides))
 
     @property
     def diameter(self) -> float:

@@ -302,6 +302,16 @@ def _setup(conn, lam_n, d, K, policy, min_reach, min_margin):
     return window, max(conn.tail_radius(eps, d), min_reach), policy.eps_edges
 
 
+def _draw(entropy, spawn_key, lam_n: float, box: Region) -> tuple[np.ndarray, int]:
+    """The points and pair key of the replication SeedSequence(entropy,
+    spawn_key): they come from its two children spawn_key + (0,) and
+    spawn_key + (1,), built directly, so the sequence itself never advances."""
+    ss_points = np.random.SeedSequence(entropy, spawn_key=(*spawn_key, 0))
+    ss_pairs = np.random.SeedSequence(entropy, spawn_key=(*spawn_key, 1))
+    points = sample_points(lam_n, box, np.random.default_rng(ss_points))
+    return points, int(ss_pairs.generate_state(1, np.uint64)[0])
+
+
 def simulate_graph(
     conn: ConnectionFunction,
     lam_n: float,
@@ -312,12 +322,12 @@ def simulate_graph(
     min_reach: float = 0.0,
     min_margin: float = 0.0,
 ) -> PointGraph:
-    """Sample points in K plus margin and connect them under conn."""
+    """Sample points in K plus margin and connect them under conn.
+
+    The realization is a function of seed_seq's value: seed_seq is not advanced.
+    """
     window, reach, edge_bias = _setup(conn, lam_n, d, K, policy, min_reach, min_margin)
-    ss_points, ss_pairs = seed_seq.spawn(2)
-    rng = np.random.default_rng(ss_points)
-    key = int(ss_pairs.generate_state(1, np.uint64)[0])
-    points = sample_points(lam_n, window.box, rng)
+    points, key = _draw(seed_seq.entropy, seed_seq.spawn_key, lam_n, window.box)
     return connect(points, conn, window, reach, key, lam_n, edge_bias)
 
 
@@ -337,26 +347,16 @@ def simulate_block(
     replication (0 for lo).
 
     Replication rep is ``simulate_graph`` at SeedSequence(base_seed,
-    spawn_key=(rep,)): its points and pair key come from the two children
-    of that sequence, SeedSequence(base_seed, spawn_key=(rep, 0)) and
-    (rep, 1), built directly.  Edges carry global point indices, and every
+    spawn_key=(rep,)): the same ``_draw`` gives its points and pair key.  Edges carry global point indices, and every
     coin is the replication's own pair uniform at its local indices.
     Block size is the caller's: see ``block_reps``.
     """
     window, reach, edge_bias = _setup(conn, lam_n, d, K, policy, min_reach, min_margin)
-    box = window.box
-    mean = lam_n * box.volume
-    reps = hi - lo
-    keys = np.empty(reps, dtype=np.uint64)
-    raw = []
-    for k, rep in enumerate(range(lo, hi)):
-        rng = np.random.default_rng(np.random.SeedSequence(base_seed, spawn_key=(rep, 0)))
-        raw.append(rng.random((rng.poisson(mean), d)))  # sample_points' draws
-        pair_ss = np.random.SeedSequence(base_seed, spawn_key=(rep, 1))
-        keys[k] = pair_ss.generate_state(1, np.uint64)[0]
-    sizes = np.array([r.shape[0] for r in raw])
-    points = np.array(box.lower) + np.concatenate(raw) * np.array(box.sides)
-    rid = np.repeat(np.arange(reps), sizes)
+    draws = [_draw(base_seed, (rep,), lam_n, window.box) for rep in range(lo, hi)]
+    keys = np.array([key for _, key in draws], dtype=np.uint64)
+    sizes = np.array([pts.shape[0] for pts, _ in draws])
+    points = np.concatenate([pts for pts, _ in draws])
+    rid = np.repeat(np.arange(hi - lo), sizes)
     local = np.arange(rid.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     i, j, dist = _candidate_pairs(points, reach, rid)
     coins = pair_uniform(keys[rid[i]], local[i], local[j])

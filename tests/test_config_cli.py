@@ -216,10 +216,10 @@ class TestCli:
         assert err.startswith("config error:") and "run.workers" in err
         assert not out.exists()
 
-    def test_zero_workers_means_unset(self, cfg_file, tmp_path, monkeypatch):
-        monkeypatch.delenv("RCMLAB_WORKERS", raising=False)
-        rc = cli.main(["simulate", "--config", str(cfg_file), "--set", "run.workers=0"])
-        assert rc == 0
+    def test_zero_workers_means_unset(self, cfg_file, monkeypatch):
+        monkeypatch.setenv("RCMLAB_WORKERS", "3")
+        assert cli._workers(load_config(str(cfg_file), ["run.workers=0"])) == 3
+        assert cli._workers(load_config(str(cfg_file), ["run.workers=2"])) == 2
 
     @pytest.mark.parametrize("command", ["moments", "simulate"])
     def test_density_rule_gap_is_config_error(self, command, cfg_file, tmp_path, capsys):

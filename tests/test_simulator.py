@@ -187,6 +187,22 @@ class TestBlock:
             assert np.array_equal(graph.edge_dist[src == k], single.edge_dist)
         assert graph.reach == single.reach and graph.window == single.window
 
+    def test_simulate_graph_is_a_function_of_the_sequence(self):
+        g, lam, K = exponential(0.2), 30.0, unit_box(2)
+        ss = np.random.SeedSequence(7, spawn_key=(3,))
+        first = simulate_graph(g, lam, 2, K, ss)
+        again = simulate_graph(g, lam, 2, K, ss)
+        assert ss.n_children_spawned == 0
+        assert np.array_equal(first.points, again.points)
+        assert np.array_equal(first.edge_i, again.edge_i)
+        # the streams are still the ones spawn(2) gives a fresh sequence
+        ss_points, ss_pairs = np.random.SeedSequence(7, spawn_key=(3,)).spawn(2)
+        expected = sample_points(lam, first.window.box, np.random.default_rng(ss_points))
+        assert np.array_equal(first.points, expected)
+        key = int(ss_pairs.generate_state(1, np.uint64)[0])
+        i, j, _ = first.candidates
+        assert np.array_equal(first.coins, pair_uniform(key, i, j))
+
     def test_block_reps_rule(self):
         # c02's d=1 window: ~23 expected points a replication
         box = Region((-5.3,), (11.6,))
