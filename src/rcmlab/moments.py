@@ -29,7 +29,7 @@ from .quadrature import (
     Region,
     adaptive_quad,  # noqa: F401  rcmbench's tracer checks it is wrapped here too
     double_region_integral,
-    overlap_integral,
+    overlap_rows,
     radial_integral,
     radial_of,
     unit_box,
@@ -130,16 +130,22 @@ def pair_factor(
     mu: float,
     h1: ConnectionFunction,
     h2: ConnectionFunction,
-    s: float,
+    s,
     d: int,
     spec: QuadratureSpec = DEFAULT_SPEC,
 ) -> QuadResult:
-    """exp(+mu * overlap(h1, h2, s)) >= 1; the joint-isolation correlation factor."""
+    """exp(+mu * overlap(h1, h2, s)) >= 1; the joint-isolation correlation factor.
+
+    s is one separation (float value and error) or an array of them (arrays).
+    """
     if mu < 0:
         raise ModelError("intensity must be >= 0")
-    ov = overlap_integral(h1, h2, s, d, spec)
-    v = math.exp(mu * ov.value)
-    return QuadResult(v, v * mu * ov.error)
+    ov, ov_err = overlap_rows(h1, h2, s, d, spec)
+    v = np.exp(mu * ov)
+    err = v * mu * ov_err
+    if np.ndim(s) == 0:
+        return QuadResult(float(v[0]), float(err[0]))
+    return QuadResult(v, err)
 
 
 # -- isolated-vertex moments ---------------------------------------------------
@@ -164,9 +170,9 @@ def var_isolated(cfg: ModelConfig, spec: QuadratureSpec = DEFAULT_SPEC) -> QuadR
     p = isolation_prob(mu, g_n, cfg.d, spec)
     mean = mu * cfg.K.volume * p.value
     bracket = _isolated_bracket(mu, g_n, cfg.d, spec)
-    F = _per_separation(lambda s: p.value**2 * bracket(s))
-
-    dri = double_region_integral(F, cfg.K, cfg.d, spec, _pair_cut_breaks(g_n, g_n))
+    dri = double_region_integral(
+        lambda s: p.value**2 * bracket(s), cfg.K, cfg.d, spec, _pair_cut_breaks(g_n, g_n)
+    )
     val = mean + mu**2 * dri.value
     return QuadResult(val, mu * cfg.K.volume * p.error + mu**2 * dri.error)
 
@@ -180,9 +186,8 @@ def limit_var_isolated(
     equals 1 in the empty-function direction (pure Poisson counts).
     """
     p = isolation_prob(lam, g, d, spec)
-    F = _per_separation(_isolated_bracket(lam, g, d, spec))
     T = _bracket_cutoff(lam, g, d, spec)
-    integ = radial_of(F, d, T, spec, _pair_cut_breaks(g, g))
+    integ = radial_of(_isolated_bracket(lam, g, d, spec), d, T, spec, _pair_cut_breaks(g, g))
     val = p.value + lam * p.value**2 * integ.value
     return QuadResult(val, p.error * (1 + 2 * lam * abs(integ.value)) + lam * integ.error)
 
@@ -277,11 +282,11 @@ def limit_var_excess(
 
     T = _bracket_cutoff(lam, g, d, spec)
     breaks = _pair_cut_breaks(g_in, g_out, g)
-    main = radial_of(_per_separation(bracket), d, T, spec, breaks)
+    main = radial_of(bracket, d, T, spec, breaks)
 
     Ig = radial_integral(g, d, spec).value
     T_extra = g.tail_radius(spec.tail_eps * math.exp(-lam * Ig), d)
-    extra_int = radial_of(_per_separation(extra), d, T_extra, spec, breaks)
+    extra_int = radial_of(extra, d, T_extra, spec, breaks)
 
     first = p_in.value * (1.0 - p_out.value)
     val = first + lam * main.value + lam * p_in.value**2 * extra_int.value
@@ -355,16 +360,16 @@ def excess_variance_bracket(
     R: float,
     d: int,
     spec: QuadratureSpec = DEFAULT_SPEC,
-) -> Callable[[float], float]:
-    """Scalar evaluator of the variance bracket at effective intensity nu.
+) -> Callable:
+    """Evaluator of the variance bracket at effective intensity nu.
 
+    It takes a separation (float out) or an array of them (array out).
     This is the integrand whose absolute value the domination constants
     bound by C_total * g(|x|/2), uniformly in R and in the scale index.
     """
     g_in = make_variant(g, "inside", R=R)
     g_out = make_variant(g, "outside", R=R)
-    bracket, _, _, _ = _excess_parts(nu, g_in, g_out, g, d, spec)
-    return lambda x: bracket(float(x))
+    return _excess_parts(nu, g_in, g_out, g, d, spec)[0]
 
 
 def domination_constants(
@@ -456,6 +461,8 @@ def check_domination(
 ) -> DominationCheck:
     """Numerically verify both domination inequalities on a grid."""
     const = domination_constants(lam, g, d, spec, density_rule)
+    x = np.asarray(radii, dtype=float).reshape(-1)
+    g_half = g.eval(x / 2.0)
     worst = -math.inf
     count = 0
     for n in n_list:
@@ -463,14 +470,11 @@ def check_domination(
         nu = cfg.lam_n / n**d
         for R in R_list:
             bracket = excess_variance_bracket(nu, g, R, d, spec)
-            for x in radii:
-                margin = abs(bracket(x)) - const.C_total * g.eval(x / 2.0)
-                worst = max(worst, margin)
-                count += 1
-    worst_pair = -math.inf
-    for x in radii:
-        pf = pair_factor(2.0 * lam, g, g, x, d, spec).value
-        worst_pair = max(worst_pair, (pf - 1.0) - const.C_pair * g.eval(x / 2.0))
+            margin = np.abs(bracket(x)) - const.C_total * g_half
+            worst = max(worst, float(np.max(margin, initial=-math.inf)))
+            count += x.size
+    pf = pair_factor(2.0 * lam, g, g, x, d, spec).value
+    worst_pair = float(np.max((pf - 1.0) - const.C_pair * g_half, initial=-math.inf))
     ok = worst <= slack and worst_pair <= slack
     return DominationCheck(ok=ok, worst_margin=worst, worst_pair_margin=worst_pair, points=count)
 
@@ -522,13 +526,11 @@ def _bracket_cutoff(mu: float, g: ConnectionFunction, d: int, spec: QuadratureSp
     return 2.0 * g.tail_radius(spec.tail_eps / (c_tilde * 2.0**d), d)
 
 
-def _per_separation(fn: Callable[[float], float]) -> Callable[[np.ndarray], np.ndarray]:
-    """Vectorise a scalar function of the separation s for the quadrature kernels."""
-    return lambda sarr: np.array([fn(float(s)) for s in np.atleast_1d(sarr)])
+def _isolated_bracket(mu, g, d, spec) -> Callable:
+    """(1 - g(s)) pair(mu, g, g, s) - 1: the isolated count's variance bracket.
 
-
-def _isolated_bracket(mu, g, d, spec) -> Callable[[float], float]:
-    """(1 - g(s)) pair(mu, g, g, s) - 1: the isolated count's variance bracket."""
+    Like pair_factor, it maps a separation to a float and an array to an array.
+    """
     return lambda s: (1.0 - g.eval(s)) * pair_factor(mu, g, g, s, d, spec).value - 1.0
 
 
@@ -540,13 +542,17 @@ def _excess_density(mu, g_in, g_out, d, spec) -> QuadResult:
 
 
 def _excess_parts(mu, g_in, g_out, g_full, d, spec):
-    """Bracket and long-edge integrands, scalar in s, shared by the variance formulas."""
+    """Bracket and long-edge integrands, shared by the variance formulas.
+
+    bracket maps a separation to a float and an array to an array; extra,
+    an integrand of the quadrature kernels, maps an array to an array.
+    """
     p_in = isolation_prob(mu, g_in, d, spec)
     p_out = isolation_prob(mu, g_out, d, spec)
     p_full = isolation_prob(mu, g_full, d, spec)
     const = p_in.value**2 * (1.0 - p_out.value) ** 2
 
-    def bracket(s: float) -> float:
+    def bracket(s):
         Pii = pair_factor(mu, g_in, g_in, s, d, spec).value
         Pif = pair_factor(mu, g_in, g_full, s, d, spec).value
         Pff = pair_factor(mu, g_full, g_full, s, d, spec).value
@@ -556,9 +562,13 @@ def _excess_parts(mu, g_in, g_out, g_full, d, spec):
             + p_full.value**2 * Pff
         ) - const
 
-    def extra(s: float) -> float:
+    def extra(s: np.ndarray) -> np.ndarray:
         gv = g_out.eval(s)
-        return gv * pair_factor(mu, g_in, g_in, s, d, spec).value if gv > 0 else 0.0
+        out = np.zeros_like(gv)
+        joined = gv > 0  # only these pairs can share a long edge
+        if joined.any():
+            out[joined] = gv[joined] * pair_factor(mu, g_in, g_in, s[joined], d, spec).value
+        return out
 
     return bracket, extra, p_in, p_out
 
@@ -567,8 +577,8 @@ def _excess_variance_region(mu, g_in, g_out, g_full, K, d, spec) -> QuadResult:
     bracket, extra, p_in, p_out = _excess_parts(mu, g_in, g_out, g_full, d, spec)
     mean = mu * K.volume * p_in.value * (1.0 - p_out.value)
     breaks = _pair_cut_breaks(g_in, g_out, g_full)
-    main = double_region_integral(_per_separation(bracket), K, d, spec, breaks)
-    extra_int = double_region_integral(_per_separation(extra), K, d, spec, breaks)
+    main = double_region_integral(bracket, K, d, spec, breaks)
+    extra_int = double_region_integral(extra, K, d, spec, breaks)
     val = mean + mu**2 * main.value + mu**2 * p_in.value**2 * extra_int.value
     err = (
         mu * K.volume * (p_in.error + p_out.error)

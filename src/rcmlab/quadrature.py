@@ -256,7 +256,7 @@ def adaptive_quad_rows(f, a, b, spec: QuadratureSpec = DEFAULT_SPEC, breakpoints
         if not ids.size:
             return values, errors
 
-        if col == cap:
+        if col + 2 > cap:  # each sweep writes two columns
             more = np.zeros((ids.size, max(col, 16)))
             s_lo, s_hi, s_val = (np.concatenate([x, more], axis=1) for x in (s_lo, s_hi, s_val))
             s_err = np.concatenate([s_err, more - np.inf], axis=1)
@@ -313,12 +313,127 @@ def radial_integral(
     return radial_of(h.eval, d, h.tail_radius(spec.tail_eps, d), spec, h.cut_radii)
 
 
-def _pair_breaks(s: float, cuts: tuple[float, ...]):
-    """Radii where |r - s| or r + s crosses one of the cuts."""
-    brs = []
-    for c in cuts:
-        brs.extend((s + c, s - c, c - s))
-    return [b for b in brs if b > 0.0]
+# Outer r-points per inner adaptive_quad_rows call.  A row's value does not
+# depend on its batch, so this bounds the inner sweep's (rows x pieces x
+# nodes) arrays without changing any result.
+_INNER_CHUNK = 256
+
+
+def _pair_breaks(s: np.ndarray, cuts: tuple[float, ...]) -> np.ndarray:
+    """Radii where |r - s| or r + s crosses one of the cuts, one row per s.
+
+    Entries <= 0 are kept: adaptive_quad_rows clips them to empty pieces.
+    """
+    c = np.asarray(cuts, dtype=float)
+    sc = s[:, None]
+    return np.concatenate([sc + c, sc - c, c - sc], axis=1)
+
+
+def overlap_rows(
+    h1: ConnectionFunction,
+    h2: ConnectionFunction,
+    s,
+    d: int,
+    spec: QuadratureSpec = DEFAULT_SPEC,
+) -> tuple[np.ndarray, np.ndarray]:
+    """O(s) = int_{R^d} h1(|y|) h2(|y - s e1|) dy for every separation in s.
+
+    d=1 integrates h1(r) (h2(|r-s|) + h2(r+s)) directly; d=2 uses the polar
+    angle form with |y - s e1| = sqrt(r^2 + s^2 - 2 r s cos(theta)); d=3 uses
+    the same reduction with cos(theta) substituted away, which leaves the
+    chord integral int t h2(t) dt over [|r-s|, r+s].  All separations share
+    one adaptive_quad_rows over r, each row on its own [lo(s), hi(s)] with
+    its own breakpoints, and the inner theta or chord integrals of every
+    live (s, r) node run together.  Returns (values, errors) as flat arrays.
+    """
+    s = np.asarray(s, dtype=float).reshape(-1)
+    if d not in (1, 2, 3):
+        raise ValueError("dimension must be 1, 2 or 3")
+    if not np.isfinite(s).all():
+        raise ValueError("separation must be finite")
+    if (s < 0).any():
+        raise ValueError("separation must be >= 0")
+    values = np.zeros(s.size)
+    errors = np.zeros(s.size)
+    supp1, supp2 = h1.support_radius, h2.support_radius
+    todo = np.ones(s.size, dtype=bool)
+    if supp1 is not None and supp2 is not None:
+        todo = s < supp1 + supp2
+    at_zero = todo & (s <= 1e-12)
+    if at_zero.any():
+        T = min(h1.tail_radius(spec.tail_eps, d), h2.tail_radius(spec.tail_eps, d))
+        values[at_zero], errors[at_zero] = radial_of(
+            lambda r: h1.eval(r) * h2.eval(r), d, T, spec, h1.cut_radii + h2.cut_radii
+        )
+    todo &= ~at_zero
+
+    lo = np.zeros(s.size)
+    hi = np.full(s.size, h1.tail_radius(spec.tail_eps, d))
+    if supp2 is not None:
+        hi = np.minimum(hi, s + supp2)
+        if d >= 2:
+            lo = np.maximum(0.0, s - supp2)
+    errors[todo & (hi <= lo)] = spec.tail_eps
+    rows = np.nonzero(todo & (hi > lo))[0]
+    if not rows.size:
+        return values, errors
+    sr = s[rows]
+
+    cuts1 = np.asarray(h1.cut_radii, dtype=float)
+    at_s = [sr[:, None]] if d == 1 else []  # the d=1 integrand kinks at r = s
+    breaks = np.concatenate(
+        [np.broadcast_to(cuts1, (sr.size, cuts1.size)), *at_s, _pair_breaks(sr, h2.cut_radii)],
+        axis=1,
+    )
+
+    if d == 1:
+        def integrand(r, at):
+            sa = sr[at, None]
+            return h1.eval(r) * (h2.eval(np.abs(r - sa)) + h2.eval(r + sa))
+
+    else:
+        inner_spec = spec.inner()
+        cut2 = np.asarray(h2.cut_radii, dtype=float)
+
+        if d == 2:
+            def inner_mass(r, sa):
+                """int_0^pi h2(sqrt(r^2 + s^2 - 2 r s cos(theta))) dtheta, one row per (r, s)."""
+                rc, sc = r[:, None], sa[:, None]
+                near, far = rc * rc + sc * sc, 2.0 * rc * sc  # |y - s e1|^2 = near - far cos(theta)
+                cos_cut = np.clip((near - cut2 * cut2) / far, -1.0, 1.0)
+                inside = (np.abs(rc - sc) < cut2) & (cut2 < rc + sc)
+                angles = np.where(inside, np.arccos(cos_cut), 0.0)
+
+                def f(th, at):
+                    return h2.eval(np.sqrt(near[at] - far[at] * np.cos(th)))
+
+                return adaptive_quad_rows(f, np.zeros_like(r), math.pi, inner_spec, angles)[0]
+
+        else:
+            def inner_mass(r, sa):
+                """Chord mass int t h2(t) dt over [|r - s|, r + s], one row per (r, s)."""
+                return adaptive_quad_rows(
+                    lambda t, at: t * h2.eval(t), np.abs(r - sa), r + sa, inner_spec, cut2
+                )[0]
+
+        def integrand(x, at):
+            base = h1.eval(x)
+            out = np.zeros_like(base)
+            live = np.nonzero((base > 0.0) & (x > 0.0))
+            r = x[live]
+            sa = sr[at[live[0]]]
+            mass = np.empty(r.size)
+            for k in range(0, r.size, _INNER_CHUNK):
+                part = slice(k, k + _INNER_CHUNK)
+                mass[part] = inner_mass(r[part], sa[part])
+            prefactor = 2.0 if d == 2 else 2.0 * math.pi / sa
+            out[live] = prefactor * r * base[live] * mass
+            return out
+
+    val, err = adaptive_quad_rows(integrand, lo[rows], hi[rows], spec, breaks)
+    values[rows] = val
+    errors[rows] = err + spec.tail_eps
+    return values, errors
 
 
 def overlap_integral(
@@ -328,86 +443,9 @@ def overlap_integral(
     d: int,
     spec: QuadratureSpec = DEFAULT_SPEC,
 ) -> QuadResult:
-    """O(s) = int_{R^d} h1(|y|) h2(|y - s e1|) dy for center separation s >= 0.
-
-    d=1 integrates h1(r) (h2(|r-s|) + h2(r+s)) directly; d=2 uses the polar
-    angle form with |y - s e1| = sqrt(r^2 + s^2 - 2 r s cos(theta)); d=3 uses
-    the same reduction with cos(theta) substituted away, which leaves the
-    chord integral int t h2(t) dt over [|r-s|, r+s].
-    """
-    if s < 0:
-        raise ValueError("separation must be >= 0")
-    supp1, supp2 = h1.support_radius, h2.support_radius
-    if supp1 is not None and supp2 is not None and s >= supp1 + supp2:
-        return QuadResult(0.0, 0.0)
-    if s <= 1e-12:
-        T = min(h1.tail_radius(spec.tail_eps, d), h2.tail_radius(spec.tail_eps, d))
-        return radial_of(
-            lambda r: h1.eval(r) * h2.eval(r), d, T, spec, h1.cut_radii + h2.cut_radii
-        )
-
-    T1 = h1.tail_radius(spec.tail_eps, d)
-    lo = 0.0
-    hi = T1
-    if supp2 is not None:
-        hi = min(hi, s + supp2)
-        if d >= 2:
-            lo = max(0.0, s - supp2)
-    if hi <= lo:
-        return QuadResult(0.0, spec.tail_eps)
-
-    cuts1, cuts2 = h1.cut_radii, h2.cut_radii
-    inner_spec = spec.inner()
-
-    if d == 1:
-        def integrand(r):
-            return h1.eval(r) * (h2.eval(np.abs(r - s)) + h2.eval(r + s))
-
-        breaks = list(cuts1) + [s] + _pair_breaks(s, cuts2)
-        val, err = adaptive_quad(integrand, lo, hi, spec, breaks)
-        return QuadResult(val, err + spec.tail_eps)
-
-    if d not in (2, 3):
-        raise ValueError("dimension must be 1, 2 or 3")
-    cut2 = np.asarray(cuts2, dtype=float)
-
-    if d == 2:
-        prefactor = 2.0
-
-        def inner_mass(r):
-            """int_0^pi h2(sqrt(r^2 + s^2 - 2 r s cos(theta))) dtheta, one row per r."""
-            rc = r[:, None]
-            near, far = rc * rc + s * s, 2.0 * rc * s  # |y - s e1|^2 = near - far cos(theta)
-            cos_cut = np.clip((near - cut2 * cut2) / far, -1.0, 1.0)
-            inside = (np.abs(rc - s) < cut2) & (cut2 < rc + s)
-            angles = np.where(inside, np.arccos(cos_cut), 0.0)
-
-            def f(th, rows):
-                return h2.eval(np.sqrt(near[rows] - far[rows] * np.cos(th)))
-
-            return adaptive_quad_rows(f, np.zeros_like(r), math.pi, inner_spec, angles)[0]
-
-    else:
-        prefactor = 2.0 * math.pi / s
-
-        def inner_mass(r):
-            """Chord mass int t h2(t) dt over [|r - s|, r + s], one row per r."""
-            return adaptive_quad_rows(
-                lambda t, rows: t * h2.eval(t), np.abs(r - s), r + s, inner_spec, cut2
-            )[0]
-
-    def integrand(rarr):
-        rarr = np.atleast_1d(np.asarray(rarr, dtype=float))
-        base = h1.eval(rarr)
-        out = np.zeros_like(base)
-        k = np.nonzero((base > 0.0) & (rarr > 0.0))[0]
-        r = rarr[k]
-        out[k] = prefactor * r * base[k] * inner_mass(r)
-        return out
-
-    breaks = list(cuts1) + _pair_breaks(s, cuts2)
-    val, err = adaptive_quad(integrand, lo, hi, spec, breaks)
-    return QuadResult(val, err + spec.tail_eps)
+    """O(s) of overlap_rows at one center separation s >= 0."""
+    val, err = overlap_rows(h1, h2, [s], d, spec)
+    return QuadResult(float(val[0]), float(err[0]))
 
 
 # -- covariograms and double region integrals ---------------------------------

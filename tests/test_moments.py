@@ -264,6 +264,22 @@ class TestDomination:
         bracket = excess_variance_bracket(1.0, hard_disk(1.0), 0.5, 2)
         assert bracket(3.0) == pytest.approx(0.0, abs=1e-10)
 
+    def test_bracket_takes_a_float_or_an_array(self):
+        bracket = excess_variance_bracket(1.0, exponential(1.0), 0.5, 2)
+        x = np.array([0.0, 0.3, 0.5, 1.0, 2.5])
+        arr = bracket(x)
+        assert isinstance(bracket(0.3), float)
+        assert np.array_equal(arr, [bracket(float(v)) for v in x])
+
+    def test_pair_factor_takes_a_float_or_an_array(self):
+        g = exponential(0.8)
+        x = np.array([0.0, 0.4, 1.7])
+        arr = pair_factor(1.5, g, g, x, 2)
+        ones = [pair_factor(1.5, g, g, float(v), 2) for v in x]
+        assert all(isinstance(f, float) for one in ones for f in one)
+        assert np.array_equal(arr.value, [one.value for one in ones])
+        assert np.array_equal(arr.error, [one.error for one in ones])
+
     def test_grid_inequality_exponential(self):
         radii = [float(x) for x in np.geomspace(0.05, 10.0, 10)]
         check = check_domination(
@@ -277,3 +293,50 @@ class TestVarIsolatedFormula:
         # nearly independent points: the count is nearly Poisson
         cfg = ModelConfig(d=1, lam=0.05, K=K1, g=hard_disk(0.01), n=1.0)
         assert var_isolated(cfg).value == pytest.approx(mean_isolated(cfg).value, rel=1e-2)
+
+
+# (value, error_bound) before the moment layer evaluated separations in
+# batches; the batched kernels may move a value by at most its old bound
+_D2_DISK_BOX = ModelConfig(d=2, lam=1.0, K=unit_box(2), g=hard_disk(1.0), n=2.0)
+_D1_EXP = ModelConfig(d=1, lam=1.0, K=unit_box(1), g=exponential(1.0), n=1.0)
+PINNED = {
+    "limit_var_isolated_disk": (
+        lambda: limit_var_isolated(1.0, hard_disk(1.0), 2),
+        (0.04875794397660817, 1.0570269189306758e-08),
+    ),
+    "var_isolated_disk_n2": (
+        lambda: var_isolated(_D2_DISK_BOX),
+        (0.1728417286444767, 6.000507992804415e-10),
+    ),
+    "limit_var_isolated_exp03": (
+        lambda: limit_var_isolated(1.0, exponential(0.3), 2),
+        (0.4762759814252013, 1.4335603332779739e-09),
+    ),
+    "limit_var_excess_d1": (
+        lambda: limit_var_excess(1.0, exponential(1.0), 1.0, 1),
+        (0.1643722114252798, 8.707548583139215e-10),
+    ),
+    "var_excess_d1_n2": (
+        lambda: var_excess(_D1_EXP.at_n(2.0), 1.0),
+        (0.2854635100755141, 5.195275994173738e-10),
+    ),
+    "var_excess_d1_n8": (
+        lambda: var_excess(_D1_EXP.at_n(8.0), 1.0),
+        (1.2598751262041699, 1.138689528309276e-09),
+    ),
+    "var_excess_d1_n16": (
+        lambda: var_excess(_D1_EXP.at_n(16.0), 1.0),
+        (2.5747521327037006, 1.1308050717578217e-08),
+    ),
+    "var_excess_d1_n32": (
+        lambda: var_excess(_D1_EXP.at_n(32.0), 1.0),
+        (5.204707448716773, 4.516675318896255e-08),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_pinned_moment_values(name):
+    fn, (old, old_bound) = PINNED[name]
+    new = fn()
+    assert abs(new.value - old) <= old_bound, (new.value, old)

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import integrate
 
-from rcmlab.connfn import exponential, gaussian, hard_disk
+from rcmlab import quadrature
+from rcmlab.connfn import exponential, gaussian, hard_disk, make_variant
 from rcmlab.quadrature import (
     QuadratureError,
     QuadratureSpec,
@@ -18,6 +19,7 @@ from rcmlab.quadrature import (
     covariogram_shell_mass,
     double_region_integral,
     overlap_integral,
+    overlap_rows,
     radial_integral,
     radial_of,
     unit_box,
@@ -193,6 +195,13 @@ class TestAdaptiveQuadRows:
         v, e = adaptive_quad_rows(f, [0.0], 1.0, spec)
         assert abs(v[0] - ref.value) <= 1e-15 and e[0] == pytest.approx(ref.error, rel=1e-6)
 
+    @pytest.mark.parametrize("cuts", [[0.5], [0.5, 0.6], [0.5, 0.6, 0.7, 0.8]])
+    def test_long_refinement_with_any_piece_count(self, cuts):
+        # a jump off the cuts takes ~30 bisections, past two column growths
+        step = lambda x: (x <= 1.0 / 3.0) * 1.0
+        v, e = adaptive_quad_rows(lambda x, rows: step(x), [0.0], 1.0, breakpoints=cuts)
+        assert (v[0], e[0]) == pytest.approx(adaptive_quad(step, 0.0, 1.0, breakpoints=cuts))
+
     def test_empty_rows(self):
         f = lambda x, rows: np.ones_like(x)
         vals, errs = adaptive_quad_rows(f, [0.0, 1.0, 2.0], [1.0, 1.0, 1.5], breakpoints=[0.5])
@@ -343,6 +352,83 @@ class TestOverlapIntegral:
     def test_negative_separation_rejected(self):
         with pytest.raises(ValueError):
             overlap_integral(hard_disk(1.0), hard_disk(1.0), -0.1, 2)
+
+
+# (h1, h2, separations): 0, a cut of h2, a separation at or past the joint
+# support, and for the outside/inside pair a row whose r-range is empty
+# (s - 1 beyond the tail radius of h1)
+OVERLAP_ROW_CASES = {
+    "disk": (hard_disk(1.0), hard_disk(1.0), [0.0, 0.4, 1.0, 1.7, 2.0, 2.5]),
+    "disk_exp": (hard_disk(0.7), exponential(0.5), [0.0, 0.35, 0.7, 1.4, 6.0]),
+    "exp": (exponential(0.3), exponential(0.3), [0.0, 1e-13, 0.05, 0.3, 2.0]),
+    "gauss": (gaussian(0.9), gaussian(0.9), [0.0, 0.5, 1.1, 3.0]),
+    "out_in": (
+        make_variant(exponential(1.0), "outside", R=1.0),
+        make_variant(exponential(1.0), "inside", R=1.0),
+        [0.0, 0.5, 1.0, 2.0, 80.0],
+    ),
+}
+
+
+class TestOverlapRows:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("case", sorted(OVERLAP_ROW_CASES))
+    def test_row_does_not_depend_on_its_batch(self, case, d):
+        h1, h2, s = OVERLAP_ROW_CASES[case]
+        vals, errs = overlap_rows(h1, h2, s, d)
+        for i, si in enumerate(s):
+            one = overlap_integral(h1, h2, si, d)
+            assert np.array_equal([one.value, one.error], [vals[i], errs[i]]), si
+        rev_vals, rev_errs = overlap_rows(h1, h2, s[::-1], d)
+        assert np.array_equal(rev_vals[::-1], vals) and np.array_equal(rev_errs[::-1], errs)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("case", sorted(OVERLAP_ROW_CASES))
+    def test_inner_chunks_do_not_change_rows(self, case, d, monkeypatch):
+        h1, h2, s = OVERLAP_ROW_CASES[case]
+        whole = overlap_rows(h1, h2, s, d)
+        monkeypatch.setattr(quadrature, "_INNER_CHUNK", 7)
+        chunked = overlap_rows(h1, h2, s, d)
+        assert np.array_equal(whole, chunked)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_special_rows(self, d):
+        spec = QuadratureSpec()
+        disk = hard_disk(1.0)
+        vals, errs = overlap_rows(disk, disk, [2.0, 2.5], d, spec)
+        assert vals.tolist() == errs.tolist() == [0.0, 0.0]  # s >= supp1 + supp2
+        zero = overlap_rows(disk, disk, [0.0, 1e-13], d, spec)
+        ball = radial_integral(disk, d, spec)
+        assert zero[0].tolist() == [ball.value] * 2 and zero[1].tolist() == [ball.error] * 2
+        h1, h2, s = OVERLAP_ROW_CASES["out_in"]
+        vals, errs = overlap_rows(h1, h2, s, d, spec)
+        # d >= 2: the r-range [s - 1, min(T1, s + 1)] is empty; d=1
+        # integrates over [0, T1], where h2(|r - s|) is 0
+        assert (vals[-1], errs[-1]) == (0.0, spec.tail_eps)
+        assert vals[0] == 0.0 and np.all(vals[1:-1] > 0.0)  # disjoint supports at s = 0
+
+    def test_exponential_line_reference(self):
+        # int e^{-|y|/a} e^{-|y-s|/a} dy = (a + s) e^{-s/a}
+        a = 0.7
+        s = np.array([0.0, 0.01, 0.35, 0.7, 1.3, 2.8, 6.0])
+        vals, errs = overlap_rows(exponential(a), exponential(a), s, 1)
+        ref = (a + s) * np.exp(-s / a)
+        assert np.all(np.abs(vals - ref) <= errs), np.abs(vals - ref) / errs
+
+    @pytest.mark.parametrize("s", [0.0, 0.5, 3.0])  # zero row, general row, beyond support
+    def test_dimension_rejected_on_every_path(self, s):
+        disk = hard_disk(1.0)
+        for fn in (overlap_rows, overlap_integral):
+            with pytest.raises(ValueError):
+                fn(disk, disk, s, 4)
+
+    @pytest.mark.parametrize("bad", [float("nan"), math.inf])
+    def test_non_finite_separation_rejected(self, bad):
+        # NaN used to pass as (0, tail_eps); at s = inf the d=2 integrand is NaN
+        with pytest.raises(ValueError):
+            overlap_rows(hard_disk(1.0), hard_disk(1.0), [0.5, bad, 3.0], 2)
+        with pytest.raises(ValueError):
+            overlap_integral(exponential(1.0), exponential(1.0), bad, 2)
 
 
 class TestRegion:
