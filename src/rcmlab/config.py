@@ -17,6 +17,7 @@ density rule is `scaled` (lam_n = lam * n^d) or explicit `n:lam_n` pairs.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, replace
 
 from .connfn import ConnectionFunction, exponential, gaussian, hard_disk, table_function
@@ -29,9 +30,16 @@ class ConfigError(ValueError):
     """Malformed or invalid configuration; message carries the source line."""
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text.strip()!r} is not a finite number")
+    return value
+
+
 def _parse_floats(text: str) -> tuple[float, ...]:
     items = [t.strip() for t in text.split(",") if t.strip()]
-    return tuple(float(t) for t in items)
+    return tuple(_finite(t) for t in items)
 
 
 def _parse_pairs(text: str) -> tuple[tuple[float, float], ...]:
@@ -41,7 +49,7 @@ def _parse_pairs(text: str) -> tuple[tuple[float, float], ...]:
         if not item:
             continue
         left, _, right = item.partition(":")
-        out.append((float(left), float(right)))
+        out.append((_finite(left), _finite(right)))
     return tuple(out)
 
 
@@ -55,18 +63,18 @@ def _parse_transforms(text: str):
         op = op.strip()
         if op not in ("inside", "outside", "scale"):
             raise ValueError(f"unknown transform {op!r}")
-        steps.append((op, float(arg)))
+        steps.append((op, _finite(arg)))
     return tuple(steps)
 
 
 _SCHEMA = {
     "model.d": int,
-    "model.lambda": float,
-    "model.n": float,
+    "model.lambda": _finite,
+    "model.n": _finite,
     "model.K.lower": _parse_floats,
     "model.K.sides": _parse_floats,
     "model.g.kind": str,
-    "model.g.a": float,
+    "model.g.a": _finite,
     "model.g.table": _parse_pairs,
     "model.g.transforms": _parse_transforms,
     "model.density_rule": str,
@@ -76,13 +84,13 @@ _SCHEMA = {
     "run.m": int,
     "run.base_seed": int,
     "run.workers": int,
-    "numerics.rel_tol": float,
-    "numerics.abs_tol": float,
+    "numerics.rel_tol": _finite,
+    "numerics.abs_tol": _finite,
     "numerics.max_subdiv": int,
-    "numerics.tail_eps": float,
-    "numerics.eps_margin": float,
-    "numerics.eps_edges": float,
-    "numerics.ks_threshold": float,
+    "numerics.tail_eps": _finite,
+    "numerics.eps_margin": _finite,
+    "numerics.eps_edges": _finite,
+    "numerics.ks_threshold": _finite,
     "output.dir": str,
     "output.format": str,
 }
@@ -225,9 +233,9 @@ def load_config(path: str, overrides=()) -> ExperimentConfig:
     return cfg
 
 
-def _parse_value(key: str, text: str):
+def _parse_value(key: str, text: str, parse=None):
     try:
-        return _SCHEMA[key](text)
+        return (parse or _SCHEMA[key])(text)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"key {key!r}: cannot parse {text!r} ({exc})") from exc
 
@@ -259,11 +267,10 @@ def _build(raw: dict[str, str]) -> ExperimentConfig:
                 g = g.scale(arg)
 
         K = Region(values["model.K.lower"], values["model.K.sides"])
-        rule_text = values["model.density_rule"]
-        if isinstance(rule_text, str) and rule_text.strip() == "scaled":
-            rule = None
-        else:
-            rule = _parse_pairs(rule_text) if isinstance(rule_text, str) else rule_text
+        rule_text = values["model.density_rule"].strip()
+        rule = None
+        if rule_text != "scaled":
+            rule = _parse_value("model.density_rule", rule_text, _parse_pairs)
         spec = QuadratureSpec(
             rel_tol=values["numerics.rel_tol"],
             abs_tol=values["numerics.abs_tol"],
@@ -289,6 +296,9 @@ def _build(raw: dict[str, str]) -> ExperimentConfig:
             raise ConfigError("run.workers must be >= 0 (0 means unset)")
         if values["run.r"] < 1:
             raise ConfigError("run.r must be >= 1")
+        for key in ("run.n_list", "run.R_list"):
+            if not values[key]:
+                raise ConfigError(f"{key} must not be empty")
         if any(not rr > 0 for rr in values["run.R_list"]):
             raise ConfigError("run.R_list entries must be > 0")
         if any(not nn >= 1 for nn in values["run.n_list"]):

@@ -457,55 +457,56 @@ def box_covariogram(K: Region, v) -> float:
     return float(np.prod(np.maximum(0.0, np.array(K.sides) - np.abs(vv))))
 
 
-def covariogram_shell_mass(
-    K: Region, s: float, spec: QuadratureSpec = DEFAULT_SPEC
-) -> float:
-    """A(s) = int_{S^{d-1}} c_K(s * omega) dsigma(omega).
+def covariogram_shell_mass(K: Region, s, spec: QuadratureSpec = DEFAULT_SPEC):
+    """A(s) = int_{S^{d-1}} c_K(s * omega) dsigma(omega); a float s gives a float.
 
     With this weight, int_{K x K} F(|x1-x2|) = int_0^diam F(s) s^{d-1} A(s) ds
-    for any radial F (c_K itself need not be radial).
+    for any radial F (c_K itself need not be radial).  d <= 2 is exact; d=3
+    is one adaptive_quad_rows row per s over the polar angle theta.
     """
-    d = K.dim
-    a = np.array(K.sides)
-    if s < 0:
-        raise ValueError("s must be >= 0")
-    if s == 0.0:
-        return sphere_surface(d) * K.volume
-    if d == 1:
-        return 2.0 * max(0.0, a[0] - s)
-    inner_spec = spec.inner()
-    if d == 2:
-        return 4.0 * _quarter_shell(a[0], a[1], s, inner_spec)
+    sa = np.asarray(s, dtype=float)
+    flat = sa.reshape(-1)
+    if not (np.isfinite(flat).all() and (flat >= 0).all()):
+        raise ValueError("s must be finite and >= 0")
+    a = K.sides
+    out = np.full(flat.size, sphere_surface(K.dim) * K.volume)
+    pos = flat > 0.0
+    t = flat[pos]
+    if K.dim == 1:
+        out[pos] = 2.0 * np.maximum(0.0, a[0] - t)
+    elif K.dim == 2:
+        out[pos] = 4.0 * _quarter_shell(a[0], a[1], t)
+    else:
+        # Cut where a2 - s cos(theta) clips and where s sin(theta) crosses a side
+        # or the diagonal; a factor that never clips puts its cut at an end.
+        cuts = [np.arccos(np.minimum(t, a[2]) / t)]
+        cuts += [np.arcsin(np.minimum(t, c) / t) for c in (a[0], a[1], math.hypot(a[0], a[1]))]
 
-    def phi_mass(theta: float) -> float:
-        f3 = max(0.0, a[2] - s * math.cos(theta))
-        if f3 == 0.0:  # c_K is 0 at this theta: skip the quarter-shell quadrature
-            return 0.0
-        return f3 * _quarter_shell(a[0], a[1], s * math.sin(theta), inner_spec)
+        def f(theta, rows):
+            tr = t[rows, None]
+            clip2 = np.maximum(0.0, a[2] - tr * np.cos(theta))
+            return np.sin(theta) * clip2 * _quarter_shell(a[0], a[1], tr * np.sin(theta))
 
-    def outer(tharr):
-        tharr = np.atleast_1d(np.asarray(tharr, dtype=float))
-        return np.array([math.sin(t) * phi_mass(float(t)) for t in tharr])
-
-    brs = []
-    if s > a[2]:
-        brs.append(math.acos(a[2] / s))
-    val, _ = adaptive_quad(outer, 0.0, math.pi / 2.0, inner_spec, brs)
-    return 8.0 * val
+        breaks = np.stack(cuts, axis=1)
+        val, _ = adaptive_quad_rows(f, np.zeros(t.size), math.pi / 2, spec.inner(), breaks)
+        out[pos] = 8.0 * val
+    return float(out[0]) if sa.ndim == 0 else out.reshape(sa.shape)
 
 
-def _quarter_shell(a0: float, a1: float, t: float, spec: QuadratureSpec) -> float:
-    """int_0^{pi/2} (a0 - t cos(phi))_+ (a1 - t sin(phi))_+ dphi, for t > 0."""
+def _quarter_shell(a0: float, a1: float, t: np.ndarray) -> np.ndarray:
+    """int_0^{pi/2} (a0 - t cos(phi))_+ (a1 - t sin(phi))_+ dphi, elementwise in t > 0.
 
-    def integrand(phi):
-        return np.maximum(0.0, a0 - t * np.cos(phi)) * np.maximum(0.0, a1 - t * np.sin(phi))
+    Both factors are positive on (phi0, phi1), where F is an antiderivative.
+    If phi1 < phi0, both are negative between them and F(phi1) - F(phi0) < 0.
+    """
 
-    brs = []
-    if t > a0:
-        brs.append(math.acos(a0 / t))
-    if t > a1:
-        brs.append(math.asin(a1 / t))
-    return adaptive_quad(integrand, 0.0, math.pi / 2.0, spec, brs)[0]
+    def F(phi):
+        sin = np.sin(phi)
+        return a0 * a1 * phi - a1 * t * sin + a0 * t * np.cos(phi) + 0.5 * t * t * sin * sin
+
+    phi0 = np.arccos(np.minimum(t, a0) / t)  # acos(min(1, a0 / t)), and no overflow at tiny t
+    phi1 = np.arcsin(np.minimum(t, a1) / t)
+    return np.maximum(0.0, F(phi1) - F(phi0))
 
 
 def double_region_integral(
@@ -518,17 +519,14 @@ def double_region_integral(
     """int_K int_K F(|x1 - x2|) dx2 dx1 for a radial, vectorised F.
 
     Reduced through the box covariogram to a single radial integral against
-    the numerically isotropised covariogram shell mass.
+    the covariogram shell mass.
     """
     if d != K.dim:
         raise ValueError("dimension mismatch between F and K")
     diam = K.diameter
 
-    def integrand(sarr):
-        sarr = np.atleast_1d(np.asarray(sarr, dtype=float))
-        fv = np.asarray(F(sarr), dtype=float)
-        shell = np.array([covariogram_shell_mass(K, float(s), spec) for s in sarr])
-        return fv * sarr ** (d - 1) * shell
+    def integrand(s):
+        return np.asarray(F(s), dtype=float) * s ** (d - 1) * covariogram_shell_mass(K, s, spec)
 
     breaks = sorted({*(b for b in breakpoints if 0.0 < b < diam), *K.sides})
     val, err = adaptive_quad(integrand, 0.0, diam, spec, breaks)

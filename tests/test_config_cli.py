@@ -61,6 +61,27 @@ class TestParsing:
         with pytest.raises(ConfigError, match="model.lambda"):
             parse_config("model.lambda = abc\n")
 
+    @pytest.mark.parametrize(
+        "key,text",
+        [
+            ("model.lambda", "1e400"),
+            ("model.n", "nan"),
+            ("model.g.a", "inf"),
+            ("model.K.lower", "nan"),
+            ("model.K.sides", "inf"),
+            ("model.g.table", "0:1, nan:0"),
+            ("model.g.transforms", "scale:inf"),
+            ("model.density_rule", "1:-inf"),
+            ("run.n_list", "2, inf"),
+            ("run.R_list", "inf"),
+            ("numerics.rel_tol", "nan"),
+            ("numerics.ks_threshold", "-inf"),
+        ],
+    )
+    def test_non_finite_number_names_the_key(self, key, text):
+        with pytest.raises(ConfigError, match=f"key '{key}'.*not a finite number"):
+            parse_config(f"{key} = {text}\n")
+
     def test_table_kind(self):
         cfg = parse_config(
             "model.g.kind = table\nmodel.g.table = 0:1, 0.5:0.4, 1:0\n"
@@ -231,6 +252,23 @@ class TestCli:
         assert rc == 2
         assert capsys.readouterr().err.startswith("config error:")
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["moments", "simulate", "truncation-demo"])
+    @pytest.mark.parametrize("key", ["run.n_list", "run.R_list"])
+    def test_empty_list_is_config_error(self, command, key, cfg_file, tmp_path, capsys):
+        out = tmp_path / "empty"
+        argv = [command, "--config", str(cfg_file), "--out-dir", str(out), "--set", f"{key}="]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("item", ["model.g.a=inf", "run.R_list=inf", "model.K.lower=nan"])
+    def test_non_finite_override_is_config_error(self, item, cfg_file, tmp_path, capsys):
+        argv = ["moments", "--config", str(cfg_file), "--out-dir", str(tmp_path), "--set", item]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and item.partition("=")[0] in err
 
     @pytest.mark.parametrize(
         "command,code", [("moments", 0), ("simulate", 0), ("clt-test", 1), ("martingale-check", 0)]

@@ -61,6 +61,33 @@ def mp_ball_overlap(r1, r2, s):
     )
 
 
+def mp_quarter_shell(a0, a1, t):
+    """int_0^{pi/2} (a0 - t cos(phi))_+ (a1 - t sin(phi))_+ dphi by mpmath, cut at the clips."""
+    a0, a1, t = mpmath.mpf(a0), mpmath.mpf(a1), mpmath.mpf(t)
+    cuts = [mpmath.acos(a0 / t)] if t > a0 else []
+    cuts += [mpmath.asin(a1 / t)] if t > a1 else []
+    return mpmath.quad(
+        lambda p: max(0, a0 - t * mpmath.cos(p)) * max(0, a1 - t * mpmath.sin(p)),
+        [0, *sorted(cuts), mpmath.pi / 2],
+    )
+
+
+def mp_box_shell_d3(sides, s):
+    """A(s) of a 3-d box by nested mpmath quadrature over the polar angle theta."""
+    a0, a1, a2 = (mpmath.mpf(a) for a in sides)
+    s = mpmath.mpf(s)
+    cuts = [mpmath.acos(a2 / s)] if s > a2 else []
+    cuts += [mpmath.asin(c / s) for c in (a0, a1, mpmath.hypot(a0, a1)) if s > c]
+
+    def f(th):
+        clip2 = max(0, a2 - s * mpmath.cos(th))
+        if not clip2:
+            return 0
+        return mpmath.sin(th) * clip2 * mp_quarter_shell(a0, a1, s * mpmath.sin(th))
+
+    return 8 * mpmath.quad(f, [0, *sorted(cuts), mpmath.pi / 2])
+
+
 def annulus_overlap(inner1, outer1, inner2, outer2, s):
     """Overlap of 1{inner1 < |y| <= outer1} and 1{inner2 < |y - s e1| <= outer2} in d=2.
 
@@ -495,11 +522,7 @@ class TestCovariogram:
     )
     def test_shell_mass_integrates_to_volume_squared(self, K, d):
         val, _ = adaptive_quad(
-            lambda s: np.array(
-                [fs ** (d - 1) * covariogram_shell_mass(K, float(fs)) for fs in np.atleast_1d(s)]
-            ),
-            0.0,
-            K.diameter,
+            lambda s: s ** (d - 1) * covariogram_shell_mass(K, s), 0.0, K.diameter,
             breakpoints=K.sides,
         )
         assert val == pytest.approx(K.volume**2, rel=1e-7)
@@ -522,6 +545,41 @@ class TestCovariogram:
                 - s**3
             )
         assert covariogram_shell_mass(K, s) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("a0,a1", [(1.0, 0.7), (0.7, 1.3), (2.0, 0.5)])
+    def test_quarter_shell_against_mpmath(self, a0, a1):
+        # t runs below both sides, between them, above both and beyond the diagonal
+        diag = math.hypot(a0, a1)
+        t = np.array([0.1, 0.6, 0.9, 1.1, 1.25, 1.6, 1.9, 2.05, 2.2, diag - 1e-3, diag, diag + 0.1])
+        got = quadrature._quarter_shell(a0, a1, t)
+        for ti, gi in zip(t, got):
+            with mpmath.workdps(30):
+                want = mp_quarter_shell(a0, a1, ti)
+            assert abs(gi - float(want)) <= 1e-14 * a0 * a1
+        assert (got[t >= diag] == 0.0).all()
+
+    # without the cut where s sin(theta) crosses the base diagonal, s = 1.605 is off by 1.6e-10
+    @pytest.mark.parametrize("s", [0.80, 1.2, 1.60, 1.605])
+    def test_d3_shell_above_the_shortest_side_against_mpmath(self, s):
+        sides = (1.0, 0.7, 1.3)
+        want = mp_box_shell_d3(sides, s)
+        assert abs(covariogram_shell_mass(Region((0.0,) * 3, sides), s) - float(want)) <= 1e-10
+
+    @pytest.mark.parametrize("sides", [(1.5,), (1.0, 0.7), (1.0, 0.7, 1.3)])
+    def test_array_and_scalar_calls_agree(self, sides):
+        K = Region((0.0,) * len(sides), sides)
+        s = np.concatenate([[0.0, 1e-13], np.linspace(0.0, K.diameter + 0.1, 97), sides])
+        got = covariogram_shell_mass(K, s)
+        assert got.shape == s.shape
+        assert np.array_equal(got, [covariogram_shell_mass(K, float(si)) for si in s])
+        assert np.array_equal(covariogram_shell_mass(K, s[::-1, None])[:, 0], got[::-1])
+        assert isinstance(covariogram_shell_mass(K, 0.3), float)
+
+    @pytest.mark.parametrize("bad", [-0.1, math.inf, math.nan, [0.5, -1e-12], [0.5, math.nan]])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_bad_separation_rejected(self, bad, d):
+        with pytest.raises(ValueError):
+            covariogram_shell_mass(unit_box(d), bad)
 
 
 class TestDoubleRegionIntegral:
