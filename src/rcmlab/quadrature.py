@@ -160,8 +160,6 @@ def adaptive_quad(
         if total_err <= tol:
             return QuadResult(total, total_err)
         if len(heap) >= spec.max_subdiv:
-            if total_err <= 10.0 * tol:
-                return QuadResult(total, total_err)
             raise QuadratureError(
                 f"no convergence within {spec.max_subdiv} subdivisions "
                 f"(err {total_err:.3e}, tol {tol:.3e})"
@@ -237,16 +235,13 @@ def adaptive_quad_rows(f, a, b, spec: QuadratureSpec = DEFAULT_SPEC, breakpoints
     while True:
         tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total))
         need = ~(total_err <= tol)
-        spent = need & (pieces >= spec.max_subdiv)
-        if spent.any():
-            failed = np.nonzero(spent & ~(total_err <= 10.0 * tol))[0]
-            if failed.size:
-                i = failed[0]
-                raise QuadratureError(
-                    f"no convergence within {spec.max_subdiv} subdivisions "
-                    f"(row {ids[i]}, err {total_err[i]:.3e}, tol {tol[i]:.3e})"
-                )
-            need &= ~spent
+        spent = np.nonzero(need & (pieces >= spec.max_subdiv))[0]
+        if spent.size:
+            i = spent[0]
+            raise QuadratureError(
+                f"no convergence within {spec.max_subdiv} subdivisions "
+                f"(row {ids[i]}, err {total_err[i]:.3e}, tol {tol[i]:.3e})"
+            )
         if not need.all():
             done = ~need
             values[ids[done]] = total[done]

@@ -347,8 +347,9 @@ def simulate_block(
     replication (0 for lo).
 
     Replication rep is ``simulate_graph`` at SeedSequence(base_seed,
-    spawn_key=(rep,)): the same ``_draw`` gives its points and pair key.  Edges carry global point indices, and every
-    coin is the replication's own pair uniform at its local indices.
+    spawn_key=(rep,)): the same ``_draw`` gives its points and pair key.
+    Edges carry global point indices, and every coin is the replication's own
+    pair uniform at its local indices.
     Block size is the caller's: see ``block_reps``.
     """
     window, reach, edge_bias = _setup(conn, lam_n, d, K, policy, min_reach, min_margin)
@@ -481,29 +482,24 @@ class LatticeRegion:
         return Region(tuple(float(z) for z in site), (1.0,) * self.dim)
 
 
-def component_cell_counts(graph: PointGraph, lattice: LatticeRegion, r: int) -> np.ndarray:
-    """Per-cell component statistic over the lattice, shaped like the lattice.
+def component_cell_counts(
+    graph: PointGraph, lattice: LatticeRegion, r: int, rid: np.ndarray, reps: int
+) -> np.ndarray:
+    """Per-cell component statistic over the lattice for each of the reps
+    replications of a block, where rid is each point's replication; shape
+    (reps, *lattice.shape).
 
-    Entry at site z is 1/r times the number of vertices in z + (0,1]^d whose
-    component has exactly r vertices.
+    Entry at site z is 1/r times the number of the replication's vertices in
+    z + (0,1]^d whose component has exactly r vertices.
     """
     _require_component_window(graph, lattice.bounding_region, r)
-    counts = np.zeros(lattice.shape, dtype=float)
-    if graph.n_points == 0:
-        return counts
-    sizes = _component_sizes(graph)
-    sel = sizes == r
-    pts = graph.points[sel]
-    if pts.shape[0] == 0:
-        return counts
-    cells = np.ceil(pts).astype(np.int64) - 1  # x in (z, z+1]
+    sel = _component_sizes(graph) == r
+    cells = np.ceil(graph.points[sel]).astype(np.int64) - 1  # x in (z, z+1]
     rel = cells - np.array(lattice.origin)
     ok = np.all((rel >= 0) & (rel < np.array(lattice.shape)), axis=1)
-    rel = rel[ok]
-    if rel.shape[0]:
-        flat = np.ravel_multi_index(tuple(rel.T), lattice.shape)
-        counts.reshape(-1)[:] = np.bincount(flat, minlength=lattice.size) / r
-    return counts
+    flat = rid[sel][ok] * lattice.size + np.ravel_multi_index(tuple(rel[ok].T), lattice.shape)
+    counts = np.bincount(flat, minlength=reps * lattice.size) / r
+    return counts.reshape(reps, *lattice.shape)
 
 
 def dump_realization(graph: PointGraph, path: str):

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from itertools import product
 from typing import Sequence
@@ -36,7 +36,7 @@ from .simulator import (
     isolated_mask,
     regraph,
     simulate_block,
-    simulate_graph,
+    simulate_graph,  # noqa: F401  rcmbench's tracer checks it is wrapped here too
     truncation_masks,
 )
 
@@ -148,15 +148,12 @@ def _request_needs(cfg: ModelConfig, requests: Sequence[StatRequest]):
     return min_reach, min_margin
 
 
-def _block_rows(cfg, requests, base_seed, policy, min_reach, min_margin, lo, hi):
-    """Rows of replications lo..hi-1: request values in request order, then
-    each realization's bias bound."""
-    graph, rid = simulate_block(
-        cfg.g_n, cfg.lam_n, cfg.d, cfg.K, base_seed, lo, hi, policy, min_reach, min_margin
-    )
+def _request_rows(cfg, requests, graph, rid, reps):
+    """Rows of a block of reps replications: request values in request order,
+    then each realization's bias bound."""
 
     def per_rep(mask):
-        return np.bincount(rid[mask], minlength=hi - lo)
+        return np.bincount(rid[mask], minlength=reps)
 
     cols = []
     for req in requests:
@@ -173,20 +170,22 @@ def _block_rows(cfg, requests, base_seed, policy, min_reach, min_margin, lo, hi)
             j_mask, _ = truncation_masks(graph, region, req.R / cfg.n)
             twin = regraph(graph, make_variant(cfg.g, "cut_then_scale", R=req.R, n=cfg.n))
             cols.append(per_rep(j_mask) == per_rep(isolated_mask(twin, region)))
-    cols.append(np.full(hi - lo, graph.window.bias_bound + graph.edge_bias))
+    cols.append(np.full(reps, graph.window.bias_bound + graph.edge_bias))
     return np.column_stack(cols).astype(float)
 
 
-def _replication_rows(cfg, requests, base_seed, policy, min_reach, min_margin, lo, hi):
-    """_block_rows for lo..hi-1, in blocks of ``block_reps`` replications."""
-    window, reach, _ = _setup(
-        cfg.g_n, cfg.lam_n, cfg.d, cfg.K, policy, min_reach, min_margin
-    )
+def _replication_rows(count, cfg, base_seed, policy, min_reach, min_margin, lo, hi):
+    """Rows of replications lo..hi-1, simulated in blocks of ``block_reps``
+    replications; count(graph, rid, reps) gives the rows of one block."""
+    model = (cfg.g_n, cfg.lam_n, cfg.d, cfg.K)
+    window, reach, _ = _setup(*model, policy, min_reach, min_margin)
     step = block_reps(cfg.lam_n, window.box, reach)
-    args = (cfg, requests, base_seed, policy, min_reach, min_margin)
-    return np.concatenate(
-        [_block_rows(*args, a, min(a + step, hi)) for a in range(lo, hi, step)]
-    )
+    rows = []
+    for a in range(lo, hi, step):
+        b = min(a + step, hi)
+        graph, rid = simulate_block(*model, base_seed, a, b, policy, min_reach, min_margin)
+        rows.append(count(graph, rid, b - a))
+    return np.concatenate(rows)
 
 
 def _replicate_rows(task, args, m: int, workers: int | None) -> np.ndarray:
@@ -223,7 +222,8 @@ def replicate_many(
     names = [req.name for req in requests]
     if len(set(names)) != len(names):
         raise StatsError("duplicate statistic names")
-    args = (cfg, requests, base_seed, policy, *_request_needs(cfg, requests))
+    count = partial(_request_rows, cfg, requests)
+    args = (count, cfg, base_seed, policy, *_request_needs(cfg, requests))
     rows = _replicate_rows(_replication_rows, args, m, workers)
     bias = float(rows[:, -1].max())
     return {
@@ -248,31 +248,15 @@ def replicate(
 # -- normality ------------------------------------------------------------------
 
 
-def ks_normality(
-    values,
-    standardization: str = "sample",
-    oracle_mean: float | None = None,
-    oracle_var: float | None = None,
-) -> float:
-    """Exact one-sample KS distance of standardized values to the normal CDF.
-
-    standardization "sample" uses the sample mean and variance (ddof=1);
-    "oracle" standardizes by supplied true moments instead, which removes
-    estimator noise where closed-form moments exist.
-    """
+def ks_normality(values) -> float:
+    """Exact one-sample KS distance of the values, standardized by their
+    sample mean and variance (ddof=1), to the normal CDF."""
     vals = values.values if isinstance(values, StatSample) else np.asarray(values, dtype=float)
     m = vals.size
     if m < 100:
         raise StatsError("KS normality check needs at least 100 replications")
-    if standardization == "sample":
-        mu = vals.mean()
-        var = vals.var(ddof=1)
-    elif standardization == "oracle":
-        if oracle_mean is None or oracle_var is None:
-            raise StatsError("oracle standardization needs oracle_mean and oracle_var")
-        mu, var = oracle_mean, oracle_var
-    else:
-        raise StatsError(f"unknown standardization {standardization!r}")
+    mu = vals.mean()
+    var = vals.var(ddof=1)
     if var <= 0:
         raise StatsError("zero sample variance")
     z = np.sort((vals - mu) / math.sqrt(var))
@@ -340,18 +324,6 @@ class CovarianceField:
     lattice_side: int
     dependence_range: int
 
-    def as_dict(self) -> dict:
-        return {
-            "offsets": [list(z) for z in self.offsets],
-            "cov": [float(c) for c in self.cov],
-            "se": [float(s) for s in self.se],
-            "total": self.total,
-            "total_se": self.total_se,
-            "m": self.m,
-            "lattice_side": self.lattice_side,
-            "dependence_range": self.dependence_range,
-        }
-
 
 def _offset_cov(Y: np.ndarray, z: tuple[int, ...], mu: float) -> float:
     a_sl, b_sl = [], []
@@ -368,16 +340,10 @@ def _offset_cov(Y: np.ndarray, z: tuple[int, ...], mu: float) -> float:
     return float((a * Y[tuple(b_sl)]).mean() - mu * mu)
 
 
-def _field_rows(cfg, r, offsets, lattice, base_seed, policy, lo, hi):
-    """Offset covariances of replications lo..hi-1, one large window each."""
+def _field_rows(r, offsets, lattice, graph, rid, reps):
+    """Offset covariances of each replication of a block, over its own lattice."""
     rows = []
-    for rep in range(lo, hi):
-        ss = np.random.SeedSequence(entropy=base_seed, spawn_key=(rep,))
-        graph = simulate_graph(
-            cfg.g_n, cfg.lam_n, cfg.d, lattice.bounding_region, ss, policy,
-            min_margin=r * cfg.g_n.support_radius,
-        )
-        Y = component_cell_counts(graph, lattice, r)
+    for Y in component_cell_counts(graph, lattice, r, rid, reps):
         mu = float(Y.mean())
         rows.append([_offset_cov(Y, z, mu) for z in offsets])
     return np.array(rows, dtype=float)
@@ -409,9 +375,10 @@ def covariance_field(
     side = lattice_side or max(3 * (z_max + 1), 8)
     offsets = tuple(product(range(-z_max, z_max + 1), repeat=cfg.d))
     lattice = LatticeRegion((0,) * cfg.d, (side,) * cfg.d)
-    rows = _replicate_rows(
-        _field_rows, (cfg, r, offsets, lattice, base_seed, policy), m, workers
-    )
+    count = partial(_field_rows, r, offsets, lattice)
+    cfg_box = replace(cfg, K=lattice.bounding_region)
+    args = (count, cfg_box, base_seed, policy, 0.0, r * supp)
+    rows = _replicate_rows(_replication_rows, args, m, workers)
     cov = rows.mean(axis=0)
     se = rows.std(axis=0, ddof=1) / math.sqrt(m)
     sums = rows.sum(axis=1)
@@ -457,14 +424,7 @@ def stationary_variance_check(
     rows = []
     for side in sides:
         lattice = LatticeRegion((0,) * cfg.d, (side,) * cfg.d)
-        cfg_box = ModelConfig(
-            d=cfg.d,
-            lam=cfg.lam,
-            K=lattice.bounding_region,
-            g=cfg.g,
-            n=cfg.n,
-            density_rule=cfg.density_rule,
-        )
+        cfg_box = replace(cfg, K=lattice.bounding_region)
         req = StatRequest(name="comp", kind="component", r=r)
         sample = replicate(cfg_box, req, m, base_seed, policy, workers)
         var_density = sample.variance / lattice.size

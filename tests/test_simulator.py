@@ -186,6 +186,18 @@ class TestBlock:
             assert np.array_equal(graph.edge_j[src == k] - offset, single.edge_j)
             assert np.array_equal(graph.edge_dist[src == k], single.edge_dist)
         assert graph.reach == single.reach and graph.window == single.window
+        # each replication's lattice field is its single graph's
+        lattice, disk = LatticeRegion((0, 0), (2, 2)), hard_disk(0.15)
+        box = lattice.bounding_region
+        graph, rid = simulate_block(disk, lam, 2, box, 12345, lo, lo + 4, min_margin=0.3)
+        fields = component_cell_counts(graph, lattice, 2, rid, 4)
+        assert fields.shape == (4, 2, 2) and fields.sum() > 0
+        for k in range(4):
+            ss = np.random.SeedSequence(12345, spawn_key=(lo + k,))
+            single = simulate_graph(disk, lam, 2, box, ss, min_margin=0.3)
+            rid_one = np.zeros(single.n_points, dtype=np.int64)
+            one = component_cell_counts(single, lattice, 2, rid_one, 1)
+            assert np.array_equal(fields[k], one[0])
 
     def test_simulate_graph_is_a_function_of_the_sequence(self):
         g, lam, K = exponential(0.2), 30.0, unit_box(2)
@@ -322,9 +334,9 @@ class TestComponents:
         g = hard_disk(0.3)
         graph = simulate_graph(g, 15.0, 2, lattice.bounding_region, seeded(23),
                                min_margin=2 * 0.3)
-        Y = component_cell_counts(graph, lattice, 2)
+        Y = component_cell_counts(graph, lattice, 2, np.zeros(graph.n_points, dtype=np.int64), 1)
         total = count_components(graph, lattice.bounding_region, 2)
-        assert Y.shape == (3, 3)
+        assert Y.shape == (1, 3, 3)
         assert Y.sum() == pytest.approx(total)
 
 
@@ -359,7 +371,7 @@ class TestLattice:
         # distinct points are >= 0.5 apart, so no edges: every component has size 1
         window = SimWindow(K=lattice.bounding_region, margin=0.25)
         graph = connect(pts, hard_disk(0.25), window, 0.25, 1, 1.0)
-        Y = component_cell_counts(graph, lattice, 1)
+        Y = component_cell_counts(graph, lattice, 1, np.zeros(len(halves), dtype=np.int64), 1)[0]
         expect = np.zeros(shape)
         for site in np.ndindex(*shape):
             z = tuple(o + k for o, k in zip(origin, site))

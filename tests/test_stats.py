@@ -1,4 +1,6 @@
 import math
+from functools import partial
+from itertools import product
 
 import numpy as np
 import pytest
@@ -9,7 +11,10 @@ from rcmlab.moments import ModelConfig, isolation_prob
 from rcmlab.quadrature import Region, unit_box
 from rcmlab.simulator import (
     DEFAULT_POLICY,
+    LatticeRegion,
     SimPolicy,
+    block_reps,
+    component_mask,
     count_components,
     count_isolated,
     count_truncation_family,
@@ -21,9 +26,11 @@ from rcmlab.stats import (
     StatRequest,
     StatSample,
     StatsError,
-    _block_rows,
+    _field_rows,
     _offset_cov,
+    _replication_rows,
     _request_needs,
+    _request_rows,
     covariance_field,
     exceedance_fraction,
     ks_normality,
@@ -205,13 +212,21 @@ class TestBlockEngine:
     @settings(max_examples=20, deadline=None)
     def test_rows_do_not_depend_on_block_boundaries(self, data):
         cfg, requests, _ = BLOCK_CASES["d1-exponential"]
-        args = (cfg, requests, 31, DEFAULT_POLICY, *_request_needs(cfg, requests))
+        lattice = LatticeRegion((0, 0), (4, 4))
+        field_cfg = ModelConfig(d=2, lam=1.0, K=lattice.bounding_region, g=hard_disk(0.5))
+        offsets = tuple(product(range(-2, 3), repeat=2))
+        counters = [
+            (partial(_request_rows, cfg, requests), cfg, *_request_needs(cfg, requests)),
+            (partial(_field_rows, 1, offsets, lattice), field_cfg, 0.0, 0.5),
+        ]
         lo = data.draw(st.integers(0, 40))
         hi = lo + data.draw(st.integers(2, 30))
         cuts = sorted(data.draw(st.sets(st.integers(lo + 1, hi - 1), max_size=6)))
         bounds = [lo, *cuts, hi]
-        parts = [_block_rows(*args, a, b) for a, b in zip(bounds, bounds[1:])]
-        assert np.array_equal(_block_rows(*args, lo, hi), np.concatenate(parts))
+        for count, cfg_k, min_reach, min_margin in counters:
+            args = (count, cfg_k, 31, DEFAULT_POLICY, min_reach, min_margin)
+            parts = [_replication_rows(*args, a, b) for a, b in zip(bounds, bounds[1:])]
+            assert np.array_equal(_replication_rows(*args, lo, hi), np.concatenate(parts))
 
     @pytest.mark.parametrize("rep", [0, 1, 399, 2**32 + 5])
     def test_direct_children_equal_spawned_ones(self, rep):
@@ -235,14 +250,6 @@ class TestKS:
         with pytest.raises(StatsError):
             ks_normality(np.random.default_rng(0).normal(size=50))
 
-    def test_oracle_mode(self):
-        rng = np.random.default_rng(11)
-        vals = rng.normal(loc=3.0, scale=2.0, size=5000)
-        d = ks_normality(vals, standardization="oracle", oracle_mean=3.0, oracle_var=4.0)
-        assert d < 0.03
-        with pytest.raises(StatsError):
-            ks_normality(vals, standardization="oracle")
-
     def test_shifted_sample_detected(self):
         rng = np.random.default_rng(13)
         vals = rng.exponential(size=2000)  # skewed, not normal
@@ -265,6 +272,38 @@ class TestOffsetCov:
         Y = np.repeat(col, 10, axis=1)
         mu = float(Y.mean())
         assert _offset_cov(Y, (0, 3), mu) == pytest.approx(_offset_cov(Y, (0, 0), mu), rel=0.02)
+
+
+def _reference_field_rows(cfg, r, offsets, lattice, m, base_seed):
+    """The single-realization path: simulate_graph per replication and one
+    component_mask per cell; second value each replication's number of points."""
+    min_margin = r * cfg.g_n.support_radius
+    rows, points = [], []
+    for rep in range(m):
+        ss = np.random.SeedSequence(base_seed, spawn_key=(rep,))
+        graph = simulate_graph(
+            cfg.g_n, cfg.lam_n, cfg.d, lattice.bounding_region, ss, min_margin=min_margin
+        )
+        Y = np.zeros(lattice.shape)
+        for site in np.ndindex(*lattice.shape):
+            cell = lattice.cell(tuple(o + k for o, k in zip(lattice.origin, site)))
+            Y[site] = np.count_nonzero(component_mask(graph, cell, r)) / r
+        mu = float(Y.mean())
+        rows.append([_offset_cov(Y, z, mu) for z in offsets])
+        points.append(graph.n_points)
+    return np.array(rows, dtype=float), points
+
+
+# ~2.4 points per replication, so about one in eleven is empty, and m spans
+# four blocks of block_reps' 426
+SPARSE_FIELD = (ModelConfig(d=2, lam=0.15, K=unit_box(2), g=hard_disk(0.5)), 1, 3, 1400)
+
+
+@pytest.fixture(scope="module")
+def sparse_reference():
+    cfg, r, side, m = SPARSE_FIELD
+    offsets = tuple(product(range(-2, 3), repeat=2))
+    return _reference_field_rows(cfg, r, offsets, LatticeRegion((0, 0), (side, side)), m, 808)
 
 
 @pytest.fixture(scope="module")
@@ -294,6 +333,20 @@ class TestCovarianceField:
         assert np.array_equal(serial.cov, pooled.cov)
         assert np.array_equal(serial.se, pooled.se)
         assert serial.total == pooled.total
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_field_equals_single_realization_path(self, workers, sparse_reference):
+        cfg, r, side, m = SPARSE_FIELD
+        rows, points = sparse_reference
+        lattice = LatticeRegion((0, 0), (side, side))
+        assert m > 3 * block_reps(cfg.lam_n, lattice.bounding_region.expand(0.5), 0.5)
+        assert 0 in points
+        field = covariance_field(cfg, r, 2, m, 808, lattice_side=side, workers=workers)
+        sums = rows.sum(axis=1)
+        assert np.array_equal(field.cov, rows.mean(axis=0))
+        assert np.array_equal(field.se, rows.std(axis=0, ddof=1) / math.sqrt(m))
+        assert field.total == sums.mean()
+        assert field.total_se == sums.std(ddof=1) / math.sqrt(m)
 
     def test_z_max_validation(self):
         cfg = ModelConfig(d=2, lam=1.0, K=unit_box(2), g=hard_disk(0.5), n=1.0)
