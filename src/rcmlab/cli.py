@@ -496,13 +496,13 @@ def main(argv=None) -> int:
         return 2
     try:
         code = _HANDLERS[args.command](cfg, args)
-    except ConfigError as exc:
+        write_run_meta(cfg.out_dir, args.command, cfg.config_hash())
+    except (ConfigError, OSError) as exc:  # OSError: an output path that cannot be written
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (ModelError, SimulationError, StatsError, QuadratureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    write_run_meta(cfg.out_dir, args.command, cfg.config_hash())
     return code
 
 

@@ -14,7 +14,6 @@ and margins exact.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
@@ -119,63 +118,6 @@ _WEIGHTS_ALL = np.concatenate([_WEIGHTS_HI, _WEIGHTS_LO])
 _RULE_STARTS = np.array([0, _NODES_HI.size])
 
 
-def _eval_interval(f, a: float, b: float):
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    x = np.concatenate([mid + half * _NODES_HI, mid + half * _NODES_LO])
-    y = np.asarray(f(x), dtype=float)
-    hi = half * float(np.dot(_WEIGHTS_HI, y[: _NODES_HI.size]))
-    lo = half * float(np.dot(_WEIGHTS_LO, y[_NODES_HI.size :]))
-    return hi, abs(hi - lo)
-
-
-def adaptive_quad(
-    f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
-    spec: QuadratureSpec = DEFAULT_SPEC,
-    breakpoints=(),
-) -> QuadResult:
-    """Integrate a vectorised f over [a, b] with bisection refinement.
-
-    Interior breakpoints become initial interval endpoints, so integrands
-    that are smooth between their cuts converge at full order.
-    """
-    if b <= a:
-        return QuadResult(0.0, 0.0)
-    pts = sorted({a, b, *(p for p in breakpoints if a < p < b)})
-    heap = []
-    counter = 0
-    total = 0.0
-    total_err = 0.0
-    for lo, hi in zip(pts, pts[1:]):
-        val, err = _eval_interval(f, lo, hi)
-        total += val
-        total_err += err
-        heapq.heappush(heap, (-err, counter, lo, hi, val))
-        counter += 1
-
-    while True:
-        tol = max(spec.abs_tol, spec.rel_tol * abs(total))
-        if total_err <= tol:
-            return QuadResult(total, total_err)
-        if len(heap) >= spec.max_subdiv:
-            raise QuadratureError(
-                f"no convergence within {spec.max_subdiv} subdivisions "
-                f"(err {total_err:.3e}, tol {tol:.3e})"
-            )
-        neg_err, _, lo, hi, val = heapq.heappop(heap)
-        total -= val
-        total_err += neg_err  # removes err (neg_err = -err)
-        mid = 0.5 * (lo + hi)
-        for sub_lo, sub_hi in ((lo, mid), (mid, hi)):
-            sval, serr = _eval_interval(f, sub_lo, sub_hi)
-            total += sval
-            total_err += serr
-            heapq.heappush(heap, (-serr, counter, sub_lo, sub_hi, sval))
-            counter += 1
-
-
 def _eval_rows(f, rows, lo, hi):
     """The Gauss pair on [lo[k], hi[k]] of row rows[k], for every k at once.
 
@@ -196,10 +138,10 @@ def adaptive_quad_rows(f, a, b, spec: QuadratureSpec = DEFAULT_SPEC, breakpoints
     f(x, rows) gets nodes x of shape (k, q) and the row index of each of the
     k intervals, and returns the integrand at those nodes.  breakpoints is
     (c,) shared by all rows or (m, c) per row; cuts outside (a_i, b_i) clip
-    to its ends and give empty pieces.  Every row is refined as adaptive_quad
-    refines it alone: the same rule pair, worst-piece bisection order,
-    tolerance max(abs_tol, rel_tol * |total|) and subdivision budget.
-    Returns (values, errors) as arrays of length m.
+    to its ends and give empty pieces.  Each row is refined alone: worst piece
+    first, ties to the earliest created, until its error is at most
+    max(abs_tol, rel_tol * |total|); QuadratureError once it holds max_subdiv
+    pieces short of that.  Returns (values, errors) as arrays of length m.
     """
     a = np.atleast_1d(np.asarray(a, dtype=float))
     m = a.size
@@ -218,14 +160,14 @@ def adaptive_quad_rows(f, a, b, spec: QuadratureSpec = DEFAULT_SPEC, breakpoints
         s_val[live], s_err[live] = _eval_rows(f, np.nonzero(live)[0], s_lo[live], s_hi[live])
     total = s_val[:, 0].copy()
     total_err = s_err[:, 0].copy()
-    for j in range(1, width):  # piece by piece, in adaptive_quad's order
+    for j in range(1, width):  # piece by piece, in creation order
         total += s_val[:, j]
         total_err += s_err[:, j]
     pieces = live.sum(axis=1)
-    # Column j of a row holds its j-th created piece and popped or empty
+    # Column j of a row holds its j-th created piece and bisected or empty
     # pieces hold error -inf, so argmax picks the earliest of equally bad
-    # pieces, as the heap in adaptive_quad does.  Every row still refining
-    # splits once per sweep, so new pieces share a column.
+    # pieces.  Every row still refining splits once per sweep, so new pieces
+    # share a column.
     s_err[~live] = -np.inf
 
     values = np.empty(m)
@@ -277,6 +219,27 @@ def adaptive_quad_rows(f, a, b, spec: QuadratureSpec = DEFAULT_SPEC, breakpoints
             s_lo[:, c], s_hi[:, c], s_val[:, c], s_err[:, c] = h_lo, h_hi, h_val, h_err
         col += 2
         pieces += 1
+
+
+def adaptive_quad(
+    f: Callable[[np.ndarray], np.ndarray],
+    a: float,
+    b: float,
+    spec: QuadratureSpec = DEFAULT_SPEC,
+    breakpoints=(),
+) -> QuadResult:
+    """Integrate a vectorised f over [a, b]: the one-row adaptive_quad_rows.
+
+    Interior breakpoints become initial interval endpoints, so integrands
+    that are smooth between their cuts converge at full order.  f gets a
+    flat array of nodes.
+    """
+    if b <= a:
+        return QuadResult(0.0, 0.0)
+    val, err = adaptive_quad_rows(
+        lambda x, rows: f(x.ravel()).reshape(x.shape), [a], b, spec, [list(breakpoints)]
+    )
+    return QuadResult(float(val[0]), float(err[0]))
 
 
 # -- radial and overlap integrals ---------------------------------------------

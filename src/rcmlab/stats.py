@@ -188,24 +188,24 @@ def _replication_rows(count, cfg, base_seed, policy, min_reach, min_margin, lo, 
     return np.concatenate(rows)
 
 
-def _replicate_rows(task, args, m: int, workers: int | None) -> np.ndarray:
-    """Rows of replications 0..m-1 in replication order, where
-    task(*args, lo, hi) returns the rows of replications lo..hi-1.
+def _replicate_rows(args, m: int, workers: int | None) -> np.ndarray:
+    """Rows of replications 0..m-1 in replication order, from
+    _replication_rows(*args, lo, hi) over chunks lo..hi-1.
 
-    Serial (one task call) for one worker or m < 8; otherwise about four
-    chunks per worker in one process pool, written back in chunk order.
+    Serial (one call) for one worker or m < 8; otherwise about four chunks
+    per worker in one process pool, written back in chunk order.
     """
     nworkers = resolve_workers(workers)
     # a run starts from an empty simulation-setup cache, so the work it does
     # (and the per-layer counts traced from it) never depends on earlier runs
     _setup.cache_clear()
     if nworkers <= 1 or m < 8:
-        return task(*args, 0, m)
+        return _replication_rows(*args, 0, m)
     chunk = math.ceil(m / (4 * nworkers))
     los = range(0, m, chunk)
     his = [min(lo + chunk, m) for lo in los]
     with ProcessPoolExecutor(max_workers=nworkers) as pool:
-        return np.concatenate(list(pool.map(partial(task, *args), los, his)))
+        return np.concatenate(list(pool.map(partial(_replication_rows, *args), los, his)))
 
 
 def replicate_many(
@@ -224,7 +224,7 @@ def replicate_many(
         raise StatsError("duplicate statistic names")
     count = partial(_request_rows, cfg, requests)
     args = (count, cfg, base_seed, policy, *_request_needs(cfg, requests))
-    rows = _replicate_rows(_replication_rows, args, m, workers)
+    rows = _replicate_rows(args, m, workers)
     bias = float(rows[:, -1].max())
     return {
         name: StatSample(
@@ -378,7 +378,7 @@ def covariance_field(
     count = partial(_field_rows, r, offsets, lattice)
     cfg_box = replace(cfg, K=lattice.bounding_region)
     args = (count, cfg_box, base_seed, policy, 0.0, r * supp)
-    rows = _replicate_rows(_replication_rows, args, m, workers)
+    rows = _replicate_rows(args, m, workers)
     cov = rows.mean(axis=0)
     se = rows.std(axis=0, ddof=1) / math.sqrt(m)
     sums = rows.sum(axis=1)

@@ -11,12 +11,13 @@ import os
 import pytest
 
 from rcmlab.acceptance import CRITERIA, AcceptanceContext, run_all
+from rcmlab.stats import resolve_workers
 
 
 def _workers():
-    env = os.environ.get("RCMLAB_WORKERS", "").strip()
-    if env:
-        return max(1, int(env))
+    """RCMLAB_WORKERS under the CLI's rule when set, else up to 2 workers."""
+    if os.environ.get("RCMLAB_WORKERS", "").strip():
+        return resolve_workers(None)
     return min(2, os.cpu_count() or 1)
 
 

@@ -286,6 +286,24 @@ class TestCli:
         assert cli.main(["covariance-field", "--config", str(cfg_file), "--out-dir", str(out)]) == 2
         assert not (out / "run_meta.txt").exists()
 
+    def test_out_dir_below_a_file_is_config_error(self, cfg_file, tmp_path, capsys):
+        plain = tmp_path / "plain"
+        plain.write_text("", encoding="utf-8")
+        out = plain / "x"
+        assert cli.main(["moments", "--config", str(cfg_file), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(out) in err
+
+    def test_dump_in_a_missing_directory_is_config_error(self, cfg_file, tmp_path, capsys):
+        dump = tmp_path / "missing" / "x.txt"
+        rc = cli.main(
+            ["simulate", "--config", str(cfg_file), "--set", "run.m=10",
+             "--dump-realization", str(dump)]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(dump) in err
+
     def test_unknown_subcommand_rejected(self, cfg_file):
         with pytest.raises(SystemExit):
             cli.main(["frobnicate", "--config", str(cfg_file)])

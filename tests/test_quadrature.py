@@ -1,5 +1,7 @@
+import heapq
 import math
 import re
+from typing import Callable
 
 import mpmath
 import numpy as np
@@ -8,9 +10,11 @@ from hypothesis import given, strategies as st
 from scipy import integrate
 
 from rcmlab import quadrature
-from rcmlab.connfn import exponential, gaussian, hard_disk, make_variant
+from rcmlab.connfn import exponential, gaussian, hard_disk, make_variant, table_function
 from rcmlab.quadrature import (
+    DEFAULT_SPEC,
     QuadratureError,
+    QuadResult,
     QuadratureSpec,
     Region,
     adaptive_quad,
@@ -102,12 +106,92 @@ def annulus_overlap(inner1, outer1, inner2, outer2, s):
     )
 
 
+# -- reference integrator -----------------------------------------------------
+#
+# A heap-driven adaptive Gauss 21/10 pair, one interval per integrand call.
+# It states the refinement policy that adaptive_quad_rows implements in
+# array form: bisect the worst piece first, ties to the earliest created,
+# stop at max(abs_tol, rel_tol * |total|), raise once max_subdiv pieces are
+# spent.  Tests compare values, errors and integrand-point counts with it.
+
+_NODES_LO, _WEIGHTS_LO = np.polynomial.legendre.leggauss(10)
+_NODES_HI, _WEIGHTS_HI = np.polynomial.legendre.leggauss(21)
+
+
+def _eval_interval(f, a: float, b: float):
+    half = 0.5 * (b - a)
+    mid = 0.5 * (a + b)
+    x = np.concatenate([mid + half * _NODES_HI, mid + half * _NODES_LO])
+    y = np.asarray(f(x), dtype=float)
+    hi = half * float(np.dot(_WEIGHTS_HI, y[: _NODES_HI.size]))
+    lo = half * float(np.dot(_WEIGHTS_LO, y[_NODES_HI.size :]))
+    return hi, abs(hi - lo)
+
+
+def heap_quad(
+    f: Callable[[np.ndarray], np.ndarray],
+    a: float,
+    b: float,
+    spec: QuadratureSpec = DEFAULT_SPEC,
+    breakpoints=(),
+) -> QuadResult:
+    """Integrate a vectorised f over [a, b] with bisection refinement.
+
+    Interior breakpoints become initial interval endpoints, so integrands
+    that are smooth between their cuts converge at full order.
+    """
+    if b <= a:
+        return QuadResult(0.0, 0.0)
+    pts = sorted({a, b, *(p for p in breakpoints if a < p < b)})
+    heap = []
+    counter = 0
+    total = 0.0
+    total_err = 0.0
+    for lo, hi in zip(pts, pts[1:]):
+        val, err = _eval_interval(f, lo, hi)
+        total += val
+        total_err += err
+        heapq.heappush(heap, (-err, counter, lo, hi, val))
+        counter += 1
+
+    while True:
+        tol = max(spec.abs_tol, spec.rel_tol * abs(total))
+        if total_err <= tol:
+            return QuadResult(total, total_err)
+        if len(heap) >= spec.max_subdiv:
+            raise QuadratureError(
+                f"no convergence within {spec.max_subdiv} subdivisions "
+                f"(err {total_err:.3e}, tol {tol:.3e})"
+            )
+        neg_err, _, lo, hi, val = heapq.heappop(heap)
+        total -= val
+        total_err += neg_err  # removes err (neg_err = -err)
+        mid = 0.5 * (lo + hi)
+        for sub_lo, sub_hi in ((lo, mid), (mid, hi)):
+            sval, serr = _eval_interval(f, sub_lo, sub_hi)
+            total += sval
+            total_err += serr
+            heapq.heappush(heap, (-serr, counter, sub_lo, sub_hi, sval))
+            counter += 1
+
+
+def counted(f):
+    """f with a running count of the integrand points it was asked for."""
+
+    def g(x):
+        g.points += np.size(x)
+        return f(x)
+
+    g.points = 0
+    return g
+
+
 def row_problem(seed, m):
     """m random rows: exponential, gaussian or hard-disk bumps on random intervals.
 
     Returns the row integrand f(x, rows), a scalar integrand per row for
-    adaptive_quad, the interval ends and three cuts per row, some of them
-    outside the row's interval.  Hard-disk rows jump at center +- scale,
+    adaptive_quad and heap_quad, the interval ends and three cuts per row,
+    some of them outside the row's interval.  Hard-disk rows jump at center +- scale,
     which the cuts do not hit, so those rows need refinement.
     """
     rng = np.random.default_rng(seed)
@@ -173,12 +257,22 @@ class TestAdaptiveQuadRows:
     def test_agrees_with_adaptive_quad(self, seed):
         spec = QuadratureSpec()
         f, row, a, b, cuts = row_problem(seed, 24)
-        vals, errs = adaptive_quad_rows(f, a, b, spec, cuts)
+        row_points = np.zeros(a.size, dtype=int)
+
+        def tally(x, rows):
+            np.add.at(row_points, rows, x.shape[1])
+            return f(x, rows)
+
+        vals, errs = adaptive_quad_rows(tally, a, b, spec, cuts)
         for i in range(a.size):
-            ref = adaptive_quad(row(i), a[i], b[i], spec, cuts[i])
+            heap_f, quad_f = counted(row(i)), counted(row(i))
+            ref = heap_quad(heap_f, a[i], b[i], spec, cuts[i])
+            one = adaptive_quad(quad_f, a[i], b[i], spec, cuts[i])
             tol = max(spec.abs_tol, spec.rel_tol * abs(ref.value))
             assert abs(vals[i] - ref.value) <= tol
-            assert errs[i] <= tol and ref.error <= tol
+            assert abs(one.value - ref.value) <= tol
+            assert errs[i] <= tol and ref.error <= tol and one.error <= tol
+            assert quad_f.points == row_points[i] == heap_f.points
 
     def test_row_does_not_depend_on_its_batch(self):
         f, _, a, b, cuts = row_problem(3, 12)
@@ -194,15 +288,22 @@ class TestAdaptiveQuadRows:
         raised = []
         for i in range(a.size):
             one = lambda x, rows: f(x, np.full_like(rows, i))
+            heap_f, quad_f = counted(row(i)), counted(row(i))
             try:
-                ref = adaptive_quad(row(i), a[i], b[i], spec, cuts[i])
+                ref = heap_quad(heap_f, a[i], b[i], spec, cuts[i])
             except QuadratureError:
                 raised.append(i)
                 with pytest.raises(QuadratureError):
                     adaptive_quad_rows(one, a[i : i + 1], b[i], spec, cuts[i : i + 1])
-                continue
-            v, _ = adaptive_quad_rows(one, a[i : i + 1], b[i], spec, cuts[i : i + 1])
-            assert abs(v[0] - ref.value) <= max(spec.abs_tol, spec.rel_tol * abs(ref.value))
+                with pytest.raises(QuadratureError):
+                    adaptive_quad(quad_f, a[i], b[i], spec, cuts[i])
+            else:
+                tol = max(spec.abs_tol, spec.rel_tol * abs(ref.value))
+                v, _ = adaptive_quad_rows(one, a[i : i + 1], b[i], spec, cuts[i : i + 1])
+                assert abs(v[0] - ref.value) <= tol
+                got = adaptive_quad(quad_f, a[i], b[i], spec, cuts[i])
+                assert abs(got.value - ref.value) <= tol
+            assert quad_f.points == heap_f.points
         assert 0 < len(raised) < a.size
         with pytest.raises(QuadratureError) as exc:
             adaptive_quad_rows(f, a, b, spec, cuts)
@@ -213,6 +314,8 @@ class TestAdaptiveQuadRows:
         # against tol 1e-6: close to the tolerance, and still a failure
         spec = QuadratureSpec(rel_tol=1e-6, abs_tol=1e-6, max_subdiv=4, tail_eps=1e-6)
         with pytest.raises(QuadratureError, match=r"\(err 3\.49"):
+            heap_quad(np.sqrt, 0.0, 1.0, spec)
+        with pytest.raises(QuadratureError, match=r"\(row 0, err 3\.49"):
             adaptive_quad(np.sqrt, 0.0, 1.0, spec)
         with pytest.raises(QuadratureError, match=r"\(row 0, err 3\.49"):
             adaptive_quad_rows(lambda x, rows: np.sqrt(x), [0.0], 1.0, spec)
@@ -221,8 +324,12 @@ class TestAdaptiveQuadRows:
     def test_long_refinement_with_any_piece_count(self, cuts):
         # a jump off the cuts takes ~30 bisections, past two column growths
         step = lambda x: (x <= 1.0 / 3.0) * 1.0
+        heap_f, quad_f = counted(step), counted(step)
+        ref = heap_quad(heap_f, 0.0, 1.0, breakpoints=cuts)
         v, e = adaptive_quad_rows(lambda x, rows: step(x), [0.0], 1.0, breakpoints=cuts)
-        assert (v[0], e[0]) == pytest.approx(adaptive_quad(step, 0.0, 1.0, breakpoints=cuts))
+        assert (v[0], e[0]) == pytest.approx(ref)
+        assert adaptive_quad(quad_f, 0.0, 1.0, breakpoints=cuts) == pytest.approx(ref)
+        assert quad_f.points == heap_f.points
 
     def test_empty_rows(self):
         f = lambda x, rows: np.ones_like(x)
@@ -252,7 +359,40 @@ class TestRadialIntegral:
     def test_error_bound_reported(self):
         res = radial_integral(exponential(1.0), 2)
         assert res.error >= QuadratureSpec().tail_eps
-        assert abs(res.value - 2 * math.pi) <= max(res.error, 1e-8)
+        assert abs(res.value - 2 * math.pi) <= res.error
+
+    # Each case: the connection function, the same profile written for mpmath,
+    # and the radii where the mpmath integral splits (its support and kinks).
+    RADIAL_CASES = {
+        "exponential": (exponential(0.7), lambda r: mpmath.exp(-r / 0.7), [0, mpmath.inf]),
+        "gaussian": (gaussian(1.3), lambda r: mpmath.exp(-((r / 1.3) ** 2)), [0, mpmath.inf]),
+        "table": (
+            table_function([(0.0, 1.0), (0.5, 0.4), (1.0, 0.0)]),
+            lambda r: 1 - 1.2 * r if r <= 0.5 else 0.4 - 0.8 * (r - 0.5),
+            [0, 0.5, 1],
+        ),
+        "scaled_cut_inside": (
+            exponential(1.0).scale(2.0).truncate_inside(0.8),
+            lambda r: mpmath.exp(-2 * r),
+            [0, 0.8],
+        ),
+        "cut_outside": (
+            exponential(1.0).truncate_outside(0.5),
+            lambda r: mpmath.exp(-r),
+            [0.5, mpmath.inf],
+        ),
+        "hard_disk": (hard_disk(1.5), lambda r: mpmath.mpf(1), [0, 1.5]),
+    }
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("case", sorted(RADIAL_CASES))
+    def test_against_mpmath(self, case, d):
+        h, profile, pieces = self.RADIAL_CASES[case]
+        with mpmath.workdps(30):
+            omega = 2 * mpmath.pi ** (mpmath.mpf(d) / 2) / mpmath.gamma(mpmath.mpf(d) / 2)
+            ref = omega * mpmath.quad(lambda r: r ** (d - 1) * profile(r), pieces)
+        res = radial_integral(h, d)
+        assert abs(res.value - float(ref)) <= res.error
 
     @pytest.mark.parametrize("d,ball", [(1, 2.0), (2, math.pi), (3, 4.0 * math.pi / 3.0)])
     def test_radial_of_ball_volume(self, d, ball):
