@@ -1,8 +1,8 @@
 """Acceptance suite: every exit criterion as a callable check.
 
 Each criterion returns a CriterionResult with a pass flag and a details
-dict; run_all executes them in order, reusing heavy Monte Carlo samples
-where two criteria share a configuration.  The CLI `verify-all` subcommand
+dict; run_all executes them in order and times each, reusing heavy Monte
+Carlo samples where two criteria share a configuration.  The CLI `verify-all` subcommand
 and tests/test_acceptance.py both drive this module, so the pass/fail
 semantics cannot drift between the two.
 """
@@ -48,7 +48,7 @@ class CriterionResult:
     cid: str
     name: str
     passed: bool
-    runtime: float
+    runtime: float = 0.0  # seconds; set by run_all
     details: dict = field(default_factory=dict)
 
     def line(self) -> str:
@@ -77,7 +77,6 @@ def _se_floor(exact_mean: float, m: int) -> float:
 
 
 def c01_coupling(ctx: AcceptanceContext) -> CriterionResult:
-    t0 = time.time()
     configs = [
         ("d1-exp", ModelConfig(d=1, lam=1.5, K=unit_box(1), g=exponential(1.0), n=2.0), 1.0),
         ("d2-exp", ModelConfig(d=2, lam=1.5, K=unit_box(2), g=exponential(0.5), n=2.0), 1.0),
@@ -97,7 +96,7 @@ def c01_coupling(ctx: AcceptanceContext) -> CriterionResult:
         additive = bool(np.all(out["J"].values == out["I"].values + out["L"].values))
         details[label] = {"coupling_exact": coupled, "J_equals_I_plus_L": additive}
         ok = ok and coupled and additive
-    return CriterionResult("c01", "coupling identity", ok, time.time() - t0, details)
+    return CriterionResult("c01", "coupling identity", ok, details=details)
 
 
 # -- criteria 2 and 3: exact scaled mean and variance ---------------------------
@@ -119,7 +118,6 @@ def _excess_sample(ctx: AcceptanceContext):
 
 
 def c02_scaled_mean(ctx: AcceptanceContext) -> CriterionResult:
-    t0 = time.time()
     cfg, sample = _excess_sample(ctx)
     exact = mean_excess(cfg, 1.0, ctx.spec).value
     se = max(sample.se_mean, _se_floor(exact, sample.m))
@@ -129,13 +127,11 @@ def c02_scaled_mean(ctx: AcceptanceContext) -> CriterionResult:
         "c02",
         "exact scaled mean",
         ok,
-        time.time() - t0,
-        {"mc_mean": sample.mean, "exact": exact, "gap": gap, "se": se, "m": sample.m},
+        details={"mc_mean": sample.mean, "exact": exact, "gap": gap, "se": se, "m": sample.m},
     )
 
 
 def c03_scaled_variance(ctx: AcceptanceContext) -> CriterionResult:
-    t0 = time.time()
     cfg, sample = _excess_sample(ctx)
     exact = var_excess(cfg, 1.0, ctx.spec).value
     bse = sample.bootstrap_se_var()
@@ -145,8 +141,7 @@ def c03_scaled_variance(ctx: AcceptanceContext) -> CriterionResult:
         "c03",
         "exact scaled variance",
         ok,
-        time.time() - t0,
-        {"mc_var": sample.variance, "exact": exact, "gap": gap, "bootstrap_se": bse},
+        details={"mc_var": sample.variance, "exact": exact, "gap": gap, "bootstrap_se": bse},
     )
 
 
@@ -154,7 +149,6 @@ def c03_scaled_variance(ctx: AcceptanceContext) -> CriterionResult:
 
 
 def c04_limit_convergence(ctx: AcceptanceContext) -> CriterionResult:
-    t0 = time.time()
     g = exponential(1.0)
     R = 1.0
     base = ModelConfig(d=1, lam=1.0, K=unit_box(1), g=g, n=1.0)
@@ -179,8 +173,7 @@ def c04_limit_convergence(ctx: AcceptanceContext) -> CriterionResult:
         "c04",
         "normalized moments converge to limits",
         ok,
-        time.time() - t0,
-        {
+        details={
             "means": means,
             "mean_limit": mean_limit,
             "variances": variances,
@@ -193,7 +186,6 @@ def c04_limit_convergence(ctx: AcceptanceContext) -> CriterionResult:
 
 
 def c05_vanishing_limits(ctx: AcceptanceContext) -> CriterionResult:
-    t0 = time.time()
     g = exponential(1.0)
     R_list = (1.0, 2.0, 4.0, 8.0, 16.0)
     means = [limit_mean_excess(1.0, g, R, 1, ctx.spec).value for R in R_list]
@@ -208,8 +200,7 @@ def c05_vanishing_limits(ctx: AcceptanceContext) -> CriterionResult:
         "c05",
         "limits vanish with growing truncation radius",
         ok,
-        time.time() - t0,
-        {"R_list": list(R_list), "means": means, "variances": variances},
+        details={"R_list": list(R_list), "means": means, "variances": variances},
     )
 
 
@@ -217,7 +208,6 @@ def c05_vanishing_limits(ctx: AcceptanceContext) -> CriterionResult:
 
 
 def c06_swapped_truncation(ctx: AcceptanceContext) -> CriterionResult:
-    t0 = time.time()
     g = exponential(1.0)
     K = unit_box(1)
     R = 2.0
@@ -255,8 +245,7 @@ def c06_swapped_truncation(ctx: AcceptanceContext) -> CriterionResult:
         "c06",
         "swapped truncation order degenerates",
         ok,
-        time.time() - t0,
-        {"normalized_means": vals, "decreasing": decreasing, "mc": mc_checks},
+        details={"normalized_means": vals, "decreasing": decreasing, "mc": mc_checks},
     )
 
 
@@ -264,7 +253,6 @@ def c06_swapped_truncation(ctx: AcceptanceContext) -> CriterionResult:
 
 
 def c07_variance_density(ctx: AcceptanceContext) -> CriterionResult:
-    t0 = time.time()
     g = hard_disk(1.0)
     cfg = ModelConfig(d=2, lam=1.0, K=unit_box(2), g=g, n=8.0)
     limit = limit_var_isolated(1.0, g, 2, ctx.spec).value
@@ -283,8 +271,7 @@ def c07_variance_density(ctx: AcceptanceContext) -> CriterionResult:
         "c07",
         "limiting variance density of isolated count",
         ok,
-        time.time() - t0,
-        {"mc_density": density, "limit": limit, "relative_gap": rel, "m": sample.m},
+        details={"mc_density": density, "limit": limit, "relative_gap": rel, "m": sample.m},
     )
 
 
@@ -292,7 +279,6 @@ def c07_variance_density(ctx: AcceptanceContext) -> CriterionResult:
 
 
 def c08_clt(ctx: AcceptanceContext) -> CriterionResult:
-    t0 = time.time()
     g = exponential(0.3)
     ks = {}
     for n in (2.0, 8.0):
@@ -311,8 +297,7 @@ def c08_clt(ctx: AcceptanceContext) -> CriterionResult:
         "c08",
         "standardized isolated count is near-normal",
         ok,
-        time.time() - t0,
-        {"ks_n8": ks[8.0], "ks_n2": ks[2.0], "threshold": 0.05},
+        details={"ks_n8": ks[8.0], "ks_n2": ks[2.0], "threshold": 0.05},
     )
 
 
@@ -320,7 +305,6 @@ def c08_clt(ctx: AcceptanceContext) -> CriterionResult:
 
 
 def c09_domination(ctx: AcceptanceContext) -> CriterionResult:
-    t0 = time.time()
     g = exponential(1.0)
     radii = [float(x) for x in np.geomspace(0.05, 10.0, 20)]
     check = check_domination(
@@ -331,8 +315,7 @@ def c09_domination(ctx: AcceptanceContext) -> CriterionResult:
         "c09",
         "variance bracket dominated by C g(|x|/2)",
         check.ok,
-        time.time() - t0,
-        {
+        details={
             "M": const.M,
             "C_pair": const.C_pair,
             "C_total": const.C_total,
@@ -347,7 +330,6 @@ def c09_domination(ctx: AcceptanceContext) -> CriterionResult:
 
 
 def c10_variance_ratio(ctx: AcceptanceContext) -> CriterionResult:
-    t0 = time.time()
     g = exponential(1.0)
     ratios = [variance_ratio(1.0, g, R, 1, ctx.spec).value for R in (1.0, 2.0, 4.0, 8.0)]
     # truncation raises the variance density here, so the ratio approaches 1
@@ -359,8 +341,7 @@ def c10_variance_ratio(ctx: AcceptanceContext) -> CriterionResult:
         "c10",
         "truncated/full variance ratio tends to 1",
         ok,
-        time.time() - t0,
-        {"ratios": ratios, "gaps": gaps, "final_gap": gaps[-1]},
+        details={"ratios": ratios, "gaps": gaps, "final_gap": gaps[-1]},
     )
 
 
@@ -368,7 +349,6 @@ def c10_variance_ratio(ctx: AcceptanceContext) -> CriterionResult:
 
 
 def c11_martingale(ctx: AcceptanceContext) -> CriterionResult:
-    t0 = time.time()
     rng = np.random.default_rng(ctx.seed(11))
     worst = 0.0
     for _ in range(100):
@@ -380,8 +360,7 @@ def c11_martingale(ctx: AcceptanceContext) -> CriterionResult:
         "c11",
         "martingale variance identity (exact oracle)",
         ok,
-        time.time() - t0,
-        {"worst_abs_diff": worst, "spaces": 100},
+        details={"worst_abs_diff": worst, "spaces": 100},
     )
 
 
@@ -389,7 +368,6 @@ def c11_martingale(ctx: AcceptanceContext) -> CriterionResult:
 
 
 def c12_covariance_field(ctx: AcceptanceContext) -> CriterionResult:
-    t0 = time.time()
     cfg = ModelConfig(d=2, lam=1.0, K=unit_box(2), g=hard_disk(0.5), n=1.0)
     field_est = covariance_field(
         cfg, r=2, z_max=2, m=600, base_seed=ctx.seed(12),
@@ -409,8 +387,7 @@ def c12_covariance_field(ctx: AcceptanceContext) -> CriterionResult:
         "c12",
         "covariance sum positive and box variance matches it",
         ok,
-        time.time() - t0,
-        {
+        details={
             "cov_sum": field_est.total,
             "cov_sum_se": field_est.total_se,
             "rows": [
@@ -432,7 +409,6 @@ def c12_covariance_field(ctx: AcceptanceContext) -> CriterionResult:
 
 
 def c13_lower_bound(ctx: AcceptanceContext) -> CriterionResult:
-    t0 = time.time()
     g = hard_disk(0.5)
     cert, rows = variance_lower_bound(
         lam=1.0,
@@ -458,8 +434,7 @@ def c13_lower_bound(ctx: AcceptanceContext) -> CriterionResult:
         "c13",
         "variance grows at least quadratically",
         ok,
-        time.time() - t0,
-        {
+        details={
             "mu_hat": cert.mu_hat,
             "M": cert.M,
             "alpha": cert.alpha,
@@ -498,7 +473,6 @@ def c14_determinism(ctx: AcceptanceContext) -> CriterionResult:
 
     from . import cli
 
-    t0 = time.time()
     with tempfile.TemporaryDirectory() as tmp:
         cfg_path = Path(tmp) / "det.cfg"
         cfg_path.write_text(_DET_CONFIG, encoding="utf-8")
@@ -529,8 +503,7 @@ def c14_determinism(ctx: AcceptanceContext) -> CriterionResult:
         "c14",
         "byte-identical reports, worker-count invariant",
         ok,
-        time.time() - t0,
-        {"byte_identical": byte_identical, "worker_invariant": cross_workers},
+        details={"byte_identical": byte_identical, "worker_invariant": cross_workers},
     )
 
 
@@ -556,7 +529,9 @@ def run_all(ctx: AcceptanceContext | None = None, echo=print) -> list[CriterionR
     ctx = ctx or AcceptanceContext()
     results = []
     for criterion in CRITERIA:
+        t0 = time.perf_counter()
         result = criterion(ctx)
+        result.runtime = time.perf_counter() - t0
         results.append(result)
         if echo:
             echo(result.line())

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -47,26 +48,13 @@ from .stats import (
     variance_lower_bound,
 )
 
-_MOMENT_FIELDS = ("quantity", "R", "n", "lam_n", "value", "error_bound", "config_hash", "base_seed")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rcmlab",
         description="Random connection model laboratory: simulation, quadrature moments, verification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "simulate": "replicate counting statistics and summarize them",
-        "moments": "evaluate closed-form and limiting moments by quadrature",
-        "clt-test": "KS normality check of the standardized isolated count",
-        "truncation-demo": "coupling identity and swapped-truncation degeneracy",
-        "variance-growth": "variance density against its limit; optional lower bound",
-        "covariance-field": "lattice covariance field of the component statistic",
-        "martingale-check": "exact martingale variance identity on random finite spaces",
-        "verify-all": "run the full acceptance suite",
-    }
-    for name, help_text in commands.items():
+    for name, (_, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to key=value config file")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
@@ -86,6 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _effective(args) -> ExperimentConfig:
+    """The config file with the command-line overrides, workers resolved."""
     overrides = list(args.set)
     if args.seed is not None:
         overrides.append(f"run.base_seed={args.seed}")
@@ -95,10 +84,12 @@ def _effective(args) -> ExperimentConfig:
         overrides.append(f"output.dir={args.out_dir}")
     if args.format is not None:
         overrides.append(f"output.format={args.format}")
-    return load_config(args.config, overrides)
+    cfg = load_config(args.config, overrides)
+    return replace(cfg, workers=_workers(cfg))
 
 
-def _emit(cfg: ExperimentConfig, stem: str, fieldnames, rows, extra=None):
+def _emit(cfg: ExperimentConfig, stem: str, rows, extra=None):
+    """Write the rows as CSV, columns in the key order of the rows, and as JSON."""
     out = Path(cfg.out_dir)
     payload = {
         "base_seed": cfg.base_seed,
@@ -107,12 +98,10 @@ def _emit(cfg: ExperimentConfig, stem: str, fieldnames, rows, extra=None):
     }
     if extra:
         payload.update(extra)
-    written = []
     if "csv" in cfg.formats:
-        written.append(write_csv(out / f"{stem}.csv", fieldnames, rows))
+        write_csv(out / f"{stem}.csv", rows[0].keys(), rows)
     if "json" in cfg.formats:
-        written.append(write_json(out / f"{stem}.json", payload))
-    return written
+        write_json(out / f"{stem}.json", payload)
 
 
 def _workers(cfg: ExperimentConfig) -> int:
@@ -155,7 +144,7 @@ def cmd_moments(cfg: ExperimentConfig, args) -> int:
         for R in cfg.R_list:
             add("mean_excess", mean_excess(model, R, cfg.spec), R=R, n=n, lam_n=model.lam_n)
             add("var_excess", var_excess(model, R, cfg.spec), R=R, n=n, lam_n=model.lam_n)
-    _emit(cfg, "moments", _MOMENT_FIELDS, rows)
+    _emit(cfg, "moments", rows)
     return 0
 
 
@@ -170,7 +159,7 @@ def cmd_simulate(cfg: ExperimentConfig, args) -> int:
             StatRequest(name="near_isolated", kind="near_isolated", r0=R / n),
             StatRequest(name="excess", kind="excess", r0=R / n),
         ]
-        out = replicate_many(model, reqs, cfg.m, cfg.base_seed, cfg.policy, _workers(cfg))
+        out = replicate_many(model, reqs, cfg.m, cfg.base_seed, cfg.policy, cfg.workers)
         for name in ("isolated", "near_isolated", "excess"):
             sample = out[name]
             bias = max(bias, sample.bias_bound)
@@ -188,14 +177,11 @@ def cmd_simulate(cfg: ExperimentConfig, args) -> int:
                     "base_seed": cfg.base_seed,
                 }
             )
-    fields = ("statistic", "R", "n", "lam_n", "m", "mean", "se_mean", "variance",
-              "config_hash", "base_seed")
-    _emit(cfg, "simulate", fields, rows, extra={"bias_bound": bias})
+    _emit(cfg, "simulate", rows, extra={"bias_bound": bias})
     if getattr(args, "dump_realization", None):
         model = cfg.model(cfg.n_list[0])
         graph = simulate_graph(
-            model.g_n, model.lam_n, model.d, model.K,
-            np.random.SeedSequence(entropy=cfg.base_seed, spawn_key=(0,)),
+            model.g_n, model.lam_n, model.d, model.K, cfg.base_seed, 0,
             cfg.policy, min_reach=R / cfg.n_list[0], min_margin=R / cfg.n_list[0],
         )
         dump_realization(graph, args.dump_realization)
@@ -214,7 +200,7 @@ def cmd_clt_test(cfg: ExperimentConfig, args) -> int:
             cfg.m,
             cfg.base_seed,
             cfg.policy,
-            _workers(cfg),
+            cfg.workers,
         )
         bias = max(bias, sample.bias_bound)
         ks = ks_normality(sample)
@@ -232,8 +218,7 @@ def cmd_clt_test(cfg: ExperimentConfig, args) -> int:
                 "base_seed": cfg.base_seed,
             }
         )
-    fields = ("n", "lam_n", "m", "ks_distance", "threshold", "passed", "config_hash", "base_seed")
-    _emit(cfg, "clt_test", fields, rows, extra={"bias_bound": bias})
+    _emit(cfg, "clt_test", rows, extra={"bias_bound": bias})
     return 0 if all_ok else 1
 
 
@@ -250,7 +235,7 @@ def cmd_truncation_demo(cfg: ExperimentConfig, args) -> int:
             StatRequest(name="L", kind="excess", r0=R / n),
             StatRequest(name="C", kind="coupling", R=R),
         ]
-        out = replicate_many(model, reqs, min(cfg.m, 500), cfg.base_seed, cfg.policy, _workers(cfg))
+        out = replicate_many(model, reqs, min(cfg.m, 500), cfg.base_seed, cfg.policy, cfg.workers)
         bias = max(bias, out["I"].bias_bound)
         exact = bool(np.all(out["C"].values == 1.0))
         additive = bool(
@@ -302,7 +287,7 @@ def cmd_truncation_demo(cfg: ExperimentConfig, args) -> int:
             min(cfg.m, 3000),
             cfg.base_seed,
             cfg.policy,
-            _workers(cfg),
+            cfg.workers,
         )
         center = mean_excess(model, R_c, cfg.spec).value
         rows.append(
@@ -315,8 +300,7 @@ def cmd_truncation_demo(cfg: ExperimentConfig, args) -> int:
             }
         )
 
-    fields = ("section", "n", "R", "value", "note")
-    _emit(cfg, "truncation_demo", fields, rows, extra={"bias_bound": bias})
+    _emit(cfg, "truncation_demo", rows, extra={"bias_bound": bias})
     return 0 if coupling_ok else 1
 
 
@@ -339,7 +323,7 @@ def cmd_variance_growth(cfg: ExperimentConfig, args) -> int:
             cfg.base_seed,
             limit,
             policy=cfg.policy,
-            workers=_workers(cfg),
+            workers=cfg.workers,
         )
     ]
     ok = True
@@ -356,7 +340,7 @@ def cmd_variance_growth(cfg: ExperimentConfig, args) -> int:
             m_var=cfg.m,
             base_seed=cfg.base_seed,
             policy=cfg.policy,
-            workers=_workers(cfg),
+            workers=cfg.workers,
         )
         for row in bound_rows:
             ok = ok and row.var >= row.bound
@@ -382,8 +366,7 @@ def cmd_variance_growth(cfg: ExperimentConfig, args) -> int:
                 "support_radius": cert.R,
             }
         }
-    fields = ("kind", "n", "lam_n", "value", "se", "limit", "gap")
-    _emit(cfg, "variance_growth", fields, rows, extra=extra)
+    _emit(cfg, "variance_growth", rows, extra=extra)
     return 0 if ok else 1
 
 
@@ -394,7 +377,7 @@ def cmd_covariance_field(cfg: ExperimentConfig, args) -> int:
         raise ConfigError("covariance-field needs a bounded-support connection function")
     z_max = int(math.ceil(cfg.r * supp)) + 1
     field = covariance_field(
-        model, cfg.r, z_max, cfg.m, cfg.base_seed, policy=cfg.policy, workers=_workers(cfg)
+        model, cfg.r, z_max, cfg.m, cfg.base_seed, policy=cfg.policy, workers=cfg.workers
     )
     rows = [
         {
@@ -408,7 +391,6 @@ def cmd_covariance_field(cfg: ExperimentConfig, args) -> int:
     _emit(
         cfg,
         "covariance_field",
-        ("offset", "cov", "se"),
         rows,
         extra={
             "total": field.total,
@@ -440,7 +422,6 @@ def cmd_martingale_check(cfg: ExperimentConfig, args) -> int:
     _emit(
         cfg,
         "martingale_check",
-        ("space", "variance", "telescoped", "abs_diff"),
         rows,
         extra={"worst_abs_diff": worst, "passed": ok},
     )
@@ -450,7 +431,7 @@ def cmd_martingale_check(cfg: ExperimentConfig, args) -> int:
 def cmd_verify_all(cfg: ExperimentConfig, args) -> int:
     ctx = AcceptanceContext(
         base_seed=cfg.base_seed,
-        workers=_workers(cfg),
+        workers=cfg.workers,
         spec=cfg.spec,
         policy=cfg.policy,
     )
@@ -467,22 +448,21 @@ def cmd_verify_all(cfg: ExperimentConfig, args) -> int:
     _emit(
         cfg,
         "verify_all",
-        ("criterion", "name", "passed", "runtime_s"),
         rows,
         extra={"details": {r.cid: r.details for r in results}},
     )
     return 0 if all(r.passed for r in results) else 1
 
 
-_HANDLERS = {
-    "simulate": cmd_simulate,
-    "moments": cmd_moments,
-    "clt-test": cmd_clt_test,
-    "truncation-demo": cmd_truncation_demo,
-    "variance-growth": cmd_variance_growth,
-    "covariance-field": cmd_covariance_field,
-    "martingale-check": cmd_martingale_check,
-    "verify-all": cmd_verify_all,
+_COMMANDS = {
+    "simulate": (cmd_simulate, "replicate counting statistics and summarize them"),
+    "moments": (cmd_moments, "evaluate closed-form and limiting moments by quadrature"),
+    "clt-test": (cmd_clt_test, "KS normality check of the standardized isolated count"),
+    "truncation-demo": (cmd_truncation_demo, "coupling identity and swapped-truncation degeneracy"),
+    "variance-growth": (cmd_variance_growth, "variance density against its limit; optional lower bound"),
+    "covariance-field": (cmd_covariance_field, "lattice covariance field of the component statistic"),
+    "martingale-check": (cmd_martingale_check, "exact martingale variance identity on random finite spaces"),
+    "verify-all": (cmd_verify_all, "run the full acceptance suite"),
 }
 
 
@@ -491,11 +471,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _effective(args)
-    except (ConfigError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        code = _HANDLERS[args.command](cfg, args)
+        # output paths are checked before any work is done
+        Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
+        dump = getattr(args, "dump_realization", None)
+        if dump and not Path(dump).parent.is_dir():
+            raise ConfigError(f"--dump-realization: no directory to hold {dump}")
+        code = _COMMANDS[args.command][0](cfg, args)
         write_run_meta(cfg.out_dir, args.command, cfg.config_hash())
     except (ConfigError, OSError) as exc:  # OSError: an output path that cannot be written
         print(f"config error: {exc}", file=sys.stderr)

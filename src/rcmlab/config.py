@@ -20,7 +20,7 @@ import hashlib
 import math
 from dataclasses import dataclass, replace
 
-from .connfn import ConnectionFunction, exponential, gaussian, hard_disk, table_function
+from .connfn import ConnectionFunction, ConnFnError, table_function
 from .moments import DensityRule, ModelConfig, ModelError
 from .quadrature import QuadratureSpec, Region
 from .simulator import SimPolicy
@@ -53,6 +53,13 @@ def _parse_pairs(text: str) -> tuple[tuple[float, float], ...]:
     return tuple(out)
 
 
+_TRANSFORMS = {
+    "inside": ConnectionFunction.truncate_inside,
+    "outside": ConnectionFunction.truncate_outside,
+    "scale": ConnectionFunction.scale,
+}
+
+
 def _parse_transforms(text: str):
     steps = []
     for item in text.split(","):
@@ -61,66 +68,39 @@ def _parse_transforms(text: str):
             continue
         op, _, arg = item.partition(":")
         op = op.strip()
-        if op not in ("inside", "outside", "scale"):
+        if op not in _TRANSFORMS:
             raise ValueError(f"unknown transform {op!r}")
         steps.append((op, _finite(arg)))
     return tuple(steps)
 
 
-_SCHEMA = {
-    "model.d": int,
-    "model.lambda": _finite,
-    "model.n": _finite,
-    "model.K.lower": _parse_floats,
-    "model.K.sides": _parse_floats,
-    "model.g.kind": str,
-    "model.g.a": _finite,
-    "model.g.table": _parse_pairs,
-    "model.g.transforms": _parse_transforms,
-    "model.density_rule": str,
-    "run.n_list": _parse_floats,
-    "run.R_list": _parse_floats,
-    "run.r": int,
-    "run.m": int,
-    "run.base_seed": int,
-    "run.workers": int,
-    "numerics.rel_tol": _finite,
-    "numerics.abs_tol": _finite,
-    "numerics.max_subdiv": int,
-    "numerics.tail_eps": _finite,
-    "numerics.eps_margin": _finite,
-    "numerics.eps_edges": _finite,
-    "numerics.ks_threshold": _finite,
-    "output.dir": str,
-    "output.format": str,
-}
-
-_DEFAULTS = {
-    "model.d": 1,
-    "model.lambda": 1.0,
-    "model.n": 1.0,
-    "model.K.lower": (0.0,),
-    "model.K.sides": (1.0,),
-    "model.g.kind": "exponential",
-    "model.g.a": 1.0,
-    "model.g.table": (),
-    "model.g.transforms": (),
-    "model.density_rule": "scaled",
-    "run.n_list": (1.0,),
-    "run.R_list": (1.0,),
-    "run.r": 1,
-    "run.m": 1000,
-    "run.base_seed": 1,
-    "run.workers": 0,
-    "numerics.rel_tol": 1e-8,
-    "numerics.abs_tol": 1e-10,
-    "numerics.max_subdiv": 512,
-    "numerics.tail_eps": 1e-12,
-    "numerics.eps_margin": 1e-4,
-    "numerics.eps_edges": 1e-2,
-    "numerics.ks_threshold": 0.05,
-    "output.dir": "out",
-    "output.format": "both",
+# key -> (parser, default)
+_KEYS = {
+    "model.d": (int, 1),
+    "model.lambda": (_finite, 1.0),
+    "model.n": (_finite, 1.0),
+    "model.K.lower": (_parse_floats, (0.0,)),
+    "model.K.sides": (_parse_floats, (1.0,)),
+    "model.g.kind": (str, "exponential"),
+    "model.g.a": (_finite, 1.0),
+    "model.g.table": (_parse_pairs, ()),
+    "model.g.transforms": (_parse_transforms, ()),
+    "model.density_rule": (str, "scaled"),
+    "run.n_list": (_parse_floats, (1.0,)),
+    "run.R_list": (_parse_floats, (1.0,)),
+    "run.r": (int, 1),
+    "run.m": (int, 1000),
+    "run.base_seed": (int, 1),
+    "run.workers": (int, 0),
+    "numerics.rel_tol": (_finite, 1e-8),
+    "numerics.abs_tol": (_finite, 1e-10),
+    "numerics.max_subdiv": (int, 512),
+    "numerics.tail_eps": (_finite, 1e-12),
+    "numerics.eps_margin": (_finite, 1e-4),
+    "numerics.eps_edges": (_finite, 1e-2),
+    "numerics.ks_threshold": (_finite, 0.05),
+    "output.dir": (str, "out"),
+    "output.format": (str, "both"),
 }
 
 
@@ -180,7 +160,7 @@ class ExperimentConfig:
         for item in overrides:
             key, _, value = item.partition("=")
             key = key.strip()
-            if key not in _SCHEMA:
+            if key not in _KEYS:
                 raise ConfigError(f"--set: unknown key {key!r}")
             raw[key] = value.strip()
         return _build(raw)
@@ -208,7 +188,7 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, _, value = body.partition("=")
         key = key.strip()
-        if key not in _SCHEMA:
+        if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         raw[key] = value.strip()
     try:
@@ -235,36 +215,24 @@ def load_config(path: str, overrides=()) -> ExperimentConfig:
 
 def _parse_value(key: str, text: str, parse=None):
     try:
-        return (parse or _SCHEMA[key])(text)
+        return (parse or _KEYS[key][0])(text)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"key {key!r}: cannot parse {text!r} ({exc})") from exc
 
 
 def _build(raw: dict[str, str]) -> ExperimentConfig:
-    values = dict(_DEFAULTS)
+    values = {key: default for key, (_, default) in _KEYS.items()}
     for key, text in raw.items():
         values[key] = _parse_value(key, text)
 
     kind = values["model.g.kind"]
-    transforms = values["model.g.transforms"]
     try:
         if kind == "table":
             g = table_function(values["model.g.table"])
-        elif kind == "hard_disk":
-            g = hard_disk(values["model.g.a"])
-        elif kind == "exponential":
-            g = exponential(values["model.g.a"])
-        elif kind == "gaussian":
-            g = gaussian(values["model.g.a"])
         else:
-            raise ConfigError(f"model.g.kind: unknown kind {kind!r}")
-        for op, arg in transforms:
-            if op == "inside":
-                g = g.truncate_inside(arg)
-            elif op == "outside":
-                g = g.truncate_outside(arg)
-            else:
-                g = g.scale(arg)
+            g = ConnectionFunction(kind=kind, a=values["model.g.a"])
+        for op, arg in values["model.g.transforms"]:
+            g = _TRANSFORMS[op](g, arg)
 
         K = Region(values["model.K.lower"], values["model.K.sides"])
         rule_text = values["model.density_rule"].strip()
@@ -328,5 +296,7 @@ def _build(raw: dict[str, str]) -> ExperimentConfig:
         return cfg
     except ConfigError:
         raise
+    except ConnFnError as exc:
+        raise ConfigError(f"model.g: {exc}") from exc
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc

@@ -17,11 +17,11 @@ statistical ones.
 Pairs farther apart than the search reach are never examined; the discarded
 connection mass is bounded and recorded on the graph.
 
-``simulate_block`` draws consecutive replications from their own streams,
-exactly as ``simulate_graph`` does one, and stacks them into one
-block-diagonal graph: one pair search, one coin call and one count per
-statistic serve the whole block, and every replication's edges are the
-ones ``simulate_graph`` gives it.
+``simulate_block`` draws consecutive replications from their own streams
+and stacks them into one block-diagonal graph: one pair search, one coin
+call and one count per statistic serve the whole block.  ``simulate_graph``
+is the block of one replication, so a replication's edges do not depend on
+the block it is drawn in.
 """
 
 from __future__ import annotations
@@ -302,12 +302,12 @@ def _setup(conn, lam_n, d, K, policy, min_reach, min_margin):
     return window, max(conn.tail_radius(eps, d), min_reach), policy.eps_edges
 
 
-def _draw(entropy, spawn_key, lam_n: float, box: Region) -> tuple[np.ndarray, int]:
-    """The points and pair key of the replication SeedSequence(entropy,
-    spawn_key): they come from its two children spawn_key + (0,) and
-    spawn_key + (1,), built directly, so the sequence itself never advances."""
-    ss_points = np.random.SeedSequence(entropy, spawn_key=(*spawn_key, 0))
-    ss_pairs = np.random.SeedSequence(entropy, spawn_key=(*spawn_key, 1))
+def _draw(base_seed: int, rep: int, lam_n: float, box: Region) -> tuple[np.ndarray, int]:
+    """The points and pair key of replication rep: they come from the
+    children SeedSequence(base_seed, spawn_key=(rep, 0)) and (rep, 1) of
+    the replication's sequence SeedSequence(base_seed, spawn_key=(rep,))."""
+    ss_points = np.random.SeedSequence(base_seed, spawn_key=(rep, 0))
+    ss_pairs = np.random.SeedSequence(base_seed, spawn_key=(rep, 1))
     points = sample_points(lam_n, box, np.random.default_rng(ss_points))
     return points, int(ss_pairs.generate_state(1, np.uint64)[0])
 
@@ -317,18 +317,17 @@ def simulate_graph(
     lam_n: float,
     d: int,
     K: Region,
-    seed_seq: np.random.SeedSequence,
+    base_seed: int,
+    rep: int,
     policy: SimPolicy = DEFAULT_POLICY,
     min_reach: float = 0.0,
     min_margin: float = 0.0,
 ) -> PointGraph:
-    """Sample points in K plus margin and connect them under conn.
-
-    The realization is a function of seed_seq's value: seed_seq is not advanced.
-    """
-    window, reach, edge_bias = _setup(conn, lam_n, d, K, policy, min_reach, min_margin)
-    points, key = _draw(seed_seq.entropy, seed_seq.spawn_key, lam_n, window.box)
-    return connect(points, conn, window, reach, key, lam_n, edge_bias)
+    """Replication rep of base_seed alone: points in K plus margin, connected
+    under conn.  It is the block of one replication from ``simulate_block``."""
+    return simulate_block(
+        conn, lam_n, d, K, base_seed, rep, rep + 1, policy, min_reach, min_margin
+    )[0]
 
 
 def simulate_block(
@@ -346,14 +345,15 @@ def simulate_block(
     """Replications lo..hi-1 as one block-diagonal graph, and each point's
     replication (0 for lo).
 
-    Replication rep is ``simulate_graph`` at SeedSequence(base_seed,
-    spawn_key=(rep,)): the same ``_draw`` gives its points and pair key.
-    Edges carry global point indices, and every coin is the replication's own
-    pair uniform at its local indices.
-    Block size is the caller's: see ``block_reps``.
+    Replication rep draws its points and pair key from its own stream,
+    SeedSequence(base_seed, spawn_key=(rep,)), through ``_draw``.  Edges
+    carry global point indices, and every coin is the replication's own pair
+    uniform at its local indices.  Block size is the caller's: see
+    ``block_reps``.
     """
     window, reach, edge_bias = _setup(conn, lam_n, d, K, policy, min_reach, min_margin)
-    draws = [_draw(base_seed, (rep,), lam_n, window.box) for rep in range(lo, hi)]
+    box = window.box
+    draws = [_draw(base_seed, rep, lam_n, box) for rep in range(lo, hi)]
     keys = np.array([key for _, key in draws], dtype=np.uint64)
     sizes = np.array([pts.shape[0] for pts, _ in draws])
     points = np.concatenate([pts for pts, _ in draws])

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from rcmlab import cli
+from rcmlab.acceptance import CriterionResult
 from rcmlab.config import ConfigError, load_config, parse_config
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -28,6 +29,19 @@ numerics.rel_tol = 1e-7
 numerics.ks_threshold = 0.1
 output.format = json
 """
+
+
+# the column order of every subcommand's CSV report
+CSV_HEADERS = {
+    "simulate": "statistic,R,n,lam_n,m,mean,se_mean,variance,config_hash,base_seed",
+    "moments": "quantity,R,n,lam_n,value,error_bound,config_hash,base_seed",
+    "clt-test": "n,lam_n,m,ks_distance,threshold,passed,config_hash,base_seed",
+    "truncation-demo": "section,n,R,value,note",
+    "variance-growth": "kind,n,lam_n,value,se,limit,gap",
+    "covariance-field": "offset,cov,se",
+    "martingale-check": "space,variance,telescoped,abs_diff",
+    "verify-all": "criterion,name,passed,runtime_s",
+}
 
 
 class TestParsing:
@@ -294,6 +308,17 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and str(out) in err
 
+    def test_verify_all_out_dir_below_a_file_fails_before_the_suite(
+        self, cfg_file, tmp_path, capsys
+    ):
+        plain = tmp_path / "plain"
+        plain.write_text("", encoding="utf-8")
+        argv = ["verify-all", "--config", str(cfg_file), "--out-dir", str(plain / "x")]
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("config error:")
+        assert not any(line.startswith(("PASS", "FAIL")) for line in out.splitlines())
+
     def test_dump_in_a_missing_directory_is_config_error(self, cfg_file, tmp_path, capsys):
         dump = tmp_path / "missing" / "x.txt"
         rc = cli.main(
@@ -303,6 +328,22 @@ class TestCli:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and str(dump) in err
+        assert not (tmp_path / "out" / "simulate.csv").exists()  # refused before any work
+
+    @pytest.mark.parametrize("command", sorted(CSV_HEADERS))
+    def test_csv_header_order(self, command, cfg_file, tmp_path, monkeypatch):
+        def one_criterion(ctx, echo=print):
+            return [CriterionResult("c01", "criterion", True, 0.5)]
+
+        monkeypatch.setattr(cli, "run_all", one_criterion)
+        argv = [command, "--config", str(cfg_file), "--set", "run.m=100", "--format", "csv"]
+        if command == "covariance-field":
+            argv += ["--set", "model.d=2", "--set", "model.K.lower=0,0", "--set",
+                     "model.K.sides=1,1", "--set", "model.g.kind=hard_disk"]
+        assert cli.main(argv) in (0, 1)
+        stem = command.replace("-", "_")
+        lines = (tmp_path / "out" / f"{stem}.csv").read_text(encoding="utf-8").splitlines()
+        assert lines[0] == CSV_HEADERS[command]
 
     def test_unknown_subcommand_rejected(self, cfg_file):
         with pytest.raises(SystemExit):

@@ -178,8 +178,7 @@ class TestBlock:
         src = rid[graph.edge_i]
         assert np.array_equal(src, rid[graph.edge_j])
         for k in range(4):
-            ss = np.random.SeedSequence(12345, spawn_key=(lo + k,))
-            single = simulate_graph(g, lam, 2, K, ss, min_reach=0.3)
+            single = simulate_graph(g, lam, 2, K, 12345, lo + k, min_reach=0.3)
             offset = np.count_nonzero(rid < k)
             assert np.array_equal(graph.points[rid == k], single.points)
             assert np.array_equal(graph.edge_i[src == k] - offset, single.edge_i)
@@ -193,21 +192,18 @@ class TestBlock:
         fields = component_cell_counts(graph, lattice, 2, rid, 4)
         assert fields.shape == (4, 2, 2) and fields.sum() > 0
         for k in range(4):
-            ss = np.random.SeedSequence(12345, spawn_key=(lo + k,))
-            single = simulate_graph(disk, lam, 2, box, ss, min_margin=0.3)
+            single = simulate_graph(disk, lam, 2, box, 12345, lo + k, min_margin=0.3)
             rid_one = np.zeros(single.n_points, dtype=np.int64)
             one = component_cell_counts(single, lattice, 2, rid_one, 1)
             assert np.array_equal(fields[k], one[0])
 
     def test_simulate_graph_is_a_function_of_the_sequence(self):
         g, lam, K = exponential(0.2), 30.0, unit_box(2)
-        ss = np.random.SeedSequence(7, spawn_key=(3,))
-        first = simulate_graph(g, lam, 2, K, ss)
-        again = simulate_graph(g, lam, 2, K, ss)
-        assert ss.n_children_spawned == 0
+        first = simulate_graph(g, lam, 2, K, 7, 3)
+        again = simulate_graph(g, lam, 2, K, 7, 3)
         assert np.array_equal(first.points, again.points)
         assert np.array_equal(first.edge_i, again.edge_i)
-        # the streams are still the ones spawn(2) gives a fresh sequence
+        # replication 3 of seed 7 draws from the children of its own sequence
         ss_points, ss_pairs = np.random.SeedSequence(7, spawn_key=(3,)).spawn(2)
         expected = sample_points(lam, first.window.box, np.random.default_rng(ss_points))
         assert np.array_equal(first.points, expected)
@@ -242,7 +238,7 @@ class TestCounts:
     def test_family_additivity_and_monotonicity(self):
         g = exponential(0.2)
         cfg_reach = 3.0
-        graph = simulate_graph(g, 40.0, 2, unit_box(2), seeded(6), min_reach=cfg_reach,
+        graph = simulate_graph(g, 40.0, 2, unit_box(2), 12345, 6, min_reach=cfg_reach,
                                min_margin=cfg_reach)
         K = unit_box(2)
         I = count_isolated(graph, K)
@@ -256,7 +252,7 @@ class TestCounts:
             prev_j = J
 
     def test_r0_zero_counts_everyone(self):
-        graph = simulate_graph(exponential(0.2), 40.0, 2, unit_box(2), seeded(7),
+        graph = simulate_graph(exponential(0.2), 40.0, 2, unit_box(2), 12345, 7,
                                min_reach=1.0, min_margin=1.0)
         K = unit_box(2)
         J, L = count_truncation_family(graph, K, 0.0)
@@ -265,14 +261,14 @@ class TestCounts:
         assert L == J - count_isolated(graph, K)
 
     def test_r0_at_reach_kills_far_side(self):
-        graph = simulate_graph(hard_disk(0.4), 40.0, 2, unit_box(2), seeded(8))
+        graph = simulate_graph(hard_disk(0.4), 40.0, 2, unit_box(2), 12345, 8)
         K = unit_box(2)
         J, L = count_truncation_family(graph, K, 0.4)
         assert L == 0
         assert J == count_isolated(graph, K)
 
     def test_r0_beyond_reach_rejected(self):
-        graph = simulate_graph(hard_disk(0.4), 10.0, 2, unit_box(2), seeded(9))
+        graph = simulate_graph(hard_disk(0.4), 10.0, 2, unit_box(2), 12345, 9)
         with pytest.raises(SimulationError):
             count_truncation_family(graph, unit_box(2), 2.0)
 
@@ -283,7 +279,7 @@ class TestCoupling:
         g = exponential(1.0)
         n, R = 2.0, 1.0
         g_n = make_variant(g, "scaled", n=n)
-        graph = simulate_graph(g_n, 3.0, 1, unit_box(1), seeded(100 + rep),
+        graph = simulate_graph(g_n, 3.0, 1, unit_box(1), 12345, 100 + rep,
                                min_reach=R / n, min_margin=R / n)
         J, _ = count_truncation_family(graph, unit_box(1), R / n)
         twin = regraph(graph, make_variant(g, "cut_then_scale", R=R, n=n))
@@ -305,7 +301,7 @@ class TestCoupling:
 class TestComponents:
     def _graph(self, lam=20.0, a=0.3, r=3, seed=20):
         g = hard_disk(a)
-        return simulate_graph(g, lam, 2, unit_box(2), seeded(seed), min_margin=r * a)
+        return simulate_graph(g, lam, 2, unit_box(2), 12345, seed, min_margin=r * a)
 
     def test_r1_matches_isolated(self):
         graph = self._graph()
@@ -318,13 +314,13 @@ class TestComponents:
         assert count_components(graph, unit_box(2), 2) == pytest.approx(1.0)
 
     def test_unbounded_support_rejected(self):
-        graph = simulate_graph(exponential(0.3), 10.0, 2, unit_box(2), seeded(21),
+        graph = simulate_graph(exponential(0.3), 10.0, 2, unit_box(2), 12345, 21,
                                min_margin=2.0)
         with pytest.raises(SimulationError):
             count_components(graph, unit_box(2), 1)
 
     def test_insufficient_margin_rejected(self):
-        graph = simulate_graph(hard_disk(0.3), 10.0, 2, unit_box(2), seeded(22))
+        graph = simulate_graph(hard_disk(0.3), 10.0, 2, unit_box(2), 12345, 22)
         # margin is one support radius; size-3 components need three
         with pytest.raises(SimulationError):
             count_components(graph, unit_box(2), 3)
@@ -332,7 +328,7 @@ class TestComponents:
     def test_cell_counts_sum_to_region_count(self):
         lattice = LatticeRegion((0, 0), (3, 3))
         g = hard_disk(0.3)
-        graph = simulate_graph(g, 15.0, 2, lattice.bounding_region, seeded(23),
+        graph = simulate_graph(g, 15.0, 2, lattice.bounding_region, 12345, 23,
                                min_margin=2 * 0.3)
         Y = component_cell_counts(graph, lattice, 2, np.zeros(graph.n_points, dtype=np.int64), 1)
         total = count_components(graph, lattice.bounding_region, 2)
@@ -400,14 +396,14 @@ class TestMarginPolicy:
 
 class TestDeterminism:
     def test_same_seed_same_graph(self):
-        a = simulate_graph(exponential(0.2), 30.0, 2, unit_box(2), seeded(30))
-        b = simulate_graph(exponential(0.2), 30.0, 2, unit_box(2), seeded(30))
+        a = simulate_graph(exponential(0.2), 30.0, 2, unit_box(2), 12345, 30)
+        b = simulate_graph(exponential(0.2), 30.0, 2, unit_box(2), 12345, 30)
         assert np.array_equal(a.points, b.points)
         assert np.array_equal(a.edge_i, b.edge_i)
         assert np.array_equal(a.edge_dist, b.edge_dist)
 
     def test_dump_realization(self, tmp_path):
-        graph = simulate_graph(hard_disk(0.3), 20.0, 2, unit_box(2), seeded(31))
+        graph = simulate_graph(hard_disk(0.3), 20.0, 2, unit_box(2), 12345, 31)
         path = tmp_path / "real.txt"
         dump_realization(graph, str(path))
         lines = path.read_text().splitlines()

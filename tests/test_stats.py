@@ -130,9 +130,8 @@ def _reference_rows(cfg, requests, m, base_seed):
     min_reach, min_margin = _request_needs(cfg, requests)
     rows = []
     for rep in range(m):
-        ss = np.random.SeedSequence(base_seed, spawn_key=(rep,))
         graph = simulate_graph(
-            cfg.g_n, cfg.lam_n, cfg.d, cfg.K, ss, DEFAULT_POLICY, min_reach, min_margin
+            cfg.g_n, cfg.lam_n, cfg.d, cfg.K, base_seed, rep, DEFAULT_POLICY, min_reach, min_margin
         )
         row = []
         for req in requests:
@@ -280,9 +279,9 @@ def _reference_field_rows(cfg, r, offsets, lattice, m, base_seed):
     min_margin = r * cfg.g_n.support_radius
     rows, points = [], []
     for rep in range(m):
-        ss = np.random.SeedSequence(base_seed, spawn_key=(rep,))
         graph = simulate_graph(
-            cfg.g_n, cfg.lam_n, cfg.d, lattice.bounding_region, ss, min_margin=min_margin
+            cfg.g_n, cfg.lam_n, cfg.d, lattice.bounding_region, base_seed, rep,
+            min_margin=min_margin,
         )
         Y = np.zeros(lattice.shape)
         for site in np.ndindex(*lattice.shape):
