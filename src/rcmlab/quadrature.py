@@ -338,9 +338,14 @@ def overlap_rows(
     sr = s[rows]
 
     cuts1 = np.asarray(h1.cut_radii, dtype=float)
-    at_s = [sr[:, None]] if d == 1 else []  # the d=1 integrand kinks at r = s
+    # the integrand kinks at r = s: h2(|r - s|) in d=1, and the theta or
+    # chord mass of a kinked h2 in d >= 2
     breaks = np.concatenate(
-        [np.broadcast_to(cuts1, (sr.size, cuts1.size)), *at_s, _pair_breaks(sr, h2.cut_radii)],
+        [
+            np.broadcast_to(cuts1, (sr.size, cuts1.size)),
+            sr[:, None],
+            _pair_breaks(sr, h2.cut_radii),
+        ],
         axis=1,
     )
 

@@ -7,7 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from scipy import integrate
+from scipy import integrate, special
 
 from rcmlab import quadrature
 from rcmlab.connfn import exponential, gaussian, hard_disk, make_variant, table_function
@@ -331,6 +331,25 @@ class TestAdaptiveQuadRows:
         assert adaptive_quad(quad_f, 0.0, 1.0, breakpoints=cuts) == pytest.approx(ref)
         assert quad_f.points == heap_f.points
 
+    def test_tied_pieces_split_the_earliest_first(self):
+        # [1, 2] and [2, 4] start with exactly equal errors: on [2, 4] the
+        # integrand is phi(x / 2) / 2, at nodes exactly twice those of [1, 2],
+        # plus a bump that only the nodes of [2, 3] see.  Splitting [1, 2]
+        # first meets the tolerance; splitting [2, 4] first finds the bump.
+        def f(x):
+            upper = x > 2.0
+            bump = upper & (np.abs(x - 2.5) < 0.01)
+            return np.where(upper, 0.5 / (x / 2 - 0.8), 1.0 / (x - 0.8)) + 0.5 * bump
+
+        loose = QuadratureSpec(abs_tol=1.0)
+        assert adaptive_quad(f, 1.0, 2.0, loose).error == adaptive_quad(f, 2.0, 4.0, loose).error
+        spec = QuadratureSpec(abs_tol=1e-7, rel_tol=1e-9)
+        heap_f, quad_f = counted(f), counted(f)
+        ref = heap_quad(heap_f, 1.0, 4.0, spec, [2.0])
+        got = adaptive_quad(quad_f, 1.0, 4.0, spec, [2.0])
+        assert quad_f.points == heap_f.points == 4 * 31  # two pieces, then one split
+        assert got == pytest.approx(ref, rel=1e-12)
+
     def test_empty_rows(self):
         f = lambda x, rows: np.ones_like(x)
         vals, errs = adaptive_quad_rows(f, [0.0, 1.0, 2.0], [1.0, 1.0, 1.5], breakpoints=[0.5])
@@ -532,6 +551,10 @@ OVERLAP_ROW_CASES = {
 }
 
 
+# 200 separations for the closed-form overlap references
+DENSE_S = np.linspace(0.01, 6.0, 200)
+
+
 class TestOverlapRows:
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("case", sorted(OVERLAP_ROW_CASES))
@@ -576,6 +599,26 @@ class TestOverlapRows:
         vals, errs = overlap_rows(exponential(a), exponential(a), s, 1)
         ref = (a + s) * np.exp(-s / a)
         assert np.all(np.abs(vals - ref) <= errs), np.abs(vals - ref) / errs
+
+    @pytest.mark.parametrize("a", [0.3, 1.0])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_exponential_dense_grid(self, d, a):
+        # the kinked exponential needs the break at r = s in every dimension
+        vals, errs = overlap_rows(exponential(a), exponential(a), DENSE_S, d)
+        t = DENSE_S / a
+        if d == 2:  # a Hankel transform (Gradshteyn-Ryzhik 6.565.4)
+            ref = math.pi * DENSE_S**2 * special.kv(2, t) / 4
+        else:
+            ref = math.pi * a**3 * np.exp(-t) * (1 + t + t * t / 3)
+        assert np.all(np.abs(vals - ref) <= errs), np.max(np.abs(vals - ref) / errs)
+
+    @pytest.mark.parametrize("a1,a2", [(0.3, 0.3), (1.0, 1.0), (1.0, 0.3)])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_gaussian_dense_grid(self, d, a1, a2):
+        vals, errs = overlap_rows(gaussian(a1), gaussian(a2), DENSE_S, d)
+        q = a1 * a1 + a2 * a2
+        ref = (math.pi * a1 * a1 * a2 * a2 / q) ** (d / 2) * np.exp(-(DENSE_S**2) / q)
+        assert np.all(np.abs(vals - ref) <= errs), np.max(np.abs(vals - ref) / errs)
 
     @pytest.mark.parametrize("s", [0.0, 0.5, 3.0])  # zero row, general row, beyond support
     def test_dimension_rejected_on_every_path(self, s):
