@@ -2,9 +2,9 @@
 
 Each criterion returns a CriterionResult with a pass flag and a details
 dict; run_all executes them in order and times each, reusing heavy Monte
-Carlo samples where two criteria share a configuration.  The CLI `verify-all` subcommand
-and tests/test_acceptance.py both drive this module, so the pass/fail
-semantics cannot drift between the two.
+Carlo samples where two criteria share a configuration.  The CLI
+`verify-all` subcommand and tests/test_acceptance.py both drive this
+module, so the pass/fail semantics cannot drift between the two.
 """
 
 from __future__ import annotations

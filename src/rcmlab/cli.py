@@ -459,9 +459,15 @@ _COMMANDS = {
     "moments": (cmd_moments, "evaluate closed-form and limiting moments by quadrature"),
     "clt-test": (cmd_clt_test, "KS normality check of the standardized isolated count"),
     "truncation-demo": (cmd_truncation_demo, "coupling identity and swapped-truncation degeneracy"),
-    "variance-growth": (cmd_variance_growth, "variance density against its limit; optional lower bound"),
-    "covariance-field": (cmd_covariance_field, "lattice covariance field of the component statistic"),
-    "martingale-check": (cmd_martingale_check, "exact martingale variance identity on random finite spaces"),
+    "variance-growth": (
+        cmd_variance_growth, "variance density against its limit; optional lower bound"
+    ),
+    "covariance-field": (
+        cmd_covariance_field, "lattice covariance field of the component statistic"
+    ),
+    "martingale-check": (
+        cmd_martingale_check, "exact martingale variance identity on random finite spaces"
+    ),
     "verify-all": (cmd_verify_all, "run the full acceptance suite"),
 }
 

@@ -19,9 +19,9 @@ connection mass is bounded and recorded on the graph.
 
 ``simulate_block`` draws consecutive replications from their own streams
 and stacks them into one block-diagonal graph: one pair search, one coin
-call and one count per statistic serve the whole block.  ``simulate_graph``
-is the block of one replication, so a replication's edges do not depend on
-the block it is drawn in.
+call and one count per statistic serve the whole block, and a replication's
+edges do not depend on the block it is drawn in.  ``simulate_graph`` is the
+block of one replication.
 """
 
 from __future__ import annotations
