@@ -118,12 +118,15 @@ class DominationConstant:
 def isolation_prob(
     mu: float, h: ConnectionFunction, d: int, spec: QuadratureSpec = DEFAULT_SPEC
 ) -> QuadResult:
-    """Probability exp(-mu * int_{R^d} h(|y|) dy) that a point sees no h-neighbor."""
+    """Probability exp(-mu * int_{R^d} h(|y|) dy) that a point sees no h-neighbor.
+
+    An integral error e moves p by at most p expm1(mu e), which is the bound.
+    """
     if mu < 0:
         raise ModelError("intensity must be >= 0")
     integral = radial_integral(h, d, spec)
     p = math.exp(-mu * integral.value)
-    return QuadResult(p, p * mu * integral.error)
+    return QuadResult(p, p * math.expm1(mu * integral.error))
 
 
 def pair_factor(
@@ -137,12 +140,14 @@ def pair_factor(
     """exp(+mu * overlap(h1, h2, s)) >= 1; the joint-isolation correlation factor.
 
     s is one separation (float value and error) or an array of them (arrays).
+    An overlap error e moves the factor by at most v expm1(mu e), which is the
+    bound.
     """
     if mu < 0:
         raise ModelError("intensity must be >= 0")
     ov, ov_err = overlap_rows(h1, h2, s, d, spec)
     v = np.exp(mu * ov)
-    err = v * mu * ov_err
+    err = v * np.expm1(mu * ov_err)
     if np.ndim(s) == 0:
         return QuadResult(float(v[0]), float(err[0]))
     return QuadResult(v, err)

@@ -19,8 +19,9 @@ from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
+from scipy import special
 
-from .connfn import ConnectionFunction, sphere_surface
+from .connfn import ConnectionFunction, Scale, sphere_surface
 
 
 class QuadratureError(RuntimeError):
@@ -296,6 +297,50 @@ def overlap_rows(
 ) -> tuple[np.ndarray, np.ndarray]:
     """O(s) = int_{R^d} h1(|y|) h2(|y - s e1|) dy for every separation in s.
 
+    Untruncated pairs of one builtin kind have closed forms, after each
+    Scale(n) is folded into the parameter (a scaled exponential(a) is
+    exponential(a / n)); see _closed_overlap:
+
+        exponential, equal a    d=1  (a + s) e^{-s/a}
+                                d=2  pi s^2 K_2(s/a) / 4
+                                d=3  pi a^3 e^{-s/a} (1 + s/a + s^2 / (3 a^2))
+        gaussian, any a1, a2    (pi a1^2 a2^2 / q)^{d/2} e^{-s^2/q}, q = a1^2 + a2^2
+        hard disks, any radii   interval overlap (d=1), lens area (d=2),
+                                lens volume (d=3)
+
+    Their errors are rounding bounds, without tail_eps.  Every other pair
+    (truncated, table, mixed kinds, unequal exponential scales) is
+    integrated by _quadrature_overlap.  Returns (values, errors) as flat
+    arrays.
+    """
+    s = _separations(s, d)
+    closed = _closed_overlap(h1, h2, s, d)
+    if closed is not None:
+        return closed
+    return _quadrature_overlap(h1, h2, s, d, spec)
+
+
+def _separations(s, d: int) -> np.ndarray:
+    """The separations as a flat float array, checked along with d."""
+    s = np.asarray(s, dtype=float).reshape(-1)
+    if d not in (1, 2, 3):
+        raise ValueError("dimension must be 1, 2 or 3")
+    if not np.isfinite(s).all():
+        raise ValueError("separation must be finite")
+    if (s < 0).any():
+        raise ValueError("separation must be >= 0")
+    return s
+
+
+def _quadrature_overlap(
+    h1: ConnectionFunction,
+    h2: ConnectionFunction,
+    s,
+    d: int,
+    spec: QuadratureSpec = DEFAULT_SPEC,
+) -> tuple[np.ndarray, np.ndarray]:
+    """overlap_rows by nested adaptive quadrature, for any pair of functions.
+
     d=1 integrates h1(r) (h2(|r-s|) + h2(r+s)) directly; d=2 uses the polar
     angle form with |y - s e1| = sqrt(r^2 + s^2 - 2 r s cos(theta)); d=3 uses
     the same reduction with cos(theta) substituted away, which leaves the
@@ -304,13 +349,7 @@ def overlap_rows(
     its own breakpoints, and the inner theta or chord integrals of every
     live (s, r) node run together.  Returns (values, errors) as flat arrays.
     """
-    s = np.asarray(s, dtype=float).reshape(-1)
-    if d not in (1, 2, 3):
-        raise ValueError("dimension must be 1, 2 or 3")
-    if not np.isfinite(s).all():
-        raise ValueError("separation must be finite")
-    if (s < 0).any():
-        raise ValueError("separation must be >= 0")
+    s = _separations(s, d)
     values = np.zeros(s.size)
     errors = np.zeros(s.size)
     supp1, supp2 = h1.support_radius, h2.support_radius
@@ -397,6 +436,194 @@ def overlap_rows(
     values[rows] = val
     errors[rows] = err + spec.tail_eps
     return values, errors
+
+
+# -- closed-form overlaps -----------------------------------------------------
+#
+# Each closed form reports twice a first-order bound on its rounding error,
+# built from the sizes of the terms it combines and of its exp/kve argument,
+# never from the size of the result alone, which cancellation can make small.
+# A Scale(n) by an n that is not a power of two folds into the parameter
+# with one rounding, whose effect the bound covers too.
+
+_EPS = float(np.finfo(float).eps)
+_SUBNORMAL = 2.0**-1074  # spacing of the subnormal floats: exp's absolute error there
+_SEG_SERIES = tuple((-1) ** n * 6.0 / math.factorial(2 * n + 3) for n in range(9))
+
+
+def _folded(h: ConnectionFunction):
+    """(kind, a, da) of an untruncated builtin with its scales folded into a.
+
+    da bounds |a - exact a|: half an ulp per fold that rounds.  None for a
+    table or a truncated function.
+    """
+    if h.kind == "table":
+        return None
+    a, rounded = h.a, 0
+    for t in h.transforms:
+        if not isinstance(t, Scale):
+            return None
+        a /= t.factor
+        rounded += math.frexp(t.factor)[0] != 0.5
+    return h.kind, a, 0.5 * _EPS * a * rounded
+
+
+def _closed_overlap(h1: ConnectionFunction, h2: ConnectionFunction, s: np.ndarray, d: int):
+    """(values, errors) of overlap_rows in closed form, or None for a pair without one."""
+    f1, f2 = _folded(h1), _folded(h2)
+    if f1 is None or f2 is None or f1[0] != f2[0]:
+        return None
+    kind, a1, da1 = f1
+    _, a2, da2 = f2
+    if kind == "hard_disk":
+        return _disk_overlap(a1, a2, s, d, da1, da2)
+    fold = da1 / a1 + da2 / a2  # O rises with each a_i, so each log-slope is at most their sum's
+    if kind == "gaussian":
+        return _gaussian_overlap(a1, a2, s, d, fold)
+    if a1 == a2:
+        return _exponential_overlap(a1, s, d, fold)
+    return None
+
+
+def _exponential_overlap(a: float, s: np.ndarray, d: int, fold: float):
+    """Overlap of two exponential(a), relative error eps (16 + 2x) + fold (d + x).
+
+    x = s / a carries one rounding, which exp and x^2 K_2(x) turn into a
+    relative error of at most x ulps; kve is within 3 ulps of mpmath on
+    [1e-100, 700].  d log O / d log a is at most d + x.  Past x = 800 the
+    prefactor is held at x = 800: there the value is below every subnormal.
+    """
+    x = s / a
+    t = np.clip(x, 1e-100, 800.0)  # x^2 K_2(x) is 2 to double precision below 1e-100
+    if d == 1:
+        prefactor = a + np.minimum(s, 800.0 * a)
+    elif d == 2:  # pi s^2 K_2(x) / 4 = (pi a^2 / 4) x^2 K_2(x)
+        prefactor = 0.25 * math.pi * a * a * (t * t * special.kve(2, t))
+    else:
+        prefactor = math.pi * a**3 * (1.0 + t + t * t / 3.0)
+    values = prefactor * np.exp(-x)
+    rel = _EPS * (16.0 + 2.0 * t) + fold * (d + t)
+    return values, 2.0 * (rel * values + _SUBNORMAL * (1.0 + prefactor))
+
+
+def _gaussian_overlap(a1: float, a2: float, s: np.ndarray, d: int, fold: float):
+    """Overlap of gaussian(a1) and gaussian(a2), relative error eps (16 + 8y) + fold (d + 2y).
+
+    y = s^2 / q carries 4 ulps, which exp turns into 4y ulps of the value;
+    d log O / d log a_i is at most d + 2y.  Past y = 1600 the value is below
+    every subnormal.
+    """
+    q = a1 * a1 + a2 * a2
+    y = np.minimum(s / math.sqrt(q), 40.0) ** 2
+    prefactor = (math.pi * (a1 * a1) * (a2 * a2) / q) ** (d / 2.0)
+    values = prefactor * np.exp(-y)
+    rel = _EPS * (16.0 + 8.0 * y) + fold * (d + 2.0 * y)
+    return values, 2.0 * (rel * values + _SUBNORMAL * (1.0 + prefactor))
+
+
+def _sum3(a, b, c):
+    """a + b + c within one ulp and exact in sign: a + b split exactly (TwoSum), then c."""
+    p = a + b
+    bb = p - a
+    return (p + c) + ((a - (p - bb)) + (b - bb))
+
+
+def _disk_overlap(r1: float, r2: float, s: np.ndarray, d: int, dr1: float, dr2: float):
+    """Measure of the intersection of balls of radii r1, r2 whose centers are s apart.
+
+    f1 = r1 + r2 - s, f2 = s + r1 - r2 and f3 = s - r1 + r2 are each within an
+    ulp and exact in sign: the balls are disjoint iff f1 <= 0 and nested iff
+    f2 <= 0 or f3 <= 0.  Below s = 1e-150 (r1 + r2) a lens counts as nested,
+    off by at most s times half the smaller sphere's surface.
+    """
+    f1, f2, f3 = _sum3(r1, r2, -s), _sum3(s, r1, -r2), _sum3(s, -r1, r2)
+    values = np.zeros(s.size)
+    errors = np.zeros(s.size)
+    tiny = s <= 1e-150 * (r1 + r2)
+    nested = (f1 > 0.0) & ((f2 <= 0.0) | (f3 <= 0.0) | tiny)
+    lens = (f1 > 0.0) & ~nested
+    small, dsmall = min((r1, dr1), (r2, dr2), key=lambda rd: (rd[0], -rd[1]))
+    ball = sphere_surface(d) / d * small**d
+    surface = d * ball / small
+    values[nested] = ball
+    errors[nested] = 2.0 * (4.0 * _EPS * ball + surface * dsmall)
+    errors[nested & tiny] += 0.5 * surface * s[nested & tiny]
+    if lens.any():
+        sl, gap = s[lens], f1[lens]
+        # cap heights h1 = f1 f3 / 2s and h2 = f1 f2 / 2s, 3 ulps each
+        caps = ((r1, gap * (f3[lens] / (2.0 * sl)), dr1), (r2, gap * (f2[lens] / (2.0 * sl)), dr2))
+        if d == 1:
+            values[lens], err = gap, _EPS * gap + dr1 + dr2
+        elif d == 2:
+            # 4 x the area of the (r1, r2, s) triangle, 6 ulps
+            k = np.sqrt(gap) * np.sqrt(sl + r1 + r2) * (np.sqrt(f2[lens]) * np.sqrt(f3[lens]))
+            values[lens], err = _lens_area(sl, k, caps)
+        else:
+            values[lens], err = _lens_volume(caps)
+        errors[lens] = 2.0 * err
+    if dr1 or dr2:
+        # near tangency the measure is not linear in a radius: add the measure
+        # of a lens of depth g, bounded by its slab of width g
+        g = 2.0 * (dr1 + dr2)
+        slab = (g, 2.0 * g * math.sqrt(2.0 * small * g), 2.0 * math.pi * small * g * g)[d - 1]
+        errors[f1 > -g] += slab
+    return values, errors
+
+
+def _lens_area(s, k, caps):
+    """(area, first-order error) of the lens of two crossing disks.
+
+    The lens is the two circular segments cut off by the common chord: the
+    segment of disk r has area r^2 (theta - sin(theta) cos(theta)), theta the
+    half-angle of its arc, so both terms are >= 0 and their sum does not
+    cancel.  theta = atan2(k, D) with D = 2s (r - h) = s^2 + r^2 - r_other^2,
+    which in that last form cancels near tangency when r is the smaller
+    radius; hypot(k, D) = 2 s r.  The area's slope in r is the arc 2 theta r.
+    """
+    area = err = 0.0
+    for r, h, dr in caps:
+        D = 2.0 * s * (r - h)
+        hyp = 2.0 * s * r
+        theta = np.arctan2(k, D)
+        sin, cos = k / hyp, np.abs(D) / hyp
+        dtheta = sin * (6.0 * _EPS * cos + _EPS * (r + 4.0 * h) / r) + _EPS * theta
+        seg, dseg = _segment(theta)
+        area = area + r * r * seg
+        err = err + r * r * (2.0 * sin * sin * dtheta + dseg) + 2.0 * theta * r * dr
+    return area, err + 2.0 * _EPS * area
+
+
+def _segment(theta: np.ndarray):
+    """(theta - sin(theta) cos(theta), its rounding error) for theta in [0, pi].
+
+    Below theta = 1/2 the difference cancels, so it is summed as the series
+    (u - sin u) / 2 = u^3 / 12 (1 - u^2 / 20 + u^4 / 840 - ...), u = 2 theta,
+    whose terms fall by 20x or more; above, at most 6x of the value cancels.
+    """
+    u = 2.0 * theta
+    w = u * u
+    series = np.zeros_like(u)
+    for c in reversed(_SEG_SERIES):
+        series = series * w + c
+    series *= u * w / 12.0
+    sin = 0.5 * np.sin(u)
+    small = theta < 0.5
+    seg = np.where(small, series, theta - sin)
+    return seg, np.where(small, 4.0 * _EPS * series, _EPS * (theta + np.abs(sin)))
+
+
+def _lens_volume(caps):
+    """(volume, first-order error) of the lens of two crossing balls.
+
+    The lens is two spherical caps, pi h^2 (3r - h) / 3 each, and 3r - h >= r,
+    so nothing cancels.  A cap's slope in r is the area 2 pi r h of its
+    sphere inside the other ball.
+    """
+    vol = err = 0.0
+    for r, h, dr in caps:
+        vol = vol + math.pi / 3.0 * h * h * (3.0 * r - h)
+        err = err + 16.0 * _EPS * math.pi / 3.0 * h * h * (3.0 * r + h) + 2.0 * math.pi * r * h * dr
+    return vol, err + _EPS * vol
 
 
 def overlap_integral(

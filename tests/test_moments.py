@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -25,7 +26,7 @@ from rcmlab.moments import (
     var_isolated,
     variance_ratio,
 )
-from rcmlab.quadrature import Region, unit_box
+from rcmlab.quadrature import Region, overlap_rows, radial_integral, unit_box
 from rcmlab.stats import StatRequest, replicate_many
 
 
@@ -70,6 +71,24 @@ class TestFactors:
     def test_negative_intensity_rejected(self):
         with pytest.raises(ModelError):
             isolation_prob(-1.0, exponential(1.0), 1)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_exponent_errors_bound_the_factor_exactly(self, d):
+        # an error e in the exponent moves exp(+-mu O) by at most v expm1(mu e),
+        # more than the first-order v mu e; the values are exp(+-mu O) as before
+        mu = 3.0
+        h = make_variant(exponential(1.0), "inside", R=1.0)  # a quadrature overlap
+        s = np.array([0.0, 0.4, 1.3])
+        ov, ov_err = overlap_rows(h, exponential(1.0), s, d)
+        pf = pair_factor(mu, h, exponential(1.0), s, d)
+        assert np.array_equal(pf.value, np.exp(mu * ov))
+        assert np.array_equal(pf.error, pf.value * np.expm1(mu * ov_err))
+        assert np.all(pf.error > pf.value * mu * ov_err)
+        integral = radial_integral(h, d)
+        p = isolation_prob(mu, h, d)
+        assert p.value == math.exp(-mu * integral.value)
+        assert p.error == p.value * math.expm1(mu * integral.error)
+        assert p.error > p.value * mu * integral.error
 
 
 class TestModelConfig:
@@ -181,6 +200,33 @@ class TestIsolatedMoments:
     def test_limit_var_positive(self):
         assert limit_var_isolated(1.0, hard_disk(1.0), 2).value > 0
         assert limit_var_isolated(1.0, exponential(1.0), 1).value > 0
+
+    def test_var_isolated_d2_against_mpmath(self):
+        # configs/clt_2d.cfg at n = 4, where quadrature overlaps once put the
+        # value 1.0e-9 off with a bound of 8.6e-10.  The reference is one
+        # mpmath integral over s of p^2 [(1 - g_n(s)) exp(mu O(s)) - 1] s A(s),
+        # with O(s) = pi s^2 K_2(s/a) / 4 and the unit square's shell mass A(s).
+        n, a = 4, mpmath.mpf(0.3) / 4
+        mu = mpmath.mpf(n) ** 2
+        with mpmath.workdps(20):
+            p = mpmath.exp(-mu * 2 * mpmath.pi * a * a)
+
+            def shell(s):
+                if s <= 1:
+                    return 2 * mpmath.pi - 8 * s + 2 * s * s
+                F = lambda t: t - s * mpmath.sin(t) + s * mpmath.cos(t) + (s * mpmath.sin(t)) ** 2 / 2
+                return 4 * max(0, F(mpmath.asin(1 / s)) - F(mpmath.acos(1 / s)))
+
+            def integrand(s):
+                overlap = mpmath.pi * s * s * mpmath.besselk(2, s / a) / 4
+                bracket = (1 - mpmath.exp(-s / a)) * mpmath.exp(mu * overlap) - 1
+                return p * p * bracket * s * shell(s)
+
+            dri = mpmath.quad(integrand, [0, a, 4 * a, 1, mpmath.sqrt(2)])
+            want = mu * p + mu * mu * dri
+        cfg = ModelConfig(d=2, lam=1.0, K=unit_box(2), g=exponential(0.3), n=4.0)
+        got = var_isolated(cfg)
+        assert abs(got.value - float(want)) <= got.error
 
 
 class TestLimits:

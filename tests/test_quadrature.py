@@ -106,6 +106,12 @@ def annulus_overlap(inner1, outer1, inner2, outer2, s):
     )
 
 
+def quad_overlap(h1, h2, s, d, spec=DEFAULT_SPEC):
+    """O(s) by the quadrature path of overlap_rows, which closed forms would bypass."""
+    val, err = quadrature._quadrature_overlap(h1, h2, [s], d, spec)
+    return QuadResult(float(val[0]), float(err[0]))
+
+
 # -- reference integrator -----------------------------------------------------
 #
 # A heap-driven adaptive Gauss 21/10 pair, one interval per integrand call.
@@ -433,7 +439,7 @@ class TestOverlapIntegral:
         assert overlap_integral(hard_disk(1.0), hard_disk(1.0), 2.0, 2).value == 0.0
 
     def test_lens_area(self):
-        got = overlap_integral(hard_disk(1.0), hard_disk(1.0), 1.0, 2).value
+        got = quad_overlap(hard_disk(1.0), hard_disk(1.0), 1.0, 2).value
         assert got == pytest.approx(lens_area(1.0, 1.0), rel=1e-9)
 
     @pytest.mark.parametrize(
@@ -453,7 +459,7 @@ class TestOverlapIntegral:
     )
     def test_disk_stack_lens_areas(self, h1, ring1, h2, ring2):
         for s in np.linspace(0.0, ring1[1] + ring2[1], 11)[1:-1]:
-            got = overlap_integral(h1, h2, s, 2)
+            got = quad_overlap(h1, h2, s, 2)
             ref = annulus_overlap(*ring1, *ring2, s)
             assert abs(got.value - ref) <= got.error, s
 
@@ -471,27 +477,27 @@ class TestOverlapIntegral:
             ref = mpmath.quad(integrand, [0, sm, mpmath.inf], [0, mpmath.pi])
             # the same convolution through the Hankel transform: pi s^2 K_2(s/a) / 4
             assert abs(ref - mpmath.pi * sm * sm * mpmath.besselk(2, sm / a) / 4) < 1e-15
-        got = overlap_integral(exponential(0.3), exponential(0.3), s, 2)
+        got = quad_overlap(exponential(0.3), exponential(0.3), s, 2)
         assert abs(got.value - float(ref)) <= got.error
 
     @pytest.mark.parametrize("r2", [1.0, 0.5])
     def test_sphere_lens_volumes_d3(self, r2):
         h2 = hard_disk(1.0).scale(1.0 / r2)
         for s in (0.1, 0.45, 0.8, 1.2, 1.45):
-            got = overlap_integral(hard_disk(1.0), h2, s, 3)
+            got = quad_overlap(hard_disk(1.0), h2, s, 3)
             assert abs(got.value - float(mp_ball_overlap(1.0, r2, s))) <= got.error, s
 
     def test_exponential_line_closed_form(self):
         # int e^{-|y|} e^{-|y-s|} dy = e^{-s} (1 + s)
         for s in (0.0, 0.3, 1.7):
-            got = overlap_integral(exponential(1.0), exponential(1.0), s, 1).value
+            got = quad_overlap(exponential(1.0), exponential(1.0), s, 1).value
             assert got == pytest.approx(math.exp(-s) * (1 + s), rel=1e-9)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_gaussian_closed_form(self, d):
         a, s = 0.9, 1.1
         expect = (math.pi * a * a / 2) ** (d / 2) * math.exp(-(s * s) / (2 * a * a))
-        got = overlap_integral(gaussian(a), gaussian(a), s, d).value
+        got = quad_overlap(gaussian(a), gaussian(a), s, d).value
         assert got == pytest.approx(expect, rel=1e-8)
 
     def test_sphere_lens_volume_d3(self):
@@ -580,13 +586,14 @@ class TestOverlapRows:
     def test_special_rows(self, d):
         spec = QuadratureSpec()
         disk = hard_disk(1.0)
-        vals, errs = overlap_rows(disk, disk, [2.0, 2.5], d, spec)
+        quad = quadrature._quadrature_overlap
+        vals, errs = quad(disk, disk, [2.0, 2.5], d, spec)
         assert vals.tolist() == errs.tolist() == [0.0, 0.0]  # s >= supp1 + supp2
-        zero = overlap_rows(disk, disk, [0.0, 1e-13], d, spec)
+        zero = quad(disk, disk, [0.0, 1e-13], d, spec)
         ball = radial_integral(disk, d, spec)
         assert zero[0].tolist() == [ball.value] * 2 and zero[1].tolist() == [ball.error] * 2
         h1, h2, s = OVERLAP_ROW_CASES["out_in"]
-        vals, errs = overlap_rows(h1, h2, s, d, spec)
+        vals, errs = quad(h1, h2, s, d, spec)
         # d >= 2: the r-range [s - 1, min(T1, s + 1)] is empty; d=1
         # integrates over [0, T1], where h2(|r - s|) is 0
         assert (vals[-1], errs[-1]) == (0.0, spec.tail_eps)
@@ -596,7 +603,7 @@ class TestOverlapRows:
         # int e^{-|y|/a} e^{-|y-s|/a} dy = (a + s) e^{-s/a}
         a = 0.7
         s = np.array([0.0, 0.01, 0.35, 0.7, 1.3, 2.8, 6.0])
-        vals, errs = overlap_rows(exponential(a), exponential(a), s, 1)
+        vals, errs = quadrature._quadrature_overlap(exponential(a), exponential(a), s, 1)
         ref = (a + s) * np.exp(-s / a)
         assert np.all(np.abs(vals - ref) <= errs), np.abs(vals - ref) / errs
 
@@ -604,7 +611,7 @@ class TestOverlapRows:
     @pytest.mark.parametrize("d", [2, 3])
     def test_exponential_dense_grid(self, d, a):
         # the kinked exponential needs the break at r = s in every dimension
-        vals, errs = overlap_rows(exponential(a), exponential(a), DENSE_S, d)
+        vals, errs = quadrature._quadrature_overlap(exponential(a), exponential(a), DENSE_S, d)
         t = DENSE_S / a
         if d == 2:  # a Hankel transform (Gradshteyn-Ryzhik 6.565.4)
             ref = math.pi * DENSE_S**2 * special.kv(2, t) / 4
@@ -615,7 +622,7 @@ class TestOverlapRows:
     @pytest.mark.parametrize("a1,a2", [(0.3, 0.3), (1.0, 1.0), (1.0, 0.3)])
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_gaussian_dense_grid(self, d, a1, a2):
-        vals, errs = overlap_rows(gaussian(a1), gaussian(a2), DENSE_S, d)
+        vals, errs = quadrature._quadrature_overlap(gaussian(a1), gaussian(a2), DENSE_S, d)
         q = a1 * a1 + a2 * a2
         ref = (math.pi * a1 * a1 * a2 * a2 / q) ** (d / 2) * np.exp(-(DENSE_S**2) / q)
         assert np.all(np.abs(vals - ref) <= errs), np.max(np.abs(vals - ref) / errs)
@@ -634,6 +641,196 @@ class TestOverlapRows:
             overlap_rows(hard_disk(1.0), hard_disk(1.0), [0.5, bad, 3.0], 2)
         with pytest.raises(ValueError):
             overlap_integral(exponential(1.0), exponential(1.0), bad, 2)
+
+
+# -- closed-form overlaps -----------------------------------------------------
+#
+# References are evaluated in mpmath at 30 digits, in forms that do not cancel
+# there: a circular segment is integrated from its cap height, which is a
+# product of exact differences of the float inputs.
+
+
+def mp_exponential_overlap(a, s, d):
+    a, s = mpmath.mpf(a), mpmath.mpf(s)
+    x = s / a
+    if d == 1:
+        return (a + s) * mpmath.exp(-x)
+    if d == 2:
+        return mpmath.pi * a * a / 2 if s == 0 else mpmath.pi * s * s * mpmath.besselk(2, x) / 4
+    return mpmath.pi * a**3 * mpmath.exp(-x) * (1 + x + x * x / 3)
+
+
+def mp_gaussian_overlap(a1, a2, s, d):
+    a1, a2, s = mpmath.mpf(a1), mpmath.mpf(a2), mpmath.mpf(s)
+    q = a1 * a1 + a2 * a2
+    return (mpmath.pi * a1 * a1 * a2 * a2 / q) ** (mpmath.mpf(d) / 2) * mpmath.exp(-s * s / q)
+
+
+def mp_lens_area(r1, r2, s):
+    """Disk intersection as two segments, each integrated over its cap height."""
+    r1, r2, s = mpmath.mpf(r1), mpmath.mpf(r2), mpmath.mpf(s)
+    if s >= r1 + r2:
+        return mpmath.mpf(0)
+    if s <= abs(r1 - r2):
+        return mpmath.pi * min(r1, r2) ** 2
+    gap = r1 + r2 - s
+    area = mpmath.mpf(0)
+    for r, h in ((r1, gap * (s - r1 + r2) / (2 * s)), (r2, gap * (s + r1 - r2) / (2 * s))):
+        area += 2 * mpmath.quad(lambda t: mpmath.sqrt(t * (2 * r - t)), [0, h])
+    return area
+
+
+def mp_interval_overlap(r1, r2, s):
+    r1, r2, s = mpmath.mpf(r1), mpmath.mpf(r2), mpmath.mpf(s)
+    return max(mpmath.mpf(0), min(r1, s + r2) - max(-r1, s - r2))
+
+
+def tangency_ladder(r1, r2):
+    """s = r1 + r2 - 10^-k and |r1 - r2| + 10^-k for k = 2..14, where the balls cross."""
+    s = [r1 + r2 - 10.0**-k for k in range(2, 15)] + [abs(r1 - r2) + 10.0**-k for k in range(2, 15)]
+    return [si for si in s if abs(r1 - r2) < si < r1 + r2]
+
+
+# s = 0 and separations the quadrature path rounds to 0, the least subnormal among them
+SPECIAL_S = [0.0, 5e-324, 1e-300, 1e-12]
+
+
+def assert_within(vals, errs, s, ref):
+    """|value - ref| <= error in mpmath, with no floor; values finite and >= 0."""
+    assert np.all(np.isfinite(vals)) and np.all(vals >= 0.0) and np.all(np.isfinite(errs))
+    with mpmath.workdps(30):
+        for si, v, e in zip(s, vals, errs):
+            want = ref(si)
+            assert abs(mpmath.mpf(v) - want) <= e, (si, v, float(want), e)
+
+
+# (h1, h2) pairs that take the closed form
+CLOSED_PAIRS = {
+    "exp0.3": (exponential(0.3), exponential(0.3)),
+    "exp1": (exponential(1.0), exponential(1.0)),
+    "exp_folded": (exponential(1.0).scale(2.0), exponential(0.5)),
+    "gauss0.3": (gaussian(0.3), gaussian(0.3)),
+    "gauss1_0.3": (gaussian(1.0), gaussian(0.3)),
+    "disk1": (hard_disk(1.0), hard_disk(1.0)),
+    "disk1_0.3": (hard_disk(1.0), hard_disk(0.3)),
+    "disk_folded": (hard_disk(1.0).scale(2.0), hard_disk(1.3)),
+}
+
+
+class TestClosedOverlap:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("a", [0.3, 1.0])
+    def test_exponential_against_mpmath(self, a, d):
+        s = np.concatenate([DENSE_S, SPECIAL_S, [700 * a]])
+        vals, errs = overlap_rows(exponential(a), exponential(a), s, d)
+        assert_within(vals, errs, s, lambda si: mp_exponential_overlap(a, si, d))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("a1,a2", [(0.3, 0.3), (1.0, 1.0), (1.0, 0.3)])
+    def test_gaussian_against_mpmath(self, a1, a2, d):
+        s = np.concatenate([DENSE_S, SPECIAL_S, [700 * a1]])
+        vals, errs = overlap_rows(gaussian(a1), gaussian(a2), s, d)
+        assert_within(vals, errs, s, lambda si: mp_gaussian_overlap(a1, a2, si, d))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("r1,r2", [(1.0, 1.0), (0.1, 0.1), (1.0, 0.7), (0.3, 1.3)])
+    def test_disks_against_mpmath(self, r1, r2, d):
+        ref = {1: mp_interval_overlap, 2: mp_disk_overlap, 3: mp_ball_overlap}[d]
+        s = np.concatenate([DENSE_S, SPECIAL_S, [700 * r1]])
+        vals, errs = overlap_rows(hard_disk(r1), hard_disk(r2), s, d)
+        assert_within(vals, errs, s, lambda si: ref(r1, r2, si))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("r1,r2", [(1.0, 1.0), (1.0, 0.7), (0.3, 1.3), (1.0, 1e-3)])
+    def test_disks_at_tangency_against_mpmath(self, r1, r2, d):
+        # the textbook lens area r1^2 acos(c1) + r2^2 acos(c2) - k/2 cancels
+        # here: it missed by up to 1.9e-10 and went negative
+        ref = {1: mp_interval_overlap, 2: mp_lens_area, 3: mp_ball_overlap}[d]
+        s = np.array(tangency_ladder(r1, r2))
+        vals, errs = overlap_rows(hard_disk(r1), hard_disk(r2), s, d)
+        assert np.all(vals > 0.0)
+        assert_within(vals, errs, s, lambda si: ref(r1, r2, si))
+        # and the forms are well conditioned: within 64 ulps of the value
+        with mpmath.workdps(30):
+            for si, v in zip(s, vals):
+                want = ref(r1, r2, si)
+                assert abs(mpmath.mpf(v) - want) <= 64 * np.finfo(float).eps * want, si
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_folded_disk_radius_against_mpmath(self, d):
+        # 1 / 3 rounds, so the bound carries the radius's own rounding
+        h = hard_disk(1.0).scale(3.0)
+        third = mpmath.mpf(1) / 3
+        s = np.concatenate([np.linspace(0.01, 0.7, 50), [2 / 3 - 1e-15, 2 / 3, 2 / 3 + 1e-15]])
+        vals, errs = overlap_rows(h, hard_disk(1.0 / 3.0), s, d)
+        ref = {1: mp_interval_overlap, 2: mp_lens_area, 3: mp_ball_overlap}[d]
+        with mpmath.workdps(30):
+            third = mpmath.mpf(1) / 3
+            for si, v, e in zip(s, vals, errs):
+                assert abs(mpmath.mpf(v) - ref(third, third, si)) <= e, si
+
+    @pytest.mark.parametrize(
+        "h1,h2",
+        [
+            (exponential(1.0).scale(2.0), exponential(0.5)),
+            (hard_disk(1.0).scale(2.0), hard_disk(1.0).scale(2.0)),
+            (gaussian(2.0).scale(4.0), gaussian(0.5)),
+        ],
+        ids=["exponential", "hard_disk", "gaussian"],
+    )
+    def test_scaled_functions_take_the_closed_form(self, h1, h2):
+        base = {"exponential": exponential, "hard_disk": hard_disk, "gaussian": gaussian}[h1.kind]
+        for d in (1, 2, 3):
+            got = overlap_rows(h1, h2, DENSE_S, d)
+            assert quadrature._closed_overlap(h1, h2, DENSE_S, d) is not None
+            assert np.array_equal(got, overlap_rows(base(0.5), base(0.5), DENSE_S, d))
+
+    @pytest.mark.parametrize(
+        "h1,h2",
+        [
+            (make_variant(exponential(1.0), "inside", R=1.0), exponential(1.0)),
+            (make_variant(exponential(1.0), "outside", R=1.0), exponential(1.0)),
+            (
+                make_variant(exponential(1.0), "cut_then_scale", R=1.0, n=2.0),
+                make_variant(exponential(1.0), "cut_then_scale", R=1.0, n=2.0),
+            ),
+            (
+                make_variant(hard_disk(1.0), "cut_then_scale_outside", R=0.5, n=2.0),
+                hard_disk(0.5),
+            ),
+            (table_function([(0.0, 1.0), (0.5, 0.4), (1.0, 0.0)]), hard_disk(1.0)),
+            (exponential(1.0), exponential(0.5)),
+            (exponential(1.0).scale(3.0), exponential(0.3)),
+            (exponential(1.0), gaussian(1.0)),
+            (hard_disk(0.7), exponential(0.5)),
+        ],
+        ids=["g_in", "g_out", "cut_scaled", "disk_out", "table", "exp_unequal",
+             "exp_fold_unequal", "exp_gauss", "disk_exp"],
+    )
+    def test_other_pairs_fall_through_to_quadrature(self, h1, h2):
+        s = np.array([0.0, 1e-13, 0.05, 0.5, 1.0, 2.5])
+        for d in (1, 2, 3):
+            assert quadrature._closed_overlap(h1, h2, s, d) is None
+            got = overlap_rows(h1, h2, s, d)
+            assert np.array_equal(got, quadrature._quadrature_overlap(h1, h2, s, d))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("pair", sorted(CLOSED_PAIRS))
+    def test_agrees_with_quadrature_within_its_bound(self, pair, d):
+        h1, h2 = CLOSED_PAIRS[pair]
+        vals, _ = overlap_rows(h1, h2, DENSE_S, d)
+        quad, quad_err = quadrature._quadrature_overlap(h1, h2, DENSE_S, d)
+        assert np.all(np.abs(vals - quad) <= quad_err), np.max(np.abs(vals - quad) / quad_err)
+
+    def test_segment_series_meets_the_direct_form(self):
+        # both branches of theta - sin(theta) cos(theta) agree at the switch
+        theta = np.array([0.5 - 1e-12, 0.5])
+        seg, dseg = quadrature._segment(theta)
+        assert seg[0] == pytest.approx(seg[1], rel=1e-11)
+        with mpmath.workdps(30):
+            for t, v, e in zip(theta, seg, dseg):
+                t = mpmath.mpf(t)
+                assert abs(mpmath.mpf(v) - (t - mpmath.sin(t) * mpmath.cos(t))) <= e
 
 
 class TestRegion:
