@@ -542,6 +542,7 @@ def _disk_overlap(r1: float, r2: float, s: np.ndarray, d: int, dr1: float, dr2: 
     tiny = s <= 1e-150 * (r1 + r2)
     nested = (f1 > 0.0) & ((f2 <= 0.0) | (f3 <= 0.0) | tiny)
     lens = (f1 > 0.0) & ~nested
+    # the smaller radius, with the larger fold error on a tie
     small, dsmall = min((r1, dr1), (r2, dr2), key=lambda rd: (rd[0], -rd[1]))
     ball = sphere_surface(d) / d * small**d
     surface = d * ball / small

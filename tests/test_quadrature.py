@@ -645,9 +645,9 @@ class TestOverlapRows:
 
 # -- closed-form overlaps -----------------------------------------------------
 #
-# References are evaluated in mpmath at 30 digits, in forms that do not cancel
-# there: a circular segment is integrated from its cap height, which is a
-# product of exact differences of the float inputs.
+# References are evaluated in mpmath at 30 digits.  Near tangency the textbook
+# lens area cancels even there, so the tangency ladders integrate each circular
+# segment from its cap height, a product of exact differences of the inputs.
 
 
 def mp_exponential_overlap(a, s, d):
@@ -760,7 +760,6 @@ class TestClosedOverlap:
     def test_folded_disk_radius_against_mpmath(self, d):
         # 1 / 3 rounds, so the bound carries the radius's own rounding
         h = hard_disk(1.0).scale(3.0)
-        third = mpmath.mpf(1) / 3
         s = np.concatenate([np.linspace(0.01, 0.7, 50), [2 / 3 - 1e-15, 2 / 3, 2 / 3 + 1e-15]])
         vals, errs = overlap_rows(h, hard_disk(1.0 / 3.0), s, d)
         ref = {1: mp_interval_overlap, 2: mp_lens_area, 3: mp_ball_overlap}[d]
