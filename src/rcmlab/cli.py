@@ -436,15 +436,8 @@ def cmd_verify_all(cfg: ExperimentConfig, args) -> int:
         policy=cfg.policy,
     )
     results = run_all(ctx, echo=print)
-    rows = [
-        {
-            "criterion": r.cid,
-            "name": r.name,
-            "passed": r.passed,
-            "runtime_s": round(r.runtime, 3),
-        }
-        for r in results
-    ]
+    rows = [{"criterion": r.cid, "name": r.name, "passed": r.passed} for r in results]
+    args.runtimes = {r.cid: r.runtime for r in results}  # wall clock: run_meta.txt only
     _emit(
         cfg,
         "verify_all",
@@ -483,7 +476,9 @@ def main(argv=None) -> int:
         if dump and not Path(dump).parent.is_dir():
             raise ConfigError(f"--dump-realization: no directory to hold {dump}")
         code = _COMMANDS[args.command][0](cfg, args)
-        write_run_meta(cfg.out_dir, args.command, cfg.config_hash())
+        write_run_meta(
+            cfg.out_dir, args.command, cfg.config_hash(), getattr(args, "runtimes", None)
+        )
     except (ConfigError, OSError) as exc:  # OSError: an output path that cannot be written
         print(f"config error: {exc}", file=sys.stderr)
         return 2

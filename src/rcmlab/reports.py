@@ -53,11 +53,16 @@ def _sanitize(obj):
     return _plain(obj)
 
 
-def write_run_meta(out_dir: str | Path, command: str, config_hash: str) -> Path:
-    """Wall-clock metadata, deliberately outside the deterministic payloads."""
+def write_run_meta(
+    out_dir: str | Path, command: str, config_hash: str, runtimes: dict | None = None
+) -> Path:
+    """Wall-clock metadata, deliberately outside the deterministic payloads:
+    the time, and the seconds each named stage took (``runtime_s.<name>``)."""
     path = Path(out_dir) / "run_meta.txt"
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"command: {command}\nconfig_hash: {config_hash}\n")
         fh.write(f"unix_time: {time.time():.3f}\n")
+        for name, seconds in (runtimes or {}).items():
+            fh.write(f"runtime_s.{name}: {seconds:.3f}\n")
     return path

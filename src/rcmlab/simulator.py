@@ -1,11 +1,12 @@
 """Sampling of random connection model realizations and counting statistics.
 
-Randomness is split into two independent streams per replication:
+Randomness is split into two independent streams per replication rep of a
+base seed b, the children of its sequence SeedSequence(b, spawn_key=(rep,)):
 
-* point positions come from a generator seeded by the replication's seed
-  sequence;
+* point positions come from the PCG64 generator of child 0,
+  SeedSequence(b, spawn_key=(rep, 0));
 * per-pair edge coin flips come from a counter-based hash of the unordered
-  point-index pair, keyed by a 64-bit replication key.
+  point-index pair, keyed by the first 64-bit word of child 1.
 
 Because the pair uniforms depend only on (key, i, j), two graphs built from
 the same sampled points and key but different connection functions share
@@ -20,17 +21,22 @@ connection mass is bounded and recorded on the graph.
 ``simulate_block`` draws consecutive replications from their own streams
 and stacks them into one block-diagonal graph: one pair search, one coin
 call and one count per statistic serve the whole block, and a replication's
-edges do not depend on the block it is drawn in.  ``simulate_graph`` is the
-block of one replication.
+edges do not depend on the block it is drawn in.  The seed words of all the
+block's streams come from one numpy pass that evaluates SeedSequence's hash
+exactly, so each replication only draws its point count and coordinates;
+the streams are numpy's, bit for bit.  ``simulate_graph`` is the block of
+one replication.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 from scipy import sparse
 from scipy.sparse import csgraph
 from scipy.spatial import cKDTree
@@ -168,13 +174,160 @@ class PointGraph:
         return out
 
 
+def _unit_points(rng: np.random.Generator, mu: float, d: int) -> np.ndarray:
+    """Poisson(mu) points i.i.d. uniform in the unit cube: the count, then
+    the coordinates, from one generator."""
+    return rng.random((rng.poisson(mu), d))
+
+
+def _placed(unit: np.ndarray, box: Region) -> np.ndarray:
+    """Unit-cube points mapped into the box, coordinate by coordinate."""
+    return np.array(box.lower) + unit * np.array(box.sides)
+
+
 def sample_points(lam_n: float, box: Region, rng: np.random.Generator) -> np.ndarray:
     """Poisson(lam_n * vol) points placed i.i.d. uniformly in the box."""
     if not lam_n > 0:
         raise SimulationError("lam_n must be > 0")
-    count = rng.poisson(lam_n * box.volume)
-    pts = rng.random((count, box.dim))
-    return np.array(box.lower) + pts * np.array(box.sides)
+    return _placed(_unit_points(rng, lam_n * box.volume, box.dim), box)
+
+
+# -- replication streams ------------------------------------------------------
+#
+# Replication rep of base seed b draws its points from the PCG64 generator of
+# SeedSequence(b, spawn_key=(rep, 0)) and keys its coins by the first uint64
+# word of SeedSequence(b, spawn_key=(rep, 1)).  ``_seed_words`` evaluates
+# numpy's SeedSequence hash (numpy.random.bit_generator, after O'Neill's
+# seed_seq_fe) for a whole block at once in uint32 arithmetic, so the words
+# are numpy's own; ``test_seed_words_match_numpy`` holds them to it.
+
+_M32, _M64 = 0xFFFFFFFF, 0xFFFFFFFFFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # hash constants of the entropy mix
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # hash constants of generate_state
+# 0-d arrays, not numpy scalars: a ufunc on a small array takes them faster
+_MIX_L, _MIX_R, _SHIFT = (np.array(c, dtype=np.uint32) for c in (0xCA01F9DD, 0x4973F715, 16))
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """a made read-only, as every cached array here is."""
+    a.flags.writeable = False
+    return a
+
+
+@lru_cache(maxsize=256)
+def _hash_consts(init: int, mult: int, k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The constants of hash calls k .. k + n - 1: call j xors with
+    init * mult**j and multiplies by init * mult**(j + 1), mod 2**32."""
+    h = np.array([init * pow(mult, j, 1 << 32) & _M32 for j in range(k, k + n + 1)],
+                 dtype=np.uint32)
+    return _frozen(h[:-1]), _frozen(h[1:])
+
+
+def _hashed(x: np.ndarray, consts: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """SeedSequence's hash of uint32 words x, one call per word."""
+    x = (x ^ consts[0]) * consts[1]
+    return x ^ (x >> _SHIFT)
+
+
+def _mixed(pool: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of hashed words y into the pool words."""
+    r = pool * _MIX_L - y * _MIX_R
+    return r ^ (r >> _SHIFT)
+
+
+@lru_cache(maxsize=256)
+def _hashed_words(words: tuple[int, ...], k: int) -> np.ndarray:
+    """Fixed entropy words, each hashed by calls k .. k + 3 (one call per
+    pool word); shape (len(words), 1, 4)."""
+    x = np.array(words, dtype=np.uint32)[:, None, None]
+    return _frozen(_hashed(x, _hash_consts(_INIT_A, _MULT_A, k, 4)))
+
+
+def _words32(value: int) -> list[int]:
+    """A non-negative integer as SeedSequence reads it: little-endian uint32
+    words, one word for 0."""
+    return [value >> s & _M32 for s in range(0, max(value.bit_length(), 1), 32)]
+
+
+@lru_cache(maxsize=64)
+def _base_pool(base_seed: int) -> tuple[np.ndarray, int]:
+    """The pool of SeedSequence(base_seed, spawn_key=...) before its spawn
+    key is mixed in, and the number of hash calls made: the same for every
+    replication of base_seed."""
+    words = _words32(base_seed)
+    words += [0] * (4 - len(words))  # the run entropy fills the pool when a spawn key follows
+    pool = _hashed(np.array(words[:4], dtype=np.uint32), _hash_consts(_INIT_A, _MULT_A, 0, 4))
+    k = 4
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                y = _hashed(pool[src:src + 1], _hash_consts(_INIT_A, _MULT_A, k, 1))
+                pool[dst:dst + 1] = _mixed(pool[dst:dst + 1], y)
+                k += 1
+    for word in words[4:]:
+        pool = _mixed(pool, _hashed_words((word,), k)[0])
+        k += 4
+    return _frozen(pool), k
+
+
+# generate_state's constants for 8 uint32 words, which cycle twice over the
+# four pool words; two uint32 words make one uint64
+_OUT_CONSTS = tuple(h.reshape(2, 4) for h in _hash_consts(_INIT_B, _MULT_B, 0, 8))
+
+
+def _seed_words(base_seed: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Seed words of replications lo..hi-1 of base_seed, equal to numpy's:
+
+    * (m, 4) uint64, row rep - lo being
+      SeedSequence(base_seed, spawn_key=(rep, 0)).generate_state(4, np.uint64),
+      the PCG64 seed of the replication's points;
+    * (m,) uint64, entry rep - lo being
+      SeedSequence(base_seed, spawn_key=(rep, 1)).generate_state(1, np.uint64)[0],
+      the replication's pair key.
+
+    The spawn key's words are rep's low word, its higher words when
+    rep >= 2**32, then c.  A block is cut at 2**32 and at multiples of
+    2**64, so that within a piece every rep has the same words above its
+    low 64 bits.
+    """
+    base_seed, lo, hi = operator.index(base_seed), operator.index(lo), operator.index(hi)
+    if base_seed < 0 or lo < 0:
+        raise ValueError("base seed and replication numbers must be >= 0")
+    base, k0 = _base_pool(base_seed)
+    cuts = [lo, *(c for c in (1 << 32, ((lo >> 64) + 1) << 64) if lo < c < hi), hi]
+    seeds, keys = [], []
+    for a, b in zip(cuts, cuts[1:]):
+        low = np.arange(b - a, dtype=np.uint64)
+        low += np.array(a & _M64, dtype=np.uint64)
+        cols = [low] if a < 1 << 32 else [low, low >> np.array(32, dtype=np.uint64)]
+        pool, k = base, k0
+        for col in cols:  # astype keeps the low 32 bits
+            y = _hashed(col.astype(np.uint32)[:, None], _hash_consts(_INIT_A, _MULT_A, k, 4))
+            pool, k = _mixed(pool, y), k + 4
+        for word in _words32(a >> 64) if a >> 64 else ():
+            pool, k = _mixed(pool, _hashed_words((word,), k)[0]), k + 4
+        pool = _mixed(pool, _hashed_words((0, 1), k))  # (2, m, 4): the children c = 0, 1
+        state = _hashed(pool[..., None, :], _OUT_CONSTS).reshape(2, b - a, 8)
+        words = np.ascontiguousarray(state, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
+        seeds.append(words[0])
+        keys.append(words[1, :, 0])
+    if len(seeds) == 1:
+        return seeds[0], keys[0]
+    return np.concatenate(seeds), np.concatenate(keys)
+
+
+class _PointSeed(ISeedSequence):
+    """One replication's four PCG64 seed words, handed to ``PCG64`` the way
+    its SeedSequence would hand them, so PCG64 seeds itself from them
+    (pcg64_srandom_r) exactly as from that SeedSequence."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words  # PCG64 asks for exactly 4 uint64 words
 
 
 # A shifted block's first coordinates stay within _EXACT_SPAN * reach of 0, so
@@ -302,16 +455,6 @@ def _setup(conn, lam_n, d, K, policy, min_reach, min_margin):
     return window, max(conn.tail_radius(eps, d), min_reach), policy.eps_edges
 
 
-def _draw(base_seed: int, rep: int, lam_n: float, box: Region) -> tuple[np.ndarray, int]:
-    """The points and pair key of replication rep: they come from the
-    children SeedSequence(base_seed, spawn_key=(rep, 0)) and (rep, 1) of
-    the replication's sequence SeedSequence(base_seed, spawn_key=(rep,))."""
-    ss_points = np.random.SeedSequence(base_seed, spawn_key=(rep, 0))
-    ss_pairs = np.random.SeedSequence(base_seed, spawn_key=(rep, 1))
-    points = sample_points(lam_n, box, np.random.default_rng(ss_points))
-    return points, int(ss_pairs.generate_state(1, np.uint64)[0])
-
-
 def simulate_graph(
     conn: ConnectionFunction,
     lam_n: float,
@@ -345,18 +488,24 @@ def simulate_block(
     """Replications lo..hi-1 as one block-diagonal graph, and each point's
     replication (0 for lo).
 
-    Replication rep draws its points and pair key from its own stream,
-    SeedSequence(base_seed, spawn_key=(rep,)), through ``_draw``.  Edges
-    carry global point indices, and every coin is the replication's own pair
-    uniform at its local indices.  Block size is the caller's: see
-    ``block_reps``.
+    Replication rep draws its points from the PCG64 generator of
+    SeedSequence(base_seed, spawn_key=(rep, 0)) and its pair key from
+    SeedSequence(base_seed, spawn_key=(rep, 1)), the children of its own
+    sequence SeedSequence(base_seed, spawn_key=(rep,)).  The seed words of
+    the whole block come from one numpy pass (``_seed_words``); each
+    replication then only draws its count and unit coordinates, and the
+    block is placed in the box at once.  Edges carry global point indices,
+    and every coin is the replication's own pair uniform at its local
+    indices.  Block size is the caller's: see ``block_reps``.
     """
     window, reach, edge_bias = _setup(conn, lam_n, d, K, policy, min_reach, min_margin)
     box = window.box
-    draws = [_draw(base_seed, rep, lam_n, box) for rep in range(lo, hi)]
-    keys = np.array([key for _, key in draws], dtype=np.uint64)
-    sizes = np.array([pts.shape[0] for pts, _ in draws])
-    points = np.concatenate([pts for pts, _ in draws])
+    seeds, keys = _seed_words(base_seed, lo, hi)
+    mu = lam_n * box.volume
+    unit = [_unit_points(np.random.Generator(np.random.PCG64(_PointSeed(w))), mu, box.dim)
+            for w in seeds]
+    sizes = np.array([u.shape[0] for u in unit])
+    points = _placed(np.concatenate(unit), box)
     rid = np.repeat(np.arange(hi - lo), sizes)
     local = np.arange(rid.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     i, j, dist = _candidate_pairs(points, reach, rid)

@@ -40,7 +40,7 @@ CSV_HEADERS = {
     "variance-growth": "kind,n,lam_n,value,se,limit,gap",
     "covariance-field": "offset,cov,se",
     "martingale-check": "space,variance,telescoped,abs_diff",
-    "verify-all": "criterion,name,passed,runtime_s",
+    "verify-all": "criterion,name,passed",
 }
 
 
@@ -344,6 +344,19 @@ class TestCli:
         stem = command.replace("-", "_")
         lines = (tmp_path / "out" / f"{stem}.csv").read_text(encoding="utf-8").splitlines()
         assert lines[0] == CSV_HEADERS[command]
+
+    def test_verify_all_runtimes_go_to_run_meta_only(self, cfg_file, tmp_path, monkeypatch):
+        def two_criteria(ctx, echo=print):
+            return [CriterionResult("c01", "one", True, 0.5),
+                    CriterionResult("c02", "two", True, 1.25)]
+
+        monkeypatch.setattr(cli, "run_all", two_criteria)
+        out = tmp_path / "v"
+        assert cli.main(["verify-all", "--config", str(cfg_file), "--out-dir", str(out)]) == 0
+        for name in ("verify_all.csv", "verify_all.json"):
+            assert "runtime" not in (out / name).read_text(encoding="utf-8")
+        meta = (out / "run_meta.txt").read_text(encoding="utf-8").splitlines()
+        assert meta[-2:] == ["runtime_s.c01: 0.500", "runtime_s.c02: 1.250"]
 
     def test_unknown_subcommand_rejected(self, cfg_file):
         with pytest.raises(SystemExit):

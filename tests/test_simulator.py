@@ -12,6 +12,8 @@ from rcmlab.simulator import (
     SimulationError,
     SimWindow,
     _candidate_pairs,
+    _PointSeed,
+    _seed_words,
     block_reps,
     component_cell_counts,
     connect,
@@ -203,13 +205,26 @@ class TestBlock:
         again = simulate_graph(g, lam, 2, K, 7, 3)
         assert np.array_equal(first.points, again.points)
         assert np.array_equal(first.edge_i, again.edge_i)
-        # replication 3 of seed 7 draws from the children of its own sequence
-        ss_points, ss_pairs = np.random.SeedSequence(7, spawn_key=(3,)).spawn(2)
-        expected = sample_points(lam, first.window.box, np.random.default_rng(ss_points))
-        assert np.array_equal(first.points, expected)
-        key = int(ss_pairs.generate_state(1, np.uint64)[0])
-        i, j, _ = first.candidates
-        assert np.array_equal(first.coins, pair_uniform(key, i, j))
+        # each replication of a block draws from the children of its own
+        # sequence exactly as a generator built from them would
+        cases = [(2, 7, 3, 4), (2, 7, 1000, 1037), (2, 7, 2**32 - 3, 2**32 + 3),
+                 (1, 20240801, 5, 6), (1, 20240801, 1000, 1037), (1, 99, 2**32 - 3, 2**32 + 3)]
+        for d, seed, lo, hi in cases:
+            K = unit_box(d)
+            graph, rid = simulate_block(g, lam, d, K, seed, lo, hi)
+            _, keys = _seed_words(seed, lo, hi)
+            i, j, _ = graph.candidates
+            offsets = np.searchsorted(rid, np.arange(hi - lo))
+            for k, rep in enumerate(range(lo, hi)):
+                ss_points, ss_pairs = np.random.SeedSequence(seed, spawn_key=(rep,)).spawn(2)
+                rng = np.random.default_rng(ss_points)
+                assert np.array_equal(graph.points[rid == k],
+                                      sample_points(lam, graph.window.box, rng))
+                key = int(ss_pairs.generate_state(1, np.uint64)[0])
+                assert keys[k] == key
+                mine = rid[i] == k
+                local_i, local_j = i[mine] - offsets[k], j[mine] - offsets[k]
+                assert np.array_equal(graph.coins[mine], pair_uniform(key, local_i, local_j))
 
     def test_block_reps_rule(self):
         # c02's d=1 window: ~23 expected points a replication
@@ -221,6 +236,33 @@ class TestBlock:
         assert block_reps(1e-3, Region((0.0,), (1.0,)), 0.01) == int((2**16 * 0.01 - 1.0) / 2.0)
         # a window far from the origin: one replication, searched unshifted
         assert block_reps(1.0, Region((1e6,), (1.0,)), 1.0) == 1
+
+
+class TestStreams:
+    BASES = [0, 1, 20240801, 2**32, 2**130 + 7]
+    REPS = [0, 1, 2**32 - 1, 2**32, 2**32 + 5,
+            *np.random.default_rng(5).integers(0, 2**40, size=12).tolist()]
+
+    @pytest.mark.parametrize("base", BASES)
+    def test_seed_words_match_numpy(self, base):
+        blocks = [(rep, rep + 1) for rep in self.REPS]
+        blocks += [(0, 300), (2**32 - 4, 2**32 + 4), (2**64 - 2, 2**64 + 2)]
+        for lo, hi in blocks:
+            seeds, keys = _seed_words(base, lo, hi)
+            assert seeds.shape == (hi - lo, 4) and keys.shape == (hi - lo,)
+            for k, rep in enumerate(range(lo, hi)):
+                ss_points = np.random.SeedSequence(base, spawn_key=(rep, 0))
+                ss_pairs = np.random.SeedSequence(base, spawn_key=(rep, 1))
+                assert np.array_equal(seeds[k], ss_points.generate_state(4, np.uint64))
+                assert keys[k] == ss_pairs.generate_state(1, np.uint64)[0]
+                mine = np.random.PCG64(_PointSeed(seeds[k])).state
+                assert mine == np.random.PCG64(ss_points).state
+
+    def test_negative_seeds_rejected(self):
+        with pytest.raises(ValueError):
+            _seed_words(-1, 0, 2)
+        with pytest.raises(ValueError):
+            _seed_words(1, -1, 2)
 
 
 class TestCounts:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from functools import partial
 from itertools import product
@@ -234,6 +235,39 @@ class TestBlockEngine:
             direct = np.random.SeedSequence(2024, spawn_key=(rep, i))
             assert direct.spawn_key == child.spawn_key
             assert np.array_equal(direct.generate_state(4), child.generate_state(4))
+
+
+def _values_sha256(out, names):
+    h = hashlib.sha256()
+    for name in names:
+        h.update(np.ascontiguousarray(out[name].values, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+class TestStreamPins:
+    """The replicated values of two fixed inputs, pinned by digest: a change
+    to any random stream, to the seeding or to the counts shows here."""
+
+    def test_c02_model(self):
+        cfg = ModelConfig(d=1, lam=1.0, K=unit_box(1), g=exponential(1.0), n=2.0)
+        out = replicate_many(cfg, [StatRequest(name="L", kind="excess", r0=0.5)], 400,
+                             20240801, workers=1)
+        assert _values_sha256(out, ["L"]) == (
+            "d5999ffcea0076b03104e22d4857aca4136105b91f7c43aad129991be7461c53"
+        )
+
+    def test_d2_exponential_model(self):
+        cfg = ModelConfig(d=2, lam=1.0, K=unit_box(2), g=exponential(0.3), n=4.0)
+        requests = [
+            StatRequest(name="I", kind="isolated"),
+            StatRequest(name="J", kind="near_isolated", r0=0.25),
+            StatRequest(name="L", kind="excess", r0=0.25),
+            StatRequest(name="C", kind="coupling", R=1.0),
+        ]
+        out = replicate_many(cfg, requests, 60, 7, workers=1)
+        assert _values_sha256(out, ["I", "J", "L", "C"]) == (
+            "29eb19a3463e5d982e19650f11a80aea782bab5f4c41eb4643768a982991b558"
+        )
 
 
 class TestKS:
