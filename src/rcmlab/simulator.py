@@ -501,8 +501,8 @@ def simulate_block(
     window, reach, edge_bias = _setup(conn, lam_n, d, K, policy, min_reach, min_margin)
     box = window.box
     seeds, keys = _seed_words(base_seed, lo, hi)
-    mu = lam_n * box.volume
-    unit = [_unit_points(np.random.Generator(np.random.PCG64(_PointSeed(w))), mu, box.dim)
+    mu, dim = lam_n * box.volume, box.dim
+    unit = [_unit_points(np.random.Generator(np.random.PCG64(_PointSeed(w))), mu, dim)
             for w in seeds]
     sizes = np.array([u.shape[0] for u in unit])
     points = _placed(np.concatenate(unit), box)
