@@ -32,12 +32,11 @@ from .quadrature import DEFAULT_SPEC, QuadratureSpec, unit_box
 from .simulator import DEFAULT_POLICY, SimPolicy
 from .stats import (
     StatRequest,
+    coupling_check,
     covariance_field,
     ks_normality,
-    martingale_identity_oracle,
-    random_filtration_space,
+    martingale_sweep,
     replicate,
-    replicate_many,
     stationary_variance_check,
     variance_lower_bound,
 )
@@ -85,15 +84,7 @@ def c01_coupling(ctx: AcceptanceContext) -> CriterionResult:
     details = {}
     ok = True
     for label, cfg, R in configs:
-        reqs = [
-            StatRequest(name="I", kind="isolated"),
-            StatRequest(name="J", kind="near_isolated", r0=R / cfg.n),
-            StatRequest(name="L", kind="excess", r0=R / cfg.n),
-            StatRequest(name="C", kind="coupling", R=R),
-        ]
-        out = replicate_many(cfg, reqs, 100, ctx.seed(1), ctx.policy, ctx.workers)
-        coupled = bool(np.all(out["C"].values == 1.0))
-        additive = bool(np.all(out["J"].values == out["I"].values + out["L"].values))
+        coupled, additive, _ = coupling_check(cfg, R, 100, ctx.seed(1), ctx.policy, ctx.workers)
         details[label] = {"coupling_exact": coupled, "J_equals_I_plus_L": additive}
         ok = ok and coupled and additive
     return CriterionResult("c01", "coupling identity", ok, details=details)
@@ -349,18 +340,12 @@ def c10_variance_ratio(ctx: AcceptanceContext) -> CriterionResult:
 
 
 def c11_martingale(ctx: AcceptanceContext) -> CriterionResult:
-    rng = np.random.default_rng(ctx.seed(11))
-    worst = 0.0
-    for _ in range(100):
-        space = random_filtration_space(rng)
-        report = martingale_identity_oracle(space)
-        worst = max(worst, report.abs_diff)
-    ok = worst < 1e-12
+    reports = martingale_sweep(ctx.seed(11))
     return CriterionResult(
         "c11",
         "martingale variance identity (exact oracle)",
-        ok,
-        details={"worst_abs_diff": worst, "spaces": 100},
+        all(report.ok for report in reports),
+        details={"worst_abs_diff": max(r.abs_diff for r in reports), "spaces": len(reports)},
     )
 
 
@@ -370,7 +355,7 @@ def c11_martingale(ctx: AcceptanceContext) -> CriterionResult:
 def c12_covariance_field(ctx: AcceptanceContext) -> CriterionResult:
     cfg = ModelConfig(d=2, lam=1.0, K=unit_box(2), g=hard_disk(0.5), n=1.0)
     field_est = covariance_field(
-        cfg, r=2, z_max=2, m=600, base_seed=ctx.seed(12),
+        cfg, r=2, m=600, base_seed=ctx.seed(12),
         lattice_side=12, policy=ctx.policy, workers=ctx.workers,
     )
     positive = field_est.total > 3.0 * field_est.total_se
@@ -423,7 +408,7 @@ def c13_lower_bound(ctx: AcceptanceContext) -> CriterionResult:
     )
     cfg = ModelConfig(d=2, lam=1.0, K=unit_box(2), g=g, n=1.0)
     field_est = covariance_field(
-        cfg, r=1, z_max=2, m=300, base_seed=ctx.seed(15),
+        cfg, r=1, m=300, base_seed=ctx.seed(15),
         lattice_side=9, policy=ctx.policy, workers=ctx.workers,
     )
     bound_ok = all(row.var >= row.bound for row in rows)
@@ -525,14 +510,13 @@ CRITERIA = (
 )
 
 
-def run_all(ctx: AcceptanceContext | None = None, echo=print) -> list[CriterionResult]:
-    ctx = ctx or AcceptanceContext()
+def run_all(ctx: AcceptanceContext) -> list[CriterionResult]:
+    """Every criterion in order, each timed and its line printed as it ends."""
     results = []
     for criterion in CRITERIA:
         t0 = time.perf_counter()
         result = criterion(ctx)
         result.runtime = time.perf_counter() - t0
         results.append(result)
-        if echo:
-            echo(result.line())
+        print(result.line())
     return results

@@ -14,8 +14,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from .acceptance import AcceptanceContext, run_all
 from .config import ConfigError, ExperimentConfig, load_config
 from .moments import (
@@ -36,11 +34,11 @@ from .simulator import SimulationError, dump_realization, simulate_graph
 from .stats import (
     StatRequest,
     StatsError,
+    coupling_check,
     covariance_field,
     exceedance_fraction,
     ks_normality,
-    martingale_identity_oracle,
-    random_filtration_space,
+    martingale_sweep,
     replicate,
     replicate_many,
     resolve_workers,
@@ -189,6 +187,8 @@ def cmd_simulate(cfg: ExperimentConfig, args) -> int:
 
 
 def cmd_clt_test(cfg: ExperimentConfig, args) -> int:
+    if cfg.m < 100:
+        raise ConfigError(f"run.m must be >= 100 for the KS normality check, got {cfg.m}")
     rows = []
     all_ok = True
     bias = 0.0
@@ -228,19 +228,10 @@ def cmd_truncation_demo(cfg: ExperimentConfig, args) -> int:
     coupling_ok = True
     bias = 0.0
     for n in cfg.n_list:
-        model = cfg.model(n)
-        reqs = [
-            StatRequest(name="I", kind="isolated"),
-            StatRequest(name="J", kind="near_isolated", r0=R / n),
-            StatRequest(name="L", kind="excess", r0=R / n),
-            StatRequest(name="C", kind="coupling", R=R),
-        ]
-        out = replicate_many(model, reqs, min(cfg.m, 500), cfg.base_seed, cfg.policy, cfg.workers)
-        bias = max(bias, out["I"].bias_bound)
-        exact = bool(np.all(out["C"].values == 1.0))
-        additive = bool(
-            np.all(out["J"].values == out["I"].values + out["L"].values)
+        exact, additive, out = coupling_check(
+            cfg.model(n), R, min(cfg.m, 500), cfg.base_seed, cfg.policy, cfg.workers
         )
+        bias = max(bias, out["I"].bias_bound)
         coupling_ok = coupling_ok and exact and additive
         rows.append(
             {
@@ -305,6 +296,8 @@ def cmd_truncation_demo(cfg: ExperimentConfig, args) -> int:
 
 
 def cmd_variance_growth(cfg: ExperimentConfig, args) -> int:
+    if args.lower_bound and cfg.d != 2:
+        raise ConfigError("--lower-bound needs model.d = 2")
     limit = limit_var_isolated(cfg.lam, cfg.g, cfg.d, cfg.spec).value
     rows = [
         {
@@ -328,9 +321,7 @@ def cmd_variance_growth(cfg: ExperimentConfig, args) -> int:
     ]
     ok = True
     extra = {}
-    if getattr(args, "lower_bound", False):
-        if cfg.d != 2:
-            raise ConfigError("--lower-bound needs model.d = 2")
+    if args.lower_bound:
         cert, bound_rows = variance_lower_bound(
             cfg.lam,
             cfg.g,
@@ -372,12 +363,10 @@ def cmd_variance_growth(cfg: ExperimentConfig, args) -> int:
 
 def cmd_covariance_field(cfg: ExperimentConfig, args) -> int:
     model = cfg.model()
-    supp = model.g_n.support_radius
-    if supp is None:
+    if model.g_n.support_radius is None:
         raise ConfigError("covariance-field needs a bounded-support connection function")
-    z_max = int(math.ceil(cfg.r * supp)) + 1
     field = covariance_field(
-        model, cfg.r, z_max, cfg.m, cfg.base_seed, policy=cfg.policy, workers=cfg.workers
+        model, cfg.r, cfg.m, cfg.base_seed, policy=cfg.policy, workers=cfg.workers
     )
     rows = [
         {
@@ -404,26 +393,22 @@ def cmd_covariance_field(cfg: ExperimentConfig, args) -> int:
 
 
 def cmd_martingale_check(cfg: ExperimentConfig, args) -> int:
-    rng = np.random.default_rng(cfg.base_seed)
-    rows = []
-    worst = 0.0
-    for k in range(100):
-        report = martingale_identity_oracle(random_filtration_space(rng))
-        worst = max(worst, report.abs_diff)
-        rows.append(
-            {
-                "space": k,
-                "variance": report.variance,
-                "telescoped": report.telescoped,
-                "abs_diff": report.abs_diff,
-            }
-        )
-    ok = worst < 1e-12
+    reports = martingale_sweep(cfg.base_seed)
+    rows = [
+        {
+            "space": k,
+            "variance": report.variance,
+            "telescoped": report.telescoped,
+            "abs_diff": report.abs_diff,
+        }
+        for k, report in enumerate(reports)
+    ]
+    ok = all(report.ok for report in reports)
     _emit(
         cfg,
         "martingale_check",
         rows,
-        extra={"worst_abs_diff": worst, "passed": ok},
+        extra={"worst_abs_diff": max(r.abs_diff for r in reports), "passed": ok},
     )
     return 0 if ok else 1
 
@@ -435,7 +420,7 @@ def cmd_verify_all(cfg: ExperimentConfig, args) -> int:
         spec=cfg.spec,
         policy=cfg.policy,
     )
-    results = run_all(ctx, echo=print)
+    results = run_all(ctx)
     rows = [{"criterion": r.cid, "name": r.name, "passed": r.passed} for r in results]
     args.runtimes = {r.cid: r.runtime for r in results}  # wall clock: run_meta.txt only
     _emit(

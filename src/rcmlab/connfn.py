@@ -271,7 +271,6 @@ VARIANTS = (
     "scale_then_cut",  # 1{x <= R} f(nx)
     "scale_then_cut_outside",  # 1{x >  R} f(nx)
     "inside_scaled_radius",  # 1{x <= nR} f(x)
-    "outside_scaled_radius",  # 1{x >  nR} f(x)
 )
 
 
@@ -309,9 +308,7 @@ def make_variant(
         return f.scale(n).truncate_inside(R)
     if variant == "scale_then_cut_outside":
         return f.scale(n).truncate_outside(R)
-    if variant == "inside_scaled_radius":
-        return f.truncate_inside(n * R)
-    return f.truncate_outside(n * R)
+    return f.truncate_inside(n * R)  # inside_scaled_radius
 
 
 @dataclass(frozen=True)
@@ -363,7 +360,7 @@ def verify_identities(f: ConnectionFunction, R: float, n: float, grid) -> Identi
     return IdentityReport(ok=not failures, checked=4 * len(grid), failures=tuple(failures))
 
 
-def is_nonincreasing_on(f: ConnectionFunction, grid, tol: float = 0.0) -> bool:
-    """True if f is non-increasing along the sorted grid (within tol)."""
+def is_nonincreasing_on(f: ConnectionFunction, grid) -> bool:
+    """True if f is non-increasing along the sorted grid."""
     vals = f.eval(np.sort(np.asarray(list(grid), dtype=float)))
-    return bool(np.all(np.diff(vals) <= tol))
+    return bool(np.all(np.diff(vals) <= 0.0))

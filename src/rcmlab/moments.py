@@ -462,9 +462,9 @@ def check_domination(
     n_list: Sequence[float],
     spec: QuadratureSpec = DEFAULT_SPEC,
     density_rule: DensityRule | None = None,
-    slack: float = 1e-7,
 ) -> DominationCheck:
-    """Numerically verify both domination inequalities on a grid."""
+    """Numerically verify both domination inequalities on a grid; a margin
+    of up to 1e-7 above zero is taken as quadrature noise."""
     const = domination_constants(lam, g, d, spec, density_rule)
     x = np.asarray(radii, dtype=float).reshape(-1)
     g_half = g.eval(x / 2.0)
@@ -480,7 +480,7 @@ def check_domination(
             count += x.size
     pf = pair_factor(2.0 * lam, g, g, x, d, spec).value
     worst_pair = float(np.max((pf - 1.0) - const.C_pair * g_half, initial=-math.inf))
-    ok = worst <= slack and worst_pair <= slack
+    ok = worst <= 1e-7 and worst_pair <= 1e-7
     return DominationCheck(ok=ok, worst_margin=worst, worst_pair_margin=worst_pair, points=count)
 
 
@@ -494,7 +494,7 @@ def _require_wide(R: float, K: Region):
         )
 
 
-def _index_threshold(lam: float, density_rule: DensityRule | None, d: int = 1) -> float:
+def _index_threshold(lam: float, density_rule: DensityRule | None, d: int) -> float:
     """Smallest n with 3/4 lam <= lam_n / n^d <= 3/2 lam (1 for the default rule)."""
     if density_rule is None:
         return 1.0

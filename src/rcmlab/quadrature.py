@@ -356,7 +356,8 @@ def _quadrature_overlap(
     todo = np.ones(s.size, dtype=bool)
     if supp1 is not None and supp2 is not None:
         todo = s < supp1 + supp2
-    at_zero = todo & (s <= 1e-12)
+    # only the d >= 2 forms divide by s; d=1 integrates tiny s like any other
+    at_zero = todo & (s <= 1e-12) & (d >= 2)
     if at_zero.any():
         T = min(h1.tail_radius(spec.tail_eps, d), h2.tail_radius(spec.tail_eps, d))
         values[at_zero], errors[at_zero] = radial_of(

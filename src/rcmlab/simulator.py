@@ -149,7 +149,6 @@ class PointGraph:
     window: SimWindow
     reach: float
     conn: ConnectionFunction
-    lam_n: float
     candidates: tuple[np.ndarray, np.ndarray, np.ndarray]
     coins: np.ndarray
     edge_bias: float = 0.0  # bound on expected edges lost beyond the reach
@@ -387,7 +386,7 @@ def _candidate_pairs(points: np.ndarray, reach: float, rid: np.ndarray | None = 
     return i[keep], j[keep], dist[keep]
 
 
-def _tossed(points, candidates, coins, conn, window, reach, lam_n, edge_bias) -> PointGraph:
+def _tossed(points, candidates, coins, conn, window, reach, edge_bias) -> PointGraph:
     """The graph whose edges are the candidate pairs with coin < conn(dist)."""
     i, j, dist = candidates
     keep = coins < conn.eval(dist)
@@ -399,7 +398,6 @@ def _tossed(points, candidates, coins, conn, window, reach, lam_n, edge_bias) ->
         window=window,
         reach=reach,
         conn=conn,
-        lam_n=lam_n,
         candidates=candidates,
         coins=coins,
         edge_bias=edge_bias,
@@ -415,10 +413,11 @@ def connect(
     lam_n: float,
     edge_bias: float = 0.0,
 ) -> PointGraph:
-    """Bernoulli(conn(distance)) edges on all pairs within the search reach."""
+    """Bernoulli(conn(distance)) edges on all pairs within the search reach
+    (lam_n is unused; it holds its place in positional calls)."""
     i, j, dist = _candidate_pairs(points, reach)
     coins = pair_uniform(pair_key, i, j)
-    return _tossed(points, (i, j, dist), coins, conn, window, reach, lam_n, edge_bias)
+    return _tossed(points, (i, j, dist), coins, conn, window, reach, edge_bias)
 
 
 def regraph(graph: PointGraph, conn: ConnectionFunction) -> PointGraph:
@@ -435,7 +434,6 @@ def regraph(graph: PointGraph, conn: ConnectionFunction) -> PointGraph:
         conn,
         graph.window,
         graph.reach,
-        graph.lam_n,
         graph.edge_bias,
     )
 
@@ -510,7 +508,7 @@ def simulate_block(
     local = np.arange(rid.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     i, j, dist = _candidate_pairs(points, reach, rid)
     coins = pair_uniform(keys[rid[i]], local[i], local[j])
-    graph = _tossed(points, (i, j, dist), coins, conn, window, reach, lam_n, edge_bias)
+    graph = _tossed(points, (i, j, dist), coins, conn, window, reach, edge_bias)
     return graph, rid
 
 

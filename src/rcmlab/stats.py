@@ -118,12 +118,12 @@ class StatSample:
     def se_mean(self) -> float:
         return math.sqrt(self.variance / self.m)
 
-    def bootstrap_se_var(self, n_boot: int = 200) -> float:
-        """Bootstrap standard error of the sample variance (seeded)."""
+    def bootstrap_se_var(self) -> float:
+        """Bootstrap standard error of the sample variance (200 seeded resamples)."""
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=self.base_seed, spawn_key=(0xB007,))
         )
-        idx = rng.integers(0, self.m, size=(n_boot, self.m))
+        idx = rng.integers(0, self.m, size=(200, self.m))
         boots = self.values[idx].var(axis=1, ddof=1)
         return float(boots.std(ddof=1))
 
@@ -245,6 +245,28 @@ def replicate(
     return replicate_many(cfg, [request], m, base_seed, policy, workers)[request.name]
 
 
+def coupling_check(
+    cfg: ModelConfig,
+    R: float,
+    m: int,
+    base_seed: int,
+    policy: SimPolicy = DEFAULT_POLICY,
+    workers: int | None = None,
+) -> tuple[bool, bool, dict[str, StatSample]]:
+    """m replications of I, J, L (r0 = R/n) and C (see StatRequest) on shared
+    realizations, and whether C == 1 and J == I + L on every one of them."""
+    reqs = [
+        StatRequest(name="I", kind="isolated"),
+        StatRequest(name="J", kind="near_isolated", r0=R / cfg.n),
+        StatRequest(name="L", kind="excess", r0=R / cfg.n),
+        StatRequest(name="C", kind="coupling", R=R),
+    ]
+    out = replicate_many(cfg, reqs, m, base_seed, policy, workers)
+    coupled = bool(np.all(out["C"].values == 1.0))
+    additive = bool(np.all(out["J"].values == out["I"].values + out["L"].values))
+    return coupled, additive, out
+
+
 # -- normality ------------------------------------------------------------------
 
 
@@ -284,12 +306,11 @@ def variance_density_convergence(
     m: int,
     base_seed: int,
     limit_value: float,
-    statistic: StatRequest | None = None,
     policy: SimPolicy = DEFAULT_POLICY,
     workers: int | None = None,
 ) -> list[VarianceDensityRow]:
-    """Monte Carlo Var/(lam_n vol K) across n against a quadrature limit."""
-    request = statistic or StatRequest(name="count", kind="isolated")
+    """Monte Carlo Var/(lam_n vol K) of the isolated count across n against its limit."""
+    request = StatRequest(name="count", kind="isolated")
     rows = []
     for n in n_list:
         cfg_n = cfg.at_n(n)
@@ -352,7 +373,6 @@ def _field_rows(r, offsets, lattice, graph, rid, reps):
 def covariance_field(
     cfg: ModelConfig,
     r: int,
-    z_max: int,
     m: int,
     base_seed: int,
     lattice_side: int | None = None,
@@ -363,17 +383,16 @@ def covariance_field(
 
     One large window per replication; all cell pairs at each offset are
     pooled (stationarity), then averaged across replications for SEs.
-    Offsets beyond ceil(r * support) + 1 are independent, so z_max must
-    reach at least that far for the total to estimate the full sum.
+    Offsets beyond the dependence range ceil(r * support) + 1 are
+    independent, so the offsets reach exactly that far and the total
+    estimates the full sum.
     """
     supp = cfg.g_n.support_radius
     if supp is None:
         raise StatsError("covariance field needs bounded support")
     dep = int(math.ceil(r * supp)) + 1
-    if z_max < dep:
-        raise StatsError(f"z_max must be >= dependence range {dep}")
-    side = lattice_side or max(3 * (z_max + 1), 8)
-    offsets = tuple(product(range(-z_max, z_max + 1), repeat=cfg.d))
+    side = lattice_side or max(3 * (dep + 1), 8)
+    offsets = tuple(product(range(-dep, dep + 1), repeat=cfg.d))
     lattice = LatticeRegion((0,) * cfg.d, (side,) * cfg.d)
     count = partial(_field_rows, r, offsets, lattice)
     cfg_box = replace(cfg, K=lattice.bounding_region)
@@ -524,11 +543,9 @@ def martingale_identity_oracle(space: FiniteFiltrationSpace) -> MartingaleReport
     )
 
 
-def random_filtration_space(
-    rng: np.random.Generator, max_outcomes: int = 64, max_steps: int = 6
-) -> FiniteFiltrationSpace:
-    """Random finite space with a random refinement chain (for oracle sweeps)."""
-    k = int(rng.integers(2, max_outcomes + 1))
+def random_filtration_space(rng: np.random.Generator) -> FiniteFiltrationSpace:
+    """Random space of 2..64 outcomes with a refinement chain of at most 6 partitions."""
+    k = int(rng.integers(2, 65))
     probs = rng.dirichlet(np.ones(k))
     probs = np.maximum(probs, 1e-12)
     probs = probs / probs.sum()
@@ -537,7 +554,7 @@ def random_filtration_space(
     chain = [tuple((i,) for i in range(k))]
     while len(chain[0]) > 1:
         blocks = list(chain[0])
-        if len(chain) >= max_steps:
+        if len(chain) >= 6:
             merged = [tuple(o for b in blocks for o in b)]
         else:
             rng.shuffle(blocks)
@@ -552,6 +569,12 @@ def random_filtration_space(
         values=tuple(float(v) for v in values),
         partitions=tuple(chain),
     )
+
+
+def martingale_sweep(seed: int, spaces: int = 100) -> list[MartingaleReport]:
+    """The oracle on the first ``spaces`` random spaces of default_rng(seed)."""
+    rng = np.random.default_rng(seed)
+    return [martingale_identity_oracle(random_filtration_space(rng)) for _ in range(spaces)]
 
 
 # -- variance lower bound --------------------------------------------------------
@@ -595,7 +618,6 @@ def variance_lower_bound(
     m_mu: int,
     m_var: int,
     base_seed: int,
-    alpha: float = 0.25,
     policy: SimPolicy = DEFAULT_POLICY,
     workers: int | None = None,
 ) -> tuple[LowerBoundCertificate, list[LowerBoundRow]]:
@@ -604,9 +626,9 @@ def variance_lower_bound(
 
     Two-dimensional construction: M is the smallest integer above
     3 lam R / mu_hat that keeps mu_hat M^2 - 2 lam R (M + r R) positive, and
-    gamma = alpha (mu_hat M^2 - 2 lam R (M + r R))^2 exp(-lam (M + 2 r R)^2).
-    alpha = 1/4 is the density of a pairwise non-adjacent sublattice of the
-    box enumeration.
+    gamma = alpha (mu_hat M^2 - 2 lam R (M + r R))^2 exp(-lam (M + 2 r R)^2),
+    where alpha = 1/4 is the density of a pairwise non-adjacent sublattice
+    of the box enumeration.
     """
     supp = g.support_radius
     if supp is None:
@@ -624,6 +646,7 @@ def variance_lower_bound(
     while mu_hat * M**2 - 2 * lam * R * (M + r * R) <= 0:
         M += 1
     core = mu_hat * M**2 - 2 * lam * R * (M + r * R)
+    alpha = 0.25
     gamma = alpha * core**2 * math.exp(-lam * (M + 2 * r * R) ** 2)
     cert = LowerBoundCertificate(
         r=r, R=R, lam=lam, mu_hat=mu_hat, mu_se=mu_se, M=M, alpha=alpha, gamma=gamma

@@ -25,7 +25,7 @@ def _workers():
 def results():
     ctx = AcceptanceContext(workers=_workers())
     out = {}
-    for res in run_all(ctx, echo=print):
+    for res in run_all(ctx):
         out[res.cid] = res
     return out
 

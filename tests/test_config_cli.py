@@ -179,6 +179,20 @@ class TestCli:
         rc = cli.main(["clt-test", "--config", str(cfg_file)])
         assert rc == 1
 
+    def test_clt_test_below_100_replications_is_config_error(
+        self, cfg_file, tmp_path, monkeypatch, capsys
+    ):
+        def no_replications(*args, **kwargs):
+            raise AssertionError("replicated before the config was checked")
+
+        monkeypatch.setattr(cli, "replicate", no_replications)
+        out = tmp_path / "clt"
+        argv = ["clt-test", "--config", str(cfg_file), "--out-dir", str(out), "--set", "run.m=50"]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "run.m" in err
+        assert list(out.iterdir()) == []  # no report, no run_meta.txt
+
     def test_truncation_demo(self, cfg_file, tmp_path):
         rc = cli.main(
             ["truncation-demo", "--config", str(cfg_file), "--set", "run.R_list=2.0",
@@ -212,6 +226,18 @@ class TestCli:
         )
         assert rc == 0
         assert (tmp_path / "out" / "variance_growth.csv").exists()
+
+    def test_lower_bound_outside_d2_fails_before_the_sweep(
+        self, cfg_file, tmp_path, monkeypatch, capsys
+    ):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("density sweep ran before the config was checked")
+
+        monkeypatch.setattr(cli, "variance_density_convergence", no_sweep)
+        assert cli.main(["variance-growth", "--config", str(cfg_file), "--lower-bound"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "model.d" in err
+        assert not (tmp_path / "out" / "variance_growth.csv").exists()
 
     def test_seed_flag_overrides(self, cfg_file, tmp_path):
         rc = cli.main(["moments", "--config", str(cfg_file), "--seed", "77"])
@@ -332,7 +358,7 @@ class TestCli:
 
     @pytest.mark.parametrize("command", sorted(CSV_HEADERS))
     def test_csv_header_order(self, command, cfg_file, tmp_path, monkeypatch):
-        def one_criterion(ctx, echo=print):
+        def one_criterion(ctx):
             return [CriterionResult("c01", "criterion", True, 0.5)]
 
         monkeypatch.setattr(cli, "run_all", one_criterion)
@@ -346,7 +372,7 @@ class TestCli:
         assert lines[0] == CSV_HEADERS[command]
 
     def test_verify_all_runtimes_go_to_run_meta_only(self, cfg_file, tmp_path, monkeypatch):
-        def two_criteria(ctx, echo=print):
+        def two_criteria(ctx):
             return [CriterionResult("c01", "one", True, 0.5),
                     CriterionResult("c02", "two", True, 1.25)]
 

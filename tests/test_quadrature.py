@@ -590,14 +590,25 @@ class TestOverlapRows:
         vals, errs = quad(disk, disk, [2.0, 2.5], d, spec)
         assert vals.tolist() == errs.tolist() == [0.0, 0.0]  # s >= supp1 + supp2
         zero = quad(disk, disk, [0.0, 1e-13], d, spec)
-        ball = radial_integral(disk, d, spec)
-        assert zero[0].tolist() == [ball.value] * 2 and zero[1].tolist() == [ball.error] * 2
+        if d == 1:  # no s ~ 0 shortcut: the overlap of two unit intervals is 2 - s
+            assert np.all(np.abs(zero[0] - (2.0 - np.array([0.0, 1e-13]))) <= zero[1])
+        else:
+            ball = radial_integral(disk, d, spec)
+            assert zero[0].tolist() == [ball.value] * 2 and zero[1].tolist() == [ball.error] * 2
         h1, h2, s = OVERLAP_ROW_CASES["out_in"]
         vals, errs = quad(h1, h2, s, d, spec)
         # d >= 2: the r-range [s - 1, min(T1, s + 1)] is empty; d=1
         # integrates over [0, T1], where h2(|r - s|) is 0
         assert (vals[-1], errs[-1]) == (0.0, spec.tail_eps)
         assert vals[0] == 0.0 and np.all(vals[1:-1] > 0.0)  # disjoint supports at s = 0
+
+    def test_line_keeps_tiny_separations(self):
+        # a truncated disk has no closed form; at s = 1e-12 the d=1 overlap
+        # is 2 - s, and O(0) = 2 with O(0)'s bound missed it
+        spec = QuadratureSpec(abs_tol=1e-13, tail_eps=1e-15)
+        h1 = hard_disk(1.0).truncate_outside(0.0)
+        vals, errs = overlap_rows(h1, hard_disk(1.0), [1e-12], 1, spec)
+        assert abs(vals[0] - (2.0 - 1e-12)) <= errs[0]
 
     def test_exponential_line_reference(self):
         # int e^{-|y|/a} e^{-|y-s|/a} dy = (a + s) e^{-s/a}

@@ -36,6 +36,7 @@ from rcmlab.stats import (
     exceedance_fraction,
     ks_normality,
     martingale_identity_oracle,
+    martingale_sweep,
     random_filtration_space,
     replicate,
     replicate_many,
@@ -342,7 +343,7 @@ def sparse_reference():
 @pytest.fixture(scope="module")
 def field():
     cfg = ModelConfig(d=2, lam=1.0, K=unit_box(2), g=hard_disk(0.5), n=1.0)
-    return covariance_field(cfg, r=1, z_max=2, m=250, base_seed=77, lattice_side=10)
+    return covariance_field(cfg, r=1, m=250, base_seed=77, lattice_side=10)
 
 
 class TestCovarianceField:
@@ -355,12 +356,16 @@ class TestCovarianceField:
             k = field.offsets.index(off)
             assert abs(field.cov[k]) <= 3 * field.se[k] + 1e-12
 
+    def test_offsets_reach_the_dependence_range(self, field):
+        assert field.dependence_range == 2  # ceil(1 * 0.5) + 1
+        assert max(max(map(abs, off)) for off in field.offsets) == 2
+
     def test_total_positive_for_disk(self, field):
         assert field.total > 3 * field.total_se
 
     def test_pooled_field_matches_serial(self):
         cfg = ModelConfig(d=2, lam=1.0, K=unit_box(2), g=hard_disk(0.5), n=1.0)
-        args = dict(r=1, z_max=2, m=40, base_seed=9, lattice_side=8)
+        args = dict(r=1, m=40, base_seed=9, lattice_side=8)
         serial = covariance_field(cfg, **args, workers=1)
         pooled = covariance_field(cfg, **args, workers=2)
         assert np.array_equal(serial.cov, pooled.cov)
@@ -374,28 +379,23 @@ class TestCovarianceField:
         lattice = LatticeRegion((0, 0), (side, side))
         assert m > 3 * block_reps(cfg.lam_n, lattice.bounding_region.expand(0.5), 0.5)
         assert 0 in points
-        field = covariance_field(cfg, r, 2, m, 808, lattice_side=side, workers=workers)
+        field = covariance_field(cfg, r, m, 808, lattice_side=side, workers=workers)
         sums = rows.sum(axis=1)
         assert np.array_equal(field.cov, rows.mean(axis=0))
         assert np.array_equal(field.se, rows.std(axis=0, ddof=1) / math.sqrt(m))
         assert field.total == sums.mean()
         assert field.total_se == sums.std(ddof=1) / math.sqrt(m)
 
-    def test_z_max_validation(self):
-        cfg = ModelConfig(d=2, lam=1.0, K=unit_box(2), g=hard_disk(0.5), n=1.0)
-        with pytest.raises(StatsError):
-            covariance_field(cfg, r=2, z_max=1, m=10, base_seed=0)
-
     def test_unbounded_support_rejected(self):
         cfg = ModelConfig(d=2, lam=1.0, K=unit_box(2), g=exponential(0.2), n=1.0)
         with pytest.raises(StatsError):
-            covariance_field(cfg, r=1, z_max=2, m=10, base_seed=0)
+            covariance_field(cfg, r=1, m=10, base_seed=0)
 
 
 class TestStationaryVariance:
     def test_boxes_approach_cov_sum(self):
         cfg = ModelConfig(d=2, lam=1.0, K=unit_box(2), g=hard_disk(0.4), n=1.0)
-        field = covariance_field(cfg, r=1, z_max=2, m=250, base_seed=31, lattice_side=10)
+        field = covariance_field(cfg, r=1, m=250, base_seed=31, lattice_side=10)
         rows = stationary_variance_check(cfg, r=1, sides=(4, 8), m=250, base_seed=32, field=field)
         assert rows[0].boundary_fraction > rows[1].boundary_fraction
         last = rows[-1]
@@ -426,6 +426,12 @@ class TestMartingale:
         rng = np.random.default_rng(9)
         for _ in range(100):
             assert martingale_identity_oracle(random_filtration_space(rng)).abs_diff < 1e-12
+
+    def test_sweep_is_the_oracle_on_successive_spaces(self):
+        rng = np.random.default_rng(9)
+        want = [martingale_identity_oracle(random_filtration_space(rng)) for _ in range(5)]
+        assert martingale_sweep(9, spaces=5) == want
+        assert martingale_sweep(9)[:5] == want
 
     def test_invalid_refinement_rejected(self):
         with pytest.raises(StatsError):
