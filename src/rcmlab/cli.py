@@ -32,6 +32,7 @@ from .quadrature import QuadratureError
 from .reports import write_csv, write_json, write_run_meta
 from .simulator import SimulationError, dump_realization, simulate_graph
 from .stats import (
+    KS_MIN_REPLICATIONS,
     StatRequest,
     StatsError,
     coupling_check,
@@ -187,8 +188,8 @@ def cmd_simulate(cfg: ExperimentConfig, args) -> int:
 
 
 def cmd_clt_test(cfg: ExperimentConfig, args) -> int:
-    if cfg.m < 100:
-        raise ConfigError(f"run.m must be >= 100 for the KS normality check, got {cfg.m}")
+    if cfg.m < KS_MIN_REPLICATIONS:
+        raise ConfigError(f"run.m must be >= {KS_MIN_REPLICATIONS} for the KS check, got {cfg.m}")
     rows = []
     all_ok = True
     bias = 0.0

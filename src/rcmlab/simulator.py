@@ -413,8 +413,7 @@ def connect(
     lam_n: float,
     edge_bias: float = 0.0,
 ) -> PointGraph:
-    """Bernoulli(conn(distance)) edges on all pairs within the search reach
-    (lam_n is unused; it holds its place in positional calls)."""
+    """Bernoulli(conn(distance)) edges on all pairs within the search reach; lam_n is unused."""
     i, j, dist = _candidate_pairs(points, reach)
     coins = pair_uniform(pair_key, i, j)
     return _tossed(points, (i, j, dist), coins, conn, window, reach, edge_bias)

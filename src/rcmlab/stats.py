@@ -269,14 +269,16 @@ def coupling_check(
 
 # -- normality ------------------------------------------------------------------
 
+KS_MIN_REPLICATIONS = 100
+
 
 def ks_normality(values) -> float:
     """Exact one-sample KS distance of the values, standardized by their
     sample mean and variance (ddof=1), to the normal CDF."""
     vals = values.values if isinstance(values, StatSample) else np.asarray(values, dtype=float)
     m = vals.size
-    if m < 100:
-        raise StatsError("KS normality check needs at least 100 replications")
+    if m < KS_MIN_REPLICATIONS:
+        raise StatsError(f"KS normality check needs at least {KS_MIN_REPLICATIONS} replications")
     mu = vals.mean()
     var = vals.var(ddof=1)
     if var <= 0:
@@ -571,10 +573,10 @@ def random_filtration_space(rng: np.random.Generator) -> FiniteFiltrationSpace:
     )
 
 
-def martingale_sweep(seed: int, spaces: int = 100) -> list[MartingaleReport]:
-    """The oracle on the first ``spaces`` random spaces of default_rng(seed)."""
+def martingale_sweep(seed: int) -> list[MartingaleReport]:
+    """The oracle on the first 100 random spaces of default_rng(seed)."""
     rng = np.random.default_rng(seed)
-    return [martingale_identity_oracle(random_filtration_space(rng)) for _ in range(spaces)]
+    return [martingale_identity_oracle(random_filtration_space(rng)) for _ in range(100)]
 
 
 # -- variance lower bound --------------------------------------------------------

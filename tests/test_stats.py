@@ -430,7 +430,6 @@ class TestMartingale:
     def test_sweep_is_the_oracle_on_successive_spaces(self):
         rng = np.random.default_rng(9)
         want = [martingale_identity_oracle(random_filtration_space(rng)) for _ in range(5)]
-        assert martingale_sweep(9, spaces=5) == want
         assert martingale_sweep(9)[:5] == want
 
     def test_invalid_refinement_rejected(self):
