@@ -91,11 +91,16 @@ class Region:
         return float(np.linalg.norm(self.sides))
 
     def contains(self, points: np.ndarray) -> np.ndarray:
-        """Boolean mask for points (m, d) in the half-open box."""
+        """Boolean mask for points (m, d) in the half-open box; a 1-D array is
+        one point.  Compared column by column, which costs less than numpy's
+        row-wise reduction over a short axis."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        lo = np.array(self.lower)
-        up = np.array(self.upper)
-        return np.all((pts > lo) & (pts <= up), axis=1)
+        if pts.shape[1] != self.dim:
+            raise ValueError(f"points have {pts.shape[1]} coordinates, the box {self.dim}")
+        inside = np.ones(pts.shape[0], dtype=bool)
+        for col, lo, up in zip(pts.T, self.lower, self.upper):
+            inside &= (col > lo) & (col <= up)
+        return inside
 
     def expand(self, margin: float) -> "Region":
         if margin < 0:

@@ -15,7 +15,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cache, partial
 from itertools import product
 from typing import Sequence
 
@@ -150,24 +150,26 @@ def _request_needs(cfg: ModelConfig, requests: Sequence[StatRequest]):
 
 def _request_rows(cfg, requests, graph, rid, reps):
     """Rows of a block of reps replications: request values in request order,
-    then each realization's bias bound."""
+    then each realization's bias bound.  The (J, L) masks of one (region, r0)
+    are computed once and shared by every request that reads them."""
 
     def per_rep(mask):
         return np.bincount(rid[mask], minlength=reps)
 
+    masks = cache(partial(truncation_masks, graph))
     cols = []
     for req in requests:
         region = req.region or cfg.K
         if req.kind == "isolated":
             cols.append(per_rep(isolated_mask(graph, region)))
         elif req.kind == "near_isolated":
-            cols.append(per_rep(truncation_masks(graph, region, req.r0)[0]))
+            cols.append(per_rep(masks(region, req.r0)[0]))
         elif req.kind == "excess":
-            cols.append(per_rep(truncation_masks(graph, region, req.r0)[1]))
+            cols.append(per_rep(masks(region, req.r0)[1]))
         elif req.kind == "component":
             cols.append(per_rep(component_mask(graph, region, req.r)) / req.r)
         else:  # coupling
-            j_mask, _ = truncation_masks(graph, region, req.R / cfg.n)
+            j_mask, _ = masks(region, req.R / cfg.n)
             twin = regraph(graph, make_variant(cfg.g, "cut_then_scale", R=req.R, n=cfg.n))
             cols.append(per_rep(j_mask) == per_rep(isolated_mask(twin, region)))
     cols.append(np.full(reps, graph.window.bias_bound + graph.edge_bias))

@@ -855,6 +855,30 @@ class TestRegion:
         inside = K.contains(np.array([[0.5, 0.5], [0.0, 0.5], [1.0, 1.0], [0.5, 1.2]]))
         assert inside.tolist() == [True, False, True, False]
 
+    def test_half_open_faces_in_3d(self):
+        # each lower face is out and each upper face in, one axis at a time
+        K = Region((-1.0, 0.0, 2.0), (2.0, 0.5, 1.0))
+        pts = [[0.0, 0.25, 2.5], [-1.0, 0.25, 2.5], [0.0, 0.0, 2.5], [0.0, 0.25, 2.0],
+               [1.0, 0.25, 2.5], [0.0, 0.5, 2.5], [0.0, 0.25, 3.0], [1.0, 0.5, 3.0],
+               [0.0, 0.25, 3.5]]
+        assert K.contains(np.array(pts)).tolist() == [
+            True, False, False, False, True, True, True, True, False
+        ]
+
+    def test_one_point_as_a_1d_array(self):
+        K = Region((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
+        assert K.contains(np.array([0.5, 1.0, 0.25])).tolist() == [True]
+        assert K.contains(np.array([0.5, 0.0, 0.25])).tolist() == [False]
+
+    def test_points_of_another_width_rejected(self):
+        # an (m, 1) array against a d=2 box would broadcast to one column
+        with pytest.raises(ValueError):
+            unit_box(2).contains(np.array([[0.5], [2.0]]))
+        with pytest.raises(ValueError):
+            unit_box(1).contains(np.array([0.5, 0.25]))
+        with pytest.raises(ValueError):
+            unit_box(3).contains(np.empty((0, 2)))
+
     @given(st.data())
     def test_half_open_at_exact_boundaries(self, data):
         # integer and half-integer boxes and points, all exact in binary:

@@ -91,7 +91,7 @@ class TestConnect:
         rng = np.random.default_rng(seeded(k))
         window = SimWindow(K=unit_box(2), margin=0.0)
         pts = sample_points(lam, window.box, rng)
-        return connect(pts, g, window, reach or (g.support_radius or 1.0), key, lam)
+        return connect(pts, g, window, reach or (g.support_radius or 1.0), key)
 
     def test_bernoulli_one_edges_are_geometric_graph(self):
         g = hard_disk(0.3)
@@ -120,7 +120,7 @@ class TestConnect:
         hits = 0
         trials = 10_000
         for key in range(trials):
-            graph = connect(pts, g, window, 5.0, key, 2.0)
+            graph = connect(pts, g, window, 5.0, key)
             hits += graph.edge_i.size
         p = g.eval(x)
         se = math.sqrt(p * (1 - p) / trials)
@@ -140,8 +140,14 @@ class TestConnect:
             (rng.random((530, 2)) * 1.45 - 0.22, 0.08),
             (rng.random((530, 2)) * 1.45 - 0.22, 0.243),
             (rng.random((300, 3)), 0.2),
-            # |(0.75, 1)| = 1.25 exactly: dropped one ulp beyond the reach,
-            # kept on it
+            # d=3 coordinates from 1e-3 to 1e3, so each squared norm sums
+            # terms of very different sizes
+            (10.0 ** rng.uniform(-3.0, 3.0, (300, 3)), 2.0),
+            (10.0 ** rng.uniform(-3.0, 3.0, (300, 3)), 400.0),
+            # |(1, 2, 2)| = 3 and |(0.75, 1)| = 1.25 exactly: dropped one ulp
+            # beyond the reach, kept on it
+            (np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 2.0]]), np.nextafter(3.0, 0.0)),
+            (np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 2.0]]), 3.0),
             (np.array([[0.0, 0.0], [0.75, 1.0]]), np.nextafter(1.25, 0.0)),
             (np.array([[0.0, 0.0], [0.75, 1.0]]), 1.25),
         ]
@@ -165,6 +171,7 @@ class TestConnect:
             assert np.array_equal(d_blk, np.concatenate([d_edge, d_tree]))
         assert d_tree.tolist() == [1.25]
         assert d_blk.tolist() == [1.0, 1.25]
+        assert _candidate_pairs(np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 2.0]]), 3.0)[2].tolist() == [3.0]
 
     def test_block_too_wide_for_exact_search_rejected(self):
         pts = np.array([[0.0], [1e6]])
@@ -268,13 +275,13 @@ class TestStreams:
 class TestCounts:
     def test_empty_graph(self):
         window = SimWindow(K=unit_box(2), margin=0.0)
-        graph = connect(np.empty((0, 2)), hard_disk(1.0), window, 1.0, 1, 1.0)
+        graph = connect(np.empty((0, 2)), hard_disk(1.0), window, 1.0, 1)
         assert count_isolated(graph, window.K) == 0
         assert count_truncation_family(graph, window.K, 0.5) == (0, 0)
 
     def test_single_point(self):
         window = SimWindow(K=unit_box(2), margin=0.0)
-        graph = connect(np.array([[0.5, 0.5]]), hard_disk(1.0), window, 1.0, 1, 1.0)
+        graph = connect(np.array([[0.5, 0.5]]), hard_disk(1.0), window, 1.0, 1)
         assert count_isolated(graph, window.K) == 1
 
     def test_family_additivity_and_monotonicity(self):
@@ -332,8 +339,8 @@ class TestCoupling:
         twin_conn = make_variant(g, "cut_then_scale", R=1.0, n=2.0)
         window = SimWindow(K=unit_box(2), margin=0.5)
         pts = sample_points(40.0, window.box, np.random.default_rng(seeded(40)))
-        twin = regraph(connect(pts, g, window, 1.0, 77, 40.0), twin_conn)
-        fresh = connect(pts, twin_conn, window, 1.0, 77, 40.0)
+        twin = regraph(connect(pts, g, window, 1.0, 77), twin_conn)
+        fresh = connect(pts, twin_conn, window, 1.0, 77)
         assert twin.edge_i.size > 0
         assert np.array_equal(twin.edge_i, fresh.edge_i)
         assert np.array_equal(twin.edge_j, fresh.edge_j)
@@ -352,7 +359,7 @@ class TestComponents:
     def test_single_edge_pair(self):
         window = SimWindow(K=unit_box(2), margin=1.0)
         pts = np.array([[0.4, 0.5], [0.6, 0.5], [0.2, 0.2]])
-        graph = connect(pts, hard_disk(0.25), window, 0.25, 3, 1.0)
+        graph = connect(pts, hard_disk(0.25), window, 0.25, 3)
         assert count_components(graph, unit_box(2), 2) == pytest.approx(1.0)
 
     def test_unbounded_support_rejected(self):
@@ -408,7 +415,7 @@ class TestLattice:
         pts = np.array(origin, dtype=float) + np.array(halves, dtype=float) / 2
         # distinct points are >= 0.5 apart, so no edges: every component has size 1
         window = SimWindow(K=lattice.bounding_region, margin=0.25)
-        graph = connect(pts, hard_disk(0.25), window, 0.25, 1, 1.0)
+        graph = connect(pts, hard_disk(0.25), window, 0.25, 1)
         Y = component_cell_counts(graph, lattice, 1, np.zeros(len(halves), dtype=np.int64), 1)[0]
         expect = np.zeros(shape)
         for site in np.ndindex(*shape):

@@ -20,6 +20,7 @@ from rcmlab.simulator import (
     count_isolated,
     count_truncation_family,
     regraph,
+    simulate_block,
     simulate_graph,
 )
 from rcmlab.stats import (
@@ -269,6 +270,67 @@ class TestStreamPins:
         assert _values_sha256(out, ["I", "J", "L", "C"]) == (
             "29eb19a3463e5d982e19650f11a80aea782bab5f4c41eb4643768a982991b558"
         )
+
+    # The graph bits themselves: pairs, lengths and coins of one block per
+    # dimension.  The digests were recorded while the pair search still took
+    # its norms as np.linalg.norm(points[i] - points[j], axis=1), so they hold
+    # the column-wise norms to the same bits.
+    @pytest.mark.parametrize("d, a, lam, reps, digest", [
+        (1, 0.5, 4.0, 6, "0522f871a0eabc8dab0f552464c212cbe09ae5371e37bab2a3b4f40db20931ab"),
+        (2, 0.05, 100.0, 3, "ea9fbc0c467c18a8bdcee7f49196ea139dd171322b373243467c6cc434debb90"),
+        (3, 0.1, 20.0, 3, "c59361ebb9e3bff3ab6efd0f26e9d37984f4c4d04114475eb00246e495cccab0"),
+    ])
+    def test_graph_bits(self, d, a, lam, reps, digest):
+        graph, _ = simulate_block(exponential(a), lam, d, unit_box(d), 20240801, 0, reps)
+        h = hashlib.sha256()
+        for values, dtype in ((graph.edge_i, "<i8"), (graph.edge_j, "<i8"),
+                              (graph.edge_dist, "<f8"), (graph.coins, "<f8")):
+            h.update(np.ascontiguousarray(values, dtype=dtype).tobytes())
+        assert h.hexdigest() == digest
+
+
+class TestSharedMasks:
+    """J, L and coupling requests at one (region, r0) share one pair of
+    truncation masks per block; each request still reads the masks of its own
+    region and r0.  Every r0 here is below the model's own margin and reach,
+    so a request run alone sees the same realizations."""
+
+    CFG = ModelConfig(d=2, lam=1.0, K=unit_box(2), g=exponential(0.3), n=4.0)
+
+    def _together_equals_alone(self, requests):
+        together = replicate_many(self.CFG, requests, 12, 5, workers=1)
+        for req in requests:
+            alone = replicate_many(self.CFG, [req], 12, 5, workers=1)
+            assert np.array_equal(together[req.name].values, alone[req.name].values), req.name
+        return together
+
+    def test_one_r0_serves_j_l_and_coupling(self):
+        self._together_equals_alone([
+            StatRequest(name="J", kind="near_isolated", r0=0.25),
+            StatRequest(name="L", kind="excess", r0=0.25),
+            StatRequest(name="C", kind="coupling", R=1.0),  # R / n = 0.25
+        ])
+
+    def test_each_r0_gets_its_own_masks(self):
+        out = self._together_equals_alone([
+            StatRequest(name="J1", kind="near_isolated", r0=0.1),
+            StatRequest(name="L1", kind="excess", r0=0.1),
+            StatRequest(name="J4", kind="near_isolated", r0=0.4),
+            StatRequest(name="L4", kind="excess", r0=0.4),
+            StatRequest(name="C4", kind="coupling", R=1.6),
+        ])
+        assert not np.array_equal(out["J1"].values, out["J4"].values)
+        assert not np.array_equal(out["L1"].values, out["L4"].values)
+
+    def test_own_region_gets_its_own_masks(self):
+        sub = Region((0.25, 0.25), (0.5, 0.5))
+        out = self._together_equals_alone([
+            StatRequest(name="J", kind="near_isolated", r0=0.25),
+            StatRequest(name="J_sub", kind="near_isolated", r0=0.25, region=sub),
+            StatRequest(name="L_sub", kind="excess", r0=0.25, region=sub),
+            StatRequest(name="C_sub", kind="coupling", R=1.0, region=sub),
+        ])
+        assert not np.array_equal(out["J"].values, out["J_sub"].values)
 
 
 class TestKS:
