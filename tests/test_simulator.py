@@ -171,7 +171,8 @@ class TestConnect:
             assert np.array_equal(d_blk, np.concatenate([d_edge, d_tree]))
         assert d_tree.tolist() == [1.25]
         assert d_blk.tolist() == [1.0, 1.25]
-        assert _candidate_pairs(np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 2.0]]), 3.0)[2].tolist() == [3.0]
+        on_reach = np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 2.0]])
+        assert _candidate_pairs(on_reach, 3.0)[2].tolist() == [3.0]
 
     def test_block_too_wide_for_exact_search_rejected(self):
         pts = np.array([[0.0], [1e6]])
