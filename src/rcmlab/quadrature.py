@@ -102,6 +102,14 @@ class Region:
             inside &= (col > lo) & (col <= up)
         return inside
 
+    def within(self, other: "Region") -> bool:
+        """Whether the box lies in other, so that every point it contains
+        other contains too."""
+        return self.dim == other.dim and all(
+            ol <= lo and up <= ou
+            for lo, up, ol, ou in zip(self.lower, self.upper, other.lower, other.upper)
+        )
+
     def expand(self, margin: float) -> "Region":
         if margin < 0:
             raise ValueError("margin must be >= 0")
@@ -293,6 +301,27 @@ def _pair_breaks(s: np.ndarray, cuts: tuple[float, ...]) -> np.ndarray:
     return np.concatenate([sc + c, sc - c, c - sc], axis=1)
 
 
+def _shift_variation(h: ConnectionFunction, d: int, R: float) -> float:
+    """Upper bound on int_{|y| <= R} |d/dy_1 h(|y|)| dy in d >= 2, the jumps
+    of h at its cut radii included.
+
+    It bounds the change of O(s) for a small s: as 0 <= h1 <= 1,
+    |O(s) - O(0)| <= int h1(|y|) |h2(|y - s e1|) - h2(|y|)| dy, and over
+    |y| <= T1 that is at most s times this bound for h2 with R = T1 + s.  In
+    polar form it is (int_{S^{d-1}} |u_1|) int_0^R r^{d-1} |dh(r)|, the
+    sphere factor being 4 in d=2 and 2 pi in d=3.  h is monotone between its
+    cut radii, so on a grid that holds each cut and its neighbouring floats
+    the sum of r_{k+1}^{d-1} |h(r_{k+1}) - h(r_k)| bounds the Stieltjes
+    integral from above.
+    """
+    cuts = np.array([c for c in h.cut_radii if c < R])
+    knots = np.unique(np.concatenate([[0.0, R], cuts, np.nextafter(cuts, 0.0),
+                                      np.nextafter(cuts, np.inf)]))
+    grid = np.unique(np.concatenate([np.linspace(a, b, 257) for a, b in zip(knots, knots[1:])]))
+    steps = grid[1:] ** (d - 1) * np.abs(np.diff(h.eval(grid)))
+    return (4.0 if d == 2 else 2.0 * math.pi) * float(steps.sum())
+
+
 def overlap_rows(
     h1: ConnectionFunction,
     h2: ConnectionFunction,
@@ -361,13 +390,20 @@ def _quadrature_overlap(
     todo = np.ones(s.size, dtype=bool)
     if supp1 is not None and supp2 is not None:
         todo = s < supp1 + supp2
-    # only the d >= 2 forms divide by s; d=1 integrates tiny s like any other
+    # only the d >= 2 forms divide by s; d=1 integrates tiny s like any other.
+    # Such an s takes O(0), and its error the first-order bound on O(s) - O(0)
+    # of _shift_variation, plus tail_eps for h1's mass beyond its tail radius.
     at_zero = todo & (s <= 1e-12) & (d >= 2)
     if at_zero.any():
-        T = min(h1.tail_radius(spec.tail_eps, d), h2.tail_radius(spec.tail_eps, d))
+        T1 = h1.tail_radius(spec.tail_eps, d)
+        T = min(T1, h2.tail_radius(spec.tail_eps, d))
         values[at_zero], errors[at_zero] = radial_of(
             lambda r: h1.eval(r) * h2.eval(r), d, T, spec, h1.cut_radii + h2.cut_radii
         )
+        shifted = at_zero & (s > 0.0)
+        if shifted.any():
+            variation = _shift_variation(h2, d, T1 + 1e-12)
+            errors[shifted] += s[shifted] * variation + spec.tail_eps
     todo &= ~at_zero
 
     lo = np.zeros(s.size)

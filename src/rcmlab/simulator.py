@@ -15,8 +15,15 @@ removes exactly the edges whose probability dropped to zero, which turns the
 truncation/scaling coupling identities into bit-exact statements instead of
 statistical ones.
 
-Pairs farther apart than the search reach are never examined; the discarded
-connection mass is bounded and recorded on the graph.
+Pairs farther apart than the search reach are never candidates; the
+discarded connection mass is bounded and recorded on the graph.  A block may
+also name a focus, the regions whose vertices its caller counts: then only
+the pairs with an end in the focus are searched and tossed.  The isolated,
+near-isolated and excess counts and the coupling at a vertex x read only the
+pairs {x, y} within the reach, so they are exact on the focus, and each count
+raises when its region leaves the focus, where degrees are partial.  Without
+a focus (components, the lattice field, ``simulate_graph`` and so the
+realization dump) every pair in the window is a candidate.
 
 ``simulate_block`` draws consecutive replications from their own streams
 and stacks them into one block-diagonal graph: one pair search, one coin
@@ -33,7 +40,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -140,6 +147,11 @@ class PointGraph:
     The candidate pairs (i, j, dist) within the search reach and their coins
     are kept: the edges are the pairs whose coin falls below conn(dist), and a
     coupled graph under another connection function tosses the same coins.
+
+    ``focus`` maps each region whose points have all their candidate pairs to
+    the mask of its points; the pairs of two points outside every focus
+    region are not searched, so those points' degrees are partial.  None
+    means every pair in the window is a candidate.
     """
 
     points: np.ndarray  # (N, d)
@@ -152,6 +164,7 @@ class PointGraph:
     candidates: tuple[np.ndarray, np.ndarray, np.ndarray]
     coins: np.ndarray
     edge_bias: float = 0.0  # bound on expected edges lost beyond the reach
+    focus: dict[Region, np.ndarray] | None = None
 
     @property
     def n_points(self) -> int:
@@ -334,9 +347,12 @@ class _PointSeed(ISeedSequence):
 # the pair query's 1e-9 relative slack.
 _EXACT_SPAN = 2.0**16
 # Expected points in one replication block.  It bounds the block's arrays: a
-# d=1 replication of ~23 points adds ~16 KB to the peak, while the time per
-# replication is already flat for blocks of ~30 such replications.
-BLOCK_POINTS = 2**10
+# d=1 replication of ~23 points adds ~6 KB to the peak when only the pairs
+# touching K are searched (~23 KB for the whole window), while each block's
+# fixed costs (two kd-tree builds and queries, the seed pass) are shared by
+# more replications than at 2**10: c07's d=2 blocks of ~10 replications cost
+# ~15% more per replication at that size.
+BLOCK_POINTS = 2**11
 
 
 def _block_stride(extent: float, reach: float) -> float:
@@ -352,15 +368,36 @@ def block_reps(lam_n: float, box: Region, reach: float) -> int:
     return max(1, int(min(BLOCK_POINTS / (lam_n * box.volume), by_span)))
 
 
-def _candidate_pairs(points: np.ndarray, reach: float, rid: np.ndarray | None = None):
-    """Index pairs i < j in lexicographic order with their distances <= reach.
+# Trees are built by sliding midpoint without shrinking boxes to their data:
+# on a block's points that builds and queries faster than median splits (by
+# 5-15% of the search on c02, c07, c08 and mc_large blocks), and the pairs
+# found are the same.
+_TREE_OPTIONS = {"balanced_tree": False, "compact_nodes": False}
 
-    The tree is queried slightly beyond the reach so that the boundary rule is
-    ``dist <= reach`` on the norm computed here, not the tree's own rounding.
-    That norm is summed from per-axis differences in axis order, which gives
-    the bits of ``np.linalg.norm(points[i] - points[j], axis=1)``: numpy's
-    row-wise gather and reduction over a short axis cost several times more
-    than one 1-D ``take`` per coordinate.
+
+def _candidate_pairs(
+    points: np.ndarray,
+    reach: float,
+    rid: np.ndarray | None = None,
+    focus: np.ndarray | None = None,
+):
+    """Index pairs i < j in lexicographic order with their distances <= reach
+    and at least one end in ``focus``, a mask of the points (None: all).
+
+    One tree holds the focus points: its ``query_pairs`` finds the pairs
+    within the focus and its ``sparse_distance_matrix`` to a tree of the
+    other points finds the pairs that cross; pairs of two other points are
+    never examined.  With focus None the second tree is empty and the search
+    is one ``query_pairs`` over all points.
+
+    The trees are queried slightly beyond the reach so that the boundary
+    rule is ``dist <= reach`` on the norm computed here, not the trees' own
+    rounding: so the pairs are exactly those of the whole search that touch
+    the focus, whatever the trees.  That norm is summed from per-axis
+    differences in axis order, which gives the bits of
+    ``np.linalg.norm(points[i] - points[j], axis=1)``: numpy's row-wise
+    gather and reduction over a short axis cost several times more than one
+    1-D ``take`` per coordinate.
 
     With ``rid``, the non-decreasing replication number (from 0) of each point,
     the points are a block of stacked replications searched at once.
@@ -370,7 +407,8 @@ def _candidate_pairs(points: np.ndarray, reach: float, rid: np.ndarray | None = 
     unshifted points, so each replication keeps exactly the pairs of its own
     search (``block_reps`` keeps the shift's rounding small enough).
     """
-    if points.shape[0] < 2:
+    n = points.shape[0]
+    if n < 2:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty, np.empty(0)
     search = points
@@ -379,10 +417,21 @@ def _candidate_pairs(points: np.ndarray, reach: float, rid: np.ndarray | None = 
         search[:, 0] += rid * _block_stride(np.ptp(points[:, 0]), reach)
         if np.abs(search[:, 0]).max() > _EXACT_SPAN * reach:
             raise SimulationError("replication block too wide for an exact pair search")
-    pairs = cKDTree(search).query_pairs(reach * (1.0 + 1e-9), output_type="ndarray")
-    n = points.shape[0]
-    code = pairs[:, 0].astype(np.int64) * n  # i * n + j sorts as (i, j)
-    code += pairs[:, 1]
+    near, rest = search, search[:0]
+    if focus is not None:  # tree indices map back through inner and outer
+        inner, outer = np.flatnonzero(focus), np.flatnonzero(~focus)
+        near, rest = search.take(inner, axis=0), search.take(outer, axis=0)
+    r = reach * (1.0 + 1e-9)
+    tree = cKDTree(near, **_TREE_OPTIONS)
+    within = tree.query_pairs(r, output_type="ndarray")
+    cross = tree.sparse_distance_matrix(cKDTree(rest, **_TREE_OPTIONS), r,
+                                        output_type="ndarray")
+    a, b = cross["i"], cross["j"]
+    if focus is not None:
+        within, a, b = inner.take(within), inner.take(a), outer.take(b)
+    # i * n + j sorts as (i, j); a pair within the focus has i < j already
+    code = np.concatenate([within[:, 0] * n + within[:, 1],
+                           np.minimum(a, b) * n + np.maximum(a, b)])
     code.sort()
     i = code // n
     j = code - i * n
@@ -392,7 +441,7 @@ def _candidate_pairs(points: np.ndarray, reach: float, rid: np.ndarray | None = 
     return i[keep], j[keep], dist[keep]
 
 
-def _tossed(points, candidates, coins, conn, window, reach, edge_bias) -> PointGraph:
+def _tossed(points, candidates, coins, conn, window, reach, edge_bias, focus) -> PointGraph:
     """The graph whose edges are the candidate pairs with coin < conn(dist)."""
     i, j, dist = candidates
     keep = coins < conn.eval(dist)
@@ -407,6 +456,7 @@ def _tossed(points, candidates, coins, conn, window, reach, edge_bias) -> PointG
         candidates=candidates,
         coins=coins,
         edge_bias=edge_bias,
+        focus=focus,
     )
 
 
@@ -420,15 +470,15 @@ def connect(
     """Bernoulli(conn(distance)) edges on all pairs within the search reach."""
     i, j, dist = _candidate_pairs(points, reach)
     coins = pair_uniform(pair_key, i, j)
-    return _tossed(points, (i, j, dist), coins, conn, window, reach, edge_bias=0.0)
+    return _tossed(points, (i, j, dist), coins, conn, window, reach, 0.0, None)
 
 
 def regraph(graph: PointGraph, conn: ConnectionFunction) -> PointGraph:
     """Rebuild the edge set under a different connection function.
 
-    Same points, same candidate pairs, same coins: the result is coupled
-    realization-by-realization with the source graph.  On a block from
-    ``simulate_block`` it rebuilds every replication at once.
+    Same points, same candidate pairs, same coins and the same focus: the
+    result is coupled realization-by-realization with the source graph.  On
+    a block from ``simulate_block`` it rebuilds every replication at once.
     """
     return _tossed(
         graph.points,
@@ -438,6 +488,7 @@ def regraph(graph: PointGraph, conn: ConnectionFunction) -> PointGraph:
         graph.window,
         graph.reach,
         graph.edge_bias,
+        graph.focus,
     )
 
 
@@ -485,6 +536,7 @@ def simulate_block(
     policy: SimPolicy = DEFAULT_POLICY,
     min_reach: float = 0.0,
     min_margin: float = 0.0,
+    focus: tuple[Region, ...] | None = None,
 ) -> tuple[PointGraph, np.ndarray]:
     """Replications lo..hi-1 as one block-diagonal graph, and each point's
     replication (0 for lo).
@@ -498,6 +550,12 @@ def simulate_block(
     block is placed in the box at once.  Edges carry global point indices,
     and every coin is the replication's own pair uniform at its local
     indices.  Block size is the caller's: see ``block_reps``.
+
+    ``focus`` names the regions whose points the caller counts; each
+    region's mask is computed once here and kept on the graph, and only the
+    pairs with an end in some focus region are searched and tossed.  Every
+    kept pair keeps the coin and length it has in the whole-window graph
+    (focus None).
     """
     window, reach, edge_bias = _setup(conn, lam_n, d, K, policy, min_reach, min_margin)
     box = window.box
@@ -509,18 +567,39 @@ def simulate_block(
     points = _placed(np.concatenate(unit), box)
     rid = np.repeat(np.arange(hi - lo), sizes)
     local = np.arange(rid.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    i, j, dist = _candidate_pairs(points, reach, rid)
+    masks = inside = None
+    if focus is not None:
+        masks = {region: _frozen(region.contains(points)) for region in focus}
+        inside = reduce(operator.or_, masks.values(), np.zeros(rid.size, dtype=bool))
+    i, j, dist = _candidate_pairs(points, reach, rid, inside)
     coins = pair_uniform(keys[rid[i]], local[i], local[j])
-    graph = _tossed(points, (i, j, dist), coins, conn, window, reach, edge_bias)
+    graph = _tossed(points, (i, j, dist), coins, conn, window, reach, edge_bias, masks)
     return graph, rid
 
 
 # -- counting statistics --------------------------------------------------------
 
 
+def _require_focus(graph: PointGraph, region: Region):
+    """Raise unless every point of the region has all its candidate pairs."""
+    if graph.focus is not None and not any(region.within(f) for f in graph.focus):
+        raise SimulationError(
+            f"region {region} does not lie in a focus region of the graph, "
+            "so the degrees there are partial"
+        )
+
+
+def _in_region(graph: PointGraph, region: Region) -> np.ndarray:
+    """Mask of the graph's points in the region, which must lie in a focus
+    region; a focus region's mask is the one computed with the graph."""
+    _require_focus(graph, region)
+    mask = (graph.focus or {}).get(region)
+    return region.contains(graph.points) if mask is None else mask
+
+
 def isolated_mask(graph: PointGraph, K: Region) -> np.ndarray:
     """Vertices in K with no edge at all."""
-    return K.contains(graph.points) & (graph.degrees() == 0)
+    return _in_region(graph, K) & (graph.degrees() == 0)
 
 
 def count_isolated(graph: PointGraph, K: Region) -> int:
@@ -538,7 +617,7 @@ def truncation_masks(graph: PointGraph, K: Region, r0: float) -> tuple[np.ndarra
             f"r0 = {r0:.6g} exceeds the graph search reach {graph.reach:.6g}"
         )
     near = graph.edge_dist <= r0
-    j_mask = K.contains(graph.points) & ~graph.endpoint_mask(near)
+    j_mask = _in_region(graph, K) & ~graph.endpoint_mask(near)
     return j_mask, j_mask & graph.endpoint_mask(~near)
 
 
@@ -566,6 +645,8 @@ def _component_sizes(graph: PointGraph) -> np.ndarray:
 
 
 def _require_component_window(graph: PointGraph, B: Region, r: int):
+    """Components of size r touching B lie within r supports of it: the
+    window must hold that neighbourhood, and every pair in it is read."""
     supp = graph.conn.support_radius
     if supp is None:
         raise SimulationError("component statistics need a bounded-support connection function")
@@ -580,12 +661,13 @@ def _require_component_window(graph: PointGraph, B: Region, r: int):
             f"window margin too small: components of size {r} need {r * supp:.6g} "
             "beyond the target region"
         )
+    _require_focus(graph, need)
 
 
 def component_mask(graph: PointGraph, B: Region, r: int) -> np.ndarray:
     """Vertices in B lying in components of exactly r vertices."""
     _require_component_window(graph, B, r)
-    return B.contains(graph.points) & (_component_sizes(graph) == r)
+    return _in_region(graph, B) & (_component_sizes(graph) == r)
 
 
 def count_components(graph: PointGraph, B: Region, r: int) -> float:

@@ -129,9 +129,18 @@ class StatSample:
 
 
 def _request_needs(cfg: ModelConfig, requests: Sequence[StatRequest]):
-    """Reach/margin floors implied by the requested statistics."""
+    """Reach/margin floors implied by the requested statistics, and the focus:
+    the regions the requests count in, or None (the whole window) when a
+    component request is present.
+
+    I, J, L and the coupling at a vertex x depend only on the pairs {x, y}
+    within the reach, so a block need only search the pairs with an end in
+    a counted region.  A component reaches across the margin, and reads
+    every pair near it.
+    """
     min_reach = 0.0
     min_margin = 0.0
+    regions = dict.fromkeys(req.region or cfg.K for req in requests)
     for req in requests:
         if req.kind in ("near_isolated", "excess"):
             min_reach = max(min_reach, req.r0)
@@ -145,7 +154,8 @@ def _request_needs(cfg: ModelConfig, requests: Sequence[StatRequest]):
             if supp is None:
                 raise StatsError("component statistics need bounded support")
             min_margin = max(min_margin, req.r * supp)
-    return min_reach, min_margin
+            regions = None
+    return min_reach, min_margin, None if regions is None else tuple(regions)
 
 
 def _request_rows(cfg, requests, graph, rid, reps):
@@ -176,16 +186,17 @@ def _request_rows(cfg, requests, graph, rid, reps):
     return np.column_stack(cols).astype(float)
 
 
-def _replication_rows(count, cfg, base_seed, policy, min_reach, min_margin, lo, hi):
+def _replication_rows(count, cfg, base_seed, policy, min_reach, min_margin, focus, lo, hi):
     """Rows of replications lo..hi-1, simulated in blocks of ``block_reps``
-    replications; count(graph, rid, reps) gives the rows of one block."""
+    replications with the given focus; count(graph, rid, reps) gives the rows
+    of one block."""
     model = (cfg.g_n, cfg.lam_n, cfg.d, cfg.K)
     window, reach, _ = _setup(*model, policy, min_reach, min_margin)
     step = block_reps(cfg.lam_n, window.box, reach)
     rows = []
     for a in range(lo, hi, step):
         b = min(a + step, hi)
-        graph, rid = simulate_block(*model, base_seed, a, b, policy, min_reach, min_margin)
+        graph, rid = simulate_block(*model, base_seed, a, b, policy, min_reach, min_margin, focus)
         rows.append(count(graph, rid, b - a))
     return np.concatenate(rows)
 
@@ -400,7 +411,7 @@ def covariance_field(
     lattice = LatticeRegion((0,) * cfg.d, (side,) * cfg.d)
     count = partial(_field_rows, r, offsets, lattice)
     cfg_box = replace(cfg, K=lattice.bounding_region)
-    args = (count, cfg_box, base_seed, policy, 0.0, r * supp)
+    args = (count, cfg_box, base_seed, policy, 0.0, r * supp, None)
     rows = _replicate_rows(args, m, workers)
     cov = rows.mean(axis=0)
     se = rows.std(axis=0, ddof=1) / math.sqrt(m)

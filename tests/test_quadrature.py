@@ -593,8 +593,12 @@ class TestOverlapRows:
         if d == 1:  # no s ~ 0 shortcut: the overlap of two unit intervals is 2 - s
             assert np.all(np.abs(zero[0] - (2.0 - np.array([0.0, 1e-13]))) <= zero[1])
         else:
+            # s ~ 0 takes O(0); its error adds s times the unit disk's
+            # variation along the shift (4 in d=2, 2 pi in d=3) and tail_eps
             ball = radial_integral(disk, d, spec)
-            assert zero[0].tolist() == [ball.value] * 2 and zero[1].tolist() == [ball.error] * 2
+            assert zero[0].tolist() == [ball.value] * 2 and zero[1][0] == ball.error
+            shift = 1e-13 * {2: 4.0, 3: 2.0 * math.pi}[d] + spec.tail_eps
+            assert zero[1][1] == pytest.approx(ball.error + shift, rel=1e-9)
         h1, h2, s = OVERLAP_ROW_CASES["out_in"]
         vals, errs = quad(h1, h2, s, d, spec)
         # d >= 2: the r-range [s - 1, min(T1, s + 1)] is empty; d=1
@@ -609,6 +613,37 @@ class TestOverlapRows:
         h1 = hard_disk(1.0).truncate_outside(0.0)
         vals, errs = overlap_rows(h1, hard_disk(1.0), [1e-12], 1, spec)
         assert abs(vals[0] - (2.0 - 1e-12)) <= errs[0]
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_tiny_separations_carry_the_shift(self, d):
+        # d >= 2 answers s <= 1e-12 with O(0); its error adds s times the
+        # variation of h2 along the shift (and tail_eps), so it covers the
+        # lens lost to s: O(0) - O(s) ~ 2 s in d=2 and pi s in d=3
+        spec = QuadratureSpec(abs_tol=1e-13, tail_eps=1e-15)
+        h1 = hard_disk(1.0).truncate_outside(0.0)  # no closed form
+        s = np.array([1e-14, 1e-12])
+        vals, errs = overlap_rows(h1, hard_disk(1.0), s, d, spec)
+        at_zero = overlap_rows(h1, hard_disk(1.0), [0.0], d, spec)
+        ref = {2: mp_disk_overlap, 3: mp_ball_overlap}[d]
+        with mpmath.workdps(30):
+            gaps = [abs(mpmath.mpf(v) - ref(1, 1, si)) for si, v in zip(s, vals)]
+        assert np.all(vals == at_zero[0][0])  # the value is O(0)'s
+        assert all(gap <= e for gap, e in zip(gaps, errs)), (gaps, errs)
+        assert errs[1] <= 4 * gaps[1]  # first order, not a loose constant
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_shift_variation_bounds_a_smooth_profile(self, d):
+        # exponential(a): int_0^R r^(d-1) |h'(r)| dr in closed form, times the
+        # sphere factor; the grid sum lies above it and close
+        a, R = 0.3, 5.0
+        x = R / a
+        exact = {2: 4.0 * a * (1 - math.exp(-x) * (1 + x)),
+                 3: 2 * math.pi * a * a * (2 - math.exp(-x) * (2 + 2 * x + x * x))}[d]
+        got = quadrature._shift_variation(exponential(a), d, R)
+        assert exact <= got <= 1.05 * exact
+        # a disk's variation is its one jump: the sphere factor times a^(d-1)
+        disk = quadrature._shift_variation(hard_disk(a), d, 1.0)
+        assert disk == pytest.approx({2: 4.0 * a, 3: 2 * math.pi * a * a}[d], rel=1e-9)
 
     def test_exponential_line_reference(self):
         # int e^{-|y|/a} e^{-|y-s|/a} dy = (a + s) e^{-s/a}

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from rcmlab.connfn import exponential, hard_disk, make_variant
 from rcmlab.quadrature import Region, unit_box
@@ -16,17 +16,20 @@ from rcmlab.simulator import (
     _seed_words,
     block_reps,
     component_cell_counts,
+    component_mask,
     connect,
     count_components,
     count_isolated,
     count_truncation_family,
     dump_realization,
+    isolated_mask,
     margin_policy,
     pair_uniform,
     regraph,
     sample_points,
     simulate_block,
     simulate_graph,
+    truncation_masks,
 )
 
 
@@ -178,6 +181,152 @@ class TestConnect:
         pts = np.array([[0.0], [1e6]])
         with pytest.raises(SimulationError):
             _candidate_pairs(pts, 1.0, np.array([0, 1]))
+
+
+def _touching(pts, reach, focus, rid=None):
+    """The whole search's pairs with an end in focus."""
+    i, j, dist = _candidate_pairs(pts, reach, rid)
+    sel = focus[i] | focus[j]
+    return i[sel], j[sel], dist[sel]
+
+
+def _assert_same_pairs(got, expect):
+    for a, b in zip(got, expect):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+class TestFocusedSearch:
+    """The focused search returns exactly the whole search's pairs that touch
+    the focus: same order, same distance bits, so the same coins."""
+
+    @pytest.mark.parametrize("d, reach", [(1, 4.22), (2, 0.08), (3, 0.2)])
+    def test_random_points_and_masks(self, d, reach):
+        rng = np.random.default_rng(seeded(60 + d))
+        pts = rng.random((400, d)) * 1.45 - 0.22
+        K = unit_box(d)
+        rid = np.repeat([0, 1, 2], [150, 130, 120])
+        for focus in (K.contains(pts), rng.random(400) < 0.1, rng.random(400) < 0.9):
+            for r in (None, rid):
+                got = _candidate_pairs(pts, reach, r, focus)
+                assert got[0].size > 0
+                _assert_same_pairs(got, _touching(pts, reach, focus, r))
+
+    @pytest.mark.parametrize("ends", [(True, False), (False, True), (True, True)])
+    def test_pair_on_the_reach_and_one_ulp_beyond(self, ends):
+        # |(1, 2, 2)| = 3 exactly: kept on the reach, dropped an ulp inside it,
+        # whichever end is in focus
+        pts = np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 2.0], [5.0, 5.0, 5.0]])
+        focus = np.array([*ends, False])
+        assert _candidate_pairs(pts, 3.0, focus=focus)[2].tolist() == [3.0]
+        assert _candidate_pairs(pts, np.nextafter(3.0, 0.0), focus=focus)[0].size == 0
+        assert _candidate_pairs(pts, 3.0, focus=np.zeros(3, dtype=bool))[0].size == 0
+
+    def test_points_on_the_half_open_faces(self):
+        # K = (0, 1]^2: a point on a lower face is outside, on an upper face
+        # inside; a pair of two lower-face points is not searched
+        K = unit_box(2)
+        pts = np.array([[0.0, 0.5], [0.0, 0.6], [1.0, 0.5], [1.0, 1.0], [0.5, 0.0],
+                        [0.5, 0.05], [1.05, 1.0]])
+        focus = K.contains(pts)
+        assert focus.tolist() == [False, False, True, True, False, True, False]
+        got = _candidate_pairs(pts, 0.12, focus=focus)
+        _assert_same_pairs(got, _touching(pts, 0.12, focus))
+        assert list(zip(got[0].tolist(), got[1].tolist())) == [(3, 6), (4, 5)]
+
+    def test_empty_one_point_and_full_focus(self):
+        rng = np.random.default_rng(seeded(64))
+        pts = rng.random((300, 2))
+        whole = _candidate_pairs(pts, 0.1)
+        none = _candidate_pairs(pts, 0.1, focus=np.zeros(300, dtype=bool))
+        assert all(a.size == 0 for a in none)
+        one = np.zeros(300, dtype=bool)
+        one[17] = True
+        got = _candidate_pairs(pts, 0.1, focus=one)
+        assert got[0].size > 0 and np.all((got[0] == 17) | (got[1] == 17))
+        _assert_same_pairs(got, _touching(pts, 0.1, one))
+        _assert_same_pairs(_candidate_pairs(pts, 0.1, focus=np.ones(300, dtype=bool)), whole)
+
+    @given(st.integers(1, 3), st.integers(0, 120), st.floats(0.01, 0.6),
+           st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100)
+    def test_property(self, d, n, reach, share, seed):
+        rng = np.random.default_rng(seed)
+        pts = rng.random((n, d))
+        focus = rng.random(n) < share
+        rid = np.sort(rng.integers(0, 3, n))
+        rid -= rid[0] if n else 0
+        for r in (None, rid):
+            _assert_same_pairs(_candidate_pairs(pts, reach, r, focus),
+                               _touching(pts, reach, focus, r))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_block_keeps_coins_and_lengths(self, d):
+        g, lam, K = exponential(0.1 if d > 1 else 0.5), 40.0 if d > 1 else 4.0, unit_box(d)
+        sub = Region((0.5,) * d, (0.75,) * d)  # sticks out of K
+        whole, rid = simulate_block(g, lam, d, K, 99, 3, 9)
+        graph, _ = simulate_block(g, lam, d, K, 99, 3, 9, focus=(K, sub))
+        i, j, dist = whole.candidates
+        focus = K.contains(whole.points) | sub.contains(whole.points)
+        sel = focus[i] | focus[j]
+        assert 0 < np.count_nonzero(sel) < sel.size
+        _assert_same_pairs(graph.candidates, (i[sel], j[sel], dist[sel]))
+        assert np.array_equal(graph.coins, whole.coins[sel])
+        assert np.array_equal(graph.points, whole.points)
+        assert whole.focus is None and list(graph.focus) == [K, sub]
+        assert np.array_equal(graph.focus[sub], sub.contains(graph.points))
+
+
+class TestFocusGuards:
+    """Outside the focus a point's degree counts only its pairs with focus
+    points, so every count asks that its region lie in a focus region."""
+
+    def test_masks_are_computed_once_per_block(self, monkeypatch):
+        g, K = exponential(0.3 / 16), unit_box(2)
+        calls = []
+        contains = Region.contains
+        monkeypatch.setattr(Region, "contains",
+                            lambda self, pts: calls.append(self) or contains(self, pts))
+        graph, _ = simulate_block(g, 256.0, 2, K, 5, 0, 1, min_reach=1 / 16, focus=(K,))
+        twin = regraph(graph, make_variant(exponential(0.3), "cut_then_scale", R=1.0, n=16.0))
+        assert twin.focus is graph.focus
+        assert calls == [K]
+        masks = [isolated_mask(graph, K), *truncation_masks(graph, K, 1 / 16),
+                 isolated_mask(twin, K)]
+        assert calls == [K] and all(m.shape == (graph.n_points,) for m in masks)
+        inner = Region((0.25, 0.25), (0.5, 0.5))  # a region inside the focus
+        assert np.array_equal(isolated_mask(graph, inner),
+                              inner.contains(graph.points) & (graph.degrees() == 0))
+
+    def test_regions_outside_the_focus_raise(self):
+        K, big = unit_box(2), Region((-0.1, 0.0), (1.1, 1.0))
+        disk = hard_disk(0.1)
+        graph, rid = simulate_block(disk, 40.0, 2, K, 5, 0, 3, min_margin=0.3, focus=(K,))
+        with pytest.raises(SimulationError, match="focus"):
+            isolated_mask(graph, big)
+        with pytest.raises(SimulationError, match="focus"):
+            truncation_masks(graph, big, 0.05)
+        with pytest.raises(SimulationError, match="focus"):
+            count_isolated(regraph(graph, hard_disk(0.05)), big)
+        # a component touching K reaches beyond it
+        with pytest.raises(SimulationError, match="focus"):
+            component_mask(graph, K, 1)
+        with pytest.raises(SimulationError, match="focus"):
+            component_cell_counts(graph, LatticeRegion((0, 0), (1, 1)), 1, rid, 3)
+
+    def test_whole_window_graphs_accept_every_region(self):
+        K, big = unit_box(2), Region((-0.2, -0.2), (1.4, 1.4))
+        disk = hard_disk(0.1)
+        graph, rid = simulate_block(disk, 40.0, 2, K, 5, 0, 3, min_margin=0.3)
+        focused, _ = simulate_block(disk, 40.0, 2, K, 5, 0, 3, min_margin=0.3,
+                                    focus=(K.expand(0.3),))
+        for region in (K, big, Region((0.5, 0.5), (2.0, 2.0))):
+            isolated_mask(graph, region)
+            truncation_masks(graph, region, 0.05)
+        component_mask(graph, K, 2)
+        component_cell_counts(graph, LatticeRegion((0, 0), (1, 1)), 2, rid, 3)
+        # a focus that holds every pair within r supports serves components
+        assert np.array_equal(component_mask(focused, K, 2), component_mask(graph, K, 2))
+        assert np.array_equal(isolated_mask(focused, big), isolated_mask(graph, big))
 
 
 class TestBlock:

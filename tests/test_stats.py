@@ -9,11 +9,13 @@ from hypothesis import given, settings, strategies as st
 
 from rcmlab.connfn import ConnectionFunction, exponential, hard_disk, make_variant
 from rcmlab.moments import ModelConfig, isolation_prob
+from rcmlab import simulator
 from rcmlab.quadrature import Region, unit_box
 from rcmlab.simulator import (
     DEFAULT_POLICY,
     LatticeRegion,
     SimPolicy,
+    SimulationError,
     block_reps,
     component_mask,
     count_components,
@@ -128,9 +130,10 @@ class TestReplicate:
 
 
 def _reference_rows(cfg, requests, m, base_seed):
-    """The single-realization path: simulate_graph per replication, the public
-    counts and regraph; last column the number of points."""
-    min_reach, min_margin = _request_needs(cfg, requests)
+    """The single-realization path: simulate_graph per replication (the whole
+    window, no focus), the public counts and regraph; last column the number
+    of points."""
+    min_reach, min_margin, _ = _request_needs(cfg, requests)
     rows = []
     for rep in range(m):
         graph = simulate_graph(
@@ -219,14 +222,14 @@ class TestBlockEngine:
         offsets = tuple(product(range(-2, 3), repeat=2))
         counters = [
             (partial(_request_rows, cfg, requests), cfg, *_request_needs(cfg, requests)),
-            (partial(_field_rows, 1, offsets, lattice), field_cfg, 0.0, 0.5),
+            (partial(_field_rows, 1, offsets, lattice), field_cfg, 0.0, 0.5, None),
         ]
         lo = data.draw(st.integers(0, 40))
         hi = lo + data.draw(st.integers(2, 30))
         cuts = sorted(data.draw(st.sets(st.integers(lo + 1, hi - 1), max_size=6)))
         bounds = [lo, *cuts, hi]
-        for count, cfg_k, min_reach, min_margin in counters:
-            args = (count, cfg_k, 31, DEFAULT_POLICY, min_reach, min_margin)
+        for count, cfg_k, min_reach, min_margin, focus in counters:
+            args = (count, cfg_k, 31, DEFAULT_POLICY, min_reach, min_margin, focus)
             parts = [_replication_rows(*args, a, b) for a, b in zip(bounds, bounds[1:])]
             assert np.array_equal(_replication_rows(*args, lo, hi), np.concatenate(parts))
 
@@ -333,6 +336,62 @@ class TestSharedMasks:
         assert not np.array_equal(out["J"].values, out["J_sub"].values)
 
 
+class TestFocus:
+    """A block searches only the pairs with an end in a region some request
+    counts in; every column is the one of the whole-window block."""
+
+    CFG = ModelConfig(d=2, lam=1.0, K=unit_box(2), g=exponential(0.3), n=4.0)
+    SUB = Region((0.25, 0.25), (0.5, 0.5))
+    ASTRIDE = Region((0.75, -0.25), (0.5, 0.5))  # half of it outside K
+
+    def test_needs_name_each_counted_region_once(self):
+        reqs = [
+            StatRequest(name="I", kind="isolated"),
+            StatRequest(name="J", kind="near_isolated", r0=0.25, region=self.ASTRIDE),
+            StatRequest(name="L", kind="excess", r0=0.25),
+            StatRequest(name="C", kind="coupling", R=1.0, region=self.ASTRIDE),
+        ]
+        assert _request_needs(self.CFG, reqs) == (0.25, 0.25, (unit_box(2), self.ASTRIDE))
+        reqs.append(StatRequest(name="C1", kind="component", r=1))
+        disk = ModelConfig(d=2, lam=1.0, K=unit_box(2), g=hard_disk(0.5), n=4.0)
+        assert _request_needs(disk, reqs)[2] is None
+
+    @pytest.mark.parametrize("requests", [
+        [StatRequest(name="I", kind="isolated")],
+        [StatRequest(name="J", kind="near_isolated", r0=0.25)],
+        [StatRequest(name="L", kind="excess", r0=0.1)],
+        [StatRequest(name="C", kind="coupling", R=1.0)],
+        [StatRequest(name="I_sub", kind="isolated", region=SUB),
+         StatRequest(name="L_astride", kind="excess", r0=0.25, region=ASTRIDE),
+         StatRequest(name="C_astride", kind="coupling", R=1.0, region=ASTRIDE),
+         StatRequest(name="J", kind="near_isolated", r0=0.25)],
+    ], ids=["I", "J", "L", "C", "own-regions"])
+    def test_columns_equal_the_whole_window(self, requests):
+        count = partial(_request_rows, self.CFG, requests)
+        min_reach, min_margin, focus = _request_needs(self.CFG, requests)
+        args = (count, self.CFG, 17, DEFAULT_POLICY, min_reach, min_margin)
+        rows = _replication_rows(*args, focus, 0, 24)
+        assert np.array_equal(rows, _replication_rows(*args, None, 0, 24))
+        assert rows[:, :-1].any()
+
+    def test_component_columns_with_a_focus_around_them(self):
+        # a component request alone makes the focus the whole window; a
+        # focus that holds every pair within r supports of the region gives
+        # the same column
+        cfg = ModelConfig(d=2, lam=1.0, K=unit_box(2), g=hard_disk(0.5), n=4.0)
+        requests = [StatRequest(name="C2", kind="component", r=2, region=self.SUB)]
+        min_reach, min_margin, focus = _request_needs(cfg, requests)
+        assert focus is None
+        count = partial(_request_rows, cfg, requests)
+        args = (count, cfg, 17, DEFAULT_POLICY, min_reach, min_margin)
+        around = (self.SUB.expand(2 * cfg.g_n.support_radius),)
+        rows = _replication_rows(*args, around, 0, 24)
+        assert np.array_equal(rows, _replication_rows(*args, None, 0, 24))
+        assert rows[:, 0].any()
+        with pytest.raises(SimulationError, match="focus"):
+            _replication_rows(*args, (self.SUB,), 0, 24)
+
+
 class TestKS:
     def test_synthetic_normal(self):
         rng = np.random.default_rng(7)
@@ -435,7 +494,10 @@ class TestCovarianceField:
         assert serial.total == pooled.total
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_field_equals_single_realization_path(self, workers, sparse_reference):
+    def test_field_equals_single_realization_path(self, workers, sparse_reference, monkeypatch):
+        # blocks of at most 2**10 expected points, so that the sparse model's
+        # m replications span more than three of them
+        monkeypatch.setattr(simulator, "BLOCK_POINTS", 2**10)
         cfg, r, side, m = SPARSE_FIELD
         rows, points = sparse_reference
         lattice = LatticeRegion((0, 0), (side, side))
