@@ -67,9 +67,12 @@ class AcceptanceContext:
         return self.base_seed + offset
 
 
-def _se_floor(exact_mean: float, m: int) -> float:
-    """Poisson-style floor for the SE of a small-count mean estimate."""
-    return math.sqrt(max(exact_mean, 0.0) / m)
+def _mean_agreement(sample, exact: float) -> tuple[float, float, bool]:
+    """(gap, se, gap <= 3 se) of a Monte Carlo mean against its exact value; se
+    has a Poisson-style floor sqrt(exact / m) for small-count means."""
+    se = max(sample.se_mean, math.sqrt(max(exact, 0.0) / sample.m))
+    gap = abs(sample.mean - exact)
+    return gap, se, gap <= 3.0 * se
 
 
 # -- criterion 1: coupling identity --------------------------------------------
@@ -111,9 +114,7 @@ def _excess_sample(ctx: AcceptanceContext):
 def c02_scaled_mean(ctx: AcceptanceContext) -> CriterionResult:
     cfg, sample = _excess_sample(ctx)
     exact = mean_excess(cfg, 1.0, ctx.spec).value
-    se = max(sample.se_mean, _se_floor(exact, sample.m))
-    gap = abs(sample.mean - exact)
-    ok = gap <= 3.0 * se
+    gap, se, ok = _mean_agreement(sample, exact)
     return CriterionResult(
         "c02",
         "exact scaled mean",
@@ -222,8 +223,7 @@ def c06_swapped_truncation(ctx: AcceptanceContext) -> CriterionResult:
             ctx.policy,
             ctx.workers,
         )
-        se = max(sample.se_mean, _se_floor(exact, sample.m))
-        agree = abs(sample.mean - exact) <= 3.0 * se
+        _, se, agree = _mean_agreement(sample, exact)
         ok_mc = ok_mc and agree
         mc_checks[f"n={n_mc:g}"] = {
             "mc_mean": sample.mean,
@@ -358,7 +358,6 @@ def c12_covariance_field(ctx: AcceptanceContext) -> CriterionResult:
         cfg, r=2, m=600, base_seed=ctx.seed(12),
         lattice_side=12, policy=ctx.policy, workers=ctx.workers,
     )
-    positive = field_est.total > 3.0 * field_est.total_se
     rows = stationary_variance_check(
         cfg, r=2, sides=(4, 8, 16), m=600, base_seed=ctx.seed(13),
         field=field_est, policy=ctx.policy, workers=ctx.workers,
@@ -367,7 +366,7 @@ def c12_covariance_field(ctx: AcceptanceContext) -> CriterionResult:
     combined = 3.0 * math.hypot(last.var_density_se, last.cov_sum_se)
     converged = last.gap <= combined
     fractions = [row.boundary_fraction for row in rows]
-    ok = positive and converged and all(b < a for a, b in zip(fractions, fractions[1:]))
+    ok = field_est.positive and converged and all(b < a for a, b in zip(fractions, fractions[1:]))
     return CriterionResult(
         "c12",
         "covariance sum positive and box variance matches it",

@@ -377,7 +377,6 @@ def cmd_covariance_field(cfg: ExperimentConfig, args) -> int:
         }
         for off, c, s in zip(field.offsets, field.cov, field.se)
     ]
-    ok = field.total > 3.0 * field.total_se
     _emit(
         cfg,
         "covariance_field",
@@ -385,12 +384,12 @@ def cmd_covariance_field(cfg: ExperimentConfig, args) -> int:
         extra={
             "total": field.total,
             "total_se": field.total_se,
-            "positive_by_3se": ok,
+            "positive_by_3se": field.positive,
             "lattice_side": field.lattice_side,
             "dependence_range": field.dependence_range,
         },
     )
-    return 0 if ok else 1
+    return 0 if field.positive else 1
 
 
 def cmd_martingale_check(cfg: ExperimentConfig, args) -> int:

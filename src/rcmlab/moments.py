@@ -126,7 +126,11 @@ def isolation_prob(
         raise ModelError("intensity must be >= 0")
     integral = radial_integral(h, d, spec)
     p = math.exp(-mu * integral.value)
-    return QuadResult(p, p * math.expm1(mu * integral.error))
+    try:
+        return QuadResult(p, p * math.expm1(mu * integral.error))
+    except OverflowError:
+        raise ModelError(f"intensity {mu:.6g} overflows the error bound "
+                         f"expm1({mu:.6g} * {integral.error:.3g})") from None
 
 
 def pair_factor(

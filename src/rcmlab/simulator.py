@@ -16,14 +16,16 @@ truncation/scaling coupling identities into bit-exact statements instead of
 statistical ones.
 
 Pairs farther apart than the search reach are never candidates; the
-discarded connection mass is bounded and recorded on the graph.  A block may
-also name a focus, the regions whose vertices its caller counts: then only
-the pairs with an end in the focus are searched and tossed.  The isolated,
-near-isolated and excess counts and the coupling at a vertex x read only the
-pairs {x, y} within the reach, so they are exact on the focus, and each count
-raises when its region leaves the focus, where degrees are partial.  Without
-a focus (components, the lattice field, ``simulate_graph`` and so the
-realization dump) every pair in the window is a candidate.
+discarded connection mass is bounded and recorded on the graph.  A run fixes
+its window, reach and block size once, in a ``BlockPlan``.  The plan may also
+name a focus, the region whose vertices the caller counts (the observation
+set K): then only the pairs with an end in the focus are searched and
+tossed.  The isolated, near-isolated and excess counts and the coupling at a
+vertex x read only the pairs {x, y} within the reach, so they are exact on
+the focus, and each count raises when its region leaves the focus, where
+degrees are partial.  Without a focus (components, the lattice field,
+``simulate_graph`` and so the realization dump) every pair in the window is
+a candidate.
 
 ``simulate_block`` draws consecutive replications from their own streams
 and stacks them into one block-diagonal graph: one pair search, one coin
@@ -39,8 +41,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
-from functools import lru_cache, reduce
+from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -145,26 +147,32 @@ class PointGraph:
     """Sampled points plus Bernoulli edges with cached lengths.
 
     The candidate pairs (i, j, dist) within the search reach and their coins
-    are kept: the edges are the pairs whose coin falls below conn(dist), and a
-    coupled graph under another connection function tosses the same coins.
+    are kept: the edges, set on construction, are the pairs whose coin falls
+    below conn(dist), and a coupled graph under another connection function
+    tosses the same coins.
 
-    ``focus`` maps each region whose points have all their candidate pairs to
-    the mask of its points; the pairs of two points outside every focus
-    region are not searched, so those points' degrees are partial.  None
-    means every pair in the window is a candidate.
+    ``focus`` is the region whose points have all their candidate pairs and
+    the mask of its points; the pairs of two points outside it are not
+    searched, so those points' degrees are partial.  None means every pair in
+    the window is a candidate.
     """
 
     points: np.ndarray  # (N, d)
-    edge_i: np.ndarray
-    edge_j: np.ndarray
-    edge_dist: np.ndarray
-    window: SimWindow
-    reach: float
-    conn: ConnectionFunction
     candidates: tuple[np.ndarray, np.ndarray, np.ndarray]
     coins: np.ndarray
+    conn: ConnectionFunction
+    window: SimWindow
+    reach: float
     edge_bias: float = 0.0  # bound on expected edges lost beyond the reach
-    focus: dict[Region, np.ndarray] | None = None
+    focus: tuple[Region, np.ndarray] | None = None
+    edge_i: np.ndarray = field(init=False)
+    edge_j: np.ndarray = field(init=False)
+    edge_dist: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        i, j, dist = self.candidates
+        keep = self.coins < self.conn.eval(dist)
+        self.edge_i, self.edge_j, self.edge_dist = i[keep], j[keep], dist[keep]
 
     @property
     def n_points(self) -> int:
@@ -441,25 +449,6 @@ def _candidate_pairs(
     return i[keep], j[keep], dist[keep]
 
 
-def _tossed(points, candidates, coins, conn, window, reach, edge_bias, focus) -> PointGraph:
-    """The graph whose edges are the candidate pairs with coin < conn(dist)."""
-    i, j, dist = candidates
-    keep = coins < conn.eval(dist)
-    return PointGraph(
-        points=points,
-        edge_i=i[keep],
-        edge_j=j[keep],
-        edge_dist=dist[keep],
-        window=window,
-        reach=reach,
-        conn=conn,
-        candidates=candidates,
-        coins=coins,
-        edge_bias=edge_bias,
-        focus=focus,
-    )
-
-
 def connect(
     points: np.ndarray,
     conn: ConnectionFunction,
@@ -469,8 +458,7 @@ def connect(
 ) -> PointGraph:
     """Bernoulli(conn(distance)) edges on all pairs within the search reach."""
     i, j, dist = _candidate_pairs(points, reach)
-    coins = pair_uniform(pair_key, i, j)
-    return _tossed(points, (i, j, dist), coins, conn, window, reach, 0.0, None)
+    return PointGraph(points, (i, j, dist), pair_uniform(pair_key, i, j), conn, window, reach)
 
 
 def regraph(graph: PointGraph, conn: ConnectionFunction) -> PointGraph:
@@ -480,31 +468,68 @@ def regraph(graph: PointGraph, conn: ConnectionFunction) -> PointGraph:
     result is coupled realization-by-realization with the source graph.  On
     a block from ``simulate_block`` it rebuilds every replication at once.
     """
-    return _tossed(
-        graph.points,
-        graph.candidates,
-        graph.coins,
-        conn,
-        graph.window,
-        graph.reach,
-        graph.edge_bias,
-        graph.focus,
-    )
+    return replace(graph, conn=conn)
 
 
-@lru_cache(maxsize=256)
-def _setup(conn, lam_n, d, K, policy, min_reach, min_margin):
-    """(window, reach, edge_bias): the same for every replication of one input."""
+# The largest mean numpy's Poisson sampler takes (its POISSON_LAM_MAX).
+_POISSON_MAX = float(np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max))
+
+
+def _expected_points(lam_n: float, region: Region, name: str) -> float:
+    """lam_n * vol(region), which must be a positive mean a Poisson draw takes."""
+    mu = lam_n * region.volume
+    if not 0.0 < mu <= _POISSON_MAX:
+        raise SimulationError(f"lam_n * vol({name}) = {mu:.6g} expected points, outside "
+                              f"the (0, {_POISSON_MAX:.3g}] that a Poisson draw can take")
+    return mu
+
+
+@dataclass(frozen=True)
+class BlockPlan:
+    """What every block of one run shares: the model's connection function
+    and intensity, the window and search reach with the edge bias bound, the
+    focus (the region whose points the caller counts, or None for the whole
+    window) and the replications per block.  ``block_plan`` builds it."""
+
+    conn: ConnectionFunction
+    lam_n: float
+    window: SimWindow
+    reach: float
+    edge_bias: float  # bound on expected edges lost beyond the reach
+    focus: Region | None
+    reps: int
+
+
+def block_plan(
+    conn: ConnectionFunction,
+    lam_n: float,
+    d: int,
+    K: Region,
+    policy: SimPolicy = DEFAULT_POLICY,
+    min_reach: float = 0.0,
+    min_margin: float = 0.0,
+    focus: Region | None = None,
+) -> BlockPlan:
+    """The plan of a run over K: the window margin and search reach that the
+    policy's bias budgets give (at least min_margin and min_reach), and
+    blocks of ``block_reps`` replications.  Raises SimulationError when the
+    expected point count of K or of the window is not one a Poisson draw
+    can take."""
     if not lam_n > 0:
         raise SimulationError("lam_n must be > 0")
+    _expected_points(lam_n, K, "K")
     window = margin_policy(conn, d, lam_n, K, policy.eps_margin)
-    if min_margin > window.margin:
-        window = SimWindow(K=K, margin=min_margin, bias_bound=window.bias_bound)
+    window = replace(window, margin=max(window.margin, min_margin))
+    box = window.box
+    mu = _expected_points(lam_n, box, "window")
     supp = conn.support_radius
     if supp is not None:
-        return window, max(supp, min_reach), 0.0
-    eps = 2.0 * policy.eps_edges / (lam_n**2 * window.box.volume)
-    return window, max(conn.tail_radius(eps, d), min_reach), policy.eps_edges
+        reach, edge_bias = max(supp, min_reach), 0.0
+    else:
+        # eps_edges over lam_n**2 vol / 2 pairs; squaring lam_n could overflow
+        eps = 2.0 * policy.eps_edges / lam_n / mu
+        reach, edge_bias = max(conn.tail_radius(eps, d), min_reach), policy.eps_edges
+    return BlockPlan(conn, lam_n, window, reach, edge_bias, focus, block_reps(lam_n, box, reach))
 
 
 def simulate_graph(
@@ -519,61 +544,41 @@ def simulate_graph(
     min_margin: float = 0.0,
 ) -> PointGraph:
     """Replication rep of base_seed alone: points in K plus margin, connected
-    under conn.  It is the block of one replication from ``simulate_block``."""
-    return simulate_block(
-        conn, lam_n, d, K, base_seed, rep, rep + 1, policy, min_reach, min_margin
-    )[0]
+    under conn.  It is the block of one replication of the plan with no focus."""
+    plan = block_plan(conn, lam_n, d, K, policy, min_reach, min_margin)
+    return simulate_block(plan, base_seed, rep, rep + 1)[0]
 
 
 def simulate_block(
-    conn: ConnectionFunction,
-    lam_n: float,
-    d: int,
-    K: Region,
-    base_seed: int,
-    lo: int,
-    hi: int,
-    policy: SimPolicy = DEFAULT_POLICY,
-    min_reach: float = 0.0,
-    min_margin: float = 0.0,
-    focus: tuple[Region, ...] | None = None,
+    plan: BlockPlan, base_seed: int, lo: int, hi: int
 ) -> tuple[PointGraph, np.ndarray]:
     """Replications lo..hi-1 as one block-diagonal graph, and each point's
-    replication (0 for lo).
+    replication (0 for lo); blocks are ``plan.reps`` replications long.
 
-    Replication rep draws its points from the PCG64 generator of
-    SeedSequence(base_seed, spawn_key=(rep, 0)) and its pair key from
-    SeedSequence(base_seed, spawn_key=(rep, 1)), the children of its own
-    sequence SeedSequence(base_seed, spawn_key=(rep,)).  The seed words of
-    the whole block come from one numpy pass (``_seed_words``); each
-    replication then only draws its count and unit coordinates, and the
-    block is placed in the box at once.  Edges carry global point indices,
-    and every coin is the replication's own pair uniform at its local
-    indices.  Block size is the caller's: see ``block_reps``.
-
-    ``focus`` names the regions whose points the caller counts; each
-    region's mask is computed once here and kept on the graph, and only the
-    pairs with an end in some focus region are searched and tossed.  Every
-    kept pair keeps the coin and length it has in the whole-window graph
-    (focus None).
+    Each replication draws its points and pair key from its own streams (see
+    the module docstring).  Edges carry global point indices, and every coin
+    is the replication's own pair uniform at its local indices.  With a focus
+    in the plan, its mask is computed once here and kept on the graph, and
+    only the pairs with an end in it are searched and tossed; every kept pair
+    keeps the coin and length it has in the whole-window graph.
     """
-    window, reach, edge_bias = _setup(conn, lam_n, d, K, policy, min_reach, min_margin)
-    box = window.box
+    box = plan.window.box
     seeds, keys = _seed_words(base_seed, lo, hi)
-    mu, dim = lam_n * box.volume, box.dim
+    mu, dim = plan.lam_n * box.volume, box.dim
     unit = [_unit_points(np.random.Generator(np.random.PCG64(_PointSeed(w))), mu, dim)
             for w in seeds]
     sizes = np.array([u.shape[0] for u in unit])
     points = _placed(np.concatenate(unit), box)
     rid = np.repeat(np.arange(hi - lo), sizes)
     local = np.arange(rid.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    masks = inside = None
-    if focus is not None:
-        masks = {region: _frozen(region.contains(points)) for region in focus}
-        inside = reduce(operator.or_, masks.values(), np.zeros(rid.size, dtype=bool))
-    i, j, dist = _candidate_pairs(points, reach, rid, inside)
+    focus = inside = None
+    if plan.focus is not None:
+        inside = _frozen(plan.focus.contains(points))
+        focus = (plan.focus, inside)
+    i, j, dist = _candidate_pairs(points, plan.reach, rid, inside)
     coins = pair_uniform(keys[rid[i]], local[i], local[j])
-    graph = _tossed(points, (i, j, dist), coins, conn, window, reach, edge_bias, masks)
+    graph = PointGraph(points, (i, j, dist), coins, plan.conn, plan.window, plan.reach,
+                       plan.edge_bias, focus)
     return graph, rid
 
 
@@ -582,19 +587,20 @@ def simulate_block(
 
 def _require_focus(graph: PointGraph, region: Region):
     """Raise unless every point of the region has all its candidate pairs."""
-    if graph.focus is not None and not any(region.within(f) for f in graph.focus):
+    if graph.focus is not None and not region.within(graph.focus[0]):
         raise SimulationError(
-            f"region {region} does not lie in a focus region of the graph, "
+            f"region {region} does not lie in the focus of the graph, "
             "so the degrees there are partial"
         )
 
 
 def _in_region(graph: PointGraph, region: Region) -> np.ndarray:
-    """Mask of the graph's points in the region, which must lie in a focus
-    region; a focus region's mask is the one computed with the graph."""
+    """Mask of the graph's points in the region, which must lie in the
+    focus; the focus's mask is the one computed with the graph."""
     _require_focus(graph, region)
-    mask = (graph.focus or {}).get(region)
-    return region.contains(graph.points) if mask is None else mask
+    if graph.focus is not None and graph.focus[0] == region:
+        return graph.focus[1]
+    return region.contains(graph.points)
 
 
 def isolated_mask(graph: PointGraph, K: Region) -> np.ndarray:

@@ -29,8 +29,7 @@ from .simulator import (
     DEFAULT_POLICY,
     LatticeRegion,
     SimPolicy,
-    _setup,
-    block_reps,
+    block_plan,
     component_cell_counts,
     component_mask,
     isolated_mask,
@@ -68,12 +67,12 @@ def resolve_workers(workers: int | None) -> int:
 class StatRequest:
     """One per-replication scalar: which count to take from the realization.
 
-    kinds: "isolated" (degree-0 vertices in the region), "near_isolated"
-    (no neighbor within r0), "excess" (no neighbor within r0 but some
-    beyond), "component" (1/r times vertices in size-r components), and
-    "coupling" (1.0 iff the near-isolated count at r0 = R/n equals the
-    isolated count of the shared-randomness graph rebuilt under the
-    cut-then-scale variant).
+    Every count is taken over the vertices in the model's K.  kinds:
+    "isolated" (degree-0 vertices), "near_isolated" (no neighbor within r0),
+    "excess" (no neighbor within r0 but some beyond), "component" (1/r times
+    vertices in size-r components), and "coupling" (1.0 iff the
+    near-isolated count at r0 = R/n equals the isolated count of the
+    shared-randomness graph rebuilt under the cut-then-scale variant).
     """
 
     name: str
@@ -81,7 +80,6 @@ class StatRequest:
     r0: float = 0.0
     R: float = 0.0
     r: int = 1
-    region: Region | None = None
 
     def __post_init__(self):
         if self.kind not in ("isolated", "near_isolated", "excess", "component", "coupling"):
@@ -130,23 +128,18 @@ class StatSample:
 
 def _request_needs(cfg: ModelConfig, requests: Sequence[StatRequest]):
     """Reach/margin floors implied by the requested statistics, and the focus:
-    the regions the requests count in, or None (the whole window) when a
-    component request is present.
+    K, or None (the whole window) when a component request is present.
 
     I, J, L and the coupling at a vertex x depend only on the pairs {x, y}
     within the reach, so a block need only search the pairs with an end in
-    a counted region.  A component reaches across the margin, and reads
-    every pair near it.
+    K.  A component reaches across the margin, and reads every pair near it.
     """
     min_reach = 0.0
     min_margin = 0.0
-    regions = dict.fromkeys(req.region or cfg.K for req in requests)
+    focus = cfg.K
     for req in requests:
-        if req.kind in ("near_isolated", "excess"):
-            min_reach = max(min_reach, req.r0)
-            min_margin = max(min_margin, req.r0)
-        elif req.kind == "coupling":
-            r0 = req.R / cfg.n
+        if req.kind in ("near_isolated", "excess", "coupling"):
+            r0 = req.R / cfg.n if req.kind == "coupling" else req.r0
             min_reach = max(min_reach, r0)
             min_margin = max(min_margin, r0)
         elif req.kind == "component":
@@ -154,71 +147,66 @@ def _request_needs(cfg: ModelConfig, requests: Sequence[StatRequest]):
             if supp is None:
                 raise StatsError("component statistics need bounded support")
             min_margin = max(min_margin, req.r * supp)
-            regions = None
-    return min_reach, min_margin, None if regions is None else tuple(regions)
+            focus = None
+    return min_reach, min_margin, focus
 
 
 def _request_rows(cfg, requests, graph, rid, reps):
     """Rows of a block of reps replications: request values in request order,
-    then each realization's bias bound.  The (J, L) masks of one (region, r0)
-    are computed once and shared by every request that reads them."""
+    then each realization's bias bound.  The (J, L) masks of one r0 are
+    computed once and shared by every request that reads them."""
 
     def per_rep(mask):
         return np.bincount(rid[mask], minlength=reps)
 
-    masks = cache(partial(truncation_masks, graph))
+    K = cfg.K
+    masks = cache(partial(truncation_masks, graph, K))
     cols = []
     for req in requests:
-        region = req.region or cfg.K
         if req.kind == "isolated":
-            cols.append(per_rep(isolated_mask(graph, region)))
+            cols.append(per_rep(isolated_mask(graph, K)))
         elif req.kind == "near_isolated":
-            cols.append(per_rep(masks(region, req.r0)[0]))
+            cols.append(per_rep(masks(req.r0)[0]))
         elif req.kind == "excess":
-            cols.append(per_rep(masks(region, req.r0)[1]))
+            cols.append(per_rep(masks(req.r0)[1]))
         elif req.kind == "component":
-            cols.append(per_rep(component_mask(graph, region, req.r)) / req.r)
+            cols.append(per_rep(component_mask(graph, K, req.r)) / req.r)
         else:  # coupling
-            j_mask, _ = masks(region, req.R / cfg.n)
+            j_mask, _ = masks(req.R / cfg.n)
             twin = regraph(graph, make_variant(cfg.g, "cut_then_scale", R=req.R, n=cfg.n))
-            cols.append(per_rep(j_mask) == per_rep(isolated_mask(twin, region)))
+            cols.append(per_rep(j_mask) == per_rep(isolated_mask(twin, K)))
     cols.append(np.full(reps, graph.window.bias_bound + graph.edge_bias))
     return np.column_stack(cols).astype(float)
 
 
-def _replication_rows(count, cfg, base_seed, policy, min_reach, min_margin, focus, lo, hi):
-    """Rows of replications lo..hi-1, simulated in blocks of ``block_reps``
-    replications with the given focus; count(graph, rid, reps) gives the rows
-    of one block."""
-    model = (cfg.g_n, cfg.lam_n, cfg.d, cfg.K)
-    window, reach, _ = _setup(*model, policy, min_reach, min_margin)
-    step = block_reps(cfg.lam_n, window.box, reach)
+def _replication_rows(count, plan, base_seed, lo, hi):
+    """Rows of replications lo..hi-1, simulated in the plan's blocks;
+    count(graph, rid, reps) gives the rows of one block."""
     rows = []
-    for a in range(lo, hi, step):
-        b = min(a + step, hi)
-        graph, rid = simulate_block(*model, base_seed, a, b, policy, min_reach, min_margin, focus)
+    for a in range(lo, hi, plan.reps):
+        b = min(a + plan.reps, hi)
+        graph, rid = simulate_block(plan, base_seed, a, b)
         rows.append(count(graph, rid, b - a))
     return np.concatenate(rows)
 
 
-def _replicate_rows(args, m: int, workers: int | None) -> np.ndarray:
+def _replicate_rows(count, plan, base_seed, m: int, workers: int | None) -> np.ndarray:
     """Rows of replications 0..m-1 in replication order, from
-    _replication_rows(*args, lo, hi) over chunks lo..hi-1.
+    _replication_rows(count, plan, base_seed, lo, hi) over chunks lo..hi-1.
 
     Serial (one call) for one worker or m < 8; otherwise about four chunks
-    per worker in one process pool, written back in chunk order.
+    per worker in one process pool, written back in chunk order.  The plan
+    is built by the caller, so the workers only simulate and count.
     """
     nworkers = resolve_workers(workers)
-    # a run starts from an empty simulation-setup cache, so the work it does
-    # (and the per-layer counts traced from it) never depends on earlier runs
-    _setup.cache_clear()
     if nworkers <= 1 or m < 8:
-        return _replication_rows(*args, 0, m)
+        return _replication_rows(count, plan, base_seed, 0, m)
     chunk = math.ceil(m / (4 * nworkers))
     los = range(0, m, chunk)
     his = [min(lo + chunk, m) for lo in los]
+    rows = partial(_replication_rows, count, plan, base_seed)
     with ProcessPoolExecutor(max_workers=nworkers) as pool:
-        return np.concatenate(list(pool.map(partial(_replication_rows, *args), los, his)))
+        return np.concatenate(list(pool.map(rows, los, his)))
 
 
 def replicate_many(
@@ -235,9 +223,8 @@ def replicate_many(
     names = [req.name for req in requests]
     if len(set(names)) != len(names):
         raise StatsError("duplicate statistic names")
-    count = partial(_request_rows, cfg, requests)
-    args = (count, cfg, base_seed, policy, *_request_needs(cfg, requests))
-    rows = _replicate_rows(args, m, workers)
+    plan = block_plan(cfg.g_n, cfg.lam_n, cfg.d, cfg.K, policy, *_request_needs(cfg, requests))
+    rows = _replicate_rows(partial(_request_rows, cfg, requests), plan, base_seed, m, workers)
     bias = float(rows[:, -1].max())
     return {
         name: StatSample(
@@ -360,6 +347,11 @@ class CovarianceField:
     lattice_side: int
     dependence_range: int
 
+    @property
+    def positive(self) -> bool:
+        """The covariance sum is positive by more than three standard errors."""
+        return self.total > 3.0 * self.total_se
+
 
 def _offset_cov(Y: np.ndarray, z: tuple[int, ...], mu: float) -> float:
     a_sl, b_sl = [], []
@@ -409,10 +401,9 @@ def covariance_field(
     side = lattice_side or max(3 * (dep + 1), 8)
     offsets = tuple(product(range(-dep, dep + 1), repeat=cfg.d))
     lattice = LatticeRegion((0,) * cfg.d, (side,) * cfg.d)
-    count = partial(_field_rows, r, offsets, lattice)
-    cfg_box = replace(cfg, K=lattice.bounding_region)
-    args = (count, cfg_box, base_seed, policy, 0.0, r * supp, None)
-    rows = _replicate_rows(args, m, workers)
+    plan = block_plan(cfg.g_n, cfg.lam_n, cfg.d, lattice.bounding_region, policy,
+                      min_margin=r * supp)
+    rows = _replicate_rows(partial(_field_rows, r, offsets, lattice), plan, base_seed, m, workers)
     cov = rows.mean(axis=0)
     se = rows.std(axis=0, ddof=1) / math.sqrt(m)
     sums = rows.sum(axis=1)

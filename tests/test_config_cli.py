@@ -310,6 +310,31 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and item.partition("=")[0] in err
 
+    # finite but extreme model sizes: the expected point count of K or of the
+    # window is beyond a Poisson draw, or the moment bound's exponential
+    # overflows; each names the number it cannot take
+    @pytest.mark.parametrize("command,item,says", [
+        ("simulate", "run.n_list=1e308", "vol(K) = 1e+308 expected points"),
+        ("simulate", "model.g.a=1e300", "vol(window) = 1.40274e+303 expected points"),
+        ("simulate", "model.K.sides=1e308", "vol(K) = inf expected points"),
+        ("truncation-demo", "run.R_list=1e300", "vol(window) = 2e+300 expected points"),
+        ("moments", "run.n_list=1e308", "intensity 1e+308"),
+    ])
+    def test_extreme_model_sizes_end_in_an_error_line(self, command, item, says, tmp_path,
+                                                      capsys):
+        argv = [command, "--config", str(ROOT / "configs" / "default.cfg"),
+                "--out-dir", str(tmp_path), "--set", item]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and says in err
+
+    def test_vanishing_intensity_simulates_empty_replications(self, tmp_path):
+        argv = ["simulate", "--config", str(ROOT / "configs" / "default.cfg"),
+                "--out-dir", str(tmp_path), "--set", "model.lambda=1e-300", "--format", "json"]
+        assert cli.main(argv) == 0
+        rows = json.loads((tmp_path / "simulate.json").read_text())["rows"]
+        assert len(rows) == 9 and all(row["mean"] == 0.0 for row in rows)
+
     @pytest.mark.parametrize(
         "command,code", [("moments", 0), ("simulate", 0), ("clt-test", 1), ("martingale-check", 0)]
     )

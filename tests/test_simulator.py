@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from rcmlab.simulator import (
     _candidate_pairs,
     _PointSeed,
     _seed_words,
+    block_plan,
     block_reps,
     component_cell_counts,
     component_mask,
@@ -262,23 +264,22 @@ class TestFocusedSearch:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_block_keeps_coins_and_lengths(self, d):
         g, lam, K = exponential(0.1 if d > 1 else 0.5), 40.0 if d > 1 else 4.0, unit_box(d)
-        sub = Region((0.5,) * d, (0.75,) * d)  # sticks out of K
-        whole, rid = simulate_block(g, lam, d, K, 99, 3, 9)
-        graph, _ = simulate_block(g, lam, d, K, 99, 3, 9, focus=(K, sub))
+        whole, rid = simulate_block(block_plan(g, lam, d, K), 99, 3, 9)
+        graph, _ = simulate_block(block_plan(g, lam, d, K, focus=K), 99, 3, 9)
         i, j, dist = whole.candidates
-        focus = K.contains(whole.points) | sub.contains(whole.points)
+        focus = K.contains(whole.points)
         sel = focus[i] | focus[j]
         assert 0 < np.count_nonzero(sel) < sel.size
         _assert_same_pairs(graph.candidates, (i[sel], j[sel], dist[sel]))
         assert np.array_equal(graph.coins, whole.coins[sel])
         assert np.array_equal(graph.points, whole.points)
-        assert whole.focus is None and list(graph.focus) == [K, sub]
-        assert np.array_equal(graph.focus[sub], sub.contains(graph.points))
+        assert whole.focus is None and graph.focus[0] == K
+        assert np.array_equal(graph.focus[1], focus)
 
 
 class TestFocusGuards:
     """Outside the focus a point's degree counts only its pairs with focus
-    points, so every count asks that its region lie in a focus region."""
+    points, so every count asks that its region lie in the focus."""
 
     def test_masks_are_computed_once_per_block(self, monkeypatch):
         g, K = exponential(0.3 / 16), unit_box(2)
@@ -286,7 +287,7 @@ class TestFocusGuards:
         contains = Region.contains
         monkeypatch.setattr(Region, "contains",
                             lambda self, pts: calls.append(self) or contains(self, pts))
-        graph, _ = simulate_block(g, 256.0, 2, K, 5, 0, 1, min_reach=1 / 16, focus=(K,))
+        graph, _ = simulate_block(block_plan(g, 256.0, 2, K, min_reach=1 / 16, focus=K), 5, 0, 1)
         twin = regraph(graph, make_variant(exponential(0.3), "cut_then_scale", R=1.0, n=16.0))
         assert twin.focus is graph.focus
         assert calls == [K]
@@ -300,7 +301,7 @@ class TestFocusGuards:
     def test_regions_outside_the_focus_raise(self):
         K, big = unit_box(2), Region((-0.1, 0.0), (1.1, 1.0))
         disk = hard_disk(0.1)
-        graph, rid = simulate_block(disk, 40.0, 2, K, 5, 0, 3, min_margin=0.3, focus=(K,))
+        graph, rid = simulate_block(block_plan(disk, 40.0, 2, K, min_margin=0.3, focus=K), 5, 0, 3)
         with pytest.raises(SimulationError, match="focus"):
             isolated_mask(graph, big)
         with pytest.raises(SimulationError, match="focus"):
@@ -316,9 +317,9 @@ class TestFocusGuards:
     def test_whole_window_graphs_accept_every_region(self):
         K, big = unit_box(2), Region((-0.2, -0.2), (1.4, 1.4))
         disk = hard_disk(0.1)
-        graph, rid = simulate_block(disk, 40.0, 2, K, 5, 0, 3, min_margin=0.3)
-        focused, _ = simulate_block(disk, 40.0, 2, K, 5, 0, 3, min_margin=0.3,
-                                    focus=(K.expand(0.3),))
+        plan = block_plan(disk, 40.0, 2, K, min_margin=0.3)
+        graph, rid = simulate_block(plan, 5, 0, 3)
+        focused, _ = simulate_block(replace(plan, focus=K.expand(0.3)), 5, 0, 3)
         for region in (K, big, Region((0.5, 0.5), (2.0, 2.0))):
             isolated_mask(graph, region)
             truncation_masks(graph, region, 0.05)
@@ -333,7 +334,7 @@ class TestBlock:
     @pytest.mark.parametrize("lo", [0, 397, 2**32 + 3])
     def test_block_stacks_single_realizations(self, lo):
         g, lam, K = exponential(0.2), 30.0, unit_box(2)
-        graph, rid = simulate_block(g, lam, 2, K, 12345, lo, lo + 4, min_reach=0.3)
+        graph, rid = simulate_block(block_plan(g, lam, 2, K, min_reach=0.3), 12345, lo, lo + 4)
         src = rid[graph.edge_i]
         assert np.array_equal(src, rid[graph.edge_j])
         for k in range(4):
@@ -347,7 +348,8 @@ class TestBlock:
         # each replication's lattice field is its single graph's
         lattice, disk = LatticeRegion((0, 0), (2, 2)), hard_disk(0.15)
         box = lattice.bounding_region
-        graph, rid = simulate_block(disk, lam, 2, box, 12345, lo, lo + 4, min_margin=0.3)
+        plan = block_plan(disk, lam, 2, box, min_margin=0.3)
+        graph, rid = simulate_block(plan, 12345, lo, lo + 4)
         fields = component_cell_counts(graph, lattice, 2, rid, 4)
         assert fields.shape == (4, 2, 2) and fields.sum() > 0
         for k in range(4):
@@ -368,7 +370,7 @@ class TestBlock:
                  (1, 20240801, 5, 6), (1, 20240801, 1000, 1037), (1, 99, 2**32 - 3, 2**32 + 3)]
         for d, seed, lo, hi in cases:
             K = unit_box(d)
-            graph, rid = simulate_block(g, lam, d, K, seed, lo, hi)
+            graph, rid = simulate_block(block_plan(g, lam, d, K), seed, lo, hi)
             _, keys = _seed_words(seed, lo, hi)
             i, j, _ = graph.candidates
             offsets = np.searchsorted(rid, np.arange(hi - lo))

@@ -1,5 +1,7 @@
 import hashlib
 import math
+import os
+from dataclasses import replace
 from functools import partial
 from itertools import product
 
@@ -16,6 +18,7 @@ from rcmlab.simulator import (
     LatticeRegion,
     SimPolicy,
     SimulationError,
+    block_plan,
     block_reps,
     component_mask,
     count_components,
@@ -97,6 +100,28 @@ class TestReplicate:
         sample = replicate(small_cfg(), StatRequest(name="I", kind="isolated"), 200, base_seed=8)
         assert sample.bootstrap_se_var() == sample.bootstrap_se_var()
 
+    def test_pool_workers_never_plan(self, monkeypatch):
+        # the window and reach are planned once, in the calling process: a
+        # worker that asks for a tail radius raises
+        caller, tail_radius = os.getpid(), ConnectionFunction.tail_radius
+
+        def caller_only(self, eps, d):
+            if os.getpid() != caller:
+                raise AssertionError("tail_radius called in a pool worker")
+            return tail_radius(self, eps, d)
+
+        monkeypatch.setattr(ConnectionFunction, "tail_radius", caller_only)
+        cfg = small_cfg()
+        reqs = [
+            StatRequest(name="I", kind="isolated"),
+            StatRequest(name="L", kind="excess", r0=0.5),
+            StatRequest(name="C", kind="coupling", R=1.0),
+        ]
+        pooled = replicate_many(cfg, reqs, 60, base_seed=3, workers=2)
+        serial = replicate_many(cfg, reqs, 60, base_seed=3, workers=1)
+        for req in reqs:
+            assert np.array_equal(pooled[req.name].values, serial[req.name].values)
+
     def test_setup_runs_once_per_input(self, monkeypatch):
         # window margin and search reach are fixed by the input, not the replication
         calls = []
@@ -129,6 +154,11 @@ class TestReplicate:
             resolve_workers(workers)
 
 
+def _plan(cfg, min_reach, min_margin, focus):
+    return block_plan(cfg.g_n, cfg.lam_n, cfg.d, cfg.K, DEFAULT_POLICY, min_reach, min_margin,
+                      focus)
+
+
 def _reference_rows(cfg, requests, m, base_seed):
     """The single-realization path: simulate_graph per replication (the whole
     window, no focus), the public counts and regraph; last column the number
@@ -141,7 +171,7 @@ def _reference_rows(cfg, requests, m, base_seed):
         )
         row = []
         for req in requests:
-            region = req.region or cfg.K
+            region = cfg.K
             if req.kind == "isolated":
                 row.append(count_isolated(graph, region))
             elif req.kind == "near_isolated":
@@ -183,9 +213,7 @@ BLOCK_CASES = {
         [
             StatRequest(name="C1", kind="component", r=1),
             StatRequest(name="C2", kind="component", r=2),
-            StatRequest(
-                name="C3", kind="component", r=3, region=Region((0.25, 0.25), (0.5, 0.5))
-            ),
+            StatRequest(name="C3", kind="component", r=3),
         ],
         60,
     ),
@@ -221,17 +249,16 @@ class TestBlockEngine:
         field_cfg = ModelConfig(d=2, lam=1.0, K=lattice.bounding_region, g=hard_disk(0.5))
         offsets = tuple(product(range(-2, 3), repeat=2))
         counters = [
-            (partial(_request_rows, cfg, requests), cfg, *_request_needs(cfg, requests)),
-            (partial(_field_rows, 1, offsets, lattice), field_cfg, 0.0, 0.5, None),
+            (partial(_request_rows, cfg, requests), _plan(cfg, *_request_needs(cfg, requests))),
+            (partial(_field_rows, 1, offsets, lattice), _plan(field_cfg, 0.0, 0.5, None)),
         ]
         lo = data.draw(st.integers(0, 40))
         hi = lo + data.draw(st.integers(2, 30))
         cuts = sorted(data.draw(st.sets(st.integers(lo + 1, hi - 1), max_size=6)))
         bounds = [lo, *cuts, hi]
-        for count, cfg_k, min_reach, min_margin, focus in counters:
-            args = (count, cfg_k, 31, DEFAULT_POLICY, min_reach, min_margin, focus)
-            parts = [_replication_rows(*args, a, b) for a, b in zip(bounds, bounds[1:])]
-            assert np.array_equal(_replication_rows(*args, lo, hi), np.concatenate(parts))
+        for count, plan in counters:
+            parts = [_replication_rows(count, plan, 31, a, b) for a, b in zip(bounds, bounds[1:])]
+            assert np.array_equal(_replication_rows(count, plan, 31, lo, hi), np.concatenate(parts))
 
     @pytest.mark.parametrize("rep", [0, 1, 399, 2**32 + 5])
     def test_direct_children_equal_spawned_ones(self, rep):
@@ -284,7 +311,8 @@ class TestStreamPins:
         (3, 0.1, 20.0, 3, "c59361ebb9e3bff3ab6efd0f26e9d37984f4c4d04114475eb00246e495cccab0"),
     ])
     def test_graph_bits(self, d, a, lam, reps, digest):
-        graph, _ = simulate_block(exponential(a), lam, d, unit_box(d), 20240801, 0, reps)
+        plan = block_plan(exponential(a), lam, d, unit_box(d))
+        graph, _ = simulate_block(plan, 20240801, 0, reps)
         h = hashlib.sha256()
         for values, dtype in ((graph.edge_i, "<i8"), (graph.edge_j, "<i8"),
                               (graph.edge_dist, "<f8"), (graph.coins, "<f8")):
@@ -293,10 +321,10 @@ class TestStreamPins:
 
 
 class TestSharedMasks:
-    """J, L and coupling requests at one (region, r0) share one pair of
-    truncation masks per block; each request still reads the masks of its own
-    region and r0.  Every r0 here is below the model's own margin and reach,
-    so a request run alone sees the same realizations."""
+    """J, L and coupling requests at one r0 share one pair of truncation
+    masks per block; each request still reads the masks of its own r0.  Every
+    r0 here is below the model's own margin and reach, so a request run alone
+    sees the same realizations."""
 
     CFG = ModelConfig(d=2, lam=1.0, K=unit_box(2), g=exponential(0.3), n=4.0)
 
@@ -325,33 +353,21 @@ class TestSharedMasks:
         assert not np.array_equal(out["J1"].values, out["J4"].values)
         assert not np.array_equal(out["L1"].values, out["L4"].values)
 
-    def test_own_region_gets_its_own_masks(self):
-        sub = Region((0.25, 0.25), (0.5, 0.5))
-        out = self._together_equals_alone([
-            StatRequest(name="J", kind="near_isolated", r0=0.25),
-            StatRequest(name="J_sub", kind="near_isolated", r0=0.25, region=sub),
-            StatRequest(name="L_sub", kind="excess", r0=0.25, region=sub),
-            StatRequest(name="C_sub", kind="coupling", R=1.0, region=sub),
-        ])
-        assert not np.array_equal(out["J"].values, out["J_sub"].values)
-
 
 class TestFocus:
-    """A block searches only the pairs with an end in a region some request
-    counts in; every column is the one of the whole-window block."""
+    """A block searches only the pairs with an end in K; every column is the
+    one of the whole-window block."""
 
     CFG = ModelConfig(d=2, lam=1.0, K=unit_box(2), g=exponential(0.3), n=4.0)
-    SUB = Region((0.25, 0.25), (0.5, 0.5))
-    ASTRIDE = Region((0.75, -0.25), (0.5, 0.5))  # half of it outside K
 
-    def test_needs_name_each_counted_region_once(self):
+    def test_needs_focus_on_k_unless_a_component_is_counted(self):
         reqs = [
             StatRequest(name="I", kind="isolated"),
-            StatRequest(name="J", kind="near_isolated", r0=0.25, region=self.ASTRIDE),
-            StatRequest(name="L", kind="excess", r0=0.25),
-            StatRequest(name="C", kind="coupling", R=1.0, region=self.ASTRIDE),
+            StatRequest(name="J", kind="near_isolated", r0=0.25),
+            StatRequest(name="L", kind="excess", r0=0.1),
+            StatRequest(name="C", kind="coupling", R=1.0),
         ]
-        assert _request_needs(self.CFG, reqs) == (0.25, 0.25, (unit_box(2), self.ASTRIDE))
+        assert _request_needs(self.CFG, reqs) == (0.25, 0.25, unit_box(2))
         reqs.append(StatRequest(name="C1", kind="component", r=1))
         disk = ModelConfig(d=2, lam=1.0, K=unit_box(2), g=hard_disk(0.5), n=4.0)
         assert _request_needs(disk, reqs)[2] is None
@@ -361,35 +377,29 @@ class TestFocus:
         [StatRequest(name="J", kind="near_isolated", r0=0.25)],
         [StatRequest(name="L", kind="excess", r0=0.1)],
         [StatRequest(name="C", kind="coupling", R=1.0)],
-        [StatRequest(name="I_sub", kind="isolated", region=SUB),
-         StatRequest(name="L_astride", kind="excess", r0=0.25, region=ASTRIDE),
-         StatRequest(name="C_astride", kind="coupling", R=1.0, region=ASTRIDE),
-         StatRequest(name="J", kind="near_isolated", r0=0.25)],
-    ], ids=["I", "J", "L", "C", "own-regions"])
+    ], ids=["I", "J", "L", "C"])
     def test_columns_equal_the_whole_window(self, requests):
         count = partial(_request_rows, self.CFG, requests)
-        min_reach, min_margin, focus = _request_needs(self.CFG, requests)
-        args = (count, self.CFG, 17, DEFAULT_POLICY, min_reach, min_margin)
-        rows = _replication_rows(*args, focus, 0, 24)
-        assert np.array_equal(rows, _replication_rows(*args, None, 0, 24))
+        plan = _plan(self.CFG, *_request_needs(self.CFG, requests))
+        assert plan.focus == self.CFG.K
+        rows = _replication_rows(count, plan, 17, 0, 24)
+        assert np.array_equal(rows, _replication_rows(count, replace(plan, focus=None), 17, 0, 24))
         assert rows[:, :-1].any()
 
     def test_component_columns_with_a_focus_around_them(self):
-        # a component request alone makes the focus the whole window; a
-        # focus that holds every pair within r supports of the region gives
-        # the same column
+        # a component request makes the focus the whole window; a focus that
+        # holds every pair within r supports of K gives the same column
         cfg = ModelConfig(d=2, lam=1.0, K=unit_box(2), g=hard_disk(0.5), n=4.0)
-        requests = [StatRequest(name="C2", kind="component", r=2, region=self.SUB)]
-        min_reach, min_margin, focus = _request_needs(cfg, requests)
-        assert focus is None
+        requests = [StatRequest(name="C2", kind="component", r=2)]
+        plan = _plan(cfg, *_request_needs(cfg, requests))
+        assert plan.focus is None
         count = partial(_request_rows, cfg, requests)
-        args = (count, cfg, 17, DEFAULT_POLICY, min_reach, min_margin)
-        around = (self.SUB.expand(2 * cfg.g_n.support_radius),)
-        rows = _replication_rows(*args, around, 0, 24)
-        assert np.array_equal(rows, _replication_rows(*args, None, 0, 24))
+        around = replace(plan, focus=cfg.K.expand(2 * cfg.g_n.support_radius))
+        rows = _replication_rows(count, around, 17, 0, 24)
+        assert np.array_equal(rows, _replication_rows(count, plan, 17, 0, 24))
         assert rows[:, 0].any()
         with pytest.raises(SimulationError, match="focus"):
-            _replication_rows(*args, (self.SUB,), 0, 24)
+            _replication_rows(count, replace(plan, focus=cfg.K), 17, 0, 24)
 
 
 class TestKS:
@@ -482,7 +492,7 @@ class TestCovarianceField:
         assert max(max(map(abs, off)) for off in field.offsets) == 2
 
     def test_total_positive_for_disk(self, field):
-        assert field.total > 3 * field.total_se
+        assert field.positive and field.total > 3 * field.total_se
 
     def test_pooled_field_matches_serial(self):
         cfg = ModelConfig(d=2, lam=1.0, K=unit_box(2), g=hard_disk(0.5), n=1.0)
