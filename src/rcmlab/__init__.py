@@ -75,6 +75,7 @@ from .stats import (
     random_filtration_space,
     replicate,
     replicate_many,
+    run_scope,
     stationary_variance_check,
     variance_density_convergence,
     variance_lower_bound,

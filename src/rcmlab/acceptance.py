@@ -37,6 +37,7 @@ from .stats import (
     ks_normality,
     martingale_sweep,
     replicate,
+    run_scope,
     stationary_variance_check,
     variance_lower_bound,
 )
@@ -510,12 +511,14 @@ CRITERIA = (
 
 
 def run_all(ctx: AcceptanceContext) -> list[CriterionResult]:
-    """Every criterion in order, each timed and its line printed as it ends."""
+    """Every criterion in order, each timed and its line printed as it ends,
+    in one run scope, so they share one process pool per worker count."""
     results = []
-    for criterion in CRITERIA:
-        t0 = time.perf_counter()
-        result = criterion(ctx)
-        result.runtime = time.perf_counter() - t0
-        results.append(result)
-        print(result.line())
+    with run_scope():
+        for criterion in CRITERIA:
+            t0 = time.perf_counter()
+            result = criterion(ctx)
+            result.runtime = time.perf_counter() - t0
+            results.append(result)
+            print(result.line())
     return results

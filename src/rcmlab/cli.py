@@ -16,6 +16,7 @@ from pathlib import Path
 
 from .acceptance import AcceptanceContext, run_all
 from .config import ConfigError, ExperimentConfig, load_config
+from .connfn import ConnFnError
 from .moments import (
     ModelError,
     limit_mean_excess,
@@ -43,6 +44,7 @@ from .stats import (
     replicate,
     replicate_many,
     resolve_workers,
+    run_scope,
     variance_density_convergence,
     variance_lower_bound,
 )
@@ -460,14 +462,15 @@ def main(argv=None) -> int:
         dump = getattr(args, "dump_realization", None)
         if dump and not Path(dump).parent.is_dir():
             raise ConfigError(f"--dump-realization: no directory to hold {dump}")
-        code = _COMMANDS[args.command][0](cfg, args)
+        with run_scope():  # one process pool per worker count for the whole command
+            code = _COMMANDS[args.command][0](cfg, args)
         write_run_meta(
             cfg.out_dir, args.command, cfg.config_hash(), getattr(args, "runtimes", None)
         )
     except (ConfigError, OSError) as exc:  # OSError: an output path that cannot be written
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ModelError, SimulationError, StatsError, QuadratureError) as exc:
+    except (ConnFnError, ModelError, SimulationError, StatsError, QuadratureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return code

@@ -220,12 +220,19 @@ def _base_tail_mass(kind: str, a: float, T: float, d: int) -> float:
 def _base_tail_radius(kind: str, a: float, eps: float, d: int) -> float:
     # solve for half the budget so the remaining mass is strictly below eps
     target = 0.5 * eps
-    total = _base_tail_mass(kind, a, 0.0, d)
-    if total <= target:
-        return 0.0
-    hi = a
-    while _base_tail_mass(kind, a, hi, d) > target:
-        hi *= 2.0
+    try:
+        if _base_tail_mass(kind, a, 0.0, d) <= target:
+            return 0.0
+        hi = a
+        while _base_tail_mass(kind, a, hi, d) > target:
+            hi *= 2.0
+            if not math.isfinite(hi):
+                raise OverflowError
+    except OverflowError:  # the doubling search, or the mass a^d itself
+        raise ConnFnError(
+            f"{kind} scale a = {a:g}: no finite radius leaves a tail mass "
+            f"below {target:g} in d = {d}"
+        ) from None
     return float(
         optimize.brentq(
             lambda T: _base_tail_mass(kind, a, T, d) - target, hi / 2.0, hi, xtol=1e-13

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import cache, partial
 from itertools import product
@@ -86,6 +87,9 @@ class StatRequest:
             raise StatsError(f"unknown statistic kind {self.kind!r}")
 
 
+_BOOT_CHUNK = 1 << 16  # bootstrap indices drawn at a time
+
+
 @dataclass
 class StatSample:
     """Replicated values of one statistic with seed provenance."""
@@ -117,12 +121,23 @@ class StatSample:
         return math.sqrt(self.variance / self.m)
 
     def bootstrap_se_var(self) -> float:
-        """Bootstrap standard error of the sample variance (200 seeded resamples)."""
+        """Bootstrap standard error of the sample variance (200 seeded resamples).
+
+        The resamples are drawn from one generator in chunks of whole rows,
+        at most _BOOT_CHUNK indices each (one row when m is larger), so the
+        memory stays bounded.  The generator keeps its 32-bit buffer between
+        draws and a row's variance reads only that row, so the result has the
+        bits of drawing all 200 rows at once.
+        """
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=self.base_seed, spawn_key=(0xB007,))
         )
-        idx = rng.integers(0, self.m, size=(200, self.m))
-        boots = self.values[idx].var(axis=1, ddof=1)
+        rows = max(1, _BOOT_CHUNK // self.m)
+        boots = np.empty(200)
+        for a in range(0, 200, rows):
+            b = min(a + rows, 200)
+            idx = rng.integers(0, self.m, size=(b - a, self.m))
+            boots[a:b] = self.values[idx].var(axis=1, ddof=1)
         return float(boots.std(ddof=1))
 
 
@@ -190,13 +205,39 @@ def _replication_rows(count, plan, base_seed, lo, hi):
     return np.concatenate(rows)
 
 
+_pools: dict[int, ProcessPoolExecutor] = {}  # worker count -> the run's pool
+_scope_depth = 0
+
+
+@contextmanager
+def run_scope():
+    """One run: every pooled call inside it shares one process pool per
+    worker count.
+
+    Scopes nest; a pool is built on first use and shut down, its workers
+    joined, when the outermost scope exits, on every exit path.  Workers
+    hold no state between chunks (each chunk takes its plan pickled), so
+    one pool can serve every call of a run.
+    """
+    global _scope_depth
+    _scope_depth += 1
+    try:
+        yield
+    finally:
+        _scope_depth -= 1
+        if _scope_depth == 0:
+            while _pools:
+                _pools.popitem()[1].shutdown(wait=True, cancel_futures=True)
+
+
 def _replicate_rows(count, plan, base_seed, m: int, workers: int | None) -> np.ndarray:
     """Rows of replications 0..m-1 in replication order, from
     _replication_rows(count, plan, base_seed, lo, hi) over chunks lo..hi-1.
 
     Serial (one call) for one worker or m < 8; otherwise about four chunks
-    per worker in one process pool, written back in chunk order.  The plan
-    is built by the caller, so the workers only simulate and count.
+    per worker in the run's process pool (see run_scope; a call outside any
+    run is a run of its own), written back in chunk order.  The plan is
+    built by the caller, so the workers only simulate and count.
     """
     nworkers = resolve_workers(workers)
     if nworkers <= 1 or m < 8:
@@ -205,8 +246,10 @@ def _replicate_rows(count, plan, base_seed, m: int, workers: int | None) -> np.n
     los = range(0, m, chunk)
     his = [min(lo + chunk, m) for lo in los]
     rows = partial(_replication_rows, count, plan, base_seed)
-    with ProcessPoolExecutor(max_workers=nworkers) as pool:
-        return np.concatenate(list(pool.map(rows, los, his)))
+    with run_scope():
+        if nworkers not in _pools:
+            _pools[nworkers] = ProcessPoolExecutor(max_workers=nworkers)
+        return np.concatenate(list(_pools[nworkers].map(rows, los, his)))
 
 
 def replicate_many(

@@ -1,5 +1,6 @@
 import json
 import math
+import multiprocessing
 import shlex
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import pytest
 from rcmlab import cli
 from rcmlab.acceptance import CriterionResult
 from rcmlab.config import ConfigError, load_config, parse_config
+from rcmlab.stats import StatsError
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -311,11 +313,14 @@ class TestCli:
         assert err.startswith("config error:") and item.partition("=")[0] in err
 
     # finite but extreme model sizes: the expected point count of K or of the
-    # window is beyond a Poisson draw, or the moment bound's exponential
-    # overflows; each names the number it cannot take
+    # window is beyond a Poisson draw, the moment bound's exponential
+    # overflows, or no finite radius bounds the tail; each names the number
+    # it cannot take
     @pytest.mark.parametrize("command,item,says", [
         ("simulate", "run.n_list=1e308", "vol(K) = 1e+308 expected points"),
         ("simulate", "model.g.a=1e300", "vol(window) = 1.40274e+303 expected points"),
+        ("simulate", "model.g.a=1e307", "exponential scale a = 1e+307"),
+        ("moments", "model.g.a=1e307", "exponential scale a = 1e+307"),
         ("simulate", "model.K.sides=1e308", "vol(K) = inf expected points"),
         ("truncation-demo", "run.R_list=1e300", "vol(window) = 2e+300 expected points"),
         ("moments", "run.n_list=1e308", "intensity 1e+308"),
@@ -327,6 +332,23 @@ class TestCli:
         assert cli.main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and says in err
+
+    # a run's process pool is shut down, its workers joined, on every exit
+    @pytest.mark.parametrize("code,fault", [(0, None), (1, StatsError("late")),
+                                            (2, OSError("disk full"))])
+    def test_no_worker_outlives_the_command(self, code, fault, pools, monkeypatch, tmp_path):
+        if fault is not None:
+            def emit(*args, **kwargs):
+                raise fault
+
+            monkeypatch.setattr(cli, "_emit", emit)
+        argv = ["simulate", "--config", str(ROOT / "configs" / "default.cfg"),
+                "--out-dir", str(tmp_path), "--set", "run.m=200", "--set", "run.n_list=2, 4",
+                "--workers", "2"]
+        assert cli.main(argv) == code
+        assert multiprocessing.active_children() == []
+        # both n share the command's one pool
+        assert len(pools) == 1 and pools[0].shutdowns == 1
 
     def test_vanishing_intensity_simulates_empty_replications(self, tmp_path):
         argv = ["simulate", "--config", str(ROOT / "configs" / "default.cfg"),

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -167,6 +168,25 @@ def test_tail_radius_of_scaled_stack():
     T = f.tail_radius(1e-8, 1)
     tail = radial_integral(f, 1).value - adaptive_quad(lambda r: 2 * f.eval(r), 0.0, T)[0]
     assert tail < 1e-8
+
+
+@pytest.mark.parametrize("f,eps,d,radius", [
+    (exponential(1.0), 1e-12, 1, 29.01731547704844),
+    (gaussian(0.3), 1e-12, 2, 1.5606042841257812),
+    (exponential(1e300), 1e-4, 1, 7.013721626313099e+302),
+    (exponential(0.5).scale(4.0), 1e-10, 3, 3.3315540020681373),
+    (gaussian(1e150), 1e-12, 2, 2.676484431839309e+151),
+])
+def test_tail_radius_bits(f, eps, d, radius):
+    assert f.tail_radius(eps, d) == radius
+
+
+# the doubling search runs past the largest float, or the mass a^d overflows
+# (the CLI's extreme-input table has exponential(1e307) in d = 1)
+@pytest.mark.parametrize("f,d", [(gaussian(1e307), 1), (exponential(1e160), 2)])
+def test_tail_radius_beyond_floats_is_an_error(f, d):
+    with pytest.raises(ConnFnError, match=re.escape(f"scale a = {f.a:g}")):
+        f.tail_radius(1e-12, d)
 
 
 def test_eval_accepts_scalars_and_arrays():

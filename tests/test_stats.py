@@ -1,6 +1,8 @@
 import hashlib
 import math
+import multiprocessing
 import os
+import tracemalloc
 from dataclasses import replace
 from functools import partial
 from itertools import product
@@ -47,6 +49,7 @@ from rcmlab.stats import (
     replicate,
     replicate_many,
     resolve_workers,
+    run_scope,
     stationary_variance_check,
     variance_lower_bound,
 )
@@ -96,13 +99,48 @@ class TestReplicate:
         with pytest.raises(StatsError):
             StatRequest(name="x", kind="mystery")
 
-    def test_bootstrap_se_deterministic(self):
-        sample = replicate(small_cfg(), StatRequest(name="I", kind="isolated"), 200, base_seed=8)
-        assert sample.bootstrap_se_var() == sample.bootstrap_se_var()
+    @pytest.mark.parametrize("m", [2, 3, 17, 600, 100_000])
+    def test_bootstrap_se_has_the_bits_of_all_resamples_at_once(self, m):
+        values = np.random.default_rng(m).normal(size=m)
+        sample = StatSample(name="x", values=values, base_seed=20240801)
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=20240801, spawn_key=(0xB007,)))
+        idx = rng.integers(0, m, size=(200, m))
+        expect = float(values[idx].var(axis=1, ddof=1).std(ddof=1))
+        assert sample.bootstrap_se_var() == expect
 
-    def test_pool_workers_never_plan(self, monkeypatch):
+    def test_bootstrap_se_memory_is_bounded(self):
+        # all 200 resamples at once would hold (200, m) indices and values
+        sample = StatSample(name="x", values=np.random.default_rng(1).normal(size=100_000),
+                            base_seed=5)
+        tracemalloc.start()
+        try:
+            sample.bootstrap_se_var()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    def test_one_pool_per_run(self, pools):
+        # two pooled calls on different plans, the second in a nested scope,
+        # share the run's one pool, which is shut down when the run ends
+        cfg = small_cfg()
+        first = [StatRequest(name="I", kind="isolated")]
+        second = [StatRequest(name="L", kind="excess", r0=0.5)]
+        with run_scope():
+            a = replicate_many(cfg, first, 60, base_seed=3, workers=2)
+            with run_scope():
+                b = replicate_many(cfg, second, 60, base_seed=4, workers=2)
+            assert len(pools) == 1 and pools[0].shutdowns == 0
+        assert pools[0].shutdowns == 1 and multiprocessing.active_children() == []
+        serial_a = replicate_many(cfg, first, 60, base_seed=3, workers=1)
+        serial_b = replicate_many(cfg, second, 60, base_seed=4, workers=1)
+        assert np.array_equal(a["I"].values, serial_a["I"].values)
+        assert np.array_equal(b["L"].values, serial_b["L"].values)
+
+    def test_pool_workers_never_plan(self, monkeypatch, pools):
         # the window and reach are planned once, in the calling process: a
-        # worker that asks for a tail radius raises
+        # worker that asks for a tail radius raises.  The call is a run of its
+        # own, so its pool is forked after the patch.
         caller, tail_radius = os.getpid(), ConnectionFunction.tail_radius
 
         def caller_only(self, eps, d):
@@ -118,6 +156,7 @@ class TestReplicate:
             StatRequest(name="C", kind="coupling", R=1.0),
         ]
         pooled = replicate_many(cfg, reqs, 60, base_seed=3, workers=2)
+        assert len(pools) == 1 and pools[0].shutdowns == 1
         serial = replicate_many(cfg, reqs, 60, base_seed=3, workers=1)
         for req in reqs:
             assert np.array_equal(pooled[req.name].values, serial[req.name].values)
