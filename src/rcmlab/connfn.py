@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 
 
 class ConnFnError(ValueError):
@@ -167,9 +167,11 @@ class ConnectionFunction:
     def tail_radius(self, eps: float, d: int) -> float:
         """Radius T with omega_d * int_T^inf r^{d-1} f(r) dr < eps.
 
-        Exact (zero tail) for bounded-support stacks; analytic inversion for
-        the unbounded builtins.  Table functions are bounded by construction,
-        so a cutoff is always available.
+        Exact (zero tail) for bounded-support stacks; for the unbounded
+        builtins, a root of the closed-form tail mass.  Table functions are
+        bounded by construction, so a cutoff is always available.  Raises
+        ConnFnError when the radius, the mass or the scaled budget is beyond
+        floats.
         """
         if not eps > 0.0:
             raise ConnFnError("tail epsilon must be > 0")
@@ -182,7 +184,14 @@ class ConnectionFunction:
         for t in self.transforms:
             if isinstance(t, Scale):
                 factor *= t.factor
-        return _base_tail_radius(self.kind, self.a, eps * factor**d, d) / factor
+        try:
+            base_eps = eps * factor**d
+        except OverflowError:
+            raise ConnFnError(
+                f"{self.kind} scale a = {self.a:g} scaled by {factor:g}: the tail "
+                f"budget eps * factor^d overflows a float in d = {d}"
+            ) from None
+        return _base_tail_radius(self.kind, self.a, base_eps, d) / factor
 
     # -- construction helpers -----------------------------------------------
 
@@ -221,22 +230,91 @@ def _base_tail_radius(kind: str, a: float, eps: float, d: int) -> float:
     # solve for half the budget so the remaining mass is strictly below eps
     target = 0.5 * eps
     try:
-        if _base_tail_mass(kind, a, 0.0, d) <= target:
-            return 0.0
-        hi = a
-        while _base_tail_mass(kind, a, hi, d) > target:
-            hi *= 2.0
-            if not math.isfinite(hi):
-                raise OverflowError
-    except OverflowError:  # the doubling search, or the mass a^d itself
+        total = _base_tail_mass(kind, a, 0.0, d)
+    except OverflowError:  # a^d
+        total = math.inf
+    if not math.isfinite(total):  # then inf * Q(...) is NaN where Q underflows
         raise ConnFnError(
-            f"{kind} scale a = {a:g}: no finite radius leaves a tail mass "
-            f"below {target:g} in d = {d}"
-        ) from None
-    return float(
-        optimize.brentq(
-            lambda T: _base_tail_mass(kind, a, T, d) - target, hi / 2.0, hi, xtol=1e-13
+            f"{kind} scale a = {a:g}: the total mass of the connection function "
+            f"overflows a float in d = {d}"
         )
+    if total <= target:
+        return 0.0
+    hi = a
+    while _base_tail_mass(kind, a, hi, d) > target:
+        hi *= 2.0
+        if not math.isfinite(hi):
+            raise ConnFnError(
+                f"{kind} scale a = {a:g}: no finite radius leaves a tail mass "
+                f"below {target:g} in d = {d}"
+            )
+    lo = hi / 2.0
+    # when the mass at a is already below the target, [a/2, a] may hold no
+    # sign change: halve down until the mass exceeds it (total > target ends it)
+    while _base_tail_mass(kind, a, lo, d) < target:
+        hi, lo = lo, lo / 2.0
+    return _brentq(lambda T: _base_tail_mass(kind, a, T, d) - target, lo, hi, 1e-13)
+
+
+_BRENT_RTOL = 4 * 2.0**-52  # scipy's default rtol, four float epsilons
+_BRENT_MAXITER = 100
+
+
+def _brentq(f, xa: float, xb: float, xtol: float) -> float:
+    """A root of f in [xa, xb] by Brent's method (Brent, *Algorithms for
+    Minimization without Derivatives*, 1973, ch. 4).
+
+    Step for step the C routine behind ``scipy.optimize.brentq`` (scipy
+    1.17.1, ``scipy/optimize/Zeros/brentq.c``) at its default rtol and
+    maxiter, so a root has scipy's bits.  f must return finite floats.
+    """
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # C's x / 0 is inf or nan, which fails the test below
+                stry = math.nan
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis  # bisect
+        else:
+            spre = scur = sbis  # bisect
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    raise RuntimeError(
+        f"Failed to converge after {_BRENT_MAXITER} iterations, value is {xcur}"
     )
 
 

@@ -1,7 +1,10 @@
 import json
 import math
 import multiprocessing
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -333,6 +336,41 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:") and says in err
 
+    # a tail mass omega_d a^d Gamma(d/2) / 2 beyond the largest float
+    @pytest.mark.parametrize("command", ["simulate", "moments"])
+    def test_overflowing_tail_mass_ends_in_an_error_line(self, command, tmp_path, capsys):
+        argv = [command, "--config", str(ROOT / "configs" / "default.cfg"),
+                "--out-dir", str(tmp_path)]
+        for item in ("model.d=3", "model.K.lower=0,0,0", "model.K.sides=1,1,1",
+                     "model.g.kind=gaussian", "model.g.a=3e102"):
+            argv += ["--set", item]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "gaussian scale a = 3e+102" in err
+
+    # a margin or reach budget above the tail mass beyond a (at lambda = 0.02,
+    # or a wide eps) puts that tail radius below a / 2
+    @pytest.mark.parametrize("command,item", [
+        ("simulate", "model.lambda=0.02"),
+        ("simulate", "numerics.eps_margin=3"),
+        ("simulate", "numerics.eps_edges=50"),
+        ("truncation-demo", "model.lambda=0.02"),
+        ("variance-growth", "model.lambda=0.02"),
+        ("clt-test", "model.lambda=0.02"),
+    ])
+    def test_wide_tail_budgets_run(self, command, item, tmp_path, capsys):
+        argv = [command, "--config", str(ROOT / "configs" / "default.cfg"),
+                "--out-dir", str(tmp_path), "--set", "run.m=200", "--set", item]
+        rc = cli.main(argv)
+        assert capsys.readouterr().err == ""
+        if command == "clt-test":
+            # ~0.04 to 0.16 points in K: the count is far from normal, and the
+            # exit status is the KS verdict
+            rows = json.loads(next(tmp_path.glob("*.json")).read_text())["rows"]
+            assert rc == 1 and rows and not any(row["passed"] for row in rows)
+        else:
+            assert rc == 0
+
     # a run's process pool is shut down, its workers joined, on every exit
     @pytest.mark.parametrize("code,fault", [(0, None), (1, StatsError("late")),
                                             (2, OSError("disk full"))])
@@ -462,3 +500,26 @@ def test_readme_commands_parse():
         config = ROOT / args.config
         assert config.is_file(), f"{args.config} named in README does not exist"
         load_config(str(config), args.set)  # the overrides name real keys
+
+
+# a fresh interpreter: pytest's own may already hold these modules
+def test_cli_loads_csgraph_only_for_components():
+    code = """
+import sys
+import numpy as np
+import rcmlab.cli
+from rcmlab.connfn import hard_disk
+from rcmlab.quadrature import unit_box
+from rcmlab.simulator import SimWindow, connect, count_components
+
+held = [m for m in ("scipy.optimize", "scipy.sparse.csgraph") if m in sys.modules]
+assert not held, held
+pts = np.array([[0.4, 0.5], [0.6, 0.5], [0.2, 0.2]])
+graph = connect(pts, hard_disk(0.25), SimWindow(K=unit_box(2), margin=1.0), 0.25, 3)
+assert count_components(graph, unit_box(2), 2) == 1.0
+assert "scipy.sparse.csgraph" in sys.modules
+"""
+    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

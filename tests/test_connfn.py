@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from rcmlab import connfn
 from rcmlab.connfn import (
     ConnFnError,
+    _base_tail_mass,
+    _brentq,
     exponential,
     gaussian,
     hard_disk,
@@ -170,23 +173,108 @@ def test_tail_radius_of_scaled_stack():
     assert tail < 1e-8
 
 
-@pytest.mark.parametrize("f,eps,d,radius", [
+PINNED_RADII = [
     (exponential(1.0), 1e-12, 1, 29.01731547704844),
     (gaussian(0.3), 1e-12, 2, 1.5606042841257812),
     (exponential(1e300), 1e-4, 1, 7.013721626313099e+302),
     (exponential(0.5).scale(4.0), 1e-10, 3, 3.3315540020681373),
     (gaussian(1e150), 1e-12, 2, 2.676484431839309e+151),
-])
+]
+
+
+@pytest.mark.parametrize("f,eps,d,radius", PINNED_RADII)
 def test_tail_radius_bits(f, eps, d, radius):
     assert f.tail_radius(eps, d) == radius
 
 
-# the doubling search runs past the largest float, or the mass a^d overflows
-# (the CLI's extreme-input table has exponential(1e307) in d = 1)
-@pytest.mark.parametrize("f,d", [(gaussian(1e307), 1), (exponential(1e160), 2)])
+# the doubling search runs past the largest float, the mass a^d overflows,
+# the prefactor omega_d a^d Gamma(.) does (where inf * Q underflowing to 0 is
+# NaN), or so does eps * factor^d (the CLI's extreme-input table has
+# exponential(1e307) in d = 1)
+@pytest.mark.parametrize("f,d", [
+    (gaussian(1e307), 1),
+    (exponential(1e160), 2),
+    (gaussian(3e102), 3),
+    (gaussian(5e102), 3),
+    (exponential(1.0).scale(1e200), 2),
+])
 def test_tail_radius_beyond_floats_is_an_error(f, d):
     with pytest.raises(ConnFnError, match=re.escape(f"scale a = {f.a:g}")):
         f.tail_radius(1e-12, d)
+
+
+# budgets above the mass beyond a: the root lies below a / 2, where the
+# bracket [a/2, a] holds no sign change
+@pytest.mark.parametrize("f,eps,d", [
+    (exponential(1.0), 3.0, 1),
+    (gaussian(1.0), 5.0, 2),
+    (gaussian(1.0), 10.6, 3),
+    (exponential(2.0), 1.998 * 4.0 * math.pi * 2.0**3 * 2.0, 3),  # 0.999 of the mass
+])
+def test_tail_radius_below_half_the_scale(f, eps, d):
+    T = f.tail_radius(eps, d)
+    assert 0.0 < T < f.a / 2
+    assert _base_tail_mass(f.kind, f.a, T, d) <= eps / 2
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Every (f, xa, xb, xtol) that tail radii hand to the root-finder."""
+    seen = []
+
+    def recording(f, xa, xb, xtol):
+        seen.append((f, xa, xb, xtol))
+        return _brentq(f, xa, xb, xtol)
+
+    monkeypatch.setattr(connfn, "_brentq", recording)
+    return seen
+
+
+def _assert_brentq_is_scipys(f, xa, xb, xtol):
+    from scipy import optimize  # the reference only; rcmlab never loads it
+
+    try:
+        want = optimize.brentq(f, xa, xb, xtol=xtol)
+    except (ValueError, RuntimeError) as exc:
+        with pytest.raises(type(exc)):
+            _brentq(f, xa, xb, xtol)
+        return
+    assert _brentq(f, xa, xb, xtol) == want
+
+
+# exponential(1e300)'s solve divides by a denominator that underflows to 0,
+# where C's inf or nan step fails the step test and bisects
+@pytest.mark.parametrize("f,eps,d,radius", PINNED_RADII)
+def test_brentq_is_scipys_on_the_pinned_radii(f, eps, d, radius, solves):
+    assert f.tail_radius(eps, d) == radius
+    assert len(solves) == 1
+    _assert_brentq_is_scipys(*solves[0])
+
+
+def test_brentq_is_scipys_on_a_seeded_grid(solves):
+    rng = np.random.default_rng(19)
+    for _ in range(300):
+        f = (exponential, gaussian)[rng.integers(2)](math.exp(rng.uniform(-20.0, 250.0)))
+        if rng.random() < 0.3:
+            f = f.scale(math.exp(rng.uniform(0.0, 10.0)))
+        try:
+            f.tail_radius(10.0 ** rng.uniform(-300.0, math.log10(2.0)), int(rng.integers(1, 4)))
+        except ConnFnError:
+            pass
+    assert len(solves) > 250
+    for solve in solves:
+        _assert_brentq_is_scipys(*solve)
+
+
+@pytest.mark.parametrize("f,xa,xb", [
+    (lambda x: x * x - 2.0, 0.0, 2.0),
+    (lambda x: math.cos(x) - x, -1.0, 3.0),
+    (lambda x: 1.0 if x < 0.3 else -2.0, 0.0, 1.0),
+    (lambda x: x**3, -1.0, 0.5),
+    (lambda x: 1.0, 0.0, 1.0),
+])
+def test_brentq_is_scipys_on_plain_functions(f, xa, xb):
+    _assert_brentq_is_scipys(f, xa, xb, 1e-13)
 
 
 def test_eval_accepts_scalars_and_arrays():
