@@ -206,7 +206,7 @@ def cmd_clt_test(cfg: ExperimentConfig, args) -> int:
             cfg.workers,
         )
         bias = max(bias, sample.bias_bound)
-        ks = ks_normality(sample)
+        ks = ks_normality(sample.values)
         ok = ks < cfg.ks_threshold
         all_ok = all_ok and ok
         rows.append(
@@ -289,7 +289,7 @@ def cmd_truncation_demo(cfg: ExperimentConfig, args) -> int:
                 "section": "collapse_fraction",
                 "n": n_big,
                 "R": R_c,
-                "value": exceedance_fraction(sample, center, sigma, 0.25),
+                "value": exceedance_fraction(sample.values, center, sigma, 0.25),
                 "note": "P(|L - EL| / sd(I) >= 0.25); falls as R grows",
             }
         )

@@ -191,12 +191,7 @@ def parse_config(text: str) -> ExperimentConfig:
         if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         raw[key] = value.strip()
-    try:
-        return _build(raw)
-    except ConfigError:
-        raise
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(str(exc)) from exc
+    return _build(raw)
 
 
 def load_config(path: str, overrides=()) -> ExperimentConfig:

@@ -187,6 +187,10 @@ class ConnectionFunction:
         try:
             base_eps = eps * factor**d
         except OverflowError:
+            # the base mass is a^d times that of a = 1: compare it in logs
+            log_mass = math.log(_base_tail_mass(self.kind, 1.0, 0.0, d)) + d * math.log(self.a)
+            if log_mass <= math.log(0.5 * eps) + d * math.log(factor):
+                return 0.0
             raise ConnFnError(
                 f"{self.kind} scale a = {self.a:g} scaled by {factor:g}: the tail "
                 f"budget eps * factor^d overflows a float in d = {d}"
@@ -443,9 +447,3 @@ def verify_identities(f: ConnectionFunction, R: float, n: float, grid) -> Identi
         for idx in bad:
             failures.append((name, float(grid[idx]), float(lhs[idx]), float(rhs[idx])))
     return IdentityReport(ok=not failures, checked=4 * len(grid), failures=tuple(failures))
-
-
-def is_nonincreasing_on(f: ConnectionFunction, grid) -> bool:
-    """True if f is non-increasing along the sorted grid."""
-    vals = f.eval(np.sort(np.asarray(list(grid), dtype=float)))
-    return bool(np.all(np.diff(vals) <= 0.0))

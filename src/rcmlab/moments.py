@@ -32,7 +32,6 @@ from .quadrature import (
     overlap_rows,
     radial_integral,
     radial_of,
-    unit_box,
 )
 
 
@@ -101,14 +100,13 @@ class MomentReport:
 class DominationConstant:
     """Constructive constants bounding the variance bracket by C * g(|x|/2)."""
 
-    N: float
     M: float
     C_pair: float
     C_total: float
     note: str = ""
 
     def __post_init__(self):
-        if not (self.N > 0 and self.M > 0 and self.C_pair > 0 and self.C_total > 0):
+        if not (self.M > 0 and self.C_pair > 0 and self.C_total > 0):
             raise ModelError("domination constants must be > 0")
 
 
@@ -256,9 +254,20 @@ def var_excess(
     cfg: ModelConfig, R: float, spec: QuadratureSpec = DEFAULT_SPEC
 ) -> QuadResult:
     """Variance of the excess count for the scaled model."""
+    mu, K, d, g_n = cfg.lam_n, cfg.K, cfg.d, cfg.g_n
     g_in = make_variant(cfg.g, "cut_then_scale", R=R, n=cfg.n)
     g_out = make_variant(cfg.g, "cut_then_scale_outside", R=R, n=cfg.n)
-    return _excess_variance_region(cfg.lam_n, g_in, g_out, cfg.g_n, cfg.K, cfg.d, spec)
+    bracket, extra, p_in, p_out = _excess_parts(mu, g_in, g_out, g_n, d, spec)
+    mean = mu * K.volume * p_in.value * (1.0 - p_out.value)
+    breaks = _pair_cut_breaks(g_in, g_out, g_n)
+    main = double_region_integral(bracket, K, d, spec, breaks)
+    extra_int = double_region_integral(extra, K, d, spec, breaks)
+    val = mean + mu**2 * main.value + mu**2 * p_in.value**2 * extra_int.value
+    err = (
+        mu * K.volume * (p_in.error + p_out.error)
+        + mu**2 * (main.error + extra_int.error)
+    )
+    return QuadResult(val, err)
 
 
 def limit_mean_excess(
@@ -386,22 +395,26 @@ def domination_constants(
     g: ConnectionFunction,
     d: int,
     spec: QuadratureSpec = DEFAULT_SPEC,
-    density_rule: DensityRule | None = None,
 ) -> DominationConstant:
-    """Construct (N, M, C_pair, C_total) for the bracket domination bound.
+    """Construct (M, C_pair, C_total) for the bracket domination bound.
 
+    The bracket depends on the scale index n only through lam_n / n^d, which
+    is lam for every n under lam_n = lam n^d, so the bound holds from n = 1.
     M satisfies 4 lam g(M/2) int(g) <= 1; the pair constant is
     max(4 e lam int(g), (exp(4 lam int(g)) - 1) / g(M/2)) and the final
-    constant is 4 (1 + C_pair).  For bounded-support g whose minimal M lands
-    beyond the support, M shrinks to the largest radius with g(M/2) > 0 when
-    the defining inequality still holds there; otherwise the uniform bound
+    constant is 4 (1 + C_pair).  When every M satisfies the inequality, M is
+    the support (2a when unbounded), halved until g(M/2) > 0.  For
+    bounded-support g whose minimal M lands beyond the support, M shrinks to
+    the largest radius with g(M/2) > 0 when the defining inequality still
+    holds there; otherwise the uniform bound
     C_pair = 4 lam int(g) exp(4 lam int(g)) is reported (the bracket vanishes
     wherever g(|x|/2) does, so the inequality stays valid).
     """
     Ig = radial_integral(g, d, spec).value
     if not Ig > 0:
         raise ModelError("g must have positive integral")
-    N = _index_threshold(lam, density_rule, d)
+    if not g.eval(0.0) > 0.0:
+        raise ModelError("g must be positive at 0")
 
     def phi(M: float) -> float:
         return 4.0 * lam * g.eval(M / 2.0) * Ig - 1.0
@@ -410,8 +423,8 @@ def domination_constants(
     supp = g.support_radius
     if phi(0.0) <= 0.0:
         M = supp if supp is not None else 2.0 * (g.a or 1.0)
-        if g.eval(M / 2.0) <= 0.0:
-            M = supp  # g(supp/2) > 0 by monotone nontriviality
+        while g.eval(M / 2.0) <= 0.0:  # ends: g(0) > 0
+            M /= 2.0
     else:
         hi = 2.0 * (supp if supp is not None else (g.a or 1.0))
         while phi(hi) > 0.0:
@@ -436,7 +449,6 @@ def domination_constants(
         else:
             C_pair = 4.0 * lam * Ig * math.exp(4.0 * lam * Ig)
             return DominationConstant(
-                N=N,
                 M=2.0 * supp,
                 C_pair=C_pair,
                 C_total=4.0 * (1.0 + C_pair),
@@ -444,9 +456,7 @@ def domination_constants(
             )
 
     C_pair = max(4.0 * math.e * lam * Ig, (math.exp(4.0 * lam * Ig) - 1.0) / gM2)
-    return DominationConstant(
-        N=N, M=M, C_pair=C_pair, C_total=4.0 * (1.0 + C_pair), note=note
-    )
+    return DominationConstant(M=M, C_pair=C_pair, C_total=4.0 * (1.0 + C_pair), note=note)
 
 
 @dataclass(frozen=True)
@@ -455,6 +465,7 @@ class DominationCheck:
     worst_margin: float  # max over the grid of |bracket| - C_total g(x/2)
     worst_pair_margin: float  # max of (pair(2 lam) - 1) - C_pair g(x/2)
     points: int
+    constant: DominationConstant  # the constants checked
 
 
 def check_domination(
@@ -463,29 +474,22 @@ def check_domination(
     d: int,
     radii: Sequence[float],
     R_list: Sequence[float],
-    n_list: Sequence[float],
     spec: QuadratureSpec = DEFAULT_SPEC,
-    density_rule: DensityRule | None = None,
 ) -> DominationCheck:
-    """Numerically verify both domination inequalities on a grid; a margin
-    of up to 1e-7 above zero is taken as quadrature noise."""
-    const = domination_constants(lam, g, d, spec, density_rule)
+    """Numerically verify both domination inequalities on a grid, the
+    bracket at intensity lam (see domination_constants); a margin of up to
+    1e-7 above zero is taken as quadrature noise."""
+    const = domination_constants(lam, g, d, spec)
     x = np.asarray(radii, dtype=float).reshape(-1)
     g_half = g.eval(x / 2.0)
     worst = -math.inf
-    count = 0
-    for n in n_list:
-        cfg = ModelConfig(d=d, lam=lam, K=unit_box(d), g=g, n=n, density_rule=density_rule)
-        nu = cfg.lam_n / n**d
-        for R in R_list:
-            bracket = excess_variance_bracket(nu, g, R, d, spec)
-            margin = np.abs(bracket(x)) - const.C_total * g_half
-            worst = max(worst, float(np.max(margin, initial=-math.inf)))
-            count += x.size
+    for R in R_list:
+        margin = np.abs(excess_variance_bracket(lam, g, R, d, spec)(x)) - const.C_total * g_half
+        worst = max(worst, float(np.max(margin, initial=-math.inf)))
     pf = pair_factor(2.0 * lam, g, g, x, d, spec).value
     worst_pair = float(np.max((pf - 1.0) - const.C_pair * g_half, initial=-math.inf))
     ok = worst <= 1e-7 and worst_pair <= 1e-7
-    return DominationCheck(ok=ok, worst_margin=worst, worst_pair_margin=worst_pair, points=count)
+    return DominationCheck(ok, worst, worst_pair, x.size * len(R_list), const)
 
 
 # -- shared internals ----------------------------------------------------------
@@ -496,17 +500,6 @@ def _require_wide(R: float, K: Region):
         raise ModelError(
             f"formula requires R > diam(K) = {K.diameter:.6g}, got R = {R:.6g}"
         )
-
-
-def _index_threshold(lam: float, density_rule: DensityRule | None, d: int) -> float:
-    """Smallest n with 3/4 lam <= lam_n / n^d <= 3/2 lam (1 for the default rule)."""
-    if density_rule is None:
-        return 1.0
-    for nn, ln in sorted(density_rule):
-        ratio = ln / nn**d
-        if 0.75 * lam <= ratio <= 1.5 * lam:
-            return nn
-    raise ModelError("no index in the density rule satisfies the 3/4..3/2 band")
 
 
 def _pair_cut_breaks(*fns: ConnectionFunction) -> tuple[float, ...]:
@@ -580,17 +573,3 @@ def _excess_parts(mu, g_in, g_out, g_full, d, spec):
         return out
 
     return bracket, extra, p_in, p_out
-
-
-def _excess_variance_region(mu, g_in, g_out, g_full, K, d, spec) -> QuadResult:
-    bracket, extra, p_in, p_out = _excess_parts(mu, g_in, g_out, g_full, d, spec)
-    mean = mu * K.volume * p_in.value * (1.0 - p_out.value)
-    breaks = _pair_cut_breaks(g_in, g_out, g_full)
-    main = double_region_integral(bracket, K, d, spec, breaks)
-    extra_int = double_region_integral(extra, K, d, spec, breaks)
-    val = mean + mu**2 * main.value + mu**2 * p_in.value**2 * extra_int.value
-    err = (
-        mu * K.volume * (p_in.error + p_out.error)
-        + mu**2 * (main.error + extra_int.error)
-    )
-    return QuadResult(val, err)

@@ -162,7 +162,6 @@ class PointGraph:
     conn: ConnectionFunction
     window: SimWindow
     reach: float
-    edge_bias: float = 0.0  # bound on expected edges lost beyond the reach
     focus: tuple[Region, np.ndarray] | None = None
     edge_i: np.ndarray = field(init=False)
     edge_j: np.ndarray = field(init=False)
@@ -576,8 +575,7 @@ def simulate_block(
         focus = (plan.focus, inside)
     i, j, dist = _candidate_pairs(points, plan.reach, rid, inside)
     coins = pair_uniform(keys[rid[i]], local[i], local[j])
-    graph = PointGraph(points, (i, j, dist), coins, plan.conn, plan.window, plan.reach,
-                       plan.edge_bias, focus)
+    graph = PointGraph(points, (i, j, dist), coins, plan.conn, plan.window, plan.reach, focus)
     return graph, rid
 
 

@@ -167,9 +167,9 @@ def _request_needs(cfg: ModelConfig, requests: Sequence[StatRequest]):
 
 
 def _request_rows(cfg, requests, graph, rid, reps):
-    """Rows of a block of reps replications: request values in request order,
-    then each realization's bias bound.  The (J, L) masks of one r0 are
-    computed once and shared by every request that reads them."""
+    """Rows of a block of reps replications: request values in request order.
+    The (J, L) masks of one r0 are computed once and shared by every request
+    that reads them."""
 
     def per_rep(mask):
         return np.bincount(rid[mask], minlength=reps)
@@ -190,7 +190,6 @@ def _request_rows(cfg, requests, graph, rid, reps):
             j_mask, _ = masks(req.R / cfg.n)
             twin = regraph(graph, make_variant(cfg.g, "cut_then_scale", R=req.R, n=cfg.n))
             cols.append(per_rep(j_mask) == per_rep(isolated_mask(twin, K)))
-    cols.append(np.full(reps, graph.window.bias_bound + graph.edge_bias))
     return np.column_stack(cols).astype(float)
 
 
@@ -260,15 +259,18 @@ def replicate_many(
     policy: SimPolicy = DEFAULT_POLICY,
     workers: int | None = None,
 ) -> dict[str, StatSample]:
-    """m independent replications of several statistics on shared realizations."""
+    """m independent replications of several statistics on shared realizations;
+    every sample's bias bound is the run's, fixed by its block plan."""
     if m < 2:
         raise StatsError("m must be >= 2")
+    if not requests:
+        raise StatsError("no statistics requested")
     names = [req.name for req in requests]
     if len(set(names)) != len(names):
         raise StatsError("duplicate statistic names")
     plan = block_plan(cfg.g_n, cfg.lam_n, cfg.d, cfg.K, policy, *_request_needs(cfg, requests))
     rows = _replicate_rows(partial(_request_rows, cfg, requests), plan, base_seed, m, workers)
-    bias = float(rows[:, -1].max())
+    bias = plan.window.bias_bound + plan.edge_bias
     return {
         name: StatSample(
             name=name, values=rows[:, k].copy(), base_seed=base_seed, bias_bound=bias
@@ -318,7 +320,7 @@ KS_MIN_REPLICATIONS = 100
 def ks_normality(values) -> float:
     """Exact one-sample KS distance of the values, standardized by their
     sample mean and variance (ddof=1), to the normal CDF."""
-    vals = values.values if isinstance(values, StatSample) else np.asarray(values, dtype=float)
+    vals = np.asarray(values, dtype=float)
     m = vals.size
     if m < KS_MIN_REPLICATIONS:
         raise StatsError(f"KS normality check needs at least {KS_MIN_REPLICATIONS} replications")
@@ -728,7 +730,7 @@ def variance_lower_bound(
 
 def exceedance_fraction(values, center: float, scale: float, threshold: float) -> float:
     """Empirical P(|X - center| / scale >= threshold)."""
-    vals = values.values if isinstance(values, StatSample) else np.asarray(values, dtype=float)
+    vals = np.asarray(values, dtype=float)
     if scale <= 0:
         raise StatsError("scale must be > 0")
     return float(np.mean(np.abs(vals - center) / scale >= threshold))

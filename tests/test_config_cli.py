@@ -348,6 +348,19 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "gaussian scale a = 3e+102" in err
 
+    # eps * factor^d overflows, but the whole mass is far below every budget,
+    # so the margin and the reach are 0 and the run goes through
+    def test_negligible_scaled_mass_runs(self, tmp_path, capsys):
+        argv = ["simulate", "--config", str(ROOT / "configs" / "default.cfg"),
+                "--out-dir", str(tmp_path), "--set", "run.m=50"]
+        for item in ("model.d=2", "model.K.lower=0,0", "model.K.sides=1,1",
+                     "model.g.transforms=scale:1e200"):
+            argv += ["--set", item]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().err == ""
+        rows = json.loads((tmp_path / "simulate.json").read_text())["rows"]
+        assert [row["m"] for row in rows] == [50] * 9
+
     # a margin or reach budget above the tail mass beyond a (at lambda = 0.02,
     # or a wide eps) puts that tail radius below a / 2
     @pytest.mark.parametrize("command,item", [

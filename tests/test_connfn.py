@@ -13,7 +13,6 @@ from rcmlab.connfn import (
     exponential,
     gaussian,
     hard_disk,
-    is_nonincreasing_on,
     make_variant,
     table_function,
     verify_identities,
@@ -104,7 +103,7 @@ def test_bounds_and_monotone_inside_stacks(f, R, n):
     assert np.all(vals >= 0.0) and np.all(vals <= 1.0)
     # outside truncations jump upward at the cut, so monotonicity is only
     # asserted for inside/scale stacks
-    assert is_nonincreasing_on(g, GRID)
+    assert np.all(np.diff(vals) <= 0.0)
 
 
 def test_table_function():
@@ -189,18 +188,28 @@ def test_tail_radius_bits(f, eps, d, radius):
 
 # the doubling search runs past the largest float, the mass a^d overflows,
 # the prefactor omega_d a^d Gamma(.) does (where inf * Q underflowing to 0 is
-# NaN), or so does eps * factor^d (the CLI's extreme-input table has
-# exponential(1e307) in d = 1)
+# NaN), or so does eps * factor^d while the mass is above eps / 2 (the CLI's
+# extreme-input table has exponential(1e307) in d = 1)
 @pytest.mark.parametrize("f,d", [
     (gaussian(1e307), 1),
     (exponential(1e160), 2),
     (gaussian(3e102), 3),
     (gaussian(5e102), 3),
-    (exponential(1.0).scale(1e200), 2),
+    (exponential(1e300).scale(1e200), 2),
 ])
 def test_tail_radius_beyond_floats_is_an_error(f, d):
     with pytest.raises(ConnFnError, match=re.escape(f"scale a = {f.a:g}")):
         f.tail_radius(1e-12, d)
+
+
+# eps * factor^d overflows, but the whole mass, a^d times that of a = 1, is
+# far below eps / 2: compared in logs, the radius is 0
+@pytest.mark.parametrize("f,d", [
+    (exponential(1.0).scale(1e200), 2),
+    (gaussian(2.0).scale(1e120), 3),
+])
+def test_tail_radius_of_a_negligible_mass_is_zero(f, d):
+    assert f.tail_radius(1e-12, d) == 0.0
 
 
 # budgets above the mass beyond a: the root lies below a / 2, where the

@@ -1,0 +1,82 @@
+"""Every module-level function and class of the package is in use.
+
+A name counts as used when code of src/rcmlab outside its own definition
+refers to it (as a name or as an attribute), when rcmlab/__init__.py exports
+it, or when rcmbench/tracing.py's TARGETS wraps it.  This test only reads
+rcmbench/.
+"""
+
+import ast
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "rcmlab"
+TRACING = ROOT / "rcmbench" / "tracing.py"
+
+
+def _trees():
+    return {path.stem: ast.parse(path.read_text(), str(path)) for path in PACKAGE.glob("*.py")}
+
+
+def _traced():
+    """(module, name) of every tracer target, its outermost attribute."""
+    spec = importlib.util.spec_from_file_location("rcmbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return {(mod.rpartition(".")[2], path.split(".")[0]) for mod, path, _ in tracing.TARGETS}
+
+
+def _exported(init: ast.Module):
+    names = set()
+    for node in ast.walk(init):
+        if isinstance(node, ast.ImportFrom):
+            names.update(alias.asname or alias.name for alias in node.names)
+    return names
+
+
+def _references(trees):
+    """(module, line, name) of every name and attribute read in the package."""
+    refs = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                refs.append((module, node.lineno, node.id))
+            elif isinstance(node, ast.Attribute):
+                refs.append((module, node.lineno, node.attr))
+    return refs
+
+
+def _definitions(trees):
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for module, tree in sorted(trees.items()):
+        for node in tree.body:
+            if isinstance(node, kinds):
+                yield module, node
+
+
+def _unused(trees, traced):
+    exported = _exported(trees["__init__"])
+    refs = _references(trees)
+    unused = []
+    for module, node in _definitions(trees):
+        if node.name in exported or (module, node.name) in traced:
+            continue
+        start = min([node.lineno] + [d.lineno for d in node.decorator_list])
+        used = any(
+            name == node.name and not (mod == module and start <= line <= node.end_lineno)
+            for mod, line, name in refs
+        )
+        if not used:
+            unused.append(f"{module}.{node.name}")
+    return unused
+
+
+def test_every_definition_is_used():
+    assert _unused(_trees(), _traced()) == []
+
+
+def test_an_unused_definition_is_named():
+    trees = _trees()
+    trees["connfn"].body.append(ast.parse("def _orphan(x):\n    return _orphan(x)\n").body[0])
+    assert _unused(trees, _traced()) == ["connfn._orphan"]

@@ -286,7 +286,6 @@ class TestSwappedTruncation:
 class TestDomination:
     def test_exponential_constants(self):
         const = domination_constants(1.0, exponential(1.0), 1)
-        assert const.N == 1.0
         assert const.M == pytest.approx(2 * math.log(8), rel=1e-6)
         expect_pair = max(8 * math.e, 8 * (math.exp(8) - 1))
         assert const.C_pair == pytest.approx(expect_pair, rel=1e-5)
@@ -301,10 +300,10 @@ class TestDomination:
         assert "fallback" in const.note
         assert const.C_pair == pytest.approx(4 * math.pi * math.exp(4 * math.pi), rel=1e-8)
         check = check_domination(
-            1.0, hard_disk(1.0), 2, radii=[0.5, 1.0, 1.9, 2.5, 4.0],
-            R_list=(0.5, 2.0), n_list=(1.0, 2.0),
+            1.0, hard_disk(1.0), 2, radii=[0.5, 1.0, 1.9, 2.5, 4.0], R_list=(0.5, 2.0)
         )
         assert check.ok, (check.worst_margin, check.worst_pair_margin)
+        assert check.constant == const and check.points == 10
 
     def test_bracket_vanishes_beyond_double_support(self):
         bracket = excess_variance_bracket(1.0, hard_disk(1.0), 0.5, 2)
@@ -328,10 +327,22 @@ class TestDomination:
 
     def test_grid_inequality_exponential(self):
         radii = [float(x) for x in np.geomspace(0.05, 10.0, 10)]
-        check = check_domination(
-            1.0, exponential(1.0), 1, radii, R_list=(0.5, 2.0), n_list=(1.0, 4.0)
-        )
+        check = check_domination(1.0, exponential(1.0), 1, radii, R_list=(0.5, 2.0))
         assert check.ok, (check.worst_margin, check.worst_pair_margin)
+
+    def test_scaled_function_takes_its_radius_from_g(self):
+        # phi(0) <= 0 and g(a) underflows: M halves until g(M/2) > 0
+        g = exponential(1.0).scale(1000.0)
+        const = domination_constants(1e-9, g, 1)
+        assert g.eval(const.M / 2.0) > 0.0
+        radii = [float(x) for x in np.geomspace(1e-4, 1.0, 12)]
+        check = check_domination(1e-9, g, 1, radii, R_list=(0.001, 0.01))
+        assert check.ok, (check.worst_margin, check.worst_pair_margin)
+        assert check.constant == const
+
+    def test_function_vanishing_at_zero_is_a_model_error(self):
+        with pytest.raises(ModelError, match="positive at 0"):
+            domination_constants(1.0, exponential(1.0).truncate_outside(5.0), 1)
 
 
 class TestVarIsolatedFormula:
