@@ -54,11 +54,9 @@ from .simulator import (
     PointGraph,
     SimPolicy,
     SimulationError,
-    SimWindow,
     count_components,
     count_isolated,
     count_truncation_family,
-    margin_policy,
     pair_uniform,
     sample_points,
     simulate_graph,

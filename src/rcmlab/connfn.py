@@ -169,33 +169,42 @@ class ConnectionFunction:
 
         Exact (zero tail) for bounded-support stacks; for the unbounded
         builtins, a root of the closed-form tail mass.  Table functions are
-        bounded by construction, so a cutoff is always available.  Raises
-        ConnFnError when the radius, the mass or the scaled budget is beyond
-        floats.
+        bounded by construction, so a cutoff is always available.  When
+        eps * factor^d leaves floats, the mass is compared with eps / 2 in
+        logs, and a mass below it has radius 0.  Raises ConnFnError when the
+        radius or the mass is beyond floats.
         """
         if not eps > 0.0:
             raise ConnFnError("tail epsilon must be > 0")
         s = self.support_radius
         if s is not None:
+            if math.isinf(s):
+                raise ConnFnError(f"{self.kind}: the support radius overflows a float")
             return s
         # Unbounded support: no inside-truncation anywhere, base unbounded.
         # Outside truncations only remove mass, scales compose multiplicatively.
-        factor = 1.0
+        factor, log_factor = 1.0, 0.0
         for t in self.transforms:
             if isinstance(t, Scale):
                 factor *= t.factor
+                log_factor += math.log(t.factor)
         try:
             base_eps = eps * factor**d
         except OverflowError:
+            base_eps = math.inf
+        if not 0.0 < base_eps < math.inf:
             # the base mass is a^d times that of a = 1: compare it in logs
             log_mass = math.log(_base_tail_mass(self.kind, 1.0, 0.0, d)) + d * math.log(self.a)
-            if log_mass <= math.log(0.5 * eps) + d * math.log(factor):
+            if log_mass <= math.log(0.5 * eps) + d * log_factor:
                 return 0.0
-            raise ConnFnError(
-                f"{self.kind} scale a = {self.a:g} scaled by {factor:g}: the tail "
-                f"budget eps * factor^d overflows a float in d = {d}"
-            ) from None
-        return _base_tail_radius(self.kind, self.a, base_eps, d) / factor
+        if factor > 0.0 and base_eps < math.inf:
+            radius = _base_tail_radius(self.kind, self.a, base_eps, d) / factor
+            if radius < math.inf:
+                return radius
+        raise ConnFnError(
+            f"{self.kind} scale a = {self.a:g} scaled by e^{log_factor:.6g}: no tail "
+            f"radius for eps = {eps:g} in d = {d} within floats"
+        )
 
     # -- construction helpers -----------------------------------------------
 

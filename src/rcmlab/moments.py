@@ -40,6 +40,7 @@ class ModelError(ValueError):
 
 
 DensityRule = tuple[tuple[float, float], ...]
+_LOG_FLOAT_MAX = 709.782712893384  # log of the largest float: exp(x) is finite up to it
 
 
 @dataclass(frozen=True)
@@ -124,11 +125,10 @@ def isolation_prob(
         raise ModelError("intensity must be >= 0")
     integral = radial_integral(h, d, spec)
     p = math.exp(-mu * integral.value)
-    try:
-        return QuadResult(p, p * math.expm1(mu * integral.error))
-    except OverflowError:
+    if not mu * integral.error <= _LOG_FLOAT_MAX:
         raise ModelError(f"intensity {mu:.6g} overflows the error bound "
-                         f"expm1({mu:.6g} * {integral.error:.3g})") from None
+                         f"expm1({mu:.6g} * {integral.error:.3g})")
+    return QuadResult(p, p * math.expm1(mu * integral.error))
 
 
 def pair_factor(
@@ -416,30 +416,35 @@ def domination_constants(
     if not g.eval(0.0) > 0.0:
         raise ModelError("g must be positive at 0")
 
+    growth = 4.0 * lam * Ig  # the pair factor is at most exp(growth)
+    e_growth = math.exp(growth) if growth <= _LOG_FLOAT_MAX else math.inf
+
     def phi(M: float) -> float:
         return 4.0 * lam * g.eval(M / 2.0) * Ig - 1.0
 
     note = ""
     supp = g.support_radius
-    if phi(0.0) <= 0.0:
-        M = supp if supp is not None else 2.0 * (g.a or 1.0)
-        while g.eval(M / 2.0) <= 0.0:  # ends: g(0) > 0
-            M /= 2.0
-    else:
-        hi = 2.0 * (supp if supp is not None else (g.a or 1.0))
-        while phi(hi) > 0.0:
-            hi *= 2.0
-        lo = 0.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if phi(mid) <= 0.0:
-                hi = mid
-            else:
-                lo = mid
-        M = hi
+    # g is 0 where its scaled radius overflows to inf (exp(-inf), or beyond a disk)
+    with np.errstate(over="ignore"):
+        if phi(0.0) <= 0.0:
+            M = supp if supp is not None else 2.0 * (g.a or 1.0)
+            while g.eval(M / 2.0) <= 0.0:  # ends: g(0) > 0
+                M /= 2.0
+        else:
+            hi = 2.0 * (supp if supp is not None else (g.a or 1.0))
+            while phi(hi) > 0.0:
+                hi *= 2.0
+            lo, mid = 0.0, 0.5 * hi
+            while lo < mid < hi:  # bisect until lo and hi are adjacent floats
+                if phi(mid) <= 0.0:
+                    hi = mid
+                else:
+                    lo = mid
+                mid = 0.5 * (lo + hi)
+            M = hi
 
-    gM2 = g.eval(M / 2.0)
-    if gM2 <= 0.0:
+    gM2 = g.eval(M / 2.0)  # 0 for unbounded g only once growth overflows
+    if gM2 <= 0.0 and supp is not None:
         # minimal valid M sits beyond the support of g
         M_alt = 2.0 * supp * (1.0 - 1e-12)
         if phi(M_alt) <= 0.0 and g.eval(M_alt / 2.0) > 0.0:
@@ -447,16 +452,17 @@ def domination_constants(
             gM2 = g.eval(M / 2.0)
             note = "M shrunk to the support edge"
         else:
-            C_pair = 4.0 * lam * Ig * math.exp(4.0 * lam * Ig)
-            return DominationConstant(
-                M=2.0 * supp,
-                C_pair=C_pair,
-                C_total=4.0 * (1.0 + C_pair),
-                note="uniform fallback bound (bounded support)",
-            )
+            M, note = 2.0 * supp, "uniform fallback bound (bounded support)"
 
-    C_pair = max(4.0 * math.e * lam * Ig, (math.exp(4.0 * lam * Ig) - 1.0) / gM2)
-    return DominationConstant(M=M, C_pair=C_pair, C_total=4.0 * (1.0 + C_pair), note=note)
+    if gM2 > 0.0:
+        C_pair = max(4.0 * math.e * lam * Ig, (e_growth - 1.0) / gM2)
+    else:  # the uniform fallback
+        C_pair = growth * e_growth
+    C_total = 4.0 * (1.0 + C_pair)
+    if math.isinf(C_total):
+        raise ModelError(f"exp(4 lam int(g)) = exp({growth:.6g}) overflows the domination "
+                         "constants")
+    return DominationConstant(M=M, C_pair=C_pair, C_total=C_total, note=note)
 
 
 @dataclass(frozen=True)

@@ -281,8 +281,14 @@ def radial_of(
 def radial_integral(
     h: ConnectionFunction, d: int, spec: QuadratureSpec = DEFAULT_SPEC
 ) -> QuadResult:
-    """int_{R^d} h(|y|) dy, truncated at the tail radius T(tail_eps)."""
-    return radial_of(h.eval, d, h.tail_radius(spec.tail_eps, d), spec, h.cut_radii)
+    """int_{R^d} h(|y|) dy, truncated at the tail radius T(tail_eps);
+    QuadratureError when the integrand or the integral leaves floats."""
+    T = h.tail_radius(spec.tail_eps, d)
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            return radial_of(h.eval, d, T, spec, h.cut_radii)
+        except FloatingPointError:
+            raise QuadratureError(f"int of {h.kind} up to T = {T:.6g} leaves floats") from None
 
 
 # Outer r-points per inner adaptive_quad_rows call.  A row's value does not

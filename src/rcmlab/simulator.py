@@ -15,17 +15,17 @@ removes exactly the edges whose probability dropped to zero, which turns the
 truncation/scaling coupling identities into bit-exact statements instead of
 statistical ones.
 
-Pairs farther apart than the search reach are never candidates; the
-discarded connection mass is bounded and recorded on the graph.  A run fixes
-its window, reach and block size once, in a ``BlockPlan``.  The plan may also
-name a focus, the region whose vertices the caller counts (the observation
-set K): then only the pairs with an end in the focus are searched and
-tossed.  The isolated, near-isolated and excess counts and the coupling at a
-vertex x read only the pairs {x, y} within the reach, so they are exact on
-the focus, and each count raises when its region leaves the focus, where
-degrees are partial.  Without a focus (components, the lattice field,
-``simulate_graph`` and so the realization dump) every pair in the window is
-a candidate.
+Points are drawn in K widened by a margin, and pairs farther apart than the
+search reach are never candidates.  A run fixes its sampling box, reach and
+block size once, in a ``BlockPlan``, with one bound on the bias that the two
+truncations leave.  The plan may also name a focus, the region whose
+vertices the caller counts (the observation set K): then only the pairs
+with an end in the focus are searched and tossed.  The isolated,
+near-isolated and excess counts and the coupling at a vertex x read only the
+pairs {x, y} within the reach, so they are exact on the focus, and each
+count raises when its region leaves the focus, where degrees are partial.
+Without a focus (components, the lattice field, ``simulate_graph`` and so
+the realization dump) every pair in the window is a candidate.
 
 ``simulate_block`` draws consecutive replications from their own streams
 and stacks them into one block-diagonal graph: one pair search, one coin
@@ -77,43 +77,6 @@ class SimPolicy:
 DEFAULT_POLICY = SimPolicy()
 
 
-@dataclass(frozen=True)
-class SimWindow:
-    """Observation region K plus a sampling margin around it."""
-
-    K: Region
-    margin: float
-    bias_bound: float = 0.0  # bound on lam_n * vol(K) * tail mass beyond margin
-
-    def __post_init__(self):
-        if self.margin < 0:
-            raise ValueError("margin must be >= 0")
-
-    @property
-    def box(self) -> Region:
-        return self.K.expand(self.margin) if self.margin > 0 else self.K
-
-
-def margin_policy(
-    conn: ConnectionFunction,
-    d: int,
-    lam_n: float,
-    K: Region,
-    eps: float,
-) -> SimWindow:
-    """Smallest margin t with lam_n * vol(K) * tail(t) <= eps.
-
-    Exact (zero bias) for bounded-support connection functions.
-    """
-    if not eps > 0:
-        raise ValueError("eps must be > 0")
-    supp = conn.support_radius
-    if supp is not None:
-        return SimWindow(K=K, margin=supp, bias_bound=0.0)
-    t = conn.tail_radius(eps / (lam_n * K.volume), d)
-    return SimWindow(K=K, margin=t, bias_bound=eps)
-
-
 # -- pair-indexed uniforms ----------------------------------------------------
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -160,7 +123,7 @@ class PointGraph:
     candidates: tuple[np.ndarray, np.ndarray, np.ndarray]
     coins: np.ndarray
     conn: ConnectionFunction
-    window: SimWindow
+    box: Region
     reach: float
     focus: tuple[Region, np.ndarray] | None = None
     edge_i: np.ndarray = field(init=False)
@@ -175,10 +138,6 @@ class PointGraph:
     @property
     def n_points(self) -> int:
         return self.points.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
 
     def degrees(self) -> np.ndarray:
         n = self.n_points
@@ -450,13 +409,13 @@ def _candidate_pairs(
 def connect(
     points: np.ndarray,
     conn: ConnectionFunction,
-    window: SimWindow,
+    box: Region,
     reach: float,
     pair_key: int,
 ) -> PointGraph:
     """Bernoulli(conn(distance)) edges on all pairs within the search reach."""
     i, j, dist = _candidate_pairs(points, reach)
-    return PointGraph(points, (i, j, dist), pair_uniform(pair_key, i, j), conn, window, reach)
+    return PointGraph(points, (i, j, dist), pair_uniform(pair_key, i, j), conn, box, reach)
 
 
 def regraph(graph: PointGraph, conn: ConnectionFunction) -> PointGraph:
@@ -485,15 +444,16 @@ def _expected_points(lam_n: float, region: Region, name: str) -> float:
 @dataclass(frozen=True)
 class BlockPlan:
     """What every block of one run shares: the model's connection function
-    and intensity, the window and search reach with the edge bias bound, the
-    focus (the region whose points the caller counts, or None for the whole
-    window) and the replications per block.  ``block_plan`` builds it."""
+    and intensity, the sampling box (K widened by the margin) and search
+    reach with the bias bound they leave, the focus (the region whose points
+    the caller counts, or None for the whole box) and the replications per
+    block.  ``block_plan`` builds it."""
 
     conn: ConnectionFunction
     lam_n: float
-    window: SimWindow
+    box: Region
     reach: float
-    edge_bias: float  # bound on expected edges lost beyond the reach
+    bias_bound: float  # eps_margin + eps_edges, or 0 for bounded support
     focus: Region | None
     reps: int
 
@@ -509,25 +469,26 @@ def block_plan(
     focus: Region | None = None,
 ) -> BlockPlan:
     """The plan of a run over K: the window margin and search reach that the
-    policy's bias budgets give (at least min_margin and min_reach), and
-    blocks of ``block_reps`` replications.  Raises SimulationError when the
-    expected point count of K or of the window is not one a Poisson draw
-    can take."""
+    policy's bias budgets give (at least min_margin and min_reach), their
+    bias bound eps_margin + eps_edges (0 for bounded support, where both start
+    at the support radius) and blocks of ``block_reps`` replications.  Raises
+    SimulationError when the expected point count of K or of the window is
+    not one a Poisson draw can take."""
     if not lam_n > 0:
         raise SimulationError("lam_n must be > 0")
     _expected_points(lam_n, K, "K")
-    window = margin_policy(conn, d, lam_n, K, policy.eps_margin)
-    window = replace(window, margin=max(window.margin, min_margin))
-    box = window.box
-    mu = _expected_points(lam_n, box, "window")
     supp = conn.support_radius
+    t = supp if supp is not None else conn.tail_radius(policy.eps_margin / (lam_n * K.volume), d)
+    margin = max(t, min_margin)
+    box = K.expand(margin) if margin > 0 else K
+    mu = _expected_points(lam_n, box, "window")
     if supp is not None:
-        reach, edge_bias = max(supp, min_reach), 0.0
+        reach, bias = max(supp, min_reach), 0.0
     else:
         # eps_edges over lam_n**2 vol / 2 pairs; squaring lam_n could overflow
         eps = 2.0 * policy.eps_edges / lam_n / mu
-        reach, edge_bias = max(conn.tail_radius(eps, d), min_reach), policy.eps_edges
-    return BlockPlan(conn, lam_n, window, reach, edge_bias, focus, block_reps(lam_n, box, reach))
+        reach, bias = max(conn.tail_radius(eps, d), min_reach), policy.eps_margin + policy.eps_edges
+    return BlockPlan(conn, lam_n, box, reach, bias, focus, block_reps(lam_n, box, reach))
 
 
 def simulate_graph(
@@ -560,7 +521,7 @@ def simulate_block(
     only the pairs with an end in it are searched and tossed; every kept pair
     keeps the coin and length it has in the whole-window graph.
     """
-    box = plan.window.box
+    box = plan.box
     seeds, keys = _seed_words(base_seed, lo, hi)
     mu, dim = plan.lam_n * box.volume, box.dim
     unit = [_unit_points(np.random.Generator(np.random.PCG64(_PointSeed(w))), mu, dim)
@@ -575,7 +536,7 @@ def simulate_block(
         focus = (plan.focus, inside)
     i, j, dist = _candidate_pairs(points, plan.reach, rid, inside)
     coins = pair_uniform(keys[rid[i]], local[i], local[j])
-    graph = PointGraph(points, (i, j, dist), coins, plan.conn, plan.window, plan.reach, focus)
+    graph = PointGraph(points, (i, j, dist), coins, plan.conn, box, plan.reach, focus)
     return graph, rid
 
 
@@ -658,10 +619,7 @@ def _require_component_window(graph: PointGraph, B: Region, r: int):
     if r < 1:
         raise SimulationError("component size must be >= 1")
     need = B.expand(r * supp)
-    box = graph.window.box
-    if any(nl < bl - 1e-12 or nu > bu + 1e-12 for nl, bl, nu, bu in zip(
-        need.lower, box.lower, need.upper, box.upper
-    )):
+    if not need.within(graph.box.expand(1e-12)):
         raise SimulationError(
             f"window margin too small: components of size {r} need {r * supp:.6g} "
             "beyond the target region"
@@ -742,7 +700,7 @@ def component_cell_counts(
 def dump_realization(graph: PointGraph, path: str):
     """Line-oriented text dump of one realization (points, then edges)."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# points {graph.n_points} dim {graph.dim}\n")
+        fh.write(f"# points {graph.n_points} dim {graph.points.shape[1]}\n")
         for row in graph.points:
             fh.write("point " + " ".join(repr(float(x)) for x in row) + "\n")
         fh.write(f"# edges {graph.edge_i.size}\n")

@@ -270,13 +270,8 @@ def replicate_many(
         raise StatsError("duplicate statistic names")
     plan = block_plan(cfg.g_n, cfg.lam_n, cfg.d, cfg.K, policy, *_request_needs(cfg, requests))
     rows = _replicate_rows(partial(_request_rows, cfg, requests), plan, base_seed, m, workers)
-    bias = plan.window.bias_bound + plan.edge_bias
-    return {
-        name: StatSample(
-            name=name, values=rows[:, k].copy(), base_seed=base_seed, bias_bound=bias
-        )
-        for k, name in enumerate(names)
-    }
+    return {name: StatSample(name, rows[:, k].copy(), base_seed, plan.bias_bound)
+            for k, name in enumerate(names)}
 
 
 def replicate(

@@ -523,12 +523,12 @@ import numpy as np
 import rcmlab.cli
 from rcmlab.connfn import hard_disk
 from rcmlab.quadrature import unit_box
-from rcmlab.simulator import SimWindow, connect, count_components
+from rcmlab.simulator import connect, count_components
 
 held = [m for m in ("scipy.optimize", "scipy.sparse.csgraph") if m in sys.modules]
 assert not held, held
 pts = np.array([[0.4, 0.5], [0.6, 0.5], [0.2, 0.2]])
-graph = connect(pts, hard_disk(0.25), SimWindow(K=unit_box(2), margin=1.0), 0.25, 3)
+graph = connect(pts, hard_disk(0.25), unit_box(2).expand(1.0), 0.25, 3)
 assert count_components(graph, unit_box(2), 2) == 1.0
 assert "scipy.sparse.csgraph" in sys.modules
 """

@@ -1,0 +1,70 @@
+"""Tail radii, isolation probabilities and domination constants at extreme
+scales: every call returns finite numbers or raises one of the library's own
+errors, never a bare OverflowError, ZeroDivisionError, TypeError or
+floating-point warning, and never an inf or a NaN.  A tail mass far below the
+budget has radius 0 however its scale factors multiply out."""
+
+import math
+import re
+from dataclasses import astuple
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from rcmlab.connfn import ConnFnError, exponential, gaussian, hard_disk
+from rcmlab.moments import ModelError, domination_constants, isolation_prob
+from rcmlab.quadrature import QuadratureError
+
+KINDS = {"exponential": exponential, "gaussian": gaussian, "hard_disk": hard_disk}
+
+powers = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
+
+
+@st.composite
+def stacks(draw):
+    """A builtin at scale 10^k, |k| <= 300, under up to three such scale factors."""
+    g = KINDS[draw(st.sampled_from(sorted(KINDS)))](draw(powers))
+    for factor in draw(st.lists(powers, max_size=3)):
+        g = g.scale(factor)
+    return g
+
+
+def _log_mass(g, d):
+    """log int_{R^d} g for an unbounded builtin under scale factors, in logs
+    throughout: omega_d a^d Gamma(d), or omega_d a^d Gamma(d/2) / 2."""
+    shape = math.gamma(d) if g.kind == "exponential" else math.gamma(d / 2) / 2
+    log_scale = math.log(g.a) - sum(math.log(t.factor) for t in g.transforms)
+    return math.log((2.0, 2.0 * math.pi, 4.0 * math.pi)[d - 1] * shape) + d * log_scale
+
+
+def _finite_or_refused(call):
+    try:
+        values = call()
+    except (ConnFnError, ModelError, QuadratureError):
+        return
+    assert all(math.isfinite(v) for v in values), values
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(g=stacks(), d=st.integers(1, 3), eps=powers, lam=powers)
+# the product of the scale factors overflows, but the mass is 2 pi 1e-600
+@example(g=exponential(1e300).scale(1e300).scale(1e300), d=2, eps=1e-12, lam=1.0)
+# exp(4 lam int(g)) overflows in the pair constant and in the uniform fallback
+@example(g=exponential(1.0), d=1, eps=1e-12, lam=100.0)
+@example(g=hard_disk(1.0), d=2, eps=1e-12, lam=100.0)
+def test_finite_or_a_library_error(g, d, eps, lam):
+    if g.support_radius is None and _log_mass(g, d) < math.log(eps / 2) - 1.0:
+        assert g.tail_radius(eps, d) == 0.0
+    _finite_or_refused(lambda: (g.tail_radius(eps, d),))
+    _finite_or_refused(lambda: isolation_prob(lam, g, d))
+    _finite_or_refused(lambda: astuple(domination_constants(lam, g, d))[:3])
+
+
+@pytest.mark.parametrize("lam,g,d,exponent", [
+    (100.0, exponential(1.0), 1, "exp(800)"),  # the pair constant
+    (100.0, hard_disk(1.0), 2, "exp(1256.64)"),  # the uniform fallback
+    (88.5, exponential(1.0), 1, "exp(708)"),  # exp is finite, the constant is not
+])
+def test_overflowing_domination_constants_name_the_exponent(lam, g, d, exponent):
+    with pytest.raises(ModelError, match=re.escape(exponent)):
+        domination_constants(lam, g, d)

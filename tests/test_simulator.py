@@ -11,7 +11,7 @@ from rcmlab.simulator import (
     BLOCK_POINTS,
     LatticeRegion,
     SimulationError,
-    SimWindow,
+    SimPolicy,
     _candidate_pairs,
     _PointSeed,
     _seed_words,
@@ -25,7 +25,6 @@ from rcmlab.simulator import (
     count_truncation_family,
     dump_realization,
     isolated_mask,
-    margin_policy,
     pair_uniform,
     regraph,
     sample_points,
@@ -94,9 +93,9 @@ class TestSamplePoints:
 class TestConnect:
     def _graph(self, g, lam=30.0, key=11, reach=None, k=4):
         rng = np.random.default_rng(seeded(k))
-        window = SimWindow(K=unit_box(2), margin=0.0)
-        pts = sample_points(lam, window.box, rng)
-        return connect(pts, g, window, reach or (g.support_radius or 1.0), key)
+        box = unit_box(2)
+        pts = sample_points(lam, box, rng)
+        return connect(pts, g, box, reach or (g.support_radius or 1.0), key)
 
     def test_bernoulli_one_edges_are_geometric_graph(self):
         g = hard_disk(0.3)
@@ -121,11 +120,10 @@ class TestConnect:
         g = exponential(1.0)
         x = 0.8
         pts = np.array([[0.0, 0.0], [x, 0.0]])
-        window = SimWindow(K=unit_box(2), margin=0.0)
         hits = 0
         trials = 10_000
         for key in range(trials):
-            graph = connect(pts, g, window, 5.0, key)
+            graph = connect(pts, g, unit_box(2), 5.0, key)
             hits += graph.edge_i.size
         p = g.eval(x)
         se = math.sqrt(p * (1 - p) / trials)
@@ -344,7 +342,7 @@ class TestBlock:
             assert np.array_equal(graph.edge_i[src == k] - offset, single.edge_i)
             assert np.array_equal(graph.edge_j[src == k] - offset, single.edge_j)
             assert np.array_equal(graph.edge_dist[src == k], single.edge_dist)
-        assert graph.reach == single.reach and graph.window == single.window
+        assert graph.reach == single.reach and graph.box == single.box
         # each replication's lattice field is its single graph's
         lattice, disk = LatticeRegion((0, 0), (2, 2)), hard_disk(0.15)
         box = lattice.bounding_region
@@ -378,7 +376,7 @@ class TestBlock:
                 ss_points, ss_pairs = np.random.SeedSequence(seed, spawn_key=(rep,)).spawn(2)
                 rng = np.random.default_rng(ss_points)
                 assert np.array_equal(graph.points[rid == k],
-                                      sample_points(lam, graph.window.box, rng))
+                                      sample_points(lam, graph.box, rng))
                 key = int(ss_pairs.generate_state(1, np.uint64)[0])
                 assert keys[k] == key
                 mine = rid[i] == k
@@ -426,15 +424,15 @@ class TestStreams:
 
 class TestCounts:
     def test_empty_graph(self):
-        window = SimWindow(K=unit_box(2), margin=0.0)
-        graph = connect(np.empty((0, 2)), hard_disk(1.0), window, 1.0, 1)
-        assert count_isolated(graph, window.K) == 0
-        assert count_truncation_family(graph, window.K, 0.5) == (0, 0)
+        K = unit_box(2)
+        graph = connect(np.empty((0, 2)), hard_disk(1.0), K, 1.0, 1)
+        assert count_isolated(graph, K) == 0
+        assert count_truncation_family(graph, K, 0.5) == (0, 0)
 
     def test_single_point(self):
-        window = SimWindow(K=unit_box(2), margin=0.0)
-        graph = connect(np.array([[0.5, 0.5]]), hard_disk(1.0), window, 1.0, 1)
-        assert count_isolated(graph, window.K) == 1
+        K = unit_box(2)
+        graph = connect(np.array([[0.5, 0.5]]), hard_disk(1.0), K, 1.0, 1)
+        assert count_isolated(graph, K) == 1
 
     def test_family_additivity_and_monotonicity(self):
         g = exponential(0.2)
@@ -489,10 +487,10 @@ class TestCoupling:
     def test_regraph_is_a_fresh_connect_with_the_same_key(self):
         g = exponential(0.3)
         twin_conn = make_variant(g, "cut_then_scale", R=1.0, n=2.0)
-        window = SimWindow(K=unit_box(2), margin=0.5)
-        pts = sample_points(40.0, window.box, np.random.default_rng(seeded(40)))
-        twin = regraph(connect(pts, g, window, 1.0, 77), twin_conn)
-        fresh = connect(pts, twin_conn, window, 1.0, 77)
+        box = unit_box(2).expand(0.5)
+        pts = sample_points(40.0, box, np.random.default_rng(seeded(40)))
+        twin = regraph(connect(pts, g, box, 1.0, 77), twin_conn)
+        fresh = connect(pts, twin_conn, box, 1.0, 77)
         assert twin.edge_i.size > 0
         assert np.array_equal(twin.edge_i, fresh.edge_i)
         assert np.array_equal(twin.edge_j, fresh.edge_j)
@@ -509,9 +507,8 @@ class TestComponents:
         assert count_components(graph, unit_box(2), 1) == count_isolated(graph, unit_box(2))
 
     def test_single_edge_pair(self):
-        window = SimWindow(K=unit_box(2), margin=1.0)
         pts = np.array([[0.4, 0.5], [0.6, 0.5], [0.2, 0.2]])
-        graph = connect(pts, hard_disk(0.25), window, 0.25, 3)
+        graph = connect(pts, hard_disk(0.25), unit_box(2).expand(1.0), 0.25, 3)
         assert count_components(graph, unit_box(2), 2) == pytest.approx(1.0)
 
     def test_unbounded_support_rejected(self):
@@ -566,8 +563,8 @@ class TestLattice:
         lattice = LatticeRegion(origin, shape)
         pts = np.array(origin, dtype=float) + np.array(halves, dtype=float) / 2
         # distinct points are >= 0.5 apart, so no edges: every component has size 1
-        window = SimWindow(K=lattice.bounding_region, margin=0.25)
-        graph = connect(pts, hard_disk(0.25), window, 0.25, 1)
+        box = lattice.bounding_region.expand(0.25)
+        graph = connect(pts, hard_disk(0.25), box, 0.25, 1)
         Y = component_cell_counts(graph, lattice, 1, np.zeros(len(halves), dtype=np.int64), 1)[0]
         expect = np.zeros(shape)
         for site in np.ndindex(*shape):
@@ -579,20 +576,22 @@ class TestLattice:
 
 class TestMarginPolicy:
     def test_bounded_support_exact(self):
-        win = margin_policy(hard_disk(0.5), 2, 10.0, unit_box(2), 1e-4)
-        assert win.margin == 0.5
-        assert win.bias_bound == 0.0
+        plan = block_plan(hard_disk(0.5), 10.0, 2, unit_box(2), SimPolicy(eps_margin=1e-4))
+        assert plan.box == unit_box(2).expand(0.5)
+        assert plan.bias_bound == 0.0
 
     def test_exponential_analytic(self):
         # lam vol * omega_1 * a * e^{-t/a} = eps  (d = 1 tail)
         lam, eps, a = 2.0, 1e-4, 1.0
-        win = margin_policy(exponential(a), 1, lam, unit_box(1), eps)
+        plan = block_plan(exponential(a), lam, 1, unit_box(1), SimPolicy(eps_margin=eps))
         expect = a * math.log(2 * a * lam / (0.5 * eps))  # solver aims at eps/2
-        assert win.margin == pytest.approx(expect, rel=1e-6)
+        assert -plan.box.lower[0] == pytest.approx(expect, rel=1e-6)
+        assert plan.box.sides[0] == pytest.approx(1.0 + 2.0 * expect, rel=1e-6)
+        assert plan.bias_bound == eps + SimPolicy().eps_edges
 
     def test_huge_budget_no_margin(self):
-        win = margin_policy(exponential(1.0), 1, 1.0, unit_box(1), 1e6)
-        assert win.margin == 0.0
+        plan = block_plan(exponential(1.0), 1.0, 1, unit_box(1), SimPolicy(eps_margin=1e6))
+        assert plan.box == unit_box(1)
 
 
 class TestDeterminism:

@@ -229,7 +229,7 @@ def _reference_rows(cfg, requests, m, base_seed):
                 twin = regraph(graph, make_variant(cfg.g, "cut_then_scale", R=req.R, n=cfg.n))
                 row.append(1.0 if j == count_isolated(twin, region) else 0.0)
         rows.append(row + [graph.n_points])
-    return np.array(rows, dtype=float), plan.window.bias_bound + plan.edge_bias
+    return np.array(rows, dtype=float), plan.bias_bound
 
 
 BLOCK_CASES = {
