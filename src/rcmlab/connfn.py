@@ -171,8 +171,8 @@ class ConnectionFunction:
         builtins, a root of the closed-form tail mass.  Table functions are
         bounded by construction, so a cutoff is always available.  When
         eps * factor^d leaves floats, the mass is compared with eps / 2 in
-        logs, and a mass below it has radius 0.  Raises ConnFnError when the
-        radius or the mass is beyond floats.
+        logs: a mass below it has radius 0, and any other raises ConnFnError,
+        as does a radius or mass beyond floats.
         """
         if not eps > 0.0:
             raise ConnFnError("tail epsilon must be > 0")
@@ -192,15 +192,15 @@ class ConnectionFunction:
             base_eps = eps * factor**d
         except OverflowError:
             base_eps = math.inf
-        if not 0.0 < base_eps < math.inf:
+        if 0.0 < base_eps < math.inf:
+            radius = _base_tail_radius(self.kind, self.a, base_eps, d) / factor
+            if radius < math.inf:
+                return radius
+        else:
             # the base mass is a^d times that of a = 1: compare it in logs
             log_mass = math.log(_base_tail_mass(self.kind, 1.0, 0.0, d)) + d * math.log(self.a)
             if log_mass <= math.log(0.5 * eps) + d * log_factor:
                 return 0.0
-        if factor > 0.0 and base_eps < math.inf:
-            radius = _base_tail_radius(self.kind, self.a, base_eps, d) / factor
-            if radius < math.inf:
-                return radius
         raise ConnFnError(
             f"{self.kind} scale a = {self.a:g} scaled by e^{log_factor:.6g}: no tail "
             f"radius for eps = {eps:g} in d = {d} within floats"

@@ -54,8 +54,10 @@ class QuadratureSpec:
             raise ValueError("max_subdiv too small")
 
     def inner(self) -> "QuadratureSpec":
-        """Slightly tightened spec for nested (inner) integrals."""
-        return replace(self, rel_tol=self.rel_tol * 0.1, abs_tol=self.abs_tol * 0.1)
+        """Slightly tightened spec for nested (inner) integrals, its tail_eps
+        capped at its abs_tol."""
+        return replace(self, rel_tol=self.rel_tol * 0.1, abs_tol=self.abs_tol * 0.1,
+                       tail_eps=min(self.tail_eps, self.abs_tol * 0.1))
 
 
 DEFAULT_SPEC = QuadratureSpec()

@@ -30,9 +30,10 @@ the realization dump) every pair in the window is a candidate.
 ``simulate_block`` draws consecutive replications from their own streams
 and stacks them into one block-diagonal graph: one pair search, one coin
 call and one count per statistic serve the whole block, and a replication's
-edges do not depend on the block it is drawn in.  The seed words of all the
-block's streams come from one numpy pass that evaluates SeedSequence's hash
-exactly, so each replication only draws its point count and coordinates;
+edges do not depend on the block it is drawn in.  numpy's SeedSequence
+mixes the base seed in once per run; one numpy pass mixes in each
+replication's spawn key and hashes out the seed words of all the block's
+streams, so each replication only draws its point count and coordinates;
 the streams are numpy's, bit for bit.  ``simulate_graph`` is the block of
 one replication.
 """
@@ -173,12 +174,14 @@ def sample_points(lam_n: float, box: Region, rng: np.random.Generator) -> np.nda
 #
 # Replication rep of base seed b draws its points from the PCG64 generator of
 # SeedSequence(b, spawn_key=(rep, 0)) and keys its coins by the first uint64
-# word of SeedSequence(b, spawn_key=(rep, 1)).  ``_seed_words`` evaluates
-# numpy's SeedSequence hash (numpy.random.bit_generator, after O'Neill's
-# seed_seq_fe) for a whole block at once in uint32 arithmetic, so the words
-# are numpy's own; ``test_seed_words_match_numpy`` holds them to it.
+# word of SeedSequence(b, spawn_key=(rep, 1)).  numpy mixes b into the pool
+# once per base seed (``_base_pool``).  The rest, which numpy has no
+# vectorised form of, is one pass of its hash (numpy.random.bit_generator,
+# after O'Neill's seed_seq_fe) in uint32 arithmetic over a whole block:
+# ``_seed_words`` mixes each rep and c into that pool and runs
+# generate_state.  ``test_seed_words_match_numpy`` holds the words to numpy's.
 
-_M32, _M64 = 0xFFFFFFFF, 0xFFFFFFFFFFFFFFFF
+_M32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # hash constants of the entropy mix
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # hash constants of generate_state
 # 0-d arrays, not numpy scalars: a ufunc on a small array takes them faster
@@ -212,39 +215,15 @@ def _mixed(pool: np.ndarray, y: np.ndarray) -> np.ndarray:
     return r ^ (r >> _SHIFT)
 
 
-@lru_cache(maxsize=256)
-def _hashed_words(words: tuple[int, ...], k: int) -> np.ndarray:
-    """Fixed entropy words, each hashed by calls k .. k + 3 (one call per
-    pool word); shape (len(words), 1, 4)."""
-    x = np.array(words, dtype=np.uint32)[:, None, None]
-    return _frozen(_hashed(x, _hash_consts(_INIT_A, _MULT_A, k, 4)))
-
-
-def _words32(value: int) -> list[int]:
-    """A non-negative integer as SeedSequence reads it: little-endian uint32
-    words, one word for 0."""
-    return [value >> s & _M32 for s in range(0, max(value.bit_length(), 1), 32)]
-
-
 @lru_cache(maxsize=64)
 def _base_pool(base_seed: int) -> tuple[np.ndarray, int]:
     """The pool of SeedSequence(base_seed, spawn_key=...) before its spawn
-    key is mixed in, and the number of hash calls made: the same for every
-    replication of base_seed."""
-    words = _words32(base_seed)
-    words += [0] * (4 - len(words))  # the run entropy fills the pool when a spawn key follows
-    pool = _hashed(np.array(words[:4], dtype=np.uint32), _hash_consts(_INIT_A, _MULT_A, 0, 4))
-    k = 4
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                y = _hashed(pool[src:src + 1], _hash_consts(_INIT_A, _MULT_A, k, 1))
-                pool[dst:dst + 1] = _mixed(pool[dst:dst + 1], y)
-                k += 1
-    for word in words[4:]:
-        pool = _mixed(pool, _hashed_words((word,), k)[0])
-        k += 4
-    return _frozen(pool), k
+    key is mixed in, and the number of hash calls made.  A short seed's
+    missing pool words hash as 0 whether or not a key follows, so this is
+    numpy's pool of SeedSequence(base_seed): 16 calls fill and cross-mix the
+    four pool words, and each seed word past the fourth takes 4 more."""
+    words = -(-max(base_seed.bit_length(), 1) // 32)
+    return _frozen(np.random.SeedSequence(base_seed).pool), 16 + 4 * max(0, words - 4)
 
 
 # generate_state's constants for 8 uint32 words, which cycle twice over the
@@ -262,35 +241,29 @@ def _seed_words(base_seed: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarra
       SeedSequence(base_seed, spawn_key=(rep, 1)).generate_state(1, np.uint64)[0],
       the replication's pair key.
 
-    The spawn key's words are rep's low word, its higher words when
-    rep >= 2**32, then c.  A block is cut at 2**32 and at multiples of
-    2**64, so that within a piece every rep has the same words above its
-    low 64 bits.
+    numpy computes the base seed's pool (``_base_pool``, cached).  One pass
+    over the block then mixes the spawn key's two words, rep and c, into it
+    and hashes the pool into the words.  A block that reaches rep >= 2**32,
+    whose spawn keys take more words, is left to numpy rep by rep.
     """
     base_seed, lo, hi = operator.index(base_seed), operator.index(lo), operator.index(hi)
     if base_seed < 0 or lo < 0:
         raise ValueError("base seed and replication numbers must be >= 0")
-    base, k0 = _base_pool(base_seed)
-    cuts = [lo, *(c for c in (1 << 32, ((lo >> 64) + 1) << 64) if lo < c < hi), hi]
-    seeds, keys = [], []
-    for a, b in zip(cuts, cuts[1:]):
-        low = np.arange(b - a, dtype=np.uint64)
-        low += np.array(a & _M64, dtype=np.uint64)
-        cols = [low] if a < 1 << 32 else [low, low >> np.array(32, dtype=np.uint64)]
-        pool, k = base, k0
-        for col in cols:  # astype keeps the low 32 bits
-            y = _hashed(col.astype(np.uint32)[:, None], _hash_consts(_INIT_A, _MULT_A, k, 4))
-            pool, k = _mixed(pool, y), k + 4
-        for word in _words32(a >> 64) if a >> 64 else ():
-            pool, k = _mixed(pool, _hashed_words((word,), k)[0]), k + 4
-        pool = _mixed(pool, _hashed_words((0, 1), k))  # (2, m, 4): the children c = 0, 1
-        state = _hashed(pool[..., None, :], _OUT_CONSTS).reshape(2, b - a, 8)
-        words = np.ascontiguousarray(state, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
-        seeds.append(words[0])
-        keys.append(words[1, :, 0])
-    if len(seeds) == 1:
-        return seeds[0], keys[0]
-    return np.concatenate(seeds), np.concatenate(keys)
+    if hi > 1 << 32:
+        seeds, keys = np.empty((hi - lo, 4), dtype=np.uint64), np.empty(hi - lo, dtype=np.uint64)
+        for k, rep in enumerate(range(lo, hi)):
+            points, pairs = np.random.SeedSequence(base_seed, spawn_key=(rep,)).spawn(2)
+            seeds[k] = points.generate_state(4, np.uint64)
+            keys[k] = pairs.generate_state(1, np.uint64)[0]
+        return seeds, keys
+    base, k = _base_pool(base_seed)
+    rep = np.arange(lo, hi, dtype=np.uint32)[:, None]
+    pool = _mixed(base, _hashed(rep, _hash_consts(_INIT_A, _MULT_A, k, 4)))
+    child = np.array([0, 1], dtype=np.uint32)[:, None, None]  # c = 0, 1
+    pool = _mixed(pool, _hashed(child, _hash_consts(_INIT_A, _MULT_A, k + 4, 4)))  # (2, m, 4)
+    state = _hashed(pool[..., None, :], _OUT_CONSTS).reshape(2, hi - lo, 8)
+    words = np.ascontiguousarray(state, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
+    return words[0], words[1, :, 0]
 
 
 class _PointSeed(ISeedSequence):

@@ -315,6 +315,13 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and item.partition("=")[0] in err
 
+    # tail_eps equal to abs_tol: the inner spec of the d = 2 overlap integral
+    # tightens abs_tol tenfold and caps tail_eps with it
+    def test_tail_eps_at_the_absolute_tolerance_runs(self, tmp_path):
+        argv = ["moments", "--config", str(ROOT / "configs" / "clt_2d.cfg"),
+                "--out-dir", str(tmp_path), "--set", "numerics.tail_eps=1e-10"]
+        assert cli.main(argv) == 0
+
     # finite but extreme model sizes: the expected point count of K or of the
     # window is beyond a Poisson draw, the moment bound's exponential
     # overflows, or no finite radius bounds the tail; each names the number

@@ -188,14 +188,15 @@ def test_tail_radius_bits(f, eps, d, radius):
 
 # the doubling search runs past the largest float, the mass a^d overflows,
 # the prefactor omega_d a^d Gamma(.) does (where inf * Q underflowing to 0 is
-# NaN), or so does eps * factor^d while the mass is above eps / 2 (the CLI's
-# extreme-input table has exponential(1e307) in d = 1)
+# NaN), or eps * factor^d overflows or underflows to 0 while the mass is
+# above eps / 2 (the CLI's extreme-input table has exponential(1e307) in d = 1)
 @pytest.mark.parametrize("f,d", [
     (gaussian(1e307), 1),
     (exponential(1e160), 2),
     (gaussian(3e102), 3),
     (gaussian(5e102), 3),
     (exponential(1e300).scale(1e200), 2),
+    (exponential(1.0).scale(1e-200), 2),
 ])
 def test_tail_radius_beyond_floats_is_an_error(f, d):
     with pytest.raises(ConnFnError, match=re.escape(f"scale a = {f.a:g}")):

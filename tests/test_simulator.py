@@ -13,6 +13,7 @@ from rcmlab.simulator import (
     SimulationError,
     SimPolicy,
     _candidate_pairs,
+    _base_pool,
     _PointSeed,
     _seed_words,
     block_plan,
@@ -396,7 +397,8 @@ class TestBlock:
 
 
 class TestStreams:
-    BASES = [0, 1, 20240801, 2**32, 2**130 + 7]
+    # bases of 1, 2, 3, 4 and 5 words: pools filled with zeros and past four words
+    BASES = [0, 1, 20240801, 2**32, 2**64 + 3, 2**96 + 5, 2**130 + 7]
     REPS = [0, 1, 2**32 - 1, 2**32, 2**32 + 5,
             *np.random.default_rng(5).integers(0, 2**40, size=12).tolist()]
 
@@ -414,6 +416,21 @@ class TestStreams:
                 assert keys[k] == ss_pairs.generate_state(1, np.uint64)[0]
                 mine = np.random.PCG64(_PointSeed(seeds[k])).state
                 assert mine == np.random.PCG64(ss_points).state
+
+    def test_one_seed_sequence_per_block(self, monkeypatch):
+        # below 2**32 numpy builds the base seed's pool once, and the spawn
+        # keys of the whole block are mixed into it in one pass
+        built = []
+
+        class Counted(np.random.SeedSequence):
+            def __init__(self, *args, **kwargs):
+                built.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "SeedSequence", Counted)
+        _base_pool.cache_clear()
+        simulate_block(block_plan(exponential(1.0), 2.0, 1, unit_box(1)), 77, 0, 400)
+        assert len(built) == 1
 
     def test_negative_seeds_rejected(self):
         with pytest.raises(ValueError):
