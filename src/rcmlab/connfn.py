@@ -44,6 +44,7 @@ class Scale:
 Transform = TruncateInside | TruncateOutside | Scale
 
 _KINDS = ("hard_disk", "exponential", "gaussian", "table")
+_LOG_FLOAT_MAX = 709.782712893384  # log of the largest float: exp(x) is finite up to it
 
 
 def sphere_surface(d: int) -> float:
@@ -170,9 +171,9 @@ class ConnectionFunction:
         Exact (zero tail) for bounded-support stacks; for the unbounded
         builtins, a root of the closed-form tail mass.  Table functions are
         bounded by construction, so a cutoff is always available.  When
-        eps * factor^d leaves floats, the mass is compared with eps / 2 in
-        logs: a mass below it has radius 0, and any other raises ConnFnError,
-        as does a radius or mass beyond floats.
+        eps * factor^d leaves floats, the radius is solved for in logs, and a
+        whole mass of at most eps / 2 has radius 0.  A radius or mass beyond
+        floats raises ConnFnError.
         """
         if not eps > 0.0:
             raise ConnFnError("tail epsilon must be > 0")
@@ -197,10 +198,17 @@ class ConnectionFunction:
             if radius < math.inf:
                 return radius
         else:
-            # the base mass is a^d times that of a = 1: compare it in logs
-            log_mass = math.log(_base_tail_mass(self.kind, 1.0, 0.0, d)) + d * math.log(self.a)
-            if log_mass <= math.log(0.5 * eps) + d * log_factor:
+            # the base mass is a^d times that of a = 1: solve for the radius in
+            # units of a, in logs
+            log_a = math.log(self.a)
+            z = _log_unit_tail_radius(
+                self.kind, math.log(eps) - math.log(2.0) + d * (log_factor - log_a), d
+            )
+            if z == 0.0:
                 return 0.0
+            log_radius = math.log(z) + log_a - log_factor
+            if log_radius <= _LOG_FLOAT_MAX:
+                return math.exp(log_radius)
         raise ConnFnError(
             f"{self.kind} scale a = {self.a:g} scaled by e^{log_factor:.6g}: no tail "
             f"radius for eps = {eps:g} in d = {d} within floats"
@@ -253,20 +261,58 @@ def _base_tail_radius(kind: str, a: float, eps: float, d: int) -> float:
         )
     if total <= target:
         return 0.0
-    hi = a
-    while _base_tail_mass(kind, a, hi, d) > target:
+    T = _falling_root(lambda T: _base_tail_mass(kind, a, T, d) - target, a)
+    if T == math.inf:
+        raise ConnFnError(
+            f"{kind} scale a = {a:g}: no finite radius leaves a tail mass "
+            f"below {target:g} in d = {d}"
+        )
+    return T
+
+
+def _log_unit_tail_mass(kind: str, z: float, d: int) -> float:
+    """log _base_tail_mass(kind, 1.0, z, d), which does not underflow: the
+    mass is the whole mass times Q(s, w), with s = d and w = z (exponential)
+    or s = d / 2 and w = z^2 (gaussian), and e^w Q(s, w) is a sum of positive
+    terms, sum_{k < s} w^k / k! for an integer s and erfcx(sqrt(w)) +
+    sum_{j < s - 1/2} w^(j + 1/2) / Gamma(j + 3/2) for a half-integer one."""
+    log_whole = math.log(_base_tail_mass(kind, 1.0, 0.0, d))
+    s, w = (d, z) if kind == "exponential" else (d / 2.0, z * z)
+    if w == 0.0:
+        return log_whole
+    log_w = math.log(w)
+    if s == int(s):
+        terms = [k * log_w - math.lgamma(k + 1.0) for k in range(int(s))]
+    else:
+        terms = [math.log(special.erfcx(math.sqrt(w)))]
+        terms += [(j + 0.5) * log_w - math.lgamma(j + 1.5) for j in range(int(s))]
+    top = max(terms)
+    return log_whole - w + top + math.log(sum(math.exp(t - top) for t in terms))
+
+
+def _log_unit_tail_radius(kind: str, log_target: float, d: int) -> float:
+    """The radius z of a = 1 whose tail mass is e^log_target, solved in logs;
+    0 when the whole mass is at most that."""
+    def f(z):
+        return _log_unit_tail_mass(kind, z, d) - log_target
+
+    return 0.0 if f(0.0) <= 0.0 else _falling_root(f, 1.0)
+
+
+def _falling_root(f, x: float) -> float:
+    """A root of f, decreasing and positive at 0, bracketed by doubling x
+    while f is positive, or inf when that leaves floats.  When f(x) is not
+    positive, [x/2, x] may hold no sign change: the bracket halves down
+    until f is not negative, which f(0) > 0 ends."""
+    hi = x
+    while f(hi) > 0.0:
         hi *= 2.0
         if not math.isfinite(hi):
-            raise ConnFnError(
-                f"{kind} scale a = {a:g}: no finite radius leaves a tail mass "
-                f"below {target:g} in d = {d}"
-            )
+            return math.inf
     lo = hi / 2.0
-    # when the mass at a is already below the target, [a/2, a] may hold no
-    # sign change: halve down until the mass exceeds it (total > target ends it)
-    while _base_tail_mass(kind, a, lo, d) < target:
+    while f(lo) < 0.0:
         hi, lo = lo, lo / 2.0
-    return _brentq(lambda T: _base_tail_mass(kind, a, T, d) - target, lo, hi, 1e-13)
+    return _brentq(f, lo, hi, 1e-13)
 
 
 _BRENT_RTOL = 4 * 2.0**-52  # scipy's default rtol, four float epsilons

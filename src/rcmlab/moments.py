@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .connfn import ConnectionFunction, make_variant
+from .connfn import _LOG_FLOAT_MAX, ConnectionFunction, make_variant
 from .quadrature import (
     DEFAULT_SPEC,
     QuadResult,
@@ -40,7 +40,6 @@ class ModelError(ValueError):
 
 
 DensityRule = tuple[tuple[float, float], ...]
-_LOG_FLOAT_MAX = 709.782712893384  # log of the largest float: exp(x) is finite up to it
 
 
 @dataclass(frozen=True)
@@ -527,11 +526,25 @@ def _bracket_cutoff(mu: float, g: ConnectionFunction, d: int, spec: QuadratureSp
 
     Every pair exponent is at most 2 mu g(s/2) int(g), so the bracket decays
     like a constant multiple of g(s/2); integrating that tail against the
-    shell area gives the 2^d rescaling below.
+    shell area gives the 2^d rescaling below.  A bounded g has its support
+    radius whatever the budget.  For an unbounded g whose budget
+    tail_eps / (c_tilde 2^d) leaves floats, the budget is taken in logs to
+    name it in a ModelError.
     """
+    if g.support_radius is not None:
+        return 2.0 * g.tail_radius(spec.tail_eps, d)
     Ig = radial_integral(g, d, spec).value
-    c_tilde = 8.0 * mu * Ig * math.exp(2.0 * mu * Ig) + 1.0
-    return 2.0 * g.tail_radius(spec.tail_eps / (c_tilde * 2.0**d), d)
+    x = 2.0 * mu * Ig
+    c_tilde = 8.0 * mu * Ig * (math.exp(x) if x <= _LOG_FLOAT_MAX else math.inf) + 1.0
+    eps = spec.tail_eps / (c_tilde * 2.0**d)
+    if eps > 0.0:
+        return 2.0 * g.tail_radius(eps, d)
+    # log c_tilde = x + log(8 mu Ig + e^-x)
+    log_eps = math.log(spec.tail_eps) - x - math.log(8.0 * mu * Ig + math.exp(-x)) \
+        - d * math.log(2.0)
+    raise ModelError(f"the bracket tail budget tail_eps / (c 2^d) = exp({log_eps:.6g}), "
+                     f"with c = 8 mu int(g) exp({x:.6g}) + 1, underflows: no cutoff radius "
+                     f"within floats")
 
 
 def _isolated_bracket(mu, g, d, spec) -> Callable:

@@ -50,7 +50,7 @@ from numpy.random.bit_generator import ISeedSequence
 from scipy import sparse
 from scipy.spatial import cKDTree
 
-from .connfn import ConnectionFunction
+from .connfn import ConnectionFunction, sphere_surface
 from .quadrature import Region
 
 
@@ -284,13 +284,14 @@ class _PointSeed(ISeedSequence):
 # the shift rounds a coordinate difference by at most reach * 2**-36: far below
 # the pair query's 1e-9 relative slack.
 _EXACT_SPAN = 2.0**16
-# Expected points in one replication block.  It bounds the block's arrays: a
-# d=1 replication of ~23 points adds ~6 KB to the peak when only the pairs
-# touching K are searched (~23 KB for the whole window), while each block's
-# fixed costs (two kd-tree builds and queries, the seed pass) are shared by
-# more replications than at 2**10: c07's d=2 blocks of ~10 replications cost
-# ~15% more per replication at that size.
-BLOCK_POINTS = 2**11
+# Expected work in one replication block: its points plus its candidate pairs.
+# A block's time and memory follow both, the draw and placement per point and
+# the search, lengths and coins per pair, while its fixed costs (the seed
+# pass, two kd-tree builds and queries, each numpy call) are shared by its
+# replications.  At this budget c02's d=1 blocks hold ~1,150 replications of
+# ~57 points and pairs each and mc_large's d=2 blocks 5 of ~12.7k, and a
+# block's arrays stay within a few MB.
+BLOCK_WORK = 2**16
 
 
 def _block_stride(extent: float, reach: float) -> float:
@@ -298,12 +299,31 @@ def _block_stride(extent: float, reach: float) -> float:
     return 2.0 ** math.frexp(extent + 2.0 * reach)[1]
 
 
-def block_reps(lam_n: float, box: Region, reach: float) -> int:
-    """Replications per block: at most BLOCK_POINTS expected points, and a
-    first-axis span that keeps the shifted pair search exact; at least one."""
+def _expected_pairs(lam_n: float, region: Region, reach: float) -> float:
+    """A bound on the mean number of candidate pairs of one replication with
+    an end in the region: its expected points lam_n vol(region) times the
+    expected points lam_n vol(B(reach)) within the reach of one of them, so
+    every such pair counts at least once.  The two factors are multiplied,
+    not lam_n squared, and a ball volume beyond floats gives inf."""
+    d = region.dim
+    try:
+        ball = sphere_surface(d) / d * reach**d
+    except OverflowError:
+        return math.inf
+    return (lam_n * region.volume) * (lam_n * ball)
+
+
+def block_reps(lam_n: float, box: Region, reach: float, focus: Region | None = None) -> int:
+    """Replications per block: at most BLOCK_WORK expected points in the box
+    plus candidate pairs touching the focus (the box when None), and a
+    first-axis span that keeps the shifted pair search exact; at least one,
+    and one when the work of a replication is not finite."""
+    work = lam_n * box.volume + _expected_pairs(lam_n, box if focus is None else focus, reach)
+    if not work < math.inf:
+        return 1
     far = max(abs(box.lower[0]), abs(box.upper[0]))
     by_span = (_EXACT_SPAN * reach - far) / _block_stride(box.sides[0], reach)
-    return max(1, int(min(BLOCK_POINTS / (lam_n * box.volume), by_span)))
+    return max(1, int(min(BLOCK_WORK / work, by_span)))
 
 
 # Trees are built by sliding midpoint without shrinking boxes to their data:
@@ -461,7 +481,7 @@ def block_plan(
         # eps_edges over lam_n**2 vol / 2 pairs; squaring lam_n could overflow
         eps = 2.0 * policy.eps_edges / lam_n / mu
         reach, bias = max(conn.tail_radius(eps, d), min_reach), policy.eps_margin + policy.eps_edges
-    return BlockPlan(conn, lam_n, box, reach, bias, focus, block_reps(lam_n, box, reach))
+    return BlockPlan(conn, lam_n, box, reach, bias, focus, block_reps(lam_n, box, reach, focus))
 
 
 def simulate_graph(

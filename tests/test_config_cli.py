@@ -355,6 +355,24 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "gaussian scale a = 3e+102" in err
 
+    # a dense d = 3 model, mean degree ~452: the moment bracket's tail budget
+    # tail_eps / (c 2^d) with c ~ exp(2 mu int(g)) leaves floats.  A hard disk
+    # has its support radius whatever the budget; an exponential g ends in an
+    # error line that names the budget
+    @pytest.mark.parametrize("kind,code,says", [
+        ("hard_disk", 0, ""),
+        ("exponential", 1, "error: the bracket tail budget tail_eps / (c 2^d) = exp(-5468.37)"),
+    ])
+    def test_underflowing_bracket_budget(self, kind, code, says, tmp_path, capsys):
+        argv = ["variance-growth", "--config", str(ROOT / "configs" / "default.cfg"),
+                "--out-dir", str(tmp_path), "--workers", "1"]
+        for item in ("model.d=3", "model.K.lower=0,0,0", "model.K.sides=1,1,1",
+                     f"model.g.kind={kind}", "model.g.a=3", "model.lambda=4", "run.m=20"):
+            argv += ["--set", item]
+        assert cli.main(argv) == code
+        err = capsys.readouterr().err
+        assert err.startswith(says) if says else err == ""
+
     # eps * factor^d overflows, but the whole mass is far below every budget,
     # so the margin and the reach are 0 and the run goes through
     def test_negligible_scaled_mass_runs(self, tmp_path, capsys):

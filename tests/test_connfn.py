@@ -1,6 +1,7 @@
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -188,19 +189,51 @@ def test_tail_radius_bits(f, eps, d, radius):
 
 # the doubling search runs past the largest float, the mass a^d overflows,
 # the prefactor omega_d a^d Gamma(.) does (where inf * Q underflowing to 0 is
-# NaN), or eps * factor^d overflows or underflows to 0 while the mass is
-# above eps / 2 (the CLI's extreme-input table has exponential(1e307) in d = 1)
+# NaN), or eps * factor^d underflows to 0 and the radius solved in logs,
+# ~1.5e313 or ~3.8e311, is beyond floats (the CLI's extreme-input table has
+# exponential(1e307) in d = 1)
 @pytest.mark.parametrize("f,d", [
     (gaussian(1e307), 1),
     (exponential(1e160), 2),
     (gaussian(3e102), 3),
     (gaussian(5e102), 3),
-    (exponential(1e300).scale(1e200), 2),
-    (exponential(1.0).scale(1e-200), 2),
+    (exponential(1.0).scale(1e-300).scale(1e-10), 2),
+    (gaussian(1.0).scale(1e-300).scale(1e-10), 2),
 ])
 def test_tail_radius_beyond_floats_is_an_error(f, d):
     with pytest.raises(ConnFnError, match=re.escape(f"scale a = {f.a:g}")):
         f.tail_radius(1e-12, d)
+
+
+def _mp_tail_mass(f, T, d):
+    """omega_d int_T^inf r^{d-1} f(r) dr in mpmath, the scale factors taken
+    exactly: a^d Gamma(d) Q(d, T/a), or a^d Gamma(d/2) Q(d/2, (T/a)^2) / 2,
+    with a the base scale over the factors."""
+    with mpmath.workdps(30):
+        a = mpmath.mpf(f.a)
+        for t in f.transforms:
+            a /= mpmath.mpf(t.factor)
+        om = 2 * mpmath.pi ** (mpmath.mpf(d) / 2) / mpmath.gamma(mpmath.mpf(d) / 2)
+        z = mpmath.mpf(T) / a
+        if f.kind == "exponential":
+            return om * a**d * mpmath.gammainc(d, z)
+        return om * a**d / 2 * mpmath.gammainc(mpmath.mpf(d) / 2, z * z)
+
+
+# eps * factor^d leaves floats while the mass is above eps / 2: by underflow
+# (the first three) or overflow (the last); the radius is solved in logs,
+# e.g. ~7.7e152 for the first, and leaves a tail mass of about eps / 2
+@pytest.mark.parametrize("f,eps,d", [
+    (exponential(1.0).scale(1e-150), 1e-30, 2),
+    (exponential(1.0).scale(1e-200), 1e-12, 2),
+    (gaussian(1.0).scale(1e-120), 1e-40, 3),
+    (gaussian(2.0).scale(1e-300), 1e-300, 1),
+    (exponential(1e300).scale(1e200), 1e-12, 2),
+])
+def test_tail_radius_solved_in_logs(f, eps, d):
+    T = f.tail_radius(eps, d)
+    assert 0.0 < T < math.inf
+    assert 0.49 * eps < _mp_tail_mass(f, T, d) < eps
 
 
 # eps * factor^d overflows, but the whole mass, a^d times that of a = 1, is

@@ -8,12 +8,13 @@ from hypothesis import given, settings, strategies as st
 from rcmlab.connfn import exponential, hard_disk, make_variant
 from rcmlab.quadrature import Region, unit_box
 from rcmlab.simulator import (
-    BLOCK_POINTS,
+    BLOCK_WORK,
     LatticeRegion,
     SimulationError,
     SimPolicy,
     _candidate_pairs,
     _base_pool,
+    _expected_pairs,
     _PointSeed,
     _seed_words,
     block_plan,
@@ -385,15 +386,41 @@ class TestBlock:
                 assert np.array_equal(graph.coins[mine], pair_uniform(key, local_i, local_j))
 
     def test_block_reps_rule(self):
-        # c02's d=1 window: ~23 expected points a replication
-        box = Region((-5.3,), (11.6,))
-        assert block_reps(2.0, box, 4.22) == int(BLOCK_POINTS / (2.0 * 11.6))
+        # c02's d=1 window focused on K: ~23 expected points and ~34 pairs a
+        # replication, so a block holds over 400
+        box, K = Region((-5.3,), (11.6,)), unit_box(1)
+        work = 2.0 * 11.6 + (2.0 * 1.0) * (2.0 * 2.0 * 4.22)
+        assert block_reps(2.0, box, 4.22, K) == int(BLOCK_WORK / work) >= 400
+        # without a focus every pair of the window counts
+        assert block_reps(2.0, box, 4.22) < block_reps(2.0, box, 4.22, K)
+        # a dense d=2 plan (mc_large's model) stays within the budget
+        plan = block_plan(exponential(0.3).scale(16.0), 256.0, 2, unit_box(2), focus=unit_box(2))
+        work = 256.0 * plan.box.volume + _expected_pairs(256.0, unit_box(2), plan.reach)
+        assert plan.reps * work <= BLOCK_WORK < (plan.reps + 1) * work
+        # a work beyond floats: one replication a block
+        assert block_reps(1.0, unit_box(3), 1e200) == 1
         # sparse points on a wide window with a short reach: the span binds
         wide = Region((0.0,), (1000.0,))
         assert block_reps(1e-3, wide, 0.01) == 1
         assert block_reps(1e-3, Region((0.0,), (1.0,)), 0.01) == int((2**16 * 0.01 - 1.0) / 2.0)
         # a window far from the origin: one replication, searched unshifted
         assert block_reps(1.0, Region((1e6,), (1.0,)), 1.0) == 1
+
+    # c02, c07, c08 at n = 8 and mc_large: the mean number of candidate pairs
+    # a replication stays within the estimate that sizes the blocks (c02's
+    # ratio is ~0.93), so neither a block nor its memory outgrows the budget
+    @pytest.mark.parametrize("g,lam_n,d,min_reach,m", [
+        (exponential(1.0).scale(2.0), 2.0, 1, 0.5, 2024),
+        (hard_disk(1.0).scale(8.0), 64.0, 2, 0.0, 2000),
+        (exponential(0.3).scale(8.0), 64.0, 2, 0.0, 2000),
+        (exponential(0.3).scale(16.0), 256.0, 2, 1 / 16, 60),
+    ])
+    def test_pair_estimate_bounds_the_mean(self, g, lam_n, d, min_reach, m):
+        K = unit_box(d)
+        plan = block_plan(g, lam_n, d, K, min_reach=min_reach, min_margin=min_reach, focus=K)
+        pairs = sum(simulate_block(plan, 20240801, a, min(a + plan.reps, m))[0].candidates[0].size
+                    for a in range(0, m, plan.reps))
+        assert pairs / m <= _expected_pairs(lam_n, K, plan.reach)
 
 
 class TestStreams:

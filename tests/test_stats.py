@@ -242,6 +242,7 @@ BLOCK_CASES = {
             StatRequest(name="C", kind="coupling", R=1.0),
         ],
         150,
+        2**12,  # blocks of 71
     ),
     "d2-coupling": (
         ModelConfig(d=2, lam=1.0, K=unit_box(2), g=exponential(0.3), n=8.0),
@@ -250,7 +251,8 @@ BLOCK_CASES = {
             StatRequest(name="L", kind="excess", r0=1 / 8),
             StatRequest(name="C", kind="coupling", R=1.0),
         ],
-        10,  # three blocks of block_reps' 4
+        10,
+        2**13,  # blocks of 2
     ),
     "d2-hard-disk-components": (
         ModelConfig(d=2, lam=1.0, K=unit_box(2), g=hard_disk(0.5), n=2.0),
@@ -260,6 +262,7 @@ BLOCK_CASES = {
             StatRequest(name="C3", kind="component", r=3),
         ],
         60,
+        2**10,  # blocks of 22
     ),
     "near-empty": (
         ModelConfig(d=2, lam=0.1, K=unit_box(2), g=hard_disk(0.3), n=1.0),
@@ -269,14 +272,19 @@ BLOCK_CASES = {
             StatRequest(name="C1", kind="component", r=1),
         ],
         60,
+        2**2,  # blocks of 15
     ),
 }
 
 
 class TestBlockEngine:
     @pytest.mark.parametrize("case", list(BLOCK_CASES))
-    def test_rows_equal_single_realization_path(self, case):
-        cfg, requests, m = BLOCK_CASES[case]
+    def test_rows_equal_single_realization_path(self, case, monkeypatch):
+        cfg, requests, m, budget = BLOCK_CASES[case]
+        # a block budget small enough that the m replications span more than
+        # two blocks
+        monkeypatch.setattr(simulator, "BLOCK_WORK", budget)
+        assert m > 2 * _plan(cfg, *_request_needs(cfg, requests)).reps
         out = replicate_many(cfg, requests, m, base_seed=606, workers=1)
         ref, bias = _reference_rows(cfg, requests, m, 606)
         for k, req in enumerate(requests):
@@ -288,7 +296,7 @@ class TestBlockEngine:
     @given(st.data())
     @settings(max_examples=20, deadline=None)
     def test_rows_do_not_depend_on_block_boundaries(self, data):
-        cfg, requests, _ = BLOCK_CASES["d1-exponential"]
+        cfg, requests, *_ = BLOCK_CASES["d1-exponential"]
         lattice = LatticeRegion((0, 0), (4, 4))
         field_cfg = ModelConfig(d=2, lam=1.0, K=lattice.bounding_region, g=hard_disk(0.5))
         offsets = tuple(product(range(-2, 3), repeat=2))
@@ -504,7 +512,7 @@ def _reference_field_rows(cfg, r, offsets, lattice, m, base_seed):
 
 
 # ~2.4 points per replication, so about one in eleven is empty, and m spans
-# four blocks of block_reps' 426
+# four blocks of block_reps' 381 at a budget of 2**10
 SPARSE_FIELD = (ModelConfig(d=2, lam=0.15, K=unit_box(2), g=hard_disk(0.5)), 1, 3, 1400)
 
 
@@ -549,9 +557,9 @@ class TestCovarianceField:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_field_equals_single_realization_path(self, workers, sparse_reference, monkeypatch):
-        # blocks of at most 2**10 expected points, so that the sparse model's
-        # m replications span more than three of them
-        monkeypatch.setattr(simulator, "BLOCK_POINTS", 2**10)
+        # blocks of at most 2**10 expected points and pairs, so that the sparse
+        # model's m replications span more than three of them
+        monkeypatch.setattr(simulator, "BLOCK_WORK", 2**10)
         cfg, r, side, m = SPARSE_FIELD
         rows, points = sparse_reference
         lattice = LatticeRegion((0, 0), (side, side))
