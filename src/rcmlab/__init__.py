@@ -57,6 +57,7 @@ from .simulator import (
     count_components,
     count_isolated,
     count_truncation_family,
+    connect,
     pair_uniform,
     sample_points,
     simulate_graph,

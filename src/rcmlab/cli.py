@@ -182,7 +182,7 @@ def cmd_simulate(cfg: ExperimentConfig, args) -> int:
     if getattr(args, "dump_realization", None):
         model = cfg.model(cfg.n_list[0])
         graph = simulate_graph(
-            model.g_n, model.lam_n, model.d, model.K, cfg.base_seed, 0,
+            model.g_n, model.lam_n, model.K, cfg.base_seed, 0,
             cfg.policy, min_reach=R / cfg.n_list[0], min_margin=R / cfg.n_list[0],
         )
         dump_realization(graph, args.dump_realization)

@@ -126,6 +126,8 @@ class PointGraph:
     conn: ConnectionFunction
     box: Region
     reach: float
+    rid: np.ndarray  # (N,) each point's replication, from 0
+    reps: int  # replications stacked, trailing ones without points included
     focus: tuple[Region, np.ndarray] | None = None
     edge_i: np.ndarray = field(init=False)
     edge_j: np.ndarray = field(init=False)
@@ -406,9 +408,10 @@ def connect(
     reach: float,
     pair_key: int,
 ) -> PointGraph:
-    """Bernoulli(conn(distance)) edges on all pairs within the search reach."""
+    """One replication's Bernoulli(conn(distance)) edges on all pairs within the search reach."""
     i, j, dist = _candidate_pairs(points, reach)
-    return PointGraph(points, (i, j, dist), pair_uniform(pair_key, i, j), conn, box, reach)
+    rid = np.zeros(points.shape[0], dtype=np.int64)
+    return PointGraph(points, (i, j, dist), pair_uniform(pair_key, i, j), conn, box, reach, rid, 1)
 
 
 def regraph(graph: PointGraph, conn: ConnectionFunction) -> PointGraph:
@@ -454,23 +457,22 @@ class BlockPlan:
 def block_plan(
     conn: ConnectionFunction,
     lam_n: float,
-    d: int,
     K: Region,
     policy: SimPolicy = DEFAULT_POLICY,
     min_reach: float = 0.0,
     min_margin: float = 0.0,
     focus: Region | None = None,
 ) -> BlockPlan:
-    """The plan of a run over K: the window margin and search reach that the
-    policy's bias budgets give (at least min_margin and min_reach), their
-    bias bound eps_margin + eps_edges (0 for bounded support, where both start
-    at the support radius) and blocks of ``block_reps`` replications.  Raises
-    SimulationError when the expected point count of K or of the window is
-    not one a Poisson draw can take."""
+    """The plan of a run over K, in K's dimension: the window margin and
+    search reach that the policy's bias budgets give (at least min_margin and
+    min_reach), their bias bound eps_margin + eps_edges (0 for bounded
+    support, where both start at the support radius) and blocks of
+    ``block_reps`` replications.  Raises SimulationError when the expected
+    point count of K or of the window is not one a Poisson draw can take."""
     if not lam_n > 0:
         raise SimulationError("lam_n must be > 0")
     _expected_points(lam_n, K, "K")
-    supp = conn.support_radius
+    supp, d = conn.support_radius, K.dim
     t = supp if supp is not None else conn.tail_radius(policy.eps_margin / (lam_n * K.volume), d)
     margin = max(t, min_margin)
     box = K.expand(margin) if margin > 0 else K
@@ -487,7 +489,6 @@ def block_plan(
 def simulate_graph(
     conn: ConnectionFunction,
     lam_n: float,
-    d: int,
     K: Region,
     base_seed: int,
     rep: int,
@@ -497,15 +498,14 @@ def simulate_graph(
 ) -> PointGraph:
     """Replication rep of base_seed alone: points in K plus margin, connected
     under conn.  It is the block of one replication of the plan with no focus."""
-    plan = block_plan(conn, lam_n, d, K, policy, min_reach, min_margin)
-    return simulate_block(plan, base_seed, rep, rep + 1)[0]
+    plan = block_plan(conn, lam_n, K, policy, min_reach, min_margin)
+    return simulate_block(plan, base_seed, rep, rep + 1)
 
 
-def simulate_block(
-    plan: BlockPlan, base_seed: int, lo: int, hi: int
-) -> tuple[PointGraph, np.ndarray]:
-    """Replications lo..hi-1 as one block-diagonal graph, and each point's
-    replication (0 for lo); blocks are ``plan.reps`` replications long.
+def simulate_block(plan: BlockPlan, base_seed: int, lo: int, hi: int) -> PointGraph:
+    """Replications lo..hi-1 as one block-diagonal graph of hi - lo
+    replications, each point's ``rid`` counted from 0 for lo; blocks are
+    ``plan.reps`` replications long.
 
     Each replication draws its points and pair key from its own streams (see
     the module docstring).  Edges carry global point indices, and every coin
@@ -529,8 +529,7 @@ def simulate_block(
         focus = (plan.focus, inside)
     i, j, dist = _candidate_pairs(points, plan.reach, rid, inside)
     coins = pair_uniform(keys[rid[i]], local[i], local[j])
-    graph = PointGraph(points, (i, j, dist), coins, plan.conn, box, plan.reach, focus)
-    return graph, rid
+    return PointGraph(points, (i, j, dist), coins, plan.conn, box, plan.reach, rid, hi - lo, focus)
 
 
 # -- counting statistics --------------------------------------------------------
@@ -670,12 +669,9 @@ class LatticeRegion:
         return Region(tuple(float(z) for z in site), (1.0,) * self.dim)
 
 
-def component_cell_counts(
-    graph: PointGraph, lattice: LatticeRegion, r: int, rid: np.ndarray, reps: int
-) -> np.ndarray:
-    """Per-cell component statistic over the lattice for each of the reps
-    replications of a block, where rid is each point's replication; shape
-    (reps, *lattice.shape).
+def component_cell_counts(graph: PointGraph, lattice: LatticeRegion, r: int) -> np.ndarray:
+    """Per-cell component statistic over the lattice for each replication of
+    the graph, those without points too; shape (graph.reps, *lattice.shape).
 
     Entry at site z is 1/r times the number of the replication's vertices in
     z + (0,1]^d whose component has exactly r vertices.
@@ -685,9 +681,9 @@ def component_cell_counts(
     cells = np.ceil(graph.points[sel]).astype(np.int64) - 1  # x in (z, z+1]
     rel = cells - np.array(lattice.origin)
     ok = np.all((rel >= 0) & (rel < np.array(lattice.shape)), axis=1)
-    flat = rid[sel][ok] * lattice.size + np.ravel_multi_index(tuple(rel[ok].T), lattice.shape)
-    counts = np.bincount(flat, minlength=reps * lattice.size) / r
-    return counts.reshape(reps, *lattice.shape)
+    flat = graph.rid[sel][ok] * lattice.size + np.ravel_multi_index(tuple(rel[ok].T), lattice.shape)
+    counts = np.bincount(flat, minlength=graph.reps * lattice.size) / r
+    return counts.reshape(graph.reps, *lattice.shape)
 
 
 def dump_realization(graph: PointGraph, path: str):

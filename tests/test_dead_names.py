@@ -1,30 +1,18 @@
 """Every module-level function and class of the package is in use.
 
 A name counts as used when code of src/rcmlab outside its own definition
-refers to it (as a name or as an attribute), when rcmlab/__init__.py exports
-it, or when rcmbench/tracing.py's TARGETS wraps it.  This test only reads
-rcmbench/.
+refers to it (as a name or as an attribute) or when rcmlab/__init__.py
+exports it.
 """
 
 import ast
-import importlib.util
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
-PACKAGE = ROOT / "src" / "rcmlab"
-TRACING = ROOT / "rcmbench" / "tracing.py"
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "rcmlab"
 
 
 def _trees():
     return {path.stem: ast.parse(path.read_text(), str(path)) for path in PACKAGE.glob("*.py")}
-
-
-def _traced():
-    """(module, name) of every tracer target, its outermost attribute."""
-    spec = importlib.util.spec_from_file_location("rcmbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    return {(mod.rpartition(".")[2], path.split(".")[0]) for mod, path, _ in tracing.TARGETS}
 
 
 def _exported(init: ast.Module):
@@ -55,12 +43,12 @@ def _definitions(trees):
                 yield module, node
 
 
-def _unused(trees, traced):
+def _unused(trees):
     exported = _exported(trees["__init__"])
     refs = _references(trees)
     unused = []
     for module, node in _definitions(trees):
-        if node.name in exported or (module, node.name) in traced:
+        if node.name in exported:
             continue
         start = min([node.lineno] + [d.lineno for d in node.decorator_list])
         used = any(
@@ -73,10 +61,10 @@ def _unused(trees, traced):
 
 
 def test_every_definition_is_used():
-    assert _unused(_trees(), _traced()) == []
+    assert _unused(_trees()) == []
 
 
 def test_an_unused_definition_is_named():
     trees = _trees()
     trees["connfn"].body.append(ast.parse("def _orphan(x):\n    return _orphan(x)\n").body[0])
-    assert _unused(trees, _traced()) == ["connfn._orphan"]
+    assert _unused(trees) == ["connfn._orphan"]

@@ -264,8 +264,8 @@ class TestFocusedSearch:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_block_keeps_coins_and_lengths(self, d):
         g, lam, K = exponential(0.1 if d > 1 else 0.5), 40.0 if d > 1 else 4.0, unit_box(d)
-        whole, rid = simulate_block(block_plan(g, lam, d, K), 99, 3, 9)
-        graph, _ = simulate_block(block_plan(g, lam, d, K, focus=K), 99, 3, 9)
+        whole = simulate_block(block_plan(g, lam, K), 99, 3, 9)
+        graph = simulate_block(block_plan(g, lam, K, focus=K), 99, 3, 9)
         i, j, dist = whole.candidates
         focus = K.contains(whole.points)
         sel = focus[i] | focus[j]
@@ -287,7 +287,7 @@ class TestFocusGuards:
         contains = Region.contains
         monkeypatch.setattr(Region, "contains",
                             lambda self, pts: calls.append(self) or contains(self, pts))
-        graph, _ = simulate_block(block_plan(g, 256.0, 2, K, min_reach=1 / 16, focus=K), 5, 0, 1)
+        graph = simulate_block(block_plan(g, 256.0, K, min_reach=1 / 16, focus=K), 5, 0, 1)
         twin = regraph(graph, make_variant(exponential(0.3), "cut_then_scale", R=1.0, n=16.0))
         assert twin.focus is graph.focus
         assert calls == [K]
@@ -301,7 +301,7 @@ class TestFocusGuards:
     def test_regions_outside_the_focus_raise(self):
         K, big = unit_box(2), Region((-0.1, 0.0), (1.1, 1.0))
         disk = hard_disk(0.1)
-        graph, rid = simulate_block(block_plan(disk, 40.0, 2, K, min_margin=0.3, focus=K), 5, 0, 3)
+        graph = simulate_block(block_plan(disk, 40.0, K, min_margin=0.3, focus=K), 5, 0, 3)
         with pytest.raises(SimulationError, match="focus"):
             isolated_mask(graph, big)
         with pytest.raises(SimulationError, match="focus"):
@@ -312,19 +312,19 @@ class TestFocusGuards:
         with pytest.raises(SimulationError, match="focus"):
             component_mask(graph, K, 1)
         with pytest.raises(SimulationError, match="focus"):
-            component_cell_counts(graph, LatticeRegion((0, 0), (1, 1)), 1, rid, 3)
+            component_cell_counts(graph, LatticeRegion((0, 0), (1, 1)), 1)
 
     def test_whole_window_graphs_accept_every_region(self):
         K, big = unit_box(2), Region((-0.2, -0.2), (1.4, 1.4))
         disk = hard_disk(0.1)
-        plan = block_plan(disk, 40.0, 2, K, min_margin=0.3)
-        graph, rid = simulate_block(plan, 5, 0, 3)
-        focused, _ = simulate_block(replace(plan, focus=K.expand(0.3)), 5, 0, 3)
+        plan = block_plan(disk, 40.0, K, min_margin=0.3)
+        graph = simulate_block(plan, 5, 0, 3)
+        focused = simulate_block(replace(plan, focus=K.expand(0.3)), 5, 0, 3)
         for region in (K, big, Region((0.5, 0.5), (2.0, 2.0))):
             isolated_mask(graph, region)
             truncation_masks(graph, region, 0.05)
         component_mask(graph, K, 2)
-        component_cell_counts(graph, LatticeRegion((0, 0), (1, 1)), 2, rid, 3)
+        component_cell_counts(graph, LatticeRegion((0, 0), (1, 1)), 2)
         # a focus that holds every pair within r supports serves components
         assert np.array_equal(component_mask(focused, K, 2), component_mask(graph, K, 2))
         assert np.array_equal(isolated_mask(focused, big), isolated_mask(graph, big))
@@ -334,11 +334,12 @@ class TestBlock:
     @pytest.mark.parametrize("lo", [0, 397, 2**32 + 3])
     def test_block_stacks_single_realizations(self, lo):
         g, lam, K = exponential(0.2), 30.0, unit_box(2)
-        graph, rid = simulate_block(block_plan(g, lam, 2, K, min_reach=0.3), 12345, lo, lo + 4)
+        graph = simulate_block(block_plan(g, lam, K, min_reach=0.3), 12345, lo, lo + 4)
+        rid = graph.rid
         src = rid[graph.edge_i]
         assert np.array_equal(src, rid[graph.edge_j])
         for k in range(4):
-            single = simulate_graph(g, lam, 2, K, 12345, lo + k, min_reach=0.3)
+            single = simulate_graph(g, lam, K, 12345, lo + k, min_reach=0.3)
             offset = np.count_nonzero(rid < k)
             assert np.array_equal(graph.points[rid == k], single.points)
             assert np.array_equal(graph.edge_i[src == k] - offset, single.edge_i)
@@ -348,20 +349,19 @@ class TestBlock:
         # each replication's lattice field is its single graph's
         lattice, disk = LatticeRegion((0, 0), (2, 2)), hard_disk(0.15)
         box = lattice.bounding_region
-        plan = block_plan(disk, lam, 2, box, min_margin=0.3)
-        graph, rid = simulate_block(plan, 12345, lo, lo + 4)
-        fields = component_cell_counts(graph, lattice, 2, rid, 4)
+        plan = block_plan(disk, lam, box, min_margin=0.3)
+        graph = simulate_block(plan, 12345, lo, lo + 4)
+        fields = component_cell_counts(graph, lattice, 2)
         assert fields.shape == (4, 2, 2) and fields.sum() > 0
         for k in range(4):
-            single = simulate_graph(disk, lam, 2, box, 12345, lo + k, min_margin=0.3)
-            rid_one = np.zeros(single.n_points, dtype=np.int64)
-            one = component_cell_counts(single, lattice, 2, rid_one, 1)
+            single = simulate_graph(disk, lam, box, 12345, lo + k, min_margin=0.3)
+            one = component_cell_counts(single, lattice, 2)
             assert np.array_equal(fields[k], one[0])
 
     def test_simulate_graph_is_a_function_of_the_sequence(self):
         g, lam, K = exponential(0.2), 30.0, unit_box(2)
-        first = simulate_graph(g, lam, 2, K, 7, 3)
-        again = simulate_graph(g, lam, 2, K, 7, 3)
+        first = simulate_graph(g, lam, K, 7, 3)
+        again = simulate_graph(g, lam, K, 7, 3)
         assert np.array_equal(first.points, again.points)
         assert np.array_equal(first.edge_i, again.edge_i)
         # each replication of a block draws from the children of its own
@@ -370,7 +370,8 @@ class TestBlock:
                  (1, 20240801, 5, 6), (1, 20240801, 1000, 1037), (1, 99, 2**32 - 3, 2**32 + 3)]
         for d, seed, lo, hi in cases:
             K = unit_box(d)
-            graph, rid = simulate_block(block_plan(g, lam, d, K), seed, lo, hi)
+            graph = simulate_block(block_plan(g, lam, K), seed, lo, hi)
+            rid = graph.rid
             _, keys = _seed_words(seed, lo, hi)
             i, j, _ = graph.candidates
             offsets = np.searchsorted(rid, np.arange(hi - lo))
@@ -394,7 +395,7 @@ class TestBlock:
         # without a focus every pair of the window counts
         assert block_reps(2.0, box, 4.22) < block_reps(2.0, box, 4.22, K)
         # a dense d=2 plan (mc_large's model) stays within the budget
-        plan = block_plan(exponential(0.3).scale(16.0), 256.0, 2, unit_box(2), focus=unit_box(2))
+        plan = block_plan(exponential(0.3).scale(16.0), 256.0, unit_box(2), focus=unit_box(2))
         work = 256.0 * plan.box.volume + _expected_pairs(256.0, unit_box(2), plan.reach)
         assert plan.reps * work <= BLOCK_WORK < (plan.reps + 1) * work
         # a work beyond floats: one replication a block
@@ -417,8 +418,8 @@ class TestBlock:
     ])
     def test_pair_estimate_bounds_the_mean(self, g, lam_n, d, min_reach, m):
         K = unit_box(d)
-        plan = block_plan(g, lam_n, d, K, min_reach=min_reach, min_margin=min_reach, focus=K)
-        pairs = sum(simulate_block(plan, 20240801, a, min(a + plan.reps, m))[0].candidates[0].size
+        plan = block_plan(g, lam_n, K, min_reach=min_reach, min_margin=min_reach, focus=K)
+        pairs = sum(simulate_block(plan, 20240801, a, min(a + plan.reps, m)).candidates[0].size
                     for a in range(0, m, plan.reps))
         assert pairs / m <= _expected_pairs(lam_n, K, plan.reach)
 
@@ -456,7 +457,7 @@ class TestStreams:
 
         monkeypatch.setattr(np.random, "SeedSequence", Counted)
         _base_pool.cache_clear()
-        simulate_block(block_plan(exponential(1.0), 2.0, 1, unit_box(1)), 77, 0, 400)
+        simulate_block(block_plan(exponential(1.0), 2.0, unit_box(1)), 77, 0, 400)
         assert len(built) == 1
 
     def test_negative_seeds_rejected(self):
@@ -481,7 +482,7 @@ class TestCounts:
     def test_family_additivity_and_monotonicity(self):
         g = exponential(0.2)
         cfg_reach = 3.0
-        graph = simulate_graph(g, 40.0, 2, unit_box(2), 12345, 6, min_reach=cfg_reach,
+        graph = simulate_graph(g, 40.0, unit_box(2), 12345, 6, min_reach=cfg_reach,
                                min_margin=cfg_reach)
         K = unit_box(2)
         I = count_isolated(graph, K)
@@ -495,7 +496,7 @@ class TestCounts:
             prev_j = J
 
     def test_r0_zero_counts_everyone(self):
-        graph = simulate_graph(exponential(0.2), 40.0, 2, unit_box(2), 12345, 7,
+        graph = simulate_graph(exponential(0.2), 40.0, unit_box(2), 12345, 7,
                                min_reach=1.0, min_margin=1.0)
         K = unit_box(2)
         J, L = count_truncation_family(graph, K, 0.0)
@@ -504,14 +505,14 @@ class TestCounts:
         assert L == J - count_isolated(graph, K)
 
     def test_r0_at_reach_kills_far_side(self):
-        graph = simulate_graph(hard_disk(0.4), 40.0, 2, unit_box(2), 12345, 8)
+        graph = simulate_graph(hard_disk(0.4), 40.0, unit_box(2), 12345, 8)
         K = unit_box(2)
         J, L = count_truncation_family(graph, K, 0.4)
         assert L == 0
         assert J == count_isolated(graph, K)
 
     def test_r0_beyond_reach_rejected(self):
-        graph = simulate_graph(hard_disk(0.4), 10.0, 2, unit_box(2), 12345, 9)
+        graph = simulate_graph(hard_disk(0.4), 10.0, unit_box(2), 12345, 9)
         with pytest.raises(SimulationError):
             count_truncation_family(graph, unit_box(2), 2.0)
 
@@ -522,7 +523,7 @@ class TestCoupling:
         g = exponential(1.0)
         n, R = 2.0, 1.0
         g_n = make_variant(g, "scaled", n=n)
-        graph = simulate_graph(g_n, 3.0, 1, unit_box(1), 12345, 100 + rep,
+        graph = simulate_graph(g_n, 3.0, unit_box(1), 12345, 100 + rep,
                                min_reach=R / n, min_margin=R / n)
         J, _ = count_truncation_family(graph, unit_box(1), R / n)
         twin = regraph(graph, make_variant(g, "cut_then_scale", R=R, n=n))
@@ -544,7 +545,7 @@ class TestCoupling:
 class TestComponents:
     def _graph(self, lam=20.0, a=0.3, r=3, seed=20):
         g = hard_disk(a)
-        return simulate_graph(g, lam, 2, unit_box(2), 12345, seed, min_margin=r * a)
+        return simulate_graph(g, lam, unit_box(2), 12345, seed, min_margin=r * a)
 
     def test_r1_matches_isolated(self):
         graph = self._graph()
@@ -556,13 +557,13 @@ class TestComponents:
         assert count_components(graph, unit_box(2), 2) == pytest.approx(1.0)
 
     def test_unbounded_support_rejected(self):
-        graph = simulate_graph(exponential(0.3), 10.0, 2, unit_box(2), 12345, 21,
+        graph = simulate_graph(exponential(0.3), 10.0, unit_box(2), 12345, 21,
                                min_margin=2.0)
         with pytest.raises(SimulationError):
             count_components(graph, unit_box(2), 1)
 
     def test_insufficient_margin_rejected(self):
-        graph = simulate_graph(hard_disk(0.3), 10.0, 2, unit_box(2), 12345, 22)
+        graph = simulate_graph(hard_disk(0.3), 10.0, unit_box(2), 12345, 22)
         # margin is one support radius; size-3 components need three
         with pytest.raises(SimulationError):
             count_components(graph, unit_box(2), 3)
@@ -570,9 +571,9 @@ class TestComponents:
     def test_cell_counts_sum_to_region_count(self):
         lattice = LatticeRegion((0, 0), (3, 3))
         g = hard_disk(0.3)
-        graph = simulate_graph(g, 15.0, 2, lattice.bounding_region, 12345, 23,
+        graph = simulate_graph(g, 15.0, lattice.bounding_region, 12345, 23,
                                min_margin=2 * 0.3)
-        Y = component_cell_counts(graph, lattice, 2, np.zeros(graph.n_points, dtype=np.int64), 1)
+        Y = component_cell_counts(graph, lattice, 2)
         total = count_components(graph, lattice.bounding_region, 2)
         assert Y.shape == (1, 3, 3)
         assert Y.sum() == pytest.approx(total)
@@ -609,7 +610,7 @@ class TestLattice:
         # distinct points are >= 0.5 apart, so no edges: every component has size 1
         box = lattice.bounding_region.expand(0.25)
         graph = connect(pts, hard_disk(0.25), box, 0.25, 1)
-        Y = component_cell_counts(graph, lattice, 1, np.zeros(len(halves), dtype=np.int64), 1)[0]
+        Y = component_cell_counts(graph, lattice, 1)[0]
         expect = np.zeros(shape)
         for site in np.ndindex(*shape):
             z = tuple(o + k for o, k in zip(origin, site))
@@ -620,34 +621,34 @@ class TestLattice:
 
 class TestMarginPolicy:
     def test_bounded_support_exact(self):
-        plan = block_plan(hard_disk(0.5), 10.0, 2, unit_box(2), SimPolicy(eps_margin=1e-4))
+        plan = block_plan(hard_disk(0.5), 10.0, unit_box(2), SimPolicy(eps_margin=1e-4))
         assert plan.box == unit_box(2).expand(0.5)
         assert plan.bias_bound == 0.0
 
     def test_exponential_analytic(self):
         # lam vol * omega_1 * a * e^{-t/a} = eps  (d = 1 tail)
         lam, eps, a = 2.0, 1e-4, 1.0
-        plan = block_plan(exponential(a), lam, 1, unit_box(1), SimPolicy(eps_margin=eps))
+        plan = block_plan(exponential(a), lam, unit_box(1), SimPolicy(eps_margin=eps))
         expect = a * math.log(2 * a * lam / (0.5 * eps))  # solver aims at eps/2
         assert -plan.box.lower[0] == pytest.approx(expect, rel=1e-6)
         assert plan.box.sides[0] == pytest.approx(1.0 + 2.0 * expect, rel=1e-6)
         assert plan.bias_bound == eps + SimPolicy().eps_edges
 
     def test_huge_budget_no_margin(self):
-        plan = block_plan(exponential(1.0), 1.0, 1, unit_box(1), SimPolicy(eps_margin=1e6))
+        plan = block_plan(exponential(1.0), 1.0, unit_box(1), SimPolicy(eps_margin=1e6))
         assert plan.box == unit_box(1)
 
 
 class TestDeterminism:
     def test_same_seed_same_graph(self):
-        a = simulate_graph(exponential(0.2), 30.0, 2, unit_box(2), 12345, 30)
-        b = simulate_graph(exponential(0.2), 30.0, 2, unit_box(2), 12345, 30)
+        a = simulate_graph(exponential(0.2), 30.0, unit_box(2), 12345, 30)
+        b = simulate_graph(exponential(0.2), 30.0, unit_box(2), 12345, 30)
         assert np.array_equal(a.points, b.points)
         assert np.array_equal(a.edge_i, b.edge_i)
         assert np.array_equal(a.edge_dist, b.edge_dist)
 
     def test_dump_realization(self, tmp_path):
-        graph = simulate_graph(hard_disk(0.3), 20.0, 2, unit_box(2), 12345, 31)
+        graph = simulate_graph(hard_disk(0.3), 20.0, unit_box(2), 12345, 31)
         path = tmp_path / "real.txt"
         dump_realization(graph, str(path))
         lines = path.read_text().splitlines()

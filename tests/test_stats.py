@@ -22,6 +22,7 @@ from rcmlab.simulator import (
     SimulationError,
     block_plan,
     block_reps,
+    component_cell_counts,
     component_mask,
     count_components,
     count_isolated,
@@ -198,8 +199,7 @@ class TestReplicate:
 
 
 def _plan(cfg, min_reach, min_margin, focus):
-    return block_plan(cfg.g_n, cfg.lam_n, cfg.d, cfg.K, DEFAULT_POLICY, min_reach, min_margin,
-                      focus)
+    return block_plan(cfg.g_n, cfg.lam_n, cfg.K, DEFAULT_POLICY, min_reach, min_margin, focus)
 
 
 def _reference_rows(cfg, requests, m, base_seed):
@@ -211,7 +211,7 @@ def _reference_rows(cfg, requests, m, base_seed):
     rows = []
     for rep in range(m):
         graph = simulate_graph(
-            cfg.g_n, cfg.lam_n, cfg.d, cfg.K, base_seed, rep, DEFAULT_POLICY, min_reach, min_margin
+            cfg.g_n, cfg.lam_n, cfg.K, base_seed, rep, DEFAULT_POLICY, min_reach, min_margin
         )
         row = []
         for req in requests:
@@ -292,6 +292,16 @@ class TestBlockEngine:
             assert out[req.name].bias_bound == bias
         if case == "near-empty":
             assert {0.0, 1.0} <= set(ref[:, -1])
+            # a block whose last replication draws no points still has a row
+            # for it, of zeros, from the requests and from the lattice cells;
+            # the one cell (0, 1]^2 counts what the C1 column counts in K
+            hi = 1 + next(k for k in range(1, m) if ref[k, -1] == 0 and ref[:k, 0].any())
+            graph = simulate_block(_plan(cfg, *_request_needs(cfg, requests)), 606, 0, hi)
+            assert graph.rid[-1] + 1 < graph.reps == hi
+            rows = _request_rows(cfg, requests, graph)
+            assert np.array_equal(rows, ref[:hi, :-1]) and not rows[-1].any()
+            cells = component_cell_counts(graph, LatticeRegion((0, 0), (1, 1)), 1)
+            assert np.array_equal(cells.reshape(hi), ref[:hi, 2]) and not cells[-1].any()
 
     @given(st.data())
     @settings(max_examples=20, deadline=None)
@@ -363,8 +373,8 @@ class TestStreamPins:
         (3, 0.1, 20.0, 3, "c59361ebb9e3bff3ab6efd0f26e9d37984f4c4d04114475eb00246e495cccab0"),
     ])
     def test_graph_bits(self, d, a, lam, reps, digest):
-        plan = block_plan(exponential(a), lam, d, unit_box(d))
-        graph, _ = simulate_block(plan, 20240801, 0, reps)
+        plan = block_plan(exponential(a), lam, unit_box(d))
+        graph = simulate_block(plan, 20240801, 0, reps)
         h = hashlib.sha256()
         for values, dtype in ((graph.edge_i, "<i8"), (graph.edge_j, "<i8"),
                               (graph.edge_dist, "<f8"), (graph.coins, "<f8")):
@@ -498,7 +508,7 @@ def _reference_field_rows(cfg, r, offsets, lattice, m, base_seed):
     rows, points = [], []
     for rep in range(m):
         graph = simulate_graph(
-            cfg.g_n, cfg.lam_n, cfg.d, lattice.bounding_region, base_seed, rep,
+            cfg.g_n, cfg.lam_n, lattice.bounding_region, base_seed, rep,
             min_margin=min_margin,
         )
         Y = np.zeros(lattice.shape)
