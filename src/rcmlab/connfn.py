@@ -112,16 +112,16 @@ class ConnectionFunction:
         """Value of the composed stack at radius x (scalar or ndarray, x >= 0)."""
         arr = np.asarray(x, dtype=float)
         scalar = arr.ndim == 0
-        cur = np.atleast_1d(arr).copy()
-        keep = np.ones(cur.shape, dtype=bool)
+        cur, keep = np.atleast_1d(arr), None
         for t in reversed(self.transforms):
             if isinstance(t, Scale):
-                cur *= t.factor
-            elif isinstance(t, TruncateInside):
-                keep &= cur <= t.radius
+                cur = cur * t.factor  # a new array, so x is never written
             else:
-                keep &= cur > t.radius
-        vals = np.where(keep, self._base_eval(cur), 0.0)
+                kept = cur <= t.radius if isinstance(t, TruncateInside) else cur > t.radius
+                keep = kept if keep is None else keep & kept
+        vals = self._base_eval(cur)
+        if keep is not None:
+            vals = np.where(keep, vals, 0.0)
         return float(vals[0]) if scalar else vals
 
     __call__ = eval

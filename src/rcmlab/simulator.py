@@ -83,23 +83,41 @@ DEFAULT_POLICY = SimPolicy()
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
+_ONE, _S11, _S27, _S30, _S31 = (np.uint64(s) for s in (1, 11, 27, 30, 31))
 
 
 def pair_uniform(key: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """Deterministic uniforms indexed by unordered point pairs.
 
-    Uses the splitmix64 finaliser on key + golden * (triangular pair code).
-    Independent of pair enumeration order and of worker layout.
+    Uses the splitmix64 finaliser (Steele et al., OOPSLA'14) on
+    key + golden * (triangular pair code + 1), all mod 2**64: the code of
+    lo <= hi is (hi * (hi - 1) mod 2**64) // 2 + lo.  Independent of pair
+    enumeration order and of worker layout.  key is an integer or an array of
+    them, one per pair.  The hash runs in place on one uint64 buffer, with a
+    second for the shifted words, which then holds the uniforms.
     """
-    lo = np.minimum(i, j).astype(np.uint64)
-    hi = np.maximum(i, j).astype(np.uint64)
+    shape = np.broadcast_shapes(np.shape(key), np.shape(i), np.shape(j))
+    z, t = np.empty(shape, dtype=np.uint64), np.empty(shape, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        code = hi * (hi - np.uint64(1)) // np.uint64(2) + lo
-        z = np.uint64(key) + (code + np.uint64(1)) * _GOLDEN
-        z = (z ^ (z >> np.uint64(30))) * _MIX1
-        z = (z ^ (z >> np.uint64(27))) * _MIX2
-        z ^= z >> np.uint64(31)
-    return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        np.maximum(i, j, out=z, casting="unsafe")  # hi, cast to uint64 as by astype
+        np.subtract(z, _ONE, out=t)
+        t *= z
+        t >>= _ONE  # // 2 of an unsigned word
+        np.minimum(i, j, out=z, casting="unsafe")  # lo
+        z += t
+        z += _ONE
+        z *= _GOLDEN
+        z += np.asarray(key, dtype=np.uint64)
+        np.right_shift(z, _S30, out=t)
+        z ^= t
+        z *= _MIX1
+        np.right_shift(z, _S27, out=t)
+        z ^= t
+        z *= _MIX2
+        np.right_shift(z, _S31, out=t)
+        z ^= t
+        z >>= _S11
+    return np.multiply(z, 2.0**-53, out=t.view(np.float64))
 
 
 # -- graphs --------------------------------------------------------------------
@@ -135,8 +153,8 @@ class PointGraph:
 
     def __post_init__(self):
         i, j, dist = self.candidates
-        keep = self.coins < self.conn.eval(dist)
-        self.edge_i, self.edge_j, self.edge_dist = i[keep], j[keep], dist[keep]
+        keep = np.flatnonzero(self.coins < self.conn.eval(dist))
+        self.edge_i, self.edge_j, self.edge_dist = i.take(keep), j.take(keep), dist.take(keep)
 
     @property
     def n_points(self) -> int:
@@ -389,14 +407,34 @@ def _candidate_pairs(
     a, b = cross["i"], cross["j"]
     if focus is not None:
         within, a, b = inner.take(within), inner.take(a), outer.take(b)
-    # i * n + j sorts as (i, j); a pair within the focus has i < j already
-    code = np.concatenate([within[:, 0] * n + within[:, 1],
-                           np.minimum(a, b) * n + np.maximum(a, b)])
+    # (i << shift) | j sorts as (i, j), as j < n < 2**shift, and a pair within
+    # the focus has i < j already.  As i < n - 1 the codes are below
+    # (n - 1) << shift; when that is at most 2**31, as in blocks of up to
+    # 2**15 + 1 points, they sort as int32 in half the time.
+    shift, m = n.bit_length(), within.shape[0]
+    code = np.empty(m + a.size, dtype=np.int32 if (n - 1) << shift <= 1 << 31 else np.int64)
+    own, crossing = code[:m], code[m:]
+    np.left_shift(within[:, 0], shift, out=own)
+    own |= within[:, 1]
+    np.minimum(a, b, out=crossing)
+    crossing <<= shift
+    crossing |= np.maximum(a, b)
     code.sort()
-    i = code // n
-    j = code - i * n
-    cols = np.ascontiguousarray(points.T)
-    dist = np.sqrt(sum(np.square(col.take(i) - col.take(j)) for col in cols))
+    i = np.right_shift(code, shift, dtype=np.int64)
+    j = np.bitwise_and(code, (1 << shift) - 1, dtype=np.int64)
+    # the squared norm summed in place in axis order, starting from the first
+    # axis's square: the bits of sum(), whose 0 + x is exact
+    dist, diff, other = (np.empty(code.size) for _ in range(3))
+    for k, col in enumerate(np.ascontiguousarray(points.T)):
+        out = diff if k else dist
+        col.take(i, out=out, mode="clip")  # in range; "raise" would buffer out
+        out -= col.take(j, out=other, mode="clip")
+        out *= out
+        if k:
+            dist += out
+    np.sqrt(dist, out=dist)
+    if dist.size and dist.max() <= reach:  # the common case: nothing to drop
+        return i, j, dist
     keep = dist <= reach
     return i[keep], j[keep], dist[keep]
 
@@ -528,7 +566,7 @@ def simulate_block(plan: BlockPlan, base_seed: int, lo: int, hi: int) -> PointGr
         inside = _frozen(plan.focus.contains(points))
         focus = (plan.focus, inside)
     i, j, dist = _candidate_pairs(points, plan.reach, rid, inside)
-    coins = pair_uniform(keys[rid[i]], local[i], local[j])
+    coins = pair_uniform(keys.take(rid.take(i)), local.take(i), local.take(j))
     return PointGraph(points, (i, j, dist), coins, plan.conn, box, plan.reach, rid, hi - lo, focus)
 
 

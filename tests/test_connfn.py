@@ -327,6 +327,62 @@ def test_eval_accepts_scalars_and_arrays():
     assert out.shape == (3,)
 
 
+def _masked_eval(f, x):
+    """The stack evaluated as np.where(keep, base(cur), 0.0) on a copy of x,
+    with a mask of ones narrowed by every truncation."""
+    arr = np.asarray(x, dtype=float)
+    cur = np.atleast_1d(arr).copy()
+    keep = np.ones(cur.shape, dtype=bool)
+    for t in reversed(f.transforms):
+        if isinstance(t, connfn.Scale):
+            cur *= t.factor
+        elif isinstance(t, connfn.TruncateInside):
+            keep &= cur <= t.radius
+        else:
+            keep &= cur > t.radius
+    vals = np.where(keep, f._base_eval(cur), 0.0)
+    return float(vals[0]) if arr.ndim == 0 else vals
+
+
+# each truncation radius lies on the grid, so every tie at a cut is evaluated
+MASKED_STACKS = [
+    exponential(0.7),
+    gaussian(1.2),
+    hard_disk(1.0),
+    table_function([(0.0, 1.0), (0.5, 0.4), (1.0, 0.0)]),
+    exponential(1.0).truncate_inside(1.0),
+    exponential(1.0).truncate_outside(1.0),
+    gaussian(0.8).truncate_inside(2.5).truncate_outside(0.5),
+    make_variant(exponential(0.3), "cut_then_scale", R=1.0, n=16.0),
+    make_variant(exponential(0.3), "scale_then_cut", R=1.0, n=16.0),
+    hard_disk(1.0).scale(3.0).scale(0.5),
+    exponential(1.0).scale(2.0).truncate_outside(0.25).scale(1.5),
+]
+
+
+@pytest.mark.parametrize("f", MASKED_STACKS)
+def test_eval_is_the_masked_base_bit_for_bit(f):
+    x = np.concatenate([GRID, [0.25, 1.0 / 16.0, 1.0 / 3.0, 1e-300, 1e100]])
+    got, expect = f.eval(x), _masked_eval(f, x)
+    assert got.dtype == expect.dtype and np.array_equal(got.view(np.uint64),
+                                                        expect.view(np.uint64))
+    for r in (0.0, 0.5, 1.0 / 16.0, 1.0, 2.5):
+        value = f.eval(r)
+        assert type(value) is float
+        assert math.copysign(1.0, value) == math.copysign(1.0, _masked_eval(f, r))
+        assert value == _masked_eval(f, r)
+
+
+@pytest.mark.parametrize("f", [exponential(1.0).scale(2.0), hard_disk(1.0).scale(3.0).scale(0.5),
+                               make_variant(gaussian(0.8), "cut_then_scale", R=1.0, n=2.0)])
+def test_eval_leaves_its_input_unwritten(f):
+    x = GRID.copy()
+    f.eval(x)
+    assert np.array_equal(x, GRID)
+    x.flags.writeable = False
+    assert np.array_equal(f.eval(x), _masked_eval(f, GRID))
+
+
 def test_pickle_roundtrip():
     import pickle
 

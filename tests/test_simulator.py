@@ -68,6 +68,59 @@ class TestPairUniform:
         assert ks < 0.005
 
 
+_M64 = (1 << 64) - 1
+
+
+def _splitmix_pair(key, i, j):
+    """pair_uniform of one pair in Python integers, reduced mod 2**64."""
+    lo, hi = min(i, j), max(i, j)
+    code = ((hi * (hi - 1)) & _M64) // 2 + lo
+    z = (key + (code + 1) * 0x9E3779B97F4A7C15) & _M64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
+    z ^= z >> 31
+    return (z >> 11) * 2.0**-53
+
+
+class TestPairUniformBits:
+    """pair_uniform against a scalar splitmix64 in Python integers."""
+
+    I = [0, 1, 5, 3, 7, 2**31 - 1, 2**32 - 1, 2**32, 2**32 + 5, 3 * 2**32 + 1, 2**40 + 7,
+         2**62 + 3, 12]
+    J = [0, 0, 5, 9, 2, 2**31 - 2, 2**32 + 1, 2**32, 17, 2**33, 2**40 + 7, 2**62 + 1, 2**63 - 1]
+
+    @pytest.mark.parametrize("key", [0, 1, 12345, 2**63 - 1, 2**63, 2**63 + 987, 2**64 - 1])
+    def test_scalar_key(self, key):
+        i, j = np.array(self.I, dtype=np.int64), np.array(self.J, dtype=np.int64)
+        expect = [_splitmix_pair(key, a, b) for a, b in zip(self.I, self.J)]
+        assert pair_uniform(key, i, j).tolist() == expect
+        assert pair_uniform(key, j, i).tolist() == expect  # swapped ends
+
+    def test_key_per_pair_and_int32_indices(self):
+        rng = np.random.default_rng(seeded(70))
+        keys = rng.integers(0, 2**64, 500, dtype=np.uint64, endpoint=False)
+        i = rng.integers(0, 2**31 - 1, 500, dtype=np.int32)
+        j = rng.integers(0, 2**31 - 1, 500, dtype=np.int32)
+        j[:20] = i[:20]  # i == j
+        expect = [_splitmix_pair(int(k), int(a), int(b)) for k, a, b in zip(keys, i, j)]
+        assert pair_uniform(keys, i, j).tolist() == expect
+        assert pair_uniform(keys, j.astype(np.int64), i).tolist() == expect
+        assert pair_uniform(keys, i, j).dtype == np.float64
+
+    def test_inputs_are_left_unwritten(self):
+        rng = np.random.default_rng(seeded(71))
+        for dtype in (np.int32, np.int64):
+            i = rng.integers(0, 1000, 300).astype(dtype)
+            j = rng.integers(0, 1000, 300).astype(dtype)
+            keys = rng.integers(0, 2**63, 300).astype(np.uint64)
+            saved = i.copy(), j.copy(), keys.copy()
+            for a in (i, j, keys):
+                a.flags.writeable = False
+            pair_uniform(keys, i, j)
+            pair_uniform(7, j, i)
+            assert all(np.array_equal(a, b) for a, b in zip((i, j, keys), saved))
+
+
 class TestSamplePoints:
     def test_fixed_seed_reproduces(self):
         box = unit_box(2)
@@ -183,6 +236,75 @@ class TestConnect:
         pts = np.array([[0.0], [1e6]])
         with pytest.raises(SimulationError):
             _candidate_pairs(pts, 1.0, np.array([0, 1]))
+
+
+class TestPackedCodes:
+    """The search packs each pair as (i << n.bit_length()) | j: at point
+    counts around powers of two the pairs must still come out whole and in
+    lexicographic order."""
+
+    @staticmethod
+    def _brute(pts, reach, rid, focus):
+        i, j = np.triu_indices(pts.shape[0], k=1)
+        dist = np.linalg.norm(pts[i] - pts[j], axis=1)
+        keep = dist <= reach
+        if rid is not None:
+            keep &= rid[i] == rid[j]
+        if focus is not None:
+            keep &= focus[i] | focus[j]
+        return i[keep], j[keep], dist[keep]
+
+    @pytest.mark.parametrize("n", [2**6 - 1, 2**6, 2**6 + 1, 2**10 - 1, 2**10, 2**10 + 1])
+    def test_pairs_around_powers_of_two(self, n):
+        rng = np.random.default_rng(seeded(n))
+        pts = rng.random((n, 2))
+        pts[-1] = pts[0] + 0.01  # the last point pairs with the first
+        reach = 0.3 if n < 100 else 0.08
+        rid = np.repeat([0, 1, 2], [n // 3, n // 3, n - 2 * (n // 3)])
+        focus = rng.random(n) < 0.4
+        focus[-1] = True
+        saved = pts.copy(), rid.copy(), focus.copy()
+        for a in (pts, rid, focus):
+            a.flags.writeable = False
+        for r in (None, rid):
+            for f in (None, focus):
+                got = _candidate_pairs(pts, reach, r, f)
+                expect = self._brute(pts, reach, r, f)
+                assert got[0].size > 0
+                if r is None:
+                    assert (0, n - 1) in set(zip(got[0].tolist(), got[1].tolist()))
+                _assert_same_pairs(got, expect)
+        assert all(np.array_equal(a, b) for a, b in zip((pts, rid, focus), saved))
+
+    @pytest.mark.parametrize("n", [2**15 - 1, 2**15, 2**15 + 1, 2**15 + 2])
+    def test_codes_past_int32(self, n):
+        # codes fit int32 up to n = 2**15 + 1 and take int64 beyond.  The points
+        # lie sorted on a line, so a pair within the reach is at most w
+        # indices apart and the brute force scans only those offsets.
+        rng = np.random.default_rng(seeded(n))
+        pts = np.sort(rng.random(n) * 400.0)[:, None]
+        pts[-1] = pts[-2] + 0.001  # the last point has a pair
+        reach = 0.02
+        x = pts[:, 0]
+        w = int(np.max(np.searchsorted(x, x + 2 * reach) - np.arange(n)))
+        rid = np.repeat([0, 1], [n // 2, n - n // 2])
+        focus = rng.random(n) < 0.5
+        focus[-1] = True
+        i = np.concatenate([np.arange(n - k) for k in range(1, w + 1)])
+        j = np.concatenate([np.arange(k, n) for k in range(1, w + 1)])
+        order = np.lexsort((j, i))
+        i, j = i[order], j[order]
+        dist = np.linalg.norm(pts[i] - pts[j], axis=1)
+        for r in (None, rid):
+            for f in (None, focus):
+                keep = dist <= reach
+                if r is not None:
+                    keep &= r[i] == r[j]
+                if f is not None:
+                    keep &= f[i] | f[j]
+                got = _candidate_pairs(pts, reach, r, f)
+                assert got[0].size > 1000 and got[1].max() == n - 1
+                _assert_same_pairs(got, (i[keep], j[keep], dist[keep]))
 
 
 def _touching(pts, reach, focus, rid=None):
