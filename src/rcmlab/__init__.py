@@ -16,7 +16,6 @@ from .connfn import (
     hard_disk,
     make_variant,
     table_function,
-    verify_identities,
 )
 from .moments import (
     DominationConstant,
@@ -29,12 +28,10 @@ from .moments import (
     limit_var_excess,
     limit_var_isolated,
     mean_excess,
-    mean_excess_unscaled,
     mean_isolated,
     pair_factor,
     swapped_truncation_means,
     var_excess,
-    var_excess_unscaled,
     var_isolated,
     variance_ratio,
 )
@@ -43,7 +40,6 @@ from .quadrature import (
     QuadratureSpec,
     QuadResult,
     Region,
-    box_covariogram,
     double_region_integral,
     overlap_integral,
     radial_integral,

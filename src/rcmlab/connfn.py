@@ -414,7 +414,6 @@ VARIANTS = (
     "cut_then_scale_outside",  # 1{x >  R/n} f(nx)
     "scale_then_cut",  # 1{x <= R} f(nx)
     "scale_then_cut_outside",  # 1{x >  R} f(nx)
-    "inside_scaled_radius",  # 1{x <= nR} f(x)
 )
 
 
@@ -450,55 +449,4 @@ def make_variant(
         return f.scale(n).truncate_outside(R / n)
     if variant == "scale_then_cut":
         return f.scale(n).truncate_inside(R)
-    if variant == "scale_then_cut_outside":
-        return f.scale(n).truncate_outside(R)
-    return f.truncate_inside(n * R)  # inside_scaled_radius
-
-
-@dataclass(frozen=True)
-class IdentityReport:
-    ok: bool
-    checked: int
-    failures: tuple[tuple[str, float, float, float], ...]  # (identity, x, lhs, rhs)
-
-    @property
-    def first_failure(self):
-        return self.failures[0] if self.failures else None
-
-
-def verify_identities(f: ConnectionFunction, R: float, n: float, grid) -> IdentityReport:
-    """Check the variant algebra pointwise on a radius grid.
-
-    (i)   cut_then_scale(x)       == inside(n*x)
-    (ii)  scale_then_cut(x)       == inside_scaled_radius(n*x)
-    (iii) inside(x) + outside(x)  == f(x)
-    (iv)  cut_then_scale(x) + cut_then_scale_outside(x) == scaled(x)
-
-    Comparisons are exact; both sides are evaluated through the same
-    indicator rules.  Reports every violated (identity, x, lhs, rhs).
-    """
-    grid = np.asarray(list(grid), dtype=float)
-    g_in = make_variant(f, "inside", R=R)
-    g_out = make_variant(f, "outside", R=R)
-    g_n = make_variant(f, "scaled", n=n)
-    g_cs = make_variant(f, "cut_then_scale", R=R, n=n)
-    g_cs_out = make_variant(f, "cut_then_scale_outside", R=R, n=n)
-    g_sc = make_variant(f, "scale_then_cut", R=R, n=n)
-    k_in = make_variant(f, "inside_scaled_radius", R=R, n=n)
-
-    checks = (
-        ("cut_then_scale == inside(n*x)", g_cs.eval(grid), g_in.eval(n * grid)),
-        ("scale_then_cut == inside_scaled_radius(n*x)", g_sc.eval(grid), k_in.eval(n * grid)),
-        ("inside + outside == f", g_in.eval(grid) + g_out.eval(grid), f.eval(grid)),
-        (
-            "cut_then_scale + complement == scaled",
-            g_cs.eval(grid) + g_cs_out.eval(grid),
-            g_n.eval(grid),
-        ),
-    )
-    failures = []
-    for name, lhs, rhs in checks:
-        bad = np.nonzero(lhs != rhs)[0]
-        for idx in bad:
-            failures.append((name, float(grid[idx]), float(lhs[idx]), float(rhs[idx])))
-    return IdentityReport(ok=not failures, checked=4 * len(grid), failures=tuple(failures))
+    return f.scale(n).truncate_outside(R)  # scale_then_cut_outside

@@ -140,18 +140,18 @@ def pair_factor(
 ) -> QuadResult:
     """exp(+mu * overlap(h1, h2, s)) >= 1; the joint-isolation correlation factor.
 
-    s is one separation (float value and error) or an array of them (arrays).
-    An overlap error e moves the factor by at most v expm1(mu e), which is the
-    bound.
+    Array in, array out: the values and errors of the separations in s as flat
+    arrays.  An overlap error e moves the factor by at most v expm1(mu e),
+    which is the bound.  A factor beyond floats is a ModelError.
     """
     if mu < 0:
         raise ModelError("intensity must be >= 0")
     ov, ov_err = overlap_rows(h1, h2, s, d, spec)
+    top = float(np.max(ov, initial=0.0))
+    if not mu * top <= _LOG_FLOAT_MAX:
+        raise ModelError(f"intensity {mu:.6g} overflows the pair factor exp({mu:.6g} * {top:.6g})")
     v = np.exp(mu * ov)
-    err = v * np.expm1(mu * ov_err)
-    if np.ndim(s) == 0:
-        return QuadResult(float(v[0]), float(err[0]))
-    return QuadResult(v, err)
+    return QuadResult(v, v * np.expm1(mu * ov_err))
 
 
 # -- isolated-vertex moments ---------------------------------------------------
@@ -199,39 +199,6 @@ def limit_var_isolated(
 
 
 # -- excess (truncation error) moments ----------------------------------------
-
-
-def mean_excess_unscaled(
-    lam: float,
-    g: ConnectionFunction,
-    R: float,
-    K: Region,
-    d: int,
-    spec: QuadratureSpec = DEFAULT_SPEC,
-) -> QuadResult:
-    """E of the excess count for the unscaled model; needs R > diam(K).
-
-    This is mean_excess at n = 1, where the scale step is the identity.
-    """
-    _require_wide(R, K)
-    return mean_excess(ModelConfig(d, lam, K, g), R, spec)
-
-
-def var_excess_unscaled(
-    lam: float,
-    g: ConnectionFunction,
-    R: float,
-    K: Region,
-    d: int,
-    spec: QuadratureSpec = DEFAULT_SPEC,
-) -> QuadResult:
-    """Variance of the excess count for the unscaled model; needs R > diam(K).
-
-    With R wider than the region no counted pair can be joined by a long
-    edge, so the long-edge variance term vanishes identically here.
-    """
-    _require_wide(R, K)
-    return var_excess(ModelConfig(d, lam, K, g), R, spec)
 
 
 def mean_excess(
@@ -380,9 +347,9 @@ def excess_variance_bracket(
 ) -> Callable:
     """Evaluator of the variance bracket at effective intensity nu.
 
-    It takes a separation (float out) or an array of them (array out).
-    This is the integrand whose absolute value the domination constants
-    bound by C_total * g(|x|/2), uniformly in R and in the scale index.
+    Array in, array out.  This is the integrand whose absolute value the
+    domination constants bound by C_total * g(|x|/2), uniformly in R and in
+    the scale index.
     """
     g_in = make_variant(g, "inside", R=R)
     g_out = make_variant(g, "outside", R=R)
@@ -550,7 +517,7 @@ def _bracket_cutoff(mu: float, g: ConnectionFunction, d: int, spec: QuadratureSp
 def _isolated_bracket(mu, g, d, spec) -> Callable:
     """(1 - g(s)) pair(mu, g, g, s) - 1: the isolated count's variance bracket.
 
-    Like pair_factor, it maps a separation to a float and an array to an array.
+    Array in, array out, like pair_factor.
     """
     return lambda s: (1.0 - g.eval(s)) * pair_factor(mu, g, g, s, d, spec).value - 1.0
 
@@ -565,8 +532,7 @@ def _excess_density(mu, g_in, g_out, d, spec) -> QuadResult:
 def _excess_parts(mu, g_in, g_out, g_full, d, spec):
     """Bracket and long-edge integrands, shared by the variance formulas.
 
-    bracket maps a separation to a float and an array to an array; extra,
-    an integrand of the quadrature kernels, maps an array to an array.
+    Both are integrands of the quadrature kernels: array in, array out.
     """
     p_in = isolation_prob(mu, g_in, d, spec)
     p_out = isolation_prob(mu, g_out, d, spec)

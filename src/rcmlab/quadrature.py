@@ -692,14 +692,9 @@ def overlap_integral(
 # -- covariograms and double region integrals ---------------------------------
 
 
-def box_covariogram(K: Region, v) -> float:
-    """c_K(v) = vol(K intersect (K - v)) = prod_i max(0, a_i - |v_i|)."""
-    vv = np.asarray(v, dtype=float)
-    return float(np.prod(np.maximum(0.0, np.array(K.sides) - np.abs(vv))))
-
-
 def covariogram_shell_mass(K: Region, s, spec: QuadratureSpec = DEFAULT_SPEC):
-    """A(s) = int_{S^{d-1}} c_K(s * omega) dsigma(omega); a float s gives a float.
+    """A(s) = int_{S^{d-1}} c_K(s * omega) dsigma(omega) of the box covariogram
+    c_K(v) = vol(K intersect (K - v)); array in, array out.
 
     With this weight, int_{K x K} F(|x1-x2|) = int_0^diam F(s) s^{d-1} A(s) ds
     for any radial F (c_K itself need not be radial).  d <= 2 is exact; d=3
@@ -731,7 +726,7 @@ def covariogram_shell_mass(K: Region, s, spec: QuadratureSpec = DEFAULT_SPEC):
         breaks = np.stack(cuts, axis=1)
         val, _ = adaptive_quad_rows(f, np.zeros(t.size), math.pi / 2, spec.inner(), breaks)
         out[pos] = 8.0 * val
-    return float(out[0]) if sa.ndim == 0 else out.reshape(sa.shape)
+    return out.reshape(sa.shape)
 
 
 def _quarter_shell(a0: float, a1: float, t: np.ndarray) -> np.ndarray:

@@ -312,6 +312,10 @@ _EXACT_SPAN = 2.0**16
 # ~57 points and pairs each and mc_large's d=2 blocks 5 of ~12.7k, and a
 # block's arrays stay within a few MB.
 BLOCK_WORK = 2**16
+# The most expected work one replication may take.  A block holds at least
+# one replication, at about 90 bytes a candidate pair, so this keeps a block
+# within ~1.5 GB; the largest plan the test suite runs is ~3e6 (mc_large ~1.3e4).
+MAX_REPLICATION_WORK = 2**24
 
 
 def _block_stride(extent: float, reach: float) -> float:
@@ -333,12 +337,17 @@ def _expected_pairs(lam_n: float, region: Region, reach: float) -> float:
     return (lam_n * region.volume) * (lam_n * ball)
 
 
+def _replication_work(lam_n: float, box: Region, reach: float, focus: Region | None) -> float:
+    """Expected work of one replication: its points in the box plus its
+    candidate pairs touching the focus (the box when None)."""
+    return lam_n * box.volume + _expected_pairs(lam_n, box if focus is None else focus, reach)
+
+
 def block_reps(lam_n: float, box: Region, reach: float, focus: Region | None = None) -> int:
-    """Replications per block: at most BLOCK_WORK expected points in the box
-    plus candidate pairs touching the focus (the box when None), and a
-    first-axis span that keeps the shifted pair search exact; at least one,
-    and one when the work of a replication is not finite."""
-    work = lam_n * box.volume + _expected_pairs(lam_n, box if focus is None else focus, reach)
+    """Replications per block: at most BLOCK_WORK of ``_replication_work``,
+    and a first-axis span that keeps the shifted pair search exact; at least
+    one, and one when the work of a replication is not finite."""
+    work = _replication_work(lam_n, box, reach, focus)
     if not work < math.inf:
         return 1
     far = max(abs(box.lower[0]), abs(box.upper[0]))
@@ -506,7 +515,8 @@ def block_plan(
     min_reach), their bias bound eps_margin + eps_edges (0 for bounded
     support, where both start at the support radius) and blocks of
     ``block_reps`` replications.  Raises SimulationError when the expected
-    point count of K or of the window is not one a Poisson draw can take."""
+    point count of K or of the window is not one a Poisson draw can take, or
+    when a replication's expected work exceeds MAX_REPLICATION_WORK."""
     if not lam_n > 0:
         raise SimulationError("lam_n must be > 0")
     _expected_points(lam_n, K, "K")
@@ -521,6 +531,10 @@ def block_plan(
         # eps_edges over lam_n**2 vol / 2 pairs; squaring lam_n could overflow
         eps = 2.0 * policy.eps_edges / lam_n / mu
         reach, bias = max(conn.tail_radius(eps, d), min_reach), policy.eps_margin + policy.eps_edges
+    work = _replication_work(lam_n, box, reach, focus)
+    if not work <= MAX_REPLICATION_WORK:
+        raise SimulationError(f"a replication's expected work, {work:.6g} points and candidate "
+                              f"pairs, exceeds the bound of {MAX_REPLICATION_WORK}")
     return BlockPlan(conn, lam_n, box, reach, bias, focus, block_reps(lam_n, box, reach, focus))
 
 

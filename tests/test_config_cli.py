@@ -355,6 +355,19 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "gaussian scale a = 3e+102" in err
 
+    # d = 3, lambda = 10, exponential(5) at n = 2: ~1.8e8 points a replication,
+    # refused by the plan before anything is drawn
+    def test_replication_beyond_the_work_bound_ends_in_an_error_line(self, tmp_path, capsys):
+        argv = ["simulate", "--config", str(ROOT / "configs" / "default.cfg"),
+                "--out-dir", str(tmp_path), "--workers", "1"]
+        for item in ("model.d=3", "model.K.lower=0,0,0", "model.K.sides=1,1,1",
+                     "model.lambda=10", "model.g.a=5", "run.n_list=2"):
+            argv += ["--set", item]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: a replication's expected work")
+        assert "exceeds the bound of 16777216" in err
+
     # a dense d = 3 model, mean degree ~452: the moment bracket's tail budget
     # tail_eps / (c 2^d) with c ~ exp(2 mu int(g)) leaves floats.  A hard disk
     # has its support radius whatever the budget; an exponential g ends in an

@@ -16,7 +16,6 @@ from rcmlab.connfn import (
     hard_disk,
     make_variant,
     table_function,
-    verify_identities,
 )
 from rcmlab.quadrature import adaptive_quad, radial_integral
 
@@ -55,7 +54,7 @@ def test_variant_formulas():
     assert w.eval(1.0) == pytest.approx(math.exp(-4.0), rel=1e-12)
     assert w.eval(2.5) == 0.0
     # widened cut without scaling: 1{x <= n R} g(x)
-    k = make_variant(g, "inside_scaled_radius", R=2.0, n=4.0)
+    k = g.truncate_inside(4.0 * 2.0)
     assert k.eval(7.9) == pytest.approx(math.exp(-7.9), rel=1e-12)
     assert k.eval(8.1) == 0.0
 
@@ -74,20 +73,37 @@ def test_non_commutation_of_cut_and_scale():
     assert cs.eval(1.0) == 0.0
 
 
+def assert_variant_identities(f, R, n):
+    """The variant algebra, exactly, on GRID: both sides of each identity
+    go through the same indicator rules."""
+    g_in = make_variant(f, "inside", R=R)
+    g_cs = make_variant(f, "cut_then_scale", R=R, n=n)
+    # (i) cut_then_scale(x) == inside(n x)
+    assert np.array_equal(g_cs.eval(GRID), g_in.eval(n * GRID))
+    # (ii) scale_then_cut(x) == 1{y <= n R} f(y) at y = n x
+    assert np.array_equal(make_variant(f, "scale_then_cut", R=R, n=n).eval(GRID),
+                          f.truncate_inside(n * R).eval(n * GRID))
+    # (iii) inside(x) + outside(x) == f(x)
+    assert np.array_equal(g_in.eval(GRID) + make_variant(f, "outside", R=R).eval(GRID),
+                          f.eval(GRID))
+    # (iv) cut_then_scale(x) + cut_then_scale_outside(x) == scaled(x)
+    assert np.array_equal(
+        g_cs.eval(GRID) + make_variant(f, "cut_then_scale_outside", R=R, n=n).eval(GRID),
+        make_variant(f, "scaled", n=n).eval(GRID),
+    )
+
+
 def test_verify_identities_exponential():
-    report = verify_identities(exponential(1.0), R=2.0, n=4.0, grid=GRID)
-    assert report.ok, report.first_failure
+    assert_variant_identities(exponential(1.0), R=2.0, n=4.0)
 
 
 def test_verify_identities_hard_disk_n1():
-    report = verify_identities(hard_disk(1.0), R=0.5, n=1.0, grid=GRID)
-    assert report.ok, report.first_failure
+    assert_variant_identities(hard_disk(1.0), R=0.5, n=1.0)
 
 
 @given(builtin, st.sampled_from([0.5, 1.0, 2.0]), st.sampled_from([1.0, 2.0, 4.0, 8.0]))
 def test_verify_identities_binary_scales(f, R, n):
-    report = verify_identities(f, R=R, n=n, grid=GRID)
-    assert report.ok, report.first_failure
+    assert_variant_identities(f, R=R, n=n)
 
 
 @given(builtin, st.floats(0.1, 3.0))

@@ -17,12 +17,10 @@ from rcmlab.moments import (
     limit_var_excess,
     limit_var_isolated,
     mean_excess,
-    mean_excess_unscaled,
     mean_isolated,
     pair_factor,
     swapped_truncation_means,
     var_excess,
-    var_excess_unscaled,
     var_isolated,
     variance_ratio,
 )
@@ -67,6 +65,14 @@ class TestFactors:
         p_in = isolation_prob(mu, make_variant(g, "inside", R=R), 1).value
         p_out = isolation_prob(mu, make_variant(g, "outside", R=R), 1).value
         assert p_in * p_out == pytest.approx(isolation_prob(mu, g, 1).value, rel=1e-9)
+
+    # a dense d=3 model, mean degree ~804: exp(mu O(0)) leaves floats, where
+    # the disks overlap and 1 - g(s) = 0 in the variance bracket
+    def test_overflowing_pair_factor_is_a_model_error(self):
+        disk = hard_disk(4.0)
+        with pytest.raises(ModelError, match=r"intensity 3 overflows the pair factor exp\(3 \* 268"):
+            pair_factor(3.0, disk, disk, np.array([9.0, 0.0]), 3)
+        assert pair_factor(3.0, disk, disk, np.array([8.0, 9.0]), 3).value.tolist() == [1.0, 1.0]
 
     def test_negative_intensity_rejected(self):
         with pytest.raises(ModelError):
@@ -117,37 +123,30 @@ class TestModelConfig:
 
 
 class TestUnscaledMoments:
+    """The unscaled model is the n = 1 member of the scaled sequence."""
+
     def test_mean_bounded_support_vanishes(self):
         # once the cut covers the whole support nothing can be excess
-        assert mean_excess_unscaled(1.0, hard_disk(1.0), 2.0, K1, 1).value == pytest.approx(
-            0.0, abs=1e-12
-        )
+        cfg = ModelConfig(1, 1.0, K1, hard_disk(1.0))
+        assert mean_excess(cfg, 2.0).value == pytest.approx(0.0, abs=1e-12)
 
     def test_mean_analytic_example(self):
-        got = mean_excess_unscaled(1.0, exponential(1.0), 2.0, unit_box(2), 2).value
+        got = mean_excess(ModelConfig(2, 1.0, unit_box(2), exponential(1.0)), 2.0).value
         in_mass = 2 * math.pi * (1 - 3 * math.exp(-2))
         out_mass = 2 * math.pi * 3 * math.exp(-2)
         expect = math.exp(-in_mass) * (1 - math.exp(-out_mass))
         assert got == pytest.approx(expect, rel=1e-9)
 
     def test_mean_tiny_intensity(self):
-        assert mean_excess_unscaled(1e-12, exponential(1.0), 2.0, K1, 1).value == pytest.approx(
-            0.0, abs=1e-11
-        )
+        cfg = ModelConfig(1, 1e-12, K1, exponential(1.0))
+        assert mean_excess(cfg, 2.0).value == pytest.approx(0.0, abs=1e-11)
 
     def test_var_bounded_support_vanishes(self):
-        got = var_excess_unscaled(1.0, hard_disk(1.0), 2.0, K1, 1).value
+        got = var_excess(ModelConfig(1, 1.0, K1, hard_disk(1.0)), 2.0).value
         assert got == pytest.approx(0.0, abs=1e-9)
 
-    def test_wide_radius_precondition(self):
-        with pytest.raises(ModelError):
-            mean_excess_unscaled(1.0, exponential(1.0), 0.5, K1, 1)
-        with pytest.raises(ModelError):
-            var_excess_unscaled(1.0, exponential(1.0), 1.0, K1, 1)
-
     def test_against_monte_carlo(self):
-        # dual route for the wide-radius formulas; also covers the unpinned
-        # geometry question (R / n = 2 > diam K at n = 1)
+        # dual route for the n = 1 formulas at R / n = 2 > diam K
         lam, R = 1.0, 2.0
         g = exponential(1.0)
         cfg = ModelConfig(d=1, lam=lam, K=K1, g=g, n=1.0)
@@ -155,9 +154,8 @@ class TestUnscaledMoments:
             cfg, [StatRequest(name="L", kind="excess", r0=R)], 20000, base_seed=424242
         )
         sample = out["L"]
-        mean = mean_excess_unscaled(lam, g, R, K1, 1).value
-        var = var_excess_unscaled(lam, g, R, K1, 1).value
-        assert mean == pytest.approx(mean_excess(cfg, R).value, rel=1e-10)
+        mean = mean_excess(cfg, R).value
+        var = var_excess(cfg, R).value
         assert abs(sample.mean - mean) <= 3 * sample.se_mean
         assert abs(sample.variance - var) <= 3 * sample.bootstrap_se_var()
 
@@ -175,9 +173,10 @@ class TestScaledMoments:
         assert mean_excess(cfg, 1.0).value == pytest.approx(2 * p_in * (1 - p_out), rel=1e-9)
 
     def test_n1_matches_unscaled(self):
+        # at n = 1 the cut-then-scale variants are the plain inside/outside cuts
         cfg = ModelConfig(d=1, lam=1.3, K=K1, g=exponential(0.8), n=1.0)
         a = mean_excess(cfg, 2.0).value
-        b = mean_excess_unscaled(1.3, exponential(0.8), 2.0, K1, 1).value
+        b = 1.3 * K1.volume * limit_mean_excess(1.3, exponential(0.8), 2.0, 1).value
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_variance_positive_and_exceeds_nothing_weird(self):
@@ -275,7 +274,7 @@ class TestSwappedTruncation:
         g = exponential(1.0)
         n, R, lam_n = 4.0, 2.0, 4.0
         lhs = isolation_prob(lam_n, make_variant(g, "scale_then_cut", R=R, n=n), 1).value
-        rhs = isolation_prob(lam_n / n, make_variant(g, "inside_scaled_radius", R=R, n=n), 1).value
+        rhs = isolation_prob(lam_n / n, g.truncate_inside(n * R), 1).value
         assert lhs == pytest.approx(rhs, rel=1e-9)
 
     def test_requires_wide_radius(self):
@@ -309,21 +308,21 @@ class TestDomination:
         bracket = excess_variance_bracket(1.0, hard_disk(1.0), 0.5, 2)
         assert bracket(3.0) == pytest.approx(0.0, abs=1e-10)
 
-    def test_bracket_takes_a_float_or_an_array(self):
+    # a row's value does not depend on the batch it is evaluated in
+    def test_bracket_is_batch_invariant(self):
         bracket = excess_variance_bracket(1.0, exponential(1.0), 0.5, 2)
         x = np.array([0.0, 0.3, 0.5, 1.0, 2.5])
-        arr = bracket(x)
-        assert isinstance(bracket(0.3), float)
-        assert np.array_equal(arr, [bracket(float(v)) for v in x])
+        assert np.array_equal(bracket(x), np.concatenate([bracket(x[k:k + 1]) for k in range(5)]))
 
-    def test_pair_factor_takes_a_float_or_an_array(self):
-        g = exponential(0.8)
+    def test_pair_factor_is_batch_invariant(self):
         x = np.array([0.0, 0.4, 1.7])
-        arr = pair_factor(1.5, g, g, x, 2)
-        ones = [pair_factor(1.5, g, g, float(v), 2) for v in x]
-        assert all(isinstance(f, float) for one in ones for f in one)
-        assert np.array_equal(arr.value, [one.value for one in ones])
-        assert np.array_equal(arr.error, [one.error for one in ones])
+        # a closed-form overlap and a quadrature one
+        for g in (exponential(0.8), exponential(0.8).truncate_inside(1.0)):
+            arr = pair_factor(1.5, g, g, x, 2)
+            ones = [pair_factor(1.5, g, g, x[k:k + 1], 2) for k in range(3)]
+            assert np.array_equal(arr.value, np.concatenate([one.value for one in ones]))
+            assert np.array_equal(arr.error, np.concatenate([one.error for one in ones]))
+            assert isinstance(pair_factor(1.5, g, g, 0.4, 2).value, np.ndarray)
 
     def test_grid_inequality_exponential(self):
         radii = [float(x) for x in np.geomspace(0.05, 10.0, 10)]

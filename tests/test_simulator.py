@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rcmlab import simulator
 from rcmlab.connfn import exponential, hard_disk, make_variant
 from rcmlab.quadrature import Region, unit_box
 from rcmlab.simulator import (
     BLOCK_WORK,
+    MAX_REPLICATION_WORK,
     LatticeRegion,
     SimulationError,
     SimPolicy,
@@ -16,6 +18,7 @@ from rcmlab.simulator import (
     _base_pool,
     _expected_pairs,
     _PointSeed,
+    _replication_work,
     _seed_words,
     block_plan,
     block_reps,
@@ -528,6 +531,24 @@ class TestBlock:
         assert block_reps(1e-3, Region((0.0,), (1.0,)), 0.01) == int((2**16 * 0.01 - 1.0) / 2.0)
         # a window far from the origin: one replication, searched unshifted
         assert block_reps(1.0, Region((1e6,), (1.0,)), 1.0) == 1
+
+    def test_plan_bounds_a_replications_work(self, monkeypatch):
+        # d=3, lambda = 10, exponential(5) at n = 2: ~1.8e8 points a replication
+        # (~4.4 GB of coordinates); the plan refuses it and draws nothing
+        g, K = exponential(5.0).scale(2.0), unit_box(3)
+        with pytest.raises(SimulationError, match=r"expected work, 2\.85461e\+10 points and "
+                                                  r"candidate pairs, exceeds the bound of 16777216"):
+            block_plan(g, 80.0, K, focus=K)
+        # the bound is inclusive, and the plan's work is what sizes its blocks
+        model = (exponential(0.3).scale(16.0), 256.0, unit_box(2))  # mc_large's
+        plan = block_plan(*model, focus=unit_box(2))
+        work = _replication_work(plan.lam_n, plan.box, plan.reach, plan.focus)
+        assert 1e4 < work < MAX_REPLICATION_WORK and plan.reps == int(BLOCK_WORK / work)
+        monkeypatch.setattr(simulator, "MAX_REPLICATION_WORK", work)
+        assert block_plan(*model, focus=unit_box(2)) == plan
+        monkeypatch.setattr(simulator, "MAX_REPLICATION_WORK", math.nextafter(work, 0.0))
+        with pytest.raises(SimulationError, match="expected work"):
+            block_plan(*model, focus=unit_box(2))
 
     # c02, c07, c08 at n = 8 and mc_large: the mean number of candidate pairs
     # a replication stays within the estimate that sizes the blocks (c02's
