@@ -97,31 +97,43 @@ class ConnectionFunction:
 
     # -- evaluation ---------------------------------------------------------
 
-    def _base_eval(self, x: np.ndarray) -> np.ndarray:
+    def _base_eval(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The base at x; the exponential and gaussian kinds evaluate in
+        place in out (which may be x) when one is given."""
         if self.kind == "hard_disk":
             return (x <= self.a).astype(float)
-        if self.kind == "exponential":
-            return np.exp(-x / self.a)
-        if self.kind == "gaussian":
-            return np.exp(-((x / self.a) ** 2))
+        if self.kind == "exponential":  # np.exp(-x / a)
+            out = np.negative(x, out=out)
+            out /= self.a
+            return np.exp(out, out=out)
+        if self.kind == "gaussian":  # np.exp(-((x / a) ** 2))
+            out = np.divide(x, self.a, out=out)
+            np.square(out, out=out)
+            np.negative(out, out=out)
+            return np.exp(out, out=out)
         rs = np.array([r for r, _ in self.table])
         vs = np.array([v for _, v in self.table])
         return np.interp(x, rs, vs, left=vs[0], right=0.0)
 
     def eval(self, x):
-        """Value of the composed stack at radius x (scalar or ndarray, x >= 0)."""
+        """Value of the composed stack at radius x (scalar or ndarray, x >= 0).
+
+        x is never written.  A scale makes a new array, which the base then
+        evaluates in, and a value that a truncation drops is set to 0 in the
+        values' own array."""
         arr = np.asarray(x, dtype=float)
         scalar = arr.ndim == 0
-        cur, keep = np.atleast_1d(arr), None
+        cur = base = np.atleast_1d(arr)
+        keep = None
         for t in reversed(self.transforms):
             if isinstance(t, Scale):
                 cur = cur * t.factor  # a new array, so x is never written
             else:
                 kept = cur <= t.radius if isinstance(t, TruncateInside) else cur > t.radius
                 keep = kept if keep is None else keep & kept
-        vals = self._base_eval(cur)
+        vals = self._base_eval(cur, None if cur is base else cur)
         if keep is not None:
-            vals = np.where(keep, vals, 0.0)
+            np.putmask(vals, np.logical_not(keep, out=keep), 0.0)
         return float(vals[0]) if scalar else vals
 
     __call__ = eval
@@ -229,29 +241,34 @@ class ConnectionFunction:
         return self.with_transform(Scale(n))
 
 
-def _base_tail_mass(kind: str, a: float, T: float, d: int) -> float:
-    """omega_d * int_T^inf r^{d-1} f(r) dr for the unbounded builtins."""
+def _base_tail(kind: str, a: float, d: int):
+    """(whole, q) for the unbounded builtins: the mass omega_d * int_T^inf
+    r^{d-1} f(r) dr beyond T is whole * q(T), q being a regularized upper
+    incomplete gamma function with q(0) = 1."""
     om = sphere_surface(d)
     if kind == "exponential":
         # int_T^inf r^{d-1} e^{-r/a} dr = a^d Gamma(d) Q(d, T/a)
-        return om * a**d * math.gamma(d) * float(special.gammaincc(d, T / a))
+        return om * a**d * math.gamma(d), lambda T: float(special.gammaincc(d, T / a))
     if kind == "gaussian":
         # int_T^inf r^{d-1} e^{-(r/a)^2} dr = (a^d / 2) Gamma(d/2) Q(d/2, (T/a)^2)
-        return (
-            om
-            * a**d
-            / 2.0
-            * math.gamma(d / 2.0)
-            * float(special.gammaincc(d / 2.0, (T / a) ** 2))
-        )
+        return (om * a**d / 2.0 * math.gamma(d / 2.0),
+                lambda T: float(special.gammaincc(d / 2.0, (T / a) ** 2)))
     raise ConnFnError(f"no analytic tail for kind {kind!r}")
 
 
+def _base_tail_mass(kind: str, a: float, T: float, d: int) -> float:
+    """omega_d * int_T^inf r^{d-1} f(r) dr for the unbounded builtins."""
+    whole, q = _base_tail(kind, a, d)
+    return whole * q(T)
+
+
 def _base_tail_radius(kind: str, a: float, eps: float, d: int) -> float:
-    # solve for half the budget so the remaining mass is strictly below eps
+    # solve for half the budget so the remaining mass is strictly below eps;
+    # the whole mass is computed once, outside the root-finder's loop, and
+    # each step multiplies it by q(T) as _base_tail_mass does
     target = 0.5 * eps
     try:
-        total = _base_tail_mass(kind, a, 0.0, d)
+        total, q = _base_tail(kind, a, d)
     except OverflowError:  # a^d
         total = math.inf
     if not math.isfinite(total):  # then inf * Q(...) is NaN where Q underflows
@@ -261,7 +278,7 @@ def _base_tail_radius(kind: str, a: float, eps: float, d: int) -> float:
         )
     if total <= target:
         return 0.0
-    T = _falling_root(lambda T: _base_tail_mass(kind, a, T, d) - target, a)
+    T = _falling_root(lambda T: total * q(T) - target, a)
     if T == math.inf:
         raise ConnFnError(
             f"{kind} scale a = {a:g}: no finite radius leaves a tail mass "

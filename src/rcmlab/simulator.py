@@ -100,24 +100,54 @@ def pair_uniform(key: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     z, t = np.empty(shape, dtype=np.uint64), np.empty(shape, dtype=np.uint64)
     with np.errstate(over="ignore"):
         np.maximum(i, j, out=z, casting="unsafe")  # hi, cast to uint64 as by astype
-        np.subtract(z, _ONE, out=t)
-        t *= z
-        t >>= _ONE  # // 2 of an unsigned word
+        _halved_triangle(z, t)
         np.minimum(i, j, out=z, casting="unsafe")  # lo
         z += t
-        z += _ONE
-        z *= _GOLDEN
-        z += np.asarray(key, dtype=np.uint64)
-        np.right_shift(z, _S30, out=t)
-        z ^= t
-        z *= _MIX1
-        np.right_shift(z, _S27, out=t)
-        z ^= t
-        z *= _MIX2
-        np.right_shift(z, _S31, out=t)
-        z ^= t
-        z >>= _S11
+        return _hashed_codes(z, t, np.asarray(key, dtype=np.uint64))
+
+
+def _halved_triangle(hi: np.ndarray, out: np.ndarray):
+    """out = (hi * (hi - 1) mod 2**64) // 2 of the uint64 words hi."""
+    np.subtract(hi, _ONE, out=out)
+    out *= hi
+    out >>= _ONE  # // 2 of an unsigned word
+
+
+def _hashed_codes(z: np.ndarray, t: np.ndarray, key: np.ndarray) -> np.ndarray:
+    """The uniforms of the triangular pair codes z under key: splitmix64 of
+    key + golden * (z + 1), run in place on z with t for the shifted words.
+    key may be t itself, as it is read before t is written.  The uniforms
+    are returned in t's memory."""
+    z += _ONE
+    z *= _GOLDEN
+    z += key
+    np.right_shift(z, _S30, out=t)
+    z ^= t
+    z *= _MIX1
+    np.right_shift(z, _S27, out=t)
+    z ^= t
+    z *= _MIX2
+    np.right_shift(z, _S31, out=t)
+    z ^= t
+    z >>= _S11
     return np.multiply(z, 2.0**-53, out=t.view(np.float64))
+
+
+def _block_uniforms(key: np.ndarray, local: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """pair_uniform(key[i], local[i], local[j]) element for element, for the
+    pairs i < j of a block whose points carry their replication's pair key
+    and their uint64 index within that replication.  Both ends of a pair lie
+    in one replication, where i < j gives local[i] < local[j], so the ends
+    need no ordering; and the key is gathered per pair into the buffer whose
+    triangular codes have just been added in.  Two uint64 buffers of the
+    pairs' length in all, the second of which returns the uniforms."""
+    z, t = np.empty(i.size, dtype=np.uint64), np.empty(i.size, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        local.take(j, out=z, mode="clip")  # hi; in range, and "raise" would buffer out
+        _halved_triangle(z, t)
+        local.take(i, out=z, mode="clip")  # lo
+        z += t
+        return _hashed_codes(z, t, key.take(i, out=t, mode="clip"))
 
 
 # -- graphs --------------------------------------------------------------------
@@ -404,36 +434,25 @@ def _candidate_pairs(
         search[:, 0] += rid * _block_stride(np.ptp(points[:, 0]), reach)
         if np.abs(search[:, 0]).max() > _EXACT_SPAN * reach:
             raise SimulationError("replication block too wide for an exact pair search")
-    near, rest = search, search[:0]
-    if focus is not None:  # tree indices map back through inner and outer
-        inner, outer = np.flatnonzero(focus), np.flatnonzero(~focus)
-        near, rest = search.take(inner, axis=0), search.take(outer, axis=0)
-    r = reach * (1.0 + 1e-9)
-    tree = cKDTree(near, **_TREE_OPTIONS)
-    within = tree.query_pairs(r, output_type="ndarray")
-    cross = tree.sparse_distance_matrix(cKDTree(rest, **_TREE_OPTIONS), r,
-                                        output_type="ndarray")
-    a, b = cross["i"], cross["j"]
-    if focus is not None:
-        within, a, b = inner.take(within), inner.take(a), outer.take(b)
-    # (i << shift) | j sorts as (i, j), as j < n < 2**shift, and a pair within
-    # the focus has i < j already.  As i < n - 1 the codes are below
-    # (n - 1) << shift; when that is at most 2**31, as in blocks of up to
-    # 2**15 + 1 points, they sort as int32 in half the time.
-    shift, m = n.bit_length(), within.shape[0]
-    code = np.empty(m + a.size, dtype=np.int32 if (n - 1) << shift <= 1 << 31 else np.int64)
-    own, crossing = code[:m], code[m:]
-    np.left_shift(within[:, 0], shift, out=own)
-    own |= within[:, 1]
-    np.minimum(a, b, out=crossing)
-    crossing <<= shift
-    crossing |= np.maximum(a, b)
+    shift = n.bit_length()
+    code = _pair_codes(search, reach * (1.0 + 1e-9), shift, focus)
     code.sort()
     i = np.right_shift(code, shift, dtype=np.int64)
     j = np.bitwise_and(code, (1 << shift) - 1, dtype=np.int64)
-    # the squared norm summed in place in axis order, starting from the first
-    # axis's square: the bits of sum(), whose 0 + x is exact
-    dist, diff, other = (np.empty(code.size) for _ in range(3))
+    del code
+    dist = _pair_norms(points, i, j)
+    if dist.size and dist.max() <= reach:  # the common case: nothing to drop
+        return i, j, dist
+    keep = dist <= reach
+    return i[keep], j[keep], dist[keep]
+
+
+def _pair_norms(points: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """|points[i] - points[j]|: the squared norm summed in place in axis
+    order, starting from the first axis's square, which gives the bits of
+    sum(), whose 0 + x is exact; two more buffers of the pairs' length hold
+    the other axes' squares and the gathers."""
+    dist, diff, other = (np.empty(i.size) for _ in range(3))
     for k, col in enumerate(np.ascontiguousarray(points.T)):
         out = diff if k else dist
         col.take(i, out=out, mode="clip")  # in range; "raise" would buffer out
@@ -441,11 +460,52 @@ def _candidate_pairs(
         out *= out
         if k:
             dist += out
-    np.sqrt(dist, out=dist)
-    if dist.size and dist.max() <= reach:  # the common case: nothing to drop
-        return i, j, dist
-    keep = dist <= reach
-    return i[keep], j[keep], dist[keep]
+    return np.sqrt(dist, out=dist)
+
+
+def _pair_codes(search: np.ndarray, r: float, shift: int, focus: np.ndarray | None) -> np.ndarray:
+    """The unsorted codes (i << shift) | j of the pairs i < j of the points
+    within r of each other with an end in ``focus``: one tree of the focus
+    points, ``query_pairs`` within it and ``sparse_distance_matrix`` to a
+    tree of the other points (empty when focus is None).
+
+    (i << shift) | j sorts as (i, j), as j < n < 2**shift.  As i < n - 1
+    the codes are below (n - 1) << shift; when that is at most 2**31, as in
+    blocks of up to 2**15 + 1 points, they are int32, which sort in half the
+    time.  Tree indices map back to point indices through the focus's and
+    the others' point lists, taken in the codes' type; a pair within the
+    focus has i < j already.  The trees and their outputs are released on
+    return, before the codes are sorted and decoded.
+    """
+    n = search.shape[0]
+    dtype = np.int32 if (n - 1) << shift <= 1 << 31 else np.int64
+    near, rest = search, search[:0]
+    if focus is not None:
+        inner = np.flatnonzero(focus).astype(dtype)
+        outer = np.flatnonzero(~focus).astype(dtype)
+        near, rest = search.take(inner, axis=0), search.take(outer, axis=0)
+    tree = cKDTree(near, **_TREE_OPTIONS)
+    within = tree.query_pairs(r, output_type="ndarray")
+    cross = tree.sparse_distance_matrix(cKDTree(rest, **_TREE_OPTIONS), r, output_type="ndarray")
+    del tree
+    m = within.shape[0]
+    code = np.empty(m + cross.size, dtype=dtype)
+    own, crossing = code[:m], code[m:]
+    if focus is None:
+        np.left_shift(within[:, 0], shift, out=own)
+        own |= within[:, 1]
+    else:
+        np.left_shift(inner[within[:, 0]], shift, out=own)
+        own |= inner[within[:, 1]]
+    del within
+    if cross.size:  # always empty without a focus
+        a, b = inner[cross["i"]], outer[cross["j"]]
+        del cross
+        np.minimum(a, b, out=crossing)
+        np.maximum(a, b, out=a)
+        crossing <<= shift
+        crossing |= a
+    return code
 
 
 def connect(
@@ -574,13 +634,13 @@ def simulate_block(plan: BlockPlan, base_seed: int, lo: int, hi: int) -> PointGr
     sizes = np.array([u.shape[0] for u in unit])
     points = _placed(np.concatenate(unit), box)
     rid = np.repeat(np.arange(hi - lo), sizes)
-    local = np.arange(rid.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     focus = inside = None
     if plan.focus is not None:
         inside = _frozen(plan.focus.contains(points))
         focus = (plan.focus, inside)
     i, j, dist = _candidate_pairs(points, plan.reach, rid, inside)
-    coins = pair_uniform(keys.take(rid.take(i)), local.take(i), local.take(j))
+    local = (np.arange(rid.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)).astype(np.uint64)
+    coins = _block_uniforms(keys.take(rid), local, i, j)
     return PointGraph(points, (i, j, dist), coins, plan.conn, box, plan.reach, rid, hi - lo, focus)
 
 

@@ -399,6 +399,77 @@ def test_eval_leaves_its_input_unwritten(f):
     assert np.array_equal(f.eval(x), _masked_eval(f, GRID))
 
 
+def _literal_eval(f, x):
+    """The stack in the expressions it had before evaluating in place: each
+    scale a new array, the base as np.exp(-x / a), np.exp(-((x / a) ** 2)),
+    (x <= a).astype(float) or np.interp, and the truncations as
+    np.where(keep, vals, 0.0)."""
+    cur = np.asarray(x, dtype=float)
+    keep = None
+    for t in reversed(f.transforms):
+        if isinstance(t, connfn.Scale):
+            cur = cur * t.factor
+        else:
+            kept = cur <= t.radius if isinstance(t, connfn.TruncateInside) else cur > t.radius
+            keep = kept if keep is None else keep & kept
+    a = f.a
+    if f.kind == "exponential":
+        vals = np.exp(-cur / a)
+    elif f.kind == "gaussian":
+        vals = np.exp(-((cur / a) ** 2))
+    elif f.kind == "hard_disk":
+        vals = (cur <= a).astype(float)
+    else:
+        rs, vs = np.array([r for r, _ in f.table]), np.array([v for _, v in f.table])
+        vals = np.interp(cur, rs, vs, left=vs[0], right=0.0)
+    return vals if keep is None else np.where(keep, vals, 0.0)
+
+
+_TABLE = [(0.0, 1.0), (0.3, 0.9), (0.6, 0.2), (0.9, 0.0)]
+IN_PLACE_STACKS = [
+    stack
+    for base in (hard_disk(0.7), exponential(0.3), gaussian(1.2), table_function(_TABLE))
+    for stack in (
+        base,
+        base.scale(16.0),
+        base.truncate_inside(0.5),
+        base.truncate_outside(0.5),
+        make_variant(base, "cut_then_scale", R=1.0, n=16.0),
+        make_variant(base, "scale_then_cut_outside", R=0.05, n=4.0),
+        base.scale(3.0).truncate_inside(0.2).scale(0.5),
+        base.truncate_outside(0.1).truncate_inside(0.4),
+    )
+]
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+@pytest.mark.parametrize("f", IN_PLACE_STACKS)
+def test_in_place_eval_keeps_the_literal_bits(f):
+    # 0-d, 1-d, 2-d (the (k, 31) node arrays of the quadrature) and a strided
+    # 2-d view, with ties at the cuts, inf and nan; none of them is written
+    rng = np.random.default_rng(27)
+    line = np.concatenate([GRID / 5.0, [0.05, 1 / 16, 0.1, 0.2, 0.25, 0.4, 0.5, 0.7, 1.0],
+                           [0.0, 1e-300, 1e100, np.inf, np.nan]])
+    nodes = rng.random((6, 31)) * 1.5
+    nodes[0, :5] = [0.05, 1 / 16, 0.5, 0.7, 1.0]
+    inputs = [np.float64(0.5), np.array(1 / 16), line, nodes, np.asfortranarray(nodes)[:, ::2]]
+    for x in inputs:
+        saved = np.array(x, copy=True)
+        if isinstance(x, np.ndarray):
+            x.flags.writeable = False
+        got, expect = f.eval(x), _literal_eval(f, x)
+        if np.ndim(x) == 0:
+            assert type(got) is float and expect.ndim == 0
+        else:
+            assert got.shape == expect.shape and got.dtype == np.float64
+        assert np.array_equal(_bits(got), _bits(expect))
+        assert np.array_equal(_bits(x), _bits(saved))
+    assert f.eval(0.25) == _literal_eval(f, 0.25)  # a Python float
+
+
 def test_pickle_roundtrip():
     import pickle
 

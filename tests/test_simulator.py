@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -565,6 +567,88 @@ class TestBlock:
         pairs = sum(simulate_block(plan, 20240801, a, min(a + plan.reps, m)).candidates[0].size
                     for a in range(0, m, plan.reps))
         assert pairs / m <= _expected_pairs(lam_n, K, plan.reach)
+
+
+def _coins_by_pair(graph, base_seed, lo):
+    """pair_uniform(keys[rid[i]], local[i], local[j]) of every candidate pair
+    of the block of replications lo.. of base_seed."""
+    _, keys = _seed_words(base_seed, lo, lo + graph.reps)
+    rid = graph.rid
+    local = np.arange(rid.size) - np.searchsorted(rid, rid)
+    i, j, _ = graph.candidates
+    return pair_uniform(keys[rid[i]], local[i], local[j])
+
+
+# mc_large's plan: d=2, lambda = 1, exponential(0.3) at n = 16, r0 = R / n = 1/16
+MC_LARGE_PLAN = (exponential(0.3).scale(16.0), 256.0, unit_box(2))
+MC_LARGE_NEEDS = {"min_reach": 1 / 16, "min_margin": 1 / 16, "focus": unit_box(2)}
+
+
+class TestBlockPairPath:
+    """A block hashes its coins from each point's pair key and index within
+    its replication, and keeps candidates, coins and edges in arrays of
+    their own."""
+
+    def test_coins_with_trailing_empty_replications(self):
+        plan = block_plan(hard_disk(0.5), 0.75, unit_box(1))  # 1.5 points a replication
+        for seed in range(400):
+            graph = simulate_block(plan, seed, 0, 6)
+            if not np.isin([4, 5], graph.rid).any() and graph.candidates[0].size >= 3:
+                break
+        else:
+            pytest.fail("no block with two trailing empty replications")
+        assert graph.reps == 6 and graph.rid[-1] < 4
+        assert np.array_equal(graph.coins, _coins_by_pair(graph, seed, 0))
+
+    @pytest.mark.parametrize("focused", [False, True])
+    def test_coins_of_a_block_with_int64_codes(self, focused):
+        focus = unit_box(2) if focused else None
+        plan = block_plan(hard_disk(0.004), 12000.0, unit_box(2), focus=focus)
+        graph = simulate_block(plan, 7, 3, 3 + plan.reps)
+        assert graph.n_points > 2**15 + 1 and graph.candidates[0].size > 10000
+        assert np.array_equal(graph.coins, _coins_by_pair(graph, 7, 3))
+
+    def test_coins_of_mc_large_blocks(self):
+        plan = block_plan(*MC_LARGE_PLAN, **MC_LARGE_NEEDS)
+        for lo in (0, 4):
+            graph = simulate_block(plan, 20240801, lo, lo + 4)
+            assert np.array_equal(graph.coins, _coins_by_pair(graph, 20240801, lo))
+
+    def test_arrays_are_separate_and_outlive_the_next_block(self):
+        plan = block_plan(*MC_LARGE_PLAN, **MC_LARGE_NEEDS)
+        graph = simulate_block(plan, 20240801, 0, 4)
+        twin = regraph(graph, make_variant(exponential(0.3), "cut_then_scale", R=1.0, n=16.0))
+        edges = [graph.edge_i, graph.edge_j, graph.edge_dist]
+        arrays = [*graph.candidates, graph.coins, *edges]
+        assert all(a.size for a in arrays)
+        for a, b in itertools.combinations(arrays + [twin.edge_i, twin.edge_j, twin.edge_dist], 2):
+            assert not np.shares_memory(a, b)
+        saved = [a.copy() for a in (graph.points, graph.rid, *arrays)]
+        simulate_block(plan, 20240801, 4, 8)
+        for a, b in zip(saved, (graph.points, graph.rid, *arrays)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    def test_memory_budget_of_a_block(self):
+        # mc_large's first block: 4 replications, 2,156 points, 28,713
+        # candidate pairs.  numpy's arrays alive at once peak at ~46.7 bytes
+        # a pair, and the bound is that plus 10%.  tracemalloc sees numpy's
+        # allocations, not cKDTree's own.
+        plan = block_plan(*MC_LARGE_PLAN, **MC_LARGE_NEEDS)
+        simulate_block(plan, 20240801, 0, 4)  # fills the seed caches
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            graph = simulate_block(plan, 20240801, 0, 4)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        pairs = graph.candidates[0].size
+        assert pairs == 28713
+        assert peak / pairs < 1.1 * 46.7
 
 
 class TestStreams:
