@@ -6,6 +6,11 @@ isolated-vertex and component counting statistics by deterministic
 quadrature, and statistically verifies the central limit behaviour, the
 degenerate swapped-truncation limit, the domination bound, the martingale
 variance identity, and the quadratic variance lower bound.
+
+The package root exports the formula layer (connection functions,
+quadrature and moment formulas) and loads nothing else.  The simulation API
+lives in ``rcmlab.simulator`` and ``rcmlab.stats``, which load
+``scipy.spatial``; import it from there.
 """
 
 from .connfn import (
@@ -45,35 +50,4 @@ from .quadrature import (
     radial_integral,
     unit_box,
 )
-from .simulator import (
-    LatticeRegion,
-    PointGraph,
-    SimPolicy,
-    SimulationError,
-    count_components,
-    count_isolated,
-    count_truncation_family,
-    connect,
-    pair_uniform,
-    sample_points,
-    simulate_graph,
-)
-from .stats import (
-    FiniteFiltrationSpace,
-    LowerBoundCertificate,
-    StatRequest,
-    StatSample,
-    StatsError,
-    covariance_field,
-    ks_normality,
-    martingale_identity_oracle,
-    random_filtration_space,
-    replicate,
-    replicate_many,
-    run_scope,
-    stationary_variance_check,
-    variance_density_convergence,
-    variance_lower_bound,
-)
-
 __version__ = "0.1.0"

@@ -330,9 +330,9 @@ class _PointSeed(ISeedSequence):
         return self.words  # PCG64 asks for exactly 4 uint64 words
 
 
-# A shifted block's first coordinates stay within _EXACT_SPAN * reach of 0, so
-# the shift rounds a coordinate difference by at most reach * 2**-36: far below
-# the pair query's 1e-9 relative slack.
+# A shifted block's first coordinates, taken from the block's lowest one, stay
+# within [0, _EXACT_SPAN * reach], so the shift rounds a coordinate difference
+# by at most reach * 2**-35: far below the pair query's 1e-9 relative slack.
 _EXACT_SPAN = 2.0**16
 # Expected work in one replication block: its points plus its candidate pairs.
 # A block's time and memory follow both, the draw and placement per point and
@@ -376,12 +376,17 @@ def _replication_work(lam_n: float, box: Region, reach: float, focus: Region | N
 def block_reps(lam_n: float, box: Region, reach: float, focus: Region | None = None) -> int:
     """Replications per block: at most BLOCK_WORK of ``_replication_work``,
     and a first-axis span that keeps the shifted pair search exact; at least
-    one, and one when the work of a replication is not finite."""
+    one, and one when the work of a replication is not finite.
+
+    The search measures a block's first axis from its lowest first
+    coordinate and shifts replication k by k strides, so the block spans less
+    than the box's side plus reps strides wherever the box lies; by_span
+    keeps that within _EXACT_SPAN * reach."""
     work = _replication_work(lam_n, box, reach, focus)
     if not work < math.inf:
         return 1
-    far = max(abs(box.lower[0]), abs(box.upper[0]))
-    by_span = (_EXACT_SPAN * reach - far) / _block_stride(box.sides[0], reach)
+    side = box.sides[0]
+    by_span = (_EXACT_SPAN * reach - side) / _block_stride(side, reach)
     return max(1, int(min(BLOCK_WORK / work, by_span)))
 
 
@@ -417,12 +422,15 @@ def _candidate_pairs(
     1-D ``take`` per coordinate.
 
     With ``rid``, the non-decreasing replication number (from 0) of each point,
-    the points are a block of stacked replications searched at once.
-    Replication k is shifted by k * stride along the first axis, the stride
-    being a power of two wider than the points' first-axis extent plus twice
-    the reach, so no pair crosses replications.  The norms are taken on the
-    unshifted points, so each replication keeps exactly the pairs of its own
-    search (``block_reps`` keeps the shift's rounding small enough).
+    the points are a block of stacked replications searched at once.  The
+    first axis is searched from the block's lowest first coordinate, and
+    replication k is shifted by k * stride along it, the stride being a power
+    of two wider than the points' first-axis extent plus twice the reach, so
+    no pair crosses replications.  The shifted coordinates lie in [0, reps *
+    stride], which ``block_reps`` keeps within _EXACT_SPAN * reach wherever
+    the box lies, so the shift rounds a coordinate difference far below the
+    query's slack.  The norms are taken on the unshifted points, so each
+    replication keeps exactly the pairs of its own search.
     """
     n = points.shape[0]
     if n < 2:
@@ -431,8 +439,10 @@ def _candidate_pairs(
     search = points
     if rid is not None and rid[-1] > 0:
         search = points.copy()
-        search[:, 0] += rid * _block_stride(np.ptp(points[:, 0]), reach)
-        if np.abs(search[:, 0]).max() > _EXACT_SPAN * reach:
+        first = search[:, 0]
+        first -= first.min()
+        first += rid * _block_stride(first.max(), reach)
+        if first.max() > _EXACT_SPAN * reach:
             raise SimulationError("replication block too wide for an exact pair search")
     shift = n.bit_length()
     code = _pair_codes(search, reach * (1.0 + 1e-9), shift, focus)

@@ -553,9 +553,29 @@ def test_readme_commands_parse():
         load_config(str(config), args.set)  # the overrides name real keys
 
 
-# a fresh interpreter: pytest's own may already hold these modules
+def _fresh_interpreter(code):
+    """Run code in a fresh interpreter: pytest's own may already hold the
+    modules a test looks for."""
+    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
+def test_root_import_loads_only_the_formula_layer():
+    _fresh_interpreter("""
+import sys
+import rcmlab
+
+held = [m for m in ("rcmlab.simulator", "rcmlab.stats", "scipy.spatial") if m in sys.modules]
+assert not held, held
+from rcmlab.stats import replicate_many
+assert "rcmlab.simulator" in sys.modules and "scipy.spatial" in sys.modules
+""")
+
+
 def test_cli_loads_csgraph_only_for_components():
-    code = """
+    _fresh_interpreter("""
 import sys
 import numpy as np
 import rcmlab.cli
@@ -569,8 +589,4 @@ pts = np.array([[0.4, 0.5], [0.6, 0.5], [0.2, 0.2]])
 graph = connect(pts, hard_disk(0.25), unit_box(2).expand(1.0), 0.25, 3)
 assert count_components(graph, unit_box(2), 2) == 1.0
 assert "scipy.sparse.csgraph" in sys.modules
-"""
-    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
-    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
-                          capture_output=True, text=True)
-    assert done.returncode == 0, done.stderr
+""")

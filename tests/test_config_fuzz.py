@@ -2,15 +2,16 @@
 
 The strategy draws keys of ``config._KEYS`` (d, K, kind, a, table,
 transforms, lambda, the n and R lists, m, tolerances and budgets) in their
-valid ranges, and one in five examples also sets one invalid entry.  Each
-example runs one subcommand serially: it returns 0 or 1, or 2 with a
-``config error:`` line.  An example runs when each of its block plans is
-either refused (above the plan's bound on a replication's expected points
-plus candidate pairs, say, before anything is drawn) or stays below 2^20
-units a replication, which keeps memory near 100 MB, and 2^22 units over the
-run's replications, which keeps the file within ~15 s.  Transform stacks
-with two ``outside`` cuts are not drawn: a d=3 ``variance-growth`` with two
-was seen to run past 60 s, and one cut already makes a d=2 overlap slow.
+valid ranges, K's lower corner at 0, -1000 or 1000, and one in five examples
+also sets one invalid entry.  Each example runs one subcommand serially: it
+returns 0 or 1, or 2 with a ``config error:`` line.  An example runs when
+each of its block plans is either refused (above the plan's bound on a
+replication's expected points plus candidate pairs, say, before anything is
+drawn) or stays below 2^20 units a replication, which keeps memory near
+100 MB, and 2^22 units over the run's replications, which keeps the file
+within ~15 s.  Transform stacks with two ``outside`` cuts are not drawn: a
+d=3 ``variance-growth`` with two was seen to run past 60 s, and one cut
+already makes a d=2 overlap slow.
 """
 
 import io
@@ -27,7 +28,8 @@ from rcmlab.connfn import ConnFnError
 from rcmlab.moments import ModelError
 from rcmlab.simulator import SimulationError, _replication_work, block_plan
 
-COMMANDS = ("moments", "simulate", "clt-test", "truncation-demo", "variance-growth")
+COMMANDS = ("moments", "simulate", "clt-test", "truncation-demo", "variance-growth",
+            "martingale-check")
 HANDLED = (ConfigError, ConnFnError, ModelError, SimulationError)
 
 
@@ -67,7 +69,7 @@ def configs(draw):
     abs_tol = draw(st.sampled_from([1e-6, 1e-10]))
     items = {
         "model.d": str(d),
-        "model.K.lower": _floats([0.0] * d),
+        "model.K.lower": _floats([draw(st.sampled_from([0.0, -1e3, 1e3]))] * d),
         "model.K.sides": _floats(draw(st.lists(st.floats(0.5, 2.0), min_size=d, max_size=d))),
         "model.g.kind": draw(st.sampled_from(["hard_disk", "exponential", "gaussian", "table"])),
         "model.g.a": f"{draw(st.floats(0.05, 5.0)):g}",

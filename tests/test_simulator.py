@@ -531,8 +531,8 @@ class TestBlock:
         wide = Region((0.0,), (1000.0,))
         assert block_reps(1e-3, wide, 0.01) == 1
         assert block_reps(1e-3, Region((0.0,), (1.0,)), 0.01) == int((2**16 * 0.01 - 1.0) / 2.0)
-        # a window far from the origin: one replication, searched unshifted
-        assert block_reps(1.0, Region((1e6,), (1.0,)), 1.0) == 1
+        # a window far from the origin: the blocks of one at the origin
+        assert block_reps(1.0, Region((1e6,), (1.0,)), 1.0) == block_reps(1.0, unit_box(1), 1.0) > 1
 
     def test_plan_bounds_a_replications_work(self, monkeypatch):
         # d=3, lambda = 10, exponential(5) at n = 2: ~1.8e8 points a replication

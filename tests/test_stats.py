@@ -322,6 +322,18 @@ class TestBlockEngine:
             parts = [_replication_rows(count, plan, 31, a, b) for a, b in zip(bounds, bounds[1:])]
             assert np.array_equal(_replication_rows(count, plan, 31, lo, hi), np.concatenate(parts))
 
+    def test_a_far_window_keeps_the_origin_blocks(self):
+        # K at 1e6: as many replications a block as at the origin, whose
+        # rows are those of one-replication blocks, searched unshifted
+        cfg, requests, *_ = BLOCK_CASES["d1-exponential"]
+        far = replace(cfg, K=Region((1e6,), (1.0,)))
+        plan = _plan(far, *_request_needs(far, requests))
+        assert plan.reps == _plan(cfg, *_request_needs(cfg, requests)).reps > 1000
+        count, m = partial(_request_rows, far, requests), plan.reps + 50
+        rows = _replication_rows(count, plan, 606, 0, m)
+        assert np.array_equal(rows, _replication_rows(count, replace(plan, reps=1), 606, 0, m))
+        assert rows[:, 0].any()
+
     @pytest.mark.parametrize("rep", [0, 1, 399, 2**32 + 5])
     def test_direct_children_equal_spawned_ones(self, rep):
         spawned = np.random.SeedSequence(2024, spawn_key=(rep,)).spawn(2)
