@@ -1,9 +1,10 @@
 """Plain-text key=value experiment configuration.
 
 Grammar: one `section.key = value` per line, `#` comments, blank lines
-ignored.  `--set section.key=value` overrides entries after the file is
-read.  Connection functions are described by kind, scale parameter, and an
-ordered transform list:
+ignored.  Overrides (`--set section.key=value` and the CLI's flags) replace
+the file's entries before anything is parsed or validated, so a config is
+built once from its final entries.  Connection functions are described by
+kind, scale parameter, and an ordered transform list:
 
     model.g.kind = exponential         # hard_disk | exponential | gaussian | table
     model.g.a = 1.0                    # builtins
@@ -11,7 +12,10 @@ ordered transform list:
     model.g.transforms = scale:2, inside:0.5   # inside:R | outside:R | scale:n
 
 Regions are boxes: `model.K.lower = 0,0` and `model.K.sides = 1,1`.  The
-density rule is `scaled` (lam_n = lam * n^d) or explicit `n:lam_n` pairs.
+density rule is `scaled` (lam_n = lam * n^d) or explicit `n:lam_n` pairs,
+each n named once and every n of run.n_list among them.  The config hash
+covers every value exactly: a float renders with 6 significant digits only
+when that reads back as the same float.
 """
 
 from __future__ import annotations
@@ -138,9 +142,6 @@ class ExperimentConfig:
         )
         return cfg if n is None else replace(cfg, n=n)
 
-    def canonical(self) -> str:
-        return "\n".join(f"{k} = {v}" for k, v in self.entries) + "\n"
-
     def config_hash(self) -> str:
         """Identity of the experiment.
 
@@ -155,30 +156,27 @@ class ExperimentConfig:
         )
         return hashlib.sha256(body.encode()).hexdigest()[:16]
 
-    def with_overrides(self, overrides) -> "ExperimentConfig":
-        raw = dict(self.entries)
-        for item in overrides:
-            key, _, value = item.partition("=")
-            key = key.strip()
-            if key not in _KEYS:
-                raise ConfigError(f"--set: unknown key {key!r}")
-            raw[key] = value.strip()
-        return _build(raw)
+
+def _render_item(value) -> str:
+    """A list element: 6 significant digits when they read back as the same float."""
+    if isinstance(value, str):
+        return value
+    short = f"{value:g}"
+    return short if float(short) == value else repr(value)
 
 
 def _render(value) -> str:
     if isinstance(value, tuple):
-        if value and isinstance(value[0], tuple):
-            return ", ".join(
-                f"{a:g}:{b:g}" if not isinstance(a, str) else f"{a}:{b:g}"
-                for a, b in value
-            )
-        return ", ".join(f"{v:g}" if not isinstance(v, str) else v for v in value)
+        return ", ".join(
+            ":".join(map(_render_item, v)) if isinstance(v, tuple) else _render_item(v)
+            for v in value
+        )
     return str(value)
 
 
-def parse_config(text: str) -> ExperimentConfig:
-    """Parse config text; errors carry 1-based line numbers."""
+def parse_config(text: str, overrides=()) -> ExperimentConfig:
+    """Parse config text, then apply `key=value` overrides to its entries;
+    errors carry 1-based line numbers."""
     raw: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
@@ -191,21 +189,19 @@ def parse_config(text: str) -> ExperimentConfig:
         if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         raw[key] = value.strip()
+    for item in overrides:
+        key, _, value = item.partition("=")
+        key = key.strip()
+        if key not in _KEYS:
+            raise ConfigError(f"--set: unknown key {key!r}")
+        raw[key] = value.strip()
     return _build(raw)
 
 
 def load_config(path: str, overrides=()) -> ExperimentConfig:
-    """Parse a run's config file and overrides; every n in run.n_list must have a lam_n."""
+    """Read a run's config file and parse it with the overrides."""
     with open(path, "r", encoding="utf-8") as fh:
-        cfg = parse_config(fh.read())
-    if overrides:
-        cfg = cfg.with_overrides(overrides)
-    try:
-        for n in cfg.n_list:
-            cfg.model(n)
-    except ModelError as exc:
-        raise ConfigError(f"run.n_list: {exc}") from None
-    return cfg
+        return parse_config(fh.read(), overrides)
 
 
 def _parse_value(key: str, text: str, parse=None):
@@ -234,6 +230,8 @@ def _build(raw: dict[str, str]) -> ExperimentConfig:
         rule = None
         if rule_text != "scaled":
             rule = _parse_value("model.density_rule", rule_text, _parse_pairs)
+            if len({nn for nn, _ in rule}) < len(rule):
+                raise ConfigError("model.density_rule names an n more than once")
         spec = QuadratureSpec(
             rel_tol=values["numerics.rel_tol"],
             abs_tol=values["numerics.abs_tol"],
@@ -288,6 +286,11 @@ def _build(raw: dict[str, str]) -> ExperimentConfig:
             formats=formats,
         )
         cfg.model()  # validates d, lam, K, g, n jointly
+        for n in cfg.n_list:
+            try:
+                cfg.model(n)
+            except ModelError as exc:
+                raise ConfigError(f"run.n_list: {exc}") from None
         return cfg
     except ConfigError:
         raise

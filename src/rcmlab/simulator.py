@@ -787,9 +787,6 @@ class LatticeRegion:
     def bounding_region(self) -> Region:
         return Region(tuple(float(o) for o in self.origin), tuple(float(s) for s in self.shape))
 
-    def cell(self, site: tuple[int, ...]) -> Region:
-        return Region(tuple(float(z) for z in site), (1.0,) * self.dim)
-
 
 def component_cell_counts(graph: PointGraph, lattice: LatticeRegion, r: int) -> np.ndarray:
     """Per-cell component statistic over the lattice for each replication of

@@ -35,6 +35,16 @@ numerics.ks_threshold = 0.1
 output.format = json
 """
 
+# FULL with a full-precision value on every list key
+PRECISE = FULL + """
+model.K.lower = 0.12345678901, -0.98765432109
+model.K.sides = 1.0000001, 0.3333333333
+run.n_list = 2.0000001, 4.00000003
+run.R_list = 0.50000001, 1.2345678901
+model.g.kind = table
+model.g.table = 0:1, 0.3333333333:0.4444444444, 1.0000001:0
+model.g.transforms = scale:1.0000001, inside:0.2500000001
+"""
 
 # the column order of every subcommand's CSV report
 CSV_HEADERS = {
@@ -109,8 +119,16 @@ class TestParsing:
         assert cfg.g.support_radius == 1.0
 
     def test_explicit_density_rule(self):
-        cfg = parse_config("model.density_rule = 2:5.0, 4:17.0\nmodel.n = 2\n")
+        cfg = parse_config("model.density_rule = 2:5.0, 4:17.0\nmodel.n = 2\nrun.n_list = 2, 4\n")
         assert cfg.model(2.0).lam_n == 5.0
+
+    def test_density_rule_covers_the_n_list(self):
+        with pytest.raises(ConfigError, match="^run.n_list: .*n=4"):
+            parse_config("model.density_rule = 1:1, 2:4\nrun.n_list = 2, 4\n")
+
+    def test_density_rule_names_each_n_once(self):
+        with pytest.raises(ConfigError, match="model.density_rule"):
+            parse_config("", ["model.density_rule=1:1,1:2"])
 
     def test_cross_validation(self):
         with pytest.raises(ConfigError):
@@ -123,22 +141,47 @@ class TestParsing:
             parse_config("numerics.ks_threshold = 2\n")
 
     def test_overrides(self):
-        cfg = parse_config(FULL).with_overrides(["run.m=250", "model.lambda=2.0"])
+        cfg = parse_config(FULL, ["run.m=250", "model.lambda=2.0"])
         assert cfg.m == 250
         assert cfg.lam == 2.0
-        with pytest.raises(ConfigError):
-            parse_config(FULL).with_overrides(["nope=1"])
+        with pytest.raises(ConfigError, match="--set: unknown key 'nope'"):
+            parse_config(FULL, ["nope=1"])
+
+    def test_an_override_replaces_the_entry_before_validation(self):
+        assert parse_config("run.m = 1\n", ["run.m=50"]).m == 50
 
     def test_hash_ignores_execution_details(self):
         base = parse_config(FULL)
-        assert base.config_hash() == base.with_overrides(["output.dir=elsewhere"]).config_hash()
-        assert base.config_hash() == base.with_overrides(["run.workers=4"]).config_hash()
-        assert base.config_hash() != base.with_overrides(["model.lambda=9"]).config_hash()
+        assert base.config_hash() == parse_config(FULL, ["output.dir=elsewhere"]).config_hash()
+        assert base.config_hash() == parse_config(FULL, ["run.workers=4"]).config_hash()
+        assert base.config_hash() != parse_config(FULL, ["model.lambda=9"]).config_hash()
 
     def test_canonical_roundtrip(self):
         cfg = parse_config(FULL)
-        again = parse_config(cfg.canonical())
+        again = parse_config("".join(f"{k} = {v}\n" for k, v in cfg.entries))
         assert again.config_hash() == cfg.config_hash()
+        assert again == cfg
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("model.K.lower", "1234567.0, -0.98765432109"),
+            ("model.K.sides", "1.00000049, 0.3333333333333333"),
+            ("run.n_list", "3.0000001, 1234567.5"),
+            ("run.R_list", "0.70000001, 1.2345678901"),
+            ("model.g.table", "0:1, 0.6666666667:0.1234567891, 2.0000001:0"),
+            ("model.g.transforms", "outside:0.1000000001, scale:3.0000001"),
+        ],
+    )
+    def test_an_override_is_the_file_entry(self, key, value):
+        # the override and the file's other list entries keep every digit
+        cfg = parse_config(PRECISE, [f"{key}={value}"])
+        assert cfg == parse_config(PRECISE + f"{key} = {value}\n")
+        assert dict(cfg.entries)[key] == value
+
+    def test_hash_covers_the_seventh_digit(self):
+        sides = [parse_config(f"model.K.sides = {v}\n").config_hash() for v in ("1", "1.000001")]
+        assert sides[0] != sides[1]
 
 
 @pytest.fixture()
@@ -169,6 +212,17 @@ class TestCli:
         assert payload["base_seed"] == 11
         names = {row["quantity"] for row in payload["rows"]}
         assert {"mean_isolated", "mean_excess", "var_excess", "limit_var_isolated"} <= names
+
+    def test_flags_keep_every_digit_of_the_file(self, cfg_file, tmp_path):
+        with cfg_file.open("a", encoding="utf-8") as fh:
+            fh.write("model.K.sides = 1.00000049\n")
+        assert cli.main(["moments", "--config", str(cfg_file)]) == 0
+        argv = ["moments", "--config", str(cfg_file), "--workers", "1", "--out-dir", str(tmp_path / "o4")]
+        assert cli.main(argv) == 0
+        plain = (tmp_path / "out" / "moments.json").read_bytes()
+        assert (tmp_path / "o4" / "moments.json").read_bytes() == plain
+        rounded = load_config(str(cfg_file), ["model.K.sides=1"]).config_hash()
+        assert json.loads(plain)["config_hash"] != rounded
 
     def test_simulate_with_dump(self, cfg_file, tmp_path):
         dump = tmp_path / "realization.txt"

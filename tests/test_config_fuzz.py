@@ -3,15 +3,17 @@
 The strategy draws keys of ``config._KEYS`` (d, K, kind, a, table,
 transforms, lambda, the n and R lists, m, tolerances and budgets) in their
 valid ranges, K's lower corner at 0, -1000 or 1000, and one in five examples
-also sets one invalid entry.  Each example runs one subcommand serially: it
-returns 0 or 1, or 2 with a ``config error:`` line.  An example runs when
-each of its block plans is either refused (above the plan's bound on a
-replication's expected points plus candidate pairs, say, before anything is
-drawn) or stays below 2^20 units a replication, which keeps memory near
-100 MB, and 2^22 units over the run's replications, which keeps the file
-within ~15 s.  Transform stacks with two ``outside`` cuts are not drawn: a
-d=3 ``variance-growth`` with two was seen to run past 60 s, and one cut
-already makes a d=2 overlap slow.
+also sets one invalid entry; each drawn float is written with ``repr``, so
+the run sees exactly the value drawn.  Each example runs one subcommand
+serially: it returns 0 or 1, or 2 with a ``config error:`` line.  An example
+runs when each block plan of the config the run builds (the file with the
+run's ``--out-dir`` and ``--workers``) is either refused (above the plan's
+bound on a replication's expected points plus candidate pairs, say, before
+anything is drawn) or stays below 2^20 units a replication, which keeps
+memory near 100 MB, and 2^22 units over the run's replications, which keeps
+the file within ~20 s.  Transform stacks with two ``outside`` cuts are not
+drawn: a d=3 ``variance-growth`` with two was seen to run past 60 s, and one
+cut already makes a d=2 overlap slow.
 """
 
 import io
@@ -23,7 +25,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from rcmlab import cli
-from rcmlab.config import ConfigError, parse_config
+from rcmlab.config import ConfigError
 from rcmlab.connfn import ConnFnError
 from rcmlab.moments import ModelError
 from rcmlab.simulator import SimulationError, _replication_work, block_plan
@@ -34,7 +36,7 @@ HANDLED = (ConfigError, ConnFnError, ModelError, SimulationError)
 
 
 def _floats(values):
-    return ", ".join(f"{v:g}" for v in values)
+    return ", ".join(map(repr, values))
 
 
 # one entry each that the config or a subcommand refuses, ending in exit 2
@@ -60,7 +62,7 @@ def tables(draw):
     radii = [0.0]
     for step in steps:
         radii.append(radii[-1] + step)
-    return ", ".join(f"{r:g}:{v:g}" for r, v in zip(radii, [1.0, *values[::-1], 0.0]))
+    return ", ".join(f"{r!r}:{v!r}" for r, v in zip(radii, [1.0, *values[::-1], 0.0]))
 
 
 @st.composite
@@ -72,22 +74,22 @@ def configs(draw):
         "model.K.lower": _floats([draw(st.sampled_from([0.0, -1e3, 1e3]))] * d),
         "model.K.sides": _floats(draw(st.lists(st.floats(0.5, 2.0), min_size=d, max_size=d))),
         "model.g.kind": draw(st.sampled_from(["hard_disk", "exponential", "gaussian", "table"])),
-        "model.g.a": f"{draw(st.floats(0.05, 5.0)):g}",
+        "model.g.a": repr(draw(st.floats(0.05, 5.0))),
         "model.g.table": draw(tables()),
-        "model.g.transforms": ", ".join(f"{op}:{arg:g}" for op, arg in draw(st.lists(
+        "model.g.transforms": ", ".join(f"{op}:{arg!r}" for op, arg in draw(st.lists(
             st.tuples(st.sampled_from(["inside", "outside", "scale"]), st.floats(0.2, 3.0)),
             max_size=2,
         ).filter(lambda steps: [op for op, _ in steps].count("outside") <= 1))),
-        "model.lambda": f"{draw(st.floats(0.01, 10.0)):g}",
+        "model.lambda": repr(draw(st.floats(0.01, 10.0))),
         "run.n_list": _floats(draw(st.lists(st.floats(1.0, 4.0), min_size=1, max_size=2))),
         "run.R_list": _floats(draw(st.lists(st.floats(0.05, 3.0), min_size=1, max_size=2))),
         "run.m": str(draw(st.sampled_from([100, 2]))),
-        "numerics.rel_tol": f"{draw(st.sampled_from([1e-4, 1e-6, 1e-8])):g}",
-        "numerics.abs_tol": f"{abs_tol:g}",
+        "numerics.rel_tol": repr(draw(st.sampled_from([1e-4, 1e-6, 1e-8]))),
+        "numerics.abs_tol": repr(abs_tol),
         "numerics.max_subdiv": str(draw(st.sampled_from([16, 128, 512]))),
-        "numerics.tail_eps": f"{abs_tol * draw(st.sampled_from([1.0, 1e-2])):g}",
-        "numerics.eps_margin": f"{draw(st.sampled_from([1e-4, 1e-2, 0.5])):g}",
-        "numerics.eps_edges": f"{draw(st.sampled_from([1e-2, 0.5])):g}",
+        "numerics.tail_eps": repr(abs_tol * draw(st.sampled_from([1.0, 1e-2]))),
+        "numerics.eps_margin": repr(draw(st.sampled_from([1e-4, 1e-2, 0.5]))),
+        "numerics.eps_edges": repr(draw(st.sampled_from([1e-2, 0.5]))),
     }
     if draw(st.integers(0, 4)) == 4:
         key, value = draw(st.sampled_from(INVALID))
@@ -95,11 +97,12 @@ def configs(draw):
     return items
 
 
-def _plan_works(items):
-    """The expected work of a replication of each block plan the run may
-    build; a refused config or plan draws nothing and adds none."""
+def _plan_works(argv):
+    """The expected work of a replication of each block plan the run of argv
+    may build, on the config that run builds; a refused config or plan draws
+    nothing and adds none."""
     try:
-        cfg = parse_config("\n".join(f"{k} = {v}" for k, v in items.items()))
+        cfg = cli._effective(cli.build_parser().parse_args(argv))
     except ConfigError:
         return []
     works = []
@@ -119,11 +122,12 @@ def _plan_works(items):
 @given(items=configs())
 def test_every_drawn_config_ends_in_an_exit_code(command, items):
     m = int(items["run.m"])
-    assume(all(w < 2**20 and m * w < 2**22 for w in _plan_works(items)))
     with tempfile.TemporaryDirectory() as out, redirect_stderr(io.StringIO()) as stderr:
         path = Path(out) / "fuzz.cfg"
         path.write_text("".join(f"{k} = {v}\n" for k, v in items.items()))
-        code = cli.main([command, "--config", str(path), "--out-dir", out, "--workers", "1"])
+        argv = [command, "--config", str(path), "--out-dir", out, "--workers", "1"]
+        assume(all(w < 2**20 and m * w < 2**22 for w in _plan_works(argv)))
+        code = cli.main(argv)
     err = stderr.getvalue()
     assert code in (0, 1, 2)
     if code == 2:

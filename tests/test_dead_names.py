@@ -1,12 +1,16 @@
-"""Every module-level function and class of the package is in use.
+"""Every module-level function and class, and every method and property,
+of the package is in use.
 
 A name counts as used when code of src/rcmlab other than __init__.py, outside
 the name's own definition, refers to it (as a name or as an attribute).  An
 export alone does not count, except for the names of UNUSED_EXPORTS, each a
-root export or a target of the benchmark's tracer.
+root export or a target of the benchmark's tracer.  A method that Python or a
+base class calls counts as used: a dunder, or a name a base class defines
+(numpy calls ``_PointSeed.generate_state`` through ``ISeedSequence``).
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 from test_benchmark_surface import _targets
@@ -51,19 +55,36 @@ def _references(trees):
     return refs
 
 
+def _called_for_it(module, cls, name):
+    """Whether Python or a base class of module.cls calls its method name."""
+    if name.startswith("__") and name.endswith("__"):
+        return True
+    runtime = getattr(importlib.import_module(f"rcmlab.{module}"), cls, None)
+    return runtime is not None and any(hasattr(base, name) for base in runtime.__mro__[1:])
+
+
 def _definitions(trees):
-    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    """(module, qualified name, node) of each module-level function and class
+    and each method of those classes, properties included."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     for module, tree in sorted(trees.items()):
+        if module == "__init__":
+            continue
         for node in tree.body:
-            if isinstance(node, kinds):
-                yield module, node
+            if isinstance(node, (*functions, ast.ClassDef)):
+                yield module, node.name, node
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for item in node.body:
+                if isinstance(item, functions) and not _called_for_it(module, node.name, item.name):
+                    yield module, f"{node.name}.{item.name}", item
 
 
 def _unused(trees, allowed=frozenset()):
     refs = [ref for ref in _references(trees) if ref[0] != "__init__"]
     unused = []
-    for module, node in _definitions(trees):
-        if module == "__init__" or node.name in allowed:
+    for module, qualname, node in _definitions(trees):
+        if qualname in allowed:
             continue
         start = min([node.lineno] + [d.lineno for d in node.decorator_list])
         used = any(
@@ -71,7 +92,7 @@ def _unused(trees, allowed=frozenset()):
             for mod, line, name in refs
         )
         if not used:
-            unused.append(f"{module}.{node.name}")
+            unused.append(f"{module}.{qualname}")
     return unused
 
 
@@ -93,4 +114,16 @@ def test_an_unused_definition_is_named():
     # exported, but referred to by __init__.py alone
     trees["connfn"].body.append(ast.parse("def exported_orphan(x):\n    return x\n").body[0])
     trees["__init__"].body.append(ast.parse("from .connfn import exported_orphan").body[0])
-    assert _unused(trees, UNUSED_EXPORTS) == ["connfn._orphan", "connfn.exported_orphan"]
+    # a method and a property no code reads, and a method a base class defines
+    classes = {node.name: node for node in trees["connfn"].body if isinstance(node, ast.ClassDef)}
+    classes["ConnectionFunction"].body.extend(ast.parse(
+        "def _orphan_method(self):\n    return self\n"
+        "@property\ndef orphan_property(self):\n    return 1\n"
+    ).body)
+    classes["ConnFnError"].body.extend(ast.parse("def with_traceback(self, tb):\n    return self\n").body)
+    assert _unused(trees, UNUSED_EXPORTS) == [
+        "connfn.ConnectionFunction._orphan_method",
+        "connfn.ConnectionFunction.orphan_property",
+        "connfn._orphan",
+        "connfn.exported_orphan",
+    ]

@@ -814,11 +814,6 @@ class TestLattice:
         assert lat.boundary_size <= lat.size
         assert LatticeRegion((0,), (1,)).boundary_size == 1
 
-    def test_cell_region(self):
-        cell = LatticeRegion((2, 3), (4, 4)).cell((2, 3))
-        assert cell.lower == (2.0, 3.0)
-        assert cell.sides == (1.0, 1.0)
-
     @given(st.data())
     def test_cells_are_half_open_at_exact_boundaries(self, data):
         # points on integer and half-integer coordinates: x in (z, z + 1]
@@ -841,7 +836,7 @@ class TestLattice:
         expect = np.zeros(shape)
         for site in np.ndindex(*shape):
             z = tuple(o + k for o, k in zip(origin, site))
-            expect[site] = np.count_nonzero(lattice.cell(z).contains(pts))
+            expect[site] = np.count_nonzero(Region(z, (1.0,) * d).contains(pts))
         assert np.array_equal(Y, expect)
         assert Y.sum() == len(halves)
 

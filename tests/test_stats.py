@@ -525,7 +525,8 @@ def _reference_field_rows(cfg, r, offsets, lattice, m, base_seed):
         )
         Y = np.zeros(lattice.shape)
         for site in np.ndindex(*lattice.shape):
-            cell = lattice.cell(tuple(o + k for o, k in zip(lattice.origin, site)))
+            corner = tuple(o + k for o, k in zip(lattice.origin, site))
+            cell = Region(corner, (1.0,) * lattice.dim)
             Y[site] = np.count_nonzero(component_mask(graph, cell, r)) / r
         mu = float(Y.mean())
         rows.append([_offset_cov(Y, z, mu) for z in offsets])
