@@ -14,8 +14,8 @@ kind, scale parameter, and an ordered transform list:
 Regions are boxes: `model.K.lower = 0,0` and `model.K.sides = 1,1`.  The
 density rule is `scaled` (lam_n = lam * n^d) or explicit `n:lam_n` pairs,
 each n named once and every n of run.n_list among them.  The config hash
-covers every value exactly: a float renders with 6 significant digits only
-when that reads back as the same float.
+covers every parsed value exactly: a float renders with 6 significant digits
+only when that reads back as the same float.
 """
 
 from __future__ import annotations
@@ -232,6 +232,7 @@ def _build(raw: dict[str, str]) -> ExperimentConfig:
             rule = _parse_value("model.density_rule", rule_text, _parse_pairs)
             if len({nn for nn, _ in rule}) < len(rule):
                 raise ConfigError("model.density_rule names an n more than once")
+            values["model.density_rule"] = rule  # hashed as its pairs, not its text
         spec = QuadratureSpec(
             rel_tol=values["numerics.rel_tol"],
             abs_tol=values["numerics.abs_tol"],

@@ -180,12 +180,14 @@ class ConnectionFunction:
     def tail_radius(self, eps: float, d: int) -> float:
         """Radius T with omega_d * int_T^inf r^{d-1} f(r) dr < eps.
 
-        Exact (zero tail) for bounded-support stacks; for the unbounded
-        builtins, a root of the closed-form tail mass.  Table functions are
-        bounded by construction, so a cutoff is always available.  When
-        eps * factor^d leaves floats, the radius is solved for in logs, and a
-        whole mass of at most eps / 2 has radius 0.  A radius or mass beyond
-        floats raises ConnFnError.
+        Exact (zero tail) for bounded-support stacks; table functions are
+        bounded by construction, so a cutoff is always available.  The mass
+        of an unbounded builtin is (a / F)^d times that of a = 1, F being the
+        product of the scale factors, so T = (a / F) z, where z solves, in
+        logs, log_unit_mass(z) = log(eps / 2) + d (log F - log a) (see
+        _log_unit_tail_radius).  The mass left beyond T is then at most eps / 2
+        up to rounding, a whole mass of at most eps / 2 has radius 0, and only
+        a radius beyond floats raises ConnFnError.
         """
         if not eps > 0.0:
             raise ConnFnError("tail epsilon must be > 0")
@@ -196,31 +198,16 @@ class ConnectionFunction:
             return s
         # Unbounded support: no inside-truncation anywhere, base unbounded.
         # Outside truncations only remove mass, scales compose multiplicatively.
-        factor, log_factor = 1.0, 0.0
-        for t in self.transforms:
-            if isinstance(t, Scale):
-                factor *= t.factor
-                log_factor += math.log(t.factor)
-        try:
-            base_eps = eps * factor**d
-        except OverflowError:
-            base_eps = math.inf
-        if 0.0 < base_eps < math.inf:
-            radius = _base_tail_radius(self.kind, self.a, base_eps, d) / factor
-            if radius < math.inf:
-                return radius
-        else:
-            # the base mass is a^d times that of a = 1: solve for the radius in
-            # units of a, in logs
-            log_a = math.log(self.a)
-            z = _log_unit_tail_radius(
-                self.kind, math.log(eps) - math.log(2.0) + d * (log_factor - log_a), d
-            )
-            if z == 0.0:
-                return 0.0
-            log_radius = math.log(z) + log_a - log_factor
-            if log_radius <= _LOG_FLOAT_MAX:
-                return math.exp(log_radius)
+        log_a = math.log(self.a)
+        log_factor = sum(math.log(t.factor) for t in self.transforms if isinstance(t, Scale))
+        z = _log_unit_tail_radius(
+            self.kind, math.log(eps) - math.log(2.0) + d * (log_factor - log_a), d
+        )
+        if z == 0.0:
+            return 0.0
+        log_radius = math.log(z) + log_a - log_factor
+        if log_radius <= _LOG_FLOAT_MAX:
+            return math.exp(log_radius)
         raise ConnFnError(
             f"{self.kind} scale a = {self.a:g} scaled by e^{log_factor:.6g}: no tail "
             f"radius for eps = {eps:g} in d = {d} within floats"
@@ -241,60 +228,17 @@ class ConnectionFunction:
         return self.with_transform(Scale(n))
 
 
-def _base_tail(kind: str, a: float, d: int):
-    """(whole, q) for the unbounded builtins: the mass omega_d * int_T^inf
-    r^{d-1} f(r) dr beyond T is whole * q(T), q being a regularized upper
-    incomplete gamma function with q(0) = 1."""
-    om = sphere_surface(d)
-    if kind == "exponential":
-        # int_T^inf r^{d-1} e^{-r/a} dr = a^d Gamma(d) Q(d, T/a)
-        return om * a**d * math.gamma(d), lambda T: float(special.gammaincc(d, T / a))
-    if kind == "gaussian":
-        # int_T^inf r^{d-1} e^{-(r/a)^2} dr = (a^d / 2) Gamma(d/2) Q(d/2, (T/a)^2)
-        return (om * a**d / 2.0 * math.gamma(d / 2.0),
-                lambda T: float(special.gammaincc(d / 2.0, (T / a) ** 2)))
-    raise ConnFnError(f"no analytic tail for kind {kind!r}")
-
-
-def _base_tail_mass(kind: str, a: float, T: float, d: int) -> float:
-    """omega_d * int_T^inf r^{d-1} f(r) dr for the unbounded builtins."""
-    whole, q = _base_tail(kind, a, d)
-    return whole * q(T)
-
-
-def _base_tail_radius(kind: str, a: float, eps: float, d: int) -> float:
-    # solve for half the budget so the remaining mass is strictly below eps;
-    # the whole mass is computed once, outside the root-finder's loop, and
-    # each step multiplies it by q(T) as _base_tail_mass does
-    target = 0.5 * eps
-    try:
-        total, q = _base_tail(kind, a, d)
-    except OverflowError:  # a^d
-        total = math.inf
-    if not math.isfinite(total):  # then inf * Q(...) is NaN where Q underflows
-        raise ConnFnError(
-            f"{kind} scale a = {a:g}: the total mass of the connection function "
-            f"overflows a float in d = {d}"
-        )
-    if total <= target:
-        return 0.0
-    T = _falling_root(lambda T: total * q(T) - target, a)
-    if T == math.inf:
-        raise ConnFnError(
-            f"{kind} scale a = {a:g}: no finite radius leaves a tail mass "
-            f"below {target:g} in d = {d}"
-        )
-    return T
-
-
 def _log_unit_tail_mass(kind: str, z: float, d: int) -> float:
-    """log _base_tail_mass(kind, 1.0, z, d), which does not underflow: the
-    mass is the whole mass times Q(s, w), with s = d and w = z (exponential)
-    or s = d / 2 and w = z^2 (gaussian), and e^w Q(s, w) is a sum of positive
+    """log omega_d int_z^inf r^{d-1} f(r) dr for a = 1, which does not
+    underflow: with s = d and w = z (exponential) or s = d / 2 and w = z^2
+    (gaussian), the mass is the whole mass omega_d Gamma(s) (halved for the
+    gaussian) times e^-w (e^w Q(s, w)), and e^w Q(s, w) is a sum of positive
     terms, sum_{k < s} w^k / k! for an integer s and erfcx(sqrt(w)) +
     sum_{j < s - 1/2} w^(j + 1/2) / Gamma(j + 3/2) for a half-integer one."""
-    log_whole = math.log(_base_tail_mass(kind, 1.0, 0.0, d))
     s, w = (d, z) if kind == "exponential" else (d / 2.0, z * z)
+    log_whole = math.log(sphere_surface(d)) + math.lgamma(s)
+    if kind == "gaussian":
+        log_whole -= math.log(2.0)
     if w == 0.0:
         return log_whole
     log_w = math.log(w)
@@ -308,90 +252,42 @@ def _log_unit_tail_mass(kind: str, z: float, d: int) -> float:
 
 
 def _log_unit_tail_radius(kind: str, log_target: float, d: int) -> float:
-    """The radius z of a = 1 whose tail mass is e^log_target, solved in logs;
-    0 when the whole mass is at most that."""
-    def f(z):
-        return _log_unit_tail_mass(kind, z, d) - log_target
+    """The z of a = 1 whose tail mass is e^log_target, or 0 when the whole
+    mass is at most that.
 
-    return 0.0 if f(0.0) <= 0.0 else _falling_root(f, 1.0)
-
-
-def _falling_root(f, x: float) -> float:
-    """A root of f, decreasing and positive at 0, bracketed by doubling x
-    while f is positive, or inf when that leaves floats.  When f(x) is not
-    positive, [x/2, x] may hold no sign change: the bracket halves down
-    until f is not negative, which f(0) > 0 ends."""
-    hi = x
-    while f(hi) > 0.0:
-        hi *= 2.0
-        if not math.isfinite(hi):
-            return math.inf
-    lo = hi / 2.0
-    while f(lo) < 0.0:
-        hi, lo = lo, lo / 2.0
-    return _brentq(f, lo, hi, 1e-13)
-
-
-_BRENT_RTOL = 4 * 2.0**-52  # scipy's default rtol, four float epsilons
-_BRENT_MAXITER = 100
-
-
-def _brentq(f, xa: float, xb: float, xtol: float) -> float:
-    """A root of f in [xa, xb] by Brent's method (Brent, *Algorithms for
-    Minimization without Derivatives*, 1973, ch. 4).
-
-    Step for step the C routine behind ``scipy.optimize.brentq`` (scipy
-    1.17.1, ``scipy/optimize/Zeros/brentq.c``) at its default rtol and
-    maxiter, so a root has scipy's bits.  f must return finite floats.
-    """
-    xpre, xcur = float(xa), float(xb)
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = f(xpre), f(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(_BRENT_MAXITER):
-        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-
-        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:  # interpolate
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:  # extrapolate
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            except ZeroDivisionError:  # C's x / 0 is inf or nan, which fails the test below
-                stry = math.nan
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry  # good short step
-            else:
-                spre = scur = sbis  # bisect
+    Safeguarded Newton steps on h(z) = log mass - log_target.  h is concave
+    (the tail of a log-concave density is log-concave) and falls with slope
+    -omega_d z^{d-1} f(z) / mass, so a step lands at or beyond the root and
+    the steps from beyond it fall to it.  A step that leaves the bracket
+    [lo, hi] of the root doubles z while hi is unknown and bisects after.
+    The first z has w = h(0) (w as in _log_unit_tail_mass), the root when
+    e^w Q(s, w) = 1.  The result is the least z seen with h(z) <= 0, once
+    the step from it rounds away or no float lies between lo and hi."""
+    h = _log_unit_tail_mass(kind, 0.0, d) - log_target
+    if h <= 0.0:
+        return 0.0
+    log_om = math.log(sphere_surface(d))
+    lo, hi = 0.0, math.inf
+    z = h if kind == "exponential" else math.sqrt(h)
+    while True:
+        m = _log_unit_tail_mass(kind, z, d)
+        h = m - log_target
+        if h > 0.0:
+            lo = z
         else:
-            spre = scur = sbis  # bisect
-
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = f(xcur)
-    raise RuntimeError(
-        f"Failed to converge after {_BRENT_MAXITER} iterations, value is {xcur}"
-    )
+            hi = z
+        w = z if kind == "exponential" else z * z
+        slope = math.exp(log_om + (d - 1) * math.log(z) - w - m)
+        nxt = z + h / slope if slope > 0.0 else math.nan
+        if nxt == z:  # the step rounds away: the root is within an ulp of z
+            if z == hi:
+                return hi
+            nxt = math.nextafter(z, math.inf)
+        if not lo < nxt < hi:
+            nxt = 2.0 * z if hi == math.inf else 0.5 * (lo + hi)
+            if not lo < nxt < hi:
+                return hi
+        z = nxt
 
 
 # -- builtins ---------------------------------------------------------------

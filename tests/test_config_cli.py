@@ -183,6 +183,20 @@ class TestParsing:
         sides = [parse_config(f"model.K.sides = {v}\n").config_hash() for v in ("1", "1.000001")]
         assert sides[0] != sides[1]
 
+    def test_an_explicit_density_rule_hashes_as_its_pairs(self):
+        cfgs = [parse_config(f"model.density_rule = {rule}\nrun.n_list = 1, 2\n")
+                for rule in ("1:1, 2:4", "1:1.0,2:4")]
+        assert cfgs[0] == cfgs[1] and cfgs[0].config_hash() == cfgs[1].config_hash()
+        assert dict(cfgs[1].entries)["model.density_rule"] == "1:1, 2:4"
+
+    def test_scaled_configs_keep_their_hashes(self):
+        from rcmlab.acceptance import _DET_CONFIG
+
+        hashes = [load_config(str(ROOT / "configs" / name)).config_hash()
+                  for name in ("default.cfg", "clt_2d.cfg")]
+        hashes.append(parse_config(_DET_CONFIG).config_hash())
+        assert hashes == ["51660aa991d14da1", "53e9db059be677d9", "4a909429b6f60a8c"]
+
 
 @pytest.fixture()
 def cfg_file(tmp_path):
@@ -397,7 +411,9 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:") and says in err
 
-    # a tail mass omega_d a^d Gamma(d/2) / 2 beyond the largest float
+    # a tail mass omega_d a^d Gamma(d/2) / 2 beyond the largest float: the
+    # tail radius is finite, but the window's Poisson mean and the isolation
+    # probability's error bound overflow
     @pytest.mark.parametrize("command", ["simulate", "moments"])
     def test_overflowing_tail_mass_ends_in_an_error_line(self, command, tmp_path, capsys):
         argv = [command, "--config", str(ROOT / "configs" / "default.cfg"),
@@ -407,7 +423,9 @@ class TestCli:
             argv += ["--set", item]
         assert cli.main(argv) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "gaussian scale a = 3e+102" in err
+        says = {"simulate": "lam_n * vol(window) = inf expected points",
+                "moments": "overflows the error bound expm1("}[command]
+        assert err.startswith("error:") and says in err
 
     # d = 3, lambda = 10, exponential(5) at n = 2: ~1.8e8 points a replication,
     # refused by the plan before anything is drawn
