@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import special
 
 
 class ConnFnError(ValueError):
@@ -245,6 +244,8 @@ def _log_unit_tail_mass(kind: str, z: float, d: int) -> float:
     if s == int(s):
         terms = [k * log_w - math.lgamma(k + 1.0) for k in range(int(s))]
     else:
+        from scipy import special  # here, so that only odd-d gaussian tails pay for scipy.special
+
         terms = [math.log(special.erfcx(math.sqrt(w)))]
         terms += [(j + 0.5) * log_w - math.lgamma(j + 1.5) for j in range(int(s))]
     top = max(terms)

@@ -625,22 +625,75 @@ def test_readme_commands_parse():
         load_config(str(config), args.set)  # the overrides name real keys
 
 
+# Run ahead of a _fresh_interpreter snippet: records, for every module loaded
+# after it, the module whose code imported it, and defines absent().
+_IMPORT_WATCH = """
+import sys
+
+
+class _ImportWatch:
+    def __init__(self):
+        self.importer = {}
+
+    def find_spec(self, name, path=None, target=None):
+        # the first frame outside the import machinery and a package's lazy
+        # __getattr__ (as scipy's) runs the import statement
+        frame = sys._getframe(1)
+        while (frame.f_code.co_filename.startswith("<frozen") or frame.f_code.co_name == "__getattr__"
+               or frame.f_globals.get("__name__", "").partition(".")[0] == "importlib"):
+            frame = frame.f_back
+        self.importer.setdefault(name, frame.f_globals.get("__name__", "?"))
+        return None
+
+
+_watch = _ImportWatch()
+sys.meta_path.insert(0, _watch)
+
+
+def absent(*names):
+    \"\"\"Assert that no module in names, nor any submodule of one, is loaded,
+    naming the module that first imported each one that is.\"\"\"
+    held = {}
+    for m in [*_watch.importer, *sys.modules]:  # in the order their imports began
+        for n in names:
+            if m in sys.modules and (m == n or m.startswith(n + ".")):
+                held.setdefault(n, m)
+    assert not held, "; ".join(
+        f"{m} is loaded, first imported by {_watch.importer.get(m, 'the interpreter start')}"
+        for m in held.values())
+"""
+
+
 def _fresh_interpreter(code):
     """Run code in a fresh interpreter: pytest's own may already hold the
-    modules a test looks for."""
+    modules a test looks for.  The code may call absent(*names)."""
     path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
-    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
-                          capture_output=True, text=True)
+    done = subprocess.run([sys.executable, "-c", _IMPORT_WATCH + code],
+                          env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+def test_fresh_interpreter_names_the_importer():
+    with pytest.raises(AssertionError, match="scipy.special is loaded, first imported by rcmlab.connfn"):
+        _fresh_interpreter("""
+from rcmlab import gaussian
+gaussian(1.0).tail_radius(1e-6, 3)
+absent("rcmlab.simulator", "scipy.special")
+""")
 
 
 def test_root_import_loads_only_the_formula_layer():
     _fresh_interpreter("""
-import sys
 import rcmlab
 
-held = [m for m in ("rcmlab.simulator", "rcmlab.stats", "scipy.spatial") if m in sys.modules]
-assert not held, held
+absent("rcmlab.simulator", "rcmlab.stats", "scipy")
+from rcmlab import ModelConfig, exponential, gaussian, limit_var_isolated, unit_box, var_isolated
+
+limit_var_isolated(1.0, exponential(0.3), 2)
+var_isolated(ModelConfig(d=2, lam=1.0, K=unit_box(2), g=exponential(0.3), n=2.0))
+absent("scipy")
+gaussian(1.0).tail_radius(1e-6, 3)
+assert "scipy.special" in sys.modules
 from rcmlab.stats import replicate_many
 assert "rcmlab.simulator" in sys.modules and "scipy.spatial" in sys.modules
 """)
@@ -648,15 +701,13 @@ assert "rcmlab.simulator" in sys.modules and "scipy.spatial" in sys.modules
 
 def test_cli_loads_csgraph_only_for_components():
     _fresh_interpreter("""
-import sys
 import numpy as np
 import rcmlab.cli
 from rcmlab.connfn import hard_disk
 from rcmlab.quadrature import unit_box
 from rcmlab.simulator import connect, count_components
 
-held = [m for m in ("scipy.optimize", "scipy.sparse.csgraph") if m in sys.modules]
-assert not held, held
+absent("scipy.optimize", "scipy.sparse.csgraph")
 pts = np.array([[0.4, 0.5], [0.6, 0.5], [0.2, 0.2]])
 graph = connect(pts, hard_disk(0.25), unit_box(2).expand(1.0), 0.25, 3)
 assert count_components(graph, unit_box(2), 2) == 1.0

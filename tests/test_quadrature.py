@@ -877,6 +877,82 @@ class TestClosedOverlap:
                 assert abs(mpmath.mpf(v) - (t - mpmath.sin(t) * mpmath.cos(t))) <= e
 
 
+# -- x^2 K_2(x) e^x -------------------------------------------------------------
+
+
+def mp_laguerre_rule(n, alpha):
+    """(node, weight) pairs of the n-point Gauss-Laguerre rule for the weight
+    w^alpha e^-w: Newton steps on L_n^alpha from the Golub-Welsch eigenvalues."""
+    alpha = mpmath.mpf(alpha)
+    k = np.arange(n)
+    jacobi = np.diag(2.0 * k + 1 + float(alpha)) + np.diag(np.sqrt(k[1:] * (k[1:] + float(alpha))), 1)
+    rule = []
+    for start in np.linalg.eigvalsh(jacobi, UPLO="U"):
+        node = mpmath.findroot(lambda t: mpmath.laguerre(n, alpha, t), mpmath.mpf(start),
+                               df=lambda t: -mpmath.laguerre(n - 1, alpha + 1, t))
+        weight = mpmath.gamma(n + alpha + 1) * node / (
+            mpmath.factorial(n) * (n + 1) ** 2 * mpmath.laguerre(n + 1, alpha, node) ** 2)
+        rule.append((node, weight))
+    return rule
+
+
+def mp_x2_k2_ex(x):
+    x = mpmath.mpf(x)
+    return x * x * mpmath.besselk(2, x) * mpmath.exp(x)
+
+
+def _around(x, steps):
+    """x and the steps floats on either side of it."""
+    out = [x]
+    for direction in (-math.inf, math.inf):
+        y = x
+        for _ in range(steps):
+            y = math.nextafter(y, direction)
+            out.append(y)
+    return np.sort(out)
+
+
+K2_GRIDS = {
+    "log": np.geomspace(1e-100, 800.0, 241),
+    "dense": np.linspace(0.0, 40.0, 161)[1:],
+    "switch": _around(quadrature._K2_SWITCH, 16),
+}
+
+
+class TestX2K2Ex:
+    def test_constants_are_the_mpmath_values(self):
+        with mpmath.workdps(40):
+            ks = range(10, -1, -1)
+            c = [1 / (mpmath.factorial(k) * mpmath.factorial(k + 2)) for k in ks]
+            coef = [2 * (mpmath.digamma(k + 1) + mpmath.digamma(k + 3)) * ck
+                    for k, ck in zip(ks, c)] + [-2, 2]
+            log_coef = [-4 * ck for ck in c] + [0, 0]
+            rule = sorted(((node / 2, weight * 2 * mpmath.sqrt(2) / 3)
+                           for node, weight in mp_laguerre_rule(28, 1.5)), key=lambda nw: nw[1])
+            assert quadrature._K2_COEF.tolist() == [float(v) for v in coef]
+            assert quadrature._K2_LOG_COEF.tolist() == [float(v) for v in log_coef]
+            assert quadrature._K2_NODES.tolist() == [float(u) for u, _ in rule]
+            assert quadrature._K2_WEIGHTS.tolist() == [float(w) for _, w in rule]
+        assert quadrature._K2_POWERS.tolist() == [2.0 * k for k in range(12, -1, -1)]
+
+    @pytest.mark.parametrize("grid", sorted(K2_GRIDS))
+    def test_within_3_ulps_of_mpmath(self, grid):
+        x = K2_GRIDS[grid]
+        got = quadrature._x2_k2_ex(x)
+        with mpmath.workdps(25):
+            for xi, v in zip(x, got):
+                want = mp_x2_k2_ex(xi)
+                ulps = abs(mpmath.mpf(v) - want) / np.spacing(float(want))
+                assert ulps <= 3, (xi, float(ulps))
+
+    def test_whole_array_equals_one_element_at_a_time(self):
+        x = np.random.default_rng(5).permutation(np.concatenate(list(K2_GRIDS.values())))
+        got = quadrature._x2_k2_ex(x)
+        one = np.array([quadrature._x2_k2_ex(x[i : i + 1])[0] for i in range(x.size)])
+        assert np.array_equal(got, one)
+        assert np.array_equal(got[:7], quadrature._x2_k2_ex(x[:7]))
+
+
 class TestRegion:
     def test_geometry(self):
         K = Region((0.0, 0.0), (2.0, 0.5))
