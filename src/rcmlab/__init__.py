@@ -19,7 +19,6 @@ from .connfn import (
     exponential,
     gaussian,
     hard_disk,
-    make_variant,
     table_function,
 )
 from .moments import (

@@ -58,7 +58,7 @@ class CriterionResult:
 @dataclass
 class AcceptanceContext:
     base_seed: int = 20240801
-    workers: int | None = None
+    workers: int = 1
     spec: QuadratureSpec = DEFAULT_SPEC
     policy: SimPolicy = DEFAULT_POLICY
     cache: dict = field(default_factory=dict)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .acceptance import AcceptanceContext, run_all
@@ -43,7 +42,6 @@ from .stats import (
     martingale_sweep,
     replicate,
     replicate_many,
-    resolve_workers,
     run_scope,
     variance_density_convergence,
     variance_lower_bound,
@@ -75,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _effective(args) -> ExperimentConfig:
-    """The config file with the command-line overrides, workers resolved."""
+    """The config file with the command-line overrides."""
     overrides = list(args.set)
     if args.seed is not None:
         overrides.append(f"run.base_seed={args.seed}")
@@ -85,8 +83,7 @@ def _effective(args) -> ExperimentConfig:
         overrides.append(f"output.dir={args.out_dir}")
     if args.format is not None:
         overrides.append(f"output.format={args.format}")
-    cfg = load_config(args.config, overrides)
-    return replace(cfg, workers=_workers(cfg))
+    return load_config(args.config, overrides)
 
 
 def _emit(cfg: ExperimentConfig, stem: str, rows, extra=None):
@@ -103,13 +100,6 @@ def _emit(cfg: ExperimentConfig, stem: str, rows, extra=None):
         write_csv(out / f"{stem}.csv", rows[0].keys(), rows)
     if "json" in cfg.formats:
         write_json(out / f"{stem}.json", payload)
-
-
-def _workers(cfg: ExperimentConfig) -> int:
-    try:
-        return resolve_workers(cfg.workers)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
 
 
 # -- subcommand handlers --------------------------------------------------------

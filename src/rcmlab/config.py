@@ -255,7 +255,7 @@ def _build(raw: dict[str, str]) -> ExperimentConfig:
         if values["run.base_seed"] < 0:
             raise ConfigError("run.base_seed must be >= 0")
         if values["run.workers"] < 0:
-            raise ConfigError("run.workers must be >= 0 (0 means unset)")
+            raise ConfigError("run.workers must be >= 0 (0 and 1 run serially)")
         if values["run.r"] < 1:
             raise ConfigError("run.r must be >= 1")
         for key in ("run.n_list", "run.R_list"):

@@ -10,7 +10,10 @@ piecewise-linear table) plus an ordered stack of symbolic transforms
     scale(n):             f -> f(n * x)
 
 Transforms are kept symbolic so indicator cutoffs are exact at the boundary;
-ties at the cut evaluate as "inside" (1{x <= R}).
+ties at the cut evaluate as "inside" (1{x <= R}).  The two orders of cutting
+and scaling do not commute: cut at R then scale by n is
+g.scale(n).truncate_inside(R / n), 1{x <= R/n} g(n x), while scale then cut
+is g.scale(n).truncate_inside(R), 1{x <= R} g(n x).
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import numpy as np
 
 
 class ConnFnError(ValueError):
-    """Invalid connection-function construction or variant request."""
+    """Invalid connection-function construction."""
 
 
 @dataclass(frozen=True)
@@ -317,50 +320,3 @@ def table_function(points) -> ConnectionFunction:
     """
     return ConnectionFunction(kind="table", table=tuple((float(r), float(v)) for r, v in points))
 
-
-# -- named variants ---------------------------------------------------------
-
-VARIANTS = (
-    "inside",  # 1{x <= R} f(x)
-    "outside",  # 1{x >  R} f(x)
-    "scaled",  # f(n x)
-    "cut_then_scale",  # 1{x <= R/n} f(nx)  == (inside R) evaluated at nx
-    "cut_then_scale_outside",  # 1{x >  R/n} f(nx)
-    "scale_then_cut",  # 1{x <= R} f(nx)
-    "scale_then_cut_outside",  # 1{x >  R} f(nx)
-)
-
-
-def make_variant(
-    f: ConnectionFunction, variant: str, R: float | None = None, n: float | None = None
-) -> ConnectionFunction:
-    """Build one of the named truncation/scaling variants of f.
-
-    The two truncate-and-scale orders do not commute: ``cut_then_scale``
-    first truncates at R and then shrinks the argument (cut lands at R/n),
-    while ``scale_then_cut`` shrinks first and truncates at R.
-    """
-    if variant not in VARIANTS:
-        raise ConnFnError(f"invalid variant name {variant!r}")
-    needs_R = variant != "scaled"
-    needs_n = variant not in ("inside", "outside")
-    if needs_R:
-        if R is None or not R > 0.0:
-            raise ConnFnError(f"variant {variant!r} needs R > 0")
-    if needs_n:
-        if n is None or not n >= 1.0:
-            raise ConnFnError(f"variant {variant!r} needs n >= 1")
-
-    if variant == "inside":
-        return f.truncate_inside(R)
-    if variant == "outside":
-        return f.truncate_outside(R)
-    if variant == "scaled":
-        return f.scale(n)
-    if variant == "cut_then_scale":
-        return f.scale(n).truncate_inside(R / n)
-    if variant == "cut_then_scale_outside":
-        return f.scale(n).truncate_outside(R / n)
-    if variant == "scale_then_cut":
-        return f.scale(n).truncate_inside(R)
-    return f.scale(n).truncate_outside(R)  # scale_then_cut_outside

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .connfn import _LOG_FLOAT_MAX, ConnectionFunction, make_variant
+from .connfn import _LOG_FLOAT_MAX, ConnectionFunction
 from .quadrature import (
     DEFAULT_SPEC,
     QuadResult,
@@ -76,7 +76,7 @@ class ModelConfig:
 
     @property
     def g_n(self) -> ConnectionFunction:
-        return self.g if self.n == 1 else make_variant(self.g, "scaled", n=self.n)
+        return self.g if self.n == 1 else self.g.scale(self.n)
 
     def at_n(self, n: float) -> "ModelConfig":
         return replace(self, n=n)
@@ -206,8 +206,7 @@ def mean_excess(
 ) -> QuadResult:
     """E of the excess count for the scaled model (valid for all R > 0, n >= 1)."""
     mu = cfg.lam_n
-    g_in = make_variant(cfg.g, "cut_then_scale", R=R, n=cfg.n)
-    g_out = make_variant(cfg.g, "cut_then_scale_outside", R=R, n=cfg.n)
+    g_in, g_out = _cut(cfg.g.scale(cfg.n), R, cfg.n)
     p_in = isolation_prob(mu, g_in, cfg.d, spec)
     p_out = isolation_prob(mu, g_out, cfg.d, spec)
     scale = mu * cfg.K.volume
@@ -221,8 +220,7 @@ def var_excess(
 ) -> QuadResult:
     """Variance of the excess count for the scaled model."""
     mu, K, d, g_n = cfg.lam_n, cfg.K, cfg.d, cfg.g_n
-    g_in = make_variant(cfg.g, "cut_then_scale", R=R, n=cfg.n)
-    g_out = make_variant(cfg.g, "cut_then_scale_outside", R=R, n=cfg.n)
+    g_in, g_out = _cut(cfg.g.scale(cfg.n), R, cfg.n)
     bracket, extra, p_in, p_out = _excess_parts(mu, g_in, g_out, g_n, d, spec)
     mean = mu * K.volume * p_in.value * (1.0 - p_out.value)
     breaks = _pair_cut_breaks(g_in, g_out, g_n)
@@ -244,10 +242,7 @@ def limit_mean_excess(
     spec: QuadratureSpec = DEFAULT_SPEC,
 ) -> QuadResult:
     """Limit of the normalised excess mean: iso(lam, g_R) (1 - iso(lam, g^R))."""
-    if not R > 0:
-        raise ModelError("R must be > 0")
-    g_in = make_variant(g, "inside", R=R)
-    return _excess_density(lam, g_in, make_variant(g, "outside", R=R), d, spec)
+    return _excess_density(lam, *_cut(g, R), d, spec)
 
 
 def limit_var_excess(
@@ -258,10 +253,7 @@ def limit_var_excess(
     spec: QuadratureSpec = DEFAULT_SPEC,
 ) -> QuadResult:
     """Limit of the normalised excess variance (bracket + long-edge term over R^d)."""
-    if not R > 0:
-        raise ModelError("R must be > 0")
-    g_in = make_variant(g, "inside", R=R)
-    g_out = make_variant(g, "outside", R=R)
+    g_in, g_out = _cut(g, R)
     bracket, extra, p_in, p_out = _excess_parts(lam, g_in, g_out, g, d, spec)
 
     T = _bracket_cutoff(lam, g, d, spec)
@@ -289,9 +281,7 @@ def variance_ratio(
 
     Tends to 1 as R grows; equals 1 exactly once g is supported inside [0, R].
     """
-    if not R > 0:
-        raise ModelError("R must be > 0")
-    num = limit_var_isolated(lam, make_variant(g, "inside", R=R), d, spec)
+    num = limit_var_isolated(lam, _cut(g, R)[0], d, spec)
     den = limit_var_isolated(lam, g, d, spec)
     val = num.value / den.value
     err = (num.error + abs(val) * den.error) / den.value
@@ -319,9 +309,7 @@ def swapped_truncation_means(
     for n in n_list:
         cfg = ModelConfig(d=d, lam=lam, K=K, g=g, n=n, density_rule=density_rule)
         mu = cfg.lam_n
-        g_in = make_variant(g, "scale_then_cut", R=R, n=n)
-        g_out = make_variant(g, "scale_then_cut_outside", R=R, n=n)
-        density = _excess_density(mu, g_in, g_out, d, spec)
+        density = _excess_density(mu, *_cut(g.scale(n), R), d, spec)
         rows.append(
             MomentReport(
                 quantity="swapped_mean_density",
@@ -351,9 +339,7 @@ def excess_variance_bracket(
     domination constants bound by C_total * g(|x|/2), uniformly in R and in
     the scale index.
     """
-    g_in = make_variant(g, "inside", R=R)
-    g_out = make_variant(g, "outside", R=R)
-    return _excess_parts(nu, g_in, g_out, g, d, spec)[0]
+    return _excess_parts(nu, *_cut(g, R), g, d, spec)[0]
 
 
 def domination_constants(
@@ -465,6 +451,21 @@ def check_domination(
 
 
 # -- shared internals ----------------------------------------------------------
+
+
+def _cut(
+    h: ConnectionFunction, R: float, n: float = 1.0
+) -> tuple[ConnectionFunction, ConnectionFunction]:
+    """h's parts inside and outside radius R / n: 1{x <= R/n} h(x) and
+    1{x > R/n} h(x).
+
+    Cut at R then scale by n is _cut(g.scale(n), R, n); scale then cut is
+    _cut(g.scale(n), R).  R is checked before the division, which may round
+    a tiny R to a cut at 0.
+    """
+    if not R > 0:
+        raise ModelError("R must be > 0")
+    return h.truncate_inside(R / n), h.truncate_outside(R / n)
 
 
 def _require_wide(R: float, K: Region):

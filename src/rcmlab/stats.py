@@ -12,7 +12,6 @@ consumes the replicated values and is deterministic given (config, seed).
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -23,7 +22,7 @@ from typing import Sequence
 import numpy as np
 from scipy import special
 
-from .connfn import ConnectionFunction, make_variant
+from .connfn import ConnectionFunction
 from .moments import ModelConfig
 from .quadrature import Region
 from .simulator import (
@@ -45,25 +44,6 @@ class StatsError(RuntimeError):
     """Invalid statistical request or degenerate sample."""
 
 
-def resolve_workers(workers: int | None) -> int:
-    """Explicit value if given (0 or None means unset), else RCMLAB_WORKERS,
-    else serial.  A negative value or an RCMLAB_WORKERS <= 0 is an error."""
-    if workers is not None and workers < 0:
-        raise ValueError(f"workers must be >= 0 (0 means unset), got {workers}")
-    if workers:
-        return workers
-    env = os.environ.get("RCMLAB_WORKERS", "").strip()
-    if not env:
-        return 1
-    try:
-        value = int(env)
-    except ValueError:
-        raise ValueError(f"RCMLAB_WORKERS must be an integer, got {env!r}") from None
-    if value < 1:
-        raise ValueError(f"RCMLAB_WORKERS must be >= 1, got {value}")
-    return value
-
-
 @dataclass(frozen=True)
 class StatRequest:
     """One per-replication scalar: which count to take from the realization.
@@ -73,7 +53,8 @@ class StatRequest:
     "excess" (no neighbor within r0 but some beyond), "component" (1/r times
     vertices in size-r components), and "coupling" (1.0 iff the
     near-isolated count at r0 = R/n equals the isolated count of the
-    shared-randomness graph rebuilt under the cut-then-scale variant).
+    shared-randomness graph rebuilt under g cut at R then scaled by n,
+    g.scale(n).truncate_inside(R / n); needs R > 0).
     """
 
     name: str
@@ -85,6 +66,8 @@ class StatRequest:
     def __post_init__(self):
         if self.kind not in ("isolated", "near_isolated", "excess", "component", "coupling"):
             raise StatsError(f"unknown statistic kind {self.kind!r}")
+        if self.kind == "coupling" and not self.R > 0:
+            raise StatsError(f"a coupling needs R > 0, got R = {self.R!r}")
 
 
 _BOOT_CHUNK = 1 << 16  # bootstrap indices drawn at a time
@@ -188,7 +171,7 @@ def _request_rows(cfg, requests, graph):
             cols.append(per_rep(component_mask(graph, K, req.r)) / req.r)
         else:  # coupling
             j_mask, _ = masks(req.R / cfg.n)
-            twin = regraph(graph, make_variant(cfg.g, "cut_then_scale", R=req.R, n=cfg.n))
+            twin = regraph(graph, cfg.g.scale(cfg.n).truncate_inside(req.R / cfg.n))
             cols.append(per_rep(j_mask) == per_rep(isolated_mask(twin, K)))
     return np.column_stack(cols).astype(float)
 
@@ -232,26 +215,27 @@ def run_scope():
                 _pools.popitem()[1].shutdown(wait=True, cancel_futures=True)
 
 
-def _replicate_rows(count, plan, base_seed, m: int, workers: int | None) -> np.ndarray:
+def _replicate_rows(count, plan, base_seed, m: int, workers: int) -> np.ndarray:
     """Rows of replications 0..m-1 in replication order, from
     _replication_rows(count, plan, base_seed, lo, hi) over chunks lo..hi-1.
 
-    Serial (one call) for one worker or m < 8; otherwise about four chunks
+    Serial (one call) for 0 or 1 workers or m < 8; otherwise about four chunks
     per worker in the run's process pool (see run_scope; a call outside any
     run is a run of its own), written back in chunk order.  The plan is
     built by the caller, so the workers only simulate and count.
     """
-    nworkers = resolve_workers(workers)
-    if nworkers <= 1 or m < 8:
+    if workers < 0:
+        raise ValueError(f"workers must be >= 0, got {workers}")
+    if workers <= 1 or m < 8:
         return _replication_rows(count, plan, base_seed, 0, m)
-    chunk = math.ceil(m / (4 * nworkers))
+    chunk = math.ceil(m / (4 * workers))
     los = range(0, m, chunk)
     his = [min(lo + chunk, m) for lo in los]
     rows = partial(_replication_rows, count, plan, base_seed)
     with run_scope():
-        if nworkers not in _pools:
-            _pools[nworkers] = ProcessPoolExecutor(max_workers=nworkers)
-        return np.concatenate(list(_pools[nworkers].map(rows, los, his)))
+        if workers not in _pools:
+            _pools[workers] = ProcessPoolExecutor(max_workers=workers)
+        return np.concatenate(list(_pools[workers].map(rows, los, his)))
 
 
 def replicate_many(
@@ -260,7 +244,7 @@ def replicate_many(
     m: int,
     base_seed: int,
     policy: SimPolicy = DEFAULT_POLICY,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> dict[str, StatSample]:
     """m independent replications of several statistics on shared realizations;
     every sample's bias bound is the run's, fixed by its block plan."""
@@ -283,7 +267,7 @@ def replicate(
     m: int,
     base_seed: int,
     policy: SimPolicy = DEFAULT_POLICY,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> StatSample:
     return replicate_many(cfg, [request], m, base_seed, policy, workers)[request.name]
 
@@ -294,7 +278,7 @@ def coupling_check(
     m: int,
     base_seed: int,
     policy: SimPolicy = DEFAULT_POLICY,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> tuple[bool, bool, dict[str, StatSample]]:
     """m replications of I, J, L (r0 = R/n) and C (see StatRequest) on shared
     realizations, and whether C == 1 and J == I + L on every one of them."""
@@ -352,7 +336,7 @@ def variance_density_convergence(
     base_seed: int,
     limit_value: float,
     policy: SimPolicy = DEFAULT_POLICY,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> list[VarianceDensityRow]:
     """Monte Carlo Var/(lam_n vol K) of the isolated count across n against its limit."""
     request = StatRequest(name="count", kind="isolated")
@@ -427,7 +411,7 @@ def covariance_field(
     base_seed: int,
     lattice_side: int | None = None,
     policy: SimPolicy = DEFAULT_POLICY,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> CovarianceField:
     """Estimate z -> Cov(Y_0, Y_z) of the per-cell component field.
 
@@ -481,7 +465,7 @@ def stationary_variance_check(
     base_seed: int,
     field: CovarianceField,
     policy: SimPolicy = DEFAULT_POLICY,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> list[BoxVarianceRow]:
     """Var of the summed field over a box, per cell, against the covariance sum.
 
@@ -667,7 +651,7 @@ def variance_lower_bound(
     m_var: int,
     base_seed: int,
     policy: SimPolicy = DEFAULT_POLICY,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> tuple[LowerBoundCertificate, list[LowerBoundRow]]:
     """Certificate gamma > 0 with Var of the component count over (0, nM]^2
     bounded below by gamma n^2, plus the empirical growth table.

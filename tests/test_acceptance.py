@@ -11,13 +11,10 @@ import os
 import pytest
 
 from rcmlab.acceptance import CRITERIA, AcceptanceContext, run_all
-from rcmlab.stats import resolve_workers
 
 
 def _workers():
-    """RCMLAB_WORKERS under the CLI's rule when set, else up to 2 workers."""
-    if os.environ.get("RCMLAB_WORKERS", "").strip():
-        return resolve_workers(None)
+    """Up to 2 workers, so the pooled path runs too."""
     return min(2, os.cpu_count() or 1)
 
 

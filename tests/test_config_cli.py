@@ -326,19 +326,6 @@ class TestCli:
         bad.write_text("model.lambda = -3\n", encoding="utf-8")
         assert cli.main(["moments", "--config", str(bad)]) == 2
 
-    def test_bad_workers_env_is_config_error(self, cfg_file, monkeypatch, capsys):
-        monkeypatch.setenv("RCMLAB_WORKERS", "abc")
-        assert cli.main(["clt-test", "--config", str(cfg_file)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error:") and "RCMLAB_WORKERS" in err
-
-    @pytest.mark.parametrize("env", ["-3", "0"])
-    def test_nonpositive_workers_env_is_config_error(self, env, cfg_file, monkeypatch, capsys):
-        monkeypatch.setenv("RCMLAB_WORKERS", env)
-        assert cli.main(["clt-test", "--config", str(cfg_file)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error:") and "RCMLAB_WORKERS" in err
-
     @pytest.mark.parametrize(
         "flags", [["--workers", "-3"], ["--set", "run.workers=-3"]], ids=["flag", "set"]
     )
@@ -349,11 +336,6 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "run.workers" in err
         assert not out.exists()
-
-    def test_zero_workers_means_unset(self, cfg_file, monkeypatch):
-        monkeypatch.setenv("RCMLAB_WORKERS", "3")
-        assert cli._workers(load_config(str(cfg_file), ["run.workers=0"])) == 3
-        assert cli._workers(load_config(str(cfg_file), ["run.workers=2"])) == 2
 
     @pytest.mark.parametrize("command", ["moments", "simulate"])
     def test_density_rule_gap_is_config_error(self, command, cfg_file, tmp_path, capsys):

@@ -13,7 +13,6 @@ from rcmlab.connfn import (
     exponential,
     gaussian,
     hard_disk,
-    make_variant,
     table_function,
 )
 from rcmlab.quadrature import adaptive_quad, radial_integral
@@ -29,7 +28,7 @@ builtin = st.sampled_from(
 def test_eval_examples():
     assert hard_disk(1.0).eval(0.5) == 1.0
     assert exponential(1.0).truncate_outside(1.0).eval(0.5) == 0.0
-    assert make_variant(exponential(1.0), "scaled", n=2.0).eval(0.5) == pytest.approx(
+    assert exponential(1.0).scale(2.0).eval(0.5) == pytest.approx(
         math.exp(-1.0), abs=1e-12
     )
 
@@ -45,11 +44,11 @@ def test_indicator_ties_close_on_the_left():
 def test_variant_formulas():
     g = exponential(1.0)
     # cut at R then scale: 1{x <= R/n} g(n x)
-    v = make_variant(g, "cut_then_scale", R=2.0, n=4.0)
+    v = g.scale(4.0).truncate_inside(2.0 / 4.0)
     assert v.eval(0.4) == pytest.approx(math.exp(-1.6), rel=1e-12)
     assert v.eval(0.6) == 0.0
     # scale then cut at R: 1{x <= R} g(n x)
-    w = make_variant(g, "scale_then_cut", R=2.0, n=4.0)
+    w = g.scale(4.0).truncate_inside(2.0)
     assert w.eval(1.0) == pytest.approx(math.exp(-4.0), rel=1e-12)
     assert w.eval(2.5) == 0.0
     # widened cut without scaling: 1{x <= n R} g(x)
@@ -60,35 +59,34 @@ def test_variant_formulas():
 
 def test_inside_with_huge_radius_is_identity():
     g = exponential(1.0)
-    v = make_variant(g, "inside", R=1e12)
+    v = g.truncate_inside(1e12)
     assert np.array_equal(v.eval(GRID), g.eval(GRID))
 
 
 def test_non_commutation_of_cut_and_scale():
     g = exponential(1.0)
-    sc = make_variant(g, "scale_then_cut", R=2.0, n=4.0)
-    cs = make_variant(g, "cut_then_scale", R=2.0, n=4.0)
+    sc = g.scale(4.0).truncate_inside(2.0)  # scale, then cut at R = 2
+    cs = g.scale(4.0).truncate_inside(2.0 / 4.0)  # cut at R = 2, then scale
     assert sc.eval(1.0) == pytest.approx(math.exp(-4.0))
     assert cs.eval(1.0) == 0.0
 
 
 def assert_variant_identities(f, R, n):
-    """The variant algebra, exactly, on GRID: both sides of each identity
-    go through the same indicator rules."""
-    g_in = make_variant(f, "inside", R=R)
-    g_cs = make_variant(f, "cut_then_scale", R=R, n=n)
-    # (i) cut_then_scale(x) == inside(n x)
+    """The algebra of the two cut orders, exactly, on GRID: both sides of
+    each identity go through the same indicator rules."""
+    g_in = f.truncate_inside(R)
+    g_cs = f.scale(n).truncate_inside(R / n)  # cut at R, then scale
+    # (i) cut then scale at x == the inside part at n x
     assert np.array_equal(g_cs.eval(GRID), g_in.eval(n * GRID))
-    # (ii) scale_then_cut(x) == 1{y <= n R} f(y) at y = n x
-    assert np.array_equal(make_variant(f, "scale_then_cut", R=R, n=n).eval(GRID),
+    # (ii) scale then cut at x == 1{y <= n R} f(y) at y = n x
+    assert np.array_equal(f.scale(n).truncate_inside(R).eval(GRID),
                           f.truncate_inside(n * R).eval(n * GRID))
     # (iii) inside(x) + outside(x) == f(x)
-    assert np.array_equal(g_in.eval(GRID) + make_variant(f, "outside", R=R).eval(GRID),
-                          f.eval(GRID))
-    # (iv) cut_then_scale(x) + cut_then_scale_outside(x) == scaled(x)
+    assert np.array_equal(g_in.eval(GRID) + f.truncate_outside(R).eval(GRID), f.eval(GRID))
+    # (iv) the two parts of cut then scale add up to the scaled f
     assert np.array_equal(
-        g_cs.eval(GRID) + make_variant(f, "cut_then_scale_outside", R=R, n=n).eval(GRID),
-        make_variant(f, "scaled", n=n).eval(GRID),
+        g_cs.eval(GRID) + f.scale(n).truncate_outside(R / n).eval(GRID),
+        f.scale(n).eval(GRID),
     )
 
 
@@ -107,14 +105,14 @@ def test_verify_identities_binary_scales(f, R, n):
 
 @given(builtin, st.floats(0.1, 3.0))
 def test_complement_is_exact(f, R):
-    g_in = make_variant(f, "inside", R=R)
-    g_out = make_variant(f, "outside", R=R)
+    g_in = f.truncate_inside(R)
+    g_out = f.truncate_outside(R)
     assert np.array_equal(g_in.eval(GRID) + g_out.eval(GRID), f.eval(GRID))
 
 
 @given(builtin, st.floats(0.2, 3.0), st.floats(1.0, 8.0))
 def test_bounds_and_monotone_inside_stacks(f, R, n):
-    g = make_variant(f, "inside", R=R).scale(n)
+    g = f.truncate_inside(R).scale(n)
     vals = g.eval(GRID)
     assert np.all(vals >= 0.0) and np.all(vals <= 1.0)
     # outside truncations jump upward at the cut, so monotonicity is only
@@ -143,13 +141,8 @@ def test_table_validation():
 
 
 def test_invalid_variant_and_params():
-    g = exponential(1.0)
     with pytest.raises(ConnFnError):
-        make_variant(g, "sideways", R=1.0, n=2.0)
-    with pytest.raises(ConnFnError):
-        make_variant(g, "inside", R=-1.0)
-    with pytest.raises(ConnFnError):
-        make_variant(g, "cut_then_scale", R=1.0, n=0.5)
+        exponential(1.0).truncate_inside(-1.0)
     with pytest.raises(ConnFnError):
         exponential(-1.0)
 
@@ -373,8 +366,8 @@ MASKED_STACKS = [
     exponential(1.0).truncate_inside(1.0),
     exponential(1.0).truncate_outside(1.0),
     gaussian(0.8).truncate_inside(2.5).truncate_outside(0.5),
-    make_variant(exponential(0.3), "cut_then_scale", R=1.0, n=16.0),
-    make_variant(exponential(0.3), "scale_then_cut", R=1.0, n=16.0),
+    exponential(0.3).scale(16.0).truncate_inside(1.0 / 16.0),
+    exponential(0.3).scale(16.0).truncate_inside(1.0),
     hard_disk(1.0).scale(3.0).scale(0.5),
     exponential(1.0).scale(2.0).truncate_outside(0.25).scale(1.5),
 ]
@@ -394,7 +387,7 @@ def test_eval_is_the_masked_base_bit_for_bit(f):
 
 
 @pytest.mark.parametrize("f", [exponential(1.0).scale(2.0), hard_disk(1.0).scale(3.0).scale(0.5),
-                               make_variant(gaussian(0.8), "cut_then_scale", R=1.0, n=2.0)])
+                               gaussian(0.8).scale(2.0).truncate_inside(1.0 / 2.0)])
 def test_eval_leaves_its_input_unwritten(f):
     x = GRID.copy()
     f.eval(x)
@@ -438,8 +431,8 @@ IN_PLACE_STACKS = [
         base.scale(16.0),
         base.truncate_inside(0.5),
         base.truncate_outside(0.5),
-        make_variant(base, "cut_then_scale", R=1.0, n=16.0),
-        make_variant(base, "scale_then_cut_outside", R=0.05, n=4.0),
+        base.scale(16.0).truncate_inside(1.0 / 16.0),
+        base.scale(4.0).truncate_outside(0.05),
         base.scale(3.0).truncate_inside(0.2).scale(0.5),
         base.truncate_outside(0.1).truncate_inside(0.4),
     )
@@ -477,6 +470,6 @@ def test_in_place_eval_keeps_the_literal_bits(f):
 def test_pickle_roundtrip():
     import pickle
 
-    f = make_variant(gaussian(0.8), "cut_then_scale", R=1.0, n=2.0)
+    f = gaussian(0.8).scale(2.0).truncate_inside(1.0 / 2.0)
     g = pickle.loads(pickle.dumps(f))
     assert np.array_equal(f.eval(GRID), g.eval(GRID))

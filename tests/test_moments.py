@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from rcmlab.connfn import exponential, hard_disk, make_variant
+from rcmlab.connfn import exponential, hard_disk
 from rcmlab.moments import (
     ModelConfig,
     ModelError,
@@ -62,8 +62,8 @@ class TestFactors:
     def test_split_product_identity(self, R, mu):
         # iso(mu, g_R) * iso(mu, g^R) = iso(mu, g)
         g = exponential(1.0)
-        p_in = isolation_prob(mu, make_variant(g, "inside", R=R), 1).value
-        p_out = isolation_prob(mu, make_variant(g, "outside", R=R), 1).value
+        p_in = isolation_prob(mu, g.truncate_inside(R), 1).value
+        p_out = isolation_prob(mu, g.truncate_outside(R), 1).value
         assert p_in * p_out == pytest.approx(isolation_prob(mu, g, 1).value, rel=1e-9)
 
     # a dense d=3 model, mean degree ~804: exp(mu O(0)) leaves floats, where
@@ -83,7 +83,7 @@ class TestFactors:
         # an error e in the exponent moves exp(+-mu O) by at most v expm1(mu e),
         # more than the first-order v mu e; the values are exp(+-mu O) as before
         mu = 3.0
-        h = make_variant(exponential(1.0), "inside", R=1.0)  # a quadrature overlap
+        h = exponential(1.0).truncate_inside(1.0)  # a quadrature overlap
         s = np.array([0.0, 0.4, 1.3])
         ov, ov_err = overlap_rows(h, exponential(1.0), s, d)
         pf = pair_factor(mu, h, exponential(1.0), s, d)
@@ -173,11 +173,17 @@ class TestScaledMoments:
         assert mean_excess(cfg, 1.0).value == pytest.approx(2 * p_in * (1 - p_out), rel=1e-9)
 
     def test_n1_matches_unscaled(self):
-        # at n = 1 the cut-then-scale variants are the plain inside/outside cuts
+        # at n = 1 the parts of cut then scale are the plain inside/outside cuts
         cfg = ModelConfig(d=1, lam=1.3, K=K1, g=exponential(0.8), n=1.0)
         a = mean_excess(cfg, 2.0).value
         b = 1.3 * K1.volume * limit_mean_excess(1.3, exponential(0.8), 2.0, 1).value
         assert a == pytest.approx(b, rel=1e-12)
+
+    def test_a_cut_that_rounds_to_zero_over_n(self):
+        # R > 0, but R / n rounds to 0: the inside part is empty
+        cfg = ModelConfig(d=1, lam=1.0, K=K1, g=exponential(1.0), n=2.0)
+        p = isolation_prob(cfg.lam_n, cfg.g_n, 1).value
+        assert mean_excess(cfg, 5e-324).value == pytest.approx(cfg.lam_n * (1 - p), rel=1e-9)
 
     def test_variance_positive_and_exceeds_nothing_weird(self):
         cfg = ModelConfig(d=1, lam=1.0, K=K1, g=exponential(1.0), n=2.0)
@@ -257,6 +263,26 @@ class TestLimits:
         assert tiny == pytest.approx(1.0 / limit_var_isolated(lam, g, 1).value, rel=1e-3)
 
 
+_SCALED_CFG = ModelConfig(d=1, lam=1.0, K=K1, g=exponential(1.0), n=2.0)
+
+# each formula that cuts g at R, as a function of R
+CUT_FORMULAS = {
+    "mean_excess": lambda R: mean_excess(_SCALED_CFG, R),
+    "var_excess": lambda R: var_excess(_SCALED_CFG, R),
+    "limit_mean_excess": lambda R: limit_mean_excess(1.0, exponential(1.0), R, 1),
+    "limit_var_excess": lambda R: limit_var_excess(1.0, exponential(1.0), R, 1),
+    "variance_ratio": lambda R: variance_ratio(1.0, exponential(1.0), R, 1),
+    "excess_variance_bracket": lambda R: excess_variance_bracket(1.0, exponential(1.0), R, 1),
+}
+
+
+@pytest.mark.parametrize("R", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize("formula", sorted(CUT_FORMULAS))
+def test_a_cut_needs_a_positive_radius(formula, R):
+    with pytest.raises(ModelError, match="R must be > 0"):
+        CUT_FORMULAS[formula](R)
+
+
 class TestSwappedTruncation:
     def test_sequence_decreases_to_zero(self):
         rows = swapped_truncation_means(1.0, exponential(1.0), 2.0, K1, 1, (1.0, 2.0, 4.0, 8.0))
@@ -273,7 +299,7 @@ class TestSwappedTruncation:
         # iso(lam_n, scale-then-cut) equals iso(lam_n / n^d, widened cut)
         g = exponential(1.0)
         n, R, lam_n = 4.0, 2.0, 4.0
-        lhs = isolation_prob(lam_n, make_variant(g, "scale_then_cut", R=R, n=n), 1).value
+        lhs = isolation_prob(lam_n, g.scale(n).truncate_inside(R), 1).value
         rhs = isolation_prob(lam_n / n, g.truncate_inside(n * R), 1).value
         assert lhs == pytest.approx(rhs, rel=1e-9)
 

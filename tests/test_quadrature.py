@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 from scipy import integrate, special
 
 from rcmlab import quadrature
-from rcmlab.connfn import exponential, gaussian, hard_disk, make_variant, table_function
+from rcmlab.connfn import exponential, gaussian, hard_disk, table_function
 from rcmlab.quadrature import (
     DEFAULT_SPEC,
     QuadratureError,
@@ -549,8 +549,8 @@ OVERLAP_ROW_CASES = {
     "exp": (exponential(0.3), exponential(0.3), [0.0, 1e-13, 0.05, 0.3, 2.0]),
     "gauss": (gaussian(0.9), gaussian(0.9), [0.0, 0.5, 1.1, 3.0]),
     "out_in": (
-        make_variant(exponential(1.0), "outside", R=1.0),
-        make_variant(exponential(1.0), "inside", R=1.0),
+        exponential(1.0).truncate_outside(1.0),
+        exponential(1.0).truncate_inside(1.0),
         [0.0, 0.5, 1.0, 2.0, 80.0],
     ),
 }
@@ -832,14 +832,14 @@ class TestClosedOverlap:
     @pytest.mark.parametrize(
         "h1,h2",
         [
-            (make_variant(exponential(1.0), "inside", R=1.0), exponential(1.0)),
-            (make_variant(exponential(1.0), "outside", R=1.0), exponential(1.0)),
+            (exponential(1.0).truncate_inside(1.0), exponential(1.0)),
+            (exponential(1.0).truncate_outside(1.0), exponential(1.0)),
             (
-                make_variant(exponential(1.0), "cut_then_scale", R=1.0, n=2.0),
-                make_variant(exponential(1.0), "cut_then_scale", R=1.0, n=2.0),
+                exponential(1.0).scale(2.0).truncate_inside(1.0 / 2.0),
+                exponential(1.0).scale(2.0).truncate_inside(1.0 / 2.0),
             ),
             (
-                make_variant(hard_disk(1.0), "cut_then_scale_outside", R=0.5, n=2.0),
+                hard_disk(1.0).scale(2.0).truncate_outside(0.5 / 2.0),
                 hard_disk(0.5),
             ),
             (table_function([(0.0, 1.0), (0.5, 0.4), (1.0, 0.0)]), hard_disk(1.0)),

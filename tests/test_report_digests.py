@@ -1,0 +1,63 @@
+"""Pinned report bytes: each subcommand below, run on a committed config,
+writes reports whose sha256 digests are the ones recorded here.
+
+run_meta.txt (wall clock) is left out, as the determinism guarantee leaves
+it out.  `truncation-demo` runs at R = 2 > diam K, so its swapped
+scale-then-cut section runs too.  A change that moves a report byte fails
+here; a deliberate re-baseline re-pins the digests and says why.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from rcmlab import cli
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+# name: (config, subcommand and flags, exit code, {report file: sha256})
+RUNS = {
+    "moments": ("default.cfg", ["moments"], 0, {
+        "moments.csv": "4603ddecf4059ea54c25c8bff0444e0c6ff35ef50137fff5031619eeda9643ce",
+        "moments.json": "17058724c77fb3ca4d3c052454d4c8974c88209cc44aad5b84efa3cbb24b6eb2",
+    }),
+    "simulate": ("default.cfg", ["simulate", "--set", "run.m=200"], 0, {
+        "simulate.csv": "c5930d70f6a2ba9690883d6b26195f5c29666fe4f2c8e25b372a65c36ccc6227",
+        "simulate.json": "49b7e2ed52df23a3ac2933f444750fec927fb881da0a207242dec954dd0a99c9",
+    }),
+    # exit 1: at lam_n <= 8 on the unit interval the count is too discrete for
+    # the KS gate, which the reports record
+    "clt-test": ("default.cfg", ["clt-test", "--set", "run.m=100"], 1, {
+        "clt_test.csv": "aac19b8d7e10ed461467bad2c5dca3a381e79014732ef00a898fcdd4937b4bbf",
+        "clt_test.json": "d0de623aa0f8156ba60243a13830f3e9063b955281c90115cc24b8b133580032",
+    }),
+    "truncation-demo": (
+        "default.cfg",
+        ["truncation-demo", "--set", "run.m=200", "--set", "run.R_list=2"],
+        0,
+        {
+            "truncation_demo.csv":
+                "c346e396b10239cd7ee86f1b528b248b546787667eb094f39e544a4ededa5851",
+            "truncation_demo.json":
+                "ed80a014583a2ac4a273b8e050d216fc85e853fbbcefa0913769b64d3c723ec5",
+        },
+    ),
+    "moments-2d": ("clt_2d.cfg", ["moments", "--set", "run.n_list=2"], 0, {
+        "moments.csv": "f296172c35881c7c707420b3c9eb3b2defce30f96615c938a07f9cf6bf226970",
+        "moments.json": "c3964f3cd9fa72a26eaea3a19fc165f4e924c1f879997a245bebe54f701a3f79",
+    }),
+}
+
+
+@pytest.mark.parametrize("name", list(RUNS))
+def test_report_digests(name, tmp_path):
+    config, argv, code, digests = RUNS[name]
+    rc = cli.main([*argv, "--config", str(CONFIGS / config), "--out-dir", str(tmp_path)])
+    assert rc == code
+    written = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(tmp_path.iterdir())
+        if path.name != "run_meta.txt"
+    }
+    assert written == digests

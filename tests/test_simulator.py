@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rcmlab import simulator
-from rcmlab.connfn import exponential, hard_disk, make_variant
+from rcmlab.connfn import exponential, hard_disk
 from rcmlab.quadrature import Region, unit_box
 from rcmlab.simulator import (
     BLOCK_WORK,
@@ -415,7 +415,7 @@ class TestFocusGuards:
         monkeypatch.setattr(Region, "contains",
                             lambda self, pts: calls.append(self) or contains(self, pts))
         graph = simulate_block(block_plan(g, 256.0, K, min_reach=1 / 16, focus=K), 5, 0, 1)
-        twin = regraph(graph, make_variant(exponential(0.3), "cut_then_scale", R=1.0, n=16.0))
+        twin = regraph(graph, exponential(0.3).scale(16.0).truncate_inside(1.0 / 16.0))
         assert twin.focus is graph.focus
         assert calls == [K]
         masks = [isolated_mask(graph, K), *truncation_masks(graph, K, 1 / 16),
@@ -617,7 +617,7 @@ class TestBlockPairPath:
     def test_arrays_are_separate_and_outlive_the_next_block(self):
         plan = block_plan(*MC_LARGE_PLAN, **MC_LARGE_NEEDS)
         graph = simulate_block(plan, 20240801, 0, 4)
-        twin = regraph(graph, make_variant(exponential(0.3), "cut_then_scale", R=1.0, n=16.0))
+        twin = regraph(graph, exponential(0.3).scale(16.0).truncate_inside(1.0 / 16.0))
         edges = [graph.edge_i, graph.edge_j, graph.edge_dist]
         arrays = [*graph.candidates, graph.coins, *edges]
         assert all(a.size for a in arrays)
@@ -749,16 +749,16 @@ class TestCoupling:
     def test_shared_randomness_identity(self, rep):
         g = exponential(1.0)
         n, R = 2.0, 1.0
-        g_n = make_variant(g, "scaled", n=n)
+        g_n = g.scale(n)
         graph = simulate_graph(g_n, 3.0, unit_box(1), 12345, 100 + rep,
                                min_reach=R / n, min_margin=R / n)
         J, _ = count_truncation_family(graph, unit_box(1), R / n)
-        twin = regraph(graph, make_variant(g, "cut_then_scale", R=R, n=n))
+        twin = regraph(graph, g.scale(n).truncate_inside(R / n))
         assert J == count_isolated(twin, unit_box(1))
 
     def test_regraph_is_a_fresh_connect_with_the_same_key(self):
         g = exponential(0.3)
-        twin_conn = make_variant(g, "cut_then_scale", R=1.0, n=2.0)
+        twin_conn = g.scale(2.0).truncate_inside(1.0 / 2.0)
         box = unit_box(2).expand(0.5)
         pts = sample_points(40.0, box, np.random.default_rng(seeded(40)))
         twin = regraph(connect(pts, g, box, 1.0, 77), twin_conn)

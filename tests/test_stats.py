@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rcmlab.connfn import ConnectionFunction, exponential, hard_disk, make_variant
+from rcmlab.connfn import ConnectionFunction, exponential, hard_disk
 from rcmlab.moments import ModelConfig, isolation_prob
 from rcmlab import simulator
 from rcmlab.quadrature import Region, unit_box
@@ -49,7 +49,6 @@ from rcmlab.stats import (
     random_filtration_space,
     replicate,
     replicate_many,
-    resolve_workers,
     run_scope,
     stationary_variance_check,
     variance_lower_bound,
@@ -103,6 +102,22 @@ class TestReplicate:
     def test_unknown_kind_rejected(self):
         with pytest.raises(StatsError):
             StatRequest(name="x", kind="mystery")
+
+    @pytest.mark.parametrize("R", [0.0, -1.0, math.nan])
+    def test_coupling_without_a_positive_cut_rejected(self, R):
+        with pytest.raises(StatsError, match="R > 0"):
+            StatRequest(name="C", kind="coupling", R=R)
+
+    def test_zero_workers_run_serially(self, pools):
+        req = StatRequest(name="I", kind="isolated")
+        zero = replicate(small_cfg(), req, 60, base_seed=3, workers=0)
+        one = replicate(small_cfg(), req, 60, base_seed=3, workers=1)
+        assert np.array_equal(zero.values, one.values)
+        assert not pools
+
+    def test_negative_workers_rejected(self):
+        with pytest.raises(ValueError, match="workers"):
+            replicate(small_cfg(), StatRequest(name="I", kind="isolated"), 60, 3, workers=-1)
 
     @pytest.mark.parametrize("m", [2, 3, 17, 600, 100_000])
     def test_bootstrap_se_has_the_bits_of_all_resamples_at_once(self, m):
@@ -180,23 +195,6 @@ class TestReplicate:
         replicate_many(small_cfg(), [req], 200, base_seed=4, workers=1)
         assert 0 < len(calls) <= 2
 
-    def test_resolve_workers_env(self, monkeypatch):
-        monkeypatch.setenv("RCMLAB_WORKERS", "3")
-        assert resolve_workers(None) == 3
-        assert resolve_workers(0) == 3
-        assert resolve_workers(5) == 5
-        monkeypatch.delenv("RCMLAB_WORKERS")
-        assert resolve_workers(None) == 1
-
-    @pytest.mark.parametrize("workers,env", [(-3, None), (None, "-3"), (0, "0")])
-    def test_resolve_workers_rejects_nonpositive(self, workers, env, monkeypatch):
-        if env is None:
-            monkeypatch.delenv("RCMLAB_WORKERS", raising=False)
-        else:
-            monkeypatch.setenv("RCMLAB_WORKERS", env)
-        with pytest.raises(ValueError):
-            resolve_workers(workers)
-
 
 def _plan(cfg, min_reach, min_margin, focus):
     return block_plan(cfg.g_n, cfg.lam_n, cfg.K, DEFAULT_POLICY, min_reach, min_margin, focus)
@@ -226,7 +224,7 @@ def _reference_rows(cfg, requests, m, base_seed):
                 row.append(count_components(graph, region, req.r))
             else:
                 j, _ = count_truncation_family(graph, region, req.R / cfg.n)
-                twin = regraph(graph, make_variant(cfg.g, "cut_then_scale", R=req.R, n=cfg.n))
+                twin = regraph(graph, cfg.g.scale(cfg.n).truncate_inside(req.R / cfg.n))
                 row.append(1.0 if j == count_isolated(twin, region) else 0.0)
         rows.append(row + [graph.n_points])
     return np.array(rows, dtype=float), plan.bias_bound
