@@ -25,7 +25,6 @@ from .moments import (
     DominationConstant,
     ModelConfig,
     ModelError,
-    MomentReport,
     domination_constants,
     isolation_prob,
     limit_mean_excess,
@@ -34,7 +33,7 @@ from .moments import (
     mean_excess,
     mean_isolated,
     pair_factor,
-    swapped_truncation_means,
+    swapped_mean_density,
     var_excess,
     var_isolated,
     variance_ratio,

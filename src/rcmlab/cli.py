@@ -23,7 +23,7 @@ from .moments import (
     limit_var_isolated,
     mean_excess,
     mean_isolated,
-    swapped_truncation_means,
+    swapped_mean_density,
     var_excess,
     var_isolated,
     variance_ratio,
@@ -43,7 +43,6 @@ from .stats import (
     replicate,
     replicate_many,
     run_scope,
-    variance_density_convergence,
     variance_lower_bound,
 )
 
@@ -238,15 +237,13 @@ def cmd_truncation_demo(cfg: ExperimentConfig, args) -> int:
 
     diam = cfg.K.diameter
     if R > diam:
-        for row in swapped_truncation_means(
-            cfg.lam, cfg.g, R, cfg.K, cfg.d, cfg.n_list, cfg.density_rule, cfg.spec
-        ):
+        for n in cfg.n_list:
             rows.append(
                 {
                     "section": "swapped_mean_density",
-                    "n": row.n,
+                    "n": n,
                     "R": R,
-                    "value": row.value,
+                    "value": swapped_mean_density(cfg.model(n), R, cfg.spec).value,
                     "note": "normalized mean when truncation is applied after scaling",
                 }
             )
@@ -292,26 +289,30 @@ def cmd_variance_growth(cfg: ExperimentConfig, args) -> int:
     if args.lower_bound and cfg.d != 2:
         raise ConfigError("--lower-bound needs model.d = 2")
     limit = limit_var_isolated(cfg.lam, cfg.g, cfg.d, cfg.spec).value
-    rows = [
-        {
-            "kind": "density",
-            "n": row.n,
-            "lam_n": row.lam_n,
-            "value": row.density,
-            "se": row.density_se,
-            "limit": row.limit,
-            "gap": row.gap,
-        }
-        for row in variance_density_convergence(
-            cfg.model(),
-            cfg.n_list,
+    rows = []
+    for n in cfg.n_list:
+        model = cfg.model(n)
+        sample = replicate(
+            model,
+            StatRequest(name="count", kind="isolated"),
             cfg.m,
             cfg.base_seed,
-            limit,
-            policy=cfg.policy,
-            workers=cfg.workers,
+            cfg.policy,
+            cfg.workers,
         )
-    ]
+        norm = model.lam_n * model.K.volume  # Var / (lam_n vol K) tends to the limit
+        density = sample.variance / norm
+        rows.append(
+            {
+                "kind": "density",
+                "n": n,
+                "lam_n": model.lam_n,
+                "value": density,
+                "se": sample.bootstrap_se_var() / norm,
+                "limit": limit,
+                "gap": abs(density - limit),
+            }
+        )
     ok = True
     extra = {}
     if args.lower_bound:

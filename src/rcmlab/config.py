@@ -14,8 +14,10 @@ kind, scale parameter, and an ordered transform list:
 Regions are boxes: `model.K.lower = 0,0` and `model.K.sides = 1,1`.  The
 density rule is `scaled` (lam_n = lam * n^d) or explicit `n:lam_n` pairs,
 each n named once and every n of run.n_list among them.  The config hash
-covers every parsed value exactly: a float renders with 6 significant digits
-only when that reads back as the same float.
+covers exactly what the experiment reads: a float renders with 6 significant
+digits only when that reads back as the same float, and the connection
+function's unread key (model.g.a of a table, model.g.table of a builtin)
+hashes as its default.
 """
 
 from __future__ import annotations
@@ -217,6 +219,10 @@ def _build(raw: dict[str, str]) -> ExperimentConfig:
         values[key] = _parse_value(key, text)
 
     kind = values["model.g.kind"]
+    # the kind reads model.g.table or model.g.a, not both; the other, parsed
+    # above, keeps its default so that it leaves the hash alone
+    unread = "model.g.a" if kind == "table" else "model.g.table"
+    values[unread] = _KEYS[unread][1]
     try:
         if kind == "table":
             g = table_function(values["model.g.table"])

@@ -83,20 +83,6 @@ class ModelConfig:
 
 
 @dataclass(frozen=True)
-class MomentReport:
-    quantity: str
-    value: float
-    error_bound: float
-    R: float | None = None
-    n: float | None = None
-    lam_n: float | None = None
-
-    def __post_init__(self):
-        if self.error_bound < 0:
-            raise ModelError("error bound must be >= 0")
-
-
-@dataclass(frozen=True)
 class DominationConstant:
     """Constructive constants bounding the variance bracket by C * g(|x|/2)."""
 
@@ -288,39 +274,18 @@ def variance_ratio(
     return QuadResult(val, err)
 
 
-def swapped_truncation_means(
-    lam: float,
-    g: ConnectionFunction,
-    R: float,
-    K: Region,
-    d: int,
-    n_list: Sequence[float],
-    density_rule: DensityRule | None = None,
-    spec: QuadratureSpec = DEFAULT_SPEC,
-) -> list[MomentReport]:
-    """Normalised excess means when truncation is applied after scaling.
+def swapped_mean_density(
+    cfg: ModelConfig, R: float, spec: QuadratureSpec = DEFAULT_SPEC
+) -> QuadResult:
+    """Normalised excess mean when truncation is applied after scaling.
 
     With the truncation radius held fixed while the interaction shrinks, the
     cut removes asymptotically all of the connection mass and the normalised
-    mean collapses to 0; needs R > diam(K) so the wide-R mean formula applies.
+    mean collapses to 0 as n grows; needs R > diam(K) so the wide-R mean
+    formula applies.
     """
-    _require_wide(R, K)
-    rows = []
-    for n in n_list:
-        cfg = ModelConfig(d=d, lam=lam, K=K, g=g, n=n, density_rule=density_rule)
-        mu = cfg.lam_n
-        density = _excess_density(mu, *_cut(g.scale(n), R), d, spec)
-        rows.append(
-            MomentReport(
-                quantity="swapped_mean_density",
-                value=density.value,
-                error_bound=density.error,
-                R=R,
-                n=n,
-                lam_n=mu,
-            )
-        )
-    return rows
+    _require_wide(R, cfg.K)
+    return _excess_density(cfg.lam_n, *_cut(cfg.g.scale(cfg.n), R), cfg.d, spec)
 
 
 # -- the domination bound ------------------------------------------------------

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache, partial
 from itertools import product
 from typing import Sequence
@@ -316,50 +316,6 @@ def ks_normality(values) -> float:
     return float(np.max(np.maximum(i / m - cdf, cdf - (i - 1) / m)))
 
 
-# -- variance-density convergence -------------------------------------------------
-
-
-@dataclass(frozen=True)
-class VarianceDensityRow:
-    n: float
-    lam_n: float
-    density: float  # Var / (lam_n vol K)
-    density_se: float
-    limit: float
-    gap: float
-
-
-def variance_density_convergence(
-    cfg: ModelConfig,
-    n_list: Sequence[float],
-    m: int,
-    base_seed: int,
-    limit_value: float,
-    policy: SimPolicy = DEFAULT_POLICY,
-    workers: int = 1,
-) -> list[VarianceDensityRow]:
-    """Monte Carlo Var/(lam_n vol K) of the isolated count across n against its limit."""
-    request = StatRequest(name="count", kind="isolated")
-    rows = []
-    for n in n_list:
-        cfg_n = cfg.at_n(n)
-        sample = replicate(cfg_n, request, m, base_seed, policy, workers)
-        norm = cfg_n.lam_n * cfg_n.K.volume
-        density = sample.variance / norm
-        se = sample.bootstrap_se_var() / norm
-        rows.append(
-            VarianceDensityRow(
-                n=n,
-                lam_n=cfg_n.lam_n,
-                density=density,
-                density_se=se,
-                limit=limit_value,
-                gap=abs(density - limit_value),
-            )
-        )
-    return rows
-
-
 # -- lattice covariance field ------------------------------------------------------
 
 
@@ -443,56 +399,6 @@ def covariance_field(
         lattice_side=side,
         dependence_range=dep,
     )
-
-
-@dataclass(frozen=True)
-class BoxVarianceRow:
-    side: int
-    cells: int
-    boundary_fraction: float
-    var_density: float
-    var_density_se: float
-    cov_sum: float
-    cov_sum_se: float
-    gap: float
-
-
-def stationary_variance_check(
-    cfg: ModelConfig,
-    r: int,
-    sides: Sequence[int],
-    m: int,
-    base_seed: int,
-    field: CovarianceField,
-    policy: SimPolicy = DEFAULT_POLICY,
-    workers: int = 1,
-) -> list[BoxVarianceRow]:
-    """Var of the summed field over a box, per cell, against the covariance sum.
-
-    For growing boxes with vanishing boundary fraction the normalized
-    variance converges to the summed covariances of the stationary field.
-    """
-    rows = []
-    for side in sides:
-        lattice = LatticeRegion((0,) * cfg.d, (side,) * cfg.d)
-        cfg_box = replace(cfg, K=lattice.bounding_region)
-        req = StatRequest(name="comp", kind="component", r=r)
-        sample = replicate(cfg_box, req, m, base_seed, policy, workers)
-        var_density = sample.variance / lattice.size
-        se = sample.bootstrap_se_var() / lattice.size
-        rows.append(
-            BoxVarianceRow(
-                side=side,
-                cells=lattice.size,
-                boundary_fraction=lattice.boundary_size / lattice.size,
-                var_density=var_density,
-                var_density_se=se,
-                cov_sum=field.total,
-                cov_sum_se=field.total_se,
-                gap=abs(var_density - field.total),
-            )
-        )
-    return rows
 
 
 # -- martingale variance identity ---------------------------------------------------

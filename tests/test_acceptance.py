@@ -5,12 +5,18 @@ each test then asserts a single criterion so failures point at the exact
 broken guarantee.  Every run prints one PASS/FAIL line per criterion.
 """
 
+import hashlib
 import json
 import os
 
 import pytest
 
 from rcmlab.acceptance import CRITERIA, AcceptanceContext, run_all
+from rcmlab.reports import write_json
+
+# sha256 of {cid: details} as write_json writes it; the details do not
+# depend on the worker count
+DETAILS_SHA256 = "8356201fd0594ff6edb5439b1845f4c5ddc8542be35553821b7e5965a716300e"
 
 
 def _workers():
@@ -90,3 +96,8 @@ def test_c14_determinism(results):
 
 def test_every_criterion_covered(results):
     assert len(results) == len(CRITERIA) == 14
+
+
+def test_details_are_pinned(results, tmp_path):
+    path = write_json(tmp_path / "details.json", {cid: res.details for cid, res in results.items()})
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == DETAILS_SHA256

@@ -197,6 +197,32 @@ class TestParsing:
         hashes.append(parse_config(_DET_CONFIG).config_hash())
         assert hashes == ["51660aa991d14da1", "53e9db059be677d9", "4a909429b6f60a8c"]
 
+    @pytest.mark.parametrize(
+        "kind,unread",
+        [
+            ("model.g.kind = exponential\n", "model.g.table = 0:1, 1:0\n"),
+            ("model.g.kind = table\nmodel.g.table = 0:1, 0.5:0.4, 1:0\n", "model.g.a = 2.5\n"),
+        ],
+    )
+    def test_the_unread_connection_key_leaves_the_hash(self, kind, unread):
+        base, other = parse_config(kind), parse_config(kind + unread)
+        assert other.g == base.g
+        assert other.config_hash() == base.config_hash()
+        assert other == base
+
+    @pytest.mark.parametrize(
+        "kind,key,text",
+        [
+            ("model.g.kind = exponential\n", "model.g.table", "0:1, x:0"),
+            ("model.g.kind = hard_disk\n", "model.g.table", "0:1, nan:0"),
+            ("model.g.kind = table\nmodel.g.table = 0:1, 1:0\n", "model.g.a", "abc"),
+            ("model.g.kind = table\nmodel.g.table = 0:1, 1:0\n", "model.g.a", "inf"),
+        ],
+    )
+    def test_a_bad_unread_connection_key_is_a_config_error(self, kind, key, text):
+        with pytest.raises(ConfigError, match=f"key '{key}'"):
+            parse_config(kind + f"{key} = {text}\n")
+
 
 @pytest.fixture()
 def cfg_file(tmp_path):
@@ -306,7 +332,7 @@ class TestCli:
         def no_sweep(*args, **kwargs):
             raise AssertionError("density sweep ran before the config was checked")
 
-        monkeypatch.setattr(cli, "variance_density_convergence", no_sweep)
+        monkeypatch.setattr(cli, "replicate", no_sweep)
         assert cli.main(["variance-growth", "--config", str(cfg_file), "--lower-bound"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "model.d" in err

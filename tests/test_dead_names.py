@@ -1,5 +1,5 @@
 """Every module-level function and class, and every method and property,
-of the package is in use.
+of the package is in use, and every name a module imports is read there.
 
 A name counts as used when code of src/rcmlab other than __init__.py, outside
 the name's own definition, refers to it (as a name or as an attribute).  An
@@ -29,6 +29,10 @@ UNUSED_EXPORTS = {
     # a builtin connection function's constructor, like exponential and hard_disk
     "gaussian",
 }
+
+# Imports that their module never reads, kept for the benchmark's tracer
+# (pinned by test_benchmark_surface.py::test_re_exports_the_tracer_checks)
+UNREAD_IMPORTS = {"moments.adaptive_quad", "stats.simulate_graph"}
 
 
 def _trees():
@@ -126,4 +130,40 @@ def test_an_unused_definition_is_named():
         "connfn.ConnectionFunction.orphan_property",
         "connfn._orphan",
         "connfn.exported_orphan",
+    ]
+
+
+def _unread_imports(trees):
+    """module.name of each name a module other than __init__.py imports
+    (from __future__ aside) and never reads."""
+    unread = []
+    for module, tree in sorted(trees.items()):
+        if module == "__init__":
+            continue
+        read = {
+            node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            unread += [f"{module}.{name}" for name in bound if name not in read]
+    return unread
+
+
+def test_every_import_is_read():
+    assert _unread_imports(_trees()) == sorted(UNREAD_IMPORTS)
+
+
+def test_an_unread_import_is_named():
+    trees = _trees()
+    trees["stats"].body[:0] = ast.parse(
+        "import os.path\nfrom dataclasses import replace as _replace\n"
+    ).body
+    assert _unread_imports(trees) == [
+        "moments.adaptive_quad", "stats.os", "stats._replace", "stats.simulate_graph",
     ]

@@ -19,7 +19,7 @@ from rcmlab.moments import (
     mean_excess,
     mean_isolated,
     pair_factor,
-    swapped_truncation_means,
+    swapped_mean_density,
     var_excess,
     var_isolated,
     variance_ratio,
@@ -285,15 +285,15 @@ def test_a_cut_needs_a_positive_radius(formula, R):
 
 class TestSwappedTruncation:
     def test_sequence_decreases_to_zero(self):
-        rows = swapped_truncation_means(1.0, exponential(1.0), 2.0, K1, 1, (1.0, 2.0, 4.0, 8.0))
-        vals = [r.value for r in rows]
+        cfg = ModelConfig(d=1, lam=1.0, K=K1, g=exponential(1.0))
+        vals = [swapped_mean_density(cfg.at_n(n), 2.0).value for n in (1.0, 2.0, 4.0, 8.0)]
         assert vals[0] > 0.03  # positive base case before the collapse
         assert all(b < a for a, b in zip(vals, vals[1:]))
         assert vals[-1] < 1e-6
 
     def test_bounded_support_exact_zero(self):
-        rows = swapped_truncation_means(1.0, hard_disk(1.0), 2.0, K1, 1, (1.0, 2.0, 4.0))
-        assert all(r.value == 0.0 for r in rows)
+        cfg = ModelConfig(d=1, lam=1.0, K=K1, g=hard_disk(1.0))
+        assert all(swapped_mean_density(cfg.at_n(n), 2.0).value == 0.0 for n in (1.0, 2.0, 4.0))
 
     def test_scaling_identity_with_widened_cut(self):
         # iso(lam_n, scale-then-cut) equals iso(lam_n / n^d, widened cut)
@@ -305,7 +305,7 @@ class TestSwappedTruncation:
 
     def test_requires_wide_radius(self):
         with pytest.raises(ModelError):
-            swapped_truncation_means(1.0, exponential(1.0), 0.5, K1, 1, (1.0,))
+            swapped_mean_density(ModelConfig(d=1, lam=1.0, K=K1, g=exponential(1.0)), 0.5)
 
 
 class TestDomination:

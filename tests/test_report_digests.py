@@ -43,6 +43,10 @@ RUNS = {
                 "ed80a014583a2ac4a273b8e050d216fc85e853fbbcefa0913769b64d3c723ec5",
         },
     ),
+    "variance-growth": ("default.cfg", ["variance-growth", "--set", "run.m=200"], 0, {
+        "variance_growth.csv": "1f2b2ed9a9ad5a0a87da0418d444a6a3c9252c36d3a5d65b8b283a6025d9a624",
+        "variance_growth.json": "f6bfd9f00d34b1742f2f05962c0f8fb0b18b71533570765126915376a3a65e0f",
+    }),
     "moments-2d": ("clt_2d.cfg", ["moments", "--set", "run.n_list=2"], 0, {
         "moments.csv": "f296172c35881c7c707420b3c9eb3b2defce30f96615c938a07f9cf6bf226970",
         "moments.json": "c3964f3cd9fa72a26eaea3a19fc165f4e924c1f879997a245bebe54f701a3f79",

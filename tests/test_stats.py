@@ -50,7 +50,6 @@ from rcmlab.stats import (
     replicate,
     replicate_many,
     run_scope,
-    stationary_variance_check,
     variance_lower_bound,
 )
 
@@ -603,10 +602,15 @@ class TestStationaryVariance:
     def test_boxes_approach_cov_sum(self):
         cfg = ModelConfig(d=2, lam=1.0, K=unit_box(2), g=hard_disk(0.4), n=1.0)
         field = covariance_field(cfg, r=1, m=250, base_seed=31, lattice_side=10)
-        rows = stationary_variance_check(cfg, r=1, sides=(4, 8), m=250, base_seed=32, field=field)
-        assert rows[0].boundary_fraction > rows[1].boundary_fraction
-        last = rows[-1]
-        assert last.gap <= 3 * math.hypot(last.var_density_se, last.cov_sum_se)
+        small, box = (LatticeRegion((0, 0), (side, side)) for side in (4, 8))
+        assert small.boundary_size / small.size > box.boundary_size / box.size
+        sample = replicate(
+            replace(cfg, K=box.bounding_region), StatRequest(name="comp", kind="component", r=1),
+            250, 32,
+        )
+        var_density = sample.variance / box.size
+        se = sample.bootstrap_se_var() / box.size
+        assert abs(var_density - field.total) <= 3 * math.hypot(se, field.total_se)
 
 
 class TestMartingale:
@@ -693,13 +697,16 @@ class TestLowerBound:
 class TestVarianceDensityConvergence:
     def test_gap_to_limit_shrinks(self):
         from rcmlab.moments import limit_var_isolated
-        from rcmlab.stats import variance_density_convergence
 
         cfg = ModelConfig(d=1, lam=1.0, K=Region((0.0,), (4.0,)), g=exponential(1.0), n=1.0)
         limit = limit_var_isolated(1.0, exponential(1.0), 1).value
-        rows = variance_density_convergence(cfg, (2.0, 4.0, 8.0), 12000, 909, limit)
-        gaps = [row.gap / limit for row in rows]
-        assert all(row.density_se > 0 for row in rows)
+        gaps = []
+        for n in (2.0, 4.0, 8.0):
+            cfg_n = cfg.at_n(n)
+            sample = replicate(cfg_n, StatRequest(name="count", kind="isolated"), 12000, 909)
+            norm = cfg_n.lam_n * cfg_n.K.volume
+            assert sample.bootstrap_se_var() / norm > 0
+            gaps.append(abs(sample.variance / norm - limit) / limit)
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
         assert gaps[-1] < 0.05
 
