@@ -1,17 +1,19 @@
-"""Radial connection functions with exact truncation/scaling transform stacks.
+"""Radial connection functions: a base at x times its scale factors, kept
+on one radial interval (lo, hi].
 
 A connection function maps a distance x >= 0 to a probability in [0, 1], is
 non-increasing, and has a finite positive integral over R^d.  Instances are
 immutable: a base shape (hard disk, exponential, gaussian, or a monotone
-piecewise-linear table) plus an ordered stack of symbolic transforms
+piecewise-linear table) and that normal form, into which each construction
+folds as it is applied:
 
-    truncate_inside(R):   f -> 1{x <= R} * f(x)
-    truncate_outside(R):  f -> 1{x >  R} * f(x)
-    scale(n):             f -> f(n * x)
+    truncate_inside(R):   f -> 1{x <= R} * f(x)     hi = min(hi, R)
+    truncate_outside(R):  f -> 1{x >  R} * f(x)     lo = max(lo, R)
+    scale(n):             f -> f(n * x)             n joins the scales; lo, hi / n
 
-Transforms are kept symbolic so indicator cutoffs are exact at the boundary;
-ties at the cut evaluate as "inside" (1{x <= R}).  The two orders of cutting
-and scaling do not commute: cut at R then scale by n is
+lo and hi are compared on x itself, so ties at a cut evaluate as "inside"
+(1{x <= R}), and eval and support_radius agree to the ulp.  The two orders
+of cutting and scaling do not commute: cut at R then scale by n is
 g.scale(n).truncate_inside(R / n), 1{x <= R/n} g(n x), while scale then cut
 is g.scale(n).truncate_inside(R), 1{x <= R} g(n x).
 """
@@ -28,23 +30,6 @@ class ConnFnError(ValueError):
     """Invalid connection-function construction."""
 
 
-@dataclass(frozen=True)
-class TruncateInside:
-    radius: float  # keep values at x <= radius
-
-
-@dataclass(frozen=True)
-class TruncateOutside:
-    radius: float  # keep values at x > radius
-
-
-@dataclass(frozen=True)
-class Scale:
-    factor: float  # evaluate the previous stage at factor * x
-
-
-Transform = TruncateInside | TruncateOutside | Scale
-
 _KINDS = ("hard_disk", "exponential", "gaussian", "table")
 _LOG_FLOAT_MAX = 709.782712893384  # log of the largest float: exp(x) is finite up to it
 
@@ -56,12 +41,15 @@ def sphere_surface(d: int) -> float:
 
 @dataclass(frozen=True)
 class ConnectionFunction:
-    """A radial [0,1]-valued non-increasing function with a transform stack."""
+    """A radial [0,1]-valued non-increasing base at x times its scale
+    factors, kept on lo < x <= hi (None: no bound on that side)."""
 
     kind: str
     a: float | None = None
     table: tuple[tuple[float, float], ...] | None = None
-    transforms: tuple[Transform, ...] = ()
+    scales: tuple[float, ...] = ()  # in the order applied
+    lo: float | None = None
+    hi: float | None = None
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -87,23 +75,12 @@ class ConnectionFunction:
         else:
             if self.a is None or not self.a > 0.0:
                 raise ConnFnError(f"{self.kind} needs a positive scale parameter")
-        for t in self.transforms:
-            if isinstance(t, (TruncateInside, TruncateOutside)):
-                if not t.radius >= 0.0:
-                    raise ConnFnError("truncation radius must be >= 0")
-            elif isinstance(t, Scale):
-                if not t.factor > 0.0:
-                    raise ConnFnError("scale factor must be > 0")
-            else:
-                raise ConnFnError(f"unknown transform {t!r}")
 
     # -- evaluation ---------------------------------------------------------
 
     def _base_eval(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """The base at x; the exponential and gaussian kinds evaluate in
-        place in out (which may be x) when one is given."""
-        if self.kind == "hard_disk":
-            return (x <= self.a).astype(float)
+        """The exponential, gaussian or table base at x; the first two
+        evaluate in place in out (which may be x) when one is given."""
         if self.kind == "exponential":  # np.exp(-x / a)
             out = np.negative(x, out=out)
             out /= self.a
@@ -118,22 +95,27 @@ class ConnectionFunction:
         return np.interp(x, rs, vs, left=vs[0], right=0.0)
 
     def eval(self, x):
-        """Value of the composed stack at radius x (scalar or ndarray, x >= 0).
+        """Value at radius x (scalar or ndarray, x >= 0).
 
-        x is never written.  A scale makes a new array, which the base then
-        evaluates in, and a value that a truncation drops is set to 0 in the
-        values' own array."""
+        A hard disk is 1{x <= support_radius}.  Any other base is evaluated
+        at x times the scale factors, the last applied first, in a new array
+        (x is never written), and a value at x <= lo or x > hi is set to 0
+        in that array."""
         arr = np.asarray(x, dtype=float)
         scalar = arr.ndim == 0
-        cur = base = np.atleast_1d(arr)
+        x = np.atleast_1d(arr)
         keep = None
-        for t in reversed(self.transforms):
-            if isinstance(t, Scale):
-                cur = cur * t.factor  # a new array, so x is never written
-            else:
-                kept = cur <= t.radius if isinstance(t, TruncateInside) else cur > t.radius
-                keep = kept if keep is None else keep & kept
-        vals = self._base_eval(cur, None if cur is base else cur)
+        if self.kind == "hard_disk":
+            vals = (x <= self.support_radius).astype(float)
+        else:
+            cur = x
+            for n in reversed(self.scales):
+                cur = cur * n  # a new array, so x is never written
+            vals = self._base_eval(cur, None if cur is x else cur)
+            if self.hi is not None:
+                keep = x <= self.hi
+        if self.lo is not None:
+            keep = x > self.lo if keep is None else keep & (x > self.lo)
         if keep is not None:
             np.putmask(vals, np.logical_not(keep, out=keep), 0.0)
         return float(vals[0]) if scalar else vals
@@ -142,47 +124,45 @@ class ConnectionFunction:
 
     # -- analytic metadata --------------------------------------------------
 
+    def _base_radii(self) -> list[float]:
+        """A hard disk's a or a table's radii, divided by the scale factors
+        one at a time; none for the unbounded kinds."""
+        if self.kind == "hard_disk":
+            radii = [self.a]
+        elif self.kind == "table":
+            radii = [r for r, _ in self.table]
+        else:
+            return []
+        for n in self.scales:
+            radii = [r / n for r in radii]
+        return radii
+
     @property
     def support_radius(self) -> float | None:
-        """Exact radius beyond which the function is 0, or None if unbounded."""
-        s = None
-        if self.kind == "hard_disk":
-            s = self.a
-        elif self.kind == "table":
-            s = self.table[-1][0]
-        for t in self.transforms:
-            if isinstance(t, Scale):
-                s = None if s is None else s / t.factor
-            elif isinstance(t, TruncateInside):
-                s = t.radius if s is None else min(s, t.radius)
-            else:  # TruncateOutside: support unchanged unless wholly removed
-                if s is not None and s <= t.radius:
-                    s = 0.0
+        """Radius beyond which the function is 0, or None if unbounded:
+        min(base edge, hi), or 0.0 when that is <= lo."""
+        radii = self._base_radii()
+        s = radii[-1] if radii else None
+        if self.hi is not None:
+            s = self.hi if s is None else min(s, self.hi)
+        if s is not None and self.lo is not None and s <= self.lo:
+            return 0.0
         return s
 
     @property
     def cut_radii(self) -> tuple[float, ...]:
-        """Radii where the stack (or base) is discontinuous or kinked.
+        """Radii where the function is discontinuous or kinked: lo, hi and
+        the base's radii.
 
         Quadrature uses these as explicit subdivision breakpoints.
         """
-        if self.kind == "hard_disk":
-            cuts = [self.a]
-        elif self.kind == "table":
-            cuts = [r for r, _ in self.table if r > 0.0]
-        else:
-            cuts = []
-        for t in self.transforms:
-            if isinstance(t, Scale):
-                cuts = [c / t.factor for c in cuts]
-            else:
-                cuts.append(t.radius)
+        cuts = self._base_radii() + [c for c in (self.lo, self.hi) if c is not None]
         return tuple(sorted({c for c in cuts if c > 0.0 and math.isfinite(c)}))
 
     def tail_radius(self, eps: float, d: int) -> float:
         """Radius T with omega_d * int_T^inf r^{d-1} f(r) dr < eps.
 
-        Exact (zero tail) for bounded-support stacks; table functions are
+        Exact (zero tail) for bounded support; table functions are
         bounded by construction, so a cutoff is always available.  The mass
         of an unbounded builtin is (a / F)^d times that of a = 1, F being the
         product of the scale factors, so T = (a / F) z, where z solves, in
@@ -198,10 +178,10 @@ class ConnectionFunction:
             if math.isinf(s):
                 raise ConnFnError(f"{self.kind}: the support radius overflows a float")
             return s
-        # Unbounded support: no inside-truncation anywhere, base unbounded.
-        # Outside truncations only remove mass, scales compose multiplicatively.
+        # Unbounded support: no inside cut, base unbounded.  An outside cut
+        # only removes mass, and the scales compose multiplicatively.
         log_a = math.log(self.a)
-        log_factor = sum(math.log(t.factor) for t in self.transforms if isinstance(t, Scale))
+        log_factor = sum(math.log(n) for n in self.scales)
         z = _log_unit_tail_radius(
             self.kind, math.log(eps) - math.log(2.0) + d * (log_factor - log_a), d
         )
@@ -215,19 +195,30 @@ class ConnectionFunction:
             f"radius for eps = {eps:g} in d = {d} within floats"
         )
 
-    # -- construction helpers -----------------------------------------------
-
-    def with_transform(self, t: Transform) -> "ConnectionFunction":
-        return replace(self, transforms=self.transforms + (t,))
+    # -- construction -------------------------------------------------------
 
     def truncate_inside(self, R: float) -> "ConnectionFunction":
-        return self.with_transform(TruncateInside(R))
+        """1{x <= R} times this function."""
+        _check_cut(R)
+        return replace(self, hi=R if self.hi is None else min(self.hi, R))
 
     def truncate_outside(self, R: float) -> "ConnectionFunction":
-        return self.with_transform(TruncateOutside(R))
+        """1{x > R} times this function."""
+        _check_cut(R)
+        return replace(self, lo=R if self.lo is None else max(self.lo, R))
 
     def scale(self, n: float) -> "ConnectionFunction":
-        return self.with_transform(Scale(n))
+        """This function at n x: n joins the factors and (lo, hi] shrinks by n."""
+        if not n > 0.0:
+            raise ConnFnError("scale factor must be > 0")
+        lo, hi = (None if c is None else c / n for c in (self.lo, self.hi))
+        return replace(self, scales=self.scales + (n,), lo=lo, hi=hi)
+
+
+def _check_cut(R: float):
+    """Refuse a cut below 0 or a nan before min or max can drop it."""
+    if not R >= 0.0:
+        raise ConnFnError("truncation radius must be >= 0")
 
 
 def _log_unit_tail_mass(kind: str, z: float, d: int) -> float:

@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .connfn import ConnectionFunction, Scale, sphere_surface
+from .connfn import ConnectionFunction, sphere_surface
 
 
 class QuadratureError(RuntimeError):
@@ -339,8 +339,9 @@ def overlap_rows(
     """O(s) = int_{R^d} h1(|y|) h2(|y - s e1|) dy for every separation in s.
 
     Untruncated pairs of one builtin kind have closed forms, after each
-    Scale(n) is folded into the parameter (a scaled exponential(a) is
-    exponential(a / n)); see _closed_overlap:
+    scale factor n is folded into the parameter (a scaled exponential(a) is
+    exponential(a / n), and a hard disk cut inside is a smaller disk); see
+    _closed_overlap:
 
         exponential, equal a    d=1  (a + s) e^{-s/a}
                                 d=2  pi s^2 K_2(s/a) / 4
@@ -350,7 +351,7 @@ def overlap_rows(
                                 lens volume (d=3)
 
     Their errors are rounding bounds, without tail_eps.  Every other pair
-    (truncated, table, mixed kinds, unequal exponential scales) is
+    (otherwise truncated, table, mixed kinds, unequal exponential scales) is
     integrated by _quadrature_overlap.  Returns (values, errors) as flat
     arrays.
     """
@@ -492,8 +493,8 @@ def _quadrature_overlap(
 # Each closed form reports twice a first-order bound on its rounding error,
 # built from the sizes of the terms it combines and of its exp/Bessel argument,
 # never from the size of the result alone, which cancellation can make small.
-# A Scale(n) by an n that is not a power of two folds into the parameter
-# with one rounding, whose effect the bound covers too.
+# A scale factor that is not a power of two folds into the parameter with
+# one rounding, whose effect the bound covers too.
 
 _EPS = float(np.finfo(float).eps)
 _SUBNORMAL = 2.0**-1074  # spacing of the subnormal floats: exp's absolute error there
@@ -501,20 +502,21 @@ _SEG_SERIES = tuple((-1) ** n * 6.0 / math.factorial(2 * n + 3) for n in range(9
 
 
 def _folded(h: ConnectionFunction):
-    """(kind, a, da) of an untruncated builtin with its scales folded into a.
+    """(kind, a, da) of a builtin with its scale factors folded into a, or
+    None for a table or a cut function.  A hard disk cut inside at hi is the
+    disk of radius min(a, hi), and one of radius 0 takes the quadrature.
 
-    da bounds |a - exact a|: half an ulp per fold that rounds.  None for a
-    table or a truncated function.
+    da bounds |a - exact a|: half an ulp per fold that rounds.
     """
-    if h.kind == "table":
+    if h.kind == "table" or h.lo is not None or (h.hi is not None and h.kind != "hard_disk"):
         return None
     a, rounded = h.a, 0
-    for t in h.transforms:
-        if not isinstance(t, Scale):
-            return None
-        a /= t.factor
-        rounded += math.frexp(t.factor)[0] != 0.5
-    return h.kind, a, 0.5 * _EPS * a * rounded
+    for n in h.scales:
+        a /= n
+        rounded += math.frexp(n)[0] != 0.5
+    if h.hi is not None:
+        a = min(a, h.hi)
+    return (h.kind, a, 0.5 * _EPS * a * rounded) if a > 0.0 else None
 
 
 def _closed_overlap(h1: ConnectionFunction, h2: ConnectionFunction, s: np.ndarray, d: int):

@@ -159,6 +159,44 @@ def test_support_radius_tracking():
     assert exponential(1.0).support_radius is None
 
 
+# (seed, count, stack of (first, n)), first ~ U(0.1, 3) drawn before n ~
+# U(1, 10): disks and exponentials cut inside, each under one scale, a table
+# cut inside below its last radius and a disk cut outside within its edge
+EDGE_FAMILIES = {
+    "disk": (2, 20_000, lambda a, n: hard_disk(a).scale(n)),
+    "exp_in": (3, 20_000, lambda R, n: exponential(1.0).truncate_inside(R).scale(n)),
+    "table_in": (4, 2_000, lambda R, n: table_function(_TABLE).truncate_inside(0.28 * R).scale(n)),
+    "disk_out": (4, 2_000, lambda a, n: hard_disk(a).truncate_outside(a / 3.0).scale(n)),
+}
+
+
+def test_eval_and_support_agree_at_every_edge():
+    # the last radius with a positive value is the support radius itself
+    disagree = {}
+    for family, (seed, count, stack) in EDGE_FAMILIES.items():
+        rng = np.random.default_rng(seed)
+        first, n = rng.uniform(0.1, 3.0, count), rng.uniform(1.0, 10.0, count)
+        bad = 0
+        for f in map(stack, first, n):
+            s = f.support_radius
+            at, past = f.eval(np.array([s, np.nextafter(s, np.inf)]))
+            bad += not (at > 0.0 and past == 0.0)
+        disagree[family] = bad
+    assert disagree == dict.fromkeys(EDGE_FAMILIES, 0)
+
+
+# a support radius beyond the largest float: by the scale factors of a disk
+# or a table, or by an inside cut that the factors widen
+@pytest.mark.parametrize("f", [
+    hard_disk(1.0).scale(1e-300).scale(1e-300),
+    table_function([(0, 1), (1, 0)]).scale(1e-300).scale(1e-300),
+    exponential(1.0).truncate_inside(1e300).scale(1e-300),
+])
+def test_a_support_beyond_floats_is_an_error(f):
+    with pytest.raises(ConnFnError, match="the support radius overflows a float"):
+        f.tail_radius(1e-12, 2)
+
+
 @pytest.mark.parametrize("f,d", [(exponential(1.0), 1), (exponential(0.7), 2), (gaussian(1.0), 3)])
 @pytest.mark.parametrize("eps", [1e-6, 1e-9])
 def test_tail_radius_soundness(f, d, eps):
@@ -216,8 +254,8 @@ def _mp_tail_mass(f, T, d):
     with a the base scale over the factors."""
     with mpmath.workdps(30):
         a = mpmath.mpf(f.a)
-        for t in f.transforms:
-            a /= mpmath.mpf(t.factor)
+        for n in f.scales:
+            a /= mpmath.mpf(n)
         om = 2 * mpmath.pi ** (mpmath.mpf(d) / 2) / mpmath.gamma(mpmath.mpf(d) / 2)
         z = mpmath.mpf(T) / a
         if f.kind == "exponential":
@@ -341,20 +379,32 @@ def test_eval_accepts_scalars_and_arrays():
 
 
 def _masked_eval(f, x):
-    """The stack evaluated as np.where(keep, base(cur), 0.0) on a copy of x,
-    with a mask of ones narrowed by every truncation."""
+    """np.where(keep, base, 0.0), with a mask of ones narrowed to lo < x <=
+    hi on x, and the base at a copy of x times the scale factors, or for a
+    hard disk 1{x <= a over the factors}."""
     arr = np.asarray(x, dtype=float)
     cur = np.atleast_1d(arr).copy()
     keep = np.ones(cur.shape, dtype=bool)
-    for t in reversed(f.transforms):
-        if isinstance(t, connfn.Scale):
-            cur *= t.factor
-        elif isinstance(t, connfn.TruncateInside):
-            keep &= cur <= t.radius
-        else:
-            keep &= cur > t.radius
-    vals = np.where(keep, f._base_eval(cur), 0.0)
+    if f.lo is not None:
+        keep &= cur > f.lo
+    if f.hi is not None:
+        keep &= cur <= f.hi
+    if f.kind == "hard_disk":
+        base = (cur <= _disk_edge(f)).astype(float)
+    else:
+        for n in reversed(f.scales):
+            cur *= n
+        base = f._base_eval(cur)
+    vals = np.where(keep, base, 0.0)
     return float(vals[0]) if arr.ndim == 0 else vals
+
+
+def _disk_edge(f):
+    """A hard disk's a divided by its scale factors, one at a time."""
+    edge = f.a
+    for n in f.scales:
+        edge /= n
+    return edge
 
 
 # each truncation radius lies on the grid, so every tie at a cut is evaluated
@@ -397,25 +447,25 @@ def test_eval_leaves_its_input_unwritten(f):
 
 
 def _literal_eval(f, x):
-    """The stack in the expressions it had before evaluating in place: each
-    scale a new array, the base as np.exp(-x / a), np.exp(-((x / a) ** 2)),
-    (x <= a).astype(float) or np.interp, and the truncations as
-    np.where(keep, vals, 0.0)."""
-    cur = np.asarray(x, dtype=float)
+    """The function in the expressions it had before evaluating in place:
+    each scale a new array, the base as np.exp(-x / a), np.exp(-((x / a) **
+    2)), (x <= a over the factors).astype(float) or np.interp, and the cuts
+    as np.where(keep, vals, 0.0) with keep compared on x."""
+    x = cur = np.asarray(x, dtype=float)
+    for n in reversed(f.scales):
+        cur = cur * n
     keep = None
-    for t in reversed(f.transforms):
-        if isinstance(t, connfn.Scale):
-            cur = cur * t.factor
-        else:
-            kept = cur <= t.radius if isinstance(t, connfn.TruncateInside) else cur > t.radius
-            keep = kept if keep is None else keep & kept
+    if f.lo is not None:
+        keep = x > f.lo
+    if f.hi is not None:
+        keep = x <= f.hi if keep is None else keep & (x <= f.hi)
     a = f.a
     if f.kind == "exponential":
         vals = np.exp(-cur / a)
     elif f.kind == "gaussian":
         vals = np.exp(-((cur / a) ** 2))
     elif f.kind == "hard_disk":
-        vals = (cur <= a).astype(float)
+        vals = (x <= _disk_edge(f)).astype(float)
     else:
         rs, vs = np.array([r for r, _ in f.table]), np.array([v for _, v in f.table])
         vals = np.interp(cur, rs, vs, left=vs[0], right=0.0)

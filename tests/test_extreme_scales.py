@@ -33,7 +33,7 @@ def _log_mass(g, d):
     """log int_{R^d} g for an unbounded builtin under scale factors, in logs
     throughout: omega_d a^d Gamma(d), or omega_d a^d Gamma(d/2) / 2."""
     shape = math.gamma(d) if g.kind == "exponential" else math.gamma(d / 2) / 2
-    log_scale = math.log(g.a) - sum(math.log(t.factor) for t in g.transforms)
+    log_scale = math.log(g.a) - sum(math.log(n) for n in g.scales)
     return math.log((2.0, 2.0 * math.pi, 4.0 * math.pi)[d - 1] * shape) + d * log_scale
 
 

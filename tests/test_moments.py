@@ -257,6 +257,11 @@ class TestLimits:
             1.0, abs=1e-10
         )
 
+    def test_a_cut_beyond_the_disk_leaves_no_excess(self):
+        # hard_disk(2) cut inside at 3 is hard_disk(2) itself, by the same
+        # closed form, and its outside part is empty
+        assert limit_var_excess(1.0, hard_disk(2.0), 3.0, 1).value == 0.0
+
     def test_ratio_small_R_inverse_limit(self):
         lam, g = 1.0, exponential(1.0)
         tiny = variance_ratio(lam, g, 1e-6, 1).value

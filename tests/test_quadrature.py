@@ -813,6 +813,18 @@ class TestClosedOverlap:
             for si, v, e in zip(s, vals, errs):
                 assert abs(mpmath.mpf(v) - ref(third, third, si)) <= e, si
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_a_disk_cut_inside_is_a_smaller_disk(self, d):
+        cut, disk = hard_disk(1.0).scale(2.0).truncate_inside(0.25), hard_disk(0.25)
+        s = np.concatenate([DENSE_S, SPECIAL_S])
+        ref = {1: mp_interval_overlap, 2: mp_disk_overlap, 3: mp_ball_overlap}[d]
+        for other, radius in ((cut, 0.25), (hard_disk(1.0), 1.0)):
+            for h in (cut, disk):
+                assert quadrature._closed_overlap(h, other, s, d) is not None
+            got = overlap_rows(cut, other, s, d)
+            assert np.array_equal(got, overlap_rows(disk, other, s, d))
+            assert_within(*got, s, lambda si: ref(0.25, radius, si))
+
     @pytest.mark.parametrize(
         "h1,h2",
         [
