@@ -27,8 +27,8 @@ from .moments import (
     var_excess,
     variance_ratio,
 )
-from .quadrature import DEFAULT_SPEC, QuadratureSpec, unit_box
-from .simulator import DEFAULT_POLICY, LatticeRegion, SimPolicy
+from .quadrature import DEFAULT_SPEC, QuadratureSpec, Region, unit_box
+from .simulator import DEFAULT_POLICY, SimPolicy
 from .stats import (
     StatRequest,
     coupling_check,
@@ -360,22 +360,22 @@ def c12_covariance_field(ctx: AcceptanceContext) -> CriterionResult:
     # fraction vanishes
     rows = []
     for side in (4, 8, 16):
-        lattice = LatticeRegion((0, 0), (side, side))
+        size = side * side
         sample = replicate(
-            replace(cfg, K=lattice.bounding_region),
+            replace(cfg, K=Region((0.0, 0.0), (float(side), float(side)))),
             StatRequest(name="comp", kind="component", r=2),
             600,
             ctx.seed(13),
             ctx.policy,
             ctx.workers,
         )
-        var_density = sample.variance / lattice.size
+        var_density = sample.variance / size
         rows.append(
             {
                 "side": side,
-                "boundary_fraction": lattice.boundary_size / lattice.size,
+                "boundary_fraction": (size - (side - 2) ** 2) / size,
                 "var_density": var_density,
-                "var_density_se": sample.bootstrap_se_var() / lattice.size,
+                "var_density_se": sample.bootstrap_se_var() / size,
                 "gap": abs(var_density - field_est.total),
             }
         )
@@ -419,7 +419,7 @@ def c13_lower_bound(ctx: AcceptanceContext) -> CriterionResult:
         lattice_side=9, policy=ctx.policy, workers=ctx.workers,
     )
     bound_ok = all(row.var >= row.bound for row in rows)
-    per_n2 = [row.var_per_n2 for row in rows]
+    per_n2 = [row.var / row.n**2 for row in rows]
     stable = max(per_n2) <= 2.0 * min(per_n2)
     ok = cert.gamma > 0 and bound_ok and stable
     return CriterionResult(

@@ -122,13 +122,14 @@ def cmd_moments(cfg: ExperimentConfig, args) -> int:
             }
         )
 
-    add("limit_var_isolated", limit_var_isolated(cfg.lam, cfg.g, cfg.d, cfg.spec))
+    lam, g, d = cfg.model.lam, cfg.model.g, cfg.model.d
+    add("limit_var_isolated", limit_var_isolated(lam, g, d, cfg.spec))
     for R in cfg.R_list:
-        add("limit_mean_excess", limit_mean_excess(cfg.lam, cfg.g, R, cfg.d, cfg.spec), R=R)
-        add("limit_var_excess", limit_var_excess(cfg.lam, cfg.g, R, cfg.d, cfg.spec), R=R)
-        add("variance_ratio", variance_ratio(cfg.lam, cfg.g, R, cfg.d, cfg.spec), R=R)
+        add("limit_mean_excess", limit_mean_excess(lam, g, R, d, cfg.spec), R=R)
+        add("limit_var_excess", limit_var_excess(lam, g, R, d, cfg.spec), R=R)
+        add("variance_ratio", variance_ratio(lam, g, R, d, cfg.spec), R=R)
     for n in cfg.n_list:
-        model = cfg.model(n)
+        model = cfg.model.at_n(n)
         add("mean_isolated", mean_isolated(model, cfg.spec), n=n, lam_n=model.lam_n)
         add("var_isolated", var_isolated(model, cfg.spec), n=n, lam_n=model.lam_n)
         for R in cfg.R_list:
@@ -143,7 +144,7 @@ def cmd_simulate(cfg: ExperimentConfig, args) -> int:
     rows = []
     bias = 0.0
     for n in cfg.n_list:
-        model = cfg.model(n)
+        model = cfg.model.at_n(n)
         reqs = [
             StatRequest(name="isolated", kind="isolated"),
             StatRequest(name="near_isolated", kind="near_isolated", r0=R / n),
@@ -169,7 +170,7 @@ def cmd_simulate(cfg: ExperimentConfig, args) -> int:
             )
     _emit(cfg, "simulate", rows, extra={"bias_bound": bias})
     if getattr(args, "dump_realization", None):
-        model = cfg.model(cfg.n_list[0])
+        model = cfg.model.at_n(cfg.n_list[0])
         graph = simulate_graph(
             model.g_n, model.lam_n, model.K, cfg.base_seed, 0,
             cfg.policy, min_reach=R / cfg.n_list[0], min_margin=R / cfg.n_list[0],
@@ -185,7 +186,7 @@ def cmd_clt_test(cfg: ExperimentConfig, args) -> int:
     all_ok = True
     bias = 0.0
     for n in cfg.n_list:
-        model = cfg.model(n)
+        model = cfg.model.at_n(n)
         sample = replicate(
             model,
             StatRequest(name="isolated", kind="isolated"),
@@ -221,7 +222,7 @@ def cmd_truncation_demo(cfg: ExperimentConfig, args) -> int:
     bias = 0.0
     for n in cfg.n_list:
         exact, additive, out = coupling_check(
-            cfg.model(n), R, min(cfg.m, 500), cfg.base_seed, cfg.policy, cfg.workers
+            cfg.model.at_n(n), R, min(cfg.m, 500), cfg.base_seed, cfg.policy, cfg.workers
         )
         bias = max(bias, out["I"].bias_bound)
         coupling_ok = coupling_ok and exact and additive
@@ -235,7 +236,7 @@ def cmd_truncation_demo(cfg: ExperimentConfig, args) -> int:
             }
         )
 
-    diam = cfg.K.diameter
+    diam = cfg.model.K.diameter
     if R > diam:
         for n in cfg.n_list:
             rows.append(
@@ -243,7 +244,7 @@ def cmd_truncation_demo(cfg: ExperimentConfig, args) -> int:
                     "section": "swapped_mean_density",
                     "n": n,
                     "R": R,
-                    "value": swapped_mean_density(cfg.model(n), R, cfg.spec).value,
+                    "value": swapped_mean_density(cfg.model.at_n(n), R, cfg.spec).value,
                     "note": "normalized mean when truncation is applied after scaling",
                 }
             )
@@ -259,7 +260,7 @@ def cmd_truncation_demo(cfg: ExperimentConfig, args) -> int:
         )
 
     n_big = max(cfg.n_list)
-    model = cfg.model(n_big)
+    model = cfg.model.at_n(n_big)
     sigma = math.sqrt(max(var_isolated(model, cfg.spec).value, 1e-300))
     for R_c in cfg.R_list:
         sample = replicate(
@@ -286,12 +287,12 @@ def cmd_truncation_demo(cfg: ExperimentConfig, args) -> int:
 
 
 def cmd_variance_growth(cfg: ExperimentConfig, args) -> int:
-    if args.lower_bound and cfg.d != 2:
+    if args.lower_bound and cfg.model.d != 2:
         raise ConfigError("--lower-bound needs model.d = 2")
-    limit = limit_var_isolated(cfg.lam, cfg.g, cfg.d, cfg.spec).value
+    limit = limit_var_isolated(cfg.model.lam, cfg.model.g, cfg.model.d, cfg.spec).value
     rows = []
     for n in cfg.n_list:
-        model = cfg.model(n)
+        model = cfg.model.at_n(n)
         sample = replicate(
             model,
             StatRequest(name="count", kind="isolated"),
@@ -317,8 +318,8 @@ def cmd_variance_growth(cfg: ExperimentConfig, args) -> int:
     extra = {}
     if args.lower_bound:
         cert, bound_rows = variance_lower_bound(
-            cfg.lam,
-            cfg.g,
+            cfg.model.lam,
+            cfg.model.g,
             cfg.r,
             [int(n) for n in cfg.n_list],
             m_mu=max(cfg.m, 2000),
@@ -333,7 +334,7 @@ def cmd_variance_growth(cfg: ExperimentConfig, args) -> int:
                 {
                     "kind": "lower_bound",
                     "n": row.n,
-                    "lam_n": cfg.lam,
+                    "lam_n": cfg.model.lam,
                     "value": row.var,
                     "se": row.var_se,
                     "limit": row.bound,
@@ -356,7 +357,7 @@ def cmd_variance_growth(cfg: ExperimentConfig, args) -> int:
 
 
 def cmd_covariance_field(cfg: ExperimentConfig, args) -> int:
-    model = cfg.model()
+    model = cfg.model
     if model.g_n.support_radius is None:
         raise ConfigError("covariance-field needs a bounded-support connection function")
     field = covariance_field(

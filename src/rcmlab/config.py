@@ -24,12 +24,12 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .connfn import ConnectionFunction, ConnFnError, table_function
-from .moments import DensityRule, ModelConfig, ModelError
-from .quadrature import QuadratureSpec, Region
-from .simulator import SimPolicy
+from .moments import ModelConfig, ModelError
+from .quadrature import DEFAULT_SPEC, QuadratureSpec, Region
+from .simulator import DEFAULT_POLICY, SimPolicy
 
 
 class ConfigError(ValueError):
@@ -98,12 +98,12 @@ _KEYS = {
     "run.m": (int, 1000),
     "run.base_seed": (int, 1),
     "run.workers": (int, 0),
-    "numerics.rel_tol": (_finite, 1e-8),
-    "numerics.abs_tol": (_finite, 1e-10),
-    "numerics.max_subdiv": (int, 512),
-    "numerics.tail_eps": (_finite, 1e-12),
-    "numerics.eps_margin": (_finite, 1e-4),
-    "numerics.eps_edges": (_finite, 1e-2),
+    "numerics.rel_tol": (_finite, DEFAULT_SPEC.rel_tol),
+    "numerics.abs_tol": (_finite, DEFAULT_SPEC.abs_tol),
+    "numerics.max_subdiv": (int, DEFAULT_SPEC.max_subdiv),
+    "numerics.tail_eps": (_finite, DEFAULT_SPEC.tail_eps),
+    "numerics.eps_margin": (_finite, DEFAULT_POLICY.eps_margin),
+    "numerics.eps_edges": (_finite, DEFAULT_POLICY.eps_edges),
     "numerics.ks_threshold": (_finite, 0.05),
     "output.dir": (str, "out"),
     "output.format": (str, "both"),
@@ -115,12 +115,7 @@ class ExperimentConfig:
     """Validated experiment description assembled from key=value entries."""
 
     entries: tuple[tuple[str, str], ...]  # canonical (key, rendered value)
-    d: int
-    lam: float
-    n: float
-    K: Region
-    g: ConnectionFunction
-    density_rule: DensityRule | None
+    model: ModelConfig  # at model.n; each n of n_list is model.at_n(n)
     n_list: tuple[float, ...]
     R_list: tuple[float, ...]
     r: int
@@ -132,17 +127,6 @@ class ExperimentConfig:
     ks_threshold: float
     out_dir: str
     formats: tuple[str, ...]
-
-    def model(self, n: float | None = None) -> ModelConfig:
-        cfg = ModelConfig(
-            d=self.d,
-            lam=self.lam,
-            K=self.K,
-            g=self.g,
-            n=self.n,
-            density_rule=self.density_rule,
-        )
-        return cfg if n is None else replace(cfg, n=n)
 
     def config_hash(self) -> str:
         """Identity of the experiment.
@@ -272,14 +256,22 @@ def _build(raw: dict[str, str]) -> ExperimentConfig:
         if any(not nn >= 1 for nn in values["run.n_list"]):
             raise ConfigError("run.n_list entries must be >= 1")
 
-        cfg = ExperimentConfig(
-            entries=tuple(sorted((k, _render(v)) for k, v in values.items())),
+        model = ModelConfig(  # validates d, lam, K, g, n jointly
             d=values["model.d"],
             lam=values["model.lambda"],
-            n=values["model.n"],
             K=K,
             g=g,
+            n=values["model.n"],
             density_rule=rule,
+        )
+        for n in values["run.n_list"]:
+            try:
+                model.at_n(n)
+            except ModelError as exc:
+                raise ConfigError(f"run.n_list: {exc}") from None
+        return ExperimentConfig(
+            entries=tuple(sorted((k, _render(v)) for k, v in values.items())),
+            model=model,
             n_list=values["run.n_list"],
             R_list=values["run.R_list"],
             r=values["run.r"],
@@ -292,13 +284,6 @@ def _build(raw: dict[str, str]) -> ExperimentConfig:
             out_dir=values["output.dir"],
             formats=formats,
         )
-        cfg.model()  # validates d, lam, K, g, n jointly
-        for n in cfg.n_list:
-            try:
-                cfg.model(n)
-            except ModelError as exc:
-                raise ConfigError(f"run.n_list: {exc}") from None
-        return cfg
     except ConfigError:
         raise
     except ConnFnError as exc:

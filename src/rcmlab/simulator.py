@@ -757,52 +757,26 @@ def count_components(graph: PointGraph, B: Region, r: int) -> float:
     return float(np.count_nonzero(component_mask(graph, B, r))) / r
 
 
-@dataclass(frozen=True)
-class LatticeRegion:
-    """Axis-aligned box of integer lattice sites; cell z covers z + (0,1]^d."""
+def component_cell_counts(graph: PointGraph, cells: Region, r: int) -> np.ndarray:
+    """Per-cell component statistic over the unit cells z + (0,1]^d of a box
+    with integer corners, for each replication of the graph, those without
+    points too; shape (graph.reps, *cells.sides).
 
-    origin: tuple[int, ...]
-    shape: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.origin) != len(self.shape) or not self.shape:
-            raise ValueError("origin and shape must have equal positive length")
-        if any(s < 1 for s in self.shape):
-            raise ValueError("shape entries must be >= 1")
-
-    @property
-    def dim(self) -> int:
-        return len(self.shape)
-
-    @property
-    def size(self) -> int:
-        return int(np.prod(self.shape))
-
-    @property
-    def boundary_size(self) -> int:
-        inner = np.prod([max(0, s - 2) for s in self.shape])
-        return self.size - int(inner)
-
-    @property
-    def bounding_region(self) -> Region:
-        return Region(tuple(float(o) for o in self.origin), tuple(float(s) for s in self.shape))
-
-
-def component_cell_counts(graph: PointGraph, lattice: LatticeRegion, r: int) -> np.ndarray:
-    """Per-cell component statistic over the lattice for each replication of
-    the graph, those without points too; shape (graph.reps, *lattice.shape).
-
-    Entry at site z is 1/r times the number of the replication's vertices in
+    Entry at cell z is 1/r times the number of the replication's vertices in
     z + (0,1]^d whose component has exactly r vertices.
     """
-    _require_component_window(graph, lattice.bounding_region, r)
+    if not all(float(x).is_integer() for x in (*cells.lower, *cells.sides)):
+        raise SimulationError(f"cell counts need a box with integer corners, got {cells}")
+    _require_component_window(graph, cells, r)
+    shape = tuple(int(s) for s in cells.sides)
+    size = math.prod(shape)
     sel = _component_sizes(graph) == r
-    cells = np.ceil(graph.points[sel]).astype(np.int64) - 1  # x in (z, z+1]
-    rel = cells - np.array(lattice.origin)
-    ok = np.all((rel >= 0) & (rel < np.array(lattice.shape)), axis=1)
-    flat = graph.rid[sel][ok] * lattice.size + np.ravel_multi_index(tuple(rel[ok].T), lattice.shape)
-    counts = np.bincount(flat, minlength=graph.reps * lattice.size) / r
-    return counts.reshape(graph.reps, *lattice.shape)
+    cell = np.ceil(graph.points[sel]).astype(np.int64) - 1  # x in (z, z+1]
+    rel = cell - np.array(cells.lower, dtype=np.int64)
+    ok = np.all((rel >= 0) & (rel < np.array(shape)), axis=1)
+    flat = graph.rid[sel][ok] * size + np.ravel_multi_index(tuple(rel[ok].T), shape)
+    counts = np.bincount(flat, minlength=graph.reps * size) / r
+    return counts.reshape(graph.reps, *shape)
 
 
 def dump_realization(graph: PointGraph, path: str):

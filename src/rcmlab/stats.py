@@ -17,6 +17,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache, partial
 from itertools import product
+from os import cpu_count
 from typing import Sequence
 
 import numpy as np
@@ -27,7 +28,6 @@ from .moments import ModelConfig
 from .quadrature import Region
 from .simulator import (
     DEFAULT_POLICY,
-    LatticeRegion,
     SimPolicy,
     block_plan,
     component_cell_counts,
@@ -221,8 +221,10 @@ def _replicate_rows(count, plan, base_seed, m: int, workers: int) -> np.ndarray:
 
     Serial (one call) for 0 or 1 workers or m < 8; otherwise about four chunks
     per worker in the run's process pool (see run_scope; a call outside any
-    run is a run of its own), written back in chunk order.  The plan is
-    built by the caller, so the workers only simulate and count.
+    run is a run of its own), written back in chunk order.  The pool holds at
+    most one process per CPU, whatever the worker count; the chunks follow
+    the worker count alone.  The plan is built by the caller, so the workers
+    only simulate and count.
     """
     if workers < 0:
         raise ValueError(f"workers must be >= 0, got {workers}")
@@ -234,7 +236,7 @@ def _replicate_rows(count, plan, base_seed, m: int, workers: int) -> np.ndarray:
     rows = partial(_replication_rows, count, plan, base_seed)
     with run_scope():
         if workers not in _pools:
-            _pools[workers] = ProcessPoolExecutor(max_workers=workers)
+            _pools[workers] = ProcessPoolExecutor(max_workers=min(workers, cpu_count() or 1))
         return np.concatenate(list(_pools[workers].map(rows, los, his)))
 
 
@@ -351,10 +353,10 @@ def _offset_cov(Y: np.ndarray, z: tuple[int, ...], mu: float) -> float:
     return float((a * Y[tuple(b_sl)]).mean() - mu * mu)
 
 
-def _field_rows(r, offsets, lattice, graph):
-    """Offset covariances of each replication of a block, over its own lattice."""
+def _field_rows(r, offsets, cells, graph):
+    """Offset covariances of each replication of a block, over its own cells."""
     rows = []
-    for Y in component_cell_counts(graph, lattice, r):
+    for Y in component_cell_counts(graph, cells, r):
         mu = float(Y.mean())
         rows.append([_offset_cov(Y, z, mu) for z in offsets])
     return np.array(rows, dtype=float)
@@ -381,11 +383,13 @@ def covariance_field(
     if supp is None:
         raise StatsError("covariance field needs bounded support")
     dep = int(math.ceil(r * supp)) + 1
-    side = lattice_side or max(3 * (dep + 1), 8)
+    side = max(3 * (dep + 1), 8) if lattice_side is None else lattice_side
+    if side < 1:
+        raise StatsError(f"lattice side must be >= 1, got {side}")
     offsets = tuple(product(range(-dep, dep + 1), repeat=cfg.d))
-    lattice = LatticeRegion((0,) * cfg.d, (side,) * cfg.d)
-    plan = block_plan(cfg.g_n, cfg.lam_n, lattice.bounding_region, policy, min_margin=r * supp)
-    rows = _replicate_rows(partial(_field_rows, r, offsets, lattice), plan, base_seed, m, workers)
+    cells = Region((0.0,) * cfg.d, (float(side),) * cfg.d)
+    plan = block_plan(cfg.g_n, cfg.lam_n, cells, policy, min_margin=r * supp)
+    rows = _replicate_rows(partial(_field_rows, r, offsets, cells), plan, base_seed, m, workers)
     cov = rows.mean(axis=0)
     se = rows.std(axis=0, ddof=1) / math.sqrt(m)
     sums = rows.sum(axis=1)
@@ -541,11 +545,9 @@ class LowerBoundCertificate:
 @dataclass(frozen=True)
 class LowerBoundRow:
     n: int
-    box_side: float
     var: float
     var_se: float
     bound: float  # gamma * n^2
-    var_per_n2: float
 
 
 def variance_lower_bound(
@@ -605,11 +607,9 @@ def variance_lower_bound(
         rows.append(
             LowerBoundRow(
                 n=n,
-                box_side=side,
                 var=sample.variance,
                 var_se=sample.bootstrap_se_var(),
                 bound=gamma * n**2,
-                var_per_n2=sample.variance / n**2,
             )
         )
     return cert, rows

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import multiprocessing
@@ -11,7 +12,8 @@ import pytest
 
 from rcmlab import cli
 from rcmlab.acceptance import CriterionResult
-from rcmlab.config import ConfigError, load_config, parse_config
+from rcmlab.config import ConfigError, ExperimentConfig, load_config, parse_config
+from rcmlab.moments import ModelConfig
 from rcmlab.stats import StatsError
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -62,20 +64,20 @@ CSV_HEADERS = {
 class TestParsing:
     def test_full_config(self):
         cfg = parse_config(FULL)
-        assert cfg.d == 2
-        assert cfg.lam == 1.5
-        assert cfg.K.sides == (1.0, 1.0)
+        assert cfg.model.d == 2
+        assert cfg.model.lam == 1.5
+        assert cfg.model.K.sides == (1.0, 1.0)
         assert cfg.n_list == (2.0, 4.0)
         assert cfg.spec.rel_tol == 1e-7
         assert cfg.formats == ("json",)
         # transforms applied in order: scale by 2, then cut at 0.25
-        assert cfg.g.eval(0.2) == pytest.approx(math.exp(-0.4 / 0.5))
-        assert cfg.g.eval(0.3) == 0.0
+        assert cfg.model.g.eval(0.2) == pytest.approx(math.exp(-0.4 / 0.5))
+        assert cfg.model.g.eval(0.3) == 0.0
 
     def test_defaults(self):
         cfg = parse_config("")
-        assert cfg.d == 1
-        assert cfg.g.kind == "exponential"
+        assert cfg.model.d == 1
+        assert cfg.model.g.kind == "exponential"
         assert cfg.formats == ("csv", "json")
 
     def test_unknown_key_reports_line(self):
@@ -115,12 +117,12 @@ class TestParsing:
         cfg = parse_config(
             "model.g.kind = table\nmodel.g.table = 0:1, 0.5:0.4, 1:0\n"
         )
-        assert cfg.g.eval(0.25) == pytest.approx(0.7)
-        assert cfg.g.support_radius == 1.0
+        assert cfg.model.g.eval(0.25) == pytest.approx(0.7)
+        assert cfg.model.g.support_radius == 1.0
 
     def test_explicit_density_rule(self):
         cfg = parse_config("model.density_rule = 2:5.0, 4:17.0\nmodel.n = 2\nrun.n_list = 2, 4\n")
-        assert cfg.model(2.0).lam_n == 5.0
+        assert cfg.model.at_n(2.0).lam_n == 5.0
 
     def test_density_rule_covers_the_n_list(self):
         with pytest.raises(ConfigError, match="^run.n_list: .*n=4"):
@@ -143,7 +145,7 @@ class TestParsing:
     def test_overrides(self):
         cfg = parse_config(FULL, ["run.m=250", "model.lambda=2.0"])
         assert cfg.m == 250
-        assert cfg.lam == 2.0
+        assert cfg.model.lam == 2.0
         with pytest.raises(ConfigError, match="--set: unknown key 'nope'"):
             parse_config(FULL, ["nope=1"])
 
@@ -179,6 +181,11 @@ class TestParsing:
         assert cfg == parse_config(PRECISE + f"{key} = {value}\n")
         assert dict(cfg.entries)[key] == value
 
+    def test_an_experiment_holds_its_model_and_copies_none_of_it(self):
+        experiment = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        model = {f.name for f in dataclasses.fields(ModelConfig)}
+        assert "model" in experiment and not experiment & model
+
     def test_hash_covers_the_seventh_digit(self):
         sides = [parse_config(f"model.K.sides = {v}\n").config_hash() for v in ("1", "1.000001")]
         assert sides[0] != sides[1]
@@ -206,7 +213,7 @@ class TestParsing:
     )
     def test_the_unread_connection_key_leaves_the_hash(self, kind, unread):
         base, other = parse_config(kind), parse_config(kind + unread)
-        assert other.g == base.g
+        assert other.model.g == base.model.g
         assert other.config_hash() == base.config_hash()
         assert other == base
 

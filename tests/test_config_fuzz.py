@@ -108,7 +108,7 @@ def _plan_works(argv):
     works = []
     for n, r0 in [(n, r0) for n in cfg.n_list for r0 in (0.0, *(R / n for R in cfg.R_list))]:
         try:
-            model = cfg.model(n)
+            model = cfg.model.at_n(n)
             plan = block_plan(model.g_n, model.lam_n, model.K, cfg.policy, r0, r0, model.K)
         except HANDLED:
             continue

@@ -2,10 +2,11 @@
 
 No module of src/rcmlab reads the process environment (``os.environ``,
 ``os.environb``, ``os.getenv``), so a run is a function of its config, its
-flags and its call arguments alone.  The deleted string-named channels stay
-deleted: no module defines ``make_variant`` or ``VARIANTS`` (the two cut
-orders are the method chains of ``ConnectionFunction``) or
-``resolve_workers`` (the worker count is an argument).
+flags and its call arguments alone.  The deleted names stay deleted: no
+module defines ``make_variant`` or ``VARIANTS`` (the two cut
+orders are the method chains of ``ConnectionFunction``),
+``resolve_workers`` (the worker count is an argument) or ``LatticeRegion``
+(a box of unit cells is a ``Region`` with integer corners).
 """
 
 import ast
@@ -14,7 +15,7 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "rcmlab"
 
 ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
-RETIRED = {"make_variant", "VARIANTS", "resolve_workers"}
+RETIRED = {"make_variant", "VARIANTS", "resolve_workers", "LatticeRegion"}
 
 
 def _trees():

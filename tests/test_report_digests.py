@@ -51,6 +51,46 @@ RUNS = {
         "moments.csv": "f296172c35881c7c707420b3c9eb3b2defce30f96615c938a07f9cf6bf226970",
         "moments.json": "c3964f3cd9fa72a26eaea3a19fc165f4e924c1f879997a245bebe54f701a3f79",
     }),
+    "covariance-field": (
+        "default.cfg",
+        ["covariance-field", "--set", "model.g.kind=hard_disk", "--set", "model.g.a=0.5",
+         "--set", "run.r=2", "--set", "run.m=200"],
+        0,
+        {
+            "covariance_field.csv":
+                "012108154545ab4bb2bbbf0f8f7386af91f7027563489fe18d74390cc0530c02",
+            "covariance_field.json":
+                "e887f906632820063cc3d2a27537ddbe411d1909eb88dd24f6980ac83cbdd928",
+        },
+    ),
+    "covariance-field-2d": (
+        "clt_2d.cfg",
+        ["covariance-field", "--set", "model.g.kind=hard_disk", "--set", "model.g.a=0.5",
+         "--set", "run.m=100"],
+        0,
+        {
+            "covariance_field.csv":
+                "91504390b1a5eac5309e6d5bb11f74a242916bb22232317c373202bc368040fd",
+            "covariance_field.json":
+                "5afd303a4e36149cd3b7258f3ce61493c091bbc2803745a67c23cf2704b56f65",
+        },
+    ),
+    "variance-growth-lower-bound": (
+        "clt_2d.cfg",
+        ["variance-growth", "--lower-bound", "--set", "model.g.kind=hard_disk",
+         "--set", "model.g.a=0.5", "--set", "run.m=100", "--set", "run.n_list=2,3"],
+        0,
+        {
+            "variance_growth.csv":
+                "7caa54558c58fe7768740301c208b64288bb5e0d029fff3a1cc15fa72b7c065b",
+            "variance_growth.json":
+                "87534254eb15ef02e52698c533d8ef17b12c87dd7d5d5091d405f461fcf29cb2",
+        },
+    ),
+    "martingale-check": ("default.cfg", ["martingale-check"], 0, {
+        "martingale_check.csv": "60e27236ac939eb5e344123d26c6ccd57d2a99af6cf7685e3268880114c86023",
+        "martingale_check.json": "9894aa9b776d6270ed865f318fe651638ae327b2e01ebd37e2131bfc995cf8ea",
+    }),
 }
 
 

@@ -13,7 +13,6 @@ from rcmlab.quadrature import Region, unit_box
 from rcmlab.simulator import (
     BLOCK_WORK,
     MAX_REPLICATION_WORK,
-    LatticeRegion,
     SimulationError,
     SimPolicy,
     _candidate_pairs,
@@ -439,7 +438,7 @@ class TestFocusGuards:
         with pytest.raises(SimulationError, match="focus"):
             component_mask(graph, K, 1)
         with pytest.raises(SimulationError, match="focus"):
-            component_cell_counts(graph, LatticeRegion((0, 0), (1, 1)), 1)
+            component_cell_counts(graph, Region((0, 0), (1, 1)), 1)
 
     def test_whole_window_graphs_accept_every_region(self):
         K, big = unit_box(2), Region((-0.2, -0.2), (1.4, 1.4))
@@ -451,7 +450,7 @@ class TestFocusGuards:
             isolated_mask(graph, region)
             truncation_masks(graph, region, 0.05)
         component_mask(graph, K, 2)
-        component_cell_counts(graph, LatticeRegion((0, 0), (1, 1)), 2)
+        component_cell_counts(graph, Region((0, 0), (1, 1)), 2)
         # a focus that holds every pair within r supports serves components
         assert np.array_equal(component_mask(focused, K, 2), component_mask(graph, K, 2))
         assert np.array_equal(isolated_mask(focused, big), isolated_mask(graph, big))
@@ -474,15 +473,14 @@ class TestBlock:
             assert np.array_equal(graph.edge_dist[src == k], single.edge_dist)
         assert graph.reach == single.reach and graph.box == single.box
         # each replication's lattice field is its single graph's
-        lattice, disk = LatticeRegion((0, 0), (2, 2)), hard_disk(0.15)
-        box = lattice.bounding_region
+        box, disk = Region((0, 0), (2, 2)), hard_disk(0.15)
         plan = block_plan(disk, lam, box, min_margin=0.3)
         graph = simulate_block(plan, 12345, lo, lo + 4)
-        fields = component_cell_counts(graph, lattice, 2)
+        fields = component_cell_counts(graph, box, 2)
         assert fields.shape == (4, 2, 2) and fields.sum() > 0
         for k in range(4):
             single = simulate_graph(disk, lam, box, 12345, lo + k, min_margin=0.3)
-            one = component_cell_counts(single, lattice, 2)
+            one = component_cell_counts(single, box, 2)
             assert np.array_equal(fields[k], one[0])
 
     def test_simulate_graph_is_a_function_of_the_sequence(self):
@@ -796,24 +794,16 @@ class TestComponents:
             count_components(graph, unit_box(2), 3)
 
     def test_cell_counts_sum_to_region_count(self):
-        lattice = LatticeRegion((0, 0), (3, 3))
+        cells = Region((0, 0), (3, 3))
         g = hard_disk(0.3)
-        graph = simulate_graph(g, 15.0, lattice.bounding_region, 12345, 23,
-                               min_margin=2 * 0.3)
-        Y = component_cell_counts(graph, lattice, 2)
-        total = count_components(graph, lattice.bounding_region, 2)
+        graph = simulate_graph(g, 15.0, cells, 12345, 23, min_margin=2 * 0.3)
+        Y = component_cell_counts(graph, cells, 2)
+        total = count_components(graph, cells, 2)
         assert Y.shape == (1, 3, 3)
         assert Y.sum() == pytest.approx(total)
 
 
 class TestLattice:
-    def test_sizes(self):
-        lat = LatticeRegion((0, 0), (4, 4))
-        assert lat.size == 16
-        assert lat.boundary_size == 16 - 4
-        assert lat.boundary_size <= lat.size
-        assert LatticeRegion((0,), (1,)).boundary_size == 1
-
     @given(st.data())
     def test_cells_are_half_open_at_exact_boundaries(self, data):
         # points on integer and half-integer coordinates: x in (z, z + 1]
@@ -827,18 +817,25 @@ class TestLattice:
                 min_size=1, max_size=10, unique=True,
             )
         )
-        lattice = LatticeRegion(origin, shape)
+        cells = Region(origin, shape)
         pts = np.array(origin, dtype=float) + np.array(halves, dtype=float) / 2
         # distinct points are >= 0.5 apart, so no edges: every component has size 1
-        box = lattice.bounding_region.expand(0.25)
+        box = cells.expand(0.25)
         graph = connect(pts, hard_disk(0.25), box, 0.25, 1)
-        Y = component_cell_counts(graph, lattice, 1)[0]
+        Y = component_cell_counts(graph, cells, 1)[0]
         expect = np.zeros(shape)
         for site in np.ndindex(*shape):
             z = tuple(o + k for o, k in zip(origin, site))
             expect[site] = np.count_nonzero(Region(z, (1.0,) * d).contains(pts))
         assert np.array_equal(Y, expect)
         assert Y.sum() == len(halves)
+
+    def test_cells_need_integer_corners(self):
+        graph = simulate_graph(hard_disk(0.3), 15.0, Region((0, 0), (3, 3)), 12345, 23,
+                               min_margin=2 * 0.3)
+        for box in (Region((0.5, 0), (2, 2)), Region((0, 0), (2, 2.5))):
+            with pytest.raises(SimulationError, match="integer corners"):
+                component_cell_counts(graph, box, 1)
 
 
 class TestMarginPolicy:

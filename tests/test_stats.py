@@ -13,11 +13,10 @@ from hypothesis import given, settings, strategies as st
 
 from rcmlab.connfn import ConnectionFunction, exponential, hard_disk
 from rcmlab.moments import ModelConfig, isolation_prob
-from rcmlab import simulator
+from rcmlab import simulator, stats
 from rcmlab.quadrature import Region, unit_box
 from rcmlab.simulator import (
     DEFAULT_POLICY,
-    LatticeRegion,
     SimPolicy,
     SimulationError,
     block_plan,
@@ -180,6 +179,31 @@ class TestReplicate:
         for req in reqs:
             assert np.array_equal(pooled[req.name].values, serial[req.name].values)
 
+    @pytest.mark.parametrize("cpus", [None, 1, 3])
+    def test_the_pool_holds_at_most_one_process_per_cpu(self, cpus, monkeypatch):
+        # a stand-in pool that records its size and maps in this process, so
+        # that a worker count far above the CPUs starts no process; the chunks
+        # still follow the worker count, one replication each here
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+            def shutdown(self, wait=True, cancel_futures=False):
+                pass
+
+        monkeypatch.setattr(stats, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(stats, "cpu_count", lambda: cpus)
+        req = StatRequest(name="I", kind="isolated")
+        pooled = replicate(small_cfg(), req, 400, base_seed=3, workers=5000)
+        assert sizes == [cpus or 1]
+        serial = replicate(small_cfg(), req, 400, base_seed=3, workers=1)
+        assert np.array_equal(pooled.values, serial.values)
+
     def test_setup_runs_once_per_input(self, monkeypatch):
         # window margin and search reach are fixed by the input, not the replication
         calls = []
@@ -297,19 +321,19 @@ class TestBlockEngine:
             assert graph.rid[-1] + 1 < graph.reps == hi
             rows = _request_rows(cfg, requests, graph)
             assert np.array_equal(rows, ref[:hi, :-1]) and not rows[-1].any()
-            cells = component_cell_counts(graph, LatticeRegion((0, 0), (1, 1)), 1)
+            cells = component_cell_counts(graph, Region((0, 0), (1, 1)), 1)
             assert np.array_equal(cells.reshape(hi), ref[:hi, 2]) and not cells[-1].any()
 
     @given(st.data())
     @settings(max_examples=20, deadline=None)
     def test_rows_do_not_depend_on_block_boundaries(self, data):
         cfg, requests, *_ = BLOCK_CASES["d1-exponential"]
-        lattice = LatticeRegion((0, 0), (4, 4))
-        field_cfg = ModelConfig(d=2, lam=1.0, K=lattice.bounding_region, g=hard_disk(0.5))
+        cells = Region((0, 0), (4, 4))
+        field_cfg = ModelConfig(d=2, lam=1.0, K=cells, g=hard_disk(0.5))
         offsets = tuple(product(range(-2, 3), repeat=2))
         counters = [
             (partial(_request_rows, cfg, requests), _plan(cfg, *_request_needs(cfg, requests))),
-            (partial(_field_rows, 1, offsets, lattice), _plan(field_cfg, 0.0, 0.5, None)),
+            (partial(_field_rows, 1, offsets, cells), _plan(field_cfg, 0.0, 0.5, None)),
         ]
         lo = data.draw(st.integers(0, 40))
         hi = lo + data.draw(st.integers(2, 30))
@@ -510,20 +534,20 @@ class TestOffsetCov:
         assert _offset_cov(Y, (0, 3), mu) == pytest.approx(_offset_cov(Y, (0, 0), mu), rel=0.02)
 
 
-def _reference_field_rows(cfg, r, offsets, lattice, m, base_seed):
+def _reference_field_rows(cfg, r, offsets, cells, m, base_seed):
     """The single-realization path: simulate_graph per replication and one
     component_mask per cell; second value each replication's number of points."""
     min_margin = r * cfg.g_n.support_radius
     rows, points = [], []
     for rep in range(m):
         graph = simulate_graph(
-            cfg.g_n, cfg.lam_n, lattice.bounding_region, base_seed, rep,
-            min_margin=min_margin,
+            cfg.g_n, cfg.lam_n, cells, base_seed, rep, min_margin=min_margin,
         )
-        Y = np.zeros(lattice.shape)
-        for site in np.ndindex(*lattice.shape):
-            corner = tuple(o + k for o, k in zip(lattice.origin, site))
-            cell = Region(corner, (1.0,) * lattice.dim)
+        shape = tuple(int(s) for s in cells.sides)
+        Y = np.zeros(shape)
+        for site in np.ndindex(*shape):
+            corner = tuple(o + k for o, k in zip(cells.lower, site))
+            cell = Region(corner, (1.0,) * cells.dim)
             Y[site] = np.count_nonzero(component_mask(graph, cell, r)) / r
         mu = float(Y.mean())
         rows.append([_offset_cov(Y, z, mu) for z in offsets])
@@ -540,7 +564,7 @@ SPARSE_FIELD = (ModelConfig(d=2, lam=0.15, K=unit_box(2), g=hard_disk(0.5)), 1, 
 def sparse_reference():
     cfg, r, side, m = SPARSE_FIELD
     offsets = tuple(product(range(-2, 3), repeat=2))
-    return _reference_field_rows(cfg, r, offsets, LatticeRegion((0, 0), (side, side)), m, 808)
+    return _reference_field_rows(cfg, r, offsets, Region((0, 0), (side, side)), m, 808)
 
 
 @pytest.fixture(scope="module")
@@ -582,8 +606,7 @@ class TestCovarianceField:
         monkeypatch.setattr(simulator, "BLOCK_WORK", 2**10)
         cfg, r, side, m = SPARSE_FIELD
         rows, points = sparse_reference
-        lattice = LatticeRegion((0, 0), (side, side))
-        assert m > 3 * block_reps(cfg.lam_n, lattice.bounding_region.expand(0.5), 0.5)
+        assert m > 3 * block_reps(cfg.lam_n, Region((0, 0), (side, side)).expand(0.5), 0.5)
         assert 0 in points
         field = covariance_field(cfg, r, m, 808, lattice_side=side, workers=workers)
         sums = rows.sum(axis=1)
@@ -597,19 +620,26 @@ class TestCovarianceField:
         with pytest.raises(StatsError):
             covariance_field(cfg, r=1, m=10, base_seed=0)
 
+    @pytest.mark.parametrize("side", [0, -3])
+    def test_a_lattice_side_below_one_rejected(self, side):
+        cfg = ModelConfig(d=2, lam=1.0, K=unit_box(2), g=hard_disk(0.5), n=1.0)
+        with pytest.raises(StatsError, match="lattice side"):
+            covariance_field(cfg, r=1, m=10, base_seed=0, lattice_side=side)
+
 
 class TestStationaryVariance:
     def test_boxes_approach_cov_sum(self):
         cfg = ModelConfig(d=2, lam=1.0, K=unit_box(2), g=hard_disk(0.4), n=1.0)
         field = covariance_field(cfg, r=1, m=250, base_seed=31, lattice_side=10)
-        small, box = (LatticeRegion((0, 0), (side, side)) for side in (4, 8))
-        assert small.boundary_size / small.size > box.boundary_size / box.size
+        # the boundary fraction of the cells falls from side 4 to side 8
+        small, big = ((side * side - (side - 2) ** 2) / (side * side) for side in (4, 8))
+        assert small > big
+        box = Region((0, 0), (8, 8))
         sample = replicate(
-            replace(cfg, K=box.bounding_region), StatRequest(name="comp", kind="component", r=1),
-            250, 32,
+            replace(cfg, K=box), StatRequest(name="comp", kind="component", r=1), 250, 32,
         )
-        var_density = sample.variance / box.size
-        se = sample.bootstrap_se_var() / box.size
+        var_density = sample.variance / box.volume
+        se = sample.bootstrap_se_var() / box.volume
         assert abs(var_density - field.total) <= 3 * math.hypot(se, field.total_se)
 
 
