@@ -287,8 +287,13 @@ def cmd_truncation_demo(cfg: ExperimentConfig, args) -> int:
 
 
 def cmd_variance_growth(cfg: ExperimentConfig, args) -> int:
-    if args.lower_bound and cfg.model.d != 2:
-        raise ConfigError("--lower-bound needs model.d = 2")
+    if args.lower_bound:
+        if cfg.model.d != 2:
+            raise ConfigError("--lower-bound needs model.d = 2")
+        if cfg.model.g.support_radius is None:
+            raise ConfigError("--lower-bound needs a bounded-support connection function")
+        if any(n != int(n) for n in cfg.n_list):
+            raise ConfigError(f"--lower-bound needs integer run.n_list entries, got {cfg.n_list}")
     limit = limit_var_isolated(cfg.model.lam, cfg.model.g, cfg.model.d, cfg.spec).value
     rows = []
     for n in cfg.n_list:

@@ -120,8 +120,6 @@ class ConnectionFunction:
             np.putmask(vals, np.logical_not(keep, out=keep), 0.0)
         return float(vals[0]) if scalar else vals
 
-    __call__ = eval
-
     # -- analytic metadata --------------------------------------------------
 
     def _base_radii(self) -> list[float]:

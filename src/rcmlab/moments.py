@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -89,7 +89,6 @@ class DominationConstant:
     M: float
     C_pair: float
     C_total: float
-    note: str = ""
 
     def __post_init__(self):
         if not (self.M > 0 and self.C_pair > 0 and self.C_total > 0):
@@ -163,7 +162,7 @@ def var_isolated(cfg: ModelConfig, spec: QuadratureSpec = DEFAULT_SPEC) -> QuadR
     mean = mu * cfg.K.volume * p.value
     bracket = _isolated_bracket(mu, g_n, cfg.d, spec)
     dri = double_region_integral(
-        lambda s: p.value**2 * bracket(s), cfg.K, cfg.d, spec, _pair_cut_breaks(g_n, g_n)
+        lambda s: p.value**2 * bracket(s), cfg.K, spec, _pair_cut_breaks(g_n, g_n)
     )
     val = mean + mu**2 * dri.value
     return QuadResult(val, mu * cfg.K.volume * p.error + mu**2 * dri.error)
@@ -192,7 +191,7 @@ def mean_excess(
 ) -> QuadResult:
     """E of the excess count for the scaled model (valid for all R > 0, n >= 1)."""
     mu = cfg.lam_n
-    g_in, g_out = _cut(cfg.g.scale(cfg.n), R, cfg.n)
+    g_in, g_out = _cut(cfg.g_n, R, cfg.n)
     p_in = isolation_prob(mu, g_in, cfg.d, spec)
     p_out = isolation_prob(mu, g_out, cfg.d, spec)
     scale = mu * cfg.K.volume
@@ -206,12 +205,12 @@ def var_excess(
 ) -> QuadResult:
     """Variance of the excess count for the scaled model."""
     mu, K, d, g_n = cfg.lam_n, cfg.K, cfg.d, cfg.g_n
-    g_in, g_out = _cut(cfg.g.scale(cfg.n), R, cfg.n)
+    g_in, g_out = _cut(g_n, R, cfg.n)
     bracket, extra, p_in, p_out = _excess_parts(mu, g_in, g_out, g_n, d, spec)
     mean = mu * K.volume * p_in.value * (1.0 - p_out.value)
     breaks = _pair_cut_breaks(g_in, g_out, g_n)
-    main = double_region_integral(bracket, K, d, spec, breaks)
-    extra_int = double_region_integral(extra, K, d, spec, breaks)
+    main = double_region_integral(bracket, K, spec, breaks)
+    extra_int = double_region_integral(extra, K, spec, breaks)
     val = mean + mu**2 * main.value + mu**2 * p_in.value**2 * extra_int.value
     err = (
         mu * K.volume * (p_in.error + p_out.error)
@@ -285,7 +284,7 @@ def swapped_mean_density(
     formula applies.
     """
     _require_wide(R, cfg.K)
-    return _excess_density(cfg.lam_n, *_cut(cfg.g.scale(cfg.n), R), cfg.d, spec)
+    return _excess_density(cfg.lam_n, *_cut(cfg.g_n, R), cfg.d, spec)
 
 
 # -- the domination bound ------------------------------------------------------
@@ -339,7 +338,6 @@ def domination_constants(
     def phi(M: float) -> float:
         return 4.0 * lam * g.eval(M / 2.0) * Ig - 1.0
 
-    note = ""
     supp = g.support_radius
     # g is 0 where its scaled radius overflows to inf (exp(-inf), or beyond a disk)
     with np.errstate(over="ignore"):
@@ -367,9 +365,8 @@ def domination_constants(
         if phi(M_alt) <= 0.0 and g.eval(M_alt / 2.0) > 0.0:
             M = M_alt
             gM2 = g.eval(M / 2.0)
-            note = "M shrunk to the support edge"
         else:
-            M, note = 2.0 * supp, "uniform fallback bound (bounded support)"
+            M = 2.0 * supp
 
     if gM2 > 0.0:
         C_pair = max(4.0 * math.e * lam * Ig, (e_growth - 1.0) / gM2)
@@ -379,40 +376,7 @@ def domination_constants(
     if math.isinf(C_total):
         raise ModelError(f"exp(4 lam int(g)) = exp({growth:.6g}) overflows the domination "
                          "constants")
-    return DominationConstant(M=M, C_pair=C_pair, C_total=C_total, note=note)
-
-
-@dataclass(frozen=True)
-class DominationCheck:
-    ok: bool
-    worst_margin: float  # max over the grid of |bracket| - C_total g(x/2)
-    worst_pair_margin: float  # max of (pair(2 lam) - 1) - C_pair g(x/2)
-    points: int
-    constant: DominationConstant  # the constants checked
-
-
-def check_domination(
-    lam: float,
-    g: ConnectionFunction,
-    d: int,
-    radii: Sequence[float],
-    R_list: Sequence[float],
-    spec: QuadratureSpec = DEFAULT_SPEC,
-) -> DominationCheck:
-    """Numerically verify both domination inequalities on a grid, the
-    bracket at intensity lam (see domination_constants); a margin of up to
-    1e-7 above zero is taken as quadrature noise."""
-    const = domination_constants(lam, g, d, spec)
-    x = np.asarray(radii, dtype=float).reshape(-1)
-    g_half = g.eval(x / 2.0)
-    worst = -math.inf
-    for R in R_list:
-        margin = np.abs(excess_variance_bracket(lam, g, R, d, spec)(x)) - const.C_total * g_half
-        worst = max(worst, float(np.max(margin, initial=-math.inf)))
-    pf = pair_factor(2.0 * lam, g, g, x, d, spec).value
-    worst_pair = float(np.max((pf - 1.0) - const.C_pair * g_half, initial=-math.inf))
-    ok = worst <= 1e-7 and worst_pair <= 1e-7
-    return DominationCheck(ok, worst, worst_pair, x.size * len(R_list), const)
+    return DominationConstant(M=M, C_pair=C_pair, C_total=C_total)
 
 
 # -- shared internals ----------------------------------------------------------
@@ -424,8 +388,8 @@ def _cut(
     """h's parts inside and outside radius R / n: 1{x <= R/n} h(x) and
     1{x > R/n} h(x).
 
-    Cut at R then scale by n is _cut(g.scale(n), R, n); scale then cut is
-    _cut(g.scale(n), R).  R is checked before the division, which may round
+    With g_n = g(n x), cut at R then scale by n is _cut(g_n, R, n); scale
+    then cut is _cut(g_n, R).  R is checked before the division, which may round
     a tiny R to a cut at 0.
     """
     if not R > 0:

@@ -31,9 +31,6 @@ class QuadResult(NamedTuple):
     value: float
     error: float
 
-    def __float__(self):
-        return self.value
-
 
 @dataclass(frozen=True)
 class QuadratureSpec:
@@ -822,7 +819,6 @@ def _quarter_shell(a0: float, a1: float, t: np.ndarray) -> np.ndarray:
 def double_region_integral(
     F: Callable[[np.ndarray], np.ndarray],
     K: Region,
-    d: int,
     spec: QuadratureSpec = DEFAULT_SPEC,
     breakpoints=(),
 ) -> QuadResult:
@@ -831,9 +827,7 @@ def double_region_integral(
     Reduced through the box covariogram to a single radial integral against
     the covariogram shell mass.
     """
-    if d != K.dim:
-        raise ValueError("dimension mismatch between F and K")
-    diam = K.diameter
+    d, diam = K.dim, K.diameter
 
     def integrand(s):
         return np.asarray(F(s), dtype=float) * s ** (d - 1) * covariogram_shell_mass(K, s, spec)

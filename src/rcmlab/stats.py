@@ -77,7 +77,6 @@ _BOOT_CHUNK = 1 << 16  # bootstrap indices drawn at a time
 class StatSample:
     """Replicated values of one statistic with seed provenance."""
 
-    name: str
     values: np.ndarray
     base_seed: int
     bias_bound: float = 0.0
@@ -171,7 +170,7 @@ def _request_rows(cfg, requests, graph):
             cols.append(per_rep(component_mask(graph, K, req.r)) / req.r)
         else:  # coupling
             j_mask, _ = masks(req.R / cfg.n)
-            twin = regraph(graph, cfg.g.scale(cfg.n).truncate_inside(req.R / cfg.n))
+            twin = regraph(graph, cfg.g_n.truncate_inside(req.R / cfg.n))
             cols.append(per_rep(j_mask) == per_rep(isolated_mask(twin, K)))
     return np.column_stack(cols).astype(float)
 
@@ -259,7 +258,7 @@ def replicate_many(
         raise StatsError("duplicate statistic names")
     plan = block_plan(cfg.g_n, cfg.lam_n, cfg.K, policy, *_request_needs(cfg, requests))
     rows = _replicate_rows(partial(_request_rows, cfg, requests), plan, base_seed, m, workers)
-    return {name: StatSample(name, rows[:, k].copy(), base_seed, plan.bias_bound)
+    return {name: StatSample(rows[:, k].copy(), base_seed, plan.bias_bound)
             for k, name in enumerate(names)}
 
 
@@ -328,7 +327,6 @@ class CovarianceField:
     se: np.ndarray
     total: float
     total_se: float
-    m: int
     lattice_side: int
     dependence_range: int
 
@@ -399,7 +397,6 @@ def covariance_field(
         se=se,
         total=float(sums.mean()),
         total_se=float(sums.std(ddof=1) / math.sqrt(m)),
-        m=m,
         lattice_side=side,
         dependence_range=dep,
     )

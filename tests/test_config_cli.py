@@ -333,16 +333,25 @@ class TestCli:
         assert rc == 0
         assert (tmp_path / "out" / "variance_growth.csv").exists()
 
+    _PLANE = ["--set", "model.d=2", "--set", "model.K.lower=0,0", "--set", "model.K.sides=1,1"]
+
+    @pytest.mark.parametrize("sets, named", [
+        ([], "model.d"),
+        (_PLANE, "bounded-support"),
+        ([*_PLANE, "--set", "model.g.kind=hard_disk", "--set", "model.g.a=0.5",
+          "--set", "run.n_list=2.5,2.7"], "run.n_list"),
+    ], ids=["d1", "unbounded", "fractional_n"])
     def test_lower_bound_outside_d2_fails_before_the_sweep(
-        self, cfg_file, tmp_path, monkeypatch, capsys
+        self, cfg_file, tmp_path, monkeypatch, capsys, sets, named
     ):
         def no_sweep(*args, **kwargs):
             raise AssertionError("density sweep ran before the config was checked")
 
         monkeypatch.setattr(cli, "replicate", no_sweep)
-        assert cli.main(["variance-growth", "--config", str(cfg_file), "--lower-bound"]) == 2
+        argv = ["variance-growth", "--config", str(cfg_file), "--lower-bound", *sets]
+        assert cli.main(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error:") and "model.d" in err
+        assert err.startswith("config error:") and named in err
         assert not (tmp_path / "out" / "variance_growth.csv").exists()
 
     def test_seed_flag_overrides(self, cfg_file, tmp_path):

@@ -5,17 +5,26 @@ No module of src/rcmlab reads the process environment (``os.environ``,
 flags and its call arguments alone.  The deleted names stay deleted: no
 module defines ``make_variant`` or ``VARIANTS`` (the two cut
 orders are the method chains of ``ConnectionFunction``),
-``resolve_workers`` (the worker count is an argument) or ``LatticeRegion``
-(a box of unit cells is a ``Region`` with integer corners).
+``resolve_workers`` (the worker count is an argument), ``LatticeRegion``
+(a box of unit cells is a ``Region`` with integer corners),
+``check_domination`` or ``DominationCheck`` (criterion c09 sweeps its own
+grid), and the value types hold no field that nothing reads.
 """
 
 import ast
+import dataclasses
 from pathlib import Path
+
+from rcmlab.moments import DominationConstant
+from rcmlab.stats import CovarianceField, StatSample
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "rcmlab"
 
 ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
-RETIRED = {"make_variant", "VARIANTS", "resolve_workers", "LatticeRegion"}
+RETIRED = {
+    "make_variant", "VARIANTS", "resolve_workers", "LatticeRegion", "check_domination",
+    "DominationCheck",
+}
 
 
 def _trees():
@@ -70,6 +79,17 @@ def test_no_module_reads_the_environment():
 
 def test_no_retired_name_is_defined():
     assert _retired_definitions(_trees()) == []
+
+
+def test_value_types_hold_only_the_kept_fields():
+    def names(cls):
+        return [f.name for f in dataclasses.fields(cls)]
+
+    assert names(StatSample) == ["values", "base_seed", "bias_bound"]
+    assert names(CovarianceField) == [
+        "offsets", "cov", "se", "total", "total_se", "lattice_side", "dependence_range"
+    ]
+    assert names(DominationConstant) == ["M", "C_pair", "C_total"]
 
 
 def test_the_guards_name_what_they_find():

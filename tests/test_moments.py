@@ -9,7 +9,6 @@ from rcmlab.connfn import exponential, hard_disk
 from rcmlab.moments import (
     ModelConfig,
     ModelError,
-    check_domination,
     domination_constants,
     excess_variance_bracket,
     isolation_prob,
@@ -313,6 +312,18 @@ class TestSwappedTruncation:
             swapped_mean_density(ModelConfig(d=1, lam=1.0, K=K1, g=exponential(1.0)), 0.5)
 
 
+def _worst_margins(lam, g, d, radii, R_list):
+    """Worst margins of both domination inequalities on a grid: max of
+    |bracket| - C_total g(x/2) over x and R, and of (pair(2 lam) - 1) - C_pair g(x/2)."""
+    const = domination_constants(lam, g, d)
+    x = np.asarray(radii, dtype=float)
+    g_half = g.eval(x / 2.0)
+    worst = max(float(np.max(np.abs(excess_variance_bracket(lam, g, R, d)(x))
+                             - const.C_total * g_half)) for R in R_list)
+    pf = pair_factor(2.0 * lam, g, g, x, d).value
+    return worst, float(np.max((pf - 1.0) - const.C_pair * g_half))
+
+
 class TestDomination:
     def test_exponential_constants(self):
         const = domination_constants(1.0, exponential(1.0), 1)
@@ -327,13 +338,9 @@ class TestDomination:
 
     def test_bounded_support_fallback(self):
         const = domination_constants(1.0, hard_disk(1.0), 2)
-        assert "fallback" in const.note
         assert const.C_pair == pytest.approx(4 * math.pi * math.exp(4 * math.pi), rel=1e-8)
-        check = check_domination(
-            1.0, hard_disk(1.0), 2, radii=[0.5, 1.0, 1.9, 2.5, 4.0], R_list=(0.5, 2.0)
-        )
-        assert check.ok, (check.worst_margin, check.worst_pair_margin)
-        assert check.constant == const and check.points == 10
+        worst = _worst_margins(1.0, hard_disk(1.0), 2, [0.5, 1.0, 1.9, 2.5, 4.0], (0.5, 2.0))
+        assert max(worst) <= 1e-7, worst
 
     def test_bracket_vanishes_beyond_double_support(self):
         bracket = excess_variance_bracket(1.0, hard_disk(1.0), 0.5, 2)
@@ -356,19 +363,17 @@ class TestDomination:
             assert isinstance(pair_factor(1.5, g, g, 0.4, 2).value, np.ndarray)
 
     def test_grid_inequality_exponential(self):
-        radii = [float(x) for x in np.geomspace(0.05, 10.0, 10)]
-        check = check_domination(1.0, exponential(1.0), 1, radii, R_list=(0.5, 2.0))
-        assert check.ok, (check.worst_margin, check.worst_pair_margin)
+        radii = np.geomspace(0.05, 10.0, 10)
+        worst = _worst_margins(1.0, exponential(1.0), 1, radii, (0.5, 2.0))
+        assert max(worst) <= 1e-7, worst
 
     def test_scaled_function_takes_its_radius_from_g(self):
         # phi(0) <= 0 and g(a) underflows: M halves until g(M/2) > 0
         g = exponential(1.0).scale(1000.0)
         const = domination_constants(1e-9, g, 1)
         assert g.eval(const.M / 2.0) > 0.0
-        radii = [float(x) for x in np.geomspace(1e-4, 1.0, 12)]
-        check = check_domination(1e-9, g, 1, radii, R_list=(0.001, 0.01))
-        assert check.ok, (check.worst_margin, check.worst_pair_margin)
-        assert check.constant == const
+        worst = _worst_margins(1e-9, g, 1, np.geomspace(1e-4, 1.0, 12), (0.001, 0.01))
+        assert max(worst) <= 1e-7, worst
 
     def test_function_vanishing_at_zero_is_a_model_error(self):
         with pytest.raises(ModelError, match="positive at 0"):

@@ -1105,27 +1105,23 @@ class TestCovariogram:
 
 class TestDoubleRegionIntegral:
     def test_constant(self):
-        for K, d in [(Region((0.0,), (1.0,)), 1), (unit_box(2), 2), (unit_box(3), 3)]:
-            got = double_region_integral(lambda s: np.ones_like(s), K, d).value
+        for K in [Region((0.0,), (1.0,)), unit_box(2), unit_box(3)]:
+            got = double_region_integral(lambda s: np.ones_like(s), K).value
             assert got == pytest.approx(K.volume**2, rel=1e-7)
 
     def test_indicator_of_diameter(self):
         K = unit_box(2)
         F = lambda s: (np.asarray(s) <= K.diameter).astype(float)
-        assert double_region_integral(F, K, 2).value == pytest.approx(1.0, rel=1e-7)
+        assert double_region_integral(F, K).value == pytest.approx(1.0, rel=1e-7)
 
     def test_mean_distance_interval(self):
         K = Region((0.0,), (1.0,))
-        got = double_region_integral(lambda s: np.asarray(s, dtype=float), K, 1).value
+        got = double_region_integral(lambda s: np.asarray(s, dtype=float), K).value
         assert got == pytest.approx(1.0 / 3.0, rel=1e-10)
 
     def test_mean_distance_square_and_cube(self):
         # classical mean-distance constants for the unit square and cube
-        got2 = double_region_integral(lambda s: np.asarray(s, dtype=float), unit_box(2), 2).value
+        got2 = double_region_integral(lambda s: np.asarray(s, dtype=float), unit_box(2)).value
         assert got2 == pytest.approx(0.5214054331647207, abs=1e-7)
-        got3 = double_region_integral(lambda s: np.asarray(s, dtype=float), unit_box(3), 3).value
+        got3 = double_region_integral(lambda s: np.asarray(s, dtype=float), unit_box(3)).value
         assert got3 == pytest.approx(0.6617071822671758, abs=1e-7)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            double_region_integral(lambda s: s, unit_box(2), 3)

@@ -87,6 +87,34 @@ RUNS = {
                 "87534254eb15ef02e52698c533d8ef17b12c87dd7d5d5091d405f461fcf29cb2",
         },
     ),
+    # n = 1, where ModelConfig.g_n is g itself and g.scale(1.0) is another
+    # object with the same values, cuts and tail radii
+    "moments-n1": ("default.cfg", ["moments", "--set", "run.n_list=1,2"], 0, {
+        "moments.csv": "7d365afcc22c547f03555ff1811b2de44f387bdab747d1cc18fe25dd6351963e",
+        "moments.json": "9ea1fe7c6a8896c47c2dc7f7ea90f2898d8890c0834adc9f080fc87b06f992be",
+    }),
+    "moments-2d-disk-n1": (
+        "clt_2d.cfg",
+        ["moments", "--set", "run.n_list=1", "--set", "model.g.kind=hard_disk",
+         "--set", "model.g.a=1", "--set", "run.R_list=0.5"],
+        0,
+        {
+            "moments.csv": "02c7011e4a2384ab5dbe6be075c07204128287553baa4764f588e75d342b0294",
+            "moments.json": "b91144b4d4a0d1e595afb5463812e6af0725051c8fd442f01677464fa3833fea",
+        },
+    ),
+    # the coupling twin at n = 1
+    "truncation-demo-2d-n1": (
+        "clt_2d.cfg",
+        ["truncation-demo", "--set", "run.m=200", "--set", "run.n_list=1,2"],
+        0,
+        {
+            "truncation_demo.csv":
+                "feb1a5922ddf1453a43b10c94f77d96e2342af572383ff3753b77ea351bfb5ce",
+            "truncation_demo.json":
+                "5b18c1519b6c48289a57e34e50855abb65895765f6841c69c5b96102cdd57436",
+        },
+    ),
     "martingale-check": ("default.cfg", ["martingale-check"], 0, {
         "martingale_check.csv": "60e27236ac939eb5e344123d26c6ccd57d2a99af6cf7685e3268880114c86023",
         "martingale_check.json": "9894aa9b776d6270ed865f318fe651638ae327b2e01ebd37e2131bfc995cf8ea",

@@ -120,7 +120,7 @@ class TestReplicate:
     @pytest.mark.parametrize("m", [2, 3, 17, 600, 100_000])
     def test_bootstrap_se_has_the_bits_of_all_resamples_at_once(self, m):
         values = np.random.default_rng(m).normal(size=m)
-        sample = StatSample(name="x", values=values, base_seed=20240801)
+        sample = StatSample(values=values, base_seed=20240801)
         rng = np.random.default_rng(np.random.SeedSequence(entropy=20240801, spawn_key=(0xB007,)))
         idx = rng.integers(0, m, size=(200, m))
         expect = float(values[idx].var(axis=1, ddof=1).std(ddof=1))
@@ -128,7 +128,7 @@ class TestReplicate:
 
     def test_bootstrap_se_memory_is_bounded(self):
         # all 200 resamples at once would hold (200, m) indices and values
-        sample = StatSample(name="x", values=np.random.default_rng(1).normal(size=100_000),
+        sample = StatSample(values=np.random.default_rng(1).normal(size=100_000),
                             base_seed=5)
         tracemalloc.start()
         try:
@@ -775,7 +775,7 @@ class TestSmallHelpers:
 
     def test_stat_sample_guards(self):
         with pytest.raises(StatsError):
-            StatSample(name="x", values=np.array([1.0]), base_seed=0)
+            StatSample(values=np.array([1.0]), base_seed=0)
 
     def test_policy_validation(self):
         with pytest.raises(ValueError):
