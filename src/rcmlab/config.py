@@ -13,11 +13,11 @@ kind, scale parameter, and an ordered transform list:
 
 Regions are boxes: `model.K.lower = 0,0` and `model.K.sides = 1,1`.  The
 density rule is `scaled` (lam_n = lam * n^d) or explicit `n:lam_n` pairs,
-each n named once and every n of run.n_list among them.  The config hash
-covers exactly what the experiment reads: a float renders with 6 significant
-digits only when that reads back as the same float, and the connection
-function's unread key (model.g.a of a table, model.g.table of a builtin)
-hashes as its default.
+each n named once and model.n (default 1) and every n of run.n_list among
+them.  The config hash covers exactly what the experiment reads: a float
+renders with 6 significant digits only when that reads back as the same
+float, and the connection function's unread key (model.g.a of a table,
+model.g.table of a builtin) hashes as its default.
 """
 
 from __future__ import annotations
@@ -220,8 +220,11 @@ def _build(raw: dict[str, str]) -> ExperimentConfig:
         rule = None
         if rule_text != "scaled":
             rule = _parse_value("model.density_rule", rule_text, _parse_pairs)
-            if len({nn for nn, _ in rule}) < len(rule):
+            named = {nn for nn, _ in rule}
+            if len(named) < len(rule):
                 raise ConfigError("model.density_rule names an n more than once")
+            if values["model.n"] not in named:
+                raise ConfigError(f"model.n: density rule has no entry for n={values['model.n']}")
             values["model.density_rule"] = rule  # hashed as its pairs, not its text
         spec = QuadratureSpec(
             rel_tol=values["numerics.rel_tol"],

@@ -9,8 +9,9 @@ Notation used throughout (all radial, evaluated by quadrature):
 The "excess" count L is the number of vertices that are isolated once the
 connection function is truncated inside radius R but are not isolated under
 the full function.  Its mean and variance admit exact formulas built from
-iso/pair factors; the variance carries a positive extra term from pairs
-joined by an edge longer than the truncation radius.
+iso/pair factors; the variance is one pair integral of a bracket plus a
+positive term from pairs joined by an edge longer than the truncation radius,
+the two sharing one pair factor.
 """
 
 from __future__ import annotations
@@ -206,17 +207,13 @@ def var_excess(
     """Variance of the excess count for the scaled model."""
     mu, K, d, g_n = cfg.lam_n, cfg.K, cfg.d, cfg.g_n
     g_in, g_out = _cut(g_n, R, cfg.n)
-    bracket, extra, p_in, p_out = _excess_parts(mu, g_in, g_out, g_n, d, spec)
+    terms, p_in, p_out = _excess_parts(mu, g_in, g_out, g_n, d, spec)
     mean = mu * K.volume * p_in.value * (1.0 - p_out.value)
-    breaks = _pair_cut_breaks(g_in, g_out, g_n)
-    main = double_region_integral(bracket, K, spec, breaks)
-    extra_int = double_region_integral(extra, K, spec, breaks)
-    val = mean + mu**2 * main.value + mu**2 * p_in.value**2 * extra_int.value
-    err = (
-        mu * K.volume * (p_in.error + p_out.error)
-        + mu**2 * (main.error + extra_int.error)
+    dri = double_region_integral(
+        lambda s: terms(s)[1], K, spec, _pair_cut_breaks(g_in, g_out, g_n)
     )
-    return QuadResult(val, err)
+    val = mean + mu**2 * dri.value
+    return QuadResult(val, mu * K.volume * (p_in.error + p_out.error) + mu**2 * dri.error)
 
 
 def limit_mean_excess(
@@ -237,21 +234,18 @@ def limit_var_excess(
     d: int,
     spec: QuadratureSpec = DEFAULT_SPEC,
 ) -> QuadResult:
-    """Limit of the normalised excess variance (bracket + long-edge term over R^d)."""
+    """Limit of the normalised excess variance (bracket + long-edge term over R^d).
+
+    One radial integral up to the bracket's cutoff T.  T is at least twice
+    g.tail_radius(tail_eps exp(-lam int g)), beyond which the long-edge tail
+    is below tail_eps, so its tail_eps joins the bracket's in the bound.
+    """
     g_in, g_out = _cut(g, R)
-    bracket, extra, p_in, p_out = _excess_parts(lam, g_in, g_out, g, d, spec)
-
+    terms, p_in, p_out = _excess_parts(lam, g_in, g_out, g, d, spec)
     T = _bracket_cutoff(lam, g, d, spec)
-    breaks = _pair_cut_breaks(g_in, g_out, g)
-    main = radial_of(bracket, d, T, spec, breaks)
-
-    Ig = radial_integral(g, d, spec).value
-    T_extra = g.tail_radius(spec.tail_eps * math.exp(-lam * Ig), d)
-    extra_int = radial_of(extra, d, T_extra, spec, breaks)
-
-    first = p_in.value * (1.0 - p_out.value)
-    val = first + lam * main.value + lam * p_in.value**2 * extra_int.value
-    err = p_in.error + p_out.error + lam * (main.error + extra_int.error)
+    integ = radial_of(lambda s: terms(s)[1], d, T, spec, _pair_cut_breaks(g_in, g_out, g))
+    val = p_in.value * (1.0 - p_out.value) + lam * integ.value
+    err = p_in.error + p_out.error + lam * (integ.error + spec.tail_eps)
     return QuadResult(val, err)
 
 
@@ -303,7 +297,8 @@ def excess_variance_bracket(
     domination constants bound by C_total * g(|x|/2), uniformly in R and in
     the scale index.
     """
-    return _excess_parts(nu, *_cut(g, R), g, d, spec)[0]
+    terms = _excess_parts(nu, *_cut(g, R), g, d, spec)[0]
+    return lambda s: terms(s)[0]
 
 
 def domination_constants(
@@ -460,31 +455,26 @@ def _excess_density(mu, g_in, g_out, d, spec) -> QuadResult:
 
 
 def _excess_parts(mu, g_in, g_out, g_full, d, spec):
-    """Bracket and long-edge integrands, shared by the variance formulas.
+    """The excess variance's integrand, shared by the variance formulas.
 
-    Both are integrands of the quadrature kernels: array in, array out.
+    terms(s) evaluates each pair factor once and returns the bracket and the
+    whole integrand: the bracket plus the long-edge term p_in^2 g_out(s)
+    pair(mu, g_in, g_in, s).  Array in, arrays out.
     """
     p_in = isolation_prob(mu, g_in, d, spec)
     p_out = isolation_prob(mu, g_out, d, spec)
     p_full = isolation_prob(mu, g_full, d, spec)
     const = p_in.value**2 * (1.0 - p_out.value) ** 2
 
-    def bracket(s):
+    def terms(s):
         Pii = pair_factor(mu, g_in, g_in, s, d, spec).value
         Pif = pair_factor(mu, g_in, g_full, s, d, spec).value
         Pff = pair_factor(mu, g_full, g_full, s, d, spec).value
-        return (1.0 - g_full.eval(s)) * (
+        bracket = (1.0 - g_full.eval(s)) * (
             p_in.value**2 * Pii
             - 2.0 * p_in.value**2 * p_out.value * Pif
             + p_full.value**2 * Pff
         ) - const
+        return bracket, bracket + p_in.value**2 * g_out.eval(s) * Pii
 
-    def extra(s: np.ndarray) -> np.ndarray:
-        gv = g_out.eval(s)
-        out = np.zeros_like(gv)
-        joined = gv > 0  # only these pairs can share a long edge
-        if joined.any():
-            out[joined] = gv[joined] * pair_factor(mu, g_in, g_in, s[joined], d, spec).value
-        return out
-
-    return bracket, extra, p_in, p_out
+    return terms, p_in, p_out

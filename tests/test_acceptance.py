@@ -16,7 +16,7 @@ from rcmlab.reports import write_json
 
 # sha256 of {cid: details} as write_json writes it; the details do not
 # depend on the worker count
-DETAILS_SHA256 = "8356201fd0594ff6edb5439b1845f4c5ddc8542be35553821b7e5965a716300e"
+DETAILS_SHA256 = "a0fd87e477088d87b59f09989fd56c8060ed0c6c8a6f8ea135491ef34f49cf4c"
 
 
 def _workers():

@@ -128,6 +128,10 @@ class TestParsing:
         with pytest.raises(ConfigError, match="^run.n_list: .*n=4"):
             parse_config("model.density_rule = 1:1, 2:4\nrun.n_list = 2, 4\n")
 
+    def test_density_rule_covers_model_n(self):
+        with pytest.raises(ConfigError, match="^model.n: .*n=1"):
+            parse_config("model.density_rule = 2:4, 4:16\nrun.n_list = 2, 4\n")
+
     def test_density_rule_names_each_n_once(self):
         with pytest.raises(ConfigError, match="model.density_rule"):
             parse_config("", ["model.density_rule=1:1,1:2"])

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import mpmath
@@ -5,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from rcmlab.connfn import exponential, hard_disk
+from rcmlab import moments
+from rcmlab.connfn import exponential, gaussian, hard_disk, table_function
 from rcmlab.moments import (
     ModelConfig,
     ModelError,
@@ -23,7 +25,14 @@ from rcmlab.moments import (
     var_isolated,
     variance_ratio,
 )
-from rcmlab.quadrature import Region, overlap_rows, radial_integral, unit_box
+from rcmlab.quadrature import (
+    DEFAULT_SPEC,
+    QuadratureSpec,
+    Region,
+    overlap_rows,
+    radial_integral,
+    unit_box,
+)
 from rcmlab.stats import StatRequest, replicate_many
 
 
@@ -287,6 +296,52 @@ def test_a_cut_needs_a_positive_radius(formula, R):
         CUT_FORMULAS[formula](R)
 
 
+class TestExcessIntegrand:
+    @pytest.mark.parametrize("formula", ["var_excess", "limit_var_excess"])
+    def test_each_pair_factor_separation_is_evaluated_once(self, monkeypatch, formula):
+        seen = {}
+        inner = moments.pair_factor
+
+        def recording(mu, h1, h2, s, d, spec=DEFAULT_SPEC):
+            seen.setdefault((h1, h2), []).extend(np.ravel(s).tolist())
+            return inner(mu, h1, h2, s, d, spec)
+
+        monkeypatch.setattr(moments, "pair_factor", recording)
+        CUT_FORMULAS[formula](1.0)
+        assert seen
+        for pair, sep in seen.items():
+            repeats = len(sep) - len(set(sep))
+            assert repeats == 0, (pair, f"{repeats} of {len(sep)} separations repeat")
+
+    def test_the_bracket_cutoff_covers_the_long_edge_tail(self):
+        # beyond g.tail_radius(tail_eps e^(-lam int g)) the long-edge term's
+        # tail is below tail_eps, so one integral to the bracket's cutoff
+        # bounds both terms
+        fns = [
+            hard_disk(1.0),
+            exponential(1.0),
+            exponential(0.3),
+            gaussian(0.7),
+            table_function([(0.0, 1.0), (0.5, 0.4), (1.0, 0.0)]),
+            exponential(1.0).scale(4.0),
+            gaussian(1.0).truncate_inside(1.5),
+            exponential(1.0).truncate_outside(0.5),
+        ]
+        checked = 0
+        for spec in (DEFAULT_SPEC, QuadratureSpec(rel_tol=1e-4, abs_tol=1e-5, tail_eps=1e-6)):
+            for g, d, lam in itertools.product(fns, (1, 2, 3), (1e-6, 0.1, 1.0, 5.0, 50.0)):
+                eps = spec.tail_eps * math.exp(-lam * radial_integral(g, d, spec).value)
+                if eps == 0.0:
+                    continue
+                try:
+                    T = moments._bracket_cutoff(lam, g, d, spec)
+                except ModelError:
+                    continue
+                assert T >= 2.0 * g.tail_radius(eps, d), (g, d, lam, spec)
+                checked += 1
+        assert checked >= 150
+
+
 class TestSwappedTruncation:
     def test_sequence_decreases_to_zero(self):
         cfg = ModelConfig(d=1, lam=1.0, K=K1, g=exponential(1.0))
@@ -423,6 +478,28 @@ PINNED = {
     "var_excess_d1_n32": (
         lambda: var_excess(_D1_EXP.at_n(32.0), 1.0),
         (5.204707448716773, 4.516675318896255e-08),
+    ),
+    # (value, error_bound) while the long-edge term was a second integral with
+    # its own cutoff; the one merged integral may move each by its old bound
+    "var_excess_d2_exp03_n2": (
+        lambda: var_excess(ModelConfig(2, 1.0, unit_box(2), exponential(0.3), 2.0), 1.0),
+        (0.2436228559796582, 1.8242685402818596e-09),
+    ),
+    "limit_var_excess_d2_exp03": (
+        lambda: limit_var_excess(1.0, exponential(0.3), 1.0, 2),
+        (0.0847742147681117, 3.679379033674103e-10),
+    ),
+    "var_excess_d3_exp03_n2_R2": (
+        lambda: var_excess(ModelConfig(3, 1.0, unit_box(3), exponential(0.3), 2.0), 2.0),
+        (0.10699757743868776, 9.611030686613084e-10),
+    ),
+    "limit_var_excess_d3_exp03": (
+        lambda: limit_var_excess(1.0, exponential(0.3), 1.0, 3),
+        (0.22786451925434764, 2.4014410732330632e-11),
+    ),
+    "var_excess_d2_gauss07_n2_R2": (
+        lambda: var_excess(ModelConfig(2, 1.0, unit_box(2), gaussian(0.7), 2.0), 2.0),
+        (0.00037861698842589606, 1.4292316070832031e-09),
     ),
 }
 

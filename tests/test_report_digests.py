@@ -19,8 +19,8 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 # name: (config, subcommand and flags, exit code, {report file: sha256})
 RUNS = {
     "moments": ("default.cfg", ["moments"], 0, {
-        "moments.csv": "4603ddecf4059ea54c25c8bff0444e0c6ff35ef50137fff5031619eeda9643ce",
-        "moments.json": "17058724c77fb3ca4d3c052454d4c8974c88209cc44aad5b84efa3cbb24b6eb2",
+        "moments.csv": "cfbd0d99da5a9f4593bb6056223f883b14361c9098ae87885ffe67db40bf4531",
+        "moments.json": "3e2780bfedb251580f83c774edb33b3353a107d2f64553bf2fc903b3fffcd0bd",
     }),
     "simulate": ("default.cfg", ["simulate", "--set", "run.m=200"], 0, {
         "simulate.csv": "c5930d70f6a2ba9690883d6b26195f5c29666fe4f2c8e25b372a65c36ccc6227",
@@ -48,8 +48,8 @@ RUNS = {
         "variance_growth.json": "f6bfd9f00d34b1742f2f05962c0f8fb0b18b71533570765126915376a3a65e0f",
     }),
     "moments-2d": ("clt_2d.cfg", ["moments", "--set", "run.n_list=2"], 0, {
-        "moments.csv": "f296172c35881c7c707420b3c9eb3b2defce30f96615c938a07f9cf6bf226970",
-        "moments.json": "c3964f3cd9fa72a26eaea3a19fc165f4e924c1f879997a245bebe54f701a3f79",
+        "moments.csv": "a91f5267c0b46d8aa6eb4f16fd8636e518a61ad9eec14f50c838a6a35a9d1b1b",
+        "moments.json": "24408e22b55ad490d412c4b1d96253f0edc40f4c409fe31a10582bc7286220e9",
     }),
     "covariance-field": (
         "default.cfg",
@@ -90,8 +90,8 @@ RUNS = {
     # n = 1, where ModelConfig.g_n is g itself and g.scale(1.0) is another
     # object with the same values, cuts and tail radii
     "moments-n1": ("default.cfg", ["moments", "--set", "run.n_list=1,2"], 0, {
-        "moments.csv": "7d365afcc22c547f03555ff1811b2de44f387bdab747d1cc18fe25dd6351963e",
-        "moments.json": "9ea1fe7c6a8896c47c2dc7f7ea90f2898d8890c0834adc9f080fc87b06f992be",
+        "moments.csv": "5f6875152bdc65a60cacd4cdd81d97247e74cf03b9d5f3555202e6c8fd410965",
+        "moments.json": "79feed7ebee011b0728933675a860d030ba8ec57d9e94514be871e231353420c",
     }),
     "moments-2d-disk-n1": (
         "clt_2d.cfg",
@@ -99,8 +99,8 @@ RUNS = {
          "--set", "model.g.a=1", "--set", "run.R_list=0.5"],
         0,
         {
-            "moments.csv": "02c7011e4a2384ab5dbe6be075c07204128287553baa4764f588e75d342b0294",
-            "moments.json": "b91144b4d4a0d1e595afb5463812e6af0725051c8fd442f01677464fa3833fea",
+            "moments.csv": "353dc0151f0b2dde8fc6afc9e492a0328965cc342dfc71fb8ce03369bcbd146d",
+            "moments.json": "e90dd93a0228f2fd1c46da00b4f49d4cc7bdf1c3837ac84c41bebbcb25166f6d",
         },
     ),
     # the coupling twin at n = 1
