@@ -114,7 +114,7 @@ def _excess_sample(ctx: AcceptanceContext):
 
 def c02_scaled_mean(ctx: AcceptanceContext) -> CriterionResult:
     cfg, sample = _excess_sample(ctx)
-    exact = mean_excess(cfg, 1.0, ctx.spec).value
+    exact = mean_excess(cfg, 1.0).value
     gap, se, ok = _mean_agreement(sample, exact)
     return CriterionResult(
         "c02",
@@ -145,16 +145,16 @@ def c04_limit_convergence(ctx: AcceptanceContext) -> CriterionResult:
     g = exponential(1.0)
     R = 1.0
     base = ModelConfig(d=1, lam=1.0, K=unit_box(1), g=g, n=1.0)
-    mean_limit = limit_mean_excess(1.0, g, R, 1, ctx.spec).value
+    mean_limit = limit_mean_excess(1.0, g, R, 1).value
     var_limit = limit_var_excess(1.0, g, R, 1, ctx.spec).value
     means, variances = [], []
     for n in (8.0, 16.0, 32.0):
         cfg = base.at_n(n)
         norm = cfg.lam_n * cfg.K.volume
-        means.append(mean_excess(cfg, R, ctx.spec).value / norm)
+        means.append(mean_excess(cfg, R).value / norm)
         variances.append(var_excess(cfg, R, ctx.spec).value / norm)
     # under the default density rule the normalized mean is n-independent, so
-    # its successive differences are pure quadrature noise; allow that floor
+    # its successive differences are rounding noise; allow that floor
     tol = 1e-9
 
     def shrinking(seq, limit):
@@ -181,7 +181,7 @@ def c04_limit_convergence(ctx: AcceptanceContext) -> CriterionResult:
 def c05_vanishing_limits(ctx: AcceptanceContext) -> CriterionResult:
     g = exponential(1.0)
     R_list = (1.0, 2.0, 4.0, 8.0, 16.0)
-    means = [limit_mean_excess(1.0, g, R, 1, ctx.spec).value for R in R_list]
+    means = [limit_mean_excess(1.0, g, R, 1).value for R in R_list]
     variances = [limit_var_excess(1.0, g, R, 1, ctx.spec).value for R in R_list]
 
     def vanishing(seq):
@@ -206,7 +206,7 @@ def c06_swapped_truncation(ctx: AcceptanceContext) -> CriterionResult:
     R = 2.0
     n_list = (1.0, 2.0, 4.0, 8.0, 16.0)
     vals = [
-        swapped_mean_density(ModelConfig(d=1, lam=1.0, K=K, g=g, n=n), R, ctx.spec).value
+        swapped_mean_density(ModelConfig(d=1, lam=1.0, K=K, g=g, n=n), R).value
         for n in n_list
     ]
     decreasing = all(b < a + 1e-12 for a, b in zip(vals, vals[1:]))
@@ -303,7 +303,7 @@ def c09_domination(ctx: AcceptanceContext) -> CriterionResult:
     quadrature noise."""
     lam, g, d = 1.0, exponential(1.0), 1
     R_list = (0.5, 1.0, 2.0, 4.0)
-    const = domination_constants(lam, g, d, ctx.spec)
+    const = domination_constants(lam, g, d)
     x = np.geomspace(0.05, 10.0, 20)
     g_half = g.eval(x / 2.0)
     worst = -math.inf  # max over the grid of |bracket| - C_total g(x/2)

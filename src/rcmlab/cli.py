@@ -125,15 +125,15 @@ def cmd_moments(cfg: ExperimentConfig, args) -> int:
     lam, g, d = cfg.model.lam, cfg.model.g, cfg.model.d
     add("limit_var_isolated", limit_var_isolated(lam, g, d, cfg.spec))
     for R in cfg.R_list:
-        add("limit_mean_excess", limit_mean_excess(lam, g, R, d, cfg.spec), R=R)
+        add("limit_mean_excess", limit_mean_excess(lam, g, R, d), R=R)
         add("limit_var_excess", limit_var_excess(lam, g, R, d, cfg.spec), R=R)
         add("variance_ratio", variance_ratio(lam, g, R, d, cfg.spec), R=R)
     for n in cfg.n_list:
         model = cfg.model.at_n(n)
-        add("mean_isolated", mean_isolated(model, cfg.spec), n=n, lam_n=model.lam_n)
+        add("mean_isolated", mean_isolated(model), n=n, lam_n=model.lam_n)
         add("var_isolated", var_isolated(model, cfg.spec), n=n, lam_n=model.lam_n)
         for R in cfg.R_list:
-            add("mean_excess", mean_excess(model, R, cfg.spec), R=R, n=n, lam_n=model.lam_n)
+            add("mean_excess", mean_excess(model, R), R=R, n=n, lam_n=model.lam_n)
             add("var_excess", var_excess(model, R, cfg.spec), R=R, n=n, lam_n=model.lam_n)
     _emit(cfg, "moments", rows)
     return 0
@@ -244,7 +244,7 @@ def cmd_truncation_demo(cfg: ExperimentConfig, args) -> int:
                     "section": "swapped_mean_density",
                     "n": n,
                     "R": R,
-                    "value": swapped_mean_density(cfg.model.at_n(n), R, cfg.spec).value,
+                    "value": swapped_mean_density(cfg.model.at_n(n), R).value,
                     "note": "normalized mean when truncation is applied after scaling",
                 }
             )
@@ -271,7 +271,7 @@ def cmd_truncation_demo(cfg: ExperimentConfig, args) -> int:
             cfg.policy,
             cfg.workers,
         )
-        center = mean_excess(model, R_c, cfg.spec).value
+        center = mean_excess(model, R_c).value
         rows.append(
             {
                 "section": "collapse_fraction",

@@ -32,6 +32,11 @@ class ConnFnError(ValueError):
 
 _KINDS = ("hard_disk", "exponential", "gaussian", "table")
 _LOG_FLOAT_MAX = 709.782712893384  # log of the largest float: exp(x) is finite up to it
+_EPS = float(np.finfo(float).eps)
+_SUBNORMAL = 2.0**-1074  # spacing of the subnormal floats: exp's absolute error there
+_LN2 = math.log(2.0)
+# the two-point Gauss-Legendre nodes on [0, 1]
+_GL2 = (0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0))
 
 
 def sphere_surface(d: int) -> float:
@@ -192,6 +197,103 @@ class ConnectionFunction:
             f"{self.kind} scale a = {self.a:g} scaled by e^{log_factor:.6g}: no tail "
             f"radius for eps = {eps:g} in d = {d} within floats"
         )
+
+    def mass(self, d: int) -> tuple[float, float]:
+        """omega_d int_0^inf r^{d-1} f(r) dr in closed form, and twice a
+        first-order bound on its rounding.  A mass that underflows is 0, and
+        one beyond floats is inf (or raises OverflowError).
+
+        q = a / F (1 / F for a table) is folded exactly as m 2^e, F being the
+        product of the scale factors, which may overflow where q does not:
+          hard disk: omega_d / d (R - lo) sum_k R^k lo^{d-1-k}, R the support
+            radius, as eval compares on it; no term is negative;
+          exponential, gaussian: q^d [M(lo / q) - M(hi / q)], M the tail
+            mass of a = 1, exp(_log_unit_tail_mass); the difference cancels
+            for a thin annulus, so there the bound is a few ulps of
+            q^d M(lo / q), not of the value;
+          table: the two-point Gauss-Legendre rule on each linear piece
+            clipped to (lo, hi], exact for r^{d-1} times a line (d <= 3), on
+            non-negative terms.
+        """
+        R = self.support_radius
+        if R == 0.0:
+            return 0.0, 0.0
+        if self.kind == "hard_disk":
+            lo = self.lo or 0.0
+            value = sphere_surface(d) / d * (R - lo) * sum(R**k * lo ** (d - 1 - k) for k in range(d))
+            return value, 2.0 * (_EPS * (d + 6.0) * value + _SUBNORMAL)
+        if self.kind == "table":
+            return self._table_mass(d)
+        return self._smooth_mass(d)
+
+    def _fold(self) -> tuple[float, int, int]:
+        """q = a / F (1 / F for a table) as (m, e) with q = m 2^e and m in
+        [0.5, 1), and the number of scale factors whose division rounds, by
+        half an ulp each."""
+        m, e = math.frexp(1.0 if self.kind == "table" else self.a)
+        folds = 0
+        for n in self.scales:
+            nm, ne = math.frexp(n)
+            m, de = math.frexp(m / nm)
+            e += de - ne
+            folds += nm != 0.5
+        return m, e, folds
+
+    def _smooth_mass(self, d: int) -> tuple[float, float]:
+        """mass of an exponential or gaussian base, from its tail masses."""
+        m, e, folds = self._fold()
+
+        def log_tail(c):
+            """log M(c / q) and a first-order bound on its absolute error: a
+            few ulps of its terms, and the rounding of c / q times
+            |d log M / d log z|, at most w (exponential) or 2 w + 1 (gaussian)."""
+            try:
+                z = math.ldexp(c, -e) / m
+            except OverflowError:
+                return -math.inf, 0.0
+            w = z if self.kind == "exponential" else z * z
+            if w == math.inf:
+                return -math.inf, 0.0
+            slope = w if self.kind == "exponential" else 2.0 * w + 1.0
+            noise = 4.0 + 2.0 * w + 0.5 * (folds + 1) * slope
+            return _log_unit_tail_mass(self.kind, z, d), _EPS * noise
+
+        L_lo, err_lo = log_tail(self.lo or 0.0)
+        L_hi, err_hi = (-math.inf, 0.0) if self.hi is None else log_tail(self.hi)
+        if L_lo + d * e * _LN2 < -800.0:  # q^d M(lo / q) is below every float
+            return 0.0, 2.0 * _SUBNORMAL
+        j = 0 if L_lo > -700.0 else math.floor(L_lo / _LN2)  # so exp() stays normal
+        outer = math.ldexp(math.exp(L_lo - j * _LN2) * m**d, j + d * e)  # q^d M(lo / q)
+        value = max(0.0, -outer * math.expm1(L_hi - L_lo))
+        err = _EPS * (4.0 + 0.5 * d * (folds + 1)) * value
+        err += outer * (err_lo + math.exp(L_hi - L_lo) * err_hi)
+        return value, 2.0 * (err + _SUBNORMAL)
+
+    def _table_mass(self, d: int) -> tuple[float, float]:
+        """mass of a table base, piece by piece.
+
+        A knot r / F moves by (folds + 1) / 2 ulps, which moves the line of
+        its piece by at most |v1 - v0| ulps times x1 / (x1 - x0)."""
+        m, e, folds = self._fold()
+        knots = [(math.ldexp(r * m, e), v) for r, v in self.table]
+        lo = self.lo or 0.0
+        hi = math.inf if self.hi is None else self.hi
+        total = moved = 0.0
+        for (x0, v0), (x1, v1) in zip(knots, knots[1:]):
+            u, v = max(x0, lo), min(x1, hi)
+            if not v > u or v0 == 0.0:  # empty, or 0 from here on
+                continue
+            # the line at u and v: a knot's value, or two non-negative terms
+            hu = v0 if u == x0 else (v0 * (x1 - u) + v1 * (u - x0)) / (x1 - x0)
+            hv = v1 if v == x1 else (v0 * (x1 - v) + v1 * (v - x0)) / (x1 - x0)
+            rule = sum((hu * s + hv * t) * (u + (v - u) * t) ** (d - 1)
+                       for t, s in zip(_GL2, reversed(_GL2)))
+            total += 0.5 * (v - u) * rule
+            moved += (v - u) / (x1 - x0) * x1 * v ** (d - 1) * (v0 - v1)
+        om = sphere_surface(d)
+        value = om * total
+        err = _EPS * ((2.0 * d + 8.0 + 0.5 * len(knots)) * value + 0.5 * (folds + 1) * om * moved)
+        return value, 2.0 * (err + 4.0 * _SUBNORMAL)
 
     # -- construction -------------------------------------------------------
 

@@ -1,6 +1,7 @@
 """Closed-form and limiting moments of isolated-vertex counting statistics.
 
-Notation used throughout (all radial, evaluated by quadrature):
+Notation used throughout (all radial; int h is h's closed-form mass, the
+overlaps a closed form or quadrature):
 
     iso(mu, h)        = exp(-mu * int h(|y|) dy)          isolation factor
     pair(mu, h1, h2)  = exp(+mu * int h1(|y-x1|) h2(|y-x2|) dy)
@@ -99,21 +100,24 @@ class DominationConstant:
 # -- elementary factors -------------------------------------------------------
 
 
-def isolation_prob(
-    mu: float, h: ConnectionFunction, d: int, spec: QuadratureSpec = DEFAULT_SPEC
-) -> QuadResult:
+def isolation_prob(mu: float, h: ConnectionFunction, d: int) -> QuadResult:
     """Probability exp(-mu * int_{R^d} h(|y|) dy) that a point sees no h-neighbor.
 
-    An integral error e moves p by at most p expm1(mu e), which is the bound.
+    The integral is h's closed-form mass; its error e moves p by at most
+    p expm1(mu e), which is the bound.  Where that overflows, p and the exact
+    probability both lie in [0, exp(-mu (int - e))], whose top is the bound.
     """
     if mu < 0:
         raise ModelError("intensity must be >= 0")
-    integral = radial_integral(h, d, spec)
+    integral = radial_integral(h, d)
     p = math.exp(-mu * integral.value)
-    if not mu * integral.error <= _LOG_FLOAT_MAX:
+    if mu * integral.error <= _LOG_FLOAT_MAX:
+        return QuadResult(p, p * math.expm1(mu * integral.error))
+    least = mu * (integral.value - integral.error)
+    if not least >= -_LOG_FLOAT_MAX:
         raise ModelError(f"intensity {mu:.6g} overflows the error bound "
                          f"expm1({mu:.6g} * {integral.error:.3g})")
-    return QuadResult(p, p * math.expm1(mu * integral.error))
+    return QuadResult(p, math.exp(-least))
 
 
 def pair_factor(
@@ -143,9 +147,9 @@ def pair_factor(
 # -- isolated-vertex moments ---------------------------------------------------
 
 
-def mean_isolated(cfg: ModelConfig, spec: QuadratureSpec = DEFAULT_SPEC) -> QuadResult:
+def mean_isolated(cfg: ModelConfig) -> QuadResult:
     """E of the isolated-vertex count on K: lam_n vol(K) iso(lam_n, g_n)."""
-    p = isolation_prob(cfg.lam_n, cfg.g_n, cfg.d, spec)
+    p = isolation_prob(cfg.lam_n, cfg.g_n, cfg.d)
     scale = cfg.lam_n * cfg.K.volume
     return QuadResult(scale * p.value, scale * p.error)
 
@@ -159,14 +163,15 @@ def var_isolated(cfg: ModelConfig, spec: QuadratureSpec = DEFAULT_SPEC) -> QuadR
     """
     mu = cfg.lam_n
     g_n = cfg.g_n
-    p = isolation_prob(mu, g_n, cfg.d, spec)
+    p = isolation_prob(mu, g_n, cfg.d)
     mean = mu * cfg.K.volume * p.value
     bracket = _isolated_bracket(mu, g_n, cfg.d, spec)
     dri = double_region_integral(
         lambda s: p.value**2 * bracket(s), cfg.K, spec, _pair_cut_breaks(g_n, g_n)
     )
-    val = mean + mu**2 * dri.value
-    return QuadResult(val, mu * cfg.K.volume * p.error + mu**2 * dri.error)
+    mu2 = _squared(mu)
+    val = mean + mu2 * dri.value
+    return QuadResult(val, mu * cfg.K.volume * p.error + mu2 * dri.error)
 
 
 def limit_var_isolated(
@@ -177,7 +182,7 @@ def limit_var_isolated(
     iso(lam, g) + lam * iso^2 * int_{R^d} [(1 - g(|x|)) pair(x, 0) - 1] dx;
     equals 1 in the empty-function direction (pure Poisson counts).
     """
-    p = isolation_prob(lam, g, d, spec)
+    p = isolation_prob(lam, g, d)
     T = _bracket_cutoff(lam, g, d, spec)
     integ = radial_of(_isolated_bracket(lam, g, d, spec), d, T, spec, _pair_cut_breaks(g, g))
     val = p.value + lam * p.value**2 * integ.value
@@ -187,14 +192,12 @@ def limit_var_isolated(
 # -- excess (truncation error) moments ----------------------------------------
 
 
-def mean_excess(
-    cfg: ModelConfig, R: float, spec: QuadratureSpec = DEFAULT_SPEC
-) -> QuadResult:
+def mean_excess(cfg: ModelConfig, R: float) -> QuadResult:
     """E of the excess count for the scaled model (valid for all R > 0, n >= 1)."""
     mu = cfg.lam_n
     g_in, g_out = _cut(cfg.g_n, R, cfg.n)
-    p_in = isolation_prob(mu, g_in, cfg.d, spec)
-    p_out = isolation_prob(mu, g_out, cfg.d, spec)
+    p_in = isolation_prob(mu, g_in, cfg.d)
+    p_out = isolation_prob(mu, g_out, cfg.d)
     scale = mu * cfg.K.volume
     val = scale * p_in.value * (1.0 - p_out.value)
     err = scale * (p_in.error * (1.0 - p_out.value) + p_in.value * p_out.error)
@@ -212,19 +215,14 @@ def var_excess(
     dri = double_region_integral(
         lambda s: terms(s)[1], K, spec, _pair_cut_breaks(g_in, g_out, g_n)
     )
-    val = mean + mu**2 * dri.value
-    return QuadResult(val, mu * K.volume * (p_in.error + p_out.error) + mu**2 * dri.error)
+    mu2 = _squared(mu)
+    val = mean + mu2 * dri.value
+    return QuadResult(val, mu * K.volume * (p_in.error + p_out.error) + mu2 * dri.error)
 
 
-def limit_mean_excess(
-    lam: float,
-    g: ConnectionFunction,
-    R: float,
-    d: int,
-    spec: QuadratureSpec = DEFAULT_SPEC,
-) -> QuadResult:
+def limit_mean_excess(lam: float, g: ConnectionFunction, R: float, d: int) -> QuadResult:
     """Limit of the normalised excess mean: iso(lam, g_R) (1 - iso(lam, g^R))."""
-    return _excess_density(lam, *_cut(g, R), d, spec)
+    return _excess_density(lam, *_cut(g, R), d)
 
 
 def limit_var_excess(
@@ -267,9 +265,7 @@ def variance_ratio(
     return QuadResult(val, err)
 
 
-def swapped_mean_density(
-    cfg: ModelConfig, R: float, spec: QuadratureSpec = DEFAULT_SPEC
-) -> QuadResult:
+def swapped_mean_density(cfg: ModelConfig, R: float) -> QuadResult:
     """Normalised excess mean when truncation is applied after scaling.
 
     With the truncation radius held fixed while the interaction shrinks, the
@@ -278,7 +274,7 @@ def swapped_mean_density(
     formula applies.
     """
     _require_wide(R, cfg.K)
-    return _excess_density(cfg.lam_n, *_cut(cfg.g_n, R), cfg.d, spec)
+    return _excess_density(cfg.lam_n, *_cut(cfg.g_n, R), cfg.d)
 
 
 # -- the domination bound ------------------------------------------------------
@@ -301,12 +297,7 @@ def excess_variance_bracket(
     return lambda s: terms(s)[0]
 
 
-def domination_constants(
-    lam: float,
-    g: ConnectionFunction,
-    d: int,
-    spec: QuadratureSpec = DEFAULT_SPEC,
-) -> DominationConstant:
+def domination_constants(lam: float, g: ConnectionFunction, d: int) -> DominationConstant:
     """Construct (M, C_pair, C_total) for the bracket domination bound.
 
     The bracket depends on the scale index n only through lam_n / n^d, which
@@ -321,7 +312,7 @@ def domination_constants(
     C_pair = 4 lam int(g) exp(4 lam int(g)) is reported (the bracket vanishes
     wherever g(|x|/2) does, so the inequality stays valid).
     """
-    Ig = radial_integral(g, d, spec).value
+    Ig = radial_integral(g, d).value
     if not Ig > 0:
         raise ModelError("g must have positive integral")
     if not g.eval(0.0) > 0.0:
@@ -392,6 +383,14 @@ def _cut(
     return h.truncate_inside(R / n), h.truncate_outside(R / n)
 
 
+def _squared(mu: float) -> float:
+    """mu^2 of a variance's pair term, or a ModelError naming mu beyond floats."""
+    try:
+        return mu**2
+    except OverflowError:
+        raise ModelError(f"intensity {mu:.6g} overflows mu^2 in the variance") from None
+
+
 def _require_wide(R: float, K: Region):
     if not R > K.diameter:
         raise ModelError(
@@ -425,7 +424,7 @@ def _bracket_cutoff(mu: float, g: ConnectionFunction, d: int, spec: QuadratureSp
     """
     if g.support_radius is not None:
         return 2.0 * g.tail_radius(spec.tail_eps, d)
-    Ig = radial_integral(g, d, spec).value
+    Ig = radial_integral(g, d).value
     x = 2.0 * mu * Ig
     c_tilde = 8.0 * mu * Ig * (math.exp(x) if x <= _LOG_FLOAT_MAX else math.inf) + 1.0
     eps = spec.tail_eps / (c_tilde * 2.0**d)
@@ -435,8 +434,8 @@ def _bracket_cutoff(mu: float, g: ConnectionFunction, d: int, spec: QuadratureSp
     log_eps = math.log(spec.tail_eps) - x - math.log(8.0 * mu * Ig + math.exp(-x)) \
         - d * math.log(2.0)
     raise ModelError(f"the bracket tail budget tail_eps / (c 2^d) = exp({log_eps:.6g}), "
-                     f"with c = 8 mu int(g) exp({x:.6g}) + 1, underflows: no cutoff radius "
-                     f"within floats")
+                     f"with c = 8 mu int(g) exp({x:.6g}) + 1 and mu int(g) = {mu * Ig:.6g}, "
+                     f"underflows: no cutoff radius within floats")
 
 
 def _isolated_bracket(mu, g, d, spec) -> Callable:
@@ -447,10 +446,10 @@ def _isolated_bracket(mu, g, d, spec) -> Callable:
     return lambda s: (1.0 - g.eval(s)) * pair_factor(mu, g, g, s, d, spec).value - 1.0
 
 
-def _excess_density(mu, g_in, g_out, d, spec) -> QuadResult:
+def _excess_density(mu, g_in, g_out, d) -> QuadResult:
     """iso(mu, g_in) (1 - iso(mu, g_out)): the excess mean per expected point."""
-    p_in = isolation_prob(mu, g_in, d, spec)
-    p_out = isolation_prob(mu, g_out, d, spec)
+    p_in = isolation_prob(mu, g_in, d)
+    p_out = isolation_prob(mu, g_out, d)
     return QuadResult(p_in.value * (1.0 - p_out.value), p_in.error + p_out.error)
 
 
@@ -461,9 +460,9 @@ def _excess_parts(mu, g_in, g_out, g_full, d, spec):
     whole integrand: the bracket plus the long-edge term p_in^2 g_out(s)
     pair(mu, g_in, g_in, s).  Array in, arrays out.
     """
-    p_in = isolation_prob(mu, g_in, d, spec)
-    p_out = isolation_prob(mu, g_out, d, spec)
-    p_full = isolation_prob(mu, g_full, d, spec)
+    p_in = isolation_prob(mu, g_in, d)
+    p_out = isolation_prob(mu, g_out, d)
+    p_full = isolation_prob(mu, g_full, d)
     const = p_in.value**2 * (1.0 - p_out.value) ** 2
 
     def terms(s):

@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .connfn import ConnectionFunction, sphere_surface
+from .connfn import _EPS, _SUBNORMAL, ConnectionFunction, sphere_surface
 
 
 class QuadratureError(RuntimeError):
@@ -39,7 +39,9 @@ class QuadratureSpec:
     rel_tol: float = 1e-8
     abs_tol: float = 1e-10
     max_subdiv: int = 512
-    tail_eps: float = 1e-12  # mass discarded beyond the improper-integral cutoff
+    # mass dropped beyond each quadrature cutoff: radial_of's, the quadrature
+    # overlaps' and the variance brackets'; the closed-form masses drop none
+    tail_eps: float = 1e-12
 
     def __post_init__(self):
         if not (self.rel_tol > 0 and self.abs_tol > 0 and self.tail_eps > 0):
@@ -276,17 +278,16 @@ def radial_of(
     return QuadResult(val, err + spec.tail_eps)
 
 
-def radial_integral(
-    h: ConnectionFunction, d: int, spec: QuadratureSpec = DEFAULT_SPEC
-) -> QuadResult:
-    """int_{R^d} h(|y|) dy, truncated at the tail radius T(tail_eps);
-    QuadratureError when the integrand or the integral leaves floats."""
-    T = h.tail_radius(spec.tail_eps, d)
-    with np.errstate(over="raise", invalid="raise"):
-        try:
-            return radial_of(h.eval, d, T, spec, h.cut_radii)
-        except FloatingPointError:
-            raise QuadratureError(f"int of {h.kind} up to T = {T:.6g} leaves floats") from None
+def radial_integral(h: ConnectionFunction, d: int) -> QuadResult:
+    """int_{R^d} h(|y|) dy in closed form (ConnectionFunction.mass), with its
+    rounding bound; QuadratureError when the mass is beyond floats."""
+    try:
+        value, error = h.mass(d)
+    except OverflowError:
+        value = error = math.inf
+    if not (math.isfinite(value) and math.isfinite(error)):
+        raise QuadratureError(f"int of {h.kind} in d = {d} is beyond floats")
+    return QuadResult(value, error)
 
 
 # Outer r-points per inner adaptive_quad_rows call.  A row's value does not
@@ -493,8 +494,6 @@ def _quadrature_overlap(
 # A scale factor that is not a power of two folds into the parameter with
 # one rounding, whose effect the bound covers too.
 
-_EPS = float(np.finfo(float).eps)
-_SUBNORMAL = 2.0**-1074  # spacing of the subnormal floats: exp's absolute error there
 _SEG_SERIES = tuple((-1) ** n * 6.0 / math.factorial(2 * n + 3) for n in range(9))
 
 

@@ -336,28 +336,26 @@ class CovarianceField:
         return self.total > 3.0 * self.total_se
 
 
-def _offset_cov(Y: np.ndarray, z: tuple[int, ...], mu: float) -> float:
-    a_sl, b_sl = [], []
-    for zk, size in zip(z, Y.shape):
-        if zk >= 0:
-            a_sl.append(slice(0, size - zk))
-            b_sl.append(slice(zk, size))
-        else:
-            a_sl.append(slice(-zk, size))
-            b_sl.append(slice(0, size + zk))
-    a = Y[tuple(a_sl)]
-    if a.size == 0:
-        return 0.0
-    return float((a * Y[tuple(b_sl)]).mean() - mu * mu)
+def _cell_covariances(Y: np.ndarray, offsets) -> np.ndarray:
+    """Offset covariances of each replication of a (reps, *sides) cell array:
+    one row per replication, each offset one expression over the whole
+    array.  An offset as long as a side or longer has no cell pair and
+    reads 0."""
+    axes, sides = tuple(range(1, Y.ndim)), Y.shape[1:]
+    mu = Y.mean(axis=axes)
+    rows = np.zeros((Y.shape[0], len(offsets)))
+    for k, z in enumerate(offsets):
+        if any(abs(zk) >= size for zk, size in zip(z, sides)):
+            continue
+        A = Y[(slice(None), *(slice(max(0, -zk), size - max(0, zk)) for zk, size in zip(z, sides)))]
+        B = Y[(slice(None), *(slice(max(0, zk), size - max(0, -zk)) for zk, size in zip(z, sides)))]
+        rows[:, k] = (A * B).mean(axis=axes) - mu * mu
+    return rows
 
 
 def _field_rows(r, offsets, cells, graph):
     """Offset covariances of each replication of a block, over its own cells."""
-    rows = []
-    for Y in component_cell_counts(graph, cells, r):
-        mu = float(Y.mean())
-        rows.append([_offset_cov(Y, z, mu) for z in offsets])
-    return np.array(rows, dtype=float)
+    return _cell_covariances(component_cell_counts(graph, cells, r), offsets)
 
 
 def covariance_field(

@@ -16,7 +16,7 @@ from rcmlab.reports import write_json
 
 # sha256 of {cid: details} as write_json writes it; the details do not
 # depend on the worker count
-DETAILS_SHA256 = "a0fd87e477088d87b59f09989fd56c8060ed0c6c8a6f8ea135491ef34f49cf4c"
+DETAILS_SHA256 = "8c4d3e16be85d5943d07b891191d785b77f5d1b762381335c8c0cb38199da58b"
 
 
 def _workers():

@@ -426,7 +426,8 @@ class TestCli:
         ("simulate", "run.n_list=1e308", "vol(K) = 1e+308 expected points"),
         ("simulate", "model.g.a=1e300", "vol(window) = 1.40274e+303 expected points"),
         ("simulate", "model.g.a=1e307", "exponential scale a = 1e+307"),
-        ("moments", "model.g.a=1e307", "exponential scale a = 1e+307"),
+        # the mass 2e307 is finite, but not the bracket's pair constant
+        ("moments", "model.g.a=1e307", "mu int(g) = 2e+307"),
         ("simulate", "model.K.sides=1e308", "vol(K) = inf expected points"),
         ("truncation-demo", "run.R_list=1e300", "vol(window) = 2e+300 expected points"),
         ("moments", "run.n_list=1e308", "intensity 1e+308"),
@@ -439,9 +440,9 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:") and says in err
 
-    # a tail mass omega_d a^d Gamma(d/2) / 2 beyond the largest float: the
-    # tail radius is finite, but the window's Poisson mean and the isolation
-    # probability's error bound overflow
+    # a mass omega_d a^d Gamma(d/2) / 2 of 1.5e308: the tail radius is
+    # finite, but the window's Poisson mean and the bracket's pair constant
+    # overflow
     @pytest.mark.parametrize("command", ["simulate", "moments"])
     def test_overflowing_tail_mass_ends_in_an_error_line(self, command, tmp_path, capsys):
         argv = [command, "--config", str(ROOT / "configs" / "default.cfg"),
@@ -452,7 +453,7 @@ class TestCli:
         assert cli.main(argv) == 1
         err = capsys.readouterr().err
         says = {"simulate": "lam_n * vol(window) = inf expected points",
-                "moments": "overflows the error bound expm1("}[command]
+                "moments": "mu int(g) = 1.50345e+308"}[command]
         assert err.startswith("error:") and says in err
 
     # d = 3, lambda = 10, exponential(5) at n = 2: ~1.8e8 points a replication,

@@ -1,19 +1,23 @@
-"""Tail radii, isolation probabilities and domination constants at extreme
-scales: every call returns finite numbers or raises one of the library's own
-errors, never a bare OverflowError, ZeroDivisionError, TypeError or
-floating-point warning, and never an inf or a NaN.  A tail mass far below the
-budget has radius 0 however its scale factors multiply out."""
+"""Tail radii, masses, isolation probabilities and domination constants at
+extreme scales: every call returns finite numbers or raises one of the
+library's own errors, never a bare OverflowError, ZeroDivisionError, TypeError
+or floating-point warning, and never an inf or a NaN.  A tail mass far below
+the budget has radius 0 however its scale factors multiply out, and a mass is
+within its bound of the exact one, or beyond floats and refused."""
 
 import math
 import re
+import sys
+import warnings
 from dataclasses import astuple
 
+import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rcmlab.connfn import ConnFnError, exponential, gaussian, hard_disk
 from rcmlab.moments import ModelError, domination_constants, isolation_prob
-from rcmlab.quadrature import QuadratureError
+from rcmlab.quadrature import QuadratureError, radial_integral
 
 KINDS = {"exponential": exponential, "gaussian": gaussian, "hard_disk": hard_disk}
 
@@ -68,3 +72,34 @@ def test_finite_or_a_library_error(g, d, eps, lam):
 def test_overflowing_domination_constants_name_the_exponent(lam, g, d, exponent):
     with pytest.raises(ModelError, match=re.escape(exponent)):
         domination_constants(lam, g, d)
+
+
+def _mp_mass(g, d):
+    """int_{R^d} g at 50 digits, with the exact product of the scale factors
+    (a hard disk's edge is its float support radius, as eval compares on it)."""
+    with mpmath.workdps(50):
+        om = 2 * mpmath.pi ** (mpmath.mpf(d) / 2) / mpmath.gamma(mpmath.mpf(d) / 2)
+        if g.kind == "hard_disk":
+            return om / d * mpmath.mpf(g.support_radius) ** d
+        q = mpmath.mpf(g.a) / mpmath.fprod([mpmath.mpf(n) for n in g.scales])
+        shape = mpmath.gamma(d) if g.kind == "exponential" else mpmath.gamma(mpmath.mpf(d) / 2) / 2
+        return om * shape * q**d
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(g=stacks(), d=st.integers(1, 3))
+# a partial product of the factors is 1e-308, the net factor 1e-8: mass 2e8
+@example(g=exponential(1.0).scale(1e-308).scale(1e300), d=1)
+# the product of the factors overflows, and the mass 2 pi 1e-1200 underflows
+@example(g=exponential(1e300).scale(1e300).scale(1e300), d=2)
+def test_the_mass_is_exact_or_beyond_floats(g, d):
+    ref = _mp_mass(g, d)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            res = radial_integral(g, d)
+        except QuadratureError:
+            assert ref > sys.float_info.max * (1 - 1e-12)
+            return
+    assert abs(mpmath.mpf(res.value) - ref) <= res.error
+    assert res.error <= 64 * 2.0**-52 * res.value + 1e-320

@@ -86,6 +86,19 @@ class TestFactors:
         with pytest.raises(ModelError):
             isolation_prob(-1.0, exponential(1.0), 1)
 
+    def test_a_vanishing_isolation_probability_takes_its_top_as_bound(self):
+        # the mass 2e307 has a rounding bound of ~1e294, so expm1(mu e)
+        # overflows; p and the exact probability lie in [0, exp(-mu (I - e))]
+        integral = radial_integral(exponential(1e307), 1)
+        assert integral.value == pytest.approx(2e307, rel=1e-15)
+        assert integral.error > 709.8
+        assert isolation_prob(1.0, exponential(1e307), 1) == (0.0, 0.0)
+
+    def test_a_squared_intensity_beyond_floats_is_a_model_error(self):
+        cfg = ModelConfig(d=1, lam=1e200, K=unit_box(1), g=exponential(1e-200))
+        with pytest.raises(ModelError, match=r"intensity 1e\+200 overflows mu\^2"):
+            var_isolated(cfg)
+
     @pytest.mark.parametrize("d", [1, 2])
     def test_exponent_errors_bound_the_factor_exactly(self, d):
         # an error e in the exponent moves exp(+-mu O) by at most v expm1(mu e),
@@ -330,7 +343,7 @@ class TestExcessIntegrand:
         checked = 0
         for spec in (DEFAULT_SPEC, QuadratureSpec(rel_tol=1e-4, abs_tol=1e-5, tail_eps=1e-6)):
             for g, d, lam in itertools.product(fns, (1, 2, 3), (1e-6, 0.1, 1.0, 5.0, 50.0)):
-                eps = spec.tail_eps * math.exp(-lam * radial_integral(g, d, spec).value)
+                eps = spec.tail_eps * math.exp(-lam * radial_integral(g, d).value)
                 if eps == 0.0:
                     continue
                 try:

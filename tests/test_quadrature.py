@@ -364,6 +364,75 @@ class TestAdaptiveQuadRows:
         assert vals.size == 0 and errs.size == 0
 
 
+EPS = 2.0**-52
+MASS_TABLE = ((0.0, 1.0), (0.5, 0.4), (0.9, 0.25), (1.2, 0.0))
+MASS_BASES = {
+    "exponential": exponential,
+    "gaussian": gaussian,
+    "hard_disk": hard_disk,
+    # the table stretched by a, so that a is its scale as for the other kinds
+    "table": lambda a: table_function(MASS_TABLE).scale(1.0 / a),
+}
+# (base parameter, scale factors): net scales a / F of 1e-100 to 1e100, with
+# factors (and partial products) up to 1e+-308
+MASS_STACKS = [
+    (1.0, ()), (1.0, (2.0,)), (0.8, (3.0, 0.7)), (1e300, (1e300,)), (1e-300, (1e-300,)),
+    (7.0, (1e300, 1e-300)), (1.0, (1e-308, 1e300)), (1e-100, (1e150, 1e-150)),
+    (1e100, ()), (1e-100, ()), (1.0, (1e-300, 1e200)), (1e300, (1e150, 1e150)),
+]
+
+
+def mass_cuts(g, a, stack):
+    """g uncut, cut inside, cut outside, an annulus, an annulus of relative
+    width 1e-9, and cut outside at 5 and 40 net scales."""
+    edge = a
+    for n in stack:
+        edge /= n
+    return {
+        "uncut": g,
+        "in": g.truncate_inside(0.6 * edge),
+        "out": g.truncate_outside(0.45 * edge),
+        "annulus": g.truncate_outside(0.3 * edge).truncate_inside(0.8 * edge),
+        "thin": g.truncate_outside(0.7 * edge).truncate_inside(0.7 * edge * (1 + 1e-9)),
+        "far": g.truncate_outside(5.0 * edge),
+        "farther": g.truncate_outside(40.0 * edge),
+    }
+
+
+def mp_mass(h, d):
+    """(mass, scale, w) of h at 50 digits: the mass of the function with the
+    exact product of its scale factors and its float cuts (a hard disk's edge
+    is its float support radius, as eval compares on it); scale is q^d
+    M(lo / q) for an exponential or a gaussian and the mass otherwise; w is
+    the largest finite z (exponential) or z^2 (gaussian) at a cut, else 0."""
+    with mpmath.workdps(50):
+        om = 2 * mpmath.pi ** (mpmath.mpf(d) / 2) / mpmath.gamma(mpmath.mpf(d) / 2)
+        F = mpmath.fprod([mpmath.mpf(n) for n in h.scales])
+        lo = mpmath.mpf(h.lo or 0.0)
+        hi = mpmath.inf if h.hi is None else mpmath.mpf(h.hi)
+        if h.kind == "hard_disk":
+            R = mpmath.mpf(h.support_radius)
+            mass = om / d * (R**d - lo**d) if R > lo else mpmath.mpf(0)
+            return mass, mass, 0.0
+        if h.kind == "table":
+            mass = mpmath.mpf(0)
+            knots = [(mpmath.mpf(r) / F, mpmath.mpf(v)) for r, v in h.table]
+            for (x0, v0), (x1, v1) in zip(knots, knots[1:]):
+                u, v = max(x0, lo), min(x1, hi)
+                if v > u:
+                    slope = (v1 - v0) / (x1 - x0)
+                    mass += (v0 - slope * x0) * (v**d - u**d) / d
+                    mass += slope * (v ** (d + 1) - u ** (d + 1)) / (d + 1)
+            return om * mass, om * mass, 0.0
+        q = mpmath.mpf(h.a) / F
+        s, power, half = (d, 1, 1) if h.kind == "exponential" else (mpmath.mpf(d) / 2, 2, 2)
+        w_lo, w_hi = (lo / q) ** power, (hi / q) ** power
+        mass = om * q**d * mpmath.gammainc(s, w_lo, w_hi) / half
+        scale = om * q**d * mpmath.gammainc(s, w_lo) / half
+        w = max(float(x) for x in (w_lo, w_hi) if x != mpmath.inf)
+        return mass, scale, w
+
+
 class TestRadialIntegral:
     def test_disk_area(self):
         assert radial_integral(hard_disk(1.0), 2).value == pytest.approx(math.pi, rel=1e-9)
@@ -381,9 +450,60 @@ class TestRadialIntegral:
         assert radial_integral(dead, 2).value == 0.0
 
     def test_error_bound_reported(self):
+        # a rounding bound of the closed form: no tail allowance, a few ulps
         res = radial_integral(exponential(1.0), 2)
-        assert res.error >= QuadratureSpec().tail_eps
-        assert abs(res.value - 2 * math.pi) <= res.error
+        assert abs(res.value - 2 * math.pi) <= res.error <= 32 * EPS * 2 * math.pi
+
+    def test_unit_ball_in_d3_is_bounded(self):
+        # the adaptive quadrature reported a bound below its own rounding here
+        res = radial_integral(hard_disk(1.0), 3)
+        with mpmath.workdps(30):
+            gap = abs(mpmath.mpf(res.value) - 4 * mpmath.pi / 3)
+        assert gap <= res.error <= 32 * EPS * res.value
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("kind", sorted(MASS_BASES))
+    def test_mass_matches_mpmath_on_the_grid(self, kind, d):
+        # every (parameter, scale stack) of MASS_STACKS under every cut of
+        # mass_cuts: within the bound of the 50-digit mass, and the bound at
+        # most 64 ulps of the value (twice a first-order bound: the table's
+        # holds 2d + 10 ulps of its rule, sum and sphere constant), of
+        # q^d M(lo / q) for an exponential or a gaussian, whose difference of
+        # tail masses cancels where (lo, hi] holds little of the mass (a thin
+        # annulus, a cut inside at z << 1), and 64 w ulps more at a cut where
+        # z (exponential) or z^2 (gaussian) is w
+        checked = 0
+        for a, stack in MASS_STACKS:
+            g = MASS_BASES[kind](a)
+            for n in stack:
+                g = g.scale(n)
+            for cut, h in mass_cuts(g, a, stack).items():
+                res = radial_integral(h, d)
+                ref, scale, w = mp_mass(h, d)
+                where = (kind, a, stack, d, cut, res)
+                assert abs(mpmath.mpf(res.value) - ref) <= res.error, where
+                assert res.error <= 64 * EPS * (1 + w) * scale + 1e-320, where
+                checked += ref > 1e-300
+        assert checked >= 50  # masses above 1e-300, the rest underflow or overflow
+
+    def test_mass_beyond_floats_raises(self):
+        with pytest.raises(QuadratureError, match="beyond floats"):
+            radial_integral(exponential(1e200), 2)
+        with pytest.raises(QuadratureError, match="beyond floats"):
+            radial_integral(hard_disk(1e300).truncate_outside(1e299), 2)
+        with pytest.raises(QuadratureError, match="beyond floats"):
+            radial_integral(table_function([(0.0, 1.0), (1.0, 0.0)]).scale(1e-300), 3)
+
+    def test_never_runs_the_adaptive_quadrature(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("radial_integral ran adaptive_quad_rows")
+
+        monkeypatch.setattr(quadrature, "adaptive_quad_rows", refuse)
+        for base in MASS_BASES.values():
+            g = base(0.7).scale(3.0)
+            for h in mass_cuts(g, 0.7, (3.0,)).values():
+                for d in (1, 2, 3):
+                    radial_integral(h, d)
 
     # Each case: the connection function, the same profile written for mpmath,
     # and the radii where the mpmath integral splits (its support and kinks).
@@ -592,12 +712,16 @@ class TestOverlapRows:
         if d == 1:  # no s ~ 0 shortcut: the overlap of two unit intervals is 2 - s
             assert np.all(np.abs(zero[0] - (2.0 - np.array([0.0, 1e-13]))) <= zero[1])
         else:
-            # s ~ 0 takes O(0); its error adds s times the unit disk's
-            # variation along the shift (4 in d=2, 2 pi in d=3) and tail_eps
-            ball = radial_integral(disk, d, spec)
-            assert zero[0].tolist() == [ball.value] * 2 and zero[1][0] == ball.error
+            # s ~ 0 takes O(0), radial_of of h1 h2 up to the smaller tail
+            # radius, which lies within its bound of the closed-form ball;
+            # its error adds s times the unit disk's variation along the
+            # shift (4 in d=2, 2 pi in d=3) and tail_eps
+            at_zero = radial_of(lambda r: disk.eval(r) * disk.eval(r), d, 1.0, spec, (1.0, 1.0))
+            assert zero[0].tolist() == [at_zero.value] * 2 and zero[1][0] == at_zero.error
+            ball = radial_integral(disk, d)
+            assert abs(at_zero.value - ball.value) <= at_zero.error + ball.error
             shift = 1e-13 * {2: 4.0, 3: 2.0 * math.pi}[d] + spec.tail_eps
-            assert zero[1][1] == pytest.approx(ball.error + shift, rel=1e-9)
+            assert zero[1][1] == pytest.approx(at_zero.error + shift, rel=1e-9)
         h1, h2, s = OVERLAP_ROW_CASES["out_in"]
         vals, errs = quad(h1, h2, s, d, spec)
         # d >= 2: the r-range [s - 1, min(T1, s + 1)] is empty; d=1

@@ -19,8 +19,8 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 # name: (config, subcommand and flags, exit code, {report file: sha256})
 RUNS = {
     "moments": ("default.cfg", ["moments"], 0, {
-        "moments.csv": "cfbd0d99da5a9f4593bb6056223f883b14361c9098ae87885ffe67db40bf4531",
-        "moments.json": "3e2780bfedb251580f83c774edb33b3353a107d2f64553bf2fc903b3fffcd0bd",
+        "moments.csv": "a528372f438cfd3b4c6fb619febc5bc0f3bd0223cd935945da089df2523b0571",
+        "moments.json": "41ee6ebd005fc21a1ae39902c99534b6d34040033927320fa3aa106b52100c85",
     }),
     "simulate": ("default.cfg", ["simulate", "--set", "run.m=200"], 0, {
         "simulate.csv": "c5930d70f6a2ba9690883d6b26195f5c29666fe4f2c8e25b372a65c36ccc6227",
@@ -38,18 +38,18 @@ RUNS = {
         0,
         {
             "truncation_demo.csv":
-                "c346e396b10239cd7ee86f1b528b248b546787667eb094f39e544a4ededa5851",
+                "75a877b1ebb2c3acb48e71c64768c9130bc0ad2b268cf68e325b86d611a6e0d1",
             "truncation_demo.json":
-                "ed80a014583a2ac4a273b8e050d216fc85e853fbbcefa0913769b64d3c723ec5",
+                "b1ed430360cd1c32aa19027092dfc0d3cb65a7a95d2184ebc489fba8b07cf40c",
         },
     ),
     "variance-growth": ("default.cfg", ["variance-growth", "--set", "run.m=200"], 0, {
-        "variance_growth.csv": "1f2b2ed9a9ad5a0a87da0418d444a6a3c9252c36d3a5d65b8b283a6025d9a624",
-        "variance_growth.json": "f6bfd9f00d34b1742f2f05962c0f8fb0b18b71533570765126915376a3a65e0f",
+        "variance_growth.csv": "3aa8b15761ca64944344acf893d6f47364e03955a93080cb87e5f9e17557d705",
+        "variance_growth.json": "c24ffdcfa167ca3be8f84db51b8816106b61262584447cb3895b07bc3a19f8c4",
     }),
     "moments-2d": ("clt_2d.cfg", ["moments", "--set", "run.n_list=2"], 0, {
-        "moments.csv": "a91f5267c0b46d8aa6eb4f16fd8636e518a61ad9eec14f50c838a6a35a9d1b1b",
-        "moments.json": "24408e22b55ad490d412c4b1d96253f0edc40f4c409fe31a10582bc7286220e9",
+        "moments.csv": "b9e311c6bfcfce086fe44902e89c9a489d88e33fc354fc6dc47b78477018396f",
+        "moments.json": "cd545fc6df2bdf7f1a3b0181cdd7d4e2e5dc8719be7fcf1b52dbdc3d9bb10c8f",
     }),
     "covariance-field": (
         "default.cfg",
@@ -90,8 +90,8 @@ RUNS = {
     # n = 1, where ModelConfig.g_n is g itself and g.scale(1.0) is another
     # object with the same values, cuts and tail radii
     "moments-n1": ("default.cfg", ["moments", "--set", "run.n_list=1,2"], 0, {
-        "moments.csv": "5f6875152bdc65a60cacd4cdd81d97247e74cf03b9d5f3555202e6c8fd410965",
-        "moments.json": "79feed7ebee011b0728933675a860d030ba8ec57d9e94514be871e231353420c",
+        "moments.csv": "e43c172de60ccc0f86763cef2c6d22f98a3886fc5b0588bfee5598c9cf2e3ac0",
+        "moments.json": "538121252b6ee2e84619489e7bc8d9a5c5b157800dddcbe0328eecc294584503",
     }),
     "moments-2d-disk-n1": (
         "clt_2d.cfg",
@@ -99,8 +99,8 @@ RUNS = {
          "--set", "model.g.a=1", "--set", "run.R_list=0.5"],
         0,
         {
-            "moments.csv": "353dc0151f0b2dde8fc6afc9e492a0328965cc342dfc71fb8ce03369bcbd146d",
-            "moments.json": "e90dd93a0228f2fd1c46da00b4f49d4cc7bdf1c3837ac84c41bebbcb25166f6d",
+            "moments.csv": "b43fb0a992469c4d5fd40d2c55d458c08fc90eee92956cc43f73c17232dd9045",
+            "moments.json": "7d9d93f209381d1b06a8e620b0ec465e856ea3258b27508812ae9ab7c9ca0ff9",
         },
     ),
     # the coupling twin at n = 1

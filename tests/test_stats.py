@@ -35,8 +35,8 @@ from rcmlab.stats import (
     StatRequest,
     StatSample,
     StatsError,
+    _cell_covariances,
     _field_rows,
-    _offset_cov,
     _replication_rows,
     _request_needs,
     _request_rows,
@@ -516,22 +516,53 @@ class TestKS:
         assert ks_normality(vals) > 0.05
 
 
+def _per_replication_cov(Y: np.ndarray, z: tuple[int, ...]) -> float:
+    """The offset covariance of one replication's cell array Y, as a mean of
+    products over the cell pairs at offset z minus the squared mean."""
+    mu = float(Y.mean())
+    a_sl, b_sl = [], []
+    for zk, size in zip(z, Y.shape):
+        if zk >= 0:
+            a_sl.append(slice(0, size - zk))
+            b_sl.append(slice(zk, size))
+        else:
+            a_sl.append(slice(-zk, size))
+            b_sl.append(slice(0, size + zk))
+    a = Y[tuple(a_sl)]
+    if a.size == 0:
+        return 0.0
+    return float((a * Y[tuple(b_sl)]).mean() - mu * mu)
+
+
 class TestOffsetCov:
     def test_iid_field(self):
         rng = np.random.default_rng(21)
         Y = rng.normal(size=(200, 200))
-        mu = float(Y.mean())
-        assert _offset_cov(Y, (0, 0), mu) == pytest.approx(1.0, abs=0.05)
-        assert _offset_cov(Y, (1, 0), mu) == pytest.approx(0.0, abs=0.05)
-        assert _offset_cov(Y, (-2, 3), mu) == pytest.approx(0.0, abs=0.05)
+        covs = _cell_covariances(Y[None], [(0, 0), (1, 0), (-2, 3)])[0]
+        assert covs == pytest.approx([1.0, 0.0, 0.0], abs=0.05)
 
     def test_constant_shift_field(self):
         # perfectly correlated columns: cov at horizontal offsets stays 1
         rng = np.random.default_rng(22)
         col = rng.normal(size=(300, 1))
         Y = np.repeat(col, 10, axis=1)
-        mu = float(Y.mean())
-        assert _offset_cov(Y, (0, 3), mu) == pytest.approx(_offset_cov(Y, (0, 0), mu), rel=0.02)
+        shifted, at0 = _cell_covariances(Y[None], [(0, 3), (0, 0)])[0]
+        assert shifted == pytest.approx(at0, rel=0.02)
+
+    @pytest.mark.parametrize("d,side,dep", [(2, 9, 2), (2, 12, 3), (1, 300, 3), (3, 6, 2)])
+    def test_block_rows_are_the_per_replication_formula_bit_for_bit(self, d, side, dep):
+        # seeded component fields of 217 replications; sides 12 (144 cells),
+        # 300 and 6^3 (216) give products of more than 128 cells, which numpy
+        # sums pairwise in blocks
+        rng = np.random.default_rng(side + 10 * dep)
+        Y = rng.poisson(0.7, size=(217,) + (side,) * d) / 2.0
+        offsets = tuple(product(range(-dep, dep + 1), repeat=d))
+        expect = np.array([[_per_replication_cov(y, z) for z in offsets] for y in Y])
+        # no cell pair at an offset as long as a side or longer: those read 0
+        far = ((side,) + (0,) * (d - 1), (0,) * (d - 1) + (-side - 3,))
+        got = _cell_covariances(Y, offsets + far)
+        assert got[:, : len(offsets)].tobytes() == expect.tobytes()
+        assert not got[:, len(offsets):].any()
 
 
 def _reference_field_rows(cfg, r, offsets, cells, m, base_seed):
@@ -549,8 +580,7 @@ def _reference_field_rows(cfg, r, offsets, cells, m, base_seed):
             corner = tuple(o + k for o, k in zip(cells.lower, site))
             cell = Region(corner, (1.0,) * cells.dim)
             Y[site] = np.count_nonzero(component_mask(graph, cell, r)) / r
-        mu = float(Y.mean())
-        rows.append([_offset_cov(Y, z, mu) for z in offsets])
+        rows.append([_per_replication_cov(Y, z) for z in offsets])
         points.append(graph.n_points)
     return np.array(rows, dtype=float), points
 
@@ -625,6 +655,16 @@ class TestCovarianceField:
         cfg = ModelConfig(d=2, lam=1.0, K=unit_box(2), g=hard_disk(0.5), n=1.0)
         with pytest.raises(StatsError, match="lattice side"):
             covariance_field(cfg, r=1, m=10, base_seed=0, lattice_side=side)
+
+    def test_offsets_beyond_a_small_lattice_read_zero(self):
+        # dependence range ceil(2 * 2) + 1 = 5 on a side of 3: offsets 3 to 5
+        # have no cell pair (the per-replication loop broadcast a 1-cell slice
+        # against an empty one and raised ValueError)
+        cfg = ModelConfig(d=2, lam=1.0, K=unit_box(2), g=hard_disk(2.0), n=1.0)
+        field = covariance_field(cfg, r=2, m=20, base_seed=1, lattice_side=3)
+        assert field.dependence_range == 5
+        far = [k for k, z in enumerate(field.offsets) if max(map(abs, z)) >= 3]
+        assert far and not field.cov[far].any() and np.isfinite(field.cov).all()
 
 
 class TestStationaryVariance:
