@@ -9,10 +9,12 @@ overlaps a closed form or quadrature):
 
 The "excess" count L is the number of vertices that are isolated once the
 connection function is truncated inside radius R but are not isolated under
-the full function.  Its mean and variance admit exact formulas built from
-iso/pair factors; the variance is one pair integral of a bracket plus a
-positive term from pairs joined by an edge longer than the truncation radius,
-the two sharing one pair factor.
+the full function.  Each variance is _variance of its count's parts
+(density, weight, pair, fns): the mean per point, the pair term pair(s) and
+its weight, and the functions whose cuts kink it.  The isolated count's are
+iso, iso^2 and (1 - g(s)) pair(g, g, s) - 1; the excess count's are
+iso(g_in) (1 - iso(g_out)), 1 and its bracket plus a positive term from
+pairs joined by an edge longer than R, the two sharing one pair factor.
 """
 
 from __future__ import annotations
@@ -161,17 +163,7 @@ def var_isolated(cfg: ModelConfig, spec: QuadratureSpec = DEFAULT_SPEC) -> QuadR
     they are mutually unconnected and no third point attaches to either,
     giving (1 - g_n(s)) iso^2 pair(s); the squared mean removes iso^2.
     """
-    mu = cfg.lam_n
-    g_n = cfg.g_n
-    p = isolation_prob(mu, g_n, cfg.d)
-    mean = mu * cfg.K.volume * p.value
-    bracket = _isolated_bracket(mu, g_n, cfg.d, spec)
-    dri = double_region_integral(
-        lambda s: p.value**2 * bracket(s), cfg.K, spec, _pair_cut_breaks(g_n, g_n)
-    )
-    mu2 = _squared(mu)
-    val = mean + mu2 * dri.value
-    return QuadResult(val, mu * cfg.K.volume * p.error + mu2 * dri.error)
+    return _variance(cfg.lam_n, *_isolated(cfg.lam_n, cfg.g_n, cfg.d, spec), cfg.d, spec, cfg.K)
 
 
 def limit_var_isolated(
@@ -182,11 +174,7 @@ def limit_var_isolated(
     iso(lam, g) + lam * iso^2 * int_{R^d} [(1 - g(|x|)) pair(x, 0) - 1] dx;
     equals 1 in the empty-function direction (pure Poisson counts).
     """
-    p = isolation_prob(lam, g, d)
-    T = _bracket_cutoff(lam, g, d, spec)
-    integ = radial_of(_isolated_bracket(lam, g, d, spec), d, T, spec, _pair_cut_breaks(g, g))
-    val = p.value + lam * p.value**2 * integ.value
-    return QuadResult(val, p.error * (1 + 2 * lam * abs(integ.value)) + lam * integ.error)
+    return _variance(lam, *_isolated(lam, g, d, spec), d, spec)
 
 
 # -- excess (truncation error) moments ----------------------------------------
@@ -194,30 +182,17 @@ def limit_var_isolated(
 
 def mean_excess(cfg: ModelConfig, R: float) -> QuadResult:
     """E of the excess count for the scaled model (valid for all R > 0, n >= 1)."""
-    mu = cfg.lam_n
-    g_in, g_out = _cut(cfg.g_n, R, cfg.n)
-    p_in = isolation_prob(mu, g_in, cfg.d)
-    p_out = isolation_prob(mu, g_out, cfg.d)
-    scale = mu * cfg.K.volume
-    val = scale * p_in.value * (1.0 - p_out.value)
-    err = scale * (p_in.error * (1.0 - p_out.value) + p_in.value * p_out.error)
-    return QuadResult(val, err)
+    density = _excess_density(cfg.lam_n, *_cut(cfg.g_n, R, cfg.n), cfg.d)
+    scale = cfg.lam_n * cfg.K.volume
+    return QuadResult(scale * density.value, scale * density.error)
 
 
 def var_excess(
     cfg: ModelConfig, R: float, spec: QuadratureSpec = DEFAULT_SPEC
 ) -> QuadResult:
     """Variance of the excess count for the scaled model."""
-    mu, K, d, g_n = cfg.lam_n, cfg.K, cfg.d, cfg.g_n
-    g_in, g_out = _cut(g_n, R, cfg.n)
-    terms, p_in, p_out = _excess_parts(mu, g_in, g_out, g_n, d, spec)
-    mean = mu * K.volume * p_in.value * (1.0 - p_out.value)
-    dri = double_region_integral(
-        lambda s: terms(s)[1], K, spec, _pair_cut_breaks(g_in, g_out, g_n)
-    )
-    mu2 = _squared(mu)
-    val = mean + mu2 * dri.value
-    return QuadResult(val, mu * K.volume * (p_in.error + p_out.error) + mu2 * dri.error)
+    parts = _excess_parts(cfg.lam_n, *_cut(cfg.g_n, R, cfg.n), cfg.g_n, cfg.d, spec)[0]
+    return _variance(cfg.lam_n, *parts, cfg.d, spec, cfg.K)
 
 
 def limit_mean_excess(lam: float, g: ConnectionFunction, R: float, d: int) -> QuadResult:
@@ -236,15 +211,9 @@ def limit_var_excess(
 
     One radial integral up to the bracket's cutoff T.  T is at least twice
     g.tail_radius(tail_eps exp(-lam int g)), beyond which the long-edge tail
-    is below tail_eps, so its tail_eps joins the bracket's in the bound.
+    is below tail_eps, which _variance's bound holds.
     """
-    g_in, g_out = _cut(g, R)
-    terms, p_in, p_out = _excess_parts(lam, g_in, g_out, g, d, spec)
-    T = _bracket_cutoff(lam, g, d, spec)
-    integ = radial_of(lambda s: terms(s)[1], d, T, spec, _pair_cut_breaks(g_in, g_out, g))
-    val = p_in.value * (1.0 - p_out.value) + lam * integ.value
-    err = p_in.error + p_out.error + lam * (integ.error + spec.tail_eps)
-    return QuadResult(val, err)
+    return _variance(lam, *_excess_parts(lam, *_cut(g, R), g, d, spec)[0], d, spec)
 
 
 def variance_ratio(
@@ -258,11 +227,9 @@ def variance_ratio(
 
     Tends to 1 as R grows; equals 1 exactly once g is supported inside [0, R].
     """
-    num = limit_var_isolated(lam, _cut(g, R)[0], d, spec)
-    den = limit_var_isolated(lam, g, d, spec)
+    num, den = (limit_var_isolated(lam, h, d, spec) for h in (_cut(g, R)[0], g))
     val = num.value / den.value
-    err = (num.error + abs(val) * den.error) / den.value
-    return QuadResult(val, err)
+    return QuadResult(val, (num.error + abs(val) * den.error) / den.value)
 
 
 def swapped_mean_density(cfg: ModelConfig, R: float) -> QuadResult:
@@ -293,8 +260,7 @@ def excess_variance_bracket(
     domination constants bound by C_total * g(|x|/2), uniformly in R and in
     the scale index.
     """
-    terms = _excess_parts(nu, *_cut(g, R), g, d, spec)[0]
-    return lambda s: terms(s)[0]
+    return _excess_parts(nu, *_cut(g, R), g, d, spec)[1]
 
 
 def domination_constants(lam: float, g: ConnectionFunction, d: int) -> DominationConstant:
@@ -438,12 +404,34 @@ def _bracket_cutoff(mu: float, g: ConnectionFunction, d: int, spec: QuadratureSp
                      f"underflows: no cutoff radius within floats")
 
 
-def _isolated_bracket(mu, g, d, spec) -> Callable:
-    """(1 - g(s)) pair(mu, g, g, s) - 1: the isolated count's variance bracket.
+def _variance(mu, density, weight, pair, fns, d, spec, K=None) -> QuadResult:
+    """A count's variance from its parts, the full function last in fns.
 
-    Array in, array out, like pair_factor.
+    On K: mu vol(K) density + mu^2 int_{K x K} weight pair(|x1 - x2|).  With
+    K None, the limit per expected point: density + mu weight int_{R^d} pair
+    up to the bracket's cutoff, with the one bound density.err
+    (1 + 2 mu |int pair|) + mu (int pair.err + tail_eps): a weight of at
+    most 1 moves by at most twice the density's error, and tail_eps covers
+    the pair term beyond the cutoff.
     """
-    return lambda s: (1.0 - g.eval(s)) * pair_factor(mu, g, g, s, d, spec).value - 1.0
+    breaks = _pair_cut_breaks(*fns)
+    if K is not None:
+        dri = double_region_integral(lambda s: weight * pair(s), K, spec, breaks)
+        mu2 = _squared(mu)
+        val = mu * K.volume * density.value + mu2 * dri.value
+        return QuadResult(val, mu * K.volume * density.error + mu2 * dri.error)
+    integ = radial_of(pair, d, _bracket_cutoff(mu, fns[-1], d, spec), spec, breaks)
+    val = density.value + mu * weight * integ.value
+    err = density.error * (1 + 2 * mu * abs(integ.value)) + mu * (integ.error + spec.tail_eps)
+    return QuadResult(val, err)
+
+
+def _isolated(mu, g, d, spec):
+    """The isolated count's variance parts: iso, iso^2 and the bracket
+    (1 - g(s)) pair(mu, g, g, s) - 1, array in, array out."""
+    p = isolation_prob(mu, g, d)
+    return (p, p.value**2,
+            lambda s: (1.0 - g.eval(s)) * pair_factor(mu, g, g, s, d, spec).value - 1.0, (g,))
 
 
 def _excess_density(mu, g_in, g_out, d) -> QuadResult:
@@ -454,26 +442,25 @@ def _excess_density(mu, g_in, g_out, d) -> QuadResult:
 
 
 def _excess_parts(mu, g_in, g_out, g_full, d, spec):
-    """The excess variance's integrand, shared by the variance formulas.
+    """The excess count's variance parts, and its bare bracket.
 
-    terms(s) evaluates each pair factor once and returns the bracket and the
-    whole integrand: the bracket plus the long-edge term p_in^2 g_out(s)
-    pair(mu, g_in, g_in, s).  Array in, arrays out.
+    The pair term is the bracket plus the long-edge term p_in^2 g_out(s)
+    pair(mu, g_in, g_in, s), which shares the bracket's pair factor; each
+    pair factor is evaluated once per separation.  Array in, array out.
     """
-    p_in = isolation_prob(mu, g_in, d)
-    p_out = isolation_prob(mu, g_out, d)
-    p_full = isolation_prob(mu, g_full, d)
-    const = p_in.value**2 * (1.0 - p_out.value) ** 2
+    p_in = isolation_prob(mu, g_in, d).value
+    p_out = isolation_prob(mu, g_out, d).value
+    p_full = isolation_prob(mu, g_full, d).value
+    const = p_in**2 * (1.0 - p_out) ** 2
 
     def terms(s):
         Pii = pair_factor(mu, g_in, g_in, s, d, spec).value
         Pif = pair_factor(mu, g_in, g_full, s, d, spec).value
         Pff = pair_factor(mu, g_full, g_full, s, d, spec).value
         bracket = (1.0 - g_full.eval(s)) * (
-            p_in.value**2 * Pii
-            - 2.0 * p_in.value**2 * p_out.value * Pif
-            + p_full.value**2 * Pff
+            p_in**2 * Pii - 2.0 * p_in**2 * p_out * Pif + p_full**2 * Pff
         ) - const
-        return bracket, bracket + p_in.value**2 * g_out.eval(s) * Pii
+        return bracket, bracket + p_in**2 * g_out.eval(s) * Pii
 
-    return terms, p_in, p_out
+    parts = (_excess_density(mu, g_in, g_out, d), 1.0, lambda s: terms(s)[1], (g_in, g_out, g_full))
+    return parts, lambda s: terms(s)[0]

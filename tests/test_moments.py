@@ -1,5 +1,7 @@
+import ast
 import itertools
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -253,6 +255,69 @@ class TestIsolatedMoments:
         cfg = ModelConfig(d=2, lam=1.0, K=unit_box(2), g=exponential(0.3), n=4.0)
         got = var_isolated(cfg)
         assert abs(got.value - float(want)) <= got.error
+
+
+class TestLimitBounds:
+    """Each limit's error bound against a reference computed apart from
+    quadrature.py: the bound of _variance must cover the true error."""
+
+    def test_disk_limit_against_mpmath(self):
+        # p + p^2 [-pi + 2 pi int_1^2 s (exp(lens(s)) - 1) ds], p = exp(-pi):
+        # the bracket is -1 inside the disk, and the pair factor is 1 beyond 2
+        with mpmath.workdps(30):
+            p = mpmath.exp(-mpmath.pi)
+            lens = lambda s: 2 * mpmath.acos(s / 2) - (s / 2) * mpmath.sqrt(4 - s * s)
+            tail = mpmath.quad(lambda s: s * (mpmath.exp(lens(s)) - 1), [1, 2])
+            want = p + p * p * (-mpmath.pi + 2 * mpmath.pi * tail)
+        assert float(want) == 0.048757943962610295
+        got = limit_var_isolated(1.0, hard_disk(1.0), 2)
+        assert abs(got.value - float(want)) <= got.error
+
+    def test_exponential_limit_against_mpmath(self):
+        # p + 2 pi p^2 int_0^inf s [(1 - e^{-s/a}) exp(pi s^2 K_2(s/a) / 4) - 1] ds
+        # with a = 0.3 and p = exp(-2 pi a^2), by mpmath.quad at 30 digits on
+        # [0, a, 4a, 20a, inf] (about 8 s, so kept as a literal)
+        want = 0.47627598160085224
+        got = limit_var_isolated(1.0, exponential(0.3), 2)
+        assert abs(got.value - want) <= got.error
+
+    def test_table_limit_against_its_tight_spec_value(self):
+        # limit_var_isolated(1, table, 2) at QuadratureSpec(rel_tol=1e-12,
+        # abs_tol=1e-14, tail_eps=1e-15, max_subdiv=4096), which reports a
+        # bound of 1.6e-13; its nested quadrature drops its inner errors, so
+        # the default spec's bound is checked against this value
+        tight = 0.36115699105282933
+        table = table_function([(0.0, 1.0), (0.5, 0.4), (1.0, 0.0)])
+        got = limit_var_isolated(1.0, table, 2)
+        assert abs(got.value - tight) <= got.error
+
+
+# each of these forms one piece of the variance identity, in _variance alone
+ASSEMBLY = ("double_region_integral", "radial_of", "_bracket_cutoff", "_squared")
+
+
+def _call_sites(tree):
+    """{name: the top-level definitions that call it} for each ASSEMBLY name."""
+    sites = {name: [] for name in ASSEMBLY}
+    for top in tree.body:
+        for sub in ast.walk(top):
+            if isinstance(sub, ast.Call) and getattr(sub.func, "id", None) in sites:
+                sites[sub.func.id].append(getattr(top, "name", None))
+    return sites
+
+
+def test_the_variance_identity_is_assembled_once():
+    tree = ast.parse(Path(moments.__file__).read_text())
+    assert _call_sites(tree) == {name: ["_variance"] for name in ASSEMBLY}
+
+
+def test_a_second_assembly_is_named():
+    tree = ast.parse(Path(moments.__file__).read_text())
+    tree.body.extend(ast.parse(
+        "def var_again(mu, K):\n    return double_region_integral(f, K), _squared(mu)\n"
+    ).body)
+    sites = _call_sites(tree)
+    assert sites["double_region_integral"] == sites["_squared"] == ["_variance", "var_again"]
 
 
 class TestLimits:

@@ -19,8 +19,8 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 # name: (config, subcommand and flags, exit code, {report file: sha256})
 RUNS = {
     "moments": ("default.cfg", ["moments"], 0, {
-        "moments.csv": "a528372f438cfd3b4c6fb619febc5bc0f3bd0223cd935945da089df2523b0571",
-        "moments.json": "41ee6ebd005fc21a1ae39902c99534b6d34040033927320fa3aa106b52100c85",
+        "moments.csv": "7e7ddb943bf652e409b64c10cbf5c76482c3b16a15f45b9c0df56bdd42d45efc",
+        "moments.json": "435507084a29cdd7f1e6f57e38e83494d0c7936e05f02c19fad80f87ffd27916",
     }),
     "simulate": ("default.cfg", ["simulate", "--set", "run.m=200"], 0, {
         "simulate.csv": "c5930d70f6a2ba9690883d6b26195f5c29666fe4f2c8e25b372a65c36ccc6227",
@@ -48,8 +48,8 @@ RUNS = {
         "variance_growth.json": "c24ffdcfa167ca3be8f84db51b8816106b61262584447cb3895b07bc3a19f8c4",
     }),
     "moments-2d": ("clt_2d.cfg", ["moments", "--set", "run.n_list=2"], 0, {
-        "moments.csv": "b9e311c6bfcfce086fe44902e89c9a489d88e33fc354fc6dc47b78477018396f",
-        "moments.json": "cd545fc6df2bdf7f1a3b0181cdd7d4e2e5dc8719be7fcf1b52dbdc3d9bb10c8f",
+        "moments.csv": "8f2f3a7f3ac189a7fbdf15cd490d096b9e965cbbe4faa3fd29b990f86bf2e0da",
+        "moments.json": "70afe293672a564599e77ed920455bcad80d4609ef4a35ff779dc4725c01caed",
     }),
     "covariance-field": (
         "default.cfg",
@@ -90,8 +90,8 @@ RUNS = {
     # n = 1, where ModelConfig.g_n is g itself and g.scale(1.0) is another
     # object with the same values, cuts and tail radii
     "moments-n1": ("default.cfg", ["moments", "--set", "run.n_list=1,2"], 0, {
-        "moments.csv": "e43c172de60ccc0f86763cef2c6d22f98a3886fc5b0588bfee5598c9cf2e3ac0",
-        "moments.json": "538121252b6ee2e84619489e7bc8d9a5c5b157800dddcbe0328eecc294584503",
+        "moments.csv": "6ae2d693954c1fa3db953f34a04e66efb97387c6e6000219401cbd81722d52ed",
+        "moments.json": "ce288c925c05f5e1a34f7eb59e9de7eaf958d37c1ff6e246c4d0714d4612a262",
     }),
     "moments-2d-disk-n1": (
         "clt_2d.cfg",
@@ -99,8 +99,8 @@ RUNS = {
          "--set", "model.g.a=1", "--set", "run.R_list=0.5"],
         0,
         {
-            "moments.csv": "b43fb0a992469c4d5fd40d2c55d458c08fc90eee92956cc43f73c17232dd9045",
-            "moments.json": "7d9d93f209381d1b06a8e620b0ec465e856ea3258b27508812ae9ab7c9ca0ff9",
+            "moments.csv": "2be9c93ebd42e11f4b83f0d98e37871ebdd2957b1a9f71a4f0b0cf215efce9db",
+            "moments.json": "5c9a735db21bdd85ceca09cef997bf633382bdbdf808cdb84f1bd9b43204888c",
         },
     ),
     # the coupling twin at n = 1
