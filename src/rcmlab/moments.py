@@ -435,10 +435,16 @@ def _isolated(mu, g, d, spec):
 
 
 def _excess_density(mu, g_in, g_out, d) -> QuadResult:
-    """iso(mu, g_in) (1 - iso(mu, g_out)): the excess mean per expected point."""
+    """iso(mu, g_in) (1 - iso(mu, g_out)): the excess mean per expected point.
+
+    1 - iso(mu, g_out) is -expm1(-mu int g_out), which keeps its relative
+    accuracy when the outside mass is small; iso(mu, g_out)'s error bounds
+    its error.
+    """
     p_in = isolation_prob(mu, g_in, d)
     p_out = isolation_prob(mu, g_out, d)
-    return QuadResult(p_in.value * (1.0 - p_out.value), p_in.error + p_out.error)
+    miss = -math.expm1(-mu * radial_integral(g_out, d).value)
+    return QuadResult(p_in.value * miss, p_in.error + p_out.error)
 
 
 def _excess_parts(mu, g_in, g_out, g_full, d, spec):
@@ -451,7 +457,8 @@ def _excess_parts(mu, g_in, g_out, g_full, d, spec):
     p_in = isolation_prob(mu, g_in, d).value
     p_out = isolation_prob(mu, g_out, d).value
     p_full = isolation_prob(mu, g_full, d).value
-    const = p_in**2 * (1.0 - p_out) ** 2
+    density = _excess_density(mu, g_in, g_out, d)
+    const = density.value**2
 
     def terms(s):
         Pii = pair_factor(mu, g_in, g_in, s, d, spec).value
@@ -462,5 +469,4 @@ def _excess_parts(mu, g_in, g_out, g_full, d, spec):
         ) - const
         return bracket, bracket + p_in**2 * g_out.eval(s) * Pii
 
-    parts = (_excess_density(mu, g_in, g_out, d), 1.0, lambda s: terms(s)[1], (g_in, g_out, g_full))
-    return parts, lambda s: terms(s)[0]
+    return (density, 1.0, lambda s: terms(s)[1], (g_in, g_out, g_full)), lambda s: terms(s)[0]

@@ -16,7 +16,7 @@ from rcmlab.reports import write_json
 
 # sha256 of {cid: details} as write_json writes it; the details do not
 # depend on the worker count
-DETAILS_SHA256 = "8c4d3e16be85d5943d07b891191d785b77f5d1b762381335c8c0cb38199da58b"
+DETAILS_SHA256 = "fa8bf520a3c76f918d6b107ed11a9899e9ce09b9905b4a8be7678d367e4e6cc3"
 
 
 def _workers():

@@ -328,6 +328,21 @@ class TestLimits:
         got = limit_mean_excess(1.0, exponential(1.0), 1.0, 2).value
         assert got == pytest.approx(expect, rel=1e-9)
 
+    # exponential(1) in d = 1 cut at R has outside mass 2 e^-R, so the excess
+    # mean is exp(-2 (1 - e^-R)) (1 - exp(-2 e^-R)) per point; formed by
+    # subtraction, 1 - iso kept only an absolute accuracy once e^-R is small
+    @pytest.mark.parametrize("which, R", [("limit", 16.0), ("swapped", 32.0)])
+    def test_a_small_outside_mass_keeps_its_relative_accuracy(self, which, R):
+        with mpmath.workdps(30):
+            tail = mpmath.exp(-R)
+            want = float(mpmath.exp(-2 * (1 - tail)) * -mpmath.expm1(-2 * tail))
+        if which == "limit":  # c05's mean at R = 16
+            got = limit_mean_excess(1.0, exponential(1.0), R, 1)
+        else:  # c06's at n = 16: g(16 x) cut at 2 is exponential(1) cut at 32, lam_n = 16
+            got = swapped_mean_density(ModelConfig(d=1, lam=1.0, K=K1, g=exponential(1.0), n=16.0), 2.0)
+        assert got.value == pytest.approx(want, rel=1e-14, abs=0.0)
+        assert abs(got.value - want) <= got.error
+
     def test_limit_mean_large_R(self):
         assert limit_mean_excess(1.0, exponential(1.0), 40.0, 1).value == pytest.approx(
             0.0, abs=1e-12

@@ -19,8 +19,8 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 # name: (config, subcommand and flags, exit code, {report file: sha256})
 RUNS = {
     "moments": ("default.cfg", ["moments"], 0, {
-        "moments.csv": "7e7ddb943bf652e409b64c10cbf5c76482c3b16a15f45b9c0df56bdd42d45efc",
-        "moments.json": "435507084a29cdd7f1e6f57e38e83494d0c7936e05f02c19fad80f87ffd27916",
+        "moments.csv": "25e8acf72de97b86226e01ec93218dbf2e200675ddf1b6edecd821739db9d6a6",
+        "moments.json": "686bc4b7c0f956cae6bd4a47895a5f0523d7d34c830a7e89d23f09c0e2094def",
     }),
     "simulate": ("default.cfg", ["simulate", "--set", "run.m=200"], 0, {
         "simulate.csv": "c5930d70f6a2ba9690883d6b26195f5c29666fe4f2c8e25b372a65c36ccc6227",
@@ -38,9 +38,9 @@ RUNS = {
         0,
         {
             "truncation_demo.csv":
-                "75a877b1ebb2c3acb48e71c64768c9130bc0ad2b268cf68e325b86d611a6e0d1",
+                "03584fbf3844d9361d299c0f5d3cb42e2dd35d8d9827eae3df973c7bb962884e",
             "truncation_demo.json":
-                "b1ed430360cd1c32aa19027092dfc0d3cb65a7a95d2184ebc489fba8b07cf40c",
+                "3e38d65bfcd861ef04b65fd07a70cfdc11ed67deff00e1b8af1b664a2322609b",
         },
     ),
     "variance-growth": ("default.cfg", ["variance-growth", "--set", "run.m=200"], 0, {
@@ -48,8 +48,8 @@ RUNS = {
         "variance_growth.json": "c24ffdcfa167ca3be8f84db51b8816106b61262584447cb3895b07bc3a19f8c4",
     }),
     "moments-2d": ("clt_2d.cfg", ["moments", "--set", "run.n_list=2"], 0, {
-        "moments.csv": "8f2f3a7f3ac189a7fbdf15cd490d096b9e965cbbe4faa3fd29b990f86bf2e0da",
-        "moments.json": "70afe293672a564599e77ed920455bcad80d4609ef4a35ff779dc4725c01caed",
+        "moments.csv": "a8dd4805f9df73024cc924dfb37b80f68dfc4f5dcd2ff0a3278960dce395a5f2",
+        "moments.json": "4208e92cb9c72c6978dd1d07570a5f4258f85224a1227d86628655e94ba3b093",
     }),
     "covariance-field": (
         "default.cfg",
@@ -90,8 +90,8 @@ RUNS = {
     # n = 1, where ModelConfig.g_n is g itself and g.scale(1.0) is another
     # object with the same values, cuts and tail radii
     "moments-n1": ("default.cfg", ["moments", "--set", "run.n_list=1,2"], 0, {
-        "moments.csv": "6ae2d693954c1fa3db953f34a04e66efb97387c6e6000219401cbd81722d52ed",
-        "moments.json": "ce288c925c05f5e1a34f7eb59e9de7eaf958d37c1ff6e246c4d0714d4612a262",
+        "moments.csv": "5bdf0fe80b4cdc4c302a4ee0a93c19eb8fca620fba1956f7a8725327f4ae1558",
+        "moments.json": "86825799d12e296dadcd6a58357e18f616e11b7ec28287742a6fe892001e6fa7",
     }),
     "moments-2d-disk-n1": (
         "clt_2d.cfg",
@@ -99,8 +99,8 @@ RUNS = {
          "--set", "model.g.a=1", "--set", "run.R_list=0.5"],
         0,
         {
-            "moments.csv": "2be9c93ebd42e11f4b83f0d98e37871ebdd2957b1a9f71a4f0b0cf215efce9db",
-            "moments.json": "5c9a735db21bdd85ceca09cef997bf633382bdbdf808cdb84f1bd9b43204888c",
+            "moments.csv": "b45c198996cecabb78d8b0ebfb665f71bd95de17faa8362932755e8f6b8d84ff",
+            "moments.json": "3c0b8ddef81177bd48359393a9319b515f9d1ce82e86920680f9d4eb601820e9",
         },
     ),
     # the coupling twin at n = 1
