@@ -86,13 +86,16 @@ class ConnectionFunction:
     def _base_eval(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The exponential, gaussian or table base at x; the first two
         evaluate in place in out (which may be x) when one is given."""
+        # x / a or its square beyond floats is inf, and the value 0
         if self.kind == "exponential":  # np.exp(-x / a)
             out = np.negative(x, out=out)
-            out /= self.a
+            with np.errstate(over="ignore"):
+                out /= self.a
             return np.exp(out, out=out)
         if self.kind == "gaussian":  # np.exp(-((x / a) ** 2))
-            out = np.divide(x, self.a, out=out)
-            np.square(out, out=out)
+            with np.errstate(over="ignore"):
+                out = np.divide(x, self.a, out=out)
+                np.square(out, out=out)
             np.negative(out, out=out)
             return np.exp(out, out=out)
         rs = np.array([r for r, _ in self.table])
@@ -225,6 +228,28 @@ class ConnectionFunction:
         if self.kind == "table":
             return self._table_mass(d)
         return self._smooth_mass(d)
+
+    def shift_variation(self, d: int) -> float:
+        """Upper bound on int_{R^d} |d/dy_1 f(|y|)| dy in d = 2 or 3, the
+        jumps at lo and hi included: how fast an overlap with f moves as f's
+        center shifts.
+
+        In polar form it is (int_{S^{d-1}} |u_1|) int_0^inf r^{d-1} |df(r)|,
+        the sphere factor 4 in d=2 and 2 pi in d=3.  f jumps up by f(lo+) at
+        lo and falls after, so by parts the Stieltjes integral is
+        2 lo^{d-1} f(lo+) + (d - 1) mass_{d-1}(f) / omega_{d-1}.  f(lo+) is
+        read a little below lo, beyond the rounding of lo times the scale
+        factors, and the mass carries its own bound; the few roundings left
+        are covered by a factor 1 + 16 eps.
+        """
+        if self.support_radius == 0.0:
+            return 0.0
+        mass, err = self.mass(d - 1)
+        total = (d - 1) * (mass + err) / sphere_surface(d - 1)
+        if self.lo:
+            below = self.lo * (1.0 - (len(self.scales) + 2) * _EPS)
+            total += 2.0 * self.lo ** (d - 1) * replace(self, lo=None).eval(below)
+        return (4.0 if d == 2 else 2.0 * math.pi) * total * (1.0 + 16.0 * _EPS)
 
     def _fold(self) -> tuple[float, int, int]:
         """q = a / F (1 / F for a table) as (m, e) with q = m 2^e and m in

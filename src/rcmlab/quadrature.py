@@ -306,27 +306,6 @@ def _pair_breaks(s: np.ndarray, cuts: tuple[float, ...]) -> np.ndarray:
     return np.concatenate([sc + c, sc - c, c - sc], axis=1)
 
 
-def _shift_variation(h: ConnectionFunction, d: int, R: float) -> float:
-    """Upper bound on int_{|y| <= R} |d/dy_1 h(|y|)| dy in d >= 2, the jumps
-    of h at its cut radii included.
-
-    It bounds the change of O(s) for a small s: as 0 <= h1 <= 1,
-    |O(s) - O(0)| <= int h1(|y|) |h2(|y - s e1|) - h2(|y|)| dy, and over
-    |y| <= T1 that is at most s times this bound for h2 with R = T1 + s.  In
-    polar form it is (int_{S^{d-1}} |u_1|) int_0^R r^{d-1} |dh(r)|, the
-    sphere factor being 4 in d=2 and 2 pi in d=3.  h is monotone between its
-    cut radii, so on a grid that holds each cut and its neighbouring floats
-    the sum of r_{k+1}^{d-1} |h(r_{k+1}) - h(r_k)| bounds the Stieltjes
-    integral from above.
-    """
-    cuts = np.array([c for c in h.cut_radii if c < R])
-    knots = np.unique(np.concatenate([[0.0, R], cuts, np.nextafter(cuts, 0.0),
-                                      np.nextafter(cuts, np.inf)]))
-    grid = np.unique(np.concatenate([np.linspace(a, b, 257) for a, b in zip(knots, knots[1:])]))
-    steps = grid[1:] ** (d - 1) * np.abs(np.diff(h.eval(grid)))
-    return (4.0 if d == 2 else 2.0 * math.pi) * float(steps.sum())
-
-
 def overlap_rows(
     h1: ConnectionFunction,
     h2: ConnectionFunction,
@@ -397,19 +376,18 @@ def _quadrature_overlap(
     if supp1 is not None and supp2 is not None:
         todo = s < supp1 + supp2
     # only the d >= 2 forms divide by s; d=1 integrates tiny s like any other.
-    # Such an s takes O(0), and its error the first-order bound on O(s) - O(0)
-    # of _shift_variation, plus tail_eps for h1's mass beyond its tail radius.
+    # Such an s takes O(0), and its error s times h2's shift_variation, which
+    # bounds |O(s) - O(0)| as 0 <= h1 <= 1, plus tail_eps for h1's mass beyond
+    # its tail radius.
     at_zero = todo & (s <= 1e-12) & (d >= 2)
     if at_zero.any():
-        T1 = h1.tail_radius(spec.tail_eps, d)
-        T = min(T1, h2.tail_radius(spec.tail_eps, d))
+        T = min(h1.tail_radius(spec.tail_eps, d), h2.tail_radius(spec.tail_eps, d))
         values[at_zero], errors[at_zero] = radial_of(
             lambda r: h1.eval(r) * h2.eval(r), d, T, spec, h1.cut_radii + h2.cut_radii
         )
         shifted = at_zero & (s > 0.0)
         if shifted.any():
-            variation = _shift_variation(h2, d, T1 + 1e-12)
-            errors[shifted] += s[shifted] * variation + spec.tail_eps
+            errors[shifted] += s[shifted] * h2.shift_variation(d) + spec.tail_eps
     todo &= ~at_zero
 
     lo = np.zeros(s.size)
@@ -506,10 +484,11 @@ def _folded(h: ConnectionFunction):
     """
     if h.kind == "table" or h.lo is not None or (h.hi is not None and h.kind != "hard_disk"):
         return None
-    a, rounded = h.a, 0
-    for n in h.scales:
-        a /= n
-        rounded += math.frexp(n)[0] != 0.5
+    m, e, rounded = h._fold()
+    try:
+        a = math.ldexp(m, e)
+    except OverflowError:  # a radius beyond floats, which a cut at hi may bound
+        a = math.inf
     if h.hi is not None:
         a = min(a, h.hi)
     return (h.kind, a, 0.5 * _EPS * a * rounded) if a > 0.0 else None
@@ -613,7 +592,8 @@ def _exponential_overlap(a: float, s: np.ndarray, d: int, fold: float):
     on [1e-100, 800].  d log O / d log a is at most d + x.  Past x = 800 the
     prefactor is held at x = 800: there the value is below every subnormal.
     """
-    x = s / a
+    with np.errstate(over="ignore"):  # x = inf past every float: the value is 0
+        x = s / a
     t = np.clip(x, 1e-100, 800.0)  # x^2 K_2(x) is 2 to double precision below 1e-100
     if d == 1:
         prefactor = a + np.minimum(s, 800.0 * a)
@@ -631,11 +611,18 @@ def _gaussian_overlap(a1: float, a2: float, s: np.ndarray, d: int, fold: float):
 
     y = s^2 / q carries 4 ulps, which exp turns into 4y ulps of the value;
     d log O / d log a_i is at most d + 2y.  Past y = 1600 the value is below
-    every subnormal.
+    every subnormal.  An a_i beyond 2^+-250 would take q or a1^2 a2^2 out
+    of the normal floats, so then both are divided by 2^k, 2^k near
+    sqrt(a1 a2), and the result multiplied back: exactly, except that
+    d = 3's power rounds anew.
     """
+    e1, e2 = math.frexp(a1)[1], math.frexp(a2)[1]
+    k = 0 if max(abs(e1), abs(e2)) < 250 else (e1 + e2) // 2
+    a1, a2 = math.ldexp(a1, -k), math.ldexp(a2, -k)
     q = a1 * a1 + a2 * a2
-    y = np.minimum(s / math.sqrt(q), 40.0) ** 2
-    prefactor = (math.pi * (a1 * a1) * (a2 * a2) / q) ** (d / 2.0)
+    with np.errstate(over="ignore"):  # a value beyond floats is inf, y past 1600 is 1600
+        y = np.minimum(np.ldexp(s / math.sqrt(q), -k), 40.0) ** 2
+        prefactor = float(np.ldexp((math.pi * (a1 * a1) * (a2 * a2) / q) ** (d / 2.0), k * d))
     values = prefactor * np.exp(-y)
     rel = _EPS * (16.0 + 8.0 * y) + fold * (d + 2.0 * y)
     return values, 2.0 * (rel * values + _SUBNORMAL * (1.0 + prefactor))

@@ -10,11 +10,13 @@ import re
 import sys
 import warnings
 from dataclasses import astuple
+from pathlib import Path
 
 import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from rcmlab import cli
 from rcmlab.connfn import ConnFnError, exponential, gaussian, hard_disk
 from rcmlab.moments import ModelError, domination_constants, isolation_prob
 from rcmlab.quadrature import QuadratureError, radial_integral
@@ -103,3 +105,27 @@ def test_the_mass_is_exact_or_beyond_floats(g, d):
             return
     assert abs(mpmath.mpf(res.value) - ref) <= res.error
     assert res.error <= 64 * 2.0**-52 * res.value + 1e-320
+
+
+DEFAULT_CFG = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
+
+
+# every moment of a model whose scale's square (gaussian) or whose x / a
+# (exponential) leaves the floats: q = a1^2 + a2^2 was 0 in the gaussian
+# overlap from a = 1e-165 on, and squares and quotients overflowed with a warning
+@pytest.mark.parametrize("kind,a", [
+    *((kind, a) for kind in ("gaussian", "exponential") for a in ("1e-160", "1e-165", "1e-200", "1e-300")),
+    ("exponential", "1e-320"),
+])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_moments_at_a_tiny_scale_end_in_an_exit_code(kind, a, d, tmp_path, capsys):
+    box = [f"model.d={d}", "model.K.lower=" + ",".join("0" * d), "model.K.sides=" + ",".join("1" * d)]
+    argv = ["moments", "--config", str(DEFAULT_CFG), "--out-dir", str(tmp_path)]
+    for entry in [f"model.g.kind={kind}", f"model.g.a={a}", *box]:
+        argv += ["--set", entry]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would end in a traceback here
+        code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert code == 0 or (code == 1 and err.startswith("error: ")), (code, err)
+    assert "Traceback" not in err

@@ -1,6 +1,7 @@
 import heapq
 import math
 import re
+import warnings
 from typing import Callable
 
 import mpmath
@@ -10,7 +11,7 @@ from hypothesis import given, strategies as st
 from scipy import integrate, special
 
 from rcmlab import quadrature
-from rcmlab.connfn import exponential, gaussian, hard_disk, table_function
+from rcmlab.connfn import ConnectionFunction, exponential, gaussian, hard_disk, table_function
 from rcmlab.quadrature import (
     DEFAULT_SPEC,
     QuadratureError,
@@ -739,9 +740,10 @@ class TestOverlapRows:
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_tiny_separations_carry_the_shift(self, d):
-        # d >= 2 answers s <= 1e-12 with O(0); its error adds s times the
-        # variation of h2 along the shift (and tail_eps), so it covers the
-        # lens lost to s: O(0) - O(s) ~ 2 s in d=2 and pi s in d=3
+        # d >= 2 answers s <= 1e-12 with O(0).  The contract: its error adds
+        # s h2.shift_variation(d) (and tail_eps), which bounds |O(s) - O(0)|
+        # for any 0 <= h1 <= 1, so it covers the lens lost to s:
+        # O(0) - O(s) ~ 2 s in d=2 and pi s in d=3
         spec = QuadratureSpec(abs_tol=1e-13, tail_eps=1e-15)
         h1 = hard_disk(1.0).truncate_outside(0.0)  # no closed form
         s = np.array([1e-14, 1e-12])
@@ -751,22 +753,56 @@ class TestOverlapRows:
         with mpmath.workdps(30):
             gaps = [abs(mpmath.mpf(v) - ref(1, 1, si)) for si, v in zip(s, vals)]
         assert np.all(vals == at_zero[0][0])  # the value is O(0)'s
+        assert np.all(errs == at_zero[1][0] + s * hard_disk(1.0).shift_variation(d) + spec.tail_eps)
         assert all(gap <= e for gap, e in zip(gaps, errs)), (gaps, errs)
         assert errs[1] <= 4 * gaps[1]  # first order, not a loose constant
 
+    SHIFTED = {
+        "exp0.3": exponential(0.3),
+        "exp0.3_scaled": exponential(0.3).scale(2.0),
+        "exp_outside": exponential(1.0).truncate_outside(0.5),
+        "exp_annulus": exponential(1.0).truncate_outside(0.5).truncate_inside(2.0),
+        "exp_cut_scaled": exponential(1.0).truncate_outside(0.5).scale(3.0),
+        "gauss0.7": gaussian(0.7),
+        "disk": hard_disk(1.0),
+        "disk_annulus": hard_disk(1.0).truncate_outside(0.4),
+        "table": table_function([(0.0, 1.0), (0.5, 0.4), (1.0, 0.0)]),
+        "table_outside": table_function([(0.0, 1.0), (0.5, 0.4), (1.0, 0.0)]).truncate_outside(0.3),
+        "empty": hard_disk(1.0).truncate_outside(2.0),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SHIFTED))
     @pytest.mark.parametrize("d", [2, 3])
-    def test_shift_variation_bounds_a_smooth_profile(self, d):
-        # exponential(a): int_0^R r^(d-1) |h'(r)| dr in closed form, times the
-        # sphere factor; the grid sum lies above it and close
-        a, R = 0.3, 5.0
-        x = R / a
-        exact = {2: 4.0 * a * (1 - math.exp(-x) * (1 + x)),
-                 3: 2 * math.pi * a * a * (2 - math.exp(-x) * (2 + 2 * x + x * x))}[d]
-        got = quadrature._shift_variation(exponential(a), d, R)
-        assert exact <= got <= 1.05 * exact
-        # a disk's variation is its one jump: the sphere factor times a^(d-1)
-        disk = quadrature._shift_variation(hard_disk(a), d, 1.0)
-        assert disk == pytest.approx({2: 4.0 * a, 3: 2 * math.pi * a * a}[d], rel=1e-9)
+    def test_shift_variation_is_the_variation_along_the_shift(self, d, name):
+        # The contract: h.shift_variation(d) >= int_{R^d} |d/dy_1 h(|y|)| dy,
+        # jumps included, and above it by rounding only.  That integral is
+        # the sphere factor (4 in d=2, 2 pi in d=3) times the Stieltjes
+        # integral int_0^inf r^(d-1) |dh(r)|, which the lower and upper sums
+        # of a grid through the cuts bracket (h is monotone between cuts);
+        # beyond T the variation left is below 1e-25
+        h = self.SHIFTED[name]
+        T = h.tail_radius(1e-30, d)
+        cuts = np.array([c for c in h.cut_radii if c <= T] + [T])
+        knots = np.unique(np.concatenate([[0.0], cuts, np.nextafter(cuts, 0.0),
+                                          np.nextafter(cuts, np.inf)]))
+        r = np.unique(np.concatenate([np.linspace(a, b, 4097) for a, b in zip(knots, knots[1:])]))
+        steps = np.abs(np.diff(h.eval(r)))
+        factor = 4.0 if d == 2 else 2.0 * math.pi
+        lower = factor * float(np.sum(r[:-1] ** (d - 1) * steps))
+        upper = factor * float(np.sum(r[1:] ** (d - 1) * steps))
+        got = h.shift_variation(d)
+        assert lower <= got <= upper * (1.0 + 1e-13) + 1e-25, (lower, got, upper)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_shift_variation_in_closed_form(self, d):
+        # exponential(a): the sphere factor times int_0^inf r^(d-1) e^(-r/a) / a dr,
+        # 4 a in d=2 and 4 pi a^2 in d=3; a disk's is its one jump, the
+        # sphere factor times a^(d-1)
+        a = 0.3
+        for h, exact in ((exponential(a), {2: 4.0 * a, 3: 4.0 * math.pi * a * a}[d]),
+                         (hard_disk(a), {2: 4.0 * a, 3: 2.0 * math.pi * a * a}[d])):
+            got = h.shift_variation(d)
+            assert exact <= got <= exact * (1.0 + 1e-14)
 
     def test_exponential_line_reference(self):
         # int e^{-|y|/a} e^{-|y-s|/a} dy = (a + s) e^{-s/a}
@@ -901,6 +937,41 @@ class TestClosedOverlap:
         vals, errs = overlap_rows(gaussian(a1), gaussian(a2), s, d)
         assert_within(vals, errs, s, lambda si: mp_gaussian_overlap(a1, a2, si, d))
 
+    # below a = 1e-162, q = a1^2 + a2^2 underflowed to 0 (ZeroDivisionError),
+    # and below 1e-81 a1^2 a2^2 did (a value of 0)
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("a1,a2", [
+        *((a, a) for a in (1e-81, 1e-160, 1e-165, 1e-200, 1e-300, 1e81, 1e100)),
+        (1e-200, 3e-201), (1e-300, 3e-301), (1e100, 3e99),
+        (3.2e76, 1.1e-83), (1e-150, 1e150), (1e-260, 1e-100),
+    ])
+    def test_gaussian_at_extreme_scales_against_mpmath(self, a1, a2, d):
+        s = max(a1, a2) * np.array([0.0, 0.01, 0.3, 1.0, 2.5, 6.0, 50.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals, errs = overlap_rows(gaussian(a1), gaussian(a2), s, d)
+        assert_within(vals, errs, s, lambda si: mp_gaussian_overlap(a1, a2, si, d))
+
+    def test_gaussian_keeps_its_bits_where_its_terms_are_normal(self):
+        # the unscaled formula, wherever q, a1^2 a2^2 and their quotient are
+        # normal floats, on a seeded grid with a1, a2 in [1e-100, 1e100]
+        rng = np.random.default_rng(40)
+        tiny, compared = np.finfo(float).tiny, 0
+        for _ in range(400):
+            a1, a2 = 10.0 ** rng.uniform(-100.0, 100.0, 2)
+            d = int(rng.integers(1, 4))
+            s = max(a1, a2) * np.concatenate([[0.0], rng.uniform(0.0, 8.0, 7)])
+            with np.errstate(all="ignore"):
+                q = a1 * a1 + a2 * a2
+                top = math.pi * (a1 * a1) * (a2 * a2)
+                if not (tiny <= q < math.inf and tiny <= top < math.inf and tiny <= top / q):
+                    continue
+                old = (top / q) ** (d / 2.0) * np.exp(-np.minimum(s / math.sqrt(q), 40.0) ** 2)
+            got = quadrature._gaussian_overlap(a1, a2, s, d, 0.0)[0]
+            assert np.array_equal(got, old), (a1, a2, d)
+            compared += 1
+        assert compared >= 100
+
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("r1,r2", [(1.0, 1.0), (0.1, 0.1), (1.0, 0.7), (0.3, 1.3)])
     def test_disks_against_mpmath(self, r1, r2, d):
@@ -924,6 +995,25 @@ class TestClosedOverlap:
             for si, v in zip(s, vals):
                 want = ref(r1, r2, si)
                 assert abs(mpmath.mpf(v) - want) <= 64 * np.finfo(float).eps * want, si
+
+    def test_folded_radius_is_the_sequential_quotient(self):
+        # _folded reads ConnectionFunction._fold, a / n1 / n2 / ... kept as
+        # m 2^e; where every sequential quotient is normal, its bits are theirs
+        rng = np.random.default_rng(40)
+        tiny, compared = np.finfo(float).tiny, 0
+        for _ in range(500):
+            kind = ("exponential", "gaussian", "hard_disk")[int(rng.integers(3))]
+            a = float(10.0 ** rng.uniform(-150.0, 150.0))
+            h, quotients = ConnectionFunction(kind=kind, a=a), [a]
+            for n in (10.0 ** rng.uniform(-150.0, 150.0, int(rng.integers(0, 4)))).tolist():
+                h = h.scale(n)
+                quotients.append(quotients[-1] / n)  # a Python float: inf past floats
+            if not all(tiny <= q < math.inf for q in quotients):
+                continue
+            rounded = sum(math.frexp(n)[0] != 0.5 for n in h.scales)
+            assert quadrature._folded(h) == (kind, quotients[-1], 0.5 * EPS * quotients[-1] * rounded)
+            compared += 1
+        assert compared >= 200
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_folded_disk_radius_against_mpmath(self, d):
