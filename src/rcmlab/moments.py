@@ -211,7 +211,7 @@ def limit_var_excess(
 
     One radial integral up to the bracket's cutoff T.  T is at least twice
     g.tail_radius(tail_eps exp(-lam int g)), beyond which the long-edge tail
-    is below tail_eps, which _variance's bound holds.
+    is below tail_eps, so the tail_eps in _variance's bound covers it too.
     """
     return _variance(lam, *_excess_parts(lam, *_cut(g, R), g, d, spec)[0], d, spec)
 

@@ -794,10 +794,11 @@ class TestOverlapRows:
         assert lower <= got <= upper * (1.0 + 1e-13) + 1e-25, (lower, got, upper)
 
     @pytest.mark.parametrize("d", [2, 3])
-    def test_shift_variation_in_closed_form(self, d):
-        # exponential(a): the sphere factor times int_0^inf r^(d-1) e^(-r/a) / a dr,
-        # 4 a in d=2 and 4 pi a^2 in d=3; a disk's is its one jump, the
-        # sphere factor times a^(d-1)
+    def test_shift_variation_bounds_a_smooth_profile(self, d):
+        # the contract on closed forms: at least the exact variation, and
+        # above it by rounding only.  exponential(a)'s is the sphere factor
+        # times int_0^inf r^(d-1) e^(-r/a) / a dr, 4 a in d=2 and 4 pi a^2 in
+        # d=3; a disk's is its one jump, the sphere factor times a^(d-1)
         a = 0.3
         for h, exact in ((exponential(a), {2: 4.0 * a, 3: 4.0 * math.pi * a * a}[d]),
                          (hard_disk(a), {2: 4.0 * a, 3: 2.0 * math.pi * a * a}[d])):
