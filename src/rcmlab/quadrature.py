@@ -615,14 +615,27 @@ def _gaussian_overlap(a1: float, a2: float, s: np.ndarray, d: int, fold: float):
     of the normal floats, so then both are divided by 2^k, 2^k near
     sqrt(a1 a2), and the result multiplied back: exactly, except that
     d = 3's power rounds anew.
+
+    A prefactor P beyond floats is taken in logs, the value as exp(log P -
+    y), held at y = log P + 800 where it is below every subnormal.  log P
+    carries a few ulps of |log P| + 1 more, which the 8 log P ulps cover.
     """
     e1, e2 = math.frexp(a1)[1], math.frexp(a2)[1]
     k = 0 if max(abs(e1), abs(e2)) < 250 else (e1 + e2) // 2
     a1, a2 = math.ldexp(a1, -k), math.ldexp(a2, -k)
     q = a1 * a1 + a2 * a2
-    with np.errstate(over="ignore"):  # a value beyond floats is inf, y past 1600 is 1600
-        y = np.minimum(np.ldexp(s / math.sqrt(q), -k), 40.0) ** 2
-        prefactor = float(np.ldexp((math.pi * (a1 * a1) * (a2 * a2) / q) ** (d / 2.0), k * d))
+    base = math.pi * (a1 * a1) * (a2 * a2) / q
+    with np.errstate(over="ignore"):  # x past floats is inf, and its y is held below
+        x = np.ldexp(s / math.sqrt(q), -k)
+        prefactor = float(np.ldexp(base ** (d / 2.0), k * d))
+    if math.isinf(prefactor):
+        log_p = d / 2.0 * (math.log(base) + 2 * k * math.log(2.0))
+        y = np.minimum(x, math.sqrt(log_p + 800.0)) ** 2
+        with np.errstate(over="ignore"):  # a value beyond floats is inf
+            values = np.exp(log_p - y)
+        rel = _EPS * (16.0 + 8.0 * y + 8.0 * log_p) + fold * (d + 2.0 * y)
+        return values, 2.0 * (rel * values + 2.0 * _SUBNORMAL)
+    y = np.minimum(x, 40.0) ** 2
     values = prefactor * np.exp(-y)
     rel = _EPS * (16.0 + 8.0 * y) + fold * (d + 2.0 * y)
     return values, 2.0 * (rel * values + _SUBNORMAL * (1.0 + prefactor))

@@ -337,7 +337,7 @@ _EXACT_SPAN = 2.0**16
 # Expected work in one replication block: its points plus its candidate pairs.
 # A block's time and memory follow both, the draw and placement per point and
 # the search, lengths and coins per pair, while its fixed costs (the seed
-# pass, two kd-tree builds and queries, each numpy call) are shared by its
+# pass, the search's sort or kd-tree builds, each numpy call) are shared by its
 # replications.  At this budget c02's d=1 blocks hold ~1,150 replications of
 # ~57 points and pairs each and mc_large's d=2 blocks 5 of ~12.7k, and a
 # block's arrays stay within a few MB.
@@ -390,10 +390,10 @@ def block_reps(lam_n: float, box: Region, reach: float, focus: Region | None = N
     return max(1, int(min(BLOCK_WORK / work, by_span)))
 
 
-# Trees are built by sliding midpoint without shrinking boxes to their data:
-# on a block's points that builds and queries faster than median splits (by
-# 5-15% of the search on c02, c07, c08 and mc_large blocks), and the pairs
-# found are the same.
+# Trees (d >= 2) are built by sliding midpoint without shrinking boxes to their
+# data: on a block's points that builds and queries faster than median splits
+# (by 5-15% of the search on c07, c08 and mc_large blocks), and the pairs found
+# are the same.
 _TREE_OPTIONS = {"balanced_tree": False, "compact_nodes": False}
 
 
@@ -406,16 +406,14 @@ def _candidate_pairs(
     """Index pairs i < j in lexicographic order with their distances <= reach
     and at least one end in ``focus``, a mask of the points (None: all).
 
-    One tree holds the focus points: its ``query_pairs`` finds the pairs
-    within the focus and its ``sparse_distance_matrix`` to a tree of the
-    other points finds the pairs that cross; pairs of two other points are
-    never examined.  With focus None the second tree is empty and the search
-    is one ``query_pairs`` over all points.
+    ``_pair_codes`` finds them from the focus points, so pairs of two other
+    points are never examined: in d = 1 by one sort and a sweep of windows,
+    in d >= 2 by two kd-trees.
 
-    The trees are queried slightly beyond the reach so that the boundary
-    rule is ``dist <= reach`` on the norm computed here, not the trees' own
+    The search reaches slightly beyond the reach so that the boundary rule
+    is ``dist <= reach`` on the norm computed here, not the search's own
     rounding: so the pairs are exactly those of the whole search that touch
-    the focus, whatever the trees.  That norm is summed from per-axis
+    the focus, whatever the search.  That norm is summed from per-axis
     differences in axis order, which gives the bits of
     ``np.linalg.norm(points[i] - points[j], axis=1)``: numpy's row-wise
     gather and reduction over a short axis cost several times more than one
@@ -475,9 +473,11 @@ def _pair_norms(points: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
 
 def _pair_codes(search: np.ndarray, r: float, shift: int, focus: np.ndarray | None) -> np.ndarray:
     """The unsorted codes (i << shift) | j of the pairs i < j of the points
-    within r of each other with an end in ``focus``: one tree of the focus
-    points, ``query_pairs`` within it and ``sparse_distance_matrix`` to a
-    tree of the other points (empty when focus is None).
+    within r of each other with an end in ``focus``.  Points with one
+    coordinate take ``_line_codes``' sweep.  Otherwise one tree holds the
+    focus points: its ``query_pairs`` finds the pairs within the focus and
+    its ``sparse_distance_matrix`` to a tree of the other points the pairs
+    that cross (that tree is empty when focus is None).
 
     (i << shift) | j sorts as (i, j), as j < n < 2**shift.  As i < n - 1
     the codes are below (n - 1) << shift; when that is at most 2**31, as in
@@ -489,6 +489,8 @@ def _pair_codes(search: np.ndarray, r: float, shift: int, focus: np.ndarray | No
     """
     n = search.shape[0]
     dtype = np.int32 if (n - 1) << shift <= 1 << 31 else np.int64
+    if search.shape[1] == 1:
+        return _line_codes(search[:, 0], r, shift, focus, dtype)
     near, rest = search, search[:0]
     if focus is not None:
         inner = np.flatnonzero(focus).astype(dtype)
@@ -515,6 +517,46 @@ def _pair_codes(search: np.ndarray, r: float, shift: int, focus: np.ndarray | No
         np.maximum(a, b, out=a)
         crossing <<= shift
         crossing |= a
+    return code
+
+
+def _line_codes(x: np.ndarray, r: float, shift: int, focus: np.ndarray | None, dtype) -> np.ndarray:
+    """``_pair_codes`` on one coordinate: one argsort and a sweep of windows
+    over the sorted coordinates (Bentley, Stanat and Williams, IPL 6, 1977).
+
+    With a focus, each focus point takes the sorted positions in [x - r,
+    x + r]; the point itself is dropped and a pair of two focus points is
+    kept once, from its lower index, so no pair of two other points is ever
+    formed.  Without one, each sorted position takes the later positions up
+    to x + r, which forms each pair once.  The windows are expanded with
+    ``repeat`` and ``arange`` into positions, all in the codes' type.
+    """
+    order = np.argsort(x).astype(dtype)
+    xs = x.take(order)
+    if focus is None:
+        src = order
+        lo = np.arange(1, x.size + 1)
+        hi = np.searchsorted(xs, xs + r, side="right")
+    else:
+        src = np.flatnonzero(focus).astype(dtype)
+        at = x.take(src)
+        lo = np.searchsorted(xs, at - r, side="left")
+        hi = np.searchsorted(xs, at + r, side="right")
+    counts = hi - lo
+    lo -= np.cumsum(counts) - counts
+    pos = np.repeat(lo.astype(dtype), counts)
+    pos += np.arange(pos.size, dtype=dtype)
+    b = order.take(pos)
+    del pos
+    a = np.repeat(src, counts)
+    if focus is not None:
+        keep = a < b
+        keep |= ~focus.take(b)
+        a, b = a[keep], b[keep]
+    code = np.minimum(a, b)
+    np.maximum(a, b, out=b)
+    code <<= shift
+    code |= b
     return code
 
 

@@ -953,6 +953,33 @@ class TestClosedOverlap:
             vals, errs = overlap_rows(gaussian(a1), gaussian(a2), s, d)
         assert_within(vals, errs, s, lambda si: mp_gaussian_overlap(a1, a2, si, d))
 
+    def test_gaussian_prefactor_beyond_floats_gives_no_nan(self):
+        # (pi a^2 / 2)^(3/2) ~ 1e450: inf * exp(-y) was nan where exp(-y)
+        # underflows, with an "invalid value" warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals, errs = overlap_rows(gaussian(1e150), gaussian(1e150), [0.0, 1e160], 3)
+        assert vals.tolist() == [math.inf, 0.0]
+        assert errs[0] == math.inf and 0.0 <= errs[1] < math.inf
+
+    # prefactors of ~1e450, 1e320, 1e358 and 3e360, beyond floats: the
+    # values exp(log P - y) from just below the largest float down to the
+    # subnormals
+    @pytest.mark.parametrize("a1,a2,d", [(1e150, 1e150, 3), (1e160, 1e160, 2),
+                                         (1e120, 5e119, 3), (1e200, 1e180, 2)])
+    def test_gaussian_prefactor_beyond_floats_against_mpmath(self, a1, a2, d):
+        with mpmath.workdps(30):
+            a1m, a2m = mpmath.mpf(a1), mpmath.mpf(a2)
+            q = a1m * a1m + a2m * a2m
+            log_p = float(d * mpmath.log(mpmath.pi * a1m * a1m * a2m * a2m / q) / 2)
+            y = log_p + np.array([-709.0, -600.0, -300.0, 0.0, 300.0, 700.0, 744.0])
+            s = np.array([float(mpmath.sqrt(max(yi, 0.0) * q)) for yi in y])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals, errs = overlap_rows(gaussian(a1), gaussian(a2), s, d)
+        assert vals[0] > 1e300 and 0.0 < vals[-1] < 1e-320
+        assert_within(vals, errs, s, lambda si: mp_gaussian_overlap(a1, a2, si, d))
+
     def test_gaussian_keeps_its_bits_where_its_terms_are_normal(self):
         # the unscaled formula, wherever q, a1^2 a2^2 and their quotient are
         # normal floats, on a seeded grid with a1, a2 in [1e-100, 1e100]

@@ -325,7 +325,8 @@ def _assert_same_pairs(got, expect):
 
 class TestFocusedSearch:
     """The focused search returns exactly the whole search's pairs that touch
-    the focus: same order, same distance bits, so the same coins."""
+    the focus: same order, same distance bits, so the same coins.  The
+    oracle is the brute-force scan, which shares no code with the search."""
 
     @pytest.mark.parametrize("d, reach", [(1, 4.22), (2, 0.08), (3, 0.2)])
     def test_random_points_and_masks(self, d, reach):
@@ -337,7 +338,7 @@ class TestFocusedSearch:
             for r in (None, rid):
                 got = _candidate_pairs(pts, reach, r, focus)
                 assert got[0].size > 0
-                _assert_same_pairs(got, _touching(pts, reach, focus, r))
+                _assert_same_pairs(got, TestPackedCodes._brute(pts, reach, r, focus))
 
     @pytest.mark.parametrize("ends", [(True, False), (False, True), (True, True)])
     def test_pair_on_the_reach_and_one_ulp_beyond(self, ends):
@@ -384,8 +385,9 @@ class TestFocusedSearch:
         rid = np.sort(rng.integers(0, 3, n))
         rid -= rid[0] if n else 0
         for r in (None, rid):
-            _assert_same_pairs(_candidate_pairs(pts, reach, r, focus),
-                               _touching(pts, reach, focus, r))
+            for f in (None, focus):
+                _assert_same_pairs(_candidate_pairs(pts, reach, r, f),
+                                   TestPackedCodes._brute(pts, reach, r, f))
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_block_keeps_coins_and_lengths(self, d):
@@ -401,6 +403,106 @@ class TestFocusedSearch:
         assert np.array_equal(graph.points, whole.points)
         assert whole.focus is None and graph.focus[0] == K
         assert np.array_equal(graph.focus[1], focus)
+
+
+class TestLineSearch:
+    """d=1 blocks are searched by one sort and a sweep of windows: every
+    focus and replication layout keeps exactly the brute-force pairs."""
+
+    CASES = {
+        "n0": ([], 1.0, []),
+        "n1": ([0.3], 1.0, [0]),
+        "n2": ([0.3, 0.9], 1.0, [0, 0]),
+        "n2_apart": ([0.3, 2.9], 1.0, [0, 0]),
+        # ties within a replication, and the same coordinates in every one
+        "ties": ([0.5, 0.5, 0.5, 1.0, 0.5, 2.0, 1.5], 0.5, [0, 0, 0, 0, 0, 0, 0]),
+        "ties_across": ([0.5, 0.5, 1.0, 0.5, 0.5, 1.0, 0.5, 1.0], 0.5, [0, 0, 0, 1, 1, 1, 2, 2]),
+        # |3 - 0| = 3 exactly, also in the second replication
+        "on_reach": ([0.0, 3.0, 7.0, 0.5, 3.5], 3.0, [0, 0, 0, 1, 1]),
+        "ulp_beyond": ([0.0, 3.0, 7.0, 0.5, 3.5], float(np.nextafter(3.0, 0.0)), [0, 0, 0, 1, 1]),
+        # the first replication at the far edge of the next one's first axis
+        "far_edge": ([9.0, 9.0, 8.9, 0.1, 4.0, 9.0, 8.5, 0.2], 0.6, [0, 0, 0, 1, 1, 1, 1, 2]),
+    }
+
+    @staticmethod
+    def _focuses(n, rng):
+        yield None
+        yield np.zeros(n, dtype=bool)
+        yield np.ones(n, dtype=bool)
+        for k in range(min(n, 3)):
+            one = np.zeros(n, dtype=bool)
+            one[k] = True
+            yield one
+        yield rng.random(n) < 0.5
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_cases_against_the_brute_force(self, case):
+        x, reach, rid = self.CASES[case]
+        pts = np.array(x, dtype=float).reshape(-1, 1)
+        rid = np.array(rid, dtype=np.int64)
+        rng = np.random.default_rng(seeded(70))
+        for r in (None, rid if rid.size and rid[-1] > 0 else None):
+            for f in self._focuses(pts.shape[0], rng):
+                got = _candidate_pairs(pts, reach, r, f)
+                _assert_same_pairs(got, TestPackedCodes._brute(pts, reach, r, f))
+
+    def test_the_reach_is_inclusive(self):
+        x, reach, rid = self.CASES["on_reach"]
+        pts, rid = np.array(x)[:, None], np.array(rid)
+        for f in (None, np.array([True, False, False, False, False]),
+                  np.array([False, False, False, False, True])):
+            got = _candidate_pairs(pts, reach, rid, f)
+            assert 3.0 in got[2].tolist()
+            assert 3.0 not in _candidate_pairs(pts, np.nextafter(reach, 0.0), rid, f)[2].tolist()
+
+    def test_ties_pair_once(self):
+        x, reach, rid = self.CASES["ties_across"]
+        pts, rid = np.array(x)[:, None], np.array(rid)
+        i, j, dist = _candidate_pairs(pts, reach, rid)
+        assert list(zip(i.tolist(), j.tolist())) == [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5),
+                                                     (4, 5), (6, 7)]
+        assert dist.tolist() == [0.0, 0.5, 0.5, 0.0, 0.5, 0.5, 0.5]
+
+    @pytest.mark.parametrize("focused", [False, True])
+    def test_d1_blocks_build_no_tree(self, monkeypatch, focused):
+        def no_tree(*args, **kwargs):
+            raise AssertionError("kd-tree built")
+
+        monkeypatch.setattr(simulator, "cKDTree", no_tree)
+        for d in (1, 2):
+            K = unit_box(d)
+            plan = block_plan(exponential(0.5), 4.0, K, focus=K if focused else None)
+            if d == 1:
+                graph = simulate_block(plan, 3, 0, 5)
+                assert graph.candidates[0].size > 0
+            else:
+                with pytest.raises(AssertionError, match="kd-tree built"):
+                    simulate_block(plan, 3, 0, 5)
+
+    def test_memory_budget_of_a_c02_block(self):
+        # c02's first block (d=1, lambda_n = 2, exponential(1) at n = 2,
+        # r0 = 0.5, seed 20240801 + 2): 1,150 replications, 26,690 points,
+        # 37,189 candidate pairs.  The whole search runs in numpy, so
+        # tracemalloc sees all of it; the block peaks at ~77.8 bytes a pair,
+        # and the bound is that plus 10%.
+        K = unit_box(1)
+        plan = block_plan(exponential(1.0).scale(2.0), 2.0, K, min_reach=0.5,
+                          min_margin=0.5, focus=K)
+        simulate_block(plan, 20240803, 0, plan.reps)  # fills the seed caches
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            graph = simulate_block(plan, 20240803, 0, plan.reps)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        pairs = graph.candidates[0].size
+        assert (plan.reps, graph.n_points, pairs) == (1150, 26690, 37189)
+        assert peak / pairs < 1.1 * 77.8
 
 
 class TestFocusGuards:
