@@ -606,6 +606,9 @@ def _exponential_overlap(a: float, s: np.ndarray, d: int, fold: float):
     return values, 2.0 * (rel * values + _SUBNORMAL * (1.0 + prefactor))
 
 
+_NORMAL_MIN = 2.0**-1022  # the smallest normal float
+
+
 def _gaussian_overlap(a1: float, a2: float, s: np.ndarray, d: int, fold: float):
     """Overlap of gaussian(a1) and gaussian(a2), relative error eps (16 + 8y) + fold (d + 2y).
 
@@ -616,17 +619,33 @@ def _gaussian_overlap(a1: float, a2: float, s: np.ndarray, d: int, fold: float):
     sqrt(a1 a2), and the result multiplied back: exactly, except that
     d = 3's power rounds anew.
 
+    Scales so far apart that no common 2^k keeps the terms normal (a ratio
+    past ~2^1020, or ~2^680 in d = 3) leave q or pi a1^2 a2^2 / q beyond
+    floats, or the power of the latter below the normal floats while 2^(k d)
+    lifts it.  There, with m and M the smaller and larger scale and r = m /
+    M, a1^2 a2^2 / q is taken as m^2 / (1 + r^2), m^2 as (m / 2^k)^2 with 2^k
+    near m, and s^2 / q as (s / M)^2 / (1 + r^2): terms of a few ulps each,
+    like the others.
+
     A prefactor P beyond floats is taken in logs, the value as exp(log P -
     y), held at y = log P + 800 where it is below every subnormal.  log P
     carries a few ulps of |log P| + 1 more, which the 8 log P ulps cover.
     """
     e1, e2 = math.frexp(a1)[1], math.frexp(a2)[1]
     k = 0 if max(abs(e1), abs(e2)) < 250 else (e1 + e2) // 2
-    a1, a2 = math.ldexp(a1, -k), math.ldexp(a2, -k)
-    q = a1 * a1 + a2 * a2
-    base = math.pi * (a1 * a1) * (a2 * a2) / q
+    q = base = math.nan  # scales 2^2000 apart: dividing by 2^k takes one past floats
+    if abs(e1 - e2) < 2000:
+        b1, b2 = math.ldexp(a1, -k), math.ldexp(a2, -k)
+        q = b1 * b1 + b2 * b2
+        base = math.pi * (b1 * b1) * (b2 * b2) / q  # nan when q is inf
     with np.errstate(over="ignore"):  # x past floats is inf, and its y is held below
-        x = np.ldexp(s / math.sqrt(q), -k)
+        if base < math.inf and (k <= 0 or base ** (d / 2.0) >= _NORMAL_MIN):
+            x = np.ldexp(s / math.sqrt(q), -k)
+        else:
+            small, big = sorted((a1, a2))
+            k, r = math.frexp(small)[1], small / big
+            base = math.pi * math.ldexp(small, -k) ** 2 / (1.0 + r * r)
+            x = s / big / math.sqrt(1.0 + r * r)
         prefactor = float(np.ldexp(base ** (d / 2.0), k * d))
     if math.isinf(prefactor):
         log_p = d / 2.0 * (math.log(base) + 2 * k * math.log(2.0))

@@ -33,15 +33,21 @@ call and one count per statistic serve the whole block, and a replication's
 edges do not depend on the block it is drawn in.  numpy's SeedSequence
 mixes the base seed in once per run; one numpy pass mixes in each
 replication's spawn key and hashes out the seed words of all the block's
-streams, so each replication only draws its point count and coordinates;
-the streams are numpy's, bit for bit.  ``simulate_graph`` is the block of
-one replication.
+streams, and a second turns each replication's seed words into the PCG64
+state numpy would seed from them.  Every replication then draws from one
+generator per thread, its four state words overwritten in place: only the
+point count and coordinates are drawn per replication, by numpy's own
+samplers, and the streams are numpy's, bit for bit.  ``simulate_graph`` is
+the block of one replication.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 import operator
+import sys
+import threading
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
@@ -229,7 +235,11 @@ def sample_points(lam_n: float, box: Region, rng: np.random.Generator) -> np.nda
 # vectorised form of, is one pass of its hash (numpy.random.bit_generator,
 # after O'Neill's seed_seq_fe) in uint32 arithmetic over a whole block:
 # ``_seed_words`` mixes each rep and c into that pool and runs
-# generate_state.  ``test_seed_words_match_numpy`` holds the words to numpy's.
+# generate_state.  ``_pcg64_states`` then takes PCG64's two seeding steps
+# (pcg64_set_seed) in 64-bit limbs over the block, and ``_point_generator``
+# holds the thread's one generator, whose state words each replication
+# overwrites before it draws.  ``test_seed_words_match_numpy`` holds the words
+# and states to numpy's.
 
 _M32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # hash constants of the entropy mix
@@ -328,6 +338,81 @@ class _PointSeed(ISeedSequence):
 
     def generate_state(self, n_words, dtype=np.uint32):
         return self.words  # PCG64 asks for exactly 4 uint64 words
+
+
+# PCG64's 128-bit LCG multiplier (PCG_DEFAULT_MULTIPLIER_128) as its high and
+# low 64-bit words, and the mask and shifts of 64-bit limb arithmetic, all 0-d
+# uint64 arrays
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MULT_HI, _MULT_LO = (np.array(c, dtype=np.uint64) for c in (_PCG_MULT >> 64, _PCG_MULT & 2**64 - 1))
+_LO32, _S32, _S63 = (np.array(c, dtype=np.uint64) for c in (_M32, 32, 63))
+
+
+def _mul_hi(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The high 64 bits of the 128-bit products x * c of uint64 words, from
+    32-bit halves (Warren, Hacker's Delight, 8-2)."""
+    x0, x1, c0, c1 = x & _LO32, x >> _S32, c & _LO32, c >> _S32
+    t = x1 * c0 + ((x0 * c0) >> _S32)
+    u = x0 * c1 + (t & _LO32)
+    return x1 * c1 + (t >> _S32) + (u >> _S32)
+
+
+def _pcg64_states(seeds: np.ndarray) -> np.ndarray:
+    """The (m, 4) uint64 PCG64 states of the (m, 4) seed words, row k being
+    the four state words of PCG64(_PointSeed(seeds[k])) in memory order:
+    state and increment, each a 128-bit integer as (low, high) words.
+
+    pcg64_set_seed reads words (0, 1) as initstate and (2, 3) as initseq,
+    each (high, low), sets inc = 2 initseq + 1 and takes two LCG steps from
+    0, adding initstate between them: state = ((inc + initstate) * MULT +
+    inc) mod 2**128 (O'Neill, HMC-CS-2014-0905).  The 128-bit sums carry
+    by comparison and the product keeps the three partial products below
+    2**128, all in uint64 arrays, which wrap mod 2**64.
+    """
+    hi0, lo0, hi1, lo1 = seeds.T
+    states = np.empty(seeds.shape, dtype=np.uint64)
+    inc_lo, inc_hi = states[:, 2], states[:, 3]
+    np.bitwise_or(lo1 << _ONE, _ONE, out=inc_lo)
+    np.bitwise_or(hi1 << _ONE, lo1 >> _S63, out=inc_hi)
+    a_lo = inc_lo + lo0
+    a_hi = inc_hi + hi0 + (a_lo < inc_lo)
+    p_hi = _mul_hi(a_lo, _MULT_LO) + a_lo * _MULT_HI + a_hi * _MULT_LO
+    s_lo = states[:, 0]
+    np.add(a_lo * _MULT_LO, inc_lo, out=s_lo)
+    np.add(p_hi + inc_hi, s_lo < inc_lo, out=states[:, 1])
+    return states
+
+
+_THREAD = threading.local()  # .points: the thread's point generator and its state words
+
+
+def _point_generator(seed: np.ndarray) -> tuple[np.random.Generator, np.ndarray]:
+    """This thread's point generator and a writable view of its PCG64's four
+    state words, built on the thread's first call from the seed words given.
+
+    Writing a row of ``_pcg64_states`` into the view reseeds the generator
+    as PCG64 would seed itself from those words: the state words live in the
+    PCG64 object, reached through the pointer at its documented
+    ``ctypes.state_address``, and the count and coordinate draws take 64-bit
+    words only, so its buffered 32-bit word stays unused.  Before the view
+    is handed out, the pointer must lie within the object and the words read
+    there must equal the state computed for the seed, or SimulationError is
+    raised: there is no other path to fall back to.  Each thread keeps its
+    own generator, so none is shared between threads.
+    """
+    held = getattr(_THREAD, "points", None)
+    if held is None:
+        bits = np.random.PCG64(_PointSeed(seed))
+        at = ctypes.c_void_p.from_address(bits.ctypes.state_address).value or 0
+        if not id(bits) <= at <= id(bits) + sys.getsizeof(bits) - 32:
+            raise SimulationError("numpy's PCG64 keeps its state words outside the object, "
+                                  "so they cannot be written in place")
+        words = np.ctypeslib.as_array((ctypes.c_uint64 * 4).from_address(at))
+        if not np.array_equal(words, _pcg64_states(seed[None])[0]):
+            raise SimulationError("numpy's PCG64 state words differ from the state computed "
+                                  "for its seed, so they cannot be written in place")
+        held = _THREAD.points = (np.random.Generator(bits), words)
+    return held
 
 
 # A shifted block's first coordinates, taken from the block's lowest one, stay
@@ -681,8 +766,11 @@ def simulate_block(plan: BlockPlan, base_seed: int, lo: int, hi: int) -> PointGr
     box = plan.box
     seeds, keys = _seed_words(base_seed, lo, hi)
     mu, dim = plan.lam_n * box.volume, box.dim
-    unit = [_unit_points(np.random.Generator(np.random.PCG64(_PointSeed(w))), mu, dim)
-            for w in seeds]
+    rng, words = _point_generator(seeds[0])
+    unit = []
+    for state in _pcg64_states(seeds):
+        words[:] = state
+        unit.append(_unit_points(rng, mu, dim))
     sizes = np.array([u.shape[0] for u in unit])
     points = _placed(np.concatenate(unit), box)
     rid = np.repeat(np.arange(hi - lo), sizes)

@@ -1000,6 +1000,54 @@ class TestClosedOverlap:
             compared += 1
         assert compared >= 100
 
+    def test_gaussians_beyond_floats_apart_give_no_nan(self):
+        # q = a1^2 + a2^2 was inf after any common rescale, and a1^2 a2^2 / q
+        # inf * 0 / inf: nan, with no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals, errs = overlap_rows(gaussian(1e160), gaussian(1e-160), [0.0, 1.0, 1e160], 1)
+        assert_within(vals, errs, [0.0, 1.0, 1e160],
+                      lambda si: mp_gaussian_overlap(1e160, 1e-160, si, 1))
+        assert vals[0] == vals[1] > 1e-160 and vals[2] == pytest.approx(vals[0] / math.e)
+
+    # scales too far apart for one common 2^k: q beyond floats (the first
+    # four; the fourth divided by 2^k past floats, an OverflowError), pi a1^2
+    # beyond floats (the fifth), and the d = 3 power below the normal floats
+    # where 2^(3k) lifts it (the rest; the subnormal power lost its bits, so
+    # the first two read 0).  Each value within its bound of mpmath, warnings
+    # as errors.
+    @pytest.mark.parametrize("a1,a2,d", [
+        (1e160, 1e-160, 2), (1e300, 1e-300, 3), (5e-324, 1e300, 1), (1e306, 1e-320, 2),
+        (4.694260849357202e231, 3.952462107751336e-77, 3),
+        (1.0253273186165908e-11, 7.101830751215947e291, 3),
+        (1.27964339808219e208, 2.2158863250169287e-99, 3),
+        (3.391907576366848e281, 5.059930131905667e75, 3),
+    ])
+    def test_distant_gaussians_against_mpmath(self, a1, a2, d):
+        s = max(a1, a2) * np.array([0.0, 0.01, 0.3, 1.0, 2.5, 6.0, 50.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals, errs = overlap_rows(gaussian(a1), gaussian(a2), s, d)
+        assert_within(vals, errs, s, lambda si: mp_gaussian_overlap(a1, a2, si, d))
+
+    def test_distant_gaussians_on_a_seeded_grid(self):
+        # scales 2^600 to 2^2090 apart in d = 1-3, the smaller from 2^-1071
+        # to 2^300 so that the overlap is a float
+        rng = np.random.default_rng(42)
+        for _ in range(60):
+            gap, e_small = int(rng.integers(600, 2091)), int(rng.integers(-1070, 301))
+            if e_small + gap > 1020:
+                e_small = 1020 - gap
+            small = math.ldexp(rng.uniform(0.5, 1.0), e_small)
+            big = math.ldexp(rng.uniform(0.5, 1.0), e_small + gap)
+            a1, a2 = (small, big) if rng.uniform() < 0.5 else (big, small)
+            d = int(rng.integers(1, 4))
+            s = big * np.array([0.0, 0.3, 1.0, 1.5, 7.0])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                vals, errs = overlap_rows(gaussian(a1), gaussian(a2), s, d)
+            assert_within(vals, errs, s, lambda si: mp_gaussian_overlap(a1, a2, si, d))
+
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("r1,r2", [(1.0, 1.0), (0.1, 0.1), (1.0, 0.7), (0.3, 1.3)])
     def test_disks_against_mpmath(self, r1, r2, d):

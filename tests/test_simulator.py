@@ -1,6 +1,9 @@
 import itertools
 import math
+import sys
+import threading
 import tracemalloc
+import types
 from dataclasses import replace
 
 import numpy as np
@@ -19,6 +22,7 @@ from rcmlab.simulator import (
     _base_pool,
     _expected_pairs,
     _PointSeed,
+    _pcg64_states,
     _replication_work,
     _seed_words,
     block_plan,
@@ -756,12 +760,12 @@ class TestStreams:
     BASES = [0, 1, 20240801, 2**32, 2**64 + 3, 2**96 + 5, 2**130 + 7]
     REPS = [0, 1, 2**32 - 1, 2**32, 2**32 + 5,
             *np.random.default_rng(5).integers(0, 2**40, size=12).tolist()]
+    BLOCKS = [(rep, rep + 1) for rep in REPS] + [(0, 300), (2**32 - 4, 2**32 + 4),
+                                                 (2**64 - 2, 2**64 + 2)]
 
     @pytest.mark.parametrize("base", BASES)
     def test_seed_words_match_numpy(self, base):
-        blocks = [(rep, rep + 1) for rep in self.REPS]
-        blocks += [(0, 300), (2**32 - 4, 2**32 + 4), (2**64 - 2, 2**64 + 2)]
-        for lo, hi in blocks:
+        for lo, hi in self.BLOCKS:
             seeds, keys = _seed_words(base, lo, hi)
             assert seeds.shape == (hi - lo, 4) and keys.shape == (hi - lo,)
             for k, rep in enumerate(range(lo, hi)):
@@ -792,6 +796,178 @@ class TestStreams:
             _seed_words(-1, 0, 2)
         with pytest.raises(ValueError):
             _seed_words(1, -1, 2)
+
+    @pytest.mark.parametrize("base", BASES)
+    def test_pcg64_states_match_numpy(self, base):
+        # the words a replication writes into the generator are the state
+        # numpy seeds from its seed words, below 2**32 and where _seed_words
+        # leaves the block to numpy
+        for lo, hi in self.BLOCKS:
+            seeds, _ = _seed_words(base, lo, hi)
+            states = _pcg64_states(seeds)
+            assert states.shape == (hi - lo, 4) and states.dtype == np.uint64
+            for k in range(hi - lo):
+                assert _as_state(states[k]) == np.random.PCG64(_PointSeed(seeds[k])).state["state"]
+
+    def test_pcg64_states_carry(self):
+        # words of all zeros and all ones, and their mixes, carry through
+        # every 128-bit sum and product
+        top = 2**64 - 1
+        edges = [list(w) for w in itertools.product([0, 1, 2**63, top], repeat=4)]
+        rand = np.random.default_rng(42).integers(0, 2**64, size=(300, 4), dtype=np.uint64)
+        seeds = np.concatenate([np.array(edges, dtype=np.uint64), rand])
+        states = _pcg64_states(seeds)
+        for w, state in zip(seeds, states):
+            assert _as_state(state) == np.random.PCG64(_PointSeed(w)).state["state"]
+
+
+def _as_state(words):
+    """PCG64's state dict of four state words in memory order."""
+    lo, hi, inc_lo, inc_hi = (int(w) for w in words)
+    return {"state": hi << 64 | lo, "inc": inc_hi << 64 | inc_lo}
+
+
+def _in_new_thread(fn, *args):
+    """fn(*args) run in a thread of its own, whose result it returns or whose
+    exception it raises."""
+    out = {}
+
+    def run():
+        try:
+            out["value"] = fn(*args)
+        except BaseException as exc:  # re-raised in the caller
+            out["error"] = exc
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive()
+    if "error" in out:
+        raise out["error"]
+    return out["value"]
+
+
+class TestReseededStreams:
+    """Every replication of a block draws from one generator per thread,
+    its PCG64 state words overwritten, and so from numpy's own stream."""
+
+    # (connection function, lambda, K, mean points in the window): d = 1-3,
+    # each with a mean below 10 (numpy's multiplication sampler) and one
+    # from 10 (PTRS)
+    PLANS = [
+        (hard_disk(0.1), 0.8, unit_box(1), 0.96),
+        (exponential(1.0), 2.0, unit_box(1), 47.16),
+        (hard_disk(0.1), 3.0, unit_box(2), 4.32),
+        (hard_disk(0.1), 20.0, unit_box(2), 28.8),
+        (hard_disk(0.05), 4.0, unit_box(3), 5.324),
+        (hard_disk(0.1), 40.0, unit_box(3), 69.12),
+    ]
+
+    @pytest.mark.parametrize("g,lam,K,mu", PLANS)
+    def test_block_draws_numpy_streams(self, g, lam, K, mu):
+        plan = block_plan(g, lam, K)
+        assert lam * plan.box.volume == pytest.approx(mu, rel=1e-3)
+        for base, lo, hi in [(7, 0, 60), (20240801, 2**32 - 3, 2**32 + 3)]:
+            graph = simulate_block(plan, base, lo, hi)
+            for k, rep in enumerate(range(lo, hi)):
+                seq = np.random.SeedSequence(base, spawn_key=(rep, 0))
+                rng = np.random.Generator(np.random.PCG64(seq))
+                assert np.array_equal(graph.points[graph.rid == k],
+                                      sample_points(lam, plan.box, rng))
+
+    def test_a_replication_without_points(self):
+        plan = block_plan(hard_disk(0.1), 0.8, unit_box(1))  # mu = 0.96
+        graph = simulate_block(plan, 11, 0, 40)
+        empty = np.flatnonzero(np.bincount(graph.rid, minlength=40) == 0)
+        assert empty.size and empty[0] < 39
+        # the replication after an empty one starts from its own state
+        for rep in (empty[0], empty[0] + 1):
+            seq = np.random.SeedSequence(11, spawn_key=(int(rep), 0))
+            want = sample_points(0.8, plan.box, np.random.default_rng(seq))
+            assert np.array_equal(graph.points[graph.rid == rep], want)
+
+    def test_two_blocks_in_a_row_carry_no_state(self):
+        d1 = block_plan(exponential(1.0), 2.0, unit_box(1))
+        d3 = block_plan(hard_disk(0.1), 40.0, unit_box(3))
+        runs = [(d1, 5, 0, 50), (d3, 9, 100, 103), (d1, 5, 0, 50), (d1, 5, 25, 50)]
+        points = [simulate_block(*run).points for run in runs]
+        # the same block again, and each block as a thread's first
+        assert np.array_equal(points[0], points[2])
+        for run, got in zip(runs, points):
+            assert np.array_equal(_in_new_thread(lambda r: simulate_block(*r).points, run), got)
+        # a block's tail is that tail drawn alone
+        rid = simulate_block(d1, 5, 0, 50).rid
+        assert np.array_equal(points[0][rid >= 25], points[3])
+
+    def test_a_block_builds_at_most_one_pcg64(self, monkeypatch):
+        built = []
+
+        class Counted(np.random.PCG64):
+            def __init__(self, *args, **kwargs):
+                built.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "PCG64", Counted)
+        plan = block_plan(exponential(1.0), 2.0, unit_box(1))
+        graph = _in_new_thread(simulate_block, plan, 77, 0, 400)  # the thread's first block
+        assert graph.reps == 400 and len(built) == 1
+        _in_new_thread(lambda: [simulate_block(plan, 77, a, a + 400) for a in (0, 400)])
+        assert len(built) == 2  # one a thread
+        simulate_block(plan, 77, 0, 400)
+        assert len(built) <= 3
+
+    def test_each_thread_has_its_own_generator(self):
+        mine = simulator._point_generator(np.zeros(4, dtype=np.uint64))
+        theirs = [_in_new_thread(simulator._point_generator, np.zeros(4, dtype=np.uint64))
+                  for _ in range(2)]
+        gens = [mine[0], *(t[0] for t in theirs)]
+        assert len({id(g) for g in gens}) == 3
+        assert len({id(g.bit_generator) for g in gens}) == 3
+        assert simulator._point_generator(np.ones(4, dtype=np.uint64)) is mine
+
+    def test_threads_draw_side_by_side(self):
+        # more threads than cores, switching every 10 us: a generator shared
+        # between threads would interleave their states and move the points
+        plan = block_plan(exponential(1.0), 2.0, unit_box(1))
+        blocks = [(plan, seed, 0, 300) for seed in range(6)]
+        serial = [simulate_block(*b).points for b in blocks]
+        out = [[] for _ in blocks]
+
+        def work(k):
+            for _ in range(3):
+                out[k].append(simulate_block(*blocks[k]).points)
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(blocks))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for got, want in zip(out, serial):
+            assert len(got) == 3 and all(np.array_equal(g, want) for g in got)
+
+    # a guard that fails raises on the thread's first block and returns no stream
+    @pytest.mark.parametrize("corrupt", ["word_order", "multiplier", "pointer"])
+    def test_a_failed_guard_raises(self, monkeypatch, corrupt):
+        if corrupt == "word_order":
+            states = simulator._pcg64_states
+            monkeypatch.setattr(simulator, "_pcg64_states", lambda s: states(s)[:, [1, 0, 3, 2]])
+            match = "state words differ"
+        elif corrupt == "multiplier":
+            monkeypatch.setattr(simulator, "_MULT_LO", simulator._MULT_LO ^ np.uint64(2))
+            match = "state words differ"
+        else:
+            monkeypatch.setattr(simulator, "sys", types.SimpleNamespace(getsizeof=lambda obj: 0))
+            match = "outside the object"
+        plan = block_plan(exponential(1.0), 2.0, unit_box(1))
+        for _ in range(2):  # nothing is kept from a failed guard
+            with pytest.raises(SimulationError, match=match):
+                _in_new_thread(simulate_block, plan, 77, 0, 400)
 
 
 class TestCounts:
