@@ -37,8 +37,9 @@ streams, and a second turns each replication's seed words into the PCG64
 state numpy would seed from them.  Every replication then draws from one
 generator per thread, its four state words overwritten in place: only the
 point count and coordinates are drawn per replication, by numpy's own
-samplers, and the streams are numpy's, bit for bit.  ``simulate_graph`` is
-the block of one replication.
+samplers, the coordinates straight into one buffer of the block where all
+points are placed at once, and the streams are numpy's, bit for bit.
+``simulate_graph`` is the block of one replication.
 """
 
 from __future__ import annotations
@@ -208,22 +209,14 @@ class PointGraph:
         return out
 
 
-def _unit_points(rng: np.random.Generator, mu: float, d: int) -> np.ndarray:
-    """Poisson(mu) points i.i.d. uniform in the unit cube: the count, then
-    the coordinates, from one generator."""
-    return rng.random((rng.poisson(mu), d))
-
-
-def _placed(unit: np.ndarray, box: Region) -> np.ndarray:
-    """Unit-cube points mapped into the box, coordinate by coordinate."""
-    return np.array(box.lower) + unit * np.array(box.sides)
-
-
 def sample_points(lam_n: float, box: Region, rng: np.random.Generator) -> np.ndarray:
-    """Poisson(lam_n * vol) points placed i.i.d. uniformly in the box."""
+    """Poisson(lam_n * vol) points placed i.i.d. uniformly in the box: the
+    count, then the unit-cube coordinates, from one generator, each scaled
+    by its side and shifted by its lower corner."""
     if not lam_n > 0:
         raise SimulationError("lam_n must be > 0")
-    return _placed(_unit_points(rng, lam_n * box.volume, box.dim), box)
+    unit = rng.random((rng.poisson(lam_n * box.volume), box.dim))
+    return np.array(box.lower) + unit * np.array(box.sides)
 
 
 # -- replication streams ------------------------------------------------------
@@ -238,8 +231,9 @@ def sample_points(lam_n: float, box: Region, rng: np.random.Generator) -> np.nda
 # generate_state.  ``_pcg64_states`` then takes PCG64's two seeding steps
 # (pcg64_set_seed) in 64-bit limbs over the block, and ``_point_generator``
 # holds the thread's one generator, whose state words each replication
-# overwrites before it draws.  ``test_seed_words_match_numpy`` holds the words
-# and states to numpy's.
+# overwrites before it draws its count and, into the block's one coordinate
+# buffer, the coordinates ``sample_points`` would draw from that state.
+# ``test_seed_words_match_numpy`` holds the words and states to numpy's.
 
 _M32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # hash constants of the entropy mix
@@ -762,17 +756,34 @@ def simulate_block(plan: BlockPlan, base_seed: int, lo: int, hi: int) -> PointGr
     in the plan, its mask is computed once here and kept on the graph, and
     only the pairs with an end in it are searched and tossed; every kept pair
     keeps the coin and length it has in the whole-window graph.
+
+    The coordinates of every replication are drawn into one buffer of the
+    block, which starts at the block's expected length and, when a draw
+    overflows it, is replaced by one of twice its size (or of the draw's
+    end) holding what was drawn; the points are placed in it in place.
     """
+    if not hi > lo:
+        raise SimulationError(f"a block needs hi > lo, got lo = {lo} and hi = {hi}")
     box = plan.box
     seeds, keys = _seed_words(base_seed, lo, hi)
     mu, dim = plan.lam_n * box.volume, box.dim
     rng, words = _point_generator(seeds[0])
-    unit = []
+    poisson, random = rng.poisson, rng.random
+    buf, end, counts = np.empty(dim * math.ceil((hi - lo) * mu)), 0, []
     for state in _pcg64_states(seeds):
         words[:] = state
-        unit.append(_unit_points(rng, mu, dim))
-    sizes = np.array([u.shape[0] for u in unit])
-    points = _placed(np.concatenate(unit), box)
+        k = poisson(mu)
+        start, end = end, end + k * dim
+        if end > buf.size:
+            grown = np.empty(max(2 * buf.size, end))
+            grown[:start] = buf[:start]
+            buf = grown
+        random(out=buf[start:end])
+        counts.append(k)
+    sizes = np.array(counts)
+    points = buf[:end].reshape(-1, dim)
+    points *= box.sides  # the bits of sample_points' placement
+    points += box.lower
     rid = np.repeat(np.arange(hi - lo), sizes)
     focus = inside = None
     if plan.focus is not None:

@@ -970,6 +970,116 @@ class TestReseededStreams:
                 _in_new_thread(simulate_block, plan, 77, 0, 400)
 
 
+class _IntoViews:
+    """A thread's point generator whose ``random`` draws only into a view
+    handed to it, and keeps the buffer behind each view."""
+
+    def __init__(self, rng):
+        self.poisson, self._random, self.buffers = rng.poisson, rng.random, []
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        if out is None or out.base is None:
+            raise AssertionError("coordinates drawn into an array of their own")
+        self.buffers.append(out.base)
+        return self._random(dtype=dtype, out=out)
+
+
+def _drawn_into_views(blocks):
+    """(graph, number of distinct buffers drawn into) of each (plan, base,
+    lo, hi) of blocks, simulated in a new thread whose generator is an
+    ``_IntoViews``."""
+    def run():
+        rng, words = simulator._point_generator(np.zeros(4, dtype=np.uint64))
+        proxy = simulator._THREAD.points = (_IntoViews(rng), words)
+        out = []
+        for block in blocks:
+            proxy[0].buffers = []
+            graph = simulate_block(*block)
+            out.append((graph, len({id(b) for b in proxy[0].buffers})))
+        return out
+
+    return _in_new_thread(run)
+
+
+def _assert_numpy_streams(graph, lam, base, lo):
+    """Each replication of the block from lo holds the points that
+    ``sample_points`` draws from its own numpy generator."""
+    for k in range(graph.reps):
+        seq = np.random.SeedSequence(base, spawn_key=(lo + k, 0))
+        want = sample_points(lam, graph.box, np.random.default_rng(seq))
+        assert np.array_equal(graph.points[graph.rid == k], want)
+
+
+class TestBlockBuffer:
+    """A block draws the coordinates of all its replications into one
+    buffer, which starts at the block's expected length and doubles when a
+    draw overflows it; every replication still reads numpy's own stream."""
+
+    # mean points in the window near 0.5 in d = 1-3: blocks of 3 overflow
+    # their expected length, often twice, and hold replications without points
+    PLANS = [
+        (hard_disk(0.1), 0.4, unit_box(1)),
+        (hard_disk(0.1), 0.35, unit_box(2)),
+        (hard_disk(0.05), 0.4, unit_box(3)),
+    ]
+
+    @pytest.mark.parametrize("g,lam,K,mu", TestReseededStreams.PLANS)
+    def test_coordinates_are_drawn_into_views_of_the_block(self, g, lam, K, mu):
+        plan = block_plan(g, lam, K)
+        blocks = [(plan, 7, 0, 60), (plan, 20240801, 2**32 - 3, 2**32 + 3)]
+        for block, (graph, buffers) in zip(blocks, _drawn_into_views(blocks)):
+            assert 1 <= buffers <= 3
+            assert np.array_equal(graph.points, simulate_block(*block).points)
+
+    @pytest.mark.parametrize("g,lam,K", PLANS)
+    def test_a_buffer_grown_more_than_once(self, g, lam, K):
+        plan = block_plan(g, lam, K)
+        blocks = [(plan, base, 0, 3) for base in range(100)]
+        grown = [(block, graph) for block, (graph, buffers) in zip(blocks, _drawn_into_views(blocks))
+                 if buffers >= 3]
+        assert grown
+        for (_, base, lo, _), graph in grown:
+            _assert_numpy_streams(graph, lam, base, lo)
+
+    @pytest.mark.parametrize("g,lam,K", PLANS)
+    def test_one_replication_blocks(self, g, lam, K):
+        plan = block_plan(g, lam, K)
+        blocks = [(plan, base, rep, rep + 1) for base in range(20) for rep in (0, 5, 2**32 + 1)]
+        graphs = [graph for graph, _ in _drawn_into_views(blocks)]
+        for (_, base, lo, _), graph in zip(blocks, graphs):
+            assert graph.reps == 1
+            _assert_numpy_streams(graph, lam, base, lo)
+        # among them blocks without points and blocks that outgrew their
+        # expected length, so drew into a grown buffer
+        sizes = [graph.n_points for graph in graphs]
+        assert min(sizes) == 0 and max(sizes) > math.ceil(lam * plan.box.volume)
+
+    @pytest.mark.parametrize("g,lam,K", PLANS)
+    def test_replications_without_points_first_and_last(self, g, lam, K):
+        plan = block_plan(g, lam, K)
+        seen = {"ends": 0, "all": 0}
+        for base in range(40):
+            graph = simulate_block(plan, base, 0, 3)
+            sizes = np.bincount(graph.rid, minlength=3)
+            if sizes[0] or sizes[-1]:
+                continue
+            seen["ends" if sizes.any() else "all"] += 1
+            assert graph.points.shape == (sizes.sum(), K.dim)
+            _assert_numpy_streams(graph, lam, base, 0)
+        assert seen["ends"] and seen["all"]
+
+    def test_an_empty_block_raises_before_drawing(self, monkeypatch):
+        plan = block_plan(exponential(1.0), 2.0, unit_box(1))
+
+        def drawn(*args):
+            raise AssertionError("an empty block drew seed words")
+
+        monkeypatch.setattr(simulator, "_seed_words", drawn)
+        for lo, hi in [(5, 5), (5, 4), (0, 0)]:
+            with pytest.raises(SimulationError, match=f"lo = {lo} and hi = {hi}"):
+                simulate_block(plan, 7, lo, hi)
+
+
 class TestCounts:
     def test_empty_graph(self):
         K = unit_box(2)
