@@ -990,12 +990,13 @@ def _drawn_into_views(blocks):
     ``_IntoViews``."""
     def run():
         rng, words = simulator._point_generator(np.zeros(4, dtype=np.uint64))
-        proxy = simulator._THREAD.points = (_IntoViews(rng), words)
+        into = _IntoViews(rng)
+        simulator._THREAD.points = (into, words)
         out = []
         for block in blocks:
-            proxy[0].buffers = []
+            into.buffers = []
             graph = simulate_block(*block)
-            out.append((graph, len({id(b) for b in proxy[0].buffers})))
+            out.append((graph, len({id(b) for b in into.buffers})))
         return out
 
     return _in_new_thread(run)
@@ -1028,7 +1029,7 @@ class TestBlockBuffer:
         plan = block_plan(g, lam, K)
         blocks = [(plan, 7, 0, 60), (plan, 20240801, 2**32 - 3, 2**32 + 3)]
         for block, (graph, buffers) in zip(blocks, _drawn_into_views(blocks)):
-            assert 1 <= buffers <= 3
+            assert 1 <= buffers <= 3  # a few grown buffers, not one a replication
             assert np.array_equal(graph.points, simulate_block(*block).points)
 
     @pytest.mark.parametrize("g,lam,K", PLANS)
