@@ -9,8 +9,9 @@ variance identity, and the quadratic variance lower bound.
 
 The package root exports the formula layer (connection functions,
 quadrature and moment formulas) and loads nothing else.  The simulation API
-lives in ``rcmlab.simulator`` and ``rcmlab.stats``, which load
-``scipy.spatial``; import it from there.
+lives in ``rcmlab.simulator`` and ``rcmlab.stats``; import it from there.
+Neither loads scipy on import: a pair search in d >= 2 loads
+``scipy.spatial`` when it first runs.
 """
 
 from .connfn import (

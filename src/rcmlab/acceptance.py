@@ -42,6 +42,10 @@ from .stats import (
     variance_lower_bound,
 )
 
+# Every verify-all run searches d=2 pairs in workers forked from this process, so
+# one import here, after the package's own, serves them all (it loads scipy.special too).
+import scipy.spatial
+
 
 @dataclass
 class CriterionResult:

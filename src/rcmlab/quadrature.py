@@ -330,13 +330,19 @@ def overlap_rows(
     Their errors are rounding bounds, without tail_eps.  Every other pair
     (otherwise truncated, table, mixed kinds, unequal exponential scales) is
     integrated by _quadrature_overlap.  Returns (values, errors) as flat
-    arrays.
+    arrays; QuadratureError, naming the pair and the first separation, when
+    a value or a bound is beyond floats.
     """
     s = _separations(s, d)
     closed = _closed_overlap(h1, h2, s, d)
-    if closed is not None:
-        return closed
-    return _quadrature_overlap(h1, h2, s, d, spec)
+    values, errors = closed if closed is not None else _quadrature_overlap(h1, h2, s, d, spec)
+    beyond = ~(np.isfinite(values) & np.isfinite(errors))
+    if beyond.any():
+        raise QuadratureError(
+            f"overlap of {h1!r} and {h2!r} in d = {d} is beyond floats "
+            f"at s = {float(s[np.argmax(beyond)])!r}"
+        )
+    return values, errors
 
 
 def _separations(s, d: int) -> np.ndarray:

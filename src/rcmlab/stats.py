@@ -21,7 +21,6 @@ from os import cpu_count
 from typing import Sequence
 
 import numpy as np
-from scipy import special
 
 from .connfn import ConnectionFunction
 from .moments import ModelConfig
@@ -312,6 +311,8 @@ def ks_normality(values) -> float:
     if var <= 0:
         raise StatsError("zero sample variance")
     z = np.sort((vals - mu) / math.sqrt(var))
+    from scipy import special  # here, so a run without a KS check loads no scipy
+
     cdf = special.ndtr(z)
     i = np.arange(1, m + 1)
     return float(np.max(np.maximum(i / m - cdf, cdf - (i - 1) / m)))

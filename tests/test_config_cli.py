@@ -721,10 +721,76 @@ from rcmlab import ModelConfig, exponential, gaussian, limit_var_isolated, unit_
 limit_var_isolated(1.0, exponential(0.3), 2)
 var_isolated(ModelConfig(d=2, lam=1.0, K=unit_box(2), g=exponential(0.3), n=2.0))
 absent("scipy")
+from rcmlab.stats import replicate_many
+assert "rcmlab.simulator" in sys.modules
+absent("scipy")
 gaussian(1.0).tail_radius(1e-6, 3)
 assert "scipy.special" in sys.modules
-from rcmlab.stats import replicate_many
-assert "rcmlab.simulator" in sys.modules and "scipy.spatial" in sys.modules
+""")
+
+
+def test_d1_replications_load_no_scipy():
+    _fresh_interpreter("""
+from rcmlab import ModelConfig, exponential, unit_box
+from rcmlab.stats import StatRequest, replicate_many
+
+cfg = ModelConfig(d=1, lam=1.0, K=unit_box(1), g=exponential(1.0), n=2.0)  # c02's model
+out = replicate_many(cfg, [StatRequest(name="L", kind="excess", r0=0.5)], 200, 7, workers=1)
+assert out["L"].values.sum() > 0
+absent("scipy")
+""")
+
+
+def test_d2_replications_load_the_tree_search_alone():
+    _fresh_interpreter("""
+from rcmlab import ModelConfig, exponential, unit_box
+from rcmlab.stats import StatRequest, replicate_many
+
+absent("scipy")
+cfg = ModelConfig(d=2, lam=1.0, K=unit_box(2), g=exponential(0.3), n=4.0)
+replicate_many(cfg, [StatRequest(name="I", kind="isolated")], 4, 7, workers=1)
+assert _watch.importer["scipy.spatial"] == "rcmlab.simulator"
+absent("scipy.sparse.csgraph")
+""")
+
+
+def test_ks_normality_loads_the_normal_cdf():
+    _fresh_interpreter("""
+import numpy as np
+from rcmlab.stats import ks_normality
+
+absent("scipy")
+ks_normality(np.random.default_rng(1).standard_normal(200))
+assert _watch.importer["scipy.special"] == "rcmlab.stats"
+""")
+
+
+def test_acceptance_preloads_the_tree_search():
+    _fresh_interpreter("""
+import multiprocessing
+
+import rcmlab.acceptance
+from rcmlab import stats
+
+assert _watch.importer["scipy.spatial"] == "rcmlab.acceptance"
+assert not stats._pools and not multiprocessing.active_children()
+""")
+
+
+def test_pool_workers_load_the_tree_search_themselves():
+    _fresh_interpreter("""
+import numpy as np
+from rcmlab import ModelConfig, exponential, unit_box
+from rcmlab.stats import StatRequest, replicate_many, run_scope
+
+cfg = ModelConfig(d=2, lam=1.0, K=unit_box(2), g=exponential(0.3), n=4.0)
+reqs = [StatRequest(name="I", kind="isolated"), StatRequest(name="L", kind="excess", r0=0.1)]
+with run_scope():
+    pooled = replicate_many(cfg, reqs, 16, 7, workers=2)
+absent("scipy.spatial")
+serial = replicate_many(cfg, reqs, 16, 7, workers=1)
+for name in ("I", "L"):
+    assert np.array_equal(pooled[name].values, serial[name].values)
 """)
 
 

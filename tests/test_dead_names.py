@@ -30,9 +30,17 @@ UNUSED_EXPORTS = {
     "gaussian",
 }
 
-# Imports that their module never reads, kept for the benchmark's tracer
-# (pinned by test_benchmark_surface.py::test_re_exports_the_tracer_checks)
-UNREAD_IMPORTS = {"moments.adaptive_quad", "stats.simulate_graph"}
+# Imports that their module never reads
+UNREAD_IMPORTS = {
+    # kept for the benchmark's tracer
+    # (pinned by test_benchmark_surface.py::test_re_exports_the_tracer_checks)
+    "moments.adaptive_quad",
+    "stats.simulate_graph",
+    # a preload: verify-all's pool workers, forked from the importing process,
+    # inherit scipy.spatial instead of each importing it in a timed pass
+    # (pinned by test_config_cli.py::test_acceptance_preloads_the_tree_search)
+    "acceptance.scipy",
+}
 
 
 def _trees():
@@ -165,5 +173,6 @@ def test_an_unread_import_is_named():
         "import os.path\nfrom dataclasses import replace as _replace\n"
     ).body
     assert _unread_imports(trees) == [
-        "moments.adaptive_quad", "stats.os", "stats._replace", "stats.simulate_graph",
+        "acceptance.scipy", "moments.adaptive_quad", "stats.os", "stats._replace",
+        "stats.simulate_graph",
     ]

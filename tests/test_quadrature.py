@@ -954,13 +954,15 @@ class TestClosedOverlap:
         assert_within(vals, errs, s, lambda si: mp_gaussian_overlap(a1, a2, si, d))
 
     def test_gaussian_prefactor_beyond_floats_gives_no_nan(self):
-        # (pi a^2 / 2)^(3/2) ~ 1e450: inf * exp(-y) was nan where exp(-y)
-        # underflows, with an "invalid value" warning
+        # (pi a^2 / 2)^(3/2) ~ 1e450 at s = 0: no inf value with an inf bound
+        # (inf * exp(-y) was once nan where exp(-y) underflows, with an
+        # "invalid value" warning)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            vals, errs = overlap_rows(gaussian(1e150), gaussian(1e150), [0.0, 1e160], 3)
-        assert vals.tolist() == [math.inf, 0.0]
-        assert errs[0] == math.inf and 0.0 <= errs[1] < math.inf
+            with pytest.raises(QuadratureError, match=r"gaussian.*gaussian.*d = 3.* s = 0\.0$"):
+                overlap_rows(gaussian(1e150), gaussian(1e150), [1e160, 0.0, 1.0], 3)
+            vals, errs = overlap_rows(gaussian(1e150), gaussian(1e150), [1e160], 3)
+        assert vals.tolist() == [0.0] and 0.0 <= errs[0] < math.inf
 
     # prefactors of ~1e450, 1e320, 1e358 and 3e360, beyond floats: the
     # values exp(log P - y) from just below the largest float down to the

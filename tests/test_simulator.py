@@ -472,7 +472,7 @@ class TestLineSearch:
         def no_tree(*args, **kwargs):
             raise AssertionError("kd-tree built")
 
-        monkeypatch.setattr(simulator, "cKDTree", no_tree)
+        monkeypatch.setattr("scipy.spatial.cKDTree", no_tree)  # the search imports it per call
         for d in (1, 2):
             K = unit_box(d)
             plan = block_plan(exponential(0.5), 4.0, K, focus=K if focused else None)
