@@ -34,6 +34,8 @@ _KINDS = ("hard_disk", "exponential", "gaussian", "table")
 _LOG_FLOAT_MAX = 709.782712893384  # log of the largest float: exp(x) is finite up to it
 _EPS = float(np.finfo(float).eps)
 _SUBNORMAL = 2.0**-1074  # spacing of the subnormal floats: exp's absolute error there
+_TINY = float(np.finfo(float).tiny)  # the least normal float
+_HUGE = float(np.finfo(float).max)
 _LN2 = math.log(2.0)
 # the two-point Gauss-Legendre nodes on [0, 1]
 _GL2 = (0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0))
@@ -106,9 +108,9 @@ class ConnectionFunction:
         """Value at radius x (scalar or ndarray, x >= 0).
 
         A hard disk is 1{x <= support_radius}.  Any other base is evaluated
-        at x times the scale factors, the last applied first, in a new array
-        (x is never written), and a value at x <= lo or x > hi is set to 0
-        in that array."""
+        at x times the scale factors (``_scaled``) in a new array (x is never
+        written), and a value at x <= lo or x > hi is set to 0 in that
+        array."""
         arr = np.asarray(x, dtype=float)
         scalar = arr.ndim == 0
         x = np.atleast_1d(arr)
@@ -116,9 +118,7 @@ class ConnectionFunction:
         if self.kind == "hard_disk":
             vals = (x <= self.support_radius).astype(float)
         else:
-            cur = x
-            for n in reversed(self.scales):
-                cur = cur * n  # a new array, so x is never written
+            cur = self._scaled(x)
             vals = self._base_eval(cur, None if cur is x else cur)
             if self.hi is not None:
                 keep = x <= self.hi
@@ -130,18 +130,49 @@ class ConnectionFunction:
 
     # -- analytic metadata --------------------------------------------------
 
+    def _scaled(self, x: np.ndarray) -> np.ndarray:
+        """x times the scale factors, the last applied first: x itself when
+        there is none, else a new array.
+
+        With two or more factors, an entry whose running product leaves the
+        normal floats (a partial product that overflows or underflows) is
+        taken from the net factor instead, x over 1 / F folded as a mantissa
+        and a power of two (``_fold``), so it is beyond floats only where
+        x F is.  Every other entry keeps the running product's bits."""
+        if len(self.scales) < 2:
+            return x * self.scales[0] if self.scales else x
+        cur, lost = x, False
+        with np.errstate(over="ignore"):
+            for k, n in enumerate(reversed(self.scales)):
+                if k:
+                    lost = lost | (cur < _TINY) | (cur > _HUGE)
+                cur = cur * n
+            if lost.any():
+                m, e, _ = self._fold(1.0)
+                cur[lost] = np.ldexp(x[lost] / m, -e)
+        return cur
+
     def _base_radii(self) -> list[float]:
         """A hard disk's a or a table's radii, divided by the scale factors
-        one at a time; none for the unbounded kinds."""
+        one at a time; none for the unbounded kinds.  A radius whose
+        running quotient leaves the normal floats before the last factor is
+        taken from the net factor instead, as ``_scaled`` takes a product."""
         if self.kind == "hard_disk":
             radii = [self.a]
         elif self.kind == "table":
             radii = [r for r, _ in self.table]
         else:
             return []
-        for n in self.scales:
-            radii = [r / n for r in radii]
-        return radii
+        out = []
+        for r in radii:
+            q = r
+            for k, n in enumerate(self.scales):
+                if k and not _TINY <= q <= _HUGE:
+                    q = _ldexp(*self._fold(r)[:2])
+                    break
+                q = q / n
+            out.append(q)
+        return out
 
     @property
     def support_radius(self) -> float | None:
@@ -251,11 +282,11 @@ class ConnectionFunction:
             total += 2.0 * self.lo ** (d - 1) * replace(self, lo=None).eval(below)
         return (4.0 if d == 2 else 2.0 * math.pi) * total * (1.0 + 16.0 * _EPS)
 
-    def _fold(self) -> tuple[float, int, int]:
-        """q = a / F (1 / F for a table) as (m, e) with q = m 2^e and m in
-        [0.5, 1), and the number of scale factors whose division rounds, by
-        half an ulp each."""
-        m, e = math.frexp(1.0 if self.kind == "table" else self.a)
+    def _fold(self, c: float) -> tuple[float, int, int]:
+        """q = c / F as (m, e) with q = m 2^e and m in [0.5, 1) (or 0), F
+        being the product of the scale factors, and the number of factors
+        whose division rounds, by half an ulp each."""
+        m, e = math.frexp(c)
         folds = 0
         for n in self.scales:
             nm, ne = math.frexp(n)
@@ -266,7 +297,7 @@ class ConnectionFunction:
 
     def _smooth_mass(self, d: int) -> tuple[float, float]:
         """mass of an exponential or gaussian base, from its tail masses."""
-        m, e, folds = self._fold()
+        m, e, folds = self._fold(self.a)
 
         def log_tail(c):
             """log M(c / q) and a first-order bound on its absolute error: a
@@ -299,7 +330,7 @@ class ConnectionFunction:
 
         A knot r / F moves by (folds + 1) / 2 ulps, which moves the line of
         its piece by at most |v1 - v0| ulps times x1 / (x1 - x0)."""
-        m, e, folds = self._fold()
+        m, e, folds = self._fold(1.0)
         knots = [(math.ldexp(r * m, e), v) for r, v in self.table]
         lo = self.lo or 0.0
         hi = math.inf if self.hi is None else self.hi
@@ -338,6 +369,14 @@ class ConnectionFunction:
             raise ConnFnError("scale factor must be > 0")
         lo, hi = (None if c is None else c / n for c in (self.lo, self.hi))
         return replace(self, scales=self.scales + (n,), lo=lo, hi=hi)
+
+
+def _ldexp(m: float, e: int) -> float:
+    """m 2^e, inf where that is beyond floats (math.ldexp raises there)."""
+    try:
+        return math.ldexp(m, e)
+    except OverflowError:
+        return math.inf
 
 
 def _check_cut(R: float):

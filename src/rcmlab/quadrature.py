@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .connfn import _EPS, _SUBNORMAL, ConnectionFunction, sphere_surface
+from .connfn import _EPS, _SUBNORMAL, ConnectionFunction, _ldexp, sphere_surface
 
 
 class QuadratureError(RuntimeError):
@@ -490,11 +490,8 @@ def _folded(h: ConnectionFunction):
     """
     if h.kind == "table" or h.lo is not None or (h.hi is not None and h.kind != "hard_disk"):
         return None
-    m, e, rounded = h._fold()
-    try:
-        a = math.ldexp(m, e)
-    except OverflowError:  # a radius beyond floats, which a cut at hi may bound
-        a = math.inf
+    m, e, rounded = h._fold(h.a)
+    a = _ldexp(m, e)  # inf for a radius beyond floats, which a cut at hi may bound
     if h.hi is not None:
         a = min(a, h.hi)
     return (h.kind, a, 0.5 * _EPS * a * rounded) if a > 0.0 else None

@@ -12,6 +12,7 @@ consumes the replicated values and is deterministic given (config, seed).
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -22,6 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import simulator
 from .connfn import ConnectionFunction
 from .moments import ModelConfig
 from .quadrature import Region
@@ -174,17 +176,26 @@ def _request_rows(cfg, requests, graph):
     return np.column_stack(cols).astype(float)
 
 
+_THREAD = threading.local()  # .block: the thread's last block graph, or None
+
+
 def _replication_rows(count, plan, base_seed, lo, hi):
     """Rows of replications lo..hi-1, simulated in the plan's blocks;
     count(graph) gives the rows of one block."""
+    work = simulator._replication_work(plan.lam_n, plan.box, plan.reach, plan.focus)
     rows = []
     for a in range(lo, hi, plan.reps):
-        # hold the previous graph while this one is built: freed first, its
-        # memory goes back to the system and the next block faults it in again
-        # (400 d=2 replications at n = 8: ~12,000 minor faults a call, not
-        # ~2,100, and ~40% more time)
         graph = simulate_block(plan, base_seed, a, min(a + plan.reps, hi))
         rows.append(count(graph))
+        # The thread holds its last block until it has built the next one, in
+        # this call or a later one: a block freed first hands its memory back
+        # to the system, and the next one faults it in again.  An mc_large
+        # call is one block of 4 d=2 replications, which faults ~480 pages
+        # when the previous call's block is gone and ~30 when it is held.  A
+        # block above BLOCK_WORK of expected work (one replication too large
+        # for the budget) is not held.
+        _THREAD.block = graph if graph.reps * work <= simulator.BLOCK_WORK else None
+        del graph  # so that a block not held is freed before the next is built
     return np.concatenate(rows)
 
 

@@ -13,11 +13,12 @@ from dataclasses import astuple
 from pathlib import Path
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rcmlab import cli
-from rcmlab.connfn import ConnFnError, exponential, gaussian, hard_disk
+from rcmlab.connfn import ConnFnError, exponential, gaussian, hard_disk, table_function
 from rcmlab.moments import ModelError, domination_constants, isolation_prob
 from rcmlab.quadrature import QuadratureError, radial_integral
 
@@ -105,6 +106,67 @@ def test_the_mass_is_exact_or_beyond_floats(g, d):
             return
     assert abs(mpmath.mpf(res.value) - ref) <= res.error
     assert res.error <= 64 * 2.0**-52 * res.value + 1e-320
+
+
+# a partial product (or quotient) of the factors leaves the floats, the net
+# factor 1e-8 does not: each stack is its one factor 1e-8 up to rounding
+@pytest.mark.parametrize("factors", [(1e-308, 1e300), (1e300, 1e-308)])
+def test_a_partial_product_beyond_floats_takes_the_net_factor(factors):
+    def stacked(g):
+        for n in factors:
+            g = g.scale(n)
+        return g
+
+    x = np.array([0.0, 1e8, 2e8, 4e8, np.inf])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for base in (exponential(1.0), gaussian(1.0), table_function([(0, 1), (1, 0.5), (2, 0)])):
+            g, one = stacked(base), base.scale(1e-8)
+            assert np.allclose(g.eval(x), one.eval(x), rtol=4e-15, atol=1e-15)
+            assert g.eval(2e8) == g.eval(x)[2]
+        assert exponential(1.0).scale(1e-308).scale(1e300).eval(2e8) == pytest.approx(math.exp(-2.0), rel=4e-16)
+        disk = stacked(hard_disk(2.0))
+        assert disk.support_radius == pytest.approx(2e8, rel=4e-16)
+        assert disk.cut_radii == (disk.support_radius,)
+        assert disk.eval(3e8) == 0.0 and disk.eval(1.9e8) == 1.0
+        mass, err = disk.mass(2)
+        assert abs(mass - math.pi * disk.support_radius**2) <= err
+        table = stacked(table_function([(0, 1), (1, 0.5), (2, 0)]))
+        assert table.support_radius == pytest.approx(2e8, rel=4e-16)
+        assert table.cut_radii == pytest.approx((1e8, 2e8), rel=4e-16)
+
+
+def test_entries_whose_partial_products_stay_finite_keep_their_bits():
+    # x 1e300 is finite at 1e8 and inf at 2e8: only the second entry is
+    # taken from the net factor
+    g = exponential(1.0).scale(1e-308).scale(1e300)
+    x = np.array([1e8, 2e8])
+    got = g.eval(x)
+    assert got[0] == np.exp(-(x[0] * 1e300 * 1e-308))
+    assert got[1] == pytest.approx(math.exp(-2.0), rel=4e-16)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(g=stacks(), t=st.floats(0.0, 30.0))
+@example(g=exponential(1.0).scale(1e-308).scale(1e300), t=2.0)
+@example(g=gaussian(1e-300).scale(1e300).scale(1e-300).scale(1e-300), t=1.5)
+def test_eval_follows_the_net_factor(g, t):
+    # at x = t a / F, F the exact product of the factors, the base is at t
+    # (a hard disk is 1 inside its edge), whatever the partial products
+    with mpmath.workdps(50):
+        q = mpmath.mpf(g.a) / mpmath.fprod([mpmath.mpf(n) for n in g.scales])
+        x = float(t * q)
+    if not 1e-300 < x < 1e300:
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = g.eval(x)
+    if g.kind == "hard_disk":
+        assert value == float(x <= g.support_radius)
+        assert g.support_radius == pytest.approx(float(q), rel=1e-15)
+    else:
+        y = t if g.kind == "exponential" else t * t
+        assert value == pytest.approx(math.exp(-y), rel=8e-16 * (1.0 + 4.0 * y), abs=1e-300)
 
 
 DEFAULT_CFG = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"

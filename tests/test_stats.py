@@ -2,7 +2,10 @@ import hashlib
 import math
 import multiprocessing
 import os
+import sys
+import threading
 import tracemalloc
+import weakref
 from dataclasses import replace
 from functools import partial
 from itertools import product
@@ -413,6 +416,159 @@ class TestStreamPins:
                               (graph.edge_dist, "<f8"), (graph.coins, "<f8")):
             h.update(np.ascontiguousarray(values, dtype=dtype).tobytes())
         assert h.hexdigest() == digest
+
+
+def _on_a_new_thread(fn, *args):
+    """fn(*args) run on a thread of its own, so that no block is held there
+    before it; returns its result and the thread's held block."""
+    out = {}
+
+    def run():
+        try:
+            out["value"] = fn(*args)
+            out["held"] = stats._THREAD.block
+        except BaseException as exc:  # re-raised in the caller
+            out["error"] = exc
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive()
+    if "error" in out:
+        raise out["error"]
+    return out["value"], out["held"]
+
+
+def _last_block(cfg, requests, m, base_seed):
+    """The plan of replicate_many(cfg, requests, m, ...) and its last block, built afresh."""
+    plan = _plan(cfg, *_request_needs(cfg, requests))
+    return plan, simulate_block(plan, base_seed, (m - 1) // plan.reps * plan.reps, m)
+
+
+def _track_blocks(monkeypatch):
+    """Patch stats' simulate_block to keep a weak reference to each block it
+    builds; returns those and, per build, how many earlier blocks were alive."""
+    built, alive = [], []
+
+    def tracked(*args):
+        alive.append(sum(ref() is not None for ref in built))
+        graph = simulate_block(*args)
+        built.append(weakref.ref(graph))
+        return graph
+
+    monkeypatch.setattr(stats, "simulate_block", tracked)
+    return built, alive
+
+
+def _same_graph(a, b):
+    return a.reps == b.reps and all(
+        np.array_equal(x, y) for x, y in ((a.points, b.points), (a.rid, b.rid), (a.coins, b.coins),
+                                          (a.edge_i, b.edge_i), (a.edge_dist, b.edge_dist)))
+
+
+class TestHeldBlock:
+    """Between blocks a thread holds its last one, across calls, unless its
+    expected work is above BLOCK_WORK; what it holds moves no value."""
+
+    def test_a_call_leaves_its_last_block_and_the_next_replaces_it(self, monkeypatch):
+        monkeypatch.setattr(simulator, "BLOCK_WORK", 2**12)  # blocks of 71
+        cfg, requests, *_ = BLOCK_CASES["d1-exponential"]
+
+        def two_calls():
+            replicate_many(cfg, requests, 150, 11, workers=1)
+            held = stats._THREAD.block
+            replicate_many(cfg, requests, 100, 12, workers=1)
+            return held
+
+        held, last = _on_a_new_thread(two_calls)
+        plan, block = _last_block(cfg, requests, 150, 11)
+        assert plan.reps == 71 and held.reps == 150 - 142 and _same_graph(held, block)
+        _, block = _last_block(cfg, requests, 100, 12)
+        assert last is not held and last.reps == 100 - 71 and _same_graph(last, block)
+
+    def test_one_block_is_alive_while_the_next_is_built(self, monkeypatch):
+        # the previous block and no other, whether it came from this call or
+        # from the one before
+        cfg, requests, *_ = BLOCK_CASES["d1-exponential"]
+        monkeypatch.setattr(simulator, "BLOCK_WORK", 2**12)
+        built, alive = _track_blocks(monkeypatch)
+
+        def calls():
+            for seed in (1, 2):
+                replicate_many(cfg, requests, 150, seed, workers=1)
+
+        _on_a_new_thread(calls)
+        assert len(built) == 6 and alive == [0, 1, 1, 1, 1, 1]
+
+    def test_a_block_above_the_budget_is_not_held(self, monkeypatch):
+        cfg, requests, *_ = BLOCK_CASES["d2-coupling"]
+        plan = _plan(cfg, *_request_needs(cfg, requests))
+        work = simulator._replication_work(plan.lam_n, plan.box, plan.reach, plan.focus)
+        built, alive = _track_blocks(monkeypatch)
+
+        def calls():
+            replicate_many(cfg, requests, 4, 3, workers=1)
+            assert stats._THREAD.block is not None
+            monkeypatch.setattr(simulator, "BLOCK_WORK", work / 2)
+            out = replicate_many(cfg, requests, 3, 3, workers=1)
+            return out, stats._THREAD.block
+
+        (out, held), _ = _on_a_new_thread(calls)
+        assert _plan(cfg, *_request_needs(cfg, requests)).reps == 1
+        # the block held before the call lives until the call's first block
+        # is built; each single-replication block is freed once counted
+        assert held is None and alive == [0, 1, 0, 0] and all(ref() is None for ref in built)
+        monkeypatch.undo()
+        ref = replicate_many(cfg, requests, 3, 3, workers=1)
+        assert all(np.array_equal(out[k].values, ref[k].values) for k in ref)
+
+    def test_rows_do_not_depend_on_the_held_block(self):
+        cfg, requests, *_ = BLOCK_CASES["d2-coupling"]
+        d1_cfg, d1_requests, *_ = BLOCK_CASES["d1-exponential"]
+        other = ModelConfig(d=2, lam=2.0, K=unit_box(2), g=hard_disk(0.2), n=1.0)
+        other_requests = [StatRequest(name="I", kind="isolated")]
+
+        def after(before):
+            if before is not None:
+                replicate_many(*before, 20, 5, workers=1)
+            return replicate_many(cfg, requests, 10, 21, workers=1)
+
+        fresh, _ = _on_a_new_thread(after, None)
+        for before in ((d1_cfg, d1_requests), (other, other_requests)):
+            out, held = _on_a_new_thread(after, before)
+            assert held.box.dim == 2 and held.conn == cfg.g_n
+            for req in requests:
+                assert np.array_equal(out[req.name].values.view(np.uint64),
+                                      fresh[req.name].values.view(np.uint64))
+
+    def test_two_threads_at_once(self):
+        # more switches than blocks: each thread returns its serial rows and
+        # holds its own last block, never the other thread's
+        runs = [(BLOCK_CASES["d1-exponential"][:2], 300, 41), (BLOCK_CASES["d2-coupling"][:2], 6, 42)]
+        serial = [replicate_many(*model, m, seed, workers=1) for model, m, seed in runs]
+        out = [None] * len(runs)
+
+        def work(k):
+            (cfg, requests), m, seed = runs[k]
+            got = [replicate_many(cfg, requests, m, seed, workers=1) for _ in range(3)]
+            out[k] = got, stats._THREAD.block
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(runs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for ((cfg, requests), m, seed), want, (got, held) in zip(runs, serial, out):
+            for sample in got:
+                assert all(np.array_equal(sample[k].values, want[k].values) for k in want)
+            assert _same_graph(held, _last_block(cfg, requests, m, seed)[1])
+        assert out[0][1] is not out[1][1]
 
 
 class TestSharedMasks:
