@@ -76,7 +76,7 @@ _BOOT_CHUNK = 1 << 16  # bootstrap indices drawn at a time
 
 @dataclass
 class StatSample:
-    """Replicated values of one statistic with seed provenance."""
+    """Replicated values (1-D) of one statistic with seed provenance."""
 
     values: np.ndarray
     base_seed: int
@@ -84,6 +84,8 @@ class StatSample:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
+        if self.values.ndim != 1:
+            raise StatsError(f"values must be 1-D, got shape {self.values.shape}")
         if self.values.size < 2:
             raise StatsError("need at least two replications")
 
@@ -110,17 +112,31 @@ class StatSample:
         at most _BOOT_CHUNK indices each (one row when m is larger), so the
         memory stays bounded.  The generator keeps its 32-bit buffer between
         draws and a row's variance reads only that row, so the result has the
-        bits of drawing all 200 rows at once.
+        bits of drawing all 200 rows at once.  Each chunk's values are
+        gathered into one buffer allocated once per call and its variances
+        taken there in place, by the steps of numpy's var(ddof=1) (sum,
+        divide by m, subtract, square, sum, divide by m - 1), so they keep
+        numpy's bits and no resample allocates memory beyond its indices.
         """
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=self.base_seed, spawn_key=(0xB007,))
         )
-        rows = max(1, _BOOT_CHUNK // self.m)
+        m = self.m
+        rows = min(max(1, _BOOT_CHUNK // m), 200)
+        buf = np.empty((rows, m))
         boots = np.empty(200)
         for a in range(0, 200, rows):
             b = min(a + rows, 200)
-            idx = rng.integers(0, self.m, size=(b - a, self.m))
-            boots[a:b] = self.values[idx].var(axis=1, ddof=1)
+            idx = rng.integers(0, m, size=(b - a, m))
+            x, out = buf[: b - a], boots[a:b]
+            self.values.take(idx, out=x, mode="clip")  # in range; "raise" would buffer out
+            del idx  # freed before the next chunk's indices are drawn
+            mean = np.add.reduce(x, axis=1, keepdims=True)
+            np.true_divide(mean, m, out=mean)
+            np.subtract(x, mean, out=x)
+            np.square(x, out=x)
+            np.add.reduce(x, axis=1, out=out)
+            np.true_divide(out, m - 1, out=out)
         return float(boots.std(ddof=1))
 
 

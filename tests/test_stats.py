@@ -141,6 +141,34 @@ class TestReplicate:
             tracemalloc.stop()
         assert peak < 16 * 2**20
 
+    @pytest.mark.parametrize("m", [327, 328, 65536, 65537])
+    def test_bootstrap_se_of_counts_across_chunk_edges(self, m):
+        # verify-all passes integer counts; 327 and 328 take 200 and 199 rows
+        # a chunk, 65536 and 65537 one row.  values is read-only, so a write
+        # into it raises.  The reference draws 25 rows at a time.
+        values = np.random.default_rng(m).poisson(30.0, size=m).astype(float)
+        values.flags.writeable = False
+        sample = StatSample(values=values, base_seed=7)
+        assert not sample.values.flags.writeable
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=7, spawn_key=(0xB007,)))
+        rows = np.concatenate([values[rng.integers(0, m, size=(25, m))].var(axis=1, ddof=1)
+                               for _ in range(8)])
+        assert sample.bootstrap_se_var() == float(rows.std(ddof=1))
+
+    @pytest.mark.parametrize("m", [600, 100_000])
+    def test_bootstrap_se_holds_two_resample_chunks(self, m):
+        # the chunk's indices and the one buffer its values are gathered into
+        sample = StatSample(values=np.random.default_rng(m).poisson(30.0, size=m).astype(float),
+                            base_seed=5)
+        rows = min(max(1, 2**16 // m), 200)
+        tracemalloc.start()
+        try:
+            sample.bootstrap_se_var()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.05 * 8 * rows * m
+
     def test_one_pool_per_run(self, pools):
         # two pooled calls on different plans, the second in a nested scope,
         # share the run's one pool, which is shut down when the run ends
@@ -972,6 +1000,11 @@ class TestSmallHelpers:
     def test_stat_sample_guards(self):
         with pytest.raises(StatsError):
             StatSample(values=np.array([1.0]), base_seed=0)
+
+    @pytest.mark.parametrize("shape", [(3, 2), (6, 1), (1, 4), ()])
+    def test_stat_sample_values_are_1d(self, shape):
+        with pytest.raises(StatsError, match="1-D"):
+            StatSample(values=np.ones(shape), base_seed=0)
 
     def test_policy_validation(self):
         with pytest.raises(ValueError):
