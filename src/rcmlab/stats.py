@@ -1,7 +1,7 @@
 """Replication engine and statistical verification suite.
 
-Replications are independent: replication k draws from the streams that the
-simulator module describes, children (k, 0) for points and (k, 1) for coins,
+Replications are independent: replication k draws from the streams that
+``rcmlab.streams`` describes, children (k, 0) for points and (k, 1) for coins,
 so results are identical for any worker count and any grouping of
 consecutive replications into the blocks that are simulated and counted
 together, and aggregation is a pure indexed fold.  Everything downstream (KS

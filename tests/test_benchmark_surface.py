@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from rcmlab import moments, quadrature, simulator, stats
+from rcmlab import moments, quadrature, simulator, stats, streams
 
 TRACING = Path(__file__).resolve().parents[1] / "rcmbench" / "tracing.py"
 
@@ -63,3 +63,5 @@ def test_traced_arguments_keep_their_positions(modname, path, positions):
 def test_re_exports_the_tracer_checks():
     assert moments.adaptive_quad is quadrature.adaptive_quad
     assert stats.simulate_graph is simulator.simulate_graph
+    assert simulator.pair_uniform is streams.pair_uniform
+    assert simulator.sample_points is streams.sample_points

@@ -36,6 +36,8 @@ UNREAD_IMPORTS = {
     # (pinned by test_benchmark_surface.py::test_re_exports_the_tracer_checks)
     "moments.adaptive_quad",
     "stats.simulate_graph",
+    # the tracer's simulator.sample_points, defined in the streams module
+    "simulator.sample_points",
     # a preload: verify-all's pool workers, forked from the importing process,
     # inherit scipy.spatial instead of each importing it in a timed pass
     # (pinned by test_config_cli.py::test_acceptance_preloads_the_tree_search)
@@ -173,6 +175,6 @@ def test_an_unread_import_is_named():
         "import os.path\nfrom dataclasses import replace as _replace\n"
     ).body
     assert _unread_imports(trees) == [
-        "acceptance.scipy", "moments.adaptive_quad", "stats.os", "stats._replace",
-        "stats.simulate_graph",
+        "acceptance.scipy", "moments.adaptive_quad", "simulator.sample_points", "stats.os",
+        "stats._replace", "stats.simulate_graph",
     ]

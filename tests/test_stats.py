@@ -386,14 +386,6 @@ class TestBlockEngine:
         assert np.array_equal(rows, _replication_rows(count, replace(plan, reps=1), 606, 0, m))
         assert rows[:, 0].any()
 
-    @pytest.mark.parametrize("rep", [0, 1, 399, 2**32 + 5])
-    def test_direct_children_equal_spawned_ones(self, rep):
-        spawned = np.random.SeedSequence(2024, spawn_key=(rep,)).spawn(2)
-        for i, child in enumerate(spawned):
-            direct = np.random.SeedSequence(2024, spawn_key=(rep, i))
-            assert direct.spawn_key == child.spawn_key
-            assert np.array_equal(direct.generate_state(4), child.generate_state(4))
-
 
 def _values_sha256(out, names):
     h = hashlib.sha256()
