@@ -11,9 +11,12 @@ folds as it is applied:
     truncate_outside(R):  f -> 1{x >  R} * f(x)     lo = max(lo, R)
     scale(n):             f -> f(n * x)             n joins the scales; lo, hi / n
 
-lo and hi are compared on x itself, so ties at a cut evaluate as "inside"
-(1{x <= R}), and eval and support_radius agree to the ulp.  The two orders
-of cutting and scaling do not commute: cut at R then scale by n is
+Each cut is kept as a mantissa and a power of two, into which scale folds n
+as ``_fold`` folds the factors into a, so a cut is lost only where its net
+quotient leaves the floats, not where a partial one does.  lo and hi, the
+cuts read as floats, are compared on x itself, so ties at a cut evaluate as
+"inside" (1{x <= R}), and eval and support_radius agree to the ulp.  The two
+orders of cutting and scaling do not commute: cut at R then scale by n is
 g.scale(n).truncate_inside(R / n), 1{x <= R/n} g(n x), while scale then cut
 is g.scale(n).truncate_inside(R), 1{x <= R} g(n x).
 """
@@ -49,14 +52,15 @@ def sphere_surface(d: int) -> float:
 @dataclass(frozen=True)
 class ConnectionFunction:
     """A radial [0,1]-valued non-increasing base at x times its scale
-    factors, kept on lo < x <= hi (None: no bound on that side)."""
+    factors, kept on lo < x <= hi (None: no bound on that side), each cut
+    folded as (m, e), m 2^e, with m in [0.5, 1), 0 or inf."""
 
     kind: str
     a: float | None = None
     table: tuple[tuple[float, float], ...] | None = None
     scales: tuple[float, ...] = ()  # in the order applied
-    lo: float | None = None
-    hi: float | None = None
+    lo_cut: tuple[float, int] | None = None
+    hi_cut: tuple[float, int] | None = None
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -82,6 +86,14 @@ class ConnectionFunction:
         else:
             if self.a is None or not self.a > 0.0:
                 raise ConnFnError(f"{self.kind} needs a positive scale parameter")
+
+    @property
+    def lo(self) -> float | None:
+        return None if self.lo_cut is None else _ldexp(*self.lo_cut)
+
+    @property
+    def hi(self) -> float | None:
+        return None if self.hi_cut is None else _ldexp(*self.hi_cut)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -153,26 +165,15 @@ class ConnectionFunction:
         return cur
 
     def _base_radii(self) -> list[float]:
-        """A hard disk's a or a table's radii, divided by the scale factors
-        one at a time; none for the unbounded kinds.  A radius whose
-        running quotient leaves the normal floats before the last factor is
-        taken from the net factor instead, as ``_scaled`` takes a product."""
+        """A hard disk's a or a table's radii over the product of the scale
+        factors, folded (``_fold``); none for the unbounded kinds."""
         if self.kind == "hard_disk":
             radii = [self.a]
         elif self.kind == "table":
             radii = [r for r, _ in self.table]
         else:
             return []
-        out = []
-        for r in radii:
-            q = r
-            for k, n in enumerate(self.scales):
-                if k and not _TINY <= q <= _HUGE:
-                    q = _ldexp(*self._fold(r)[:2])
-                    break
-                q = q / n
-            out.append(q)
-        return out
+        return [_ldexp(*self._fold(r)[:2]) for r in radii]
 
     @property
     def support_radius(self) -> float | None:
@@ -279,7 +280,7 @@ class ConnectionFunction:
         total = (d - 1) * (mass + err) / sphere_surface(d - 1)
         if self.lo:
             below = self.lo * (1.0 - (len(self.scales) + 2) * _EPS)
-            total += 2.0 * self.lo ** (d - 1) * replace(self, lo=None).eval(below)
+            total += 2.0 * self.lo ** (d - 1) * replace(self, lo_cut=None).eval(below)
         return (4.0 if d == 2 else 2.0 * math.pi) * total * (1.0 + 16.0 * _EPS)
 
     def _fold(self, c: float) -> tuple[float, int, int]:
@@ -287,13 +288,9 @@ class ConnectionFunction:
         being the product of the scale factors, and the number of factors
         whose division rounds, by half an ulp each."""
         m, e = math.frexp(c)
-        folds = 0
         for n in self.scales:
-            nm, ne = math.frexp(n)
-            m, de = math.frexp(m / nm)
-            e += de - ne
-            folds += nm != 0.5
-        return m, e, folds
+            m, e = _fold_by(m, e, n)
+        return m, e, sum(math.frexp(n)[0] != 0.5 for n in self.scales)
 
     def _smooth_mass(self, d: int) -> tuple[float, float]:
         """mass of an exponential or gaussian base, from its tail masses."""
@@ -355,20 +352,33 @@ class ConnectionFunction:
 
     def truncate_inside(self, R: float) -> "ConnectionFunction":
         """1{x <= R} times this function."""
-        _check_cut(R)
-        return replace(self, hi=R if self.hi is None else min(self.hi, R))
+        cut = _cut(R)
+        if self.hi_cut is not None:
+            cut = min(self.hi_cut, cut, key=_order)
+        return replace(self, hi_cut=cut)
 
     def truncate_outside(self, R: float) -> "ConnectionFunction":
         """1{x > R} times this function."""
-        _check_cut(R)
-        return replace(self, lo=R if self.lo is None else max(self.lo, R))
+        cut = _cut(R)
+        if self.lo_cut is not None:
+            cut = max(self.lo_cut, cut, key=_order)
+        return replace(self, lo_cut=cut)
 
     def scale(self, n: float) -> "ConnectionFunction":
-        """This function at n x: n joins the factors and (lo, hi] shrinks by n."""
+        """This function at n x: n joins the factors and is folded into the
+        cuts, so (lo, hi] shrinks by n."""
         if not n > 0.0:
             raise ConnFnError("scale factor must be > 0")
-        lo, hi = (None if c is None else c / n for c in (self.lo, self.hi))
-        return replace(self, scales=self.scales + (n,), lo=lo, hi=hi)
+        lo, hi = (None if c is None else _fold_by(*c, n) for c in (self.lo_cut, self.hi_cut))
+        return replace(self, scales=self.scales + (n,), lo_cut=lo, hi_cut=hi)
+
+
+def _fold_by(m: float, e: int, n: float) -> tuple[float, int]:
+    """m 2^e / n as (m', e'), m' in [0.5, 1), or (0, 0) or (inf, 0): the
+    mantissas divide, rounding once, and the exponents subtract exactly."""
+    nm, ne = math.frexp(n)
+    m, de = math.frexp(m / nm)
+    return (m, e + de - ne) if 0.0 < m < math.inf else (m, 0)
 
 
 def _ldexp(m: float, e: int) -> float:
@@ -379,10 +389,19 @@ def _ldexp(m: float, e: int) -> float:
         return math.inf
 
 
-def _check_cut(R: float):
-    """Refuse a cut below 0 or a nan before min or max can drop it."""
+def _cut(R: float) -> tuple[float, int]:
+    """R folded as (m, e); a cut below 0 or a nan is refused before min or
+    max can drop it."""
     if not R >= 0.0:
         raise ConnFnError("truncation radius must be >= 0")
+    return math.frexp(R)
+
+
+def _order(cut: tuple[float, int]):
+    """A folded cut's key in the order of its value m 2^e: 0 first, inf
+    last, and between them by exponent, then mantissa."""
+    m, e = cut
+    return (m, 0, 0.0) if m == 0.0 or m == math.inf else (1.0, e, m)
 
 
 def _log_unit_tail_mass(kind: str, z: float, d: int) -> float:

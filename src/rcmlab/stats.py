@@ -2,11 +2,13 @@
 
 Replications are independent: replication k draws from the streams that
 ``rcmlab.streams`` describes, children (k, 0) for points and (k, 1) for coins,
-so results are identical for any worker count and any grouping of
-consecutive replications into the blocks that are simulated and counted
-together, and aggregation is a pure indexed fold.  Everything downstream (KS
-distances, covariance fields, variance growth, the martingale oracle)
-consumes the replicated values and is deterministic given (config, seed).
+so results are identical for any grouping of consecutive replications into
+the blocks that are simulated and counted together, and aggregation is a pure
+indexed fold.  Serial and pooled calls simulate the same blocks, the plan's,
+so any worker count gives the same rows by construction.  Everything
+downstream (KS distances, covariance fields, variance growth, the martingale
+oracle) consumes the replicated values and is deterministic given (config,
+seed).
 """
 
 from __future__ import annotations
@@ -195,24 +197,21 @@ def _request_rows(cfg, requests, graph):
 _THREAD = threading.local()  # .block: the thread's last block graph, or None
 
 
-def _replication_rows(count, plan, base_seed, lo, hi):
-    """Rows of replications lo..hi-1, simulated in the plan's blocks;
-    count(graph) gives the rows of one block."""
+def _block_rows(count, plan, base_seed, m, lo):
+    """Rows of the plan's block of replications lo..min(lo + plan.reps, m) - 1;
+    count(graph) gives them."""
+    graph = simulate_block(plan, base_seed, lo, min(lo + plan.reps, m))
+    rows = count(graph)
+    # The thread holds its last block until it has built the next one, in
+    # this call or a later one: a block freed first hands its memory back to
+    # the system, and the next one faults it in again.  An mc_large call is
+    # one block of 4 d=2 replications, which faults ~480 pages when the
+    # previous call's block is gone and ~30 when it is held.  A block above
+    # BLOCK_WORK of expected work (one replication too large for the budget)
+    # is not held.
     work = simulator._replication_work(plan.lam_n, plan.box, plan.reach, plan.focus)
-    rows = []
-    for a in range(lo, hi, plan.reps):
-        graph = simulate_block(plan, base_seed, a, min(a + plan.reps, hi))
-        rows.append(count(graph))
-        # The thread holds its last block until it has built the next one, in
-        # this call or a later one: a block freed first hands its memory back
-        # to the system, and the next one faults it in again.  An mc_large
-        # call is one block of 4 d=2 replications, which faults ~480 pages
-        # when the previous call's block is gone and ~30 when it is held.  A
-        # block above BLOCK_WORK of expected work (one replication too large
-        # for the budget) is not held.
-        _THREAD.block = graph if graph.reps * work <= simulator.BLOCK_WORK else None
-        del graph  # so that a block not held is freed before the next is built
-    return np.concatenate(rows)
+    _THREAD.block = graph if graph.reps * work <= simulator.BLOCK_WORK else None
+    return rows
 
 
 _pools: dict[int, ProcessPoolExecutor] = {}  # worker count -> the run's pool
@@ -226,8 +225,8 @@ def run_scope():
 
     Scopes nest; a pool is built on first use and shut down, its workers
     joined, when the outermost scope exits, on every exit path.  Workers
-    hold no state between chunks (each chunk takes its plan pickled), so
-    one pool can serve every call of a run.
+    hold no state between tasks (each block takes its plan pickled) but
+    their last block's memory, so one pool can serve every call of a run.
     """
     global _scope_depth
     _scope_depth += 1
@@ -241,28 +240,27 @@ def run_scope():
 
 
 def _replicate_rows(count, plan, base_seed, m: int, workers: int) -> np.ndarray:
-    """Rows of replications 0..m-1 in replication order, from
-    _replication_rows(count, plan, base_seed, lo, hi) over chunks lo..hi-1.
+    """Rows of replications 0..m-1 in replication order: _block_rows(count,
+    plan, base_seed, m, lo) mapped over the plan's blocks, lo in range(0, m,
+    plan.reps).
 
-    Serial (one call) for 0 or 1 workers or m < 8; otherwise about four chunks
-    per worker in the run's process pool (see run_scope; a call outside any
-    run is a run of its own), written back in chunk order.  The pool holds at
-    most one process per CPU, whatever the worker count; the chunks follow
-    the worker count alone.  The plan is built by the caller, so the workers
-    only simulate and count.
+    The builtin map runs them in process for 0 or 1 workers or a call of one
+    block; otherwise the run's process pool does (see run_scope; a call
+    outside any run is a run of its own), one block a task.  Serial and
+    pooled calls simulate the same blocks.  The pool holds at most one
+    process per CPU, whatever the worker count.  The plan is built by the
+    caller, so the workers only simulate and count.
     """
     if workers < 0:
         raise ValueError(f"workers must be >= 0, got {workers}")
-    if workers <= 1 or m < 8:
-        return _replication_rows(count, plan, base_seed, 0, m)
-    chunk = math.ceil(m / (4 * workers))
-    los = range(0, m, chunk)
-    his = [min(lo + chunk, m) for lo in los]
-    rows = partial(_replication_rows, count, plan, base_seed)
+    rows = partial(_block_rows, count, plan, base_seed, m)
+    blocks = range(0, m, plan.reps)
+    if workers <= 1 or len(blocks) == 1:
+        return np.concatenate(list(map(rows, blocks)))
     with run_scope():
         if workers not in _pools:
             _pools[workers] = ProcessPoolExecutor(max_workers=min(workers, cpu_count() or 1))
-        return np.concatenate(list(_pools[workers].map(rows, los, his)))
+        return np.concatenate(list(_pools[workers].map(rows, blocks)))
 
 
 def replicate_many(

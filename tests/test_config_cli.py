@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from rcmlab import cli
+from rcmlab import cli, simulator
 from rcmlab.acceptance import CriterionResult
 from rcmlab.config import ConfigError, ExperimentConfig, load_config, parse_config
 from rcmlab.moments import ModelConfig
@@ -289,6 +289,21 @@ class TestCli:
         rc = cli.main(["clt-test", "--config", str(cfg_file)])
         assert rc == 1
 
+    def test_clt_test_reports_do_not_depend_on_the_workers(self, cfg_file, tmp_path, pools):
+        # K of side 40 spans several blocks at m = 150, so two workers run
+        # the call in a pool, and one worker in process
+        reports = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"workers{workers}"
+            argv = ["clt-test", "--config", str(cfg_file), "--out-dir", str(out),
+                    "--set", "model.K.sides=40", "--format", "both", "--workers", workers]
+            assert cli.main(argv) == 1
+            reports.append({p.name: p.read_bytes() for p in sorted(out.iterdir())
+                            if p.name != "run_meta.txt"})
+        assert len(pools) == 1 and pools[0].shutdowns == 1
+        assert sorted(reports[0]) == ["clt_test.csv", "clt_test.json"]
+        assert reports[0] == reports[1]
+
     def test_clt_test_below_100_replications_is_config_error(
         self, cfg_file, tmp_path, monkeypatch, capsys
     ):
@@ -532,6 +547,7 @@ class TestCli:
                 raise fault
 
             monkeypatch.setattr(cli, "_emit", emit)
+        monkeypatch.setattr(simulator, "BLOCK_WORK", 2**8)  # calls of many blocks: pooled
         argv = ["simulate", "--config", str(ROOT / "configs" / "default.cfg"),
                 "--out-dir", str(tmp_path), "--set", "run.m=200", "--set", "run.n_list=2, 4",
                 "--workers", "2"]
@@ -780,11 +796,12 @@ assert not stats._pools and not multiprocessing.active_children()
 def test_pool_workers_load_the_tree_search_themselves():
     _fresh_interpreter("""
 import numpy as np
-from rcmlab import ModelConfig, exponential, unit_box
+from rcmlab import ModelConfig, exponential, simulator, unit_box
 from rcmlab.stats import StatRequest, replicate_many, run_scope
 
 cfg = ModelConfig(d=2, lam=1.0, K=unit_box(2), g=exponential(0.3), n=4.0)
 reqs = [StatRequest(name="I", kind="isolated"), StatRequest(name="L", kind="excess", r0=0.1)]
+simulator.BLOCK_WORK = 2**10  # blocks of one or two replications: a pooled call
 with run_scope():
     pooled = replicate_many(cfg, reqs, 16, 7, workers=2)
 absent("scipy.spatial")

@@ -136,6 +136,34 @@ def test_a_partial_product_beyond_floats_takes_the_net_factor(factors):
         assert table.cut_radii == pytest.approx((1e8, 2e8), rel=4e-16)
 
 
+# a cut whose partial quotient leaves the floats is kept by its net quotient:
+# cut inside at 2 and scaled by 1e-8 in two steps, each function is cut at 2e8
+@pytest.mark.parametrize("factors", [(1e-308, 1e300), (1e300, 1e-308)])
+def test_a_cut_beyond_floats_on_the_way_is_kept(factors):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for base in (exponential(1.0), hard_disk(5.0), table_function([(0, 1), (2, 0.5), (4, 0)])):
+            g = base.truncate_inside(2.0)
+            for n in factors:
+                g = g.scale(n)
+            assert g.hi == pytest.approx(2e8, rel=4e-16), base.kind
+            assert g.support_radius == g.tail_radius(1e-6, 2) == g.hi
+            assert g.eval(3e8) == 0.0 and g.eval(np.array([g.hi]))[0] > 0.0
+
+
+# cut outside at 2 and scaled by 1e-10 in three steps, the first order of
+# which passes a subnormal partial quotient, 2e-310
+@pytest.mark.parametrize("factors", [(1e300, 1e10, 1e-300), (1e-300, 1e10, 1e300)])
+def test_a_subnormal_cut_on_the_way_keeps_its_digits(factors):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = exponential(1.0).truncate_outside(2.0)
+        for n in factors:
+            g = g.scale(n)
+        assert g.lo == pytest.approx(2e-10, rel=4e-16, abs=0.0)
+        assert g.eval(g.lo) == 0.0 and g.eval(1.0000001 * g.lo) > 0.0
+
+
 def test_entries_whose_partial_products_stay_finite_keep_their_bits():
     # x 1e300 is finite at 1e8 and inf at 2e8: only the second entry is
     # taken from the net factor

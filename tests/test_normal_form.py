@@ -1,7 +1,8 @@
 """A connection function's normal form is read in one module, and the
 symbolic transform stack stays gone.
 
-The attributes ``scales``, ``lo`` and ``hi`` of a connection function are
+The attributes ``scales``, ``lo`` and ``hi`` of a connection function, and
+the folded cuts ``lo_cut`` and ``hi_cut`` that ``lo`` and ``hi`` read, are
 read by code of src/rcmlab in ``connfn.py`` alone, and in
 ``quadrature._folded``, which folds a builtin's scale factors, and a hard
 disk's inside cut, into a closed form's radius.  The names
@@ -14,7 +15,7 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "rcmlab"
 
-FORM = {"scales", "lo", "hi"}
+FORM = {"scales", "lo", "hi", "lo_cut", "hi_cut"}
 FORM_READERS = {("quadrature", "_folded")}
 STACK_NAMES = {"TruncateInside", "TruncateOutside", "Scale", "with_transform"}
 

@@ -40,7 +40,7 @@ from rcmlab.stats import (
     StatsError,
     _cell_covariances,
     _field_rows,
-    _replication_rows,
+    _block_rows,
     _request_needs,
     _request_rows,
     covariance_field,
@@ -62,6 +62,26 @@ def small_cfg():
     return ModelConfig(d=1, lam=1.0, K=K1, g=exponential(1.0), n=2.0)
 
 
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    """A stand-in for the process pool that maps in this process, so that no
+    worker count starts a process; the sizes of the pools built, in order."""
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+        def shutdown(self, wait=True, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(stats, "ProcessPoolExecutor", InProcessPool)
+    return sizes
+
+
 class TestReplicate:
     def test_identical_reruns(self):
         cfg = small_cfg()
@@ -70,7 +90,8 @@ class TestReplicate:
         b = replicate(cfg, req, 50, base_seed=10)
         assert np.array_equal(a.values, b.values)
 
-    def test_worker_count_invariance(self):
+    def test_worker_count_invariance(self, monkeypatch):
+        monkeypatch.setattr(simulator, "BLOCK_WORK", 2**8)  # blocks of 4: a pooled call
         cfg = small_cfg()
         reqs = [
             StatRequest(name="I", kind="isolated"),
@@ -169,9 +190,10 @@ class TestReplicate:
             tracemalloc.stop()
         assert peak <= 2.05 * 8 * rows * m
 
-    def test_one_pool_per_run(self, pools):
+    def test_one_pool_per_run(self, pools, monkeypatch):
         # two pooled calls on different plans, the second in a nested scope,
         # share the run's one pool, which is shut down when the run ends
+        monkeypatch.setattr(simulator, "BLOCK_WORK", 2**8)  # blocks of 4: calls of many
         cfg = small_cfg()
         first = [StatRequest(name="I", kind="isolated")]
         second = [StatRequest(name="L", kind="excess", r0=0.5)]
@@ -198,6 +220,7 @@ class TestReplicate:
             return tail_radius(self, eps, d)
 
         monkeypatch.setattr(ConnectionFunction, "tail_radius", caller_only)
+        monkeypatch.setattr(simulator, "BLOCK_WORK", 2**8)  # blocks of 4: a pooled call
         cfg = small_cfg()
         reqs = [
             StatRequest(name="I", kind="isolated"),
@@ -211,28 +234,42 @@ class TestReplicate:
             assert np.array_equal(pooled[req.name].values, serial[req.name].values)
 
     @pytest.mark.parametrize("cpus", [None, 1, 3])
-    def test_the_pool_holds_at_most_one_process_per_cpu(self, cpus, monkeypatch):
-        # a stand-in pool that records its size and maps in this process, so
-        # that a worker count far above the CPUs starts no process; the chunks
-        # still follow the worker count, one replication each here
-        sizes = []
-
-        class InProcessPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-            def shutdown(self, wait=True, cancel_futures=False):
-                pass
-
-        monkeypatch.setattr(stats, "ProcessPoolExecutor", InProcessPool)
+    def test_the_pool_holds_at_most_one_process_per_cpu(self, cpus, in_process_pool, monkeypatch):
+        # a worker count far above the CPUs starts no process here; the
+        # pool's tasks are the plan's blocks, whatever the worker count
         monkeypatch.setattr(stats, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(simulator, "BLOCK_WORK", 2**8)  # blocks of 4: a pooled call
         req = StatRequest(name="I", kind="isolated")
         pooled = replicate(small_cfg(), req, 400, base_seed=3, workers=5000)
-        assert sizes == [cpus or 1]
+        assert in_process_pool == [cpus or 1]
         serial = replicate(small_cfg(), req, 400, base_seed=3, workers=1)
+        assert np.array_equal(pooled.values, serial.values)
+
+    def test_a_pooled_call_simulates_the_serial_blocks(self, in_process_pool, monkeypatch):
+        monkeypatch.setattr(simulator, "BLOCK_WORK", 2**8)
+        spans = []
+
+        def recorded(plan, base_seed, lo, hi):
+            spans.append((lo, hi))
+            return simulate_block(plan, base_seed, lo, hi)
+
+        monkeypatch.setattr(stats, "simulate_block", recorded)
+        cfg, req, m = small_cfg(), StatRequest(name="I", kind="isolated"), 62
+        reps = _plan(cfg, *_request_needs(cfg, [req])).reps
+        serial = replicate(cfg, req, m, base_seed=3, workers=1)
+        serial_spans = spans[:]
+        del spans[:]
+        pooled = replicate(cfg, req, m, base_seed=3, workers=2)
+        assert len(in_process_pool) == 1 and 1 < reps < m // 2
+        assert spans == serial_spans == [(lo, min(lo + reps, m)) for lo in range(0, m, reps)]
+        assert np.array_equal(pooled.values, serial.values)
+
+    def test_a_call_of_one_block_builds_no_pool(self, pools):
+        cfg, req = small_cfg(), StatRequest(name="I", kind="isolated")
+        m = _plan(cfg, *_request_needs(cfg, [req])).reps
+        pooled = replicate(cfg, req, m, base_seed=3, workers=2)
+        assert not pools
+        serial = replicate(cfg, req, m, base_seed=3, workers=1)
         assert np.array_equal(pooled.values, serial.values)
 
     def test_setup_runs_once_per_input(self, monkeypatch):
@@ -252,6 +289,12 @@ class TestReplicate:
 
 def _plan(cfg, min_reach, min_margin, focus):
     return block_plan(cfg.g_n, cfg.lam_n, cfg.K, DEFAULT_POLICY, min_reach, min_margin, focus)
+
+
+def _rows(count, plan, base_seed, lo, hi):
+    """Rows of replications lo..hi-1, in the plan's blocks from lo."""
+    return np.concatenate([_block_rows(count, plan, base_seed, hi, a)
+                           for a in range(lo, hi, plan.reps)])
 
 
 def _reference_rows(cfg, requests, m, base_seed):
@@ -371,8 +414,8 @@ class TestBlockEngine:
         cuts = sorted(data.draw(st.sets(st.integers(lo + 1, hi - 1), max_size=6)))
         bounds = [lo, *cuts, hi]
         for count, plan in counters:
-            parts = [_replication_rows(count, plan, 31, a, b) for a, b in zip(bounds, bounds[1:])]
-            assert np.array_equal(_replication_rows(count, plan, 31, lo, hi), np.concatenate(parts))
+            parts = [_rows(count, plan, 31, a, b) for a, b in zip(bounds, bounds[1:])]
+            assert np.array_equal(_rows(count, plan, 31, lo, hi), np.concatenate(parts))
 
     def test_a_far_window_keeps_the_origin_blocks(self):
         # K at 1e6: as many replications a block as at the origin, whose
@@ -382,8 +425,8 @@ class TestBlockEngine:
         plan = _plan(far, *_request_needs(far, requests))
         assert plan.reps == _plan(cfg, *_request_needs(cfg, requests)).reps > 1000
         count, m = partial(_request_rows, far, requests), plan.reps + 50
-        rows = _replication_rows(count, plan, 606, 0, m)
-        assert np.array_equal(rows, _replication_rows(count, replace(plan, reps=1), 606, 0, m))
+        rows = _rows(count, plan, 606, 0, m)
+        assert np.array_equal(rows, _rows(count, replace(plan, reps=1), 606, 0, m))
         assert rows[:, 0].any()
 
 
@@ -653,8 +696,8 @@ class TestFocus:
         count = partial(_request_rows, self.CFG, requests)
         plan = _plan(self.CFG, *_request_needs(self.CFG, requests))
         assert plan.focus == self.CFG.K
-        rows = _replication_rows(count, plan, 17, 0, 24)
-        assert np.array_equal(rows, _replication_rows(count, replace(plan, focus=None), 17, 0, 24))
+        rows = _rows(count, plan, 17, 0, 24)
+        assert np.array_equal(rows, _rows(count, replace(plan, focus=None), 17, 0, 24))
         assert rows.any()
 
     def test_component_columns_with_a_focus_around_them(self):
@@ -666,11 +709,11 @@ class TestFocus:
         assert plan.focus is None
         count = partial(_request_rows, cfg, requests)
         around = replace(plan, focus=cfg.K.expand(2 * cfg.g_n.support_radius))
-        rows = _replication_rows(count, around, 17, 0, 24)
-        assert np.array_equal(rows, _replication_rows(count, plan, 17, 0, 24))
+        rows = _rows(count, around, 17, 0, 24)
+        assert np.array_equal(rows, _rows(count, plan, 17, 0, 24))
         assert rows[:, 0].any()
         with pytest.raises(SimulationError, match="focus"):
-            _replication_rows(count, replace(plan, focus=cfg.K), 17, 0, 24)
+            _rows(count, replace(plan, focus=cfg.K), 17, 0, 24)
 
 
 class TestKS:
