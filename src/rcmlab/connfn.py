@@ -15,16 +15,19 @@ Each cut is kept as a mantissa and a power of two, into which scale folds n
 as ``_fold`` folds the factors into a, so a cut is lost only where its net
 quotient leaves the floats, not where a partial one does.  lo and hi, the
 cuts read as floats, are compared on x itself, so ties at a cut evaluate as
-"inside" (1{x <= R}), and eval and support_radius agree to the ulp.  The two
-orders of cutting and scaling do not commute: cut at R then scale by n is
-g.scale(n).truncate_inside(R / n), 1{x <= R/n} g(n x), while scale then cut
-is g.scale(n).truncate_inside(R), 1{x <= R} g(n x).
+"inside" (1{x <= R}), and eval and support_radius agree to the ulp.  Cutting
+and scaling do not commute: cut at R then scale by n is 1{x <= R/n} g(n x).
+
+``pieces()`` is the one decoder of that form: ordered radial pieces in x,
+clipped once to (lo, hi], which support_radius, cut_radii, mass and
+quadrature's closed forms read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -79,13 +82,10 @@ class ConnectionFunction:
             if any(v2 > v1 for v1, v2 in zip(vs, vs[1:])):
                 raise ConnFnError("table values must be non-increasing")
             if vs[-1] != 0.0:
-                raise ConnFnError(
-                    "table must end at value 0; the final radius is the "
-                    "mandatory tail cutoff"
-                )
-        else:
-            if self.a is None or not self.a > 0.0:
-                raise ConnFnError(f"{self.kind} needs a positive scale parameter")
+                raise ConnFnError("table must end at value 0; the final radius is "
+                                  "the mandatory tail cutoff")
+        elif self.a is None or not self.a > 0.0:
+            raise ConnFnError(f"{self.kind} needs a positive scale parameter")
 
     @property
     def lo(self) -> float | None:
@@ -164,38 +164,49 @@ class ConnectionFunction:
                 cur[lost] = np.ldexp(x[lost] / m, -e)
         return cur
 
-    def _base_radii(self) -> list[float]:
-        """A hard disk's a or a table's radii over the product of the scale
-        factors, folded (``_fold``); none for the unbounded kinds."""
-        if self.kind == "hard_disk":
-            radii = [self.a]
-        elif self.kind == "table":
-            radii = [r for r, _ in self.table]
+    def pieces(self) -> tuple[tuple[float, float, tuple], ...]:
+        """The function as pieces (u, v, shape), u < v, ordered, contiguous
+        and clipped to (lo, hi], each the function on u < x <= v: a hard
+        disk's 1 to a / F ("constant", folds); a table's line through knots
+        r / F ("line", x0, v0, x1, v1, folds); an exponential's or gaussian's
+        base at x / q, q = a / F = m 2^e, to inf where no cut ends it (kind,
+        m, e, folds).  F is the product of the scale factors, divided out one
+        at a time (``_fold``), folds the number of them whose division
+        rounds, and a radius beyond floats is inf.  No pieces: f is 0."""
+        return self._pieces
+
+    @cached_property
+    def _pieces(self):
+        if self.kind == "table":
+            knots = [(_ldexp(*self._fold(r)[:2]), v) for r, v in self.table]
+            folds = self._fold(1.0)[2]
+            raw = [(x0, x1, ("line", x0, v0, x1, v1, folds))
+                   for (x0, v0), (x1, v1) in zip(knots, knots[1:])]
         else:
-            return []
-        return [_ldexp(*self._fold(r)[:2]) for r in radii]
+            m, e, folds = self._fold(self.a)
+            raw = [(0.0, _ldexp(m, e), ("constant", folds)) if self.kind == "hard_disk"
+                   else (0.0, math.inf, (self.kind, m, e, folds))]
+        lo = self.lo or 0.0
+        hi = math.inf if self.hi is None else self.hi
+        return tuple([(max(u, lo), min(v, hi), shape) for u, v, shape in raw
+                      if max(u, lo) < min(v, hi)])
 
     @property
     def support_radius(self) -> float | None:
-        """Radius beyond which the function is 0, or None if unbounded:
-        min(base edge, hi), or 0.0 when that is <= lo."""
-        radii = self._base_radii()
-        s = radii[-1] if radii else None
-        if self.hi is not None:
-            s = self.hi if s is None else min(s, self.hi)
-        if s is not None and self.lo is not None and s <= self.lo:
+        """Radius beyond which the function is 0: the end of its last piece,
+        0.0 with none, or None for an exponential or gaussian not cut inside
+        (inf is a radius beyond floats)."""
+        if not self._pieces:
             return 0.0
-        return s
+        _, v, shape = self._pieces[-1]
+        return None if self.hi_cut is None and shape[0] in ("exponential", "gaussian") else v
 
     @property
     def cut_radii(self) -> tuple[float, ...]:
-        """Radii where the function is discontinuous or kinked: lo, hi and
-        the base's radii.
-
-        Quadrature uses these as explicit subdivision breakpoints.
-        """
-        cuts = self._base_radii() + [c for c in (self.lo, self.hi) if c is not None]
-        return tuple(sorted({c for c in cuts if c > 0.0 and math.isfinite(c)}))
+        """Radii in (0, inf) where the function is discontinuous or kinked,
+        its pieces' ends: quadrature's subdivision breakpoints."""
+        ends = {c for u, v, _ in self._pieces for c in (u, v)}
+        return tuple(sorted(c for c in ends if 0.0 < c < math.inf))
 
     def tail_radius(self, eps: float, d: int) -> float:
         """Radius T with omega_d * int_T^inf r^{d-1} f(r) dr < eps.
@@ -234,32 +245,27 @@ class ConnectionFunction:
         )
 
     def mass(self, d: int) -> tuple[float, float]:
-        """omega_d int_0^inf r^{d-1} f(r) dr in closed form, and twice a
-        first-order bound on its rounding.  A mass that underflows is 0, and
-        one beyond floats is inf (or raises OverflowError).
-
-        q = a / F (1 / F for a table) is folded exactly as m 2^e, F being the
-        product of the scale factors, which may overflow where q does not:
-          hard disk: omega_d / d (R - lo) sum_k R^k lo^{d-1-k}, R the support
-            radius, as eval compares on it; no term is negative;
-          exponential, gaussian: q^d [M(lo / q) - M(hi / q)], M the tail
-            mass of a = 1, exp(_log_unit_tail_mass); the difference cancels
-            for a thin annulus, so there the bound is a few ulps of
-            q^d M(lo / q), not of the value;
-          table: the two-point Gauss-Legendre rule on each linear piece
-            clipped to (lo, hi], exact for r^{d-1} times a line (d <= 3), on
-            non-negative terms.
-        """
-        R = self.support_radius
-        if R == 0.0:
+        """omega_d int_0^inf r^{d-1} f(r) dr in closed form over the pieces,
+        and twice a first-order bound on its rounding; 0 where it underflows,
+        inf (or OverflowError) beyond floats.  One formula per shape:
+          constant on (u, v]: omega_d / d (v - u) sum_k v^k u^{d-1-k}, v the
+            support radius, as eval compares on it; no term is negative;
+          exponential, gaussian on (u, v]: q^d [M(u / q) - M(v / q)], M the
+            tail mass of a = 1, exp(_log_unit_tail_mass), with q = m 2^e where
+            F may overflow; the difference cancels on a thin annulus, so
+            there the bound is a few ulps of q^d M(u / q), not of the value;
+          line: the two-point Gauss-Legendre rule on each piece, exact for
+            r^{d-1} times a line (d <= 3), on non-negative terms."""
+        pieces = self._pieces
+        if not pieces:
             return 0.0, 0.0
-        if self.kind == "hard_disk":
-            lo = self.lo or 0.0
-            value = sphere_surface(d) / d * (R - lo) * sum(R**k * lo ** (d - 1 - k) for k in range(d))
+        u, v, (shape, *form) = pieces[0]
+        if shape == "constant":
+            value = sphere_surface(d) / d * (v - u) * sum(v**k * u ** (d - 1 - k) for k in range(d))
             return value, 2.0 * (_EPS * (d + 6.0) * value + _SUBNORMAL)
-        if self.kind == "table":
-            return self._table_mass(d)
-        return self._smooth_mass(d)
+        if shape == "line":
+            return _line_mass(pieces, d)
+        return _smooth_mass(shape, u, v, *form, d)
 
     def shift_variation(self, d: int) -> float:
         """Upper bound on int_{R^d} |d/dy_1 f(|y|)| dy in d = 2 or 3, the
@@ -292,62 +298,6 @@ class ConnectionFunction:
             m, e = _fold_by(m, e, n)
         return m, e, sum(math.frexp(n)[0] != 0.5 for n in self.scales)
 
-    def _smooth_mass(self, d: int) -> tuple[float, float]:
-        """mass of an exponential or gaussian base, from its tail masses."""
-        m, e, folds = self._fold(self.a)
-
-        def log_tail(c):
-            """log M(c / q) and a first-order bound on its absolute error: a
-            few ulps of its terms, and the rounding of c / q times
-            |d log M / d log z|, at most w (exponential) or 2 w + 1 (gaussian)."""
-            try:
-                z = math.ldexp(c, -e) / m
-            except OverflowError:
-                return -math.inf, 0.0
-            w = z if self.kind == "exponential" else z * z
-            if w == math.inf:
-                return -math.inf, 0.0
-            slope = w if self.kind == "exponential" else 2.0 * w + 1.0
-            noise = 4.0 + 2.0 * w + 0.5 * (folds + 1) * slope
-            return _log_unit_tail_mass(self.kind, z, d), _EPS * noise
-
-        L_lo, err_lo = log_tail(self.lo or 0.0)
-        L_hi, err_hi = (-math.inf, 0.0) if self.hi is None else log_tail(self.hi)
-        if L_lo + d * e * _LN2 < -800.0:  # q^d M(lo / q) is below every float
-            return 0.0, 2.0 * _SUBNORMAL
-        j = 0 if L_lo > -700.0 else math.floor(L_lo / _LN2)  # so exp() stays normal
-        outer = math.ldexp(math.exp(L_lo - j * _LN2) * m**d, j + d * e)  # q^d M(lo / q)
-        value = max(0.0, -outer * math.expm1(L_hi - L_lo))
-        err = _EPS * (4.0 + 0.5 * d * (folds + 1)) * value
-        err += outer * (err_lo + math.exp(L_hi - L_lo) * err_hi)
-        return value, 2.0 * (err + _SUBNORMAL)
-
-    def _table_mass(self, d: int) -> tuple[float, float]:
-        """mass of a table base, piece by piece.
-
-        A knot r / F moves by (folds + 1) / 2 ulps, which moves the line of
-        its piece by at most |v1 - v0| ulps times x1 / (x1 - x0)."""
-        m, e, folds = self._fold(1.0)
-        knots = [(math.ldexp(r * m, e), v) for r, v in self.table]
-        lo = self.lo or 0.0
-        hi = math.inf if self.hi is None else self.hi
-        total = moved = 0.0
-        for (x0, v0), (x1, v1) in zip(knots, knots[1:]):
-            u, v = max(x0, lo), min(x1, hi)
-            if not v > u or v0 == 0.0:  # empty, or 0 from here on
-                continue
-            # the line at u and v: a knot's value, or two non-negative terms
-            hu = v0 if u == x0 else (v0 * (x1 - u) + v1 * (u - x0)) / (x1 - x0)
-            hv = v1 if v == x1 else (v0 * (x1 - v) + v1 * (v - x0)) / (x1 - x0)
-            rule = sum((hu * s + hv * t) * (u + (v - u) * t) ** (d - 1)
-                       for t, s in zip(_GL2, reversed(_GL2)))
-            total += 0.5 * (v - u) * rule
-            moved += (v - u) / (x1 - x0) * x1 * v ** (d - 1) * (v0 - v1)
-        om = sphere_surface(d)
-        value = om * total
-        err = _EPS * ((2.0 * d + 8.0 + 0.5 * len(knots)) * value + 0.5 * (folds + 1) * om * moved)
-        return value, 2.0 * (err + 4.0 * _SUBNORMAL)
-
     # -- construction -------------------------------------------------------
 
     def truncate_inside(self, R: float) -> "ConnectionFunction":
@@ -371,6 +321,58 @@ class ConnectionFunction:
             raise ConnFnError("scale factor must be > 0")
         lo, hi = (None if c is None else _fold_by(*c, n) for c in (self.lo_cut, self.hi_cut))
         return replace(self, scales=self.scales + (n,), lo_cut=lo, hi_cut=hi)
+
+
+def _smooth_mass(kind: str, u: float, v: float, m: float, e: int, folds: int, d: int):
+    """mass of an exponential or gaussian piece, from its tail masses."""
+
+    def log_tail(c):
+        """log M(c / q) and a first-order bound on its absolute error: a few
+        ulps of its terms, and the rounding of c / q times |d log M / d log
+        z|, at most w (exponential) or 2 w + 1 (gaussian)."""
+        try:
+            z = math.ldexp(c, -e) / m
+        except OverflowError:
+            return -math.inf, 0.0
+        w = z if kind == "exponential" else z * z
+        if w == math.inf:
+            return -math.inf, 0.0
+        slope = w if kind == "exponential" else 2.0 * w + 1.0
+        noise = 4.0 + 2.0 * w + 0.5 * (folds + 1) * slope
+        return _log_unit_tail_mass(kind, z, d), _EPS * noise
+
+    L_lo, err_lo = log_tail(u)
+    L_hi, err_hi = log_tail(v)
+    if L_lo + d * e * _LN2 < -800.0:  # q^d M(u / q) is below every float
+        return 0.0, 2.0 * _SUBNORMAL
+    j = 0 if L_lo > -700.0 else math.floor(L_lo / _LN2)  # so exp() stays normal
+    outer = math.ldexp(math.exp(L_lo - j * _LN2) * m**d, j + d * e)  # q^d M(u / q)
+    value = max(0.0, -outer * math.expm1(L_hi - L_lo))
+    err = _EPS * (4.0 + 0.5 * d * (folds + 1)) * value
+    err += outer * (err_lo + math.exp(L_hi - L_lo) * err_hi)
+    return value, 2.0 * (err + _SUBNORMAL)
+
+
+def _line_mass(pieces, d: int) -> tuple[float, float]:
+    """mass of a table's line pieces, piece by piece.
+
+    A knot r / F moves by (folds + 1) / 2 ulps, which moves the line of its
+    piece by at most |v1 - v0| ulps times x1 / (x1 - x0)."""
+    total = moved = 0.0
+    for u, v, (_, x0, v0, x1, v1, folds) in pieces:
+        if v0 == 0.0:  # 0 from here on
+            continue
+        # the line at u and v: a knot's value, or two non-negative terms
+        hu = v0 if u == x0 else (v0 * (x1 - u) + v1 * (u - x0)) / (x1 - x0)
+        hv = v1 if v == x1 else (v0 * (x1 - v) + v1 * (v - x0)) / (x1 - x0)
+        rule = sum((hu * s + hv * t) * (u + (v - u) * t) ** (d - 1)
+                   for t, s in zip(_GL2, reversed(_GL2)))
+        total += 0.5 * (v - u) * rule
+        moved += (v - u) / (x1 - x0) * x1 * v ** (d - 1) * (v0 - v1)
+    om = sphere_surface(d)
+    value = om * total
+    err = _EPS * ((2.0 * d + 8.0 + 0.5 * (len(pieces) + 1)) * value + 0.5 * (folds + 1) * om * moved)
+    return value, 2.0 * (err + 4.0 * _SUBNORMAL)
 
 
 def _fold_by(m: float, e: int, n: float) -> tuple[float, int]:

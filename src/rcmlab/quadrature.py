@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .connfn import _EPS, _SUBNORMAL, ConnectionFunction, _ldexp, sphere_surface
+from .connfn import _EPS, _SUBNORMAL, ConnectionFunction, sphere_surface
 
 
 class QuadratureError(RuntimeError):
@@ -315,10 +315,10 @@ def overlap_rows(
 ) -> tuple[np.ndarray, np.ndarray]:
     """O(s) = int_{R^d} h1(|y|) h2(|y - s e1|) dy for every separation in s.
 
-    Untruncated pairs of one builtin kind have closed forms, after each
-    scale factor n is folded into the parameter (a scaled exponential(a) is
-    exponential(a / n), and a hard disk cut inside is a smaller disk); see
-    _closed_overlap:
+    Pairs of one builtin kind, each one piece from 0 (``pieces()``), have
+    closed forms, each scale factor n folded into the parameter (a scaled
+    exponential(a) is exponential(a / n), and a hard disk cut inside is a
+    smaller disk); see _closed_overlap:
 
         exponential, equal a    d=1  (a + s) e^{-s/a}
                                 d=2  pi s^2 K_2(s/a) / 4
@@ -481,30 +481,26 @@ def _quadrature_overlap(
 _SEG_SERIES = tuple((-1) ** n * 6.0 / math.factorial(2 * n + 3) for n in range(9))
 
 
-def _folded(h: ConnectionFunction):
-    """(kind, a, da) of a builtin with its scale factors folded into a, or
-    None for a table or a cut function.  A hard disk cut inside at hi is the
-    disk of radius min(a, hi), and one of radius 0 takes the quadrature.
-
-    da bounds |a - exact a|: half an ulp per fold that rounds.
-    """
-    if h.kind == "table" or h.lo is not None or (h.hi is not None and h.kind != "hard_disk"):
-        return None
-    m, e, rounded = h._fold(h.a)
-    a = _ldexp(m, e)  # inf for a radius beyond floats, which a cut at hi may bound
-    if h.hi is not None:
-        a = min(a, h.hi)
-    return (h.kind, a, 0.5 * _EPS * a * rounded) if a > 0.0 else None
-
-
 def _closed_overlap(h1: ConnectionFunction, h2: ConnectionFunction, s: np.ndarray, d: int):
-    """(values, errors) of overlap_rows in closed form, or None for a pair without one."""
-    f1, f2 = _folded(h1), _folded(h2)
-    if f1 is None or f2 is None or f1[0] != f2[0]:
+    """(values, errors) of overlap_rows in closed form, or None for a pair
+    without one.  Each function must be one piece from 0 of one builtin
+    shape: a hard disk's, cut inside or not, is the disk of radius a = its
+    end, and an exponential's or gaussian's must run to inf, a = m 2^e.
+    da bounds |a - exact a|: half an ulp per fold that rounds."""
+    folded = []
+    for pieces in (h1.pieces(), h2.pieces()):
+        if len(pieces) != 1 or pieces[0][0] != 0.0 or pieces[0][2][0] == "line":
+            return None
+        _, v, (shape, *form, folds) = pieces[0]
+        # a = m 2^e, m in [0.5, 1), is beyond floats past e = 1024
+        a = v if shape == "constant" else math.ldexp(*form) if form[1] <= 1024 else math.inf
+        if not (a > 0.0 and (shape == "constant" or v == math.inf)):
+            return None
+        folded.append((shape, a, 0.5 * _EPS * a * folds))
+    (kind, a1, da1), (other, a2, da2) = folded
+    if kind != other:
         return None
-    kind, a1, da1 = f1
-    _, a2, da2 = f2
-    if kind == "hard_disk":
+    if kind == "constant":
         return _disk_overlap(a1, a2, s, d, da1, da2)
     fold = da1 / a1 + da2 / a2  # O rises with each a_i, so each log-slope is at most their sum's
     if kind == "gaussian":
@@ -597,13 +593,13 @@ def _exponential_overlap(a: float, s: np.ndarray, d: int, fold: float):
     """
     with np.errstate(over="ignore"):  # x = inf past every float: the value is 0
         x = s / a
-    t = np.clip(x, 1e-100, 800.0)  # x^2 K_2(x) is 2 to double precision below 1e-100
-    if d == 1:
-        prefactor = a + np.minimum(s, 800.0 * a)
-    elif d == 2:  # pi s^2 K_2(x) / 4 = (pi a^2 / 4) x^2 K_2(x)
-        prefactor = 0.25 * math.pi * a * a * _x2_k2_ex(t)
-    else:
-        prefactor = math.pi * a**3 * (1.0 + t + t * t / 3.0)
+        t = np.clip(x, 1e-100, 800.0)  # x^2 K_2(x) is 2 to double precision below 1e-100
+        if d == 1:
+            prefactor = a + np.minimum(s, 800.0 * a)
+        elif d == 2:  # pi s^2 K_2(x) / 4 = (pi a^2 / 4) x^2 K_2(x)
+            prefactor = 0.25 * math.pi * a * a * _x2_k2_ex(t)
+        else:  # numpy's scalar power has the bits of a**3, and is inf where that raises
+            prefactor = math.pi * np.float64(a) ** 3 * (1.0 + t + t * t / 3.0)
     values = prefactor * np.exp(-x)
     rel = _EPS * (16.0 + 2.0 * t) + fold * (d + t)
     return values, 2.0 * (rel * values + _SUBNORMAL * (1.0 + prefactor))

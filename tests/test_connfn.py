@@ -5,7 +5,7 @@ import sys
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rcmlab import connfn
 from rcmlab.connfn import (
@@ -16,6 +16,7 @@ from rcmlab.connfn import (
     table_function,
 )
 from rcmlab.quadrature import adaptive_quad, radial_integral
+from test_extreme_scales import stacks
 
 
 GRID = np.linspace(0.0, 5.0, 51)
@@ -523,3 +524,87 @@ def test_pickle_roundtrip():
     f = gaussian(0.8).scale(2.0).truncate_inside(1.0 / 2.0)
     g = pickle.loads(pickle.dumps(f))
     assert np.array_equal(f.eval(GRID), g.eval(GRID))
+
+
+# -- pieces -------------------------------------------------------------------
+
+_TABLE3 = [(0.0, 1.0), (0.37, 0.6), (1.13, 0.2), (2.9, 0.0)]
+_positive = st.one_of(st.floats(0.05, 5.0), st.floats(-300.0, 300.0).map(lambda e: 10.0**e))
+
+
+@st.composite
+def cut_stacks(draw):
+    """A builtin under scale factors (as test_extreme_scales draws them) or a
+    table, then up to four cuts (0 included) and scale factors in any order."""
+    g = draw(st.one_of(stacks(), st.just(table_function(_TABLE3))))
+    steps = st.tuples(st.sampled_from(["inside", "outside", "scale"]), st.one_of(_positive, st.just(0.0)))
+    for op, arg in draw(st.lists(steps, max_size=4)):
+        if op == "scale":
+            g = g.scale(arg or 2.0)
+        else:
+            g = g.truncate_inside(arg) if op == "inside" else g.truncate_outside(arg)
+    return g
+
+
+def _base_end(f):
+    """Where the base ends in x: a / F, the last knot / F, or inf."""
+    if f.kind == "table":
+        return connfn._ldexp(*f._fold(f.table[-1][0])[:2])
+    return connfn._ldexp(*f._fold(f.a)[:2]) if f.kind == "hard_disk" else math.inf
+
+
+@settings(max_examples=400)
+@given(f=cut_stacks())
+@example(f=hard_disk(1.0).truncate_outside(0.0))
+@example(f=exponential(1.0).truncate_inside(1e300).scale(1e-300))
+@example(f=exponential(1.0).truncate_outside(1e300).scale(1e-300))
+@example(f=table_function(_TABLE3).truncate_outside(0.5).truncate_inside(1.0).scale(3.0))
+def test_pieces_are_ordered_contiguous_and_clipped(f):
+    pieces = f.pieces()
+    lo, hi = f.lo or 0.0, math.inf if f.hi is None else f.hi
+    end = min(hi, _base_end(f))
+    assert bool(pieces) == (lo < end)
+    if pieces:
+        assert pieces[0][0] == lo and pieces[-1][1] == end
+    for u, v, shape in pieces:
+        assert lo <= u < v <= hi
+        assert shape[0] == {"hard_disk": "constant", "table": "line"}.get(f.kind, f.kind)
+    assert all(left[1] == right[0] for left, right in zip(pieces, pieces[1:]))
+    ends = {c for u, v, _ in pieces for c in (u, v) if 0.0 < c < math.inf}
+    assert f.cut_radii == tuple(sorted(ends))
+    unbounded = f.kind in ("exponential", "gaussian") and f.hi is None
+    assert f.support_radius == (0.0 if not pieces else None if unbounded else pieces[-1][1])
+
+
+def _mp_line_mass(knots, values, d):
+    """omega_d int r^(d-1) times the line through (knots, values), at 30 digits."""
+    with mpmath.workdps(30):
+        om = 2 * mpmath.pi ** (mpmath.mpf(d) / 2) / mpmath.gamma(mpmath.mpf(d) / 2)
+        total = mpmath.mpf(0)
+        for x0, x1, v0, v1 in zip(knots, knots[1:], values, values[1:]):
+            x0, x1, v0, v1 = map(mpmath.mpf, (x0, x1, v0, v1))
+            slope = (v1 - v0) / (x1 - x0)
+            total += (v0 - slope * x0) * (x1**d - x0**d) / d + slope * (x1 ** (d + 1) - x0 ** (d + 1)) / (d + 1)
+        return om * total
+
+
+@settings(max_examples=200)
+@given(factors=st.lists(st.floats(0.1, 10.0), min_size=1, max_size=3), d=st.integers(1, 3))
+# r / n and r (1 / n) differ by an ulp at 1.13 here: the knots are the first
+@example(factors=[0.6560643071707601], d=3)
+def test_a_scaled_tables_knots_are_the_sequential_quotients(factors, d):
+    f, knots = table_function(_TABLE3), [r for r, _ in _TABLE3]
+    for n in factors:
+        f, knots = f.scale(n), [x / n for x in knots]
+    pieces = f.pieces()
+    assert [shape[1] for _, _, shape in pieces] + [pieces[-1][2][3]] == knots
+    assert f.cut_radii == tuple(knots[1:])
+    # mass integrates those knots, within its bound of the exact integral
+    value, err = f.mass(d)
+    assert abs(mpmath.mpf(value) - _mp_line_mass(knots, [v for _, v in _TABLE3], d)) <= err
+
+
+def test_a_cut_beyond_the_support_is_no_cut_radius():
+    assert hard_disk(1.0).truncate_inside(2.0).cut_radii == (1.0,)
+    assert hard_disk(1.0).truncate_outside(2.0).cut_radii == ()
+    assert table_function(_TABLE3).truncate_inside(5.0).cut_radii == (0.37, 1.13, 2.9)

@@ -745,7 +745,7 @@ class TestOverlapRows:
         # for any 0 <= h1 <= 1, so it covers the lens lost to s:
         # O(0) - O(s) ~ 2 s in d=2 and pi s in d=3
         spec = QuadratureSpec(abs_tol=1e-13, tail_eps=1e-15)
-        h1 = hard_disk(1.0).truncate_outside(0.0)  # no closed form
+        h1 = hard_disk(1.0).truncate_outside(1e-300)  # no closed form
         s = np.array([1e-14, 1e-12])
         vals, errs = overlap_rows(h1, hard_disk(1.0), s, d, spec)
         at_zero = overlap_rows(h1, hard_disk(1.0), [0.0], d, spec)
@@ -1075,8 +1075,9 @@ class TestClosedOverlap:
                 assert abs(mpmath.mpf(v) - want) <= 64 * np.finfo(float).eps * want, si
 
     def test_folded_radius_is_the_sequential_quotient(self):
-        # _folded reads ConnectionFunction._fold, a / n1 / n2 / ... kept as
-        # m 2^e; where every sequential quotient is normal, its bits are theirs
+        # a builtin's piece folds a / n1 / n2 / ... as m 2^e (a hard disk's
+        # as its end), which the closed forms read; where every sequential
+        # quotient is normal, its bits are theirs
         rng = np.random.default_rng(40)
         tiny, compared = np.finfo(float).tiny, 0
         for _ in range(500):
@@ -1089,7 +1090,9 @@ class TestClosedOverlap:
             if not all(tiny <= q < math.inf for q in quotients):
                 continue
             rounded = sum(math.frexp(n)[0] != 0.5 for n in h.scales)
-            assert quadrature._folded(h) == (kind, quotients[-1], 0.5 * EPS * quotients[-1] * rounded)
+            q = quotients[-1]
+            shape = ("constant", rounded) if kind == "hard_disk" else (kind, *math.frexp(q), rounded)
+            assert h.pieces() == ((0.0, q if kind == "hard_disk" else math.inf, shape),)
             compared += 1
         assert compared >= 200
 
@@ -1116,6 +1119,13 @@ class TestClosedOverlap:
             got = overlap_rows(cut, other, s, d)
             assert np.array_equal(got, overlap_rows(disk, other, s, d))
             assert_within(*got, s, lambda si: ref(0.25, radius, si))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_a_cut_at_zero_is_no_cut(self, d):
+        s = np.concatenate([DENSE_S, SPECIAL_S, [2.0 - 1e-15, 2.0]])
+        for kind in (hard_disk, exponential, gaussian):
+            got = overlap_rows(kind(1.0).truncate_outside(0.0), kind(1.0), s, d)
+            assert np.array_equal(got, overlap_rows(kind(1.0), kind(1.0), s, d)), kind
 
     @pytest.mark.parametrize(
         "h1,h2",
