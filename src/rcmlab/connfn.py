@@ -194,12 +194,13 @@ class ConnectionFunction:
     @property
     def support_radius(self) -> float | None:
         """Radius beyond which the function is 0: the end of its last piece,
-        0.0 with none, or None for an exponential or gaussian not cut inside
-        (inf is a radius beyond floats)."""
+        0.0 with none, or None for an exponential or gaussian piece that ends
+        at inf (a cut beyond floats is no cut); a hard disk's or table's inf
+        is a radius beyond floats."""
         if not self._pieces:
             return 0.0
         _, v, shape = self._pieces[-1]
-        return None if self.hi_cut is None and shape[0] in ("exponential", "gaussian") else v
+        return None if v == math.inf and shape[0] in ("exponential", "gaussian") else v
 
     @property
     def cut_radii(self) -> tuple[float, ...]:
@@ -227,8 +228,8 @@ class ConnectionFunction:
             if math.isinf(s):
                 raise ConnFnError(f"{self.kind}: the support radius overflows a float")
             return s
-        # Unbounded support: no inside cut, base unbounded.  An outside cut
-        # only removes mass, and the scales compose multiplicatively.
+        # Unbounded support: no inside cut within floats, base unbounded.  An
+        # outside cut only removes mass, and the scales compose multiplicatively.
         log_a = math.log(self.a)
         log_factor = sum(math.log(n) for n in self.scales)
         z = _log_unit_tail_radius(

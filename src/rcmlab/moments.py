@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -78,8 +79,9 @@ class ModelConfig:
                 return ln
         raise ModelError(f"density rule has no entry for n={self.n}")
 
-    @property
+    @cached_property
     def g_n(self) -> ConnectionFunction:
+        """g(n x), built once per config (``at_n`` makes a new config)."""
         return self.g if self.n == 1 else self.g.scale(self.n)
 
     def at_n(self, n: float) -> "ModelConfig":

@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .connfn import _EPS, _SUBNORMAL, ConnectionFunction, sphere_surface
+from .connfn import _EPS, _SUBNORMAL, _TINY, ConnectionFunction, sphere_surface
 
 
 class QuadratureError(RuntimeError):
@@ -433,7 +433,8 @@ def _quadrature_overlap(
             def inner_mass(r, sa):
                 """int_0^pi h2(sqrt(r^2 + s^2 - 2 r s cos(theta))) dtheta, one row per (r, s)."""
                 rc, sc = r[:, None], sa[:, None]
-                near, far = rc * rc + sc * sc, 2.0 * rc * sc  # |y - s e1|^2 = near - far cos(theta)
+                with np.errstate(over="ignore"):  # r^2 past floats: near is inf, and h2 is 0 there
+                    near, far = rc * rc + sc * sc, 2.0 * rc * sc  # |y - s e1|^2 = near - far cos(theta)
                 cos_cut = np.clip((near - cut2 * cut2) / far, -1.0, 1.0)
                 inside = (np.abs(rc - sc) < cut2) & (cut2 < rc + sc)
                 angles = np.where(inside, np.arccos(cos_cut), 0.0)
@@ -605,58 +606,40 @@ def _exponential_overlap(a: float, s: np.ndarray, d: int, fold: float):
     return values, 2.0 * (rel * values + _SUBNORMAL * (1.0 + prefactor))
 
 
-_NORMAL_MIN = 2.0**-1022  # the smallest normal float
-
-
 def _gaussian_overlap(a1: float, a2: float, s: np.ndarray, d: int, fold: float):
-    """Overlap of gaussian(a1) and gaussian(a2), relative error eps (16 + 8y) + fold (d + 2y).
+    """Overlap of gaussian(a1) and gaussian(a2), P e^(-y) with P = (pi a1^2
+    a2^2 / q)^(d/2), y = s^2 / q and q = a1^2 + a2^2, in two forms.
 
-    y = s^2 / q carries 4 ulps, which exp turns into 4y ulps of the value;
-    d log O / d log a_i is at most d + 2y.  Past y = 1600 the value is below
-    every subnormal.  An a_i beyond 2^+-250 would take q or a1^2 a2^2 out
-    of the normal floats, so then both are divided by 2^k, 2^k near
-    sqrt(a1 a2), and the result multiplied back: exactly, except that
-    d = 3's power rounds anew.
+    Where q, pi a1^2 a2^2, their quotient and P are normal floats, the
+    formula, relative error eps (16 + 8y) + fold (d + 2y): y carries 4
+    ulps, which exp turns into 4y ulps of the value, and d log O / d log a_i
+    is at most d + 2y.  Past y = 1600 the value is below every subnormal.
 
-    Scales so far apart that no common 2^k keeps the terms normal (a ratio
-    past ~2^1020, or ~2^680 in d = 3) leave q or pi a1^2 a2^2 / q beyond
-    floats, or the power of the latter below the normal floats while 2^(k d)
-    lifts it.  There, with m and M the smaller and larger scale and r = m /
-    M, a1^2 a2^2 / q is taken as m^2 / (1 + r^2), m^2 as (m / 2^k)^2 with 2^k
-    near m, and s^2 / q as (s / M)^2 / (1 + r^2): terms of a few ulps each,
-    like the others.
-
-    A prefactor P beyond floats is taken in logs, the value as exp(log P -
-    y), held at y = log P + 800 where it is below every subnormal.  log P
-    carries a few ulps of |log P| + 1 more, which the 8 log P ulps cover.
+    Everywhere else, logs: with m <= M the two scales and r = m / M, log P
+    = (d/2) (log pi + 2 log m - log1p(r^2)), y = (s / M)^2 / (1 + r^2) and
+    the value exp(log P - y), y held at log P + 800 where the value is below
+    every subnormal.  log P carries a few ulps of |log P| + 1, which the
+    bound's 8 |log P| ulps cover.
     """
-    e1, e2 = math.frexp(a1)[1], math.frexp(a2)[1]
-    k = 0 if max(abs(e1), abs(e2)) < 250 else (e1 + e2) // 2
-    q = base = math.nan  # scales 2^2000 apart: dividing by 2^k takes one past floats
-    if abs(e1 - e2) < 2000:
-        b1, b2 = math.ldexp(a1, -k), math.ldexp(a2, -k)
-        q = b1 * b1 + b2 * b2
-        base = math.pi * (b1 * b1) * (b2 * b2) / q  # nan when q is inf
-    with np.errstate(over="ignore"):  # x past floats is inf, and its y is held below
-        if base < math.inf and (k <= 0 or base ** (d / 2.0) >= _NORMAL_MIN):
-            x = np.ldexp(s / math.sqrt(q), -k)
-        else:
-            small, big = sorted((a1, a2))
-            k, r = math.frexp(small)[1], small / big
-            base = math.pi * math.ldexp(small, -k) ** 2 / (1.0 + r * r)
-            x = s / big / math.sqrt(1.0 + r * r)
-        prefactor = float(np.ldexp(base ** (d / 2.0), k * d))
-    if math.isinf(prefactor):
-        log_p = d / 2.0 * (math.log(base) + 2 * k * math.log(2.0))
-        y = np.minimum(x, math.sqrt(log_p + 800.0)) ** 2
-        with np.errstate(over="ignore"):  # a value beyond floats is inf
-            values = np.exp(log_p - y)
-        rel = _EPS * (16.0 + 8.0 * y + 8.0 * log_p) + fold * (d + 2.0 * y)
-        return values, 2.0 * (rel * values + 2.0 * _SUBNORMAL)
-    y = np.minimum(x, 40.0) ** 2
-    values = prefactor * np.exp(-y)
-    rel = _EPS * (16.0 + 8.0 * y) + fold * (d + 2.0 * y)
-    return values, 2.0 * (rel * values + _SUBNORMAL * (1.0 + prefactor))
+    q = a1 * a1 + a2 * a2
+    top = math.pi * (a1 * a1) * (a2 * a2)
+    # with q and top normal, base <= pi q / 4 and base^2 <= pi top / 4: P is finite
+    base = top / q if _TINY <= min(q, top) and max(q, top) < math.inf else 0.0
+    prefactor = base ** (d / 2.0)
+    if min(base, prefactor) >= _TINY:
+        with np.errstate(over="ignore"):  # s / sqrt(q) past floats is inf, held at 40
+            y = np.minimum(s / math.sqrt(q), 40.0) ** 2
+        values = prefactor * np.exp(-y)
+        rel = _EPS * (16.0 + 8.0 * y) + fold * (d + 2.0 * y)
+        return values, 2.0 * (rel * values + _SUBNORMAL * (1.0 + prefactor))
+    small, big = sorted((a1, a2))
+    r = small / big
+    log_p = d / 2.0 * (math.log(math.pi) + 2.0 * math.log(small) - math.log1p(r * r))
+    with np.errstate(over="ignore"):  # s / M past floats, or a value beyond floats, is inf
+        y = np.minimum((s / big) ** 2 / (1.0 + r * r), log_p + 800.0)
+        values = np.exp(log_p - y)
+    rel = _EPS * (16.0 + 8.0 * y + 8.0 * abs(log_p)) + fold * (d + 2.0 * y)
+    return values, 2.0 * (rel * values + 2.0 * _SUBNORMAL)
 
 
 def _sum3(a, b, c):

@@ -186,16 +186,26 @@ def test_eval_and_support_agree_at_every_edge():
     assert disagree == dict.fromkeys(EDGE_FAMILIES, 0)
 
 
-# a support radius beyond the largest float: by the scale factors of a disk
-# or a table, or by an inside cut that the factors widen
+# a support radius beyond the largest float, by the scale factors of a disk
+# or a table
 @pytest.mark.parametrize("f", [
     hard_disk(1.0).scale(1e-300).scale(1e-300),
     table_function([(0, 1), (1, 0)]).scale(1e-300).scale(1e-300),
-    exponential(1.0).truncate_inside(1e300).scale(1e-300),
 ])
 def test_a_support_beyond_floats_is_an_error(f):
     with pytest.raises(ConnFnError, match="the support radius overflows a float"):
         f.tail_radius(1e-12, 2)
+
+
+def test_an_inside_cut_that_the_factors_widen_past_floats_is_no_cut():
+    # an exponential's piece ends at inf either way: the cut function is
+    # unbounded and equals the uncut one bit for bit
+    f = exponential(1.0).truncate_inside(1e300).scale(1e-300)
+    uncut = exponential(1.0).scale(1e-300)
+    assert f.support_radius is None
+    assert f.tail_radius(1e-12, 2) == uncut.tail_radius(1e-12, 2) == 1.4189714932344927e+303
+    x = np.array([0.0, 1e299, 1e302, 1e303, 1e305, 1.7e308, np.inf])
+    assert np.array_equal(f.eval(x), uncut.eval(x))
 
 
 @pytest.mark.parametrize("f,d", [(exponential(1.0), 1), (exponential(0.7), 2), (gaussian(1.0), 3)])
@@ -572,7 +582,7 @@ def test_pieces_are_ordered_contiguous_and_clipped(f):
     assert all(left[1] == right[0] for left, right in zip(pieces, pieces[1:]))
     ends = {c for u, v, _ in pieces for c in (u, v) if 0.0 < c < math.inf}
     assert f.cut_radii == tuple(sorted(ends))
-    unbounded = f.kind in ("exponential", "gaussian") and f.hi is None
+    unbounded = f.kind in ("exponential", "gaussian") and (f.hi is None or f.hi == math.inf)
     assert f.support_radius == (0.0 if not pieces else None if unbounded else pieces[-1][1])
 
 

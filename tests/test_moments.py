@@ -1,6 +1,7 @@
 import ast
 import itertools
 import math
+import pickle
 from pathlib import Path
 
 import mpmath
@@ -133,6 +134,18 @@ class TestModelConfig:
         assert cfg.lam_n == 2.3
         with pytest.raises(ModelError):
             _ = cfg.at_n(4.0).lam_n
+
+    def test_g_n_is_built_once_per_config(self):
+        # the pool's task argument is a pickled config: it round-trips, with
+        # or without g_n read
+        cfg = ModelConfig(d=2, lam=1.5, K=unit_box(2), g=exponential(0.7), n=3.0)
+        assert pickle.loads(pickle.dumps(cfg)) == cfg
+        g_n = cfg.g_n
+        assert cfg.g_n is g_n and g_n == exponential(0.7).scale(3.0)
+        twin = pickle.loads(pickle.dumps(cfg))
+        assert twin == cfg and twin.g_n == g_n and twin.g_n is twin.g_n
+        other = cfg.at_n(5.0)
+        assert other.g_n == exponential(0.7).scale(5.0) and cfg.g_n is g_n
 
     def test_validation(self):
         with pytest.raises(ModelError):

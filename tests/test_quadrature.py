@@ -738,6 +738,17 @@ class TestOverlapRows:
         vals, errs = overlap_rows(h1, hard_disk(1.0), [1e-12], 1, spec)
         assert abs(vals[0] - (2.0 - 1e-12)) <= errs[0]
 
+    def test_d2_radius_squared_past_floats_warns_nothing(self):
+        # r^2 past floats at r ~ 1e300 once warned "overflow encountered in
+        # multiply", an error under -W error; h2 is 0 there, and the rows
+        # keep the bits they had with warnings off
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals, errs = overlap_rows(exponential(1e300), exponential(0.3), [0.0, 0.3, 1.1], 2)
+        assert vals.tolist() == [0.565486677645663, 0.10189025066640757, 0.231201178664966]
+        assert errs.tolist() == [1.7059619900516784e-12, 3.555624210898879e-10,
+                                 2.182391879629846e-09]
+
     @pytest.mark.parametrize("d", [2, 3])
     def test_tiny_separations_carry_the_shift(self, d):
         # d >= 2 answers s <= 1e-12 with O(0).  The contract: its error adds
@@ -870,6 +881,29 @@ def mp_gaussian_overlap(a1, a2, s, d):
     a1, a2, s = mpmath.mpf(a1), mpmath.mpf(a2), mpmath.mpf(s)
     q = a1 * a1 + a2 * a2
     return (mpmath.pi * a1 * a1 * a2 * a2 / q) ** (mpmath.mpf(d) / 2) * mpmath.exp(-s * s / q)
+
+
+def gaussian_failed_term(a1, a2, d):
+    """The first of the gaussian overlap's terms that is not a normal float,
+    or None: q = a1^2 + a2^2, top = pi a1^2 a2^2, base = top / q, P = base^(d/2)."""
+    tiny = np.finfo(float).tiny
+    q = a1 * a1 + a2 * a2
+    top = math.pi * (a1 * a1) * (a2 * a2)
+    for name, t in (("q", q), ("top", top)):
+        if not tiny <= t < math.inf:
+            return f"{name} {'low' if t < tiny else 'high'}"
+    base = top / q
+    return "base low" if base < tiny else "P low" if base ** (d / 2.0) < tiny else None
+
+
+def gaussian_terms_normal(a1, a2, d):
+    return gaussian_failed_term(a1, a2, d) is None
+
+
+def gaussian_log2_p(a1, a2, d):
+    """log2 of P = (pi a1^2 a2^2 / q)^(d/2), from the smaller and larger scale."""
+    m, big = sorted((a1, a2))
+    return d / 2.0 * (math.log2(math.pi) + 2.0 * math.log2(m) - math.log2(1.0 + (m / big) ** 2))
 
 
 def mp_lens_area(r1, r2, s):
@@ -1049,6 +1083,79 @@ class TestClosedOverlap:
                 warnings.simplefilter("error")
                 vals, errs = overlap_rows(gaussian(a1), gaussian(a2), s, d)
             assert_within(vals, errs, s, lambda si: mp_gaussian_overlap(a1, a2, si, d))
+
+    def test_gaussian_log_form_on_a_seeded_grid(self):
+        # the pairs whose terms are not all normal floats: scales past
+        # 2^+-250 with a normal P, scales 2^600 to 2^2000 apart, and pairs on
+        # either side of each edge of the formula's regime, found by
+        # bisection on the larger scale's bits, the smaller rho times it.
+        # Separations put y at 0, 1, 30 and 700 above the least y whose value
+        # is a float, where they are floats.
+        rng = np.random.default_rng(50)
+        pairs = []
+        while len(pairs) < 150:  # past 2^+-250
+            e1 = int(rng.integers(250, 700)) * (1 if rng.uniform() < 0.5 else -1)
+            e2 = e1 + int(rng.integers(-120, 121))
+            pairs.append((math.ldexp(rng.uniform(0.5, 1.0), e1),
+                          math.ldexp(rng.uniform(0.5, 1.0), e2), int(rng.integers(1, 4))))
+            if gaussian_terms_normal(*pairs[-1]) or not -1020.0 < gaussian_log2_p(*pairs[-1]) < 1020.0:
+                pairs.pop()
+        for _ in range(60):  # 2^600 to 2^2000 apart
+            gap, e_small = int(rng.integers(600, 2001)), int(rng.integers(-1070, 301))
+            e_small = min(e_small, 1020 - gap)
+            small = math.ldexp(rng.uniform(0.5, 1.0), e_small)
+            pairs.append((small, math.ldexp(rng.uniform(0.5, 1.0), e_small + gap),
+                          int(rng.integers(1, 4))))
+        binding = set()
+        for _ in range(40):  # either side of each edge
+            rho, d = 2.0 ** rng.uniform(-680.0, 0.0), int(rng.integers(1, 4))
+            swap = rng.uniform() < 0.5
+
+            def at(bits):  # the pair and d whose larger scale has these bits
+                big = float(np.int64(bits).view(np.float64))
+                return (rho * big, big, d) if swap else (big, rho * big, d)
+
+            inner = next(bits for bits in range(1 << 52, 0x7FF0000000000000, 1 << 55)
+                         if gaussian_terms_normal(*at(bits)))
+            for lower in (True, False):
+                # the regime is an interval of the larger scale: bisect its
+                # bits for the edge, hi inside for the lower edge and lo for
+                # the upper
+                lo, hi = (1, inner) if lower else (inner, 0x7FEFFFFFFFFFFFFF)
+                while hi - lo > 1:
+                    mid = (lo + hi) // 2
+                    if gaussian_terms_normal(*at(mid)) == lower:
+                        hi = mid
+                    else:
+                        lo = mid
+                edge = hi if lower else lo
+                for bits in range(edge - 2, edge + 2):
+                    pairs.append(at(bits))
+                    inside = gaussian_terms_normal(*at(bits))
+                    assert inside == ((bits >= edge) if lower else (bits <= edge))
+                    if not inside:
+                        binding.add(gaussian_failed_term(*at(bits)))
+        assert binding == {"top low", "base low", "P low", "q high", "top high"}
+        moved = 0
+        for a1, a2, d in pairs:
+            moved += not gaussian_terms_normal(a1, a2, d)
+            with mpmath.workdps(30):
+                a1m, a2m = mpmath.mpf(a1), mpmath.mpf(a2)
+                q = a1m * a1m + a2m * a2m
+                log_p = d * mpmath.log(mpmath.pi * a1m * a1m * a2m * a2m / q) / 2
+                least = max(log_p - 709, 0)
+                s = np.array([float(mpmath.sqrt((least + y) * q)) for y in (0, 1, 30, 700)])
+            s = s[s < math.inf]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                vals, errs = overlap_rows(gaussian(a1), gaussian(a2), s, d)
+            assert_within(vals, errs, s, lambda si: mp_gaussian_overlap(a1, a2, si, d))
+        assert moved >= 150 + 160  # the first group and the outer two at each edge
+        # y past floats is held: a value of 0 with a bound of a few subnormals
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals, errs = overlap_rows(gaussian(1e-200), gaussian(1e-180), [1e300, 1.7e308], 2)
+        assert vals.tolist() == [0.0, 0.0] and np.all(errs < 1e-320)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("r1,r2", [(1.0, 1.0), (0.1, 0.1), (1.0, 0.7), (0.3, 1.3)])
